@@ -89,7 +89,9 @@ def neighborhood_codes(
 
     Pads with zeros outside the image.  Accepts ``(H, W)`` or ``(B, H, W)``.
     ``pads`` may carry the precomputed ``(max_row, max_col)`` offset reach so
-    hot callers skip re-deriving it per call.
+    hot callers skip re-deriving it per call.  Codes come back in the
+    narrowest unsigned dtype holding ``len(offsets)`` bits (uint16 for the
+    13-cell ``diamond2``), which keeps the per-bit shift-and-or passes small.
     """
     batched = x.ndim == 3
     arr = x if batched else x[None]
@@ -99,12 +101,14 @@ def neighborhood_codes(
             max(abs(dc) for _, dc in offsets),
         )
     max_r, max_c = pads
-    pad = np.pad(arr, ((0, 0), (max_r, max_r), (max_c, max_c)), constant_values=0)
     h, w = arr.shape[1], arr.shape[2]
-    codes = np.zeros(arr.shape, dtype=np.int64)
+    pad = np.zeros((arr.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=arr.dtype)
+    pad[:, max_r : max_r + h, max_c : max_c + w] = arr
+    dtype = np.min_scalar_type((1 << len(offsets)) - 1)
+    codes = np.zeros(arr.shape, dtype=dtype)
     for bit, (dr, dc) in enumerate(offsets):
         r0, c0 = max_r + dr, max_c + dc
-        codes |= pad[:, r0 : r0 + h, c0 : c0 + w].astype(np.int64) << bit
+        codes |= np.left_shift(pad[:, r0 : r0 + h, c0 : c0 + w], bit, dtype=dtype)
     return codes if batched else codes[0]
 
 
@@ -112,19 +116,29 @@ def downsample_binary(x: np.ndarray, scale: int) -> np.ndarray:
     """Majority-pool a binary image by ``scale`` (pads with zeros).
 
     Accepts ``(H, W)`` or a batched ``(B, H, W)`` stack; the pooling is
-    applied to the trailing two axes either way.
+    applied to the trailing two axes either way.  A block is set when at
+    least half its cells are: ``2 * sum >= scale**2``, with the block sums
+    taken in integers as ``scale`` strided row slices, then column slices.
     """
     if scale == 1:
         return x.astype(np.uint8)
+    x = np.asarray(x, dtype=np.uint8)
     h, w = x.shape[-2], x.shape[-1]
     ph = (-h) % scale
     pw = (-w) % scale
-    pad = [(0, 0)] * (x.ndim - 2) + [(0, ph), (0, pw)]
-    padded = np.pad(x, pad)
-    pooled = padded.reshape(
-        x.shape[:-2] + ((h + ph) // scale, scale, (w + pw) // scale, scale)
-    ).mean(axis=(-3, -1))
-    return (pooled >= 0.5).astype(np.uint8)
+    padded = x
+    if ph or pw:
+        padded = np.zeros(x.shape[:-2] + (h + ph, w + pw), dtype=x.dtype)
+        padded[..., :h, :w] = x
+    dtype = np.min_scalar_type(scale * scale)
+    rows = padded[..., 0::scale, :].astype(dtype)
+    for i in range(1, scale):
+        rows += padded[..., i::scale, :]
+    total = rows[..., 0::scale].copy()
+    for j in range(1, scale):
+        total += rows[..., j::scale]
+    # 2 * sum >= scale**2, without the doubling overflowing ``dtype``.
+    return (total >= (scale * scale + 1) // 2).astype(np.uint8)
 
 
 def upsample_to(x: np.ndarray, scale: int, shape: Tuple[int, int]) -> np.ndarray:
@@ -136,6 +150,12 @@ def upsample_to(x: np.ndarray, scale: int, shape: Tuple[int, int]) -> np.ndarray
         return x[..., : shape[0], : shape[1]]
     up = x.repeat(scale, axis=-2).repeat(scale, axis=-1)
     return up[..., : shape[0], : shape[1]]
+
+
+def as_stack(x: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """``x`` as a uint8 ``(B, H, W)`` stack, and whether it already was one."""
+    arr = np.asarray(x, dtype=np.uint8)
+    return (arr, True) if arr.ndim == 3 else (arr[None], False)
 
 
 class NeighborhoodDenoiser(Denoiser):
@@ -354,26 +374,10 @@ class NeighborhoodDenoiser(Denoiser):
     def predict_x0(
         self, xk: np.ndarray, noise_level: float, condition: Optional[int] = None
     ) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("denoiser not fitted; call fit() first")
-        if not (self._compiled and self.use_compiled):
-            return self._predict_x0_reference(xk, noise_level, condition)
-        c = self._validate_condition(condition)
-        bucket = self.bucket_of(noise_level)
-        arr = np.asarray(xk, dtype=np.uint8)
-        batched = arr.ndim == 3
-        stack = arr if batched else arr[None]
-        # The whole stack is pooled, hashed and gathered at once: one table
-        # lookup over (B, H, W) instead of B separate ones, which is what
-        # lets a micro-batched reverse chain amortise the per-step cost.
-        logit = np.zeros(stack.shape, dtype=np.float32)
-        for s in self.scales:
-            codes = neighborhood_codes(
-                downsample_binary(stack, s), self.offsets, pads=self._pads
-            )
-            pixel_codes = upsample_to(codes, s, stack.shape[1:])
-            logit += self._logit_tables[s][c, bucket][pixel_codes]
-        out = 1.0 / (1.0 + np.exp(-logit, dtype=np.float64))
+        """Single-condition :meth:`predict_x0_many` over ``(H, W)`` or
+        ``(B, H, W)``."""
+        stack, batched = as_stack(xk)
+        out = self.predict_x0_many(stack, noise_level, [condition] * len(stack))
         return out if batched else out[0]
 
     def _predict_x0_reference(
@@ -384,27 +388,10 @@ class NeighborhoodDenoiser(Denoiser):
         The numerical ground truth the compiled tables are pinned against
         (and the baseline of the sampling-throughput benchmark).
         """
-        if not self._fitted:
-            raise RuntimeError("denoiser not fitted; call fit() first")
-        c = self._validate_condition(condition)
-        bucket = self.bucket_of(noise_level)
-        arr = np.asarray(xk, dtype=np.uint8)
-        batched = arr.ndim == 3
-        stack = arr if batched else arr[None]
-        prior = self._marginals[c, bucket]
-        logit = np.zeros(stack.shape, dtype=np.float64)
-        for s, weight in zip(self.scales, self.scale_weights):
-            codes = neighborhood_codes(
-                downsample_binary(stack, s), self.offsets, pads=self._pads
-            )
-            pixel_codes = upsample_to(codes, s, stack.shape[1:])
-            table = self._counts[s][c, bucket]
-            ones = table[pixel_codes, 1]
-            total = ones + table[pixel_codes, 0]
-            p = (ones + self.smoothing * prior) / (total + self.smoothing)
-            p = np.clip(p, _EPS, 1.0 - _EPS)
-            logit += weight * np.log(p / (1.0 - p))
-        out = 1.0 / (1.0 + np.exp(-logit / self._weight_total))
+        stack, batched = as_stack(xk)
+        out = self._predict_x0_many_reference(
+            stack, noise_level, [condition] * len(stack)
+        )
         return out if batched else out[0]
 
     def predict_x0_many(
@@ -420,21 +407,26 @@ class NeighborhoodDenoiser(Denoiser):
         stack; only the final table gather is per-item (each item reads its
         own class's table row).  This is what makes cross-style batches as
         cheap as single-style ones in the serving scheduler.
+
+        Each scale gathers its table values at the pooled resolution and
+        upsamples the float32 values: a pooled block shares one code, so
+        this equals gathering the upsampled codes, at ``1/s**2`` the
+        gather work.
         """
         stack, conds, bucket = self._check_many(xk, noise_level, conditions)
         if not (self._compiled and self.use_compiled):
             return self._many_reference_core(stack, conds, bucket)
         # Per-item offset into the flattened (class, bucket, code) table:
-        # adding it to the pixel codes turns the per-item class lookup into
-        # one big gather with no intermediate table copies.
+        # adding it to the codes turns the per-item class lookup into one
+        # big gather with no intermediate table copies.
         base = ((conds * self.n_buckets + bucket) * self._n_codes)[:, None, None]
         logit = np.zeros(stack.shape, dtype=np.float32)
         for s in self.scales:
             codes = neighborhood_codes(
                 downsample_binary(stack, s), self.offsets, pads=self._pads
             )
-            pixel_codes = upsample_to(codes, s, stack.shape[1:])
-            logit += self._logit_tables[s].reshape(-1)[base + pixel_codes]
+            values = self._logit_tables[s].reshape(-1)[base + codes]
+            logit += upsample_to(values, s, stack.shape[1:])
         return 1.0 / (1.0 + np.exp(-logit, dtype=np.float64))
 
     def _predict_x0_many_reference(
@@ -458,14 +450,15 @@ class NeighborhoodDenoiser(Denoiser):
             codes = neighborhood_codes(
                 downsample_binary(stack, s), self.offsets, pads=self._pads
             )
-            pixel_codes = upsample_to(codes, s, stack.shape[1:])
             flat = self._counts[s].reshape(-1, 2)
-            index = base + pixel_codes
+            index = base + codes
             ones = flat[index, 1]
             total = ones + flat[index, 0]
             p = (ones + self.smoothing * priors) / (total + self.smoothing)
             p = np.clip(p, _EPS, 1.0 - _EPS)
-            logit += weight * np.log(p / (1.0 - p))
+            logit += upsample_to(
+                weight * np.log(p / (1.0 - p)), s, stack.shape[1:]
+            )
         return 1.0 / (1.0 + np.exp(-logit / self._weight_total))
 
     def _check_many(

@@ -12,7 +12,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.diffusion.denoisers.base import Denoiser
-from repro.diffusion.denoisers.neighborhood import NeighborhoodDenoiser
+from repro.diffusion.denoisers.neighborhood import (
+    NeighborhoodDenoiser,
+    as_stack,
+)
 from repro.diffusion.schedule import (
     DiffusionSchedule,
     SamplerSteps,
@@ -130,56 +133,14 @@ class ConditionalDiffusionModel:
         deterministic: bool = False,
         k_next: Optional[int] = None,
     ) -> np.ndarray:
-        """One reverse step ``x_k -> x_{k_next}`` (Eq. 9; default ``k - 1``).
-
-        Two samplers implement the step:
-
-        - ``"posterior"`` — the exact Eq. (5)/(9) ancestral step, summing the
-          closed-form posterior over the predicted ``x_0``.
-        - ``"x0"`` (default) — x0-resampling: draw ``x0_hat ~ p_theta(x0|x_k,c)``
-          and re-noise it to level ``k_next`` via the forward process.  Both
-          target the same learned posterior; x0-resampling applies the
-          denoiser at full strength every step, which anneals global
-          structure far more effectively for local (tabular) denoisers and
-          is a standard sampler choice in D3PM implementations.
-
-        ``k_next`` is the step the state is re-noised to — ``k - 1`` for the
-        classic chain, further for the strided step schedules of
-        :meth:`reverse_step_plan` (x0-resampling re-noises to any level in
-        closed form, so a stride costs nothing extra; the adjacent-step
-        posterior sampler falls back to the same jump).  ``k_next == 0``
-        returns the clean prediction.  ``deterministic`` takes the mode
-        instead of sampling — used for the final step, the discrete
-        analogue of dropping the noise term at k=1.
-        """
-        if k_next is None:
-            k_next = k - 1
-        if not 0 <= k_next < k:
-            raise ValueError(f"k_next {k_next} must be in [0, {k})")
-        level = self.schedule.beta_bar(k)
-        p_x0 = self.denoiser.predict_x0(xk, level, condition)
-        if self.sharpen > 0:
-            # Progressive sharpening: as the noise anneals away, raise the
-            # inverse temperature of the x0 posterior.  Wobbling edges (one
-            # cell in/out per row) are the costliest artefact for
-            # legalization — they chain interval constraints across rows —
-            # and near-deterministic late steps straighten them out.
-            gamma = 1.0 + self.sharpen * (1.0 - level / 0.5)
-            p_x0 = p_x0 ** gamma / (p_x0 ** gamma + (1.0 - p_x0) ** gamma)
-        if self.density_guidance:
-            p_x0 = _calibrate_density(p_x0, self.denoiser.target_fill(condition))
-        if self.sampler == "posterior" and k_next == k - 1:
-            p_prev = self.schedule.posterior_mix(xk, p_x0, k)
-            if deterministic:
-                return (p_prev > 0.5).astype(np.uint8)
-            return (rng.random(xk.shape) < p_prev).astype(np.uint8)
-        if deterministic:
-            x0_hat = (p_x0 > 0.5).astype(np.uint8)
-        else:
-            x0_hat = (rng.random(xk.shape) < p_x0).astype(np.uint8)
-        if k_next == 0:
-            return x0_hat
-        return self.schedule.forward_sample(x0_hat, k_next, rng)
+        """Single-condition :meth:`denoise_step_batch` over ``(H, W)`` or
+        ``(B, H, W)``."""
+        stack, batched = as_stack(xk)
+        out = self.denoise_step_batch(
+            stack, k, [condition] * len(stack), rng,
+            deterministic=deterministic, k_next=k_next,
+        )
+        return out if batched else out[0]
 
     def polish(
         self,
@@ -187,96 +148,11 @@ class ConditionalDiffusionModel:
         condition: Optional[int],
         sweeps: Optional[int] = None,
     ) -> np.ndarray:
-        """Deterministic low-noise denoiser sweeps (speckle removal).
-
-        Re-applies the k=1 denoiser in mode-taking form until fixpoint or
-        ``sweeps`` iterations; equivalent to appending extra deterministic
-        final steps to the reverse chain.
-        """
-        if sweeps is None:
-            sweeps = self.polish_sweeps
-        level = self.schedule.beta_bar(1)
-        x = np.asarray(x0, dtype=np.uint8)
-        for _ in range(sweeps):
-            p = self.denoiser.predict_x0(x, level, condition)
-            if self.density_guidance:
-                # Guided mode-taking: threshold at the quantile that keeps
-                # the class fill rate.  A fixed 0.5 threshold would erase
-                # (or flood) the pattern whenever under-trained tables sit
-                # uniformly below (above) one half.
-                target = self.denoiser.target_fill(condition)
-                threshold = float(np.quantile(p, 1.0 - target))
-                threshold = min(max(threshold, 1e-9), 1.0 - 1e-9)
-            else:
-                threshold = 0.5
-            nxt = (p > threshold).astype(np.uint8)
-            if np.array_equal(nxt, x):
-                break
-            x = nxt
-        return self._resolve_corner_touches(x, condition)
-
-    def _resolve_corner_touches(
-        self, x: np.ndarray, condition: Optional[int], max_rounds: int = 8
-    ) -> np.ndarray:
-        """Clear corner-touching polygon pairs from a clean sample.
-
-        Training data contains no corner touches (they are zero-space DRC
-        defects), so they are off-manifold artefacts of the sampler; of each
-        touching diagonal pair the cell with the lower k=1 posterior is
-        cleared.  Only *model output* passes through here — seams created by
-        naive concatenation never do, matching the paper's dynamics.
-        """
-        from repro.geometry.grid import diagonal_touch_pairs
-
-        if x.ndim == 3:
-            return self._resolve_corner_touches_batch(
-                x, [condition] * x.shape[0], max_rounds
-            )
-        level = self.schedule.beta_bar(1)
-        out = x.copy()
-        for _ in range(max_rounds):
-            touches = diagonal_touch_pairs(out)
-            if not touches:
-                break
-            p = self.denoiser.predict_x0(out, level, condition)
-            _clear_weakest_touch_cells(out, p, touches)
-        return out
-
-    def _resolve_corner_touches_batch(
-        self,
-        x: np.ndarray,
-        conditions: Sequence[Optional[int]],
-        max_rounds: int = 8,
-    ) -> np.ndarray:
-        """Batched corner resolution over a ``(B, H, W)`` stack.
-
-        Each round evaluates the k=1 posterior ONCE for every item that
-        still holds a corner touch (one ``predict_x0_many`` on the active
-        sub-stack) instead of running B independent per-item chains — the
-        per-item outcome is identical, only the denoiser amortisation
-        changes.
-        """
-        from repro.geometry.grid import diagonal_touch_pairs
-
-        out = np.asarray(x, dtype=np.uint8).copy()
-        conditions = list(conditions)
-        level = self.schedule.beta_bar(1)
-        active = list(range(out.shape[0]))
-        for _ in range(max_rounds):
-            touches_by_item = {}
-            for i in active:
-                touches = diagonal_touch_pairs(out[i])
-                if touches:
-                    touches_by_item[i] = touches
-            active = list(touches_by_item)
-            if not active:
-                break
-            p = self.denoiser.predict_x0_many(
-                out[active], level, [conditions[i] for i in active]
-            )
-            for j, i in enumerate(active):
-                _clear_weakest_touch_cells(out[i], p[j], touches_by_item[i])
-        return out
+        """Single-condition :meth:`polish_batch` over ``(H, W)`` or
+        ``(B, H, W)``."""
+        stack, batched = as_stack(x0)
+        out = self.polish_batch(stack, [condition] * len(stack), sweeps)
+        return out if batched else out[0]
 
     def sample(
         self,
@@ -286,24 +162,16 @@ class ConditionalDiffusionModel:
         shape: Optional[Tuple[int, int]] = None,
         sampler_steps: SamplerSteps = None,
     ) -> np.ndarray:
-        """Sample ``count`` topologies via the reverse chain (Eq. 11).
+        """Sample ``count`` topologies of one class (Eq. 11).
 
-        Returns a ``(count, H, W)`` uint8 array.  ``shape`` defaults to the
-        model window; larger shapes should go through
-        :mod:`repro.ops.extend` instead, matching the paper's free-size
-        pipeline.  ``sampler_steps`` overrides the model's step schedule for
-        this trajectory (see :meth:`reverse_step_plan`).
+        Returns a ``(count, H, W)`` uint8 array: :meth:`sample_batch` with
+        ``condition`` repeated.  ``shape`` defaults to the model window;
+        larger shapes should go through :mod:`repro.ops.extend` instead,
+        matching the paper's free-size pipeline.
         """
-        if not self.fitted:
-            raise RuntimeError("model not fitted; call fit() first")
-        h, w = shape or (self.window, self.window)
-        xk = self.prior_sample((count, h, w), rng)
-        for k, k_next in self.reverse_step_plan(sampler_steps):
-            xk = self.denoise_step(
-                xk, k, condition, rng,
-                deterministic=(k_next == 0), k_next=k_next,
-            )
-        return self.polish(xk, condition)
+        return self.sample_batch(
+            [condition] * count, rng, shape=shape, sampler_steps=sampler_steps
+        )
 
     def noise_to(
         self, x0: np.ndarray, k: int, rng: np.random.Generator
@@ -324,16 +192,32 @@ class ConditionalDiffusionModel:
         deterministic: bool = False,
         k_next: Optional[int] = None,
     ) -> np.ndarray:
-        """One reverse step over a stacked batch with per-item conditions.
+        """One reverse step ``x_k -> x_{k_next}`` (Eq. 9; default ``k - 1``)
+        over a ``(B, H, W)`` stack with per-item conditions.
 
-        The CFG-batching idiom adapted to class tables: the whole stack
-        shares one trajectory, the denoiser is evaluated once per *distinct*
-        condition on the matching sub-stack (at most ``n_classes`` chunks),
-        and the results are scattered back into place.  Density guidance is
-        calibrated per item (each item pins its own class fill rate), which
-        the sequential :meth:`denoise_step` approximates jointly over its
-        single-condition batch.  ``k_next`` strides exactly as in
-        :meth:`denoise_step`.
+        Two samplers implement the step:
+
+        - ``"posterior"`` — the exact Eq. (5)/(9) ancestral step, summing the
+          closed-form posterior over the predicted ``x_0``.
+        - ``"x0"`` (default) — x0-resampling: draw ``x0_hat ~ p_theta(x0|x_k,c)``
+          and re-noise it to level ``k_next`` via the forward process.  Both
+          target the same learned posterior; x0-resampling applies the
+          denoiser at full strength every step, which anneals global
+          structure far more effectively for local (tabular) denoisers and
+          is a standard sampler choice in D3PM implementations.
+
+        ``k_next`` is the step the state is re-noised to — ``k - 1`` for the
+        classic chain, further for the strided step schedules of
+        :meth:`reverse_step_plan` (x0-resampling re-noises to any level in
+        closed form, so a stride costs nothing extra; the adjacent-step
+        posterior sampler falls back to the same jump).  ``k_next == 0``
+        returns the clean prediction.  ``deterministic`` takes the mode
+        instead of sampling — used for the final step, the discrete
+        analogue of dropping the noise term at k=1.
+
+        The whole stack shares one denoiser call (the CFG-batching idiom
+        adapted to class tables), and density guidance is calibrated per
+        item: each item pins its own class fill rate.
         """
         xk = np.asarray(xk, dtype=np.uint8)
         if xk.ndim != 3:
@@ -352,8 +236,14 @@ class ConditionalDiffusionModel:
             [self.denoiser.target_fill(c) for c in conditions], dtype=np.float64
         )
         if self.sharpen > 0:
+            # Progressive sharpening: as the noise anneals away, raise the
+            # inverse temperature of the x0 posterior.  Wobbling edges (one
+            # cell in/out per row) are the costliest artefact for
+            # legalization — they chain interval constraints across rows —
+            # and near-deterministic late steps straighten them out.
             gamma = 1.0 + self.sharpen * (1.0 - level / 0.5)
-            p_x0 = p_x0 ** gamma / (p_x0 ** gamma + (1.0 - p_x0) ** gamma)
+            lifted = p_x0 ** gamma
+            p_x0 = lifted / (lifted + (1.0 - p_x0) ** gamma)
         if self.density_guidance:
             p_x0 = _calibrate_density_batch(p_x0, targets)
         if self.sampler == "posterior" and k_next == k - 1:
@@ -375,12 +265,16 @@ class ConditionalDiffusionModel:
         conditions: Sequence[Optional[int]],
         sweeps: Optional[int] = None,
     ) -> np.ndarray:
-        """Batched :meth:`polish` with per-item conditions and thresholds.
+        """Deterministic low-noise denoiser sweeps (speckle removal) over a
+        ``(B, H, W)`` stack with per-item conditions.
 
-        The per-item guided thresholds come from one vectorized per-row
-        quantile over the stacked probability map (one sort instead of B
-        ``np.quantile`` calls), and corner resolution runs batched — one
-        ``predict_x0_many`` per round over the items that still touch.
+        Re-applies the k=1 denoiser in mode-taking form until fixpoint or
+        ``sweeps`` iterations; equivalent to appending extra deterministic
+        final steps to the reverse chain.  Under density guidance each item
+        is thresholded at the quantile that keeps its class fill rate (a
+        fixed 0.5 would erase, or flood, the pattern whenever under-trained
+        tables sit uniformly below, or above, one half); the per-item
+        quantiles come from one vectorized per-row sort.
         """
         if sweeps is None:
             sweeps = self.polish_sweeps
@@ -405,7 +299,45 @@ class ConditionalDiffusionModel:
             if np.array_equal(nxt, x):
                 break
             x = nxt
-        return self._resolve_corner_touches_batch(x, conditions)
+        return self._resolve_corner_touches(x, conditions)
+
+    def _resolve_corner_touches(
+        self,
+        x: np.ndarray,
+        conditions: Sequence[Optional[int]],
+        max_rounds: int = 8,
+    ) -> np.ndarray:
+        """Clear corner-touching polygon pairs from a clean ``(B, H, W)`` stack.
+
+        Training data contains no corner touches (they are zero-space DRC
+        defects), so they are off-manifold artefacts of the sampler; of each
+        touching diagonal pair the cell with the lower k=1 posterior is
+        cleared.  Only *model output* passes through here — seams created by
+        naive concatenation never do, matching the paper's dynamics.  Each
+        round evaluates the k=1 posterior once, over the sub-stack of items
+        that still hold a touch.
+        """
+        from repro.geometry.grid import diagonal_touch_pairs
+
+        out = np.asarray(x, dtype=np.uint8).copy()
+        conditions = list(conditions)
+        level = self.schedule.beta_bar(1)
+        active = list(range(out.shape[0]))
+        for _ in range(max_rounds):
+            touches_by_item = {}
+            for i in active:
+                touches = diagonal_touch_pairs(out[i])
+                if touches:
+                    touches_by_item[i] = touches
+            active = list(touches_by_item)
+            if not active:
+                break
+            p = self.denoiser.predict_x0_many(
+                out[active], level, [conditions[i] for i in active]
+            )
+            for j, i in enumerate(active):
+                _clear_weakest_touch_cells(out[i], p[j], touches_by_item[i])
+        return out
 
     def sample_batch(
         self,
@@ -482,23 +414,15 @@ def _row_quantiles(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def _calibrate_density_batch(
     p: np.ndarray, targets: np.ndarray, bins: int = 512
 ) -> np.ndarray:
-    """Per-item :func:`_calibrate_density` over a ``(B, H, W)`` stack.
+    """Moment-matching density guidance over a ``(B, H, W)`` stack.
 
-    Same moment-matching objective, different solver: the bisection for the
-    shared logit offset runs on a per-item *histogram* of the logits (with
-    bin-mean representatives), so the 40 halving steps touch ``bins`` values
-    per item instead of the full pixel map, and only one full-array sigmoid
-    is paid at the end.  The density error is second-order in the bin width
-    — empirically ~1e-5, inside the exact solver's 1e-4 fast-path tolerance
-    — which is what makes the batched serving trajectory cheaper per sample
-    than the sequential path it replaces.
-
-    Every stage is vectorized across the stack (the per-row histograms are
-    two ``bincount`` calls over row-offset bin indices, the bisection runs
-    on ``(B, bins)`` arrays): a serving batch costs a handful of large
-    array operations instead of thousands of tiny per-row ones, which both
-    speeds the step up and keeps the engine's executor pool out of the
-    interpreter lock for most of it.
+    Shifts each item's probability map in logit space so its mean equals
+    the item's class fill rate.  Local structure (the *relative* ordering
+    of pixels) is untouched; only the global density is pinned, which
+    prevents the density drift local denoisers exhibit over long reverse
+    chains.  Items already within 1e-4 of their target are left as they
+    are; the offsets of the rest come from :func:`_density_offsets`, and
+    only one full-array sigmoid is paid at the end.
     """
     clipped = np.clip(p, 1e-9, 1.0 - 1e-9)
     means = clipped.mean(axis=(1, 2))
@@ -508,60 +432,68 @@ def _calibrate_density_batch(
     out = clipped.copy()
     rows = np.flatnonzero(needs)
     logits = np.log(clipped[rows] / (1.0 - clipped[rows]))
-    flat = logits.reshape(len(rows), -1)
-    size = flat.shape[1]
-    lo_edge = flat.min(axis=1, keepdims=True)
-    span = flat.max(axis=1, keepdims=True) - lo_edge
-    # Degenerate rows (constant logits) all land in bin 0, whose
-    # representative is then the exact value — same result as the scalar
-    # solver's single-bin histogram.
-    bin_idx = np.floor(
-        (flat - lo_edge) / np.where(span > 0, span, 1.0) * bins
-    ).astype(np.intp)
-    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
-    bin_idx += np.arange(len(rows), dtype=np.intp)[:, None] * bins
-    counts = np.bincount(
-        bin_idx.ravel(), minlength=len(rows) * bins
-    ).reshape(len(rows), bins)
-    sums = np.bincount(
-        bin_idx.ravel(), weights=flat.ravel(), minlength=len(rows) * bins
-    ).reshape(len(rows), bins)
-    # Empty bins get zero weight, so their representative value is moot.
-    reps = sums / np.maximum(counts, 1)
-    weights = counts / size
-    lo = np.full(len(rows), -30.0)
-    hi = np.full(len(rows), 30.0)
-    wanted = np.asarray(targets, dtype=np.float64)[rows]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        mean = (weights / (1.0 + np.exp(-(reps + mid[:, None])))).sum(axis=1)
-        below = mean < wanted
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    offset = (0.5 * (lo + hi)).reshape(-1, 1, 1)
-    out[rows] = 1.0 / (1.0 + np.exp(-(logits + offset)))
+    offsets = _density_offsets(
+        logits.reshape(len(rows), -1),
+        np.asarray(targets, dtype=np.float64)[rows],
+        bins,
+    )
+    out[rows] = 1.0 / (1.0 + np.exp(-(logits + offsets[:, None, None])))
     return out
 
 
-def _calibrate_density(p: np.ndarray, target: float) -> np.ndarray:
-    """Moment-matching density guidance.
+def _density_offsets(
+    logits: np.ndarray, targets: np.ndarray, bins: int = 512
+) -> np.ndarray:
+    """Per-row logit offset ``d`` with ``mean(sigmoid(logits + d)) = target``.
 
-    Shifts the probability map in logit space so its mean equals the class's
-    clean-data fill rate.  Local structure (the *relative* ordering of
-    pixels) is untouched; only the global density is pinned, which prevents
-    the density drift local denoisers exhibit over long reverse chains.
-    Solved by bisection on the shared logit offset.
+    ``logits`` is ``(R, N)``.  The mean is taken over a per-row *histogram*
+    of the logits with bin-mean representatives, so each solver round
+    touches ``bins`` values per row instead of the full map; the density
+    error is second-order in the bin width (empirically ~1e-5, inside the
+    1e-4 tolerance of the calibration fast path).  The per-row histograms
+    are two ``bincount`` calls over row-offset bin indices.
+
+    The root is found by safeguarded Newton on ``[-30, 30]``: each round
+    shrinks the bracket around the root, and a Newton step that leaves it
+    (or divides by a vanished slope) bisects the bracket instead.  It
+    settles in about four rounds where plain bisection needs forty; a root
+    beyond the bracket ends at its edge, as bisection's would.
     """
-    p = np.clip(p, 1e-9, 1.0 - 1e-9)
-    if abs(float(p.mean()) - target) < 1e-4:
-        return p
-    logits = np.log(p / (1.0 - p))
-    lo, hi = -30.0, 30.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        mean = float((1.0 / (1.0 + np.exp(-(logits + mid)))).mean())
-        if mean < target:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (1.0 + np.exp(-(logits + 0.5 * (lo + hi))))
+    n_rows, size = logits.shape
+    lo_edge = logits.min(axis=1, keepdims=True)
+    span = logits.max(axis=1, keepdims=True) - lo_edge
+    # Degenerate rows (constant logits) all land in bin 0, whose
+    # representative is then the exact value.
+    bin_idx = np.floor(
+        (logits - lo_edge) / np.where(span > 0, span, 1.0) * bins
+    ).astype(np.intp)
+    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
+    bin_idx += np.arange(n_rows, dtype=np.intp)[:, None] * bins
+    counts = np.bincount(
+        bin_idx.ravel(), minlength=n_rows * bins
+    ).reshape(n_rows, bins)
+    sums = np.bincount(
+        bin_idx.ravel(), weights=logits.ravel(), minlength=n_rows * bins
+    ).reshape(n_rows, bins)
+    # Empty bins get zero weight, so their representative value is moot.
+    reps = sums / np.maximum(counts, 1)
+    weights = counts / size
+    lo = np.full(n_rows, -30.0)
+    hi = np.full(n_rows, 30.0)
+    offset = np.zeros(n_rows)
+    for _ in range(64):
+        sig = 1.0 / (1.0 + np.exp(-(reps + offset[:, None])))
+        mass = weights * sig
+        excess = mass.sum(axis=1) - targets
+        slope = (mass * (1.0 - sig)).sum(axis=1)
+        below = excess < 0
+        lo = np.where(below, offset, lo)
+        hi = np.where(below, hi, offset)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = offset - excess / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        settled = np.abs(step - offset) <= 1e-12
+        offset = step
+        if settled.all():
+            break
+    return offset

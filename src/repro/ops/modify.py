@@ -10,7 +10,7 @@ paper's conditional design exists to avoid.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ def modify(
 
     Returns:
         A new (H, W) uint8 topology equal to the input on the kept cells.
+        This is :func:`modify_batch` over a batch of one.
     """
     known = np.asarray(topology, dtype=np.uint8)
     mask = np.asarray(keep_mask, dtype=np.uint8)
@@ -56,31 +57,69 @@ def modify(
         raise ValueError(
             f"mask shape {mask.shape} != topology shape {known.shape}"
         )
-    if mask.min() == 1:
-        return known.copy()
+    return modify_batch(
+        model, known[None], mask[None], [condition], rng,
+        sampler_steps=sampler_steps,
+    )[0]
+
+
+def modify_batch(
+    model: ConditionalDiffusionModel,
+    topologies: np.ndarray,
+    keep_masks: np.ndarray,
+    conditions: Sequence[Optional[int]],
+    rng: np.random.Generator,
+    sampler_steps=None,
+) -> np.ndarray:
+    """:func:`modify` over a ``(B, H, W)`` stack in ONE masked trajectory.
+
+    Item ``i`` keeps the cells where ``keep_masks[i]`` is 1 and regenerates
+    the rest under ``conditions[i]``.  Every reverse step noises the known
+    stack once and takes one :meth:`denoise_step_batch` over the whole
+    stack.  Items with nothing to regenerate are returned as they are and
+    use no random numbers.
+    """
+    known = np.asarray(topologies, dtype=np.uint8)
+    keep = np.asarray(keep_masks).astype(bool)
+    if known.ndim != 3 or known.shape != keep.shape:
+        raise ValueError(
+            f"mask stack {keep.shape} != topology stack {known.shape}"
+        )
+    if len(conditions) != known.shape[0]:
+        raise ValueError(
+            f"{len(conditions)} condition(s) for batch of {known.shape[0]}"
+        )
+    out = known.copy()
+    todo = np.flatnonzero(~keep.all(axis=(1, 2)))
+    if not todo.size:
+        return out
+    known, keep = known[todo], keep[todo]
+    conds = [conditions[i] for i in todo]
 
     xk = model.prior_sample(known.shape, rng)
     for k, k_next in model.reverse_step_plan(sampler_steps):
         # T_{k_next}^known ~ q(. | T_0^known)  (forward process to k_next)
         known_prev = model.noise_to(known, k_next, rng)
         # T_{k_next}^unknown ~ p_theta(. | T_k, c)
-        unknown_prev = model.denoise_step(
-            xk, k, condition, rng, deterministic=(k_next == 0), k_next=k_next
+        unknown_prev = model.denoise_step_batch(
+            xk, k, conds, rng, deterministic=(k_next == 0), k_next=k_next
         )
-        xk = mask * known_prev + (1 - mask) * unknown_prev
-    polished = model.polish(xk, condition)
-    combined = (mask * known + (1 - mask) * polished).astype(np.uint8)
-    return _resolve_masked_corners(combined, mask)
+        xk = np.where(keep, known_prev, unknown_prev)
+    combined = np.where(keep, known, model.polish_batch(xk, conds))
+    for j, i in enumerate(todo):
+        out[i] = _resolve_masked_corners(combined[j], keep[j])
+    return out
 
 
-def _resolve_masked_corners(topology: np.ndarray, keep_mask: np.ndarray) -> np.ndarray:
+def _resolve_masked_corners(topology: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Clear corner touches that straddle the keep boundary.
 
-    ``model.polish`` resolves corner defects on the full window, but cells in
-    the kept region are restored afterwards, which can re-introduce a
-    corner-touching pair across the mask boundary.  Here the *regenerated*
-    cell of each offending pair is cleared; kept cells are never altered
-    (the existing pattern must survive modification byte-for-byte).
+    ``model.polish_batch`` resolves corner defects on the full window, but
+    cells in the kept region are restored afterwards, which can
+    re-introduce a corner-touching pair across the mask boundary.  Here the
+    *regenerated* cell of each offending pair is cleared; kept cells are
+    never altered (the existing pattern must survive modification
+    byte-for-byte).
     """
     from repro.geometry.grid import diagonal_touch_pairs
 
@@ -99,7 +138,7 @@ def _resolve_masked_corners(topology: np.ndarray, keep_mask: np.ndarray) -> np.n
                 )
                 if out[r, c]
             ]
-            editable = [rc for rc in cells if keep_mask[rc] == 0]
+            editable = [rc for rc in cells if not keep[rc]]
             if editable:
                 out[editable[0]] = 0
                 changed = True

@@ -14,7 +14,9 @@ from repro.diffusion import (
     DiffusionSchedule,
     MarginalDenoiser,
     NeighborhoodDenoiser,
+    neighborhood_codes,
 )
+from repro.diffusion.denoisers.neighborhood import downsample_binary, upsample_to
 
 LEVELS = (0.01, 0.1, 0.23, 0.4, 0.5)
 
@@ -185,3 +187,64 @@ class TestVectorizedFit:
         ).astype(np.uint8)
         recovered = (d.predict_x0(noisy, 0.15) > 0.5).astype(np.uint8)
         assert (recovered == base).mean() > 0.85
+
+
+@pytest.fixture(scope="module")
+def fitted_8():
+    """Four scales, so the coarsest pool is 8 and odd shapes get padded."""
+    rng = np.random.default_rng(5)
+    topos = (rng.random((16, 40, 40)) < 0.35).astype(np.uint8)
+    d = NeighborhoodDenoiser(n_classes=2)
+    d.fit(topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng)
+    return d
+
+
+class TestPooledGather:
+    """Gathering at pooled resolution equals gathering upsampled codes."""
+
+    @staticmethod
+    def _upsample_then_gather(d, stack, level, conditions):
+        conds = np.asarray(conditions, dtype=np.int64)
+        bucket = d.bucket_of(level)
+        base = ((conds * d.n_buckets + bucket) * d._n_codes)[:, None, None]
+        shape = stack.shape[1:]
+        if d.use_compiled:
+            logit = np.zeros(stack.shape, dtype=np.float32)
+            for s in d.scales:
+                codes = neighborhood_codes(
+                    downsample_binary(stack, s), d.offsets
+                ).astype(np.int64)
+                pixel_codes = upsample_to(codes, s, shape)
+                logit += d._logit_tables[s].reshape(-1)[base + pixel_codes]
+            return 1.0 / (1.0 + np.exp(-logit, dtype=np.float64))
+        priors = d._marginals[conds, bucket][:, None, None]
+        logit = np.zeros(stack.shape, dtype=np.float64)
+        for s, weight in zip(d.scales, d.scale_weights):
+            codes = neighborhood_codes(
+                downsample_binary(stack, s), d.offsets
+            ).astype(np.int64)
+            index = base + upsample_to(codes, s, shape)
+            flat = d._counts[s].reshape(-1, 2)
+            ones = flat[index, 1]
+            total = ones + flat[index, 0]
+            p = (ones + d.smoothing * priors) / (total + d.smoothing)
+            p = np.clip(p, 1e-6, 1.0 - 1e-6)
+            logit += weight * np.log(p / (1.0 - p))
+        return 1.0 / (1.0 + np.exp(-logit / d._weight_total))
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 100, 90), (3, 40, 40), (1, 13, 21)])
+    def test_bit_identical(self, fitted_8, compiled, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = (rng.random(shape) < 0.5).astype(np.uint8)
+        conditions = [i % 2 for i in range(shape[0])]
+        fitted_8.use_compiled = compiled
+        try:
+            for level in (0.05, 0.3):
+                expected = self._upsample_then_gather(
+                    fitted_8, stack, level, conditions
+                )
+                got = fitted_8.predict_x0_many(stack, level, conditions)
+                assert np.array_equal(got, expected)
+        finally:
+            fitted_8.use_compiled = True

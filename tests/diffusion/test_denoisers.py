@@ -196,3 +196,59 @@ class TestUNetLite:
         )
         losses = info["loss_history"]
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
+
+
+class TestNarrowCodes:
+    """The narrow-dtype hashing equals the int64 shift-and-or formula."""
+
+    @staticmethod
+    def _int64_codes(x, offsets):
+        max_r = max(abs(dr) for dr, _ in offsets)
+        max_c = max(abs(dc) for _, dc in offsets)
+        pad = np.pad(x, ((0, 0), (max_r, max_r), (max_c, max_c)))
+        h, w = x.shape[1:]
+        codes = np.zeros(x.shape, dtype=np.int64)
+        for bit, (dr, dc) in enumerate(offsets):
+            window = pad[:, max_r + dr : max_r + dr + h, max_c + dc : max_c + dc + w]
+            codes |= window.astype(np.int64) << bit
+        return codes
+
+    @pytest.mark.parametrize(
+        "spec,bits", [("plus1", 5), ((3, 3), 9), ("diamond2", 13), ("diamond3", 25)]
+    )
+    def test_matches_int64_formula(self, spec, bits):
+        offsets = window_offsets(spec)
+        rng = np.random.default_rng(bits)
+        x = (rng.random((3, 37, 29)) < 0.5).astype(np.uint8)
+        codes = neighborhood_codes(x, offsets)
+        assert np.iinfo(codes.dtype).bits >= bits
+        assert codes.dtype.kind == "u"
+        assert np.array_equal(codes, self._int64_codes(x, offsets))
+
+    def test_default_window_is_uint16(self):
+        codes = neighborhood_codes(
+            np.ones((2, 8, 8), dtype=np.uint8), window_offsets("diamond2")
+        )
+        assert codes.dtype == np.uint16
+        assert codes.max() == (1 << 13) - 1
+
+    def test_wide_window_keeps_every_bit(self):
+        offsets = window_offsets("diamond3")
+        assert len(offsets) == 25
+        codes = neighborhood_codes(np.ones((9, 9), dtype=np.uint8), offsets)
+        assert codes.dtype == np.uint32
+        assert codes[4, 4] == (1 << 25) - 1
+
+    @pytest.mark.parametrize("scale", [2, 3, 4, 8])
+    def test_integer_majority_matches_float_mean(self, scale):
+        rng = np.random.default_rng(scale)
+        x = (rng.random((2, 100, 90)) < 0.5).astype(np.uint8)
+        h, w = x.shape[1:]
+        ph, pw = (-h) % scale, (-w) % scale
+        padded = np.pad(x, ((0, 0), (0, ph), (0, pw)))
+        mean = padded.reshape(
+            2, (h + ph) // scale, scale, (w + pw) // scale, scale
+        ).mean(axis=(-3, -1))
+        assert np.array_equal(
+            downsample_binary(x, scale), (mean >= 0.5).astype(np.uint8)
+        )

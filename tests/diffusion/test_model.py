@@ -8,7 +8,7 @@ from repro.diffusion import (
     DiffusionSchedule,
     MarginalDenoiser,
 )
-from repro.diffusion.model import _calibrate_density
+from repro.diffusion.model import _calibrate_density_batch, _density_offsets
 from repro.geometry import diagonal_touch_pairs
 
 
@@ -99,19 +99,96 @@ class TestNoiseTo:
         assert xk.mean() == pytest.approx(0.5, abs=0.05)
 
 
+def _bisection_offsets(logits, targets, bins=512):
+    """The 40-round histogram bisection the Newton solver replaced."""
+    n_rows, size = logits.shape
+    lo_edge = logits.min(axis=1, keepdims=True)
+    span = logits.max(axis=1, keepdims=True) - lo_edge
+    bin_idx = np.floor(
+        (logits - lo_edge) / np.where(span > 0, span, 1.0) * bins
+    ).astype(np.intp)
+    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
+    bin_idx += np.arange(n_rows, dtype=np.intp)[:, None] * bins
+    counts = np.bincount(
+        bin_idx.ravel(), minlength=n_rows * bins
+    ).reshape(n_rows, bins)
+    sums = np.bincount(
+        bin_idx.ravel(), weights=logits.ravel(), minlength=n_rows * bins
+    ).reshape(n_rows, bins)
+    reps = sums / np.maximum(counts, 1)
+    weights = counts / size
+    lo = np.full(n_rows, -30.0)
+    hi = np.full(n_rows, 30.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        mean = (weights / (1.0 + np.exp(-(reps + mid[:, None])))).sum(axis=1)
+        below = mean < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _logits(p):
+    p = np.clip(p, 1e-9, 1.0 - 1e-9)
+    return np.log(p / (1.0 - p)).reshape(p.shape[0], -1)
+
+
 class TestDensityCalibration:
+    def _check_offsets(self, p, targets):
+        logits = _logits(p)
+        targets = np.asarray(targets, dtype=np.float64)
+        offsets = _density_offsets(logits, targets)
+        assert np.abs(offsets - _bisection_offsets(logits, targets)).max() < 1e-9
+        return offsets
+
     def test_pins_mean(self):
         rng = np.random.default_rng(0)
-        p = rng.random((64, 64)) * 0.2  # mean ~0.1
-        calibrated = _calibrate_density(p, 0.35)
+        p = rng.random((1, 64, 64)) * 0.2  # mean ~0.1
+        self._check_offsets(p, [0.35])
+        calibrated = _calibrate_density_batch(p, np.array([0.35]))
         assert calibrated.mean() == pytest.approx(0.35, abs=0.01)
 
     def test_preserves_ordering(self):
-        p = np.array([[0.1, 0.4, 0.8]])
-        c = _calibrate_density(p, 0.6)
+        p = np.array([[[0.1, 0.4, 0.8]]])
+        self._check_offsets(p, [0.6])
+        c = _calibrate_density_batch(p, np.array([0.6]))[0]
         assert c[0, 0] < c[0, 1] < c[0, 2]
 
     def test_noop_when_matching(self):
-        p = np.full((8, 8), 0.3)
-        c = _calibrate_density(p, 0.3)
+        p = np.full((1, 8, 8), 0.3)
+        c = _calibrate_density_batch(p, np.array([0.3]))
         assert np.allclose(c, 0.3, atol=1e-3)
+
+    def test_stack_with_distinct_targets(self):
+        rng = np.random.default_rng(1)
+        p = rng.random((3, 32, 48)) ** 2
+        targets = np.array([0.15, 0.4, 0.7])
+        self._check_offsets(p, targets)
+        calibrated = _calibrate_density_batch(p, targets)
+        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-3)
+
+    def test_constant_logit_row(self):
+        # Every logit lands in the one degenerate bin, whose representative
+        # is the exact value: the offset is the closed-form logit shift.
+        p = np.full((1, 16, 16), 0.3)
+        offsets = self._check_offsets(p, [0.5])
+        assert offsets[0] == pytest.approx(-np.log(0.3 / 0.7), abs=1e-9)
+        calibrated = _calibrate_density_batch(p, np.array([0.5]))
+        assert np.allclose(calibrated, 0.5, atol=1e-9)
+
+    def test_row_at_target_unchanged(self):
+        rng = np.random.default_rng(2)
+        p = rng.random((2, 16, 16))
+        targets = np.array([p[0].mean(), 0.2])
+        calibrated = _calibrate_density_batch(p, targets)
+        assert np.array_equal(calibrated[0], p[0])
+        assert calibrated[1].mean() == pytest.approx(0.2, abs=1e-3)
+
+    def test_extreme_targets_stay_in_bracket(self):
+        rng = np.random.default_rng(3)
+        p = rng.random((2, 32, 32))
+        targets = np.array([0.02, 0.98])
+        offsets = self._check_offsets(p, targets)
+        assert np.all(np.abs(offsets) < 30.0)
+        calibrated = _calibrate_density_batch(p, targets)
+        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-3)

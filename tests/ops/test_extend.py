@@ -1,8 +1,13 @@
 """Unit tests for free-size extension (Fig. 7) and the sampling formulas."""
 
+import importlib
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.geometry import diagonal_touch_pairs
 from repro.ops import (
     concat_samplings,
     extend,
@@ -12,6 +17,10 @@ from repro.ops import (
     naive_concat,
     out_paint,
 )
+from repro.ops.extend import out_paint_plan, wavefront_levels
+
+# ``repro.ops`` re-exports the ``extend`` function under the module's name.
+EXTEND = importlib.import_module("repro.ops.extend")
 
 
 class TestSamplingFormulas:
@@ -131,3 +140,124 @@ class TestNaiveConcat:
     def test_crop(self, small_model):
         out = naive_concat(small_model, (100, 70), 0, np.random.default_rng(12))
         assert out.shape == (100, 70)
+
+
+def _level_sizes(levels):
+    return [levels.count(level) for level in sorted(set(levels))]
+
+
+WAVEFRONT_CASES = [
+    # (target_shape, window, stride)
+    ((256, 256), 128, 64),
+    ((320, 200), 128, 64),
+    ((512, 256), 128, 128),
+    ((256, 256), 128, 128),  # stride equal to the window
+    ((256, 256), 128, 32),  # stride of a quarter window
+]
+
+
+class TestWavefrontSchedule:
+    def test_benchmark_request_levels(self):
+        windows, keeps = out_paint_plan((128, 128), (256, 256), 128, 64)
+        levels = wavefront_levels((256, 256), windows, keeps)
+        assert _level_sizes(levels) == [2, 3, 2, 1]
+
+    @pytest.mark.parametrize("shape,window,stride", WAVEFRONT_CASES)
+    def test_windows_see_their_raster_keep_mask(self, shape, window, stride):
+        windows, keeps = out_paint_plan((window, window), shape, window, stride)
+        levels = wavefront_levels(shape, windows, keeps)
+        known = np.zeros(shape, dtype=np.uint8)
+        known[:window, :window] = 1
+        for level in sorted(set(levels)):
+            batch = [i for i, value in enumerate(levels) if value == level]
+            for i in batch:
+                r0, c0 = windows[i]
+                h, w = keeps[i].shape
+                assert np.array_equal(known[r0 : r0 + h, c0 : c0 + w], keeps[i])
+            for i in batch:
+                r0, c0 = windows[i]
+                h, w = keeps[i].shape
+                known[r0 : r0 + h, c0 : c0 + w] = 1
+        assert known.all()
+
+    @pytest.mark.parametrize("shape,window,stride", WAVEFRONT_CASES)
+    def test_level_mates_read_no_painted_cell(self, shape, window, stride):
+        windows, keeps = out_paint_plan((window, window), shape, window, stride)
+        levels = wavefront_levels(shape, windows, keeps)
+        for i, (ri, ci) in enumerate(windows):
+            painted = np.zeros(shape, dtype=bool)
+            h, w = keeps[i].shape
+            painted[ri : ri + h, ci : ci + w] = keeps[i] == 0
+            for j, (rj, cj) in enumerate(windows):
+                if j != i and levels[j] == levels[i]:
+                    assert not painted[rj : rj + h, cj : cj + w].any()
+
+    @pytest.mark.parametrize("shape,window,stride", WAVEFRONT_CASES)
+    def test_out_paint_runs_levels_in_row_sized_batches(
+        self, shape, window, stride, monkeypatch
+    ):
+        calls = []
+
+        def recording_modify_batch(model, topologies, masks, conds, rng, **kw):
+            calls.append(np.array(masks))
+            return np.where(masks == 1, topologies, 1).astype(np.uint8)
+
+        monkeypatch.setattr(EXTEND, "modify_batch", recording_modify_batch)
+        model = SimpleNamespace(window=window)
+        seed = np.zeros((window, window), dtype=np.uint8)
+        result = out_paint(
+            model, seed, shape, 0, np.random.default_rng(0), stride=stride
+        )
+        windows, keeps = out_paint_plan(seed.shape, shape, window, stride)
+        levels = wavefront_levels(shape, windows, keeps)
+        row_size = math.ceil(max(0, shape[1] - window) / stride) + 1
+        assert all(len(masks) <= row_size for masks in calls)
+        order = sorted(range(len(windows)), key=lambda i: (levels[i], i))
+        assert np.array_equal(
+            np.concatenate(calls), np.stack([keeps[i] for i in order])
+        )
+        assert result.windows == windows
+        assert result.samplings == len(windows)
+        assert result.topology[window:, :].all() and result.topology[:, window:].all()
+
+    @pytest.mark.parametrize("shape,window,stride", WAVEFRONT_CASES)
+    def test_extend_samplings_match_formulas(
+        self, shape, window, stride, monkeypatch
+    ):
+        def fake_modify_batch(model, topologies, masks, conds, rng, **kw):
+            return np.asarray(topologies).copy()
+
+        def fake_sample_batch(conditions, rng, sampler_steps=None):
+            return np.zeros((len(conditions), window, window), dtype=np.uint8)
+
+        monkeypatch.setattr(EXTEND, "modify_batch", fake_modify_batch)
+        model = SimpleNamespace(
+            window=window,
+            sample=lambda count, c, rng, **kw: fake_sample_batch([c] * count, rng),
+            sample_batch=fake_sample_batch,
+        )
+        height, width = shape
+        out = extend(
+            model, shape, 0, np.random.default_rng(0), method="out",
+            stride=stride,
+        )
+        assert out.samplings == n_out_samplings(width, height, window, stride)
+        inp = extend(model, shape, 0, np.random.default_rng(0), method="in")
+        assert inp.samplings == n_in_samplings(width, height, window)
+        assert len(inp.windows) == inp.samplings
+
+    def test_out_paint_keeps_seed_and_has_no_corner_touches(self, small_model):
+        rng = np.random.default_rng(21)
+        seed = small_model.sample(1, 0, rng)[0]
+        result = out_paint(small_model, seed, (256, 256), 0, rng)
+        assert np.array_equal(result.topology[:64, :64], seed)
+        assert diagonal_touch_pairs(result.topology) == []
+
+    def test_in_paint_keeps_seed_and_has_no_corner_touches(self, small_model):
+        rng = np.random.default_rng(22)
+        seed = small_model.sample(1, 0, rng)[0]
+        result = in_paint(small_model, (256, 256), 0, rng, seed_topology=seed)
+        # Seed cells outside the seam bands (window // 4 either side of a
+        # tile boundary) are never re-painted.
+        assert np.array_equal(result.topology[:48, :48], seed[:48, :48])
+        assert diagonal_touch_pairs(result.topology) == []
