@@ -34,6 +34,9 @@ from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
 from repro.serve import MicroBatchScheduler
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1
+)
 WINDOW = 64 if SMOKE else 128
 STEPS = 64 if SMOKE else 128
 TRAIN_COUNT = 8 if SMOKE else 48
@@ -186,6 +189,7 @@ def _run(output_dir):
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "smoke": SMOKE,
+        "cpus": CPUS,
         "workload": {
             "window": WINDOW,
             "steps": STEPS,

@@ -16,6 +16,17 @@ import numpy as np
 
 from repro.diffusion.schedule import DiffusionSchedule
 
+#: Logit bound of the sampling kernel: probabilities stay in [1e-9, 1-1e-9].
+LOGIT_CLIP = float(np.log((1.0 - 1e-9) / 1e-9))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, as a new array of ``z``'s dtype."""
+    out = np.negative(z)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
 
 class Denoiser(ABC):
     """Estimates ``P(x_0 = 1 | x_k, c)`` pixelwise."""
@@ -89,6 +100,19 @@ class Denoiser(ABC):
             index = np.asarray(index, dtype=np.intp)
             out[index] = self.predict_x0(stack[index], noise_level, condition)
         return out
+
+    def predict_logits_many(
+        self,
+        xk: np.ndarray,
+        noise_level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        """float32 logits of :meth:`predict_x0_many`, within ``±LOGIT_CLIP``:
+        what the sampling kernel works on.  Denoisers that compute logits
+        natively override this default."""
+        p = self.predict_x0_many(xk, noise_level, conditions)
+        p = np.clip(p, 1e-9, 1.0 - 1e-9)
+        return np.log(p / (1.0 - p)).astype(np.float32)
 
     @abstractmethod
     def fit(

@@ -20,14 +20,15 @@ Laplace smoothing toward the class marginal, the probability ratio, the
 ``log`` — is folded into per-(class, bucket, scale) float32 *logit lookup
 tables* at compile time: entry ``[c, b, code]`` holds
 ``(w_s / sum(w)) * log(p / (1 - p))`` for the smoothed ``p`` of that
-neighbourhood code.  ``predict_x0`` then reduces to one gather-and-add per
-scale and a single final sigmoid — no per-step elementwise ``log``/``exp``
-arithmetic over float64 intermediates.  The compiled form is rebuilt at the
-end of every :meth:`NeighborhoodDenoiser.fit` (the only operation that can
-change the counts) and rehydrated when a pickled model is loaded, so it is
-never stale; ``use_compiled = False`` switches back to the on-the-fly
+neighbourhood code.  ``predict_logits_many`` then reduces to one
+gather-and-add per scale, with no elementwise ``log``/``exp`` arithmetic;
+the sampling kernel stays on those float32 logits, and only
+``predict_x0_many`` takes their sigmoid.  The compiled form is rebuilt at
+the end of every :meth:`NeighborhoodDenoiser.fit` (the only operation that
+can change the counts) and rehydrated when a pickled model is loaded, so it
+is never stale; ``use_compiled = False`` switches back to the on-the-fly
 reference path, which the equivalence tests pin to the compiled output
-within 1e-6.
+within 1e-6 (1e-5 in logit).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.diffusion.denoisers.base import Denoiser
+from repro.diffusion.denoisers.base import Denoiser, sigmoid
 from repro.diffusion.schedule import DiffusionSchedule
 
 Offset = Tuple[int, int]
@@ -400,7 +401,17 @@ class NeighborhoodDenoiser(Denoiser):
         noise_level: float,
         conditions: Sequence[Optional[int]],
     ) -> np.ndarray:
-        """Mixed-condition batched prediction with shared pooling/hashing.
+        """float64 sigmoid of :meth:`predict_logits_many`."""
+        z = self.predict_logits_many(xk, noise_level, conditions)
+        return sigmoid(z.astype(np.float64))
+
+    def predict_logits_many(
+        self,
+        xk: np.ndarray,
+        noise_level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        """Mixed-condition batched logits with shared pooling/hashing.
 
         Pooling and neighbourhood hashing are condition-independent, so a
         micro-batch mixing style classes computes them ONCE for the whole
@@ -411,7 +422,8 @@ class NeighborhoodDenoiser(Denoiser):
         Each scale gathers its table values at the pooled resolution and
         upsamples the float32 values: a pooled block shares one code, so
         this equals gathering the upsampled codes, at ``1/s**2`` the
-        gather work.
+        gather work.  The compiled tables give float32 logits; the
+        ``use_compiled = False`` reference path keeps float64.
         """
         stack, conds, bucket = self._check_many(xk, noise_level, conditions)
         if not (self._compiled and self.use_compiled):
@@ -427,7 +439,7 @@ class NeighborhoodDenoiser(Denoiser):
             )
             values = self._logit_tables[s].reshape(-1)[base + codes]
             logit += upsample_to(values, s, stack.shape[1:])
-        return 1.0 / (1.0 + np.exp(-logit, dtype=np.float64))
+        return logit
 
     def _predict_x0_many_reference(
         self,
@@ -436,13 +448,13 @@ class NeighborhoodDenoiser(Denoiser):
         conditions: Sequence[Optional[int]],
     ) -> np.ndarray:
         """On-the-fly counterpart of :meth:`predict_x0_many`."""
-        return self._many_reference_core(
-            *self._check_many(xk, noise_level, conditions)
-        )
+        checked = self._check_many(xk, noise_level, conditions)
+        return sigmoid(self._many_reference_core(*checked))
 
     def _many_reference_core(
         self, stack: np.ndarray, conds: np.ndarray, bucket: int
     ) -> np.ndarray:
+        """float64 logits derived from the raw count tables."""
         priors = self._marginals[conds, bucket][:, None, None]
         base = ((conds * self.n_buckets + bucket) * self._n_codes)[:, None, None]
         logit = np.zeros(stack.shape, dtype=np.float64)
@@ -459,7 +471,7 @@ class NeighborhoodDenoiser(Denoiser):
             logit += upsample_to(
                 weight * np.log(p / (1.0 - p)), s, stack.shape[1:]
             )
-        return 1.0 / (1.0 + np.exp(-logit / self._weight_total))
+        return logit / self._weight_total
 
     def _check_many(
         self,

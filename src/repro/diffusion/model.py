@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.diffusion.denoisers.base import Denoiser
+from repro.diffusion.denoisers.base import LOGIT_CLIP, Denoiser, sigmoid
 from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
     as_stack,
@@ -216,8 +216,10 @@ class ConditionalDiffusionModel:
         analogue of dropping the noise term at k=1.
 
         The whole stack shares one denoiser call (the CFG-batching idiom
-        adapted to class tables), and density guidance is calibrated per
-        item: each item pins its own class fill rate.
+        adapted to class tables), and the step stays on its float32 logits:
+        sharpening scales them, density guidance adds a per-item offset that
+        pins each item's class fill rate, and one uniform per cell draws
+        ``x0_hat`` and its re-noising together.
         """
         xk = np.asarray(xk, dtype=np.uint8)
         if xk.ndim != 3:
@@ -231,33 +233,43 @@ class ConditionalDiffusionModel:
         if not 0 <= k_next < k:
             raise ValueError(f"k_next {k_next} must be in [0, {k})")
         level = self.schedule.beta_bar(k)
-        p_x0 = self.denoiser.predict_x0_many(xk, level, conditions)
-        targets = np.asarray(
-            [self.denoiser.target_fill(c) for c in conditions], dtype=np.float64
-        )
+        z = self.denoiser.predict_logits_many(xk, level, conditions)
         if self.sharpen > 0:
             # Progressive sharpening: as the noise anneals away, raise the
             # inverse temperature of the x0 posterior.  Wobbling edges (one
             # cell in/out per row) are the costliest artefact for
             # legalization — they chain interval constraints across rows —
-            # and near-deterministic late steps straighten them out.
-            gamma = 1.0 + self.sharpen * (1.0 - level / 0.5)
-            lifted = p_x0 ** gamma
-            p_x0 = lifted / (lifted + (1.0 - p_x0) ** gamma)
+            # and near-deterministic late steps straighten them out.  In
+            # logit space ``p^g / (p^g + (1-p)^g)`` is a scale by ``g``.
+            z *= 1.0 + self.sharpen * (1.0 - level / 0.5)
+        np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
         if self.density_guidance:
-            p_x0 = _calibrate_density_batch(p_x0, targets)
+            p = _calibrate_density(z, self._targets(conditions))[0]
+        else:
+            p = sigmoid(z)
         if self.sampler == "posterior" and k_next == k - 1:
-            p_prev = self.schedule.posterior_mix(xk, p_x0, k)
+            p_prev = self.schedule.posterior_mix(xk, p, k)
             if deterministic:
                 return (p_prev > 0.5).astype(np.uint8)
             return (rng.random(xk.shape) < p_prev).astype(np.uint8)
         if deterministic:
-            x0_hat = (p_x0 > 0.5).astype(np.uint8)
-        else:
-            x0_hat = (rng.random(xk.shape) < p_x0).astype(np.uint8)
-        if k_next == 0:
-            return x0_hat
-        return self.schedule.forward_sample(x0_hat, k_next, rng)
+            if k_next == 0:
+                return (p > 0.5).astype(np.uint8)
+            p = (p > 0.5).astype(p.dtype)
+        # Drawing x0_hat ~ Bernoulli(p) and then flipping each cell with
+        # probability b = beta_bar(k_next) gives a one with probability
+        # b + (1 - 2b) p: one uniform per cell does both.
+        if k_next > 0:
+            flip = self.schedule.beta_bar(k_next)
+            p *= 1.0 - 2.0 * flip
+            p += flip
+        return (rng.random(xk.shape, dtype=np.float32) < p).astype(np.uint8)
+
+    def _targets(self, conditions: Sequence[Optional[int]]) -> np.ndarray:
+        """Per-item class fill rates, the density-guidance targets."""
+        return np.asarray(
+            [self.denoiser.target_fill(c) for c in conditions], dtype=np.float64
+        )
 
     def polish_batch(
         self,
@@ -274,7 +286,8 @@ class ConditionalDiffusionModel:
         is thresholded at the quantile that keeps its class fill rate (a
         fixed 0.5 would erase, or flood, the pattern whenever under-trained
         tables sit uniformly below, or above, one half); the per-item
-        quantiles come from one vectorized per-row sort.
+        quantiles come from one vectorized per-row sort of the logits (the
+        sigmoid is monotone, so the same cells pass as on probabilities).
         """
         if sweeps is None:
             sweeps = self.polish_sweeps
@@ -283,19 +296,14 @@ class ConditionalDiffusionModel:
         conditions = list(conditions)
         if not conditions:
             return x
-        targets = np.asarray(
-            [self.denoiser.target_fill(c) for c in conditions],
-            dtype=np.float64,
-        )
+        targets = self._targets(conditions)
         for _ in range(sweeps):
-            p = self.denoiser.predict_x0_many(x, level, conditions)
+            z = self.denoiser.predict_logits_many(x, level, conditions)
             if self.density_guidance:
-                thresholds = np.clip(
-                    _row_quantiles(p, 1.0 - targets), 1e-9, 1.0 - 1e-9
-                )
+                thresholds = _row_quantiles(z, 1.0 - targets)
             else:
-                thresholds = np.full(x.shape[0], 0.5)
-            nxt = (p > thresholds[:, None, None]).astype(np.uint8)
+                thresholds = np.zeros(x.shape[0])
+            nxt = (z > thresholds[:, None, None]).astype(np.uint8)
             if np.array_equal(nxt, x):
                 break
             x = nxt
@@ -332,11 +340,11 @@ class ConditionalDiffusionModel:
             active = list(touches_by_item)
             if not active:
                 break
-            p = self.denoiser.predict_x0_many(
+            z = self.denoiser.predict_logits_many(
                 out[active], level, [conditions[i] for i in active]
             )
             for j, i in enumerate(active):
-                _clear_weakest_touch_cells(out[i], p[j], touches_by_item[i])
+                _clear_weakest_touch_cells(out[i], z[j], touches_by_item[i])
         return out
 
     def sample_batch(
@@ -371,12 +379,13 @@ class ConditionalDiffusionModel:
 
 
 def _clear_weakest_touch_cells(
-    x: np.ndarray, p: np.ndarray, touches: Sequence[Tuple[int, int]]
+    x: np.ndarray, z: np.ndarray, touches: Sequence[Tuple[int, int]]
 ) -> None:
     """Clear the lower-posterior filled cell of each corner-touching pair.
 
-    ``touches`` holds the top-left coordinates of 2x2 windows containing a
-    filled diagonal pair; ``x`` is edited in place.
+    Cells compare by their posterior logit ``z``.  ``touches`` holds the
+    top-left coordinates of 2x2 windows containing a filled diagonal pair;
+    ``x`` is edited in place.
     """
     for row, col in touches:
         cells = [
@@ -389,7 +398,7 @@ def _clear_weakest_touch_cells(
         ]
         if not cells:
             continue
-        weakest = min(cells, key=lambda rc: p[rc])
+        weakest = min(cells, key=lambda rc: z[rc])
         x[weakest] = 0
 
 
@@ -411,89 +420,42 @@ def _row_quantiles(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return lower + (pos - lo) * (flat[rows, hi] - lower)
 
 
-def _calibrate_density_batch(
-    p: np.ndarray, targets: np.ndarray, bins: int = 512
-) -> np.ndarray:
-    """Moment-matching density guidance over a ``(B, H, W)`` stack.
+def _calibrate_density(
+    z: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Moment-matching density guidance over a ``(B, H, W)`` logit stack.
 
-    Shifts each item's probability map in logit space so its mean equals
-    the item's class fill rate.  Local structure (the *relative* ordering
-    of pixels) is untouched; only the global density is pinned, which
-    prevents the density drift local denoisers exhibit over long reverse
-    chains.  Items already within 1e-4 of their target are left as they
-    are; the offsets of the rest come from :func:`_density_offsets`, and
-    only one full-array sigmoid is paid at the end.
-    """
-    clipped = np.clip(p, 1e-9, 1.0 - 1e-9)
-    means = clipped.mean(axis=(1, 2))
-    needs = np.abs(means - targets) >= 1e-4
-    if not needs.any():
-        return clipped
-    out = clipped.copy()
-    rows = np.flatnonzero(needs)
-    logits = np.log(clipped[rows] / (1.0 - clipped[rows]))
-    offsets = _density_offsets(
-        logits.reshape(len(rows), -1),
-        np.asarray(targets, dtype=np.float64)[rows],
-        bins,
-    )
-    out[rows] = 1.0 / (1.0 + np.exp(-(logits + offsets[:, None, None])))
-    return out
+    Finds per-item logit offsets ``d`` that bring ``mean(sigmoid(z + d))``
+    within 1e-4 of each item's class fill rate; returns the maps
+    ``sigmoid(z + d)`` (in ``z``'s dtype) and the float64 offsets.  Local
+    structure (the *relative* ordering of pixels) is untouched; only the
+    global density is pinned, which prevents the density drift local
+    denoisers exhibit over long reverse chains.
 
-
-def _density_offsets(
-    logits: np.ndarray, targets: np.ndarray, bins: int = 512
-) -> np.ndarray:
-    """Per-row logit offset ``d`` with ``mean(sigmoid(logits + d)) = target``.
-
-    ``logits`` is ``(R, N)``.  The mean is taken over a per-row *histogram*
-    of the logits with bin-mean representatives, so each solver round
-    touches ``bins`` values per row instead of the full map; the density
-    error is second-order in the bin width (empirically ~1e-5, inside the
-    1e-4 tolerance of the calibration fast path).  The per-row histograms
-    are two ``bincount`` calls over row-offset bin indices.
-
-    The root is found by safeguarded Newton on ``[-30, 30]``: each round
+    Each round takes one sigmoid of the full maps and sums it in float64;
+    round 0 (``d = 0``) leaves items already within 1e-4 as they are.
+    The offsets come from safeguarded Newton on ``[-30, 30]``: each round
     shrinks the bracket around the root, and a Newton step that leaves it
-    (or divides by a vanished slope) bisects the bracket instead.  It
-    settles in about four rounds where plain bisection needs forty; a root
-    beyond the bracket ends at its edge, as bisection's would.
+    (or divides by a vanished slope) bisects the bracket instead.  Settled
+    items keep their offset; unreachable targets end at the bracket edge.
     """
-    n_rows, size = logits.shape
-    lo_edge = logits.min(axis=1, keepdims=True)
-    span = logits.max(axis=1, keepdims=True) - lo_edge
-    # Degenerate rows (constant logits) all land in bin 0, whose
-    # representative is then the exact value.
-    bin_idx = np.floor(
-        (logits - lo_edge) / np.where(span > 0, span, 1.0) * bins
-    ).astype(np.intp)
-    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
-    bin_idx += np.arange(n_rows, dtype=np.intp)[:, None] * bins
-    counts = np.bincount(
-        bin_idx.ravel(), minlength=n_rows * bins
-    ).reshape(n_rows, bins)
-    sums = np.bincount(
-        bin_idx.ravel(), weights=logits.ravel(), minlength=n_rows * bins
-    ).reshape(n_rows, bins)
-    # Empty bins get zero weight, so their representative value is moot.
-    reps = sums / np.maximum(counts, 1)
-    weights = counts / size
-    lo = np.full(n_rows, -30.0)
-    hi = np.full(n_rows, 30.0)
-    offset = np.zeros(n_rows)
-    for _ in range(64):
-        sig = 1.0 / (1.0 + np.exp(-(reps + offset[:, None])))
-        mass = weights * sig
-        excess = mass.sum(axis=1) - targets
-        slope = (mass * (1.0 - sig)).sum(axis=1)
-        below = excess < 0
-        lo = np.where(below, offset, lo)
-        hi = np.where(below, hi, offset)
+    flat = z.reshape(len(z), -1)
+    offset = np.zeros(len(z))
+    lo = np.full(len(z), -30.0)
+    hi = np.full(len(z), 30.0)
+    for rounds in range(1, 65):
+        p = sigmoid(flat + offset.astype(flat.dtype)[:, None])
+        mean = p.mean(axis=1, dtype=np.float64)
+        excess = mean - targets
+        # mean(p (1 - p)); the slope only steers the step, so the sum of
+        # squares may accumulate in the map's dtype.
+        slope = mean - np.einsum("ij,ij->i", p, p) / flat.shape[1]
+        lo = np.where(excess < 0, offset, lo)
+        hi = np.where(excess < 0, hi, offset)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = offset - excess / slope
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        settled = np.abs(step - offset) <= 1e-12
-        offset = step
-        if settled.all():
-            break
-    return offset
+        settled = (np.abs(excess) < 1e-4) | (np.abs(step - offset) <= 1e-9)
+        if settled.all() or rounds == 64:
+            return p.reshape(z.shape), offset
+        offset = np.where(settled, offset, step)

@@ -160,8 +160,8 @@ class DiffusionSchedule:
         self, x0: np.ndarray, k: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample ``x_k ~ q(x_k | x_0)`` (Eq. 2) by independent pixel flips."""
-        flip = rng.random(x0.shape) < self.beta_bar(k)
-        return np.where(flip, 1 - x0, x0).astype(np.uint8)
+        flip = rng.random(x0.shape, dtype=np.float32) < self.beta_bar(k)
+        return np.bitwise_xor(np.asarray(x0, dtype=np.uint8), flip)
 
     def posterior_probability(
         self, xk: np.ndarray, x0: np.ndarray, k: int

@@ -9,7 +9,6 @@ from repro.metrics.diversity import (
 from repro.metrics.legality import (
     LegalityResult,
     default_legalize_workers,
-    legalize_batch,
     legalize_many,
     legalize_sequential,
     physical_size_for,
@@ -23,7 +22,6 @@ __all__ = [
     "complexity_of",
     "default_legalize_workers",
     "diversity",
-    "legalize_batch",
     "legalize_many",
     "legalize_sequential",
     "library_stats",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -152,38 +151,6 @@ def legalize_sequential(
         keep_failures=keep_failures,
         max_workers=1,
         fault_isolation=False,
-    )
-
-
-def legalize_batch(
-    topologies: Sequence[np.ndarray],
-    style: str,
-    rules: Optional[DesignRules] = None,
-    physical_size: Optional[Tuple[int, int]] = None,
-    keep_failures: bool = False,
-) -> LegalityResult:
-    """Deprecated alias of :func:`legalize_sequential`.
-
-    .. deprecated::
-        ``legalize_batch`` and ``legalize_many`` were overlapping batch
-        APIs sharing one implementation.  :func:`legalize_sequential`
-        keeps this alias's exact contract (deterministic single-thread
-        execution, malformed topologies raise); :func:`legalize_many` is
-        the parallel, fault-isolated path with a *different* error
-        contract.
-    """
-    warnings.warn(
-        "legalize_batch is deprecated; use legalize_sequential (same "
-        "contract) or legalize_many (parallel, fault-isolated)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return legalize_sequential(
-        topologies,
-        style,
-        rules=rules,
-        physical_size=physical_size,
-        keep_failures=keep_failures,
     )
 
 

@@ -1,8 +1,9 @@
 """Compiled logit tables: numerical identity, lifecycle and vectorized fit.
 
 The sampling hot loop reads precompiled float32 logit lookup tables; these
-tests pin that representation to the on-the-fly reference path within 1e-6
-and cover compilation/rehydration across fit, pickle and legacy payloads.
+tests pin that representation to the on-the-fly reference path (within
+1e-6 in probability, 1e-5 in logit) and cover compilation/rehydration
+across fit, pickle and legacy payloads.
 """
 
 import pickle
@@ -57,6 +58,19 @@ class TestNumericalIdentity:
             fast = fitted.predict_x0_many(noisy, level, conds)
             slow = fitted._predict_x0_many_reference(noisy, level, conds)
             assert np.abs(fast - slow).max() <= 1e-6
+
+    def test_logits_match_reference(self, fitted, noisy):
+        conds = [0, 1, 1, 0]
+        for level in LEVELS:
+            fast = fitted.predict_logits_many(noisy, level, conds)
+            fitted.use_compiled = False
+            try:
+                slow = fitted.predict_logits_many(noisy, level, conds)
+            finally:
+                fitted.use_compiled = True
+            assert fast.dtype == np.float32
+            assert slow.dtype == np.float64
+            assert np.abs(fast - slow).max() <= 1e-5
 
     def test_single_image_matches_reference(self, fitted, noisy):
         fast = fitted.predict_x0(noisy[0], 0.2, 1)

@@ -1,0 +1,275 @@
+"""The reverse step in logit space with one random draw per cell.
+
+``denoise_step_batch`` sharpens by scaling the denoiser's logits,
+calibrates density with a per-item logit offset and draws the next state
+with one uniform per cell; ``polish_batch`` and corner resolution compare
+logits.  These tests pin each piece to the probability-space math it
+replaced, and pin the statistics of the compiled kernel to the
+``use_compiled = False`` reference path.
+"""
+
+import numpy as np
+import pytest
+
+from repro.data import STYLES
+from repro.diffusion import (
+    ConditionalDiffusionModel,
+    DiffusionSchedule,
+    MarginalDenoiser,
+)
+from repro.diffusion.denoisers.base import LOGIT_CLIP
+from repro.diffusion.model import _clear_weakest_touch_cells, _row_quantiles
+from repro.geometry import diagonal_touch_pairs
+from repro.metrics import diversity, legalize_many
+from repro.ops.extend import extend
+from repro.ops.modify import modify_batch
+
+
+def _marginal_model(p):
+    """A model whose denoiser predicts the constant ``p`` everywhere."""
+    model = ConditionalDiffusionModel(
+        denoiser=MarginalDenoiser(n_classes=0),
+        schedule=DiffusionSchedule.linear(16, 0.003, 0.08),
+        window=16,
+        n_classes=0,
+        density_guidance=False,
+        sharpen=0.0,
+    )
+    fill = np.zeros((1, 10, 10), dtype=np.uint8)
+    fill.flat[: int(round(p * 100))] = 1
+    model.fit(fill, None, np.random.default_rng(0))
+    return model
+
+
+class TestOneDraw:
+    """Re-noising ``x0_hat ~ Bernoulli(p)`` with flips of probability
+    ``b`` gives a one with probability ``b + (1 - 2b) p``."""
+
+    SHAPE = (4, 128, 128)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("k_next", [0, 3, 15])
+    def test_frequency_of_ones(self, p, k_next):
+        model = _marginal_model(p)
+        flip = model.schedule.beta_bar(k_next) if k_next else 0.0
+        expected = flip + (1.0 - 2.0 * flip) * p
+        xk = np.zeros(self.SHAPE, dtype=np.uint8)
+        out = model.denoise_step_batch(
+            xk, 16, [None] * self.SHAPE[0], np.random.default_rng(k_next),
+            k_next=k_next,
+        )
+        n = out.size
+        bound = 5.0 * np.sqrt(expected * (1.0 - expected) / n) + 1e-6
+        assert abs(out.mean() - expected) < bound, (p, flip, out.mean())
+
+    @pytest.mark.parametrize("p", [0.2, 0.9])
+    def test_deterministic_step_renoises_the_mode(self, p):
+        model = _marginal_model(p)
+        xk = np.zeros(self.SHAPE, dtype=np.uint8)
+        rng = np.random.default_rng(1)
+        final = model.denoise_step_batch(
+            xk, 16, [None] * 4, rng, deterministic=True, k_next=0
+        )
+        assert np.all(final == int(p > 0.5))
+        flip = model.schedule.beta_bar(8)
+        out = model.denoise_step_batch(
+            xk, 16, [None] * 4, rng, deterministic=True, k_next=8
+        )
+        expected = 1.0 - flip if p > 0.5 else flip
+        bound = 5.0 * np.sqrt(flip * (1.0 - flip) / out.size)
+        assert abs(out.mean() - expected) < bound
+
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_sharpen_is_the_power_identity(self, k):
+        # z *= g equals p^g / (p^g + (1 - p)^g) on probabilities.
+        p = 0.3
+        model = _marginal_model(p)
+        model.sharpen = 2.0
+        level = model.schedule.beta_bar(k)
+        gamma = 1.0 + model.sharpen * (1.0 - level / 0.5)
+        expected = p**gamma / (p**gamma + (1.0 - p) ** gamma)
+        out = model.denoise_step_batch(
+            np.zeros(self.SHAPE, dtype=np.uint8), k, [None] * 4,
+            np.random.default_rng(k), k_next=0,
+        )
+        bound = 5.0 * np.sqrt(expected * (1.0 - expected) / out.size)
+        assert abs(out.mean() - expected) < bound
+
+
+class TestBaseLogits:
+    def test_marginal_denoiser_default(self):
+        denoiser = MarginalDenoiser(n_classes=3)
+        topologies = np.zeros((3, 10, 10), dtype=np.uint8)
+        topologies[1] = 1
+        topologies[2].flat[:30] = 1
+        denoiser.fit(topologies, np.array([0, 1, 2]), None, None)
+        z = denoiser.predict_logits_many(
+            np.zeros((3, 8, 8), dtype=np.uint8), 0.3, [0, 1, 2]
+        )
+        assert z.dtype == np.float32 and z.shape == (3, 8, 8)
+        assert np.allclose(z[0], -LOGIT_CLIP)
+        assert np.allclose(z[1], LOGIT_CLIP)
+        assert np.allclose(z[2], np.log(0.3 / 0.7), atol=1e-6)
+
+    def test_guided_step_on_default_logits(self):
+        # Sharpening scales the constant logit and calibration shifts it
+        # onto the fill target (0.5 for a denoiser that records none).
+        model = _marginal_model(0.3)
+        model.density_guidance = True
+        model.sharpen = 2.0
+        target = model.denoiser.target_fill(None)
+        out = model.denoise_step_batch(
+            np.zeros((2, 128, 128), dtype=np.uint8), 4, [None] * 2,
+            np.random.default_rng(0), k_next=0,
+        )
+        bound = 5.0 * np.sqrt(target * (1.0 - target) / out.size)
+        assert abs(out.mean() - target) < bound
+
+
+def _probability_polish(model, x, conditions):
+    """``polish_batch``'s sweeps thresholded on probabilities."""
+    level = model.schedule.beta_bar(1)
+    targets = np.array([model.denoiser.target_fill(c) for c in conditions])
+    x = x.copy()
+    for _ in range(model.polish_sweeps):
+        p = model.denoiser.predict_x0_many(x, level, conditions)
+        if model.density_guidance:
+            thresholds = np.clip(
+                _row_quantiles(p, 1.0 - targets), 1e-9, 1.0 - 1e-9
+            )
+        else:
+            thresholds = np.full(len(x), 0.5)
+        nxt = (p > thresholds[:, None, None]).astype(np.uint8)
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
+    return x
+
+
+class TestPolishOnLogits:
+    CONDITIONS = [0, 1, 0, 1]
+
+    @pytest.fixture(scope="class")
+    def stacks(self, small_model):
+        rng = np.random.default_rng(4)
+        noise = (rng.random((4, 64, 64)) < 0.4).astype(np.uint8)
+        sampled = small_model.sample_batch(
+            self.CONDITIONS, np.random.default_rng(5), sampler_steps=8
+        )
+        return [noise, sampled]
+
+    @pytest.mark.parametrize("guided", [True, False])
+    def test_matches_probability_thresholds(self, small_model, stacks, guided):
+        model = ConditionalDiffusionModel(
+            denoiser=small_model.denoiser,
+            schedule=small_model.schedule,
+            window=64,
+            density_guidance=guided,
+        )
+        for stack in stacks:
+            expected = model._resolve_corner_touches(
+                _probability_polish(model, stack, self.CONDITIONS),
+                self.CONDITIONS,
+            )
+            got = model.polish_batch(stack, self.CONDITIONS)
+            assert np.array_equal(got, expected)
+
+    def test_corner_cells_cleared_by_logit_order(self, small_model, stacks):
+        level = small_model.schedule.beta_bar(1)
+        noise = stacks[0]
+        p = small_model.denoiser.predict_x0_many(noise, level, self.CONDITIONS)
+        z = small_model.denoiser.predict_logits_many(
+            noise, level, self.CONDITIONS
+        )
+        for i in range(len(noise)):
+            touches = diagonal_touch_pairs(noise[i])
+            assert touches
+            expected = noise[i].copy()
+            for row, col in touches:
+                window = [(row, col), (row + 1, col + 1),
+                          (row, col + 1), (row + 1, col)]
+                cells = [rc for rc in window if expected[rc]]
+                if cells:
+                    expected[min(cells, key=lambda rc: p[i][rc])] = 0
+            got = noise[i].copy()
+            _clear_weakest_touch_cells(got, z[i], touches)
+            assert np.array_equal(got, expected)
+
+
+class TestReferencePathStatistics:
+    """The compiled float32 kernel against the ``use_compiled = False``
+    reference path: random streams differ, so statistics are pinned, not
+    bytes, the way the bucketed sampler is pinned to the full chain."""
+
+    N = 6
+
+    @pytest.fixture(scope="class")
+    def outputs(self, small_model):
+        denoiser = small_model.denoiser
+        seeds = {
+            cls: small_model.sample(
+                self.N, cls, np.random.default_rng(300 + cls)
+            )
+            for cls in range(len(STYLES))
+        }
+        keep = np.ones((self.N, 64, 64), dtype=np.uint8)
+        keep[:, 16:48, 16:48] = 0
+        out = {}
+        for path, compiled in (("compiled", True), ("reference", False)):
+            denoiser.use_compiled = compiled
+            try:
+                per_op = {"sample": {}, "modify": {}, "extend": {}}
+                for cls, style in enumerate(STYLES):
+                    per_op["sample"][style] = small_model.sample_batch(
+                        [cls] * self.N, np.random.default_rng(100)
+                    )
+                    per_op["modify"][style] = modify_batch(
+                        small_model, seeds[cls], keep, [cls] * self.N,
+                        np.random.default_rng(200),
+                    )
+                    per_op["extend"][style] = np.stack([
+                        extend(
+                            small_model, (128, 128), cls,
+                            np.random.default_rng(400 + j), method="out",
+                            seed_topology=seeds[cls][j],
+                        ).topology
+                        for j in range(2)
+                    ])
+            finally:
+                denoiser.use_compiled = True
+            out[path] = per_op
+        return out
+
+    @pytest.mark.parametrize("op", ["sample", "modify", "extend"])
+    def test_density_error(self, small_model, outputs, op):
+        for path in ("compiled", "reference"):
+            for cls, style in enumerate(STYLES):
+                target = small_model.denoiser.target_fill(cls)
+                error = abs(outputs[path][op][style].mean() - target)
+                assert error < 0.03, (path, op, style, error)
+
+    @pytest.mark.parametrize("op", ["sample", "modify", "extend"])
+    def test_legality(self, outputs, op):
+        for style in STYLES:
+            compiled, reference = (
+                legalize_many(
+                    list(outputs[path][op][style]), style, max_workers=2
+                ).legality
+                for path in ("compiled", "reference")
+            )
+            assert compiled >= reference - 0.25, (op, style, reference)
+
+    @pytest.mark.parametrize("op", ["sample", "modify"])
+    def test_diversity(self, outputs, op):
+        for style in STYLES:
+            compiled = diversity(list(outputs["compiled"][op][style]))
+            reference = diversity(list(outputs["reference"][op][style]))
+            assert abs(compiled - reference) <= 0.75, (op, style)
+
+    def test_no_corner_touches(self, outputs):
+        for per_op in outputs.values():
+            for op in ("sample", "extend"):
+                for stack in per_op[op].values():
+                    for x in stack:
+                        assert diagonal_touch_pairs(x) == []

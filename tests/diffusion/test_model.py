@@ -8,7 +8,8 @@ from repro.diffusion import (
     DiffusionSchedule,
     MarginalDenoiser,
 )
-from repro.diffusion.model import _calibrate_density_batch, _density_offsets
+from repro.diffusion.denoisers.base import sigmoid
+from repro.diffusion.model import _calibrate_density
 from repro.geometry import diagonal_touch_pairs
 
 
@@ -100,7 +101,7 @@ class TestNoiseTo:
 
 
 def _bisection_offsets(logits, targets, bins=512):
-    """The 40-round histogram bisection the Newton solver replaced."""
+    """The 40-round histogram bisection the full-map Newton solver replaced."""
     n_rows, size = logits.shape
     lo_edge = logits.min(axis=1, keepdims=True)
     span = logits.max(axis=1, keepdims=True) - lo_edge
@@ -129,66 +130,87 @@ def _bisection_offsets(logits, targets, bins=512):
 
 
 def _logits(p):
+    """float32 logit stack of probabilities, clipped like the kernel's."""
     p = np.clip(p, 1e-9, 1.0 - 1e-9)
-    return np.log(p / (1.0 - p)).reshape(p.shape[0], -1)
+    return np.log(p / (1.0 - p)).astype(np.float32)
 
 
 class TestDensityCalibration:
-    def _check_offsets(self, p, targets):
-        logits = _logits(p)
+    """The full-map Newton solver against the histogram bisection it
+    replaced: the solver stops once each item's density is within 1e-4 of
+    its target, so offsets agree up to that tolerance over the map's
+    slope ``mean(p (1 - p))``."""
+
+    def _calibrate(self, p, targets):
+        z = _logits(p)
         targets = np.asarray(targets, dtype=np.float64)
-        offsets = _density_offsets(logits, targets)
-        assert np.abs(offsets - _bisection_offsets(logits, targets)).max() < 1e-9
-        return offsets
+        calibrated, offsets = _calibrate_density(z, targets)
+        assert calibrated.dtype == np.float32
+        means = calibrated.mean(axis=(1, 2), dtype=np.float64)
+        assert np.abs(means - targets).max() < 1e-4
+        shifted = sigmoid(z + offsets.astype(np.float32)[:, None, None])
+        assert np.array_equal(calibrated, shifted)
+        oracle = _bisection_offsets(
+            z.reshape(len(z), -1).astype(np.float64), targets
+        )
+        slope = (calibrated * (1.0 - calibrated)).mean(axis=(1, 2))
+        assert np.all(np.abs(offsets - oracle) * slope < 2e-4)
+        return calibrated, offsets
 
     def test_pins_mean(self):
         rng = np.random.default_rng(0)
         p = rng.random((1, 64, 64)) * 0.2  # mean ~0.1
-        self._check_offsets(p, [0.35])
-        calibrated = _calibrate_density_batch(p, np.array([0.35]))
-        assert calibrated.mean() == pytest.approx(0.35, abs=0.01)
+        calibrated, _ = self._calibrate(p, [0.35])
+        assert calibrated.mean() == pytest.approx(0.35, abs=1e-4)
 
     def test_preserves_ordering(self):
         p = np.array([[[0.1, 0.4, 0.8]]])
-        self._check_offsets(p, [0.6])
-        c = _calibrate_density_batch(p, np.array([0.6]))[0]
+        c = self._calibrate(p, [0.6])[0][0]
         assert c[0, 0] < c[0, 1] < c[0, 2]
 
     def test_noop_when_matching(self):
         p = np.full((1, 8, 8), 0.3)
-        c = _calibrate_density_batch(p, np.array([0.3]))
-        assert np.allclose(c, 0.3, atol=1e-3)
+        calibrated, offsets = self._calibrate(p, [0.3])
+        assert offsets[0] == 0.0
+        assert np.allclose(calibrated, 0.3, atol=1e-6)
 
     def test_stack_with_distinct_targets(self):
         rng = np.random.default_rng(1)
         p = rng.random((3, 32, 48)) ** 2
         targets = np.array([0.15, 0.4, 0.7])
-        self._check_offsets(p, targets)
-        calibrated = _calibrate_density_batch(p, targets)
-        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-3)
+        calibrated, _ = self._calibrate(p, targets)
+        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-4)
 
     def test_constant_logit_row(self):
-        # Every logit lands in the one degenerate bin, whose representative
-        # is the exact value: the offset is the closed-form logit shift.
+        # A constant map needs the closed-form logit shift, up to the
+        # density tolerance over the slope 0.25 at the target.
         p = np.full((1, 16, 16), 0.3)
-        offsets = self._check_offsets(p, [0.5])
-        assert offsets[0] == pytest.approx(-np.log(0.3 / 0.7), abs=1e-9)
-        calibrated = _calibrate_density_batch(p, np.array([0.5]))
-        assert np.allclose(calibrated, 0.5, atol=1e-9)
+        calibrated, offsets = self._calibrate(p, [0.5])
+        assert offsets[0] == pytest.approx(-np.log(0.3 / 0.7), abs=4e-4)
+        assert np.allclose(calibrated, 0.5, atol=1e-4)
 
     def test_row_at_target_unchanged(self):
         rng = np.random.default_rng(2)
         p = rng.random((2, 16, 16))
-        targets = np.array([p[0].mean(), 0.2])
-        calibrated = _calibrate_density_batch(p, targets)
-        assert np.array_equal(calibrated[0], p[0])
-        assert calibrated[1].mean() == pytest.approx(0.2, abs=1e-3)
+        z = _logits(p)
+        targets = np.array([sigmoid(z[0]).mean(dtype=np.float64), 0.2])
+        calibrated, offsets = self._calibrate(p, targets)
+        assert offsets[0] == 0.0
+        assert np.array_equal(calibrated[0], sigmoid(z[0]))
+        assert calibrated[1].mean() == pytest.approx(0.2, abs=1e-4)
 
     def test_extreme_targets_stay_in_bracket(self):
         rng = np.random.default_rng(3)
         p = rng.random((2, 32, 32))
         targets = np.array([0.02, 0.98])
-        offsets = self._check_offsets(p, targets)
+        calibrated, offsets = self._calibrate(p, targets)
         assert np.all(np.abs(offsets) < 30.0)
-        calibrated = _calibrate_density_batch(p, targets)
-        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-3)
+        assert calibrated.mean(axis=(1, 2)) == pytest.approx(targets, abs=1e-4)
+
+    def test_unreachable_target_ends_at_bracket_edge(self):
+        # Every logit sits at -25, so even d = +30 leaves the density at
+        # sigmoid(5) ~ 0.9933: the offset runs to the edge and stops there.
+        z = np.full((1, 4, 4), -25.0, dtype=np.float32)
+        calibrated, offsets = _calibrate_density(z, np.array([0.9999]))
+        assert offsets[0] == pytest.approx(30.0, abs=1e-6)
+        assert np.allclose(calibrated, 1.0 / (1.0 + np.exp(-5.0)))

@@ -5,16 +5,12 @@ import pytest
 
 from repro.metrics import (
     LegalityResult,
-    legalize_batch,
     legalize_many,
     legalize_sequential,
     physical_size_for,
 )
 from repro.metrics.stats import library_stats
 from repro.squish import PatternLibrary
-
-# the old legalize_batch contract, under its blessed name
-_sequential = legalize_sequential
 
 
 class TestPhysicalScaling:
@@ -32,7 +28,9 @@ class TestPhysicalScaling:
 class TestSequentialContract:
     def test_clean_topologies_all_legal(self, tiny_library):
         topologies = [p.topology for p in tiny_library]
-        result = _sequential(topologies, "Layer-10001", physical_size=(1024, 1024))
+        result = legalize_sequential(
+            topologies, "Layer-10001", physical_size=(1024, 1024)
+        )
         assert result.legality == 1.0
         assert len(result.legal) == len(topologies)
         assert result.failure_causes == {}
@@ -42,7 +40,7 @@ class TestSequentialContract:
         t = np.zeros((16, 16), dtype=np.uint8)
         t[2:6, 2:6] = 1
         t[6:10, 6:10] = 1
-        result = _sequential([t], "Layer-10001")
+        result = legalize_sequential([t], "Layer-10001")
         assert result.legality == 0.0
         assert "corner" in result.failure_causes
 
@@ -51,7 +49,9 @@ class TestSequentialContract:
         bad[2:6, 2:6] = 1
         bad[6:10, 6:10] = 1
         topologies = [tiny_library[0].topology, bad]
-        result = _sequential(topologies, "Layer-10001", physical_size=None)
+        result = legalize_sequential(
+            topologies, "Layer-10001", physical_size=None
+        )
         assert result.legality == pytest.approx(0.5)
         assert result.total == 2
 
@@ -59,12 +59,12 @@ class TestSequentialContract:
         bad = np.zeros((16, 16), dtype=np.uint8)
         bad[2:6, 2:6] = 1
         bad[6:10, 6:10] = 1
-        result = _sequential([bad], "Layer-10001", keep_failures=True)
+        result = legalize_sequential([bad], "Layer-10001", keep_failures=True)
         assert len(result.failures) == 1
         assert result.failures[0].failed_region is not None
 
     def test_empty_batch(self):
-        result = _sequential([], "Layer-10001")
+        result = legalize_sequential([], "Layer-10001")
         assert result.legality == 0.0
         assert result.total == 0
 
@@ -72,51 +72,30 @@ class TestSequentialContract:
         # fault_isolation=False keeps the original contract: a malformed
         # topology is a programming error, not a legality statistic.
         with pytest.raises(ValueError):
-            _sequential(
+            legalize_sequential(
                 [np.zeros(16, dtype=np.uint8)],
                 "Layer-10001",
                 physical_size=(1024, 1024),
             )
 
-
-class TestDeprecatedLegalizeBatch:
-    """``legalize_batch`` is a deprecated alias delegating to
-    ``legalize_many`` — one code path, one warning."""
-
-    def test_warns(self, tiny_library):
-        with pytest.warns(DeprecationWarning, match="legalize_many"):
-            legalize_batch(
-                [tiny_library[0].topology],
-                "Layer-10001",
-                physical_size=(1024, 1024),
-            )
-
     def test_delegates_identically(self, tiny_library):
+        # The single-thread, non-isolated spelling of legalize_many.
         bad = np.zeros((16, 16), dtype=np.uint8)
         bad[2:6, 2:6] = 1
         bad[6:10, 6:10] = 1
         topologies = [p.topology for p in tiny_library] + [bad]
-        with pytest.warns(DeprecationWarning):
-            alias = legalize_batch(
-                topologies, "Layer-10001", physical_size=(1024, 1024)
-            )
-        direct = _sequential(
+        sequential = legalize_sequential(
             topologies, "Layer-10001", physical_size=(1024, 1024)
         )
-        assert alias.total == direct.total
-        assert alias.legality == direct.legality
-        assert alias.failure_causes == direct.failure_causes
-        for a, b in zip(alias.legal.patterns, direct.legal.patterns):
+        direct = legalize_many(
+            topologies, "Layer-10001", physical_size=(1024, 1024),
+            max_workers=1, fault_isolation=False,
+        )
+        assert sequential.total == direct.total
+        assert sequential.legality == direct.legality
+        assert sequential.failure_causes == direct.failure_causes
+        for a, b in zip(sequential.legal.patterns, direct.legal.patterns):
             assert (a.topology == b.topology).all()
-
-    def test_keeps_raising_contract(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                legalize_batch(
-                    [np.zeros(16, dtype=np.uint8)],
-                    "Layer-10001",
-                    physical_size=(1024, 1024),
-                )
 
 
 class TestLegalizeMany:
@@ -125,7 +104,7 @@ class TestLegalizeMany:
         bad[2:6, 2:6] = 1
         bad[6:10, 6:10] = 1
         topologies = [p.topology for p in tiny_library] + [bad]
-        sequential = _sequential(
+        sequential = legalize_sequential(
             topologies, "Layer-10001", physical_size=(1024, 1024)
         )
         parallel = legalize_many(
