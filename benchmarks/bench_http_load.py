@@ -72,7 +72,6 @@ class LoadModel:
         self.window = window
         self.fitted = True
         self.n_classes = 2
-        self.supports_sampler_steps = True
 
     def sample_batch(self, conditions, rng, shape=None, **kwargs):
         shape = shape or (self.window, self.window)

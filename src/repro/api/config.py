@@ -166,12 +166,6 @@ class StoreConfig(StageConfig):
 #: hysteresis controller configured through :class:`TuneConfig`.
 SERVE_POLICIES = ("greedy", "shape_bucketed", "fair_share", "adaptive")
 
-#: Registered executor back-ends of the serving engine (layer 3).
-#: ``thread`` runs sampling in-process; ``process`` fans batches out to
-#: spawned worker processes over shared memory (requires a disk model
-#: cache so workers can load fitted models by recipe hash).
-SERVE_EXECUTORS = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class ServeConfig(StageConfig):
@@ -183,14 +177,8 @@ class ServeConfig(StageConfig):
     across the whole queue, ``fair_share`` = round-robin across request
     sources, ``adaptive`` = greedy selection steered by the
     :class:`TuneConfig` hysteresis controller, degrading sampler quality
-    under queue pressure to hold the latency SLO).  ``executor`` picks
-    the engine's execution tier:
-    ``thread`` (default) samples in-process, ``process`` dispatches each
-    batch to a spawned worker process over shared memory — isolation from
-    a crashing model and true multi-core sampling, at the price of
-    requiring a disk model cache (``model_cache``) so workers can load
-    fitted models by recipe hash.  ``engine_workers`` sizes the executor
-    pool draining batches in parallel; ``queue_limit`` bounds the
+    under queue pressure to hold the latency SLO).  ``engine_workers``
+    sizes the engine's thread pool draining batches in parallel; ``queue_limit`` bounds the
     admission queue (jobs beyond it fast-fail with backpressure instead
     of queueing unboundedly); ``deadline`` expires jobs still queued
     after that many seconds.
@@ -210,7 +198,6 @@ class ServeConfig(StageConfig):
     max_retries: int = 2
     base_seed: int = 0
     policy: str = "greedy"
-    executor: str = "thread"
     engine_workers: int = 1
     queue_limit: Optional[int] = None
     deadline: Optional[float] = None
@@ -222,11 +209,6 @@ class ServeConfig(StageConfig):
             raise ConfigError(
                 f"unknown serve policy {self.policy!r}; known: "
                 f"{sorted(SERVE_POLICIES)}"
-            )
-        if self.executor not in SERVE_EXECUTORS:
-            raise ConfigError(
-                f"unknown serve executor {self.executor!r}; known: "
-                f"{sorted(SERVE_EXECUTORS)}"
             )
         if self.engine_workers < 1:
             raise ConfigError("engine_workers must be >= 1")

@@ -32,7 +32,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.api.config import SERVE_EXECUTORS, SERVE_POLICIES, PipelineConfig
+from repro.api.config import SERVE_POLICIES, PipelineConfig
 from repro.api.pipeline import PatternPipeline
 from repro.data import STYLES
 from repro.diffusion.schedule import validate_sampler_steps
@@ -147,16 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
              "config's [tune] section)",
     )
     srv.add_argument(
-        "--executor", choices=SERVE_EXECUTORS, default=None,
-        help="engine execution tier: thread (in-process, default) or "
-             "process (spawned worker processes with shared-memory batch "
-             "transport and crash supervision; requires --model-cache so "
-             "workers can load the fitted model by recipe hash)",
-    )
-    srv.add_argument(
         "--engine-workers", type=int, default=None,
-        help="executor workers (threads or processes) draining batches "
-             "in parallel",
+        help="engine worker threads draining batches in parallel",
     )
     srv.add_argument(
         "--queue-limit", type=int, default=None,
@@ -201,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", metavar="SPEC", default=None,
         help="install a deterministic fault-injection plan (chaos "
              "testing): JSON, or compact clauses like "
-             "'seed=7|worker.execute:kill:nth=2|registry.disk_read:error:"
+             "'seed=7|engine.execute:error:nth=2|registry.disk_read:error:"
              "nth=1'; the REPRO_FAULTS environment variable is an "
              "equivalent escape hatch",
     )
@@ -210,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of serving the given requests and exiting, run the "
              "asyncio HTTP front-end (POST /v1/jobs, GET /v1/jobs/ID, "
              "DELETE cancel, GET /metrics) until SIGINT or SIGTERM, then "
-             "drain gracefully (process-executor workers are reaped, no "
-             "orphans); PORT 0 binds an ephemeral port",
+             "drain gracefully; PORT 0 binds an ephemeral port",
     )
 
     gen = sub.add_parser("generate", help="sample fixed-size patterns")
@@ -363,8 +354,6 @@ def _cmd_serve(args) -> int:
         serve_cfg = serve_cfg.replace(max_workers=args.workers)
     if args.policy is not None:
         serve_cfg = serve_cfg.replace(policy=args.policy)
-    if args.executor is not None:
-        serve_cfg = serve_cfg.replace(executor=args.executor)
     if args.engine_workers is not None:
         serve_cfg = serve_cfg.replace(engine_workers=args.engine_workers)
     if args.queue_limit is not None:

@@ -40,13 +40,6 @@ class ConditionalDiffusionModel:
         window: the model's native output size (the paper's 128).
     """
 
-    #: Backend-protocol declaration: ``sample_batch`` accepts the
-    #: ``sampler_steps`` kwarg.  The serving engine checks this attribute
-    #: (not the call signature) before forwarding step schedules, so
-    #: legacy stand-in back-ends that lack it are simply never passed the
-    #: kwarg.  Keep it in sync with the ``sample_batch`` signature.
-    supports_sampler_steps = True
-
     def __init__(
         self,
         denoiser: Optional[Denoiser] = None,

@@ -10,7 +10,6 @@ See :mod:`repro.faults.plan` for the model.  The usual surface:
 
 from repro.faults.plan import (
     FAULT_SITES,
-    KILL_EXIT_CODE,
     NULL_FAULTS,
     FaultError,
     FaultInjected,
@@ -29,7 +28,6 @@ from repro.faults.plan import (
 
 __all__ = [
     "FAULT_SITES",
-    "KILL_EXIT_CODE",
     "NULL_FAULTS",
     "FaultError",
     "FaultInjected",

@@ -3,11 +3,10 @@
 Every component that can fail in production carries a *named fault site* —
 a single ``faults.fire("site.name")`` call placed exactly where the real
 failure would surface (the ``open()`` that reads a registry entry, the
-``SharedMemory`` attach, the worker's batch execute, the store's journal
-fsync...).  In normal operation the installed plan is :data:`NULL_FAULTS`
-and ``fire`` is a dictionary-free no-op; under test or chaos-smoke a
-:class:`FaultPlan` is installed and selected sites raise, sleep, or kill
-the process on a deterministic schedule.
+engine's batch execute, the store's journal fsync...).  In normal
+operation the installed plan is :data:`NULL_FAULTS` and ``fire`` is a
+dictionary-free no-op; under test or chaos-smoke a :class:`FaultPlan` is
+installed and selected sites raise or sleep on a deterministic schedule.
 
 Design rules:
 
@@ -19,16 +18,11 @@ Design rules:
   :data:`FAULT_SITES`; plans naming unknown sites fail validation, so a
   refactor that drops a seam breaks loudly instead of silently
   un-testing a failure path.
-- **Process-local with explicit hand-off.**  Worker processes install
-  their own plan from a spec dict shipped in the spawn args, with call
-  counters *primed* from the parent's dispatch tally so nth-based rules
-  keep firing at the same global call index across worker respawns.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,7 +31,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_SITES",
-    "KILL_EXIT_CODE",
     "FaultError",
     "FaultInjected",
     "FaultPoint",
@@ -54,21 +47,13 @@ __all__ = [
     "validate_point",
 ]
 
-#: Exit code a ``kill``-mode firing uses (distinct from crash-test 139/…).
-KILL_EXIT_CODE = 17
-
 #: Every named injection site in the stack.  Adding a seam means adding
 #: its name here *and* placing the ``fire`` call; plans referencing
 #: unknown sites are rejected at validation time.
 FAULT_SITES: Tuple[str, ...] = (
     "registry.disk_read",       # ModelRegistry._load_from_disk, per attempt
     "registry.disk_write",      # ModelRegistry._save_to_disk
-    "shm.allocate",             # ShmArena.allocate
-    "shm.attach",               # attach_ref (parent or worker side)
-    "shm.write",                # write_into (worker result publish)
-    "worker.execute",           # _worker_main, before the batch executes
-    "engine.execute",           # thread-tier local plan execution
-    "engine.dispatch",          # parent-side dispatch to a process worker
+    "engine.execute",           # before a trajectory runs on a worker
     "http.accept",              # per accepted HTTP connection
     "http.respond",             # before a response is written
     "store.object_write",       # LibraryStore pattern .npz write
@@ -79,7 +64,7 @@ FAULT_SITES: Tuple[str, ...] = (
     "store.flush_compact",      # after the journal was compacted
 )
 
-_MODES = ("error", "latency", "kill")
+_MODES = ("error", "latency")
 
 
 class FaultError(RuntimeError):
@@ -114,8 +99,7 @@ class FaultPoint:
     ``mode``
         ``"error"`` raises (``crash=False`` → :class:`FaultInjected`,
         ``crash=True`` → :class:`SimulatedCrash`); ``"latency"`` sleeps
-        ``delay`` seconds then continues; ``"kill"`` hard-exits the
-        process with :data:`KILL_EXIT_CODE` (process-worker chaos only).
+        ``delay`` seconds then continues.
     ``nth``
         1-based call index at that site on which the rule becomes
         eligible; ``None`` means every call is eligible.
@@ -236,7 +220,7 @@ class FaultPlan:
     """An installed set of :class:`FaultPoint` rules with seeded state.
 
     Thread-safe: per-site call counters and per-rule firing tallies are
-    guarded by one lock; the act itself (raise / sleep / exit) happens
+    guarded by one lock; the act itself (raise / sleep) happens
     outside it.
     """
 
@@ -278,35 +262,19 @@ class FaultPlan:
         points = tuple(
             FaultPoint(**validate_point(p)) for p in spec.get("points", ())
         )
-        plan = cls(points=points, seed=int(spec.get("seed", 0)), metrics=metrics)
-        counts = spec.get("counts")
-        if counts:
-            plan.prime(counts)  # type: ignore[arg-type]
-        return plan
+        return cls(points=points, seed=int(spec.get("seed", 0)), metrics=metrics)
 
     def as_spec(self) -> Dict[str, object]:
-        """JSON-safe dict form (ships to worker processes in spawn args)."""
+        """JSON-safe dict form (the inverse of :meth:`from_spec`)."""
         return {
             "seed": self.seed,
             "points": [p.as_dict() for p in self.points],
         }
 
-    def prime(self, counts: Mapping[str, int]) -> None:
-        """Pre-set per-site call counters (worker respawn continuity).
-
-        A respawned worker starts with fresh in-process counters; the
-        parent primes them with its dispatch tally so an ``nth`` rule
-        keyed to the *global* call index does not re-fire on every new
-        worker life (which would turn "crash once" into a crash loop).
-        """
-        with self._lock:
-            for site, count in counts.items():
-                self._counts[site] = int(count)
-
     # -- the hot path ---------------------------------------------------
 
     def fire(self, site: str) -> None:
-        """Evaluate rules for ``site``; raise/sleep/exit if one triggers."""
+        """Evaluate rules for ``site``; raise or sleep if one triggers."""
         with self._lock:
             count = self._counts.get(site, 0) + 1
             self._counts[site] = count
@@ -333,11 +301,6 @@ class FaultPlan:
         if point.mode == "latency":
             time.sleep(point.delay)
             return
-        if point.mode == "kill":
-            # A hard exit, bypassing finally/atexit — as close to SIGKILL
-            # as an in-process injection gets.  Only sensible in worker
-            # processes whose parent supervises crashes.
-            os._exit(KILL_EXIT_CODE)
         message = point.message or f"injected fault at {site}"
         if point.crash:
             raise SimulatedCrash(message)
@@ -409,11 +372,11 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
 
     Two forms:
 
-    - JSON: ``{"seed": 7, "points": [{"site": "worker.execute", ...}]}``
+    - JSON: ``{"seed": 7, "points": [{"site": "engine.execute", ...}]}``
     - Compact (shell-friendly): ``|``-separated clauses, each either
       ``seed=N`` or ``site:mode[:key=value...]``, e.g.::
 
-          seed=7|worker.execute:kill:nth=2|registry.disk_read:error:nth=1
+          seed=7|engine.execute:error:nth=2|registry.disk_read:error:nth=1
 
     Returns a validated plain dict suitable for ``FaultConfig.from_dict``
     or :meth:`FaultPlan.from_spec`.

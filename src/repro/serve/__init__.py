@@ -10,13 +10,8 @@ Layers (front to back):
   :class:`BatchPolicy` batching (``greedy`` | ``shape_bucketed`` |
   ``fair_share``), an ``engine_workers``-sized executor pool draining
   batches in parallel, and multi-model routing via :meth:`ServeEngine.bind`.
-- :class:`ExecutorBackend` — the engine's pluggable execution tier:
-  :class:`ThreadExecutor` (in-process, default) or
-  :class:`ProcessExecutor` (spawned worker processes loading fitted
-  models from the registry's disk tier, batches returned through the
-  :class:`ShmArena` shared-memory transport, supervised with heartbeats,
-  crash detection and bounded respawn — a lost worker fails its in-flight
-  jobs with the stable ``worker_crashed`` code after one retry).
+- :class:`ExecutorBackend` — the seam of the engine's execution tier;
+  :class:`ThreadExecutor` runs ``engine_workers`` in-process threads.
 - :class:`MicroBatchScheduler` / :class:`BatchedSamplingModel` — the
   classic single-model facade over a private engine: compatible sampling
   work from different requests coalesces into single batched denoise
@@ -39,7 +34,6 @@ from repro.serve.batching import (
     BatchedSamplingModel,
     MicroBatchScheduler,
     SampleJob,
-    model_supports_sampler_steps,
 )
 from repro.serve.engine import (
     AdaptivePolicy,
@@ -55,23 +49,9 @@ from repro.serve.engine import (
     ShapeBucketedPolicy,
     TrajectoryPlan,
     UnknownPolicyError,
-    WorkerCrashedError,
     resolve_batch_policy,
 )
-from repro.serve.executors import (
-    ExecutorBackend,
-    ExecutorError,
-    ProcessExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
-from repro.serve.shm import (
-    ArrayRef,
-    ShmArena,
-    ShmError,
-    leaked_segments,
-    sweep_stale_segments,
-)
+from repro.serve.executors import ExecutorBackend, ThreadExecutor
 from repro.serve.jobs import (
     CODE_SERVER_RESTART,
     JOB_STATES,
@@ -109,7 +89,6 @@ from repro.serve.store import (
 
 __all__ = [
     "AdaptivePolicy",
-    "ArrayRef",
     "BatchPolicy",
     "CODE_SERVER_RESTART",
     "BatchRecord",
@@ -120,7 +99,6 @@ __all__ = [
     "EngineJob",
     "EngineStats",
     "ExecutorBackend",
-    "ExecutorError",
     "FairSharePolicy",
     "GreedyPolicy",
     "JOB_STATES",
@@ -138,7 +116,6 @@ __all__ = [
     "ModelRegistry",
     "PatternHttpServer",
     "PatternService",
-    "ProcessExecutor",
     "QueueFullError",
     "RequestStats",
     "SampleJob",
@@ -150,21 +127,14 @@ __all__ = [
     "ServeResponse",
     "ServiceStats",
     "ShapeBucketedPolicy",
-    "ShmArena",
-    "ShmError",
     "StoreRecord",
     "StoreReport",
     "TERMINAL_STATES",
     "ThreadExecutor",
     "TrajectoryPlan",
     "UnknownPolicyError",
-    "WorkerCrashedError",
     "error_code_for",
     "fit_model",
-    "leaked_segments",
-    "model_supports_sampler_steps",
     "pattern_content_hash",
     "resolve_batch_policy",
-    "resolve_executor",
-    "sweep_stale_segments",
 ]

@@ -33,12 +33,7 @@ import numpy as np
 
 from repro.diffusion.model import ConditionalDiffusionModel, SamplerSteps
 from repro.obs.trace import NULL_TRACER
-from repro.serve.engine import (
-    BatchPolicy,
-    EngineJob,
-    ServeEngine,
-    model_supports_sampler_steps,
-)
+from repro.serve.engine import BatchPolicy, EngineJob, ServeEngine
 from repro.serve.stats import BatchRecord, EngineStats, SchedulerStats
 
 #: The scheduler's job type IS the engine's — one queue vocabulary.
@@ -65,10 +60,6 @@ class MicroBatchScheduler:
         policy: batching policy name or :class:`BatchPolicy` instance
             (``"greedy"`` | ``"shape_bucketed"`` | ``"fair_share"`` |
             ``"adaptive"``).
-        executor: execution tier (``"thread"`` | ``"process"``, or an
-            :class:`~repro.serve.executors.ExecutorBackend` instance).
-            The process tier needs an engine registry with a disk cache —
-            prefer :class:`~repro.serve.engine.ServeEngine` directly there.
         engine_workers: executor threads draining batches in parallel.
         queue_limit: bound on queued jobs; beyond it ``submit`` raises
             :class:`~repro.serve.engine.QueueFullError` (``None`` =
@@ -89,14 +80,12 @@ class MicroBatchScheduler:
         max_batch: int = 64,
         sampler_steps: SamplerSteps = None,
         policy: Union[str, BatchPolicy] = "greedy",
-        executor: str = "thread",
         engine_workers: int = 1,
         queue_limit: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         self._engine = ServeEngine(
             policy=policy,
-            executor=executor,
             engine_workers=engine_workers,
             queue_limit=queue_limit,
             gather_window=gather_window,
@@ -338,5 +327,4 @@ __all__ = [
     "BatchedSamplingModel",
     "MicroBatchScheduler",
     "SampleJob",
-    "model_supports_sampler_steps",
 ]

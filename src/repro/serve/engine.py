@@ -15,18 +15,13 @@ explicit layers, each independently configurable:
    across the whole queue so one trajectory carries as many samples as
    possible, ``fair_share`` round-robins across request *sources* so a
    bulk client cannot starve interactive ones.
-3. **Executor pool** — a pluggable :class:`ExecutorBackend`
-   (:mod:`repro.serve.executors`): ``executor="thread"`` (default) runs
-   ``engine_workers`` in-process threads, behavior-identical to the
-   classic pool; ``executor="process"`` runs spawned worker processes
-   that rehydrate their own fitted model from the disk registry and
-   return batches through shared memory — true multi-core parallelism.
-   Incompatible batches (different shapes, step schedules or models) no
-   longer serialize behind each other.  ``stop`` drains gracefully,
-   preserving the scheduler lifecycle guarantees (submit-after-stop
-   raises, restart works, nothing ever hangs); a crashed process worker
-   is respawned, its in-flight batch retried once, then failed with the
-   terminal ``worker_crashed`` code.
+3. **Executor pool** — ``engine_workers`` in-process threads
+   (:class:`~repro.serve.executors.ThreadExecutor`, behind the
+   :class:`~repro.serve.executors.ExecutorBackend` seam).  Incompatible
+   batches (different shapes, step schedules or models) do not
+   serialize behind each other.  ``stop`` drains gracefully, preserving
+   the scheduler lifecycle guarantees (submit-after-stop raises, restart
+   works, nothing ever hangs).
 4. **Routing** — the engine serves many models at once: :meth:`bind`
    resolves a :class:`~repro.serve.registry.ModelKey` through a
    :class:`~repro.serve.registry.ModelRegistry` (or accepts a pre-fitted
@@ -58,6 +53,7 @@ from repro.obs.metrics import (
     bucket_percentile,
     default_metrics,
 )
+from repro.serve.executors import ThreadExecutor
 from repro.serve.stats import BatchRecord, EngineStats, SchedulerStats
 from repro.tune.controller import AdaptiveController, EngineLoadSnapshot
 
@@ -88,17 +84,6 @@ class DeadlineExpiredError(EngineError):
     code = "deadline_expired"
 
 
-class WorkerCrashedError(EngineError):
-    """An executor worker died executing this job's batch — twice.
-
-    The process tier retries an in-flight batch once on a fresh worker;
-    only a second crash surfaces this terminal error to the affected jobs
-    (the engine itself keeps serving on its remaining/respawned workers).
-    """
-
-    code = "worker_crashed"
-
-
 class UnknownPolicyError(ValueError):
     """A batch-policy name is not in the registry.
 
@@ -113,18 +98,6 @@ class UnknownPolicyError(ValueError):
         super().__init__(
             f"unknown batch policy {policy!r}; known: {list(self.known)}"
         )
-
-
-def model_supports_sampler_steps(model) -> bool:
-    """Explicit backend-protocol check for the step-schedule capability.
-
-    A sampling back-end that understands the ``sampler_steps`` kwarg of
-    ``sample_batch`` declares it with a truthy ``supports_sampler_steps``
-    attribute (:class:`~repro.diffusion.model.ConditionalDiffusionModel`
-    sets it as a class attribute).  Legacy stand-ins that lack the
-    attribute are never passed the kwarg — they sample their own way.
-    """
-    return bool(getattr(model, "supports_sampler_steps", False))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +121,6 @@ class EngineJob:
         "source",
         "deadline",
         "model",
-        "model_key",
         "model_label",
         "submitted_at",
         "future",
@@ -172,7 +144,6 @@ class EngineJob:
         deadline: Optional[float] = None,
         model=None,
         model_label: str = "model",
-        model_key=None,
     ):
         self.count = int(count)
         self.condition = condition
@@ -184,10 +155,6 @@ class EngineJob:
         #: dead on arrival at a worker (``None`` = no deadline)
         self.deadline = deadline
         self.model = model
-        #: the recipe (:class:`~repro.serve.registry.ModelKey`) behind
-        #: ``model`` — required by process-tier executors, whose workers
-        #: resolve the model by recipe_hash rather than by object.
-        self.model_key = model_key
         self.model_label = model_label
         self.submitted_at = time.perf_counter()
         self.future: "Future[np.ndarray]" = Future()
@@ -220,19 +187,15 @@ class TrajectoryPlan:
 
     :meth:`ServeEngine._plan` turns a selected batch into plans — jobs
     grouped by trajectory key, re-sorted into arrival order, conditions
-    stacked and seeds collected — so every backend executes *identical*
-    trajectories: the thread tier calls ``model.sample_batch`` in-process,
-    the process tier ships everything but the model object to a worker
-    that rebuilds the same rng from the same seeds.
+    stacked and seeds collected — so a trajectory's samples depend only on
+    its riders, never on which worker runs it.
     """
 
     __slots__ = (
         "jobs",
         "shape",
         "sampler_steps",
-        "pass_sampler_steps",
         "model",
-        "model_key",
         "model_label",
         "conditions",
         "seeds",
@@ -243,9 +206,7 @@ class TrajectoryPlan:
         jobs: List["EngineJob"],
         shape: Tuple[int, int],
         sampler_steps: SamplerSteps,
-        pass_sampler_steps: bool,
         model,
-        model_key,
         model_label: str,
         conditions: List[Optional[int]],
         seeds: List[int],
@@ -253,12 +214,7 @@ class TrajectoryPlan:
         self.jobs = jobs
         self.shape = shape
         self.sampler_steps = sampler_steps
-        #: whether the thread tier would pass the ``sampler_steps`` kwarg
-        #: (capability-checked against the *parent's* model object, so
-        #: process workers make the identical call).
-        self.pass_sampler_steps = pass_sampler_steps
         self.model = model
-        self.model_key = model_key
         self.model_label = model_label
         self.conditions = conditions
         self.seeds = seeds
@@ -563,11 +519,6 @@ class ServeEngine:
         max_batch: sample budget per selected batch.
         deadline: default per-job deadline in seconds from submission
             (``None`` = jobs never expire).  Per-job deadlines override it.
-        executor: executor backend name (``"thread"`` | ``"process"``) or
-            an :class:`~repro.serve.executors.ExecutorBackend` instance.
-            ``"process"`` requires a registry with a disk tier and jobs
-            that carry a ``model_key`` (bind by recipe, or pass ``key=``
-            to :meth:`bind`).
         metrics: :class:`~repro.obs.metrics.MetricsRegistry` the engine
             reports into (``None`` = the process-wide default registry;
             pass :data:`~repro.obs.metrics.NULL_METRICS` to disable).
@@ -582,7 +533,6 @@ class ServeEngine:
         gather_window: float = 0.02,
         max_batch: int = 64,
         deadline: Optional[float] = None,
-        executor="thread",
         metrics=None,
     ):
         if gather_window < 0:
@@ -609,11 +559,7 @@ class ServeEngine:
         self._has_work = threading.Condition(self._lock)
 
         # -- executor pool (layer 3) ----------------------------------
-        # Lazy import: executors imports engine types, so the backend
-        # registry resolves at construction, not at module load.
-        from repro.serve.executors import resolve_executor
-
-        self.executor = resolve_executor(executor)
+        self.executor = ThreadExecutor()
         self._draining = threading.Event()  # graceful: finish the queue
         self._halt = threading.Event()  # hard: finish in-flight, fail rest
         self._stopped = False  # a stopped engine refuses new jobs
@@ -681,23 +627,6 @@ class ServeEngine:
             "Summed trajectory execution time per executor worker",
             labels=("worker",),
         )
-        # Process-tier supervision instruments (stay at zero for threads).
-        self._m_worker_restarts = m.counter(
-            "repro_engine_worker_restarts_total",
-            "Executor worker processes respawned after a crash",
-            labels=("worker",),
-        )
-        self._m_ipc_roundtrip = m.histogram(
-            "repro_ipc_roundtrip_seconds",
-            "Process-executor dispatch overhead: round trip minus the "
-            "child's own execution time",
-            labels=("worker",),
-        )
-        self._m_worker_active = m.gauge(
-            "repro_engine_worker_busy",
-            "1 while an executor worker slot is executing a batch",
-            labels=("worker",),
-        )
         # Self-tuning instruments (stay at zero for static policies).
         self._m_adaptive_transitions = m.counter(
             "repro_adaptive_degrade_total",
@@ -725,7 +654,6 @@ class ServeEngine:
         sampler_steps: SamplerSteps = None,
         source: str = "default",
         label: Optional[str] = None,
-        key=None,
     ) -> "EngineClient":
         """Resolve a back-end and return its submission handle.
 
@@ -735,11 +663,6 @@ class ServeEngine:
         engine's registry (fitting on first use).  Binding the same model
         object twice shares one routing token, so jobs from different
         clients of one model still coalesce.
-
-        ``key`` names the recipe behind a pre-fitted model: process-tier
-        executors resolve models by recipe_hash in their workers, so jobs
-        they execute must carry one (binding by recipe sets it
-        automatically).
         """
         from repro.api.config import TrainConfig
 
@@ -755,10 +678,6 @@ class ServeEngine:
             label = label or f"model-{key.recipe_hash()[:8]}"
         else:
             model = model_or_key
-            if key is not None:
-                from repro.serve.registry import ModelKey
-
-                key = ModelKey.from_config(key)
         token = id(model)
         with self._bind_lock:
             existing = self._bindings.get(token)
@@ -775,7 +694,6 @@ class ServeEngine:
                 label,
                 sampler_steps=sampler_steps,
                 source=source,
-                model_key=key,
             )
             self._bindings[token] = client
         return client
@@ -804,14 +722,10 @@ class ServeEngine:
         ``timeout`` the pool is halted — workers finish their in-flight
         batch and every job still queued fails rather than hang its
         caller.  ``running`` only flips once every worker is actually
-        dead, so a restart can never race a live pool.  Once the loops
-        end, ``executor.shutdown()`` reaps backend resources (process
-        workers, shared-memory segments) — no orphans survive.
+        dead, so a restart can never race a live pool.
         """
         with self._lifecycle_lock:
             if not self.running:
-                # Idempotent resource sweep: loops may have exited on
-                # their own (all-crashed slots), children could remain.
                 self.executor.shutdown()
                 return
             self._draining.set()
@@ -844,12 +758,6 @@ class ServeEngine:
             raise ValueError("count must be >= 1")
         if job.model is None:
             raise ValueError("job must carry a model (use EngineClient)")
-        if self.executor.requires_model_key and job.model_key is None:
-            raise ValueError(
-                f'the {self.executor.name!r} executor resolves models by '
-                "recipe in its workers: bind by ModelKey/TrainConfig, or "
-                "pass key= to bind() for a pre-fitted model"
-            )
         if job.deadline is None and self.deadline is not None:
             job.deadline = job.submitted_at + self.deadline
         with self._lifecycle_lock:
@@ -1008,9 +916,7 @@ class ServeEngine:
         """Turn a selected batch into executable trajectory plans.
 
         Stamps selection timestamps, groups jobs by trajectory key, and
-        derives each group's stacked conditions + seed list.  Every
-        executor backend runs the returned plans — the derivation happens
-        exactly once, so tiers cannot drift apart.
+        derives each group's stacked conditions + seed list.
         """
         now = time.perf_counter()
         for job in jobs:
@@ -1027,7 +933,6 @@ class ServeEngine:
             # each job's samples — do not depend on the order the policy
             # happened to pick the jobs in (fair-share interleaves sources).
             group.sort(key=lambda job: job.submitted_at)
-            model = group[0].model
             conditions: List[Optional[int]] = []
             for job in group:
                 conditions.extend([job.condition] * job.count)
@@ -1036,9 +941,7 @@ class ServeEngine:
                     jobs=group,
                     shape=shape,
                     sampler_steps=steps,
-                    pass_sampler_steps=model_supports_sampler_steps(model),
-                    model=model,
-                    model_key=group[0].model_key,
+                    model=group[0].model,
                     model_label=group[0].model_label,
                     conditions=conditions,
                     seeds=[job.seed % (2**32) for job in group],
@@ -1047,7 +950,7 @@ class ServeEngine:
         return plans
 
     def _execute(self, jobs: Sequence[EngineJob], worker: int = 0) -> None:
-        """In-process execution of a selected batch (the thread tier)."""
+        """Run a selected batch's trajectories on the calling worker."""
         for plan in self._plan(jobs, worker=worker):
             self._run_plan_local(plan, worker=worker)
 
@@ -1055,7 +958,7 @@ class ServeEngine:
         rng = np.random.default_rng(np.random.SeedSequence(plan.seeds))
         kwargs = (
             {"sampler_steps": plan.sampler_steps}
-            if plan.sampler_steps is not None and plan.pass_sampler_steps
+            if plan.sampler_steps is not None
             else {}
         )
         started = time.perf_counter()
@@ -1080,10 +983,8 @@ class ServeEngine:
     ) -> None:
         """Record a delivered trajectory and distribute its samples.
 
-        Called by every executor backend once a plan's samples exist —
-        in-process for threads, copied out of shared memory for process
-        workers.  ``started``/``wall`` are parent-clock dispatch time and
-        duration, so traces stay consistent across tiers.
+        ``started``/``wall`` are the trajectory's ``perf_counter`` start
+        and duration; they stamp the batch record and every rider.
         """
         with self._records_lock:
             self._records.append(
@@ -1112,7 +1013,7 @@ class ServeEngine:
 
     @staticmethod
     def _fail_plan(plan: TrajectoryPlan, exc: BaseException) -> None:
-        """Fail every rider of a plan (execution error or worker crash)."""
+        """Fail every rider of a plan (its execution raised)."""
         for job in plan.jobs:
             if not job.future.done():
                 try:
@@ -1204,7 +1105,6 @@ class ServeEngine:
         return EngineStats(
             scheduler=SchedulerStats.from_records(self.batch_records),
             policy=self.policy.name,
-            executor=self.executor.name,
             engine_workers=self.engine_workers,
             queue_limit=self.queue_limit,
             queued=queued,
@@ -1233,14 +1133,12 @@ class EngineClient:
         label: str,
         sampler_steps: SamplerSteps = None,
         source: str = "default",
-        model_key=None,
     ):
         self.engine = engine
         self.model = model
         self.label = label
         self.sampler_steps = sampler_steps
         self.source = source
-        self.model_key = model_key
 
     @property
     def running(self) -> bool:
@@ -1282,7 +1180,6 @@ class EngineClient:
             source=source if source is not None else self.source,
             model=self.model,
             model_label=self.label,
-            model_key=self.model_key,
         )
         if deadline is not None:
             if deadline <= 0:

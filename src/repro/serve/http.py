@@ -21,8 +21,8 @@ Endpoints::
 
 Status mapping is keyed on the job's stable ``error_code`` (never the
 message text): the engine's admission backpressure surfaces as 429, its
-deadline expiry as 504, a cancel race against a finished job as 409, a
-process-executor worker lost mid-batch (``worker_crashed``) as 500.
+deadline expiry as 504, a cancel race against a finished job as 409, and
+any other failure as 500.
 Every 429 carries a ``Retry-After`` header derived from the service's
 live batch latency (:meth:`PatternService.retry_after_hint`), so
 backpressured clients pace their retries to how fast the queue actually
@@ -36,9 +36,7 @@ job-table operations — the heavy work runs on the service's request pool
 and the engine behind it.  ``serve_forever`` installs SIGINT/SIGTERM
 handlers (both signals drain identically) and performs a graceful
 shutdown: stop accepting, let every admitted job reach a terminal state,
-then stop the service — which also reaps any process-executor workers
-and their shared-memory segments, so a signalled exit leaves no orphan
-children and nothing in ``/dev/shm``.
+then stop the service and its engine threads.
 """
 
 from __future__ import annotations

@@ -104,7 +104,6 @@ CODE_CANCELLED = "cancelled"
 CODE_INVALID_REQUEST = "invalid_request"
 CODE_LEGALIZE_FAILED = "legalize_failed"
 CODE_SHUTDOWN = "shutdown"
-CODE_WORKER_CRASHED = "worker_crashed"
 CODE_SERVER_RESTART = "server_restart"
 CODE_INTERNAL = "internal"
 
@@ -115,7 +114,6 @@ ERROR_CODES = (
     CODE_INVALID_REQUEST,
     CODE_LEGALIZE_FAILED,
     CODE_SHUTDOWN,
-    CODE_WORKER_CRASHED,
     CODE_SERVER_RESTART,
     CODE_INTERNAL,
 )
@@ -824,7 +822,6 @@ __all__ = [
     "CODE_QUEUE_FULL",
     "CODE_SERVER_RESTART",
     "CODE_SHUTDOWN",
-    "CODE_WORKER_CRASHED",
     "ERROR_CODES",
     "EXPIRED",
     "EngineEvent",

@@ -293,28 +293,6 @@ class ModelRegistry:
             return model
         return None
 
-    def ensure_on_disk(
-        self, key: Union[ModelKey, TrainConfig], model: ConditionalDiffusionModel
-    ) -> Optional[Path]:
-        """Guarantee ``key``'s fitted model is present in the disk tier.
-
-        The process-executor publish path: workers load models from disk by
-        recipe hash, so a model bound directly into the engine (never
-        resolved through :meth:`resolve`) must be written out before the
-        first dispatch.  Returns the cache path, or ``None`` when the
-        registry has no disk tier or the write failed.
-        """
-        path = self.cache_path(key)
-        if path is None:
-            return None
-        if path.exists():
-            return path
-        key = ModelKey.from_config(key)
-        with self._fit_lock(key):
-            if path.exists():
-                return path
-            return self._save_to_disk(key, model)
-
     def _save_to_disk(self, key: ModelKey, model) -> Optional[Path]:
         path = self.cache_path(key)
         if path is None:

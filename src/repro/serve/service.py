@@ -7,7 +7,7 @@ against a :class:`~repro.serve.batching.BatchedSamplingModel` client whose
 sampling rides the shared :class:`~repro.serve.engine.ServeEngine` — the
 layered execution engine providing admission control (``queue_limit``
 backpressure, per-job deadlines), pluggable batching policies and a
-multi-worker executor pool.  The fitted back-end comes from a
+multi-threaded executor pool.  The fitted back-end comes from a
 :class:`~repro.serve.registry.ModelRegistry`, so repeated services (or
 repeated keys) skip retraining, and produced patterns are persisted through
 the shared :class:`~repro.api.pipeline.PatternPipeline` primitives into an
@@ -109,7 +109,7 @@ class ServeResponse:
     ``error`` carries the message and ``error_code`` the stable
     machine-readable code (``queue_full`` | ``deadline_expired`` |
     ``cancelled`` | ``invalid_request`` | ``legalize_failed`` |
-    ``shutdown`` | ``worker_crashed`` | ``internal``) wire protocols and
+    ``shutdown`` | ``internal``) wire protocols and
     clients key on —
     while every other request in the same ``serve`` call completes
     normally.  ``job_id`` names the lifecycle job that tracked this
@@ -204,12 +204,10 @@ class PatternService:
             arguments above still win, keeping the old constructor a thin
             facade.  Use :meth:`from_config` to derive everything from one
             config object.
-        policy / executor / engine_workers / queue_limit / deadline:
-            engine layers (batching policy, execution tier, executor pool
-            size, admission bound, default job deadline); ``None`` defers
-            to ``config.serve``.  ``executor="process"`` requires a
-            registry with a disk tier (``config.model_cache``) so worker
-            processes can load the fitted model by recipe hash.
+        policy / engine_workers / queue_limit / deadline:
+            engine layers (batching policy, executor pool size, admission
+            bound, default job deadline); ``None`` defers to
+            ``config.serve``.
         engine: a pre-built (possibly shared) :class:`ServeEngine`.  The
             service then only *binds* its model to it — ``stop`` leaves a
             shared engine running for its other tenants.
@@ -236,7 +234,6 @@ class PatternService:
         max_retries: int = 2,
         config: Optional[PipelineConfig] = None,
         policy: Optional[str] = None,
-        executor: Optional[str] = None,
         engine_workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
         deadline: Optional[float] = None,
@@ -310,19 +307,6 @@ class PatternService:
         self.base_seed = int(base_seed)
         self.max_retries = int(max_retries)
         self.policy = policy if policy is not None else serve_cfg.policy
-        self.executor = (
-            executor if executor is not None else serve_cfg.executor
-        )
-        if (
-            engine is None
-            and self.executor == "process"
-            and self.registry.save_dir is None
-        ):
-            raise ValueError(
-                "executor='process' requires a disk model cache so worker "
-                "processes can load fitted models by recipe hash; set "
-                "model_cache (or pass a registry with save_dir)"
-            )
         self.engine_workers = int(
             engine_workers
             if engine_workers is not None
@@ -390,7 +374,6 @@ class PatternService:
             base_seed=serve.base_seed,
             max_retries=serve.max_retries,
             policy=serve.policy,
-            executor=serve.executor,
             engine_workers=serve.engine_workers,
             queue_limit=serve.queue_limit,
             deadline=serve.deadline,
@@ -453,7 +436,6 @@ class PatternService:
                 self._engine = ServeEngine(
                     registry=self.registry,
                     policy=policy,
-                    executor=self.executor,
                     engine_workers=self.engine_workers,
                     queue_limit=self.queue_limit,
                     gather_window=self._gather_window,
@@ -481,10 +463,6 @@ class PatternService:
                     # per-job overrides still win inside the engine.
                     sampler_steps=self.config.sample.sampler_steps,
                     label=f"model-{self.model_key.recipe_hash()[:8]}",
-                    # The recipe identity rides every job so process
-                    # workers can resolve the same fitted model from the
-                    # shared disk cache.
-                    key=self.model_key,
                 )
             if self._pool is None:
                 # Persistent request pool: submitted jobs outlive any one

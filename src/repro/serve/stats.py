@@ -17,23 +17,21 @@ class BatchRecord:
     """One batched sampling trajectory executed by the engine.
 
     ``model``/``worker``/``policy`` carry the engine's routing provenance:
-    which bound back-end the trajectory served, which executor ran it and
-    under which batching policy it was selected.  They default to neutral
-    values so records from the single-model scheduler facade stay
-    identical to the pre-engine ones.  ``started_at`` is the
-    ``time.perf_counter`` instant execution began (0.0 on legacy or
-    synthetic records) — what lets the aggregate distinguish wall-clock
-    span from summed per-worker busy time when executors overlap.
+    which bound back-end the trajectory served, which worker ran it and
+    under which batching policy it was selected.  ``started_at`` is the
+    ``time.perf_counter`` instant execution began — what lets the
+    aggregate distinguish wall-clock span from summed per-worker busy time
+    when workers overlap.
     """
 
     jobs: int
     samples: int
     shape: Tuple[int, int]
     wall_seconds: float
+    started_at: float
     model: Optional[str] = None
     worker: int = 0
     policy: str = ""
-    started_at: float = 0.0
 
     @property
     def ended_at(self) -> float:
@@ -53,9 +51,7 @@ class SchedulerStats:
     when ``engine_workers > 1`` executors overlap.  ``busy_seconds`` is
     the summed per-batch execution time across all workers (the old
     ``wall_seconds`` semantics); ``busy_seconds / wall_seconds`` is the
-    pool's effective parallelism.  Records without execution timestamps
-    (legacy or hand-built) fall back to ``wall = busy``, which is exact
-    for a single worker.
+    pool's effective parallelism.
     """
 
     batches: int
@@ -83,14 +79,11 @@ class SchedulerStats:
             return cls(0, 0, 0, 0, 0.0, 0.0, 0.0)
         sizes = [r.samples for r in records]
         busy = sum(r.wall_seconds for r in records)
-        if all(r.started_at > 0 for r in records):
-            # Span union (first start -> last end): parallel workers'
-            # overlapping batches no longer double-count wall time.
-            wall = max(r.ended_at for r in records) - min(
-                r.started_at for r in records
-            )
-        else:
-            wall = busy
+        # Span union (first start -> last end): parallel workers'
+        # overlapping batches do not double-count wall time.
+        wall = max(r.ended_at for r in records) - min(
+            r.started_at for r in records
+        )
         return cls(
             batches=len(records),
             jobs=sum(r.jobs for r in records),
@@ -124,7 +117,7 @@ class EngineStats:
     ``queued`` is the instantaneous queue depth at snapshot time.  The
     snapshot is taken under the engine's queue lock and the batch records
     under the records lock, so the numbers are consistent even while
-    multiple executor workers are running.
+    multiple engine workers are running.
     """
 
     scheduler: SchedulerStats
@@ -136,13 +129,11 @@ class EngineStats:
     rejected: int
     expired: int
     models: int
-    executor: str = "thread"
 
     def as_dict(self) -> Dict:
         return {
             "scheduler": self.scheduler.as_dict(),
             "policy": self.policy,
-            "executor": self.executor,
             "engine_workers": self.engine_workers,
             "queue_limit": self.queue_limit,
             "queued": self.queued,

@@ -36,7 +36,7 @@ def _variants():
         StoreConfig(store_dir="store", output_path="out.npz"),
         ServeConfig(objective="diversity", gather_window=0.5, max_batch=16,
                     max_workers=2, max_retries=0, base_seed=3,
-                    policy="fair_share", executor="process", engine_workers=2,
+                    policy="fair_share", engine_workers=2,
                     queue_limit=128, deadline=30.0),
         TuneConfig(slo_p95=1.5, degrade_ladder=(64, 16, "bucketed"),
                    floor_steps=8, degrade_after=3, restore_after=4,
@@ -86,8 +86,9 @@ class TestSectionRoundTrip:
     def test_serve_config_validates_engine_knobs(self):
         with pytest.raises(ConfigError, match="unknown serve policy"):
             ServeConfig(policy="fifo")
-        with pytest.raises(ConfigError, match="unknown serve executor"):
-            ServeConfig(executor="fiber")
+        # A saved config naming a field the schema lacks must fail loudly.
+        with pytest.raises(ConfigError, match="executor"):
+            ServeConfig.from_dict({"executor": "thread"})
         with pytest.raises(ConfigError, match="engine_workers"):
             ServeConfig(engine_workers=0)
         with pytest.raises(ConfigError, match="queue_limit"):
@@ -100,7 +101,6 @@ class TestSectionRoundTrip:
         worker, greedy batching, unbounded queue, no deadlines."""
         cfg = ServeConfig()
         assert cfg.policy == "greedy"
-        assert cfg.executor == "thread"
         assert cfg.engine_workers == 1
         assert cfg.queue_limit is None
         assert cfg.deadline is None

@@ -5,12 +5,11 @@ The acceptance bar of the fault-injection harness, asserted end to end:
 - **no request is lost silently** — every submitted job reaches a terminal
   state, even when responses are dropped on the floor mid-flight;
 - **no data is corrupted** — stores and job journals reopen clean;
-- **the engine keeps serving** — a crash consumes one batch (at most),
+- **the engine keeps serving** — a fault consumes one batch (at most),
   never the service.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -19,20 +18,15 @@ from repro import faults
 from repro.api.config import FaultConfig, PipelineConfig
 from repro.faults import FaultPlan, FaultPoint, injected
 from repro.serve import (
-    ModelKey,
-    ModelRegistry,
     PatternHttpServer,
     PatternService,
     ServeClient,
     ServeClientError,
     ServeEngine,
     ServeRequest,
-    WorkerCrashedError,
-    leaked_segments,
 )
 from repro.serve.jobs import TERMINAL_STATES
 
-TINY_KEY = ModelKey(window=64, train_count=4)
 PARAMS = {"count": 2, "style": "Layer-10001"}
 
 
@@ -50,21 +44,12 @@ class StubModel:
         self.window = window
         self.fitted = True
         self.n_classes = 2
-        self.supports_sampler_steps = True
 
     def sample_batch(self, conditions, rng, shape=None, **kwargs):
         shape = shape or (self.window, self.window)
         out = np.zeros((len(conditions), *shape), dtype=np.uint8)
         out[:, 4:12, 4:12] = 1
         return out
-
-
-@pytest.fixture(scope="module")
-def disk_registry(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("chaos-model-cache")
-    registry = ModelRegistry(save_dir=cache)
-    registry.get_or_fit(TINY_KEY)
-    return registry
 
 
 def _live_server(**service_kwargs):
@@ -116,89 +101,6 @@ class TestEngineChaos:
             assert responses[0].error is None or responses[0].error_code
         finally:
             faults.reset()
-
-
-class TestProcessTierChaos:
-    def test_seeded_kill_crashes_once_retry_succeeds(self, disk_registry):
-        """worker.execute:kill:nth=2 — the second dispatched batch kills
-        its worker; the respawned child (counter primed past the rule)
-        executes the retry instead of crash-looping."""
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1,
-            gather_window=0.0,
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        client = engine.bind(model, label="tiny", key=TINY_KEY)
-        plan = FaultPlan(
-            [FaultPoint(site="worker.execute", mode="kill", nth=2, times=1)]
-        )
-        with injected(plan), engine:
-            first = client.submit(count=1, condition=0, seed=1)
-            assert first.result(timeout=240).shape == (1, 64, 64)
-            second = client.submit(count=1, condition=0, seed=2)
-            # Crashed once, was retried on a fresh worker, delivered.
-            assert second.result(timeout=240).shape == (1, 64, 64)
-            third = client.submit(count=1, condition=1, seed=3)
-            assert third.result(timeout=240).shape == (1, 64, 64)
-        assert leaked_segments() == []
-
-    def test_dispatch_fault_burns_the_retry_then_fails_terminal(
-        self, disk_registry
-    ):
-        """Two parent-side dispatch faults on one batch exhaust the
-        retry-once budget: the jobs fail with worker_crashed while the
-        engine survives to serve the next batch."""
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1,
-            gather_window=0.0,
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        client = engine.bind(model, label="tiny", key=TINY_KEY)
-        plan = FaultPlan(
-            [FaultPoint(site="engine.dispatch", nth=1, times=1),
-             FaultPoint(site="engine.dispatch", nth=2, times=1)]
-        )
-        with injected(plan), engine:
-            doomed = client.submit(count=1, condition=0, seed=1)
-            with pytest.raises(WorkerCrashedError):
-                doomed.result(timeout=240)
-            healthy = client.submit(count=1, condition=0, seed=2)
-            assert healthy.result(timeout=240).shape == (1, 64, 64)
-        assert leaked_segments() == []
-
-    def test_cancel_races_the_crash_retry(self, disk_registry):
-        """Cancel a service job while its crashed batch is being retried:
-        the job must reach a terminal state (CANCELLED if the checkpoint
-        saw the flag, else SUCCEEDED) and the service keeps serving."""
-        service = PatternService(
-            model=disk_registry.get_or_fit(TINY_KEY),
-            model_key=TINY_KEY,
-            registry=disk_registry,
-            executor="process",
-            engine_workers=1,
-            gather_window=0.0,
-            max_retries=0,
-        )
-        plan = FaultPlan([
-            FaultPoint(site="worker.execute", mode="kill", nth=1, times=1),
-            FaultPoint(site="worker.execute", mode="latency", nth=2,
-                       delay=0.5),
-        ])
-        request = ServeRequest(
-            text="Generate 2 legal patterns, 64*64 topology, physical "
-                 "size 1024nm * 1024nm, style Layer-10001.",
-        )
-        with injected(plan), service:
-            job = service.submit_job(request)
-            # Let the first dispatch crash, then cancel mid-retry.
-            time.sleep(0.3)
-            service.cancel_job(job.job_id)
-            assert job.wait(timeout=240)
-            assert job.state in TERMINAL_STATES
-            follow_up = service.submit_job(request)
-            assert follow_up.wait(timeout=240)
-            assert follow_up.state in TERMINAL_STATES
-        assert leaked_segments() == []
 
 
 class TestHttpChaos:

@@ -41,19 +41,21 @@ class TestFaultPoint:
         assert not point.matches("registry.disk_read")
 
     def test_exact_site_matches_only_itself(self):
-        point = FaultPoint(site="shm.attach")
-        assert point.matches("shm.attach")
-        assert not point.matches("shm.write")
+        point = FaultPoint(site="store.journal_sync")
+        assert point.matches("store.journal_sync")
+        assert not point.matches("store.journal_append")
 
     def test_validation_bounds(self):
         with pytest.raises(ValueError, match="nth"):
-            validate_point({"site": "shm.attach", "nth": 0})
+            validate_point({"site": "engine.execute", "nth": 0})
         with pytest.raises(ValueError, match="probability"):
-            validate_point({"site": "shm.attach", "probability": 1.5})
+            validate_point({"site": "engine.execute", "probability": 1.5})
         with pytest.raises(ValueError, match="mode"):
-            validate_point({"site": "shm.attach", "mode": "explode"})
+            validate_point({"site": "engine.execute", "mode": "explode"})
+        with pytest.raises(ValueError, match="mode"):
+            validate_point({"site": "engine.execute", "mode": "kill"})
         with pytest.raises(ValueError, match="unknown fault point fields"):
-            validate_point({"site": "shm.attach", "color": "red"})
+            validate_point({"site": "engine.execute", "color": "red"})
 
 
 class TestFaultPlan:
@@ -64,21 +66,21 @@ class TestFaultPlan:
         assert NULL_FAULTS.injected_total() == 0
 
     def test_nth_rule_fires_exactly_once(self):
-        plan = FaultPlan([FaultPoint(site="shm.attach", nth=2, times=1)])
-        plan.fire("shm.attach")
+        plan = FaultPlan([FaultPoint(site="engine.execute", nth=2, times=1)])
+        plan.fire("engine.execute")
         with pytest.raises(FaultInjected):
-            plan.fire("shm.attach")
+            plan.fire("engine.execute")
         for _ in range(5):
-            plan.fire("shm.attach")  # nth passed; never again
+            plan.fire("engine.execute")  # nth passed; never again
         assert plan.injected_total() == 1
-        assert plan.counts()["shm.attach"] == 7
+        assert plan.counts()["engine.execute"] == 7
 
     def test_times_bounds_unconditional_rule(self):
-        plan = FaultPlan([FaultPoint(site="shm.write", times=2)])
+        plan = FaultPlan([FaultPoint(site="http.respond", times=2)])
         for _ in range(2):
             with pytest.raises(FaultInjected):
-                plan.fire("shm.write")
-        plan.fire("shm.write")
+                plan.fire("http.respond")
+        plan.fire("http.respond")
         assert plan.injected_total() == 2
 
     def test_crash_mode_raises_simulated_crash(self):
@@ -111,15 +113,6 @@ class TestFaultPlan:
         assert firings(7) == firings(7)
         assert firings(7) != firings(8)
 
-    def test_prime_offsets_nth_counting(self):
-        # A respawned worker primed with the parent's dispatch tally must
-        # NOT re-fire an nth rule it already consumed in a previous life.
-        plan = FaultPlan([FaultPoint(site="worker.execute", nth=2, times=1)])
-        plan.prime({"worker.execute": 2})
-        for _ in range(4):
-            plan.fire("worker.execute")
-        assert plan.injected_total() == 0
-
     def test_spec_roundtrip_rebuilds_equivalent_plan(self):
         original = FaultPlan(
             [FaultPoint(site="registry.disk_read", nth=3, times=1)], seed=11
@@ -132,32 +125,34 @@ class TestFaultPlan:
             clone.fire("registry.disk_read")
 
     def test_injected_context_installs_and_restores(self):
-        plan = FaultPlan([FaultPoint(site="shm.attach")])
+        plan = FaultPlan([FaultPoint(site="engine.execute")])
         with injected(plan) as active:
             assert faults.active_plan() is active is plan
             with pytest.raises(FaultInjected):
-                faults.fire("shm.attach")
+                faults.fire("engine.execute")
         assert faults.active_plan() is NULL_FAULTS
-        faults.fire("shm.attach")  # restored: inert again
+        faults.fire("engine.execute")  # restored: inert again
 
     def test_custom_message_carried(self):
         plan = FaultPlan(
-            [FaultPoint(site="shm.attach", message="disk on fire")]
+            [FaultPoint(site="engine.execute", message="disk on fire")]
         )
         with pytest.raises(FaultInjected, match="disk on fire"):
-            plan.fire("shm.attach")
+            plan.fire("engine.execute")
 
 
 class TestSpecParsing:
     def test_compact_spec(self):
         spec = parse_fault_spec(
-            "seed=7|worker.execute:kill:nth=2|registry.disk_read:error:nth=1"
+            "seed=7|engine.execute:latency:nth=2:delay=0.5"
+            "|registry.disk_read:error:nth=1"
         )
         assert spec["seed"] == 7
         assert [p["site"] for p in spec["points"]] == [
-            "worker.execute", "registry.disk_read",
+            "engine.execute", "registry.disk_read",
         ]
-        assert spec["points"][0]["mode"] == "kill"
+        assert spec["points"][0]["mode"] == "latency"
+        assert spec["points"][0]["delay"] == 0.5
         assert spec["points"][0]["nth"] == 2
 
     def test_compact_extras(self):
@@ -173,10 +168,10 @@ class TestSpecParsing:
 
     def test_json_spec(self):
         spec = parse_fault_spec(
-            '{"seed": 3, "points": [{"site": "shm.attach", "nth": 1}]}'
+            '{"seed": 3, "points": [{"site": "engine.execute", "nth": 1}]}'
         )
         assert spec["seed"] == 3
-        assert spec["points"][0]["site"] == "shm.attach"
+        assert spec["points"][0]["site"] == "engine.execute"
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +179,7 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             parse_fault_spec("not.a.site:error")
         with pytest.raises(ValueError):
-            parse_fault_spec("shm.attach:error:frequency=2")
+            parse_fault_spec("engine.execute:error:frequency=2")
 
 
 class TestFaultConfig:
@@ -196,12 +191,12 @@ class TestFaultConfig:
     def test_points_normalized_and_validated(self):
         cfg = FaultConfig.from_dict(
             {"enabled": True, "seed": 5,
-             "points": [{"site": "worker.execute", "mode": "kill"}]}
+             "points": [{"site": "engine.execute", "mode": "latency"}]}
         )
         assert cfg.points[0]["probability"] == 1.0
         plan = FaultPlan.from_config(cfg)
         assert plan.seed == 5
-        assert plan.points[0].site == "worker.execute"
+        assert plan.points[0].site == "engine.execute"
 
     def test_bad_site_fails_config_validation(self):
         with pytest.raises(ConfigError):

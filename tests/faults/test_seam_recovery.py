@@ -1,23 +1,12 @@
-"""Fault seams in the registry and shared-memory transport heal correctly."""
+"""Fault seams in the model registry's disk tier heal correctly."""
 
-import multiprocessing
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import faults
-from repro.faults import FaultInjected, FaultPlan, FaultPoint, injected
+from repro.faults import FaultPlan, FaultPoint, injected
 from repro.serve import ModelKey, ModelRegistry
-from repro.serve.shm import (
-    SHM_PREFIX,
-    ShmArena,
-    attach_ref,
-    leaked_segments,
-    sweep_stale_segments,
-    write_into,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -72,74 +61,3 @@ class TestRegistryHealing:
         # The failed save left no cache entry and no tmp litter.
         assert not registry.cache_path(key).exists()
         assert list(Path(tmp_path).glob("*.tmp")) == []
-
-
-class TestShmSeams:
-    def test_attach_fault_raises_cleanly(self):
-        with ShmArena() as arena:
-            ref = arena.allocate((2, 2))
-            with injected(FaultPlan([FaultPoint(site="shm.attach")])):
-                with pytest.raises(FaultInjected):
-                    attach_ref(ref)
-        assert leaked_segments() == []
-
-    def test_write_fault_does_not_leak_the_attach(self):
-        with ShmArena() as arena:
-            ref = arena.allocate((2, 2))
-            with injected(FaultPlan([FaultPoint(site="shm.write")])):
-                with pytest.raises(FaultInjected):
-                    write_into(ref, np.zeros((2, 2), dtype=np.uint8))
-        # write_into's finally closed the attach; close() unlinked.
-        assert leaked_segments() == []
-
-    def test_allocate_fault_surfaces_before_creation(self):
-        arena = ShmArena()
-        with injected(FaultPlan([FaultPoint(site="shm.allocate")])):
-            with pytest.raises(FaultInjected):
-                arena.allocate((4, 4))
-        assert arena.active == 0
-        assert leaked_segments() == []
-
-
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-)
-class TestStaleSweep:
-    def _dead_pid(self):
-        """A pid that is guaranteed dead (a reaped child of ours)."""
-        proc = multiprocessing.get_context("spawn").Process(target=int)
-        proc.start()
-        pid = proc.pid
-        proc.join()
-        proc.close()
-        return pid
-
-    def test_dead_owner_segment_is_swept(self):
-        name = f"{SHM_PREFIX}_{self._dead_pid()}_1_deadbeef"
-        path = Path("/dev/shm") / name
-        path.write_bytes(b"\0" * 64)
-        try:
-            assert name in sweep_stale_segments()
-            assert not path.exists()
-        finally:
-            path.unlink(missing_ok=True)
-
-    def test_live_owner_segment_is_kept(self):
-        name = f"{SHM_PREFIX}_{os.getpid()}_1_cafebabe"
-        path = Path("/dev/shm") / name
-        path.write_bytes(b"\0" * 64)
-        try:
-            assert name not in sweep_stale_segments()
-            assert path.exists()
-        finally:
-            path.unlink(missing_ok=True)
-
-    def test_malformed_names_are_left_alone(self):
-        name = f"{SHM_PREFIX}_notapid_zzz"
-        path = Path("/dev/shm") / name
-        path.write_bytes(b"\0" * 8)
-        try:
-            assert name not in sweep_stale_segments()
-            assert path.exists()
-        finally:
-            path.unlink(missing_ok=True)

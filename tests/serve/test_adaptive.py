@@ -25,7 +25,6 @@ class StepRecordingModel:
     def __init__(self, delay=0.0):
         self.window = 16
         self.fitted = True
-        self.supports_sampler_steps = True
         self.delay = delay
         self.calls = []
         self._lock = threading.Lock()

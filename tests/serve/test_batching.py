@@ -7,11 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.serve import (
-    BatchedSamplingModel,
-    MicroBatchScheduler,
-    model_supports_sampler_steps,
-)
+from repro.serve import BatchedSamplingModel, MicroBatchScheduler
 
 
 class TestSchedulerBatching:
@@ -164,56 +160,21 @@ class TestBatchedSamplingModel:
         assert scheduler.stats().max_batch_size > 1
 
 
-class TestSamplerStepsProtocol:
-    """The explicit backend-protocol check replacing signature sniffing."""
+class TestSamplerStepsForwarding:
+    """The engine forwards a set step schedule to ``sample_batch``."""
 
-    def test_real_model_declares_the_capability(self, small_model):
-        assert model_supports_sampler_steps(small_model) is True
-
-    def test_batched_client_inherits_the_declaration(self, small_model):
-        scheduler = MicroBatchScheduler(small_model)
-        assert model_supports_sampler_steps(
-            BatchedSamplingModel(scheduler)
-        ) is True
-
-    def test_legacy_backend_without_kwarg_still_serves(self):
-        """A pre-protocol stand-in whose ``sample_batch`` would TypeError
-        on the kwarg: the scheduler must never forward it."""
-        calls = []
-
-        def sample_batch(conditions, rng, shape=None):  # no sampler_steps
-            calls.append({"conditions": list(conditions), "shape": shape})
-            return np.zeros((len(conditions), *shape), dtype=np.uint8)
-
-        legacy = SimpleNamespace(
-            window=16, fitted=True, sample_batch=sample_batch
-        )
-        assert model_supports_sampler_steps(legacy) is False
-        scheduler = MicroBatchScheduler(
-            legacy, gather_window=0.01, sampler_steps="bucketed"
-        )
-        with scheduler:
-            result = scheduler.submit(
-                2, 0, seed=1, sampler_steps="bucketed"
-            ).result(timeout=30)
-        assert result.shape == (2, 16, 16)
-        assert calls and "sampler_steps" not in calls[0]
-
-    def test_declaring_backend_receives_the_schedule(self):
+    def test_backend_receives_the_schedule(self):
         calls = []
 
         def sample_batch(conditions, rng, shape=None, sampler_steps=None):
             calls.append({"sampler_steps": sampler_steps})
             return np.zeros((len(conditions), *shape), dtype=np.uint8)
 
-        modern = SimpleNamespace(
-            window=16,
-            fitted=True,
-            sample_batch=sample_batch,
-            supports_sampler_steps=True,
+        model = SimpleNamespace(
+            window=16, fitted=True, sample_batch=sample_batch
         )
         scheduler = MicroBatchScheduler(
-            modern, gather_window=0.01, sampler_steps="bucketed"
+            model, gather_window=0.01, sampler_steps="bucketed"
         )
         with scheduler:
             scheduler.submit(1, 0, seed=1).result(timeout=30)

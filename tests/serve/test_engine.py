@@ -26,14 +26,12 @@ from repro.serve import (
 class StubModel:
     """A sampling back-end that records every trajectory it runs."""
 
-    def __init__(self, window=16, delay=0.0, supports_steps=True):
+    def __init__(self, window=16, delay=0.0):
         self.window = window
         self.fitted = True
         self.delay = delay
         self.calls = []
         self._calls_lock = threading.Lock()
-        if supports_steps:
-            self.supports_sampler_steps = True
 
     def sample_batch(self, conditions, rng, shape=None, **kwargs):
         shape = shape or (self.window, self.window)
@@ -340,7 +338,6 @@ class TestDeliveryIdentity:
 
         window = 16
         fitted = True
-        supports_sampler_steps = True
 
         def sample_batch(self, conditions, rng, shape=None, **kwargs):
             out = np.empty((len(conditions), *shape), dtype=np.uint8)

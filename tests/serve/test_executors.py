@@ -1,196 +1,49 @@
-"""Executor-tier tests: thread/process parity, supervision, crash recovery.
+"""Executor-tier tests: a trajectory's samples depend on its riders only.
 
-The process tests use a real (tiny) fitted model resolved through a disk
-registry, because worker processes genuinely reload it by recipe hash —
-a stub would not survive the spawn boundary.
+The engine's thread pool may hand a batch to any worker, so the same
+seeded batch must produce the same bytes whatever the pool size.  The
+test uses a real (tiny) fitted model, so the full denoise kernel runs.
 """
-
-import os
-import signal
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.serve import (
-    ModelKey,
-    ModelRegistry,
-    ProcessExecutor,
-    ServeEngine,
-    ThreadExecutor,
-    WorkerCrashedError,
-    leaked_segments,
-    resolve_executor,
-)
-from repro.serve.executors import ExecutorError
+from repro.serve import ModelKey, ModelRegistry, ServeEngine
 
 #: The smallest recipe the dataset builder can extract tiles for.
 TINY_KEY = ModelKey(window=64, train_count=4)
+SEEDS = (101, 202, 303, 404)
 
 
 @pytest.fixture(scope="module")
-def disk_registry(tmp_path_factory):
-    """A disk-backed registry with the tiny model already fitted."""
-    cache = tmp_path_factory.mktemp("model-cache")
-    registry = ModelRegistry(save_dir=cache)
-    registry.get_or_fit(TINY_KEY)
-    return registry
+def tiny_model():
+    return ModelRegistry().get_or_fit(TINY_KEY)
 
 
-def _run_engine(registry, executor, seeds, workers=2, count=3):
-    engine = ServeEngine(
-        registry=registry,
-        executor=executor,
-        engine_workers=workers,
-        gather_window=0.01,
-    )
-    model = registry.get_or_fit(TINY_KEY)
-    client = engine.bind(model, label="tiny", key=TINY_KEY)
+def _run_engine(model, workers):
+    """Submit every seeded job before start, so one batch carries them all."""
+    engine = ServeEngine(engine_workers=workers, gather_window=0.01)
+    client = engine.bind(model, label="tiny")
+    jobs = [
+        client.submit(count=3, condition=i % 2, seed=seed)
+        for i, seed in enumerate(SEEDS)
+    ]
     engine.start()
     try:
-        futures = [
-            client.submit(count=count, condition=i % 2, seed=seed)
-            for i, seed in enumerate(seeds)
-        ]
-        return [f.result(timeout=240) for f in futures]
+        samples = [job.result(timeout=240) for job in jobs]
     finally:
         engine.stop()
+    return samples, engine.batch_records
 
 
-class TestResolveExecutor:
-    def test_names(self):
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
-
-    def test_instance_passthrough(self):
-        backend = ThreadExecutor()
-        assert resolve_executor(backend) is backend
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            resolve_executor("carrier_pigeon")
-
-
-class TestProcessRequirements:
-    def test_requires_disk_registry(self):
-        engine = ServeEngine(executor="process", engine_workers=1)
-        model = ModelRegistry().get_or_fit(TINY_KEY)
-        engine.bind(model, label="tiny", key=TINY_KEY)
-        with pytest.raises(ExecutorError, match="disk tier"):
-            engine.start()
-
-    def test_jobs_must_carry_model_key(self, disk_registry):
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        client = engine.bind(model, label="tiny")  # no key
-        engine.start()
-        try:
-            with pytest.raises(ValueError, match="ModelKey"):
-                client.submit(count=1, condition=0, seed=1)
-        finally:
-            engine.stop()
-
-
-class TestDeterminismAcrossTiers:
-    def test_thread_and_process_results_byte_identical(self, disk_registry):
-        seeds = [101, 202, 303, 404]
-        thread_out = _run_engine(disk_registry, "thread", seeds)
-        process_out = _run_engine(disk_registry, "process", seeds)
-        assert len(thread_out) == len(process_out) == len(seeds)
-        for a, b in zip(thread_out, process_out):
+class TestThreadDeterminism:
+    def test_worker_count_does_not_change_samples(self, tiny_model):
+        one, one_records = _run_engine(tiny_model, workers=1)
+        two, two_records = _run_engine(tiny_model, workers=2)
+        for records in (one_records, two_records):
+            assert [r.jobs for r in records] == [len(SEEDS)]
+        assert len(one) == len(two) == len(SEEDS)
+        for a, b in zip(one, two):
             assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        # clean shutdown left no shared-memory segments behind
-        assert leaked_segments() == []
-
-    def test_engine_stats_report_executor(self, disk_registry):
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        engine.bind(model, label="tiny", key=TINY_KEY)
-        engine.start()
-        try:
-            assert engine.stats().executor == "process"
-            assert engine.stats().as_dict()["executor"] == "process"
-        finally:
-            engine.stop()
-        thread_engine = ServeEngine()
-        assert thread_engine.stats().executor == "thread"
-
-
-class TestCrashRecovery:
-    def _kill_busy_workers(self, backend, kills):
-        """Kill ``kills`` busy worker processes, one at a time."""
-        killed = 0
-        deadline = time.monotonic() + 120
-        while killed < kills and time.monotonic() < deadline:
-            for info in backend.worker_info():
-                if info.get("busy") and info.get("pid"):
-                    try:
-                        os.kill(info["pid"], signal.SIGKILL)
-                    except ProcessLookupError:
-                        continue
-                    killed += 1
-                    time.sleep(0.3)
-                    break
-            time.sleep(0.02)
-
-    def test_single_crash_retries_then_succeeds(self, disk_registry):
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        client = engine.bind(model, label="tiny", key=TINY_KEY)
-        engine.start()
-        try:
-            # warm: worker up + model published before the crash run
-            client.submit(count=2, condition=0, seed=1).result(timeout=240)
-            backend = engine.executor
-            killer = threading.Thread(
-                target=self._kill_busy_workers, args=(backend, 1)
-            )
-            killer.start()
-            result = client.submit(count=8, condition=0, seed=2).result(
-                timeout=240
-            )
-            killer.join()
-            assert result.shape == (8, 64, 64)
-            # the respawn was counted
-            assert engine._m_worker_restarts.value(worker="0") >= 1
-        finally:
-            engine.stop()
-        assert leaked_segments() == []
-
-    def test_double_crash_is_terminal_and_service_continues(
-        self, disk_registry
-    ):
-        engine = ServeEngine(
-            registry=disk_registry, executor="process", engine_workers=1
-        )
-        model = disk_registry.get_or_fit(TINY_KEY)
-        client = engine.bind(model, label="tiny", key=TINY_KEY)
-        engine.start()
-        try:
-            client.submit(count=2, condition=0, seed=1).result(timeout=240)
-            backend = engine.executor
-            killer = threading.Thread(
-                target=self._kill_busy_workers, args=(backend, 2)
-            )
-            killer.start()
-            future = client.submit(count=8, condition=0, seed=2)
-            with pytest.raises(WorkerCrashedError) as excinfo:
-                future.result(timeout=240)
-            killer.join()
-            assert excinfo.value.code == "worker_crashed"
-            # the engine keeps serving on a fresh worker afterwards
-            result = client.submit(count=2, condition=1, seed=3).result(
-                timeout=240
-            )
-            assert result.shape == (2, 64, 64)
-        finally:
-            engine.stop()
-        assert leaked_segments() == []
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(one[0], one[1])

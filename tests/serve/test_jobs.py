@@ -44,7 +44,6 @@ class StubModel:
         self.window = window
         self.fitted = True
         self.n_classes = 2
-        self.supports_sampler_steps = True
         self.calls = []
         self._lock = threading.Lock()
 

@@ -34,7 +34,6 @@ class StubModel:
         self.window = window
         self.fitted = True
         self.delay = delay
-        self.supports_sampler_steps = True
 
     def sample_batch(self, conditions, rng, shape=None, **kwargs):
         shape = shape or (self.window, self.window)

@@ -287,8 +287,7 @@ class TestCompiledRehydration:
 
 
 class TestDiskCacheHardening:
-    """PR 8 hardening: bounded-retry reads, cross-process single-flight
-    fits, and the executor publish path (``ensure_on_disk``)."""
+    """Bounded-retry reads and cross-process single-flight fits."""
 
     @staticmethod
     def _counting_builder(calls):
@@ -372,28 +371,3 @@ class TestDiskCacheHardening:
             thread.join()
         assert len(calls) == 1
         assert sorted(sources) == ["disk", "fit"]
-
-    def test_ensure_on_disk_publishes_bound_model(self, tmp_path):
-        key = ModelKey(window=64, train_count=4)
-        registry = ModelRegistry(save_dir=tmp_path)
-        model = SimpleNamespace(fitted=True)
-        path = registry.ensure_on_disk(key, model)
-        assert path is not None and path.exists()
-        # idempotent: a second publish reuses the existing entry
-        assert registry.ensure_on_disk(key, model) == path
-        # and another registry (process) loads it from disk
-        fresh = ModelRegistry(
-            builder=self._counting_builder([]), save_dir=tmp_path
-        )
-        loaded, source = fresh.resolve(key)
-        assert source == "disk"
-        assert loaded.fitted
-
-    def test_ensure_on_disk_without_disk_tier(self):
-        registry = ModelRegistry()
-        assert (
-            registry.ensure_on_disk(
-                ModelKey(window=64), SimpleNamespace(fitted=True)
-            )
-            is None
-        )
