@@ -11,11 +11,11 @@ workloads run twice:
   bucket).
 
 Two workloads are measured: a single 8-sample request
-(``model.sample``) and an 8-request serve workload riding the
-micro-batching scheduler (``MicroBatchScheduler`` → ``sample_batch``),
-mixed styles.  Results are appended to ``BENCH_sample_throughput.json`` at
-the repo root; a run FAILS if its speedups regress more than 25% against
-the committed baseline (the first entry of the same workload class), or fall below the
+(``model.sample``) and an 8-request serve workload riding the serving
+engine (``ServeEngine.bind(model)`` → ``sample_batch``), mixed styles.
+Results are appended to ``BENCH_sample_throughput.json`` at the repo root;
+a run FAILS if its speedups regress more than 25% against the committed
+baseline (the first entry of the same workload class), or fall below the
 absolute floors (>= 5x single, >= 3x serve; ``REPRO_SMOKE=1`` shrinks the
 workload and relaxes the floors — tiny maps measure fixed overhead, not
 throughput).
@@ -31,7 +31,7 @@ import numpy as np
 from benchmarks.conftest import print_table, scale
 from repro.data import DatasetConfig, STYLES, build_training_set
 from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
-from repro.serve import MicroBatchScheduler
+from repro.serve import ServeEngine
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
@@ -102,16 +102,15 @@ def _run_single(model, compiled, sampler_steps):
 
 
 def _run_serve(model, compiled, sampler_steps):
-    """8 concurrent requests coalescing in the micro-batching scheduler."""
+    """8 concurrent requests coalescing in the serving engine."""
     model.denoiser.use_compiled = compiled
     try:
-        scheduler = MicroBatchScheduler(
-            model, gather_window=GATHER_WINDOW, sampler_steps=sampler_steps
-        )
+        engine = ServeEngine(gather_window=GATHER_WINDOW)
+        client = engine.bind(model, sampler_steps=sampler_steps)
         started = time.perf_counter()
-        with scheduler:
+        with engine:
             jobs = [
-                scheduler.submit(
+                client.submit(
                     SAMPLES_PER_REQUEST, i % len(STYLES), seed=i
                 )
                 for i in range(N_REQUESTS)
@@ -122,7 +121,7 @@ def _run_serve(model, compiled, sampler_steps):
         model.denoiser.use_compiled = True
     total = sum(len(r) for r in results)
     assert total == N_REQUESTS * SAMPLES_PER_REQUEST
-    stats = scheduler.stats()
+    stats = client.stats()
     return {
         "wall_seconds": round(wall, 3),
         "requests": N_REQUESTS,
@@ -247,7 +246,7 @@ def test_sample_throughput(benchmark, output_dir):
     payload = benchmark.pedantic(
         _run, args=(output_dir,), rounds=1, iterations=1
     )
-    # The scheduler must actually coalesce the 8 requests ...
+    # The engine must actually coalesce the 8 requests ...
     assert payload["serve"]["optimized"]["max_batch_size"] > 1
     # ... the engine must clear the absolute floors ...
     assert payload["speedup_single"] >= SINGLE_FLOOR, payload["speedup_single"]

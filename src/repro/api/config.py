@@ -281,7 +281,7 @@ class FaultConfig(StageConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "points", normalized)
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"fault seed must be an int, got {self.seed!r}")
 
 

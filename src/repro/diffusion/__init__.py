@@ -5,7 +5,6 @@ from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
     neighborhood_codes,
 )
-from repro.diffusion.denoisers.unet_lite import UNetLite
 from repro.diffusion.loss import bernoulli_kl, bernoulli_nll, diffusion_loss
 from repro.diffusion.model import ConditionalDiffusionModel
 from repro.diffusion.schedule import DiffusionSchedule, linear_beta_schedule
@@ -16,7 +15,6 @@ __all__ = [
     "DiffusionSchedule",
     "MarginalDenoiser",
     "NeighborhoodDenoiser",
-    "UNetLite",
     "bernoulli_kl",
     "bernoulli_nll",
     "diffusion_loss",

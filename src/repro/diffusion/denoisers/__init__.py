@@ -5,12 +5,10 @@ from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
     neighborhood_codes,
 )
-from repro.diffusion.denoisers.unet_lite import UNetLite
 
 __all__ = [
     "Denoiser",
     "MarginalDenoiser",
     "NeighborhoodDenoiser",
-    "UNetLite",
     "neighborhood_codes",
 ]

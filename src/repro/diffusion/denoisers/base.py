@@ -127,9 +127,8 @@ class Denoiser(ABC):
     def compile_tables(self, force: bool = False) -> bool:
         """Precompile sampling-time lookup structures, if the backend has any.
 
-        Called after :meth:`fit` and when a pickled model is rehydrated from
-        the registry's disk tier, so the compiled form travels with the
-        model.  Returns ``True`` when the denoiser holds a compiled
+        Called at the end of :meth:`fit`, so the compiled form pickles with
+        the model.  Returns ``True`` when the denoiser holds a compiled
         representation afterwards; the default has none.
         """
         return False

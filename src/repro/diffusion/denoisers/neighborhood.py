@@ -25,10 +25,10 @@ gather-and-add per scale, with no elementwise ``log``/``exp`` arithmetic;
 the sampling kernel stays on those float32 logits, and only
 ``predict_x0_many`` takes their sigmoid.  The compiled form is rebuilt at
 the end of every :meth:`NeighborhoodDenoiser.fit` (the only operation that
-can change the counts) and rehydrated when a pickled model is loaded, so it
-is never stale; ``use_compiled = False`` switches back to the on-the-fly
-reference path, which the equivalence tests pin to the compiled output
-within 1e-6 (1e-5 in logit).
+can change the counts) and pickles with the model, so it is never stale;
+``use_compiled = False`` switches back to the on-the-fly reference path,
+which the equivalence tests pin to the compiled output within 1e-6 (1e-5
+in logit).
 """
 
 from __future__ import annotations
@@ -347,28 +347,6 @@ class NeighborhoodDenoiser(Denoiser):
     def compiled(self) -> bool:
         """Whether the compiled logit tables are built and current."""
         return self._compiled
-
-    def __setstate__(self, state: dict) -> None:
-        """Rehydrate pickles, including pre-compiled-table ones.
-
-        Models cached on disk by an older registry lack the hoisted
-        attributes and the compiled tables; derive them here so a disk hit
-        serves the compiled fast path without a refit.
-        """
-        self.__dict__.update(state)
-        if "_weight_total" not in state:
-            self._weight_total = float(sum(self.scale_weights))
-        if "_pads" not in state:
-            self._pads = (
-                max(abs(dr) for dr, _ in self.offsets),
-                max(abs(dc) for _, dc in self.offsets),
-            )
-        if "use_compiled" not in state:
-            self.use_compiled = True
-        if not state.get("_compiled", False):
-            self._compiled = False
-            self._logit_tables = {}
-            self.compile_tables()
 
     # -- prediction ----------------------------------------------------
 

@@ -65,6 +65,11 @@ FAULT_SITES: Tuple[str, ...] = (
 )
 
 _MODES = ("error", "latency")
+# Compact-spec spellings of the ``crash`` flag; anything else is rejected.
+_CRASH_FLAGS = {
+    "1": True, "0": False, "true": True, "false": False,
+    "yes": True, "no": False,
+}
 
 
 class FaultError(RuntimeError):
@@ -141,6 +146,15 @@ class FaultPoint:
         return site == self.site
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (``True`` is an ``int`` subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_point(data: Mapping[str, object]) -> Dict[str, object]:
     """Validate one fault-point mapping; returns a normalized dict.
 
@@ -173,17 +187,20 @@ def validate_point(data: Mapping[str, object]) -> Dict[str, object]:
     if mode not in _MODES:
         raise ValueError(f"fault mode must be one of {_MODES}, got {mode!r}")
     nth = data.get("nth")
-    if nth is not None and (not isinstance(nth, int) or nth < 1):
+    if nth is not None and (not _is_int(nth) or nth < 1):
         raise ValueError(f"fault 'nth' must be a positive int, got {nth!r}")
     times = data.get("times")
-    if times is not None and (not isinstance(times, int) or times < 1):
+    if times is not None and (not _is_int(times) or times < 1):
         raise ValueError(f"fault 'times' must be a positive int, got {times!r}")
     probability = data.get("probability", 1.0)
-    if not isinstance(probability, (int, float)) or not 0.0 <= probability <= 1.0:
+    if not _is_number(probability) or not 0.0 <= probability <= 1.0:
         raise ValueError(f"fault 'probability' must be in [0, 1], got {probability!r}")
     delay = data.get("delay", 0.0)
-    if not isinstance(delay, (int, float)) or delay < 0:
+    if not _is_number(delay) or delay < 0:
         raise ValueError(f"fault 'delay' must be >= 0, got {delay!r}")
+    crash = data.get("crash", False)
+    if not isinstance(crash, bool):
+        raise ValueError(f"fault 'crash' must be a bool, got {crash!r}")
     return {
         "site": site,
         "mode": mode,
@@ -191,7 +208,7 @@ def validate_point(data: Mapping[str, object]) -> Dict[str, object]:
         "times": times,
         "probability": float(probability),
         "delay": float(delay),
-        "crash": bool(data.get("crash", False)),
+        "crash": crash,
         "message": str(data.get("message", "")),
     }
 
@@ -255,21 +272,6 @@ class FaultPlan:
         """Build from a ``FaultConfig`` (see :mod:`repro.api.config`)."""
         points = tuple(FaultPoint(**validate_point(p)) for p in cfg.points)
         return cls(points=points, seed=cfg.seed, metrics=metrics)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, object], metrics=None) -> "FaultPlan":
-        """Build from the plain-dict form produced by :meth:`as_spec`."""
-        points = tuple(
-            FaultPoint(**validate_point(p)) for p in spec.get("points", ())
-        )
-        return cls(points=points, seed=int(spec.get("seed", 0)), metrics=metrics)
-
-    def as_spec(self) -> Dict[str, object]:
-        """JSON-safe dict form (the inverse of :meth:`from_spec`)."""
-        return {
-            "seed": self.seed,
-            "points": [p.as_dict() for p in self.points],
-        }
 
     # -- the hot path ---------------------------------------------------
 
@@ -378,8 +380,13 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
 
           seed=7|engine.execute:error:nth=2|registry.disk_read:error:nth=1
 
-    Returns a validated plain dict suitable for ``FaultConfig.from_dict``
-    or :meth:`FaultPlan.from_spec`.
+    Compact values are typed by key: ``nth``/``times`` ints,
+    ``probability``/``delay`` floats, and ``crash`` one of
+    ``1/0/true/false/yes/no``.  In JSON, ``crash`` must be a boolean and
+    the numeric fields must be numbers, not booleans.
+
+    Returns a validated plain dict; build the plan with
+    ``FaultPlan.from_config(FaultConfig.from_dict(spec))``.
     """
     text = text.strip()
     if not text:
@@ -390,7 +397,7 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
             raise ValueError("JSON fault spec must be an object")
         points = [validate_point(p) for p in spec.get("points", ())]
         seed = spec.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ValueError(f"fault spec 'seed' must be an int, got {seed!r}")
         return {"seed": seed, "points": points}
     seed = 0
@@ -419,7 +426,13 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
             elif key in ("probability", "delay"):
                 point[key] = float(value)
             elif key == "crash":
-                point[key] = value.lower() in ("1", "true", "yes")
+                flag = value.lower()
+                if flag not in _CRASH_FLAGS:
+                    raise ValueError(
+                        f"fault 'crash' must be one of "
+                        f"{'/'.join(_CRASH_FLAGS)}, got {value!r}"
+                    )
+                point[key] = _CRASH_FLAGS[flag]
             elif key == "message":
                 point[key] = value
             else:

@@ -12,10 +12,11 @@ Layers (front to back):
   batches in parallel, and multi-model routing via :meth:`ServeEngine.bind`.
 - :class:`ExecutorBackend` — the seam of the engine's execution tier;
   :class:`ThreadExecutor` runs ``engine_workers`` in-process threads.
-- :class:`MicroBatchScheduler` / :class:`BatchedSamplingModel` — the
-  classic single-model facade over a private engine: compatible sampling
-  work from different requests coalesces into single batched denoise
-  trajectories (``ConditionalDiffusionModel.sample_batch``).
+- :class:`EngineClient` / :class:`BatchedSamplingModel` — the
+  model-bound handle :meth:`ServeEngine.bind` returns, and the per-request
+  drop-in model wrapping it: compatible sampling work from different
+  requests coalesces into single batched denoise trajectories
+  (``ConditionalDiffusionModel.sample_batch``).
 - :class:`ModelRegistry` / :class:`ModelKey` — fitted models cached by
   training recipe (``ModelKey`` derives from
   :class:`repro.api.config.TrainConfig`) so repeated requests never
@@ -30,11 +31,7 @@ Layers (front to back):
   HTTP wire protocol over the job table, and its blocking client SDK.
 """
 
-from repro.serve.batching import (
-    BatchedSamplingModel,
-    MicroBatchScheduler,
-    SampleJob,
-)
+from repro.serve.batching import BatchedSamplingModel
 from repro.serve.engine import (
     AdaptivePolicy,
     BatchPolicy,
@@ -111,14 +108,12 @@ __all__ = [
     "JobTimeout",
     "LegalizeStageRecord",
     "LibraryStore",
-    "MicroBatchScheduler",
     "ModelKey",
     "ModelRegistry",
     "PatternHttpServer",
     "PatternService",
     "QueueFullError",
     "RequestStats",
-    "SampleJob",
     "SchedulerStats",
     "ServeClient",
     "ServeClientError",

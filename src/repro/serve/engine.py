@@ -19,9 +19,9 @@ explicit layers, each independently configurable:
    (:class:`~repro.serve.executors.ThreadExecutor`, behind the
    :class:`~repro.serve.executors.ExecutorBackend` seam).  Incompatible
    batches (different shapes, step schedules or models) do not
-   serialize behind each other.  ``stop`` drains gracefully, preserving
-   the scheduler lifecycle guarantees (submit-after-stop raises, restart
-   works, nothing ever hangs).
+   serialize behind each other.  ``stop`` drains gracefully, with three
+   lifecycle guarantees: submit-after-stop raises, restart works, and
+   nothing ever hangs.
 4. **Routing** — the engine serves many models at once: :meth:`bind`
    resolves a :class:`~repro.serve.registry.ModelKey` through a
    :class:`~repro.serve.registry.ModelRegistry` (or accepts a pre-fitted
@@ -29,9 +29,10 @@ explicit layers, each independently configurable:
    their back-end.  A batch is always one trajectory of one model, but
    different models' batches execute concurrently on the pool.
 
-:class:`~repro.serve.batching.MicroBatchScheduler` is now a thin
-single-model facade over a private engine, so every existing caller gets
-the new layers without an API change.
+Callers drive the engine through the client :meth:`ServeEngine.bind`
+returns; the engine owns the lifecycle (``start`` / ``stop`` or ``with
+engine:``).  :class:`~repro.serve.batching.BatchedSamplingModel` wraps a
+client as a drop-in model for the agent's tools.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class UnknownPolicyError(ValueError):
 class EngineJob:
     """One sampling job inside the engine (the unit the policies see).
 
-    ``repro.serve.batching.SampleJob`` aliases this class, so the public
-    scheduler surface is unchanged; the engine adds the routing/admission
-    fields (``model``, ``source``, ``deadline``).
+    Built by :meth:`EngineClient.submit`, which returns it as the caller's
+    handle: ``result()`` waits for the samples, and the engine stamps the
+    hop timestamps (``selected_at``, ``exec_started_at`` ...) and
+    ``batch_samples`` on it as the job moves through the layers.
     """
 
     __slots__ = (
@@ -1118,12 +1120,11 @@ class ServeEngine:
 class EngineClient:
     """A model-bound submission handle: the routing layer's front door.
 
-    Owns no threads — it tags jobs with its resolved back-end (and default
-    step schedule / source) and forwards them to the shared engine.  Its
-    surface mirrors the classic ``MicroBatchScheduler`` (``submit`` /
-    ``stats`` / ``running`` / ``model``), so
-    :class:`~repro.serve.batching.BatchedSamplingModel` and
-    :class:`~repro.serve.service.PatternService` ride either transparently.
+    Owns no threads and no lifecycle — it tags jobs with its resolved
+    back-end (and default step schedule / source) and forwards them to the
+    shared engine, which the caller starts and stops.  ``model`` and
+    ``submit`` are all :class:`~repro.serve.batching.BatchedSamplingModel`
+    needs; ``stats`` scopes the engine's batch records to this model.
     """
 
     def __init__(
@@ -1139,17 +1140,6 @@ class EngineClient:
         self.label = label
         self.sampler_steps = sampler_steps
         self.source = source
-
-    @property
-    def running(self) -> bool:
-        return self.engine.running
-
-    def start(self) -> "EngineClient":
-        self.engine.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        self.engine.stop(timeout=timeout)
 
     def submit(
         self,

@@ -44,7 +44,10 @@ from repro.data.dataset import build_training_set
 from repro.diffusion.model import ConditionalDiffusionModel
 from repro.obs.metrics import default_metrics
 
-_CACHE_FORMAT = 1  # bump when the pickled model layout changes
+# Bump when the pickled model layout changes; payloads of any other format
+# refit instead of loading.  Format 2: the pickled denoiser carries its
+# compiled logit tables, so a load needs no compile step.
+_CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -199,28 +202,9 @@ class ModelRegistry:
                 if on_fit_start is not None:
                     on_fit_start(key)
                 model = self._builder(key)
-                self._ensure_compiled(model)
                 self.put(key, model, _count_miss=True)
                 self._save_to_disk(key, model)
                 return model, "fit"
-
-    @staticmethod
-    def _ensure_compiled(model) -> bool:
-        """Rehydrate the denoiser's compiled sampling tables, if it has any.
-
-        ``fit`` compiles them itself, but models built by custom builders or
-        unpickled from an older cache format may arrive without the compiled
-        form — a registry-served model must always be sampling-ready.
-        """
-        hook = getattr(getattr(model, "denoiser", None), "compile_tables", None)
-        if callable(hook):
-            return bool(hook())
-        return False
-
-    @staticmethod
-    def _compiled_provenance(model) -> bool:
-        """Whether the model carries compiled tables (recorded on save)."""
-        return bool(getattr(getattr(model, "denoiser", None), "_compiled", False))
 
     # -- disk tier -----------------------------------------------------
 
@@ -286,10 +270,6 @@ class ModelRegistry:
                 return None
             if not getattr(model, "fitted", False):
                 return None
-            # Pre-compiled-table payloads (or denoisers whose __setstate__
-            # does not self-heal) are compiled here, so a disk hit always
-            # serves the fast sampling path.
-            self._ensure_compiled(model)
             return model
         return None
 
@@ -304,10 +284,6 @@ class ModelRegistry:
         payload = {
             "format": _CACHE_FORMAT,
             "recipe": key.as_dict(),
-            # Provenance of the sampling-time representation: True when the
-            # pickled denoiser carries its compiled logit tables, so readers
-            # know whether a load rehydrates or recompiles.
-            "compiled_tables": self._compiled_provenance(model),
             "model": model,
         }
         try:

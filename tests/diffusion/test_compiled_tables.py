@@ -2,8 +2,8 @@
 
 The sampling hot loop reads precompiled float32 logit lookup tables; these
 tests pin that representation to the on-the-fly reference path (within
-1e-6 in probability, 1e-5 in logit) and cover compilation/rehydration
-across fit, pickle and legacy payloads.
+1e-6 in probability, 1e-5 in logit) and cover compilation across fit and
+pickling.
 """
 
 import pickle
@@ -145,24 +145,6 @@ class TestCompileLifecycle:
         assert clone.compiled
         assert np.array_equal(
             clone.predict_x0(noisy, 0.2, 0), fitted.predict_x0(noisy, 0.2, 0)
-        )
-
-    def test_legacy_pickle_state_rehydrates(self, fitted, noisy):
-        """A payload pickled before compiled tables existed must come back
-        compiled (the registry's disk tier serves such models)."""
-        legacy_keys = (
-            "_weight_total", "_pads", "use_compiled",
-            "_compiled", "_logit_tables",
-        )
-        state = {
-            k: v for k, v in fitted.__dict__.items() if k not in legacy_keys
-        }
-        clone = NeighborhoodDenoiser.__new__(NeighborhoodDenoiser)
-        clone.__setstate__(state)
-        assert clone.compiled
-        assert clone.use_compiled
-        assert np.array_equal(
-            clone.predict_x0(noisy, 0.2, 1), fitted.predict_x0(noisy, 0.2, 1)
         )
 
 

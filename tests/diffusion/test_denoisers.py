@@ -7,7 +7,6 @@ from repro.diffusion import (
     DiffusionSchedule,
     MarginalDenoiser,
     NeighborhoodDenoiser,
-    UNetLite,
     neighborhood_codes,
 )
 from repro.diffusion.denoisers.neighborhood import (
@@ -169,33 +168,6 @@ class TestNeighborhoodDenoiser:
             d.bucket_of(0.0)
         with pytest.raises(ValueError):
             d.bucket_of(0.6)
-
-
-class TestUNetLite:
-    def test_output_shape_and_range(self):
-        net = UNetLite(n_classes=2, base_channels=4, seed=0)
-        x = np.zeros((2, 16, 16), dtype=np.uint8)
-        p = net.predict_x0(x, 0.3, 1)
-        assert p.shape == (2, 16, 16)
-        assert ((p >= 0) & (p <= 1)).all()
-
-    def test_single_image(self):
-        net = UNetLite(n_classes=0, base_channels=4, seed=0)
-        p = net.predict_x0(np.zeros((16, 16), dtype=np.uint8), 0.3)
-        assert p.shape == (16, 16)
-
-    def test_training_reduces_loss(self):
-        rng = np.random.default_rng(0)
-        base = np.zeros((16, 16), dtype=np.uint8)
-        base[:, ::2] = 1
-        topos = np.stack([base] * 16)
-        net = UNetLite(n_classes=0, base_channels=4, seed=1)
-        info = net.fit(
-            topos, None, DiffusionSchedule.linear(16), rng,
-            iterations=60, batch_size=4, lr=3e-3,
-        )
-        losses = info["loss_history"]
-        assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
 class TestNarrowCodes:

@@ -113,17 +113,6 @@ class TestFaultPlan:
         assert firings(7) == firings(7)
         assert firings(7) != firings(8)
 
-    def test_spec_roundtrip_rebuilds_equivalent_plan(self):
-        original = FaultPlan(
-            [FaultPoint(site="registry.disk_read", nth=3, times=1)], seed=11
-        )
-        clone = FaultPlan.from_spec(original.as_spec())
-        assert clone.seed == 11
-        clone.fire("registry.disk_read")
-        clone.fire("registry.disk_read")
-        with pytest.raises(FaultInjected):
-            clone.fire("registry.disk_read")
-
     def test_injected_context_installs_and_restores(self):
         plan = FaultPlan([FaultPoint(site="engine.execute")])
         with injected(plan) as active:
@@ -172,6 +161,35 @@ class TestSpecParsing:
         )
         assert spec["seed"] == 3
         assert spec["points"][0]["site"] == "engine.execute"
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: validate_point({"site": "engine.execute", "crash": "false"}),
+            lambda: validate_point({"site": "engine.execute", "crash": 1}),
+            lambda: parse_fault_spec("engine.execute:error:crash=on"),
+            lambda: parse_fault_spec(
+                '{"seed": true, "points": [{"site": "engine.execute"}]}'
+            ),
+            lambda: parse_fault_spec(
+                '{"points": [{"site": "engine.execute", "nth": true}]}'
+            ),
+            lambda: validate_point({"site": "engine.execute", "times": True}),
+            lambda: validate_point(
+                {"site": "engine.execute", "probability": True}
+            ),
+            lambda: validate_point(
+                {"site": "engine.execute", "mode": "latency", "delay": True}
+            ),
+        ],
+        ids=[
+            "crash-string", "crash-int", "compact-crash-on", "json-seed-bool",
+            "json-nth-bool", "times-bool", "probability-bool", "delay-bool",
+        ],
+    )
+    def test_wrongly_typed_fields_rejected(self, parse):
+        with pytest.raises(ValueError):
+            parse()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Unit tests for the micro-batching scheduler and its model client."""
+"""Micro-batching through ``ServeEngine(...).bind(model)`` on a real model,
+and the :class:`BatchedSamplingModel` client that rides it."""
 
 import threading
 import time
@@ -7,21 +8,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.serve import BatchedSamplingModel, MicroBatchScheduler
+from repro.serve import BatchedSamplingModel, QueueFullError, ServeEngine
 
 
 class TestSchedulerBatching:
     def test_pre_submitted_jobs_form_one_batch(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.05)
+        engine = ServeEngine(gather_window=0.05)
+        client = engine.bind(small_model)
         jobs = [
-            scheduler.submit(1, i % 2, seed=i) for i in range(4)
+            client.submit(1, i % 2, seed=i) for i in range(4)
         ]  # queued before the worker starts
-        with scheduler:
+        with engine:
             results = [job.result(timeout=60) for job in jobs]
         for result in results:
             assert result.shape == (1, 64, 64)
             assert result.dtype == np.uint8
-        stats = scheduler.stats()
+        stats = client.stats()
         assert stats.batches == 1
         assert stats.jobs == 4
         assert stats.max_batch_size == 4
@@ -29,117 +31,120 @@ class TestSchedulerBatching:
         assert all(job.queue_wait >= 0.0 for job in jobs)
 
     def test_multi_count_jobs_split_correctly(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.05)
-        a = scheduler.submit(2, 0, seed=1)
-        b = scheduler.submit(3, 1, seed=2)
-        with scheduler:
+        engine = ServeEngine(gather_window=0.05)
+        client = engine.bind(small_model)
+        a = client.submit(2, 0, seed=1)
+        b = client.submit(3, 1, seed=2)
+        with engine:
             ra = a.result(timeout=60)
             rb = b.result(timeout=60)
         assert ra.shape == (2, 64, 64)
         assert rb.shape == (3, 64, 64)
-        assert scheduler.stats().samples == 5
+        assert client.stats().samples == 5
 
     def test_mixed_shapes_grouped_by_shape(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.05)
-        a = scheduler.submit(1, 0, shape=(64, 64), seed=1)
-        b = scheduler.submit(1, 1, shape=(32, 32), seed=2)
-        with scheduler:
+        engine = ServeEngine(gather_window=0.05)
+        client = engine.bind(small_model)
+        a = client.submit(1, 0, shape=(64, 64), seed=1)
+        b = client.submit(1, 1, shape=(32, 32), seed=2)
+        with engine:
             assert a.result(timeout=60).shape == (1, 64, 64)
             assert b.result(timeout=60).shape == (1, 32, 32)
-        stats = scheduler.stats()
+        stats = client.stats()
         # One gather, but two trajectories: shapes cannot share a stack.
         assert stats.batches == 2
         assert stats.max_batch_size == 1
 
     def test_max_batch_caps_gathering(self, small_model):
-        scheduler = MicroBatchScheduler(
-            small_model, gather_window=0.05, max_batch=2
-        )
-        jobs = [scheduler.submit(1, 0, seed=i) for i in range(4)]
-        with scheduler:
+        engine = ServeEngine(gather_window=0.05, max_batch=2)
+        client = engine.bind(small_model)
+        jobs = [client.submit(1, 0, seed=i) for i in range(4)]
+        with engine:
             for job in jobs:
                 job.result(timeout=60)
-        assert scheduler.stats().max_batch_size <= 2
+        assert client.stats().max_batch_size <= 2
 
     def test_error_propagates_to_every_rider(self):
         def boom(conditions, rng, shape=None):
             raise RuntimeError("backend exploded")
 
         model = SimpleNamespace(window=16, fitted=True, sample_batch=boom)
-        scheduler = MicroBatchScheduler(model, gather_window=0.05)
-        jobs = [scheduler.submit(1, 0, seed=i) for i in range(2)]
-        with scheduler:
+        engine = ServeEngine(gather_window=0.05)
+        client = engine.bind(model)
+        jobs = [client.submit(1, 0, seed=i) for i in range(2)]
+        with engine:
             for job in jobs:
                 with pytest.raises(RuntimeError, match="backend exploded"):
                     job.result(timeout=10)
 
     def test_rejects_bad_arguments(self, small_model):
-        scheduler = MicroBatchScheduler(small_model)
+        client = ServeEngine().bind(small_model)
         with pytest.raises(ValueError):
-            scheduler.submit(0, 0)
+            client.submit(0, 0)
         with pytest.raises(ValueError):
-            MicroBatchScheduler(small_model, gather_window=-1)
+            ServeEngine(gather_window=-1)
         with pytest.raises(ValueError):
-            MicroBatchScheduler(small_model, max_batch=0)
+            ServeEngine(max_batch=0)
 
 
 class TestSchedulerLifecycle:
     def test_submit_after_stop_fails_fast(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.01)
-        with scheduler:
-            scheduler.submit(1, 0, seed=1).result(timeout=60)
-        assert not scheduler.running
+        engine = ServeEngine(gather_window=0.01)
+        client = engine.bind(small_model)
+        with engine:
+            client.submit(1, 0, seed=1).result(timeout=60)
+        assert not engine.running
         # No worker will ever drain the queue again: result() would hang.
         with pytest.raises(RuntimeError, match="stopped"):
-            scheduler.submit(1, 0, seed=2)
+            client.submit(1, 0, seed=2)
 
     def test_restart_after_stop_accepts_jobs_again(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.01)
-        with scheduler:
-            scheduler.submit(1, 0, seed=1).result(timeout=60)
-        with scheduler:  # restart clears the stopped state
-            result = scheduler.submit(1, 0, seed=2).result(timeout=60)
+        engine = ServeEngine(gather_window=0.01)
+        client = engine.bind(small_model)
+        with engine:
+            client.submit(1, 0, seed=1).result(timeout=60)
+        with engine:  # restart clears the stopped state
+            result = client.submit(1, 0, seed=2).result(timeout=60)
         assert result.shape == (1, 64, 64)
 
     def test_submit_before_start_still_allowed(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.01)
-        job = scheduler.submit(1, 0, seed=3)  # queued, worker not up yet
-        with scheduler:
+        engine = ServeEngine(gather_window=0.01)
+        job = engine.bind(small_model).submit(1, 0, seed=3)  # worker not up
+        with engine:
             assert job.result(timeout=60).shape == (1, 64, 64)
 
     def test_stop_before_start_keeps_scheduler_usable(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.01)
-        scheduler.stop()  # no-op: never started
-        job = scheduler.submit(1, 0, seed=4)
-        with scheduler:
+        engine = ServeEngine(gather_window=0.01)
+        engine.stop()  # no-op: never started
+        job = engine.bind(small_model).submit(1, 0, seed=4)
+        with engine:
             assert job.result(timeout=60).shape == (1, 64, 64)
 
 
 class TestBatchedSamplingModel:
     def test_delegates_model_attributes(self, small_model):
-        scheduler = MicroBatchScheduler(small_model)
-        client = BatchedSamplingModel(scheduler)
+        client = BatchedSamplingModel(ServeEngine().bind(small_model))
         assert client.window == small_model.window
         assert client.n_classes == small_model.n_classes
         assert client.fitted is True
         assert client.schedule is small_model.schedule
 
     def test_sample_rides_scheduler_and_records_stats(self, small_model):
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.05)
-        client = BatchedSamplingModel(scheduler)
-        with scheduler:
+        engine = ServeEngine(gather_window=0.05)
+        bound = engine.bind(small_model)
+        client = BatchedSamplingModel(bound)
+        with engine:
             samples = client.sample(2, 0, np.random.default_rng(3))
         assert samples.shape == (2, 64, 64)
         assert client.sample_jobs == 1
         assert client.samples == 2
         assert client.batch_sizes == [2]
-        assert scheduler.stats().jobs == 1
+        assert bound.stats().jobs == 1
 
     def test_concurrent_clients_coalesce(self, small_model):
-        import threading
-
-        scheduler = MicroBatchScheduler(small_model, gather_window=0.2)
-        clients = [BatchedSamplingModel(scheduler) for _ in range(4)]
+        engine = ServeEngine(gather_window=0.2)
+        bound = engine.bind(small_model)
+        clients = [BatchedSamplingModel(bound) for _ in range(4)]
         outputs = [None] * 4
 
         def worker(i):
@@ -150,14 +155,14 @@ class TestBatchedSamplingModel:
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(4)
         ]
-        with scheduler:
+        with engine:
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         assert all(out.shape == (1, 64, 64) for out in outputs)
         # All four single-sample jobs rode batched trajectories.
-        assert scheduler.stats().max_batch_size > 1
+        assert bound.stats().max_batch_size > 1
 
 
 class TestSamplerStepsForwarding:
@@ -173,20 +178,17 @@ class TestSamplerStepsForwarding:
         model = SimpleNamespace(
             window=16, fitted=True, sample_batch=sample_batch
         )
-        scheduler = MicroBatchScheduler(
-            model, gather_window=0.01, sampler_steps="bucketed"
-        )
-        with scheduler:
-            scheduler.submit(1, 0, seed=1).result(timeout=30)
+        engine = ServeEngine(gather_window=0.01)
+        client = engine.bind(model, sampler_steps="bucketed")
+        with engine:
+            client.submit(1, 0, seed=1).result(timeout=30)
         assert calls == [{"sampler_steps": "bucketed"}]
 
 
 class TestSchedulerEngineKnobs:
-    """The engine layers surfaced through the classic scheduler facade."""
+    """Admission and executor-pool knobs of the engine on a bound model."""
 
     def test_scheduler_exposes_queue_limit_backpressure(self):
-        from repro.serve import QueueFullError
-
         model = SimpleNamespace(
             window=16,
             fitted=True,
@@ -194,28 +196,26 @@ class TestSchedulerEngineKnobs:
                 (len(conditions), *shape), dtype=np.uint8
             ),
         )
-        scheduler = MicroBatchScheduler(model, queue_limit=1)
-        scheduler.submit(1, 0, seed=1)
+        client = ServeEngine(queue_limit=1).bind(model)
+        client.submit(1, 0, seed=1)
         with pytest.raises(QueueFullError):
-            scheduler.submit(1, 0, seed=2)
+            client.submit(1, 0, seed=2)
 
     def test_multi_worker_scheduler_serves_mixed_shapes(self, small_model):
-        scheduler = MicroBatchScheduler(
-            small_model,
-            gather_window=0.05,
-            policy="shape_bucketed",
-            engine_workers=2,
+        engine = ServeEngine(
+            gather_window=0.05, policy="shape_bucketed", engine_workers=2
         )
+        client = engine.bind(small_model)
         jobs = [
-            scheduler.submit(
+            client.submit(
                 1, i % 2, shape=(64, 64) if i % 2 == 0 else (32, 32), seed=i
             )
             for i in range(4)
         ]
-        with scheduler:
+        with engine:
             shapes = [job.result(timeout=60).shape for job in jobs]
         assert shapes == [(1, 64, 64), (1, 32, 32)] * 2
-        engine_stats = scheduler.engine_stats()
+        engine_stats = engine.stats()
         assert engine_stats.engine_workers == 2
         assert engine_stats.policy == "shape_bucketed"
         assert engine_stats.submitted == 4
@@ -238,10 +238,9 @@ class TestClientThreadSafety:
                 (len(conditions), *shape), dtype=np.uint8
             ),
         )
-        scheduler = MicroBatchScheduler(
-            model, gather_window=0.001, engine_workers=4
-        )
-        client = BatchedSamplingModel(scheduler)
+        engine = ServeEngine(gather_window=0.001, engine_workers=4)
+        bound = engine.bind(model)
+        client = BatchedSamplingModel(bound)
         threads_n, per_thread = 8, 25
         errors = []
 
@@ -258,7 +257,7 @@ class TestClientThreadSafety:
             threading.Thread(target=worker, args=(i,))
             for i in range(threads_n)
         ]
-        with scheduler:
+        with engine:
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -276,5 +275,5 @@ class TestClientThreadSafety:
         assert len(client.batch_sizes) == expected_jobs
         assert client.degraded_jobs == 0
         assert client.queue_wait_seconds >= 0.0
-        assert scheduler.stats().jobs == expected_jobs
-        assert scheduler.stats().samples == expected_samples
+        assert bound.stats().jobs == expected_jobs
+        assert bound.stats().samples == expected_samples

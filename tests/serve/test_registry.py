@@ -257,33 +257,25 @@ class TestCompiledRehydration:
         assert source == "disk"
         assert loaded.denoiser.compiled
 
-    def test_payload_records_compiled_provenance(self, tmp_path):
+    def test_stale_format_payload_refits_and_is_rewritten(self, tmp_path):
         import pickle
 
         registry = ModelRegistry(save_dir=tmp_path)
         key = ModelKey(**self.KEY)
-        registry.get_or_fit(key)
-        with open(registry.cache_path(key), "rb") as handle:
-            payload = pickle.load(handle)
-        assert payload["compiled_tables"] is True
-
-    def test_legacy_payload_recompiled_on_load(self, tmp_path):
-        registry = ModelRegistry(save_dir=tmp_path)
-        key = ModelKey(**self.KEY)
         model = registry.get_or_fit(key)
-        # Emulate a cache entry written before compiled tables existed.
-        for attr in ("_compiled", "_logit_tables", "_weight_total",
-                     "_pads", "use_compiled"):
-            model.denoiser.__dict__.pop(attr, None)
-        registry._save_to_disk(key, model)
+        path = registry.cache_path(key)
+        # A payload from the previous layout: format 1, same recipe.
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"format": 1, "recipe": key.as_dict(), "model": model}, handle
+            )
         fresh = ModelRegistry(save_dir=tmp_path)
         loaded, source = fresh.resolve(key)
-        assert source == "disk"
+        assert source == "fit"
         assert loaded.denoiser.compiled
-        import numpy as np
-
-        samples = loaded.sample_batch([0, 1], np.random.default_rng(0))
-        assert samples.shape == (2, 64, 64)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["format"] == 2
 
 
 class TestDiskCacheHardening:
