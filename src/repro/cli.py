@@ -457,7 +457,9 @@ def _serve_http(address: str, service) -> int:
     except RuntimeError as exc:
         print(f"HTTP server failed to start: {exc}", file=sys.stderr)
         return 1
-    print(f"serving HTTP on {server.url} (Ctrl-C drains and exits)")
+    print(
+        f"serving HTTP on {server.url} (Ctrl-C drains and exits)", flush=True
+    )
     try:
         # start() already ran; serve_forever re-enters it as a no-op and
         # blocks until a signal arrives, then drains admitted jobs.

@@ -9,6 +9,7 @@ bound, and shapes never approach each other closer than ``min_space``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -26,11 +27,32 @@ class LayoutMap:
     height: int
     style: str
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """``(n, 4)`` int64 array of every rect's ``x0, y0, x1, y1``."""
+        return np.array(
+            [(r.x0, r.y0, r.x1, r.y1) for r in self.rects], dtype=np.int64
+        ).reshape(-1, 4)
+
     def window(self, x0: int, y0: int, size: int) -> List[Rect]:
         """Rects clipped to the ``size x size`` window at ``(x0, y0)``,
-        translated so the window origin is (0, 0)."""
-        win = Rect(x0, y0, x0 + size, y0 + size)
-        return [r.translated(-x0, -y0) for r in clip_rects(self.rects, win)]
+        translated so the window origin is (0, 0).
+
+        A cached ``(n, 4)`` coordinate array screens out the rects without
+        positive-area overlap first, so only the few rects that survive
+        clipping go through :func:`clip_rects`, in their original order.
+        """
+        c = self._coords
+        x1, y1 = x0 + size, y0 + size
+        hit = np.flatnonzero(
+            (np.minimum(c[:, 2], x1) > np.maximum(c[:, 0], x0))
+            & (np.minimum(c[:, 3], y1) > np.maximum(c[:, 1], y0))
+        )
+        win = Rect(x0, y0, x1, y1)
+        return [
+            r.translated(-x0, -y0)
+            for r in clip_rects([self.rects[i] for i in hit], win)
+        ]
 
 
 def generate_layout_map(

@@ -113,16 +113,13 @@ def neighborhood_codes(
     return codes if batched else codes[0]
 
 
-def downsample_binary(x: np.ndarray, scale: int) -> np.ndarray:
-    """Majority-pool a binary image by ``scale`` (pads with zeros).
+def block_sums(x: np.ndarray, scale: int) -> np.ndarray:
+    """Filled-cell count of every ``scale x scale`` block (pads with zeros).
 
-    Accepts ``(H, W)`` or a batched ``(B, H, W)`` stack; the pooling is
-    applied to the trailing two axes either way.  A block is set when at
-    least half its cells are: ``2 * sum >= scale**2``, with the block sums
-    taken in integers as ``scale`` strided row slices, then column slices.
+    Accepts ``(H, W)`` or a batched ``(B, H, W)`` stack of {0, 1} cells.
+    The sums are taken in the narrowest unsigned dtype holding ``scale**2``,
+    as ``scale`` strided row slices, then column slices.
     """
-    if scale == 1:
-        return x.astype(np.uint8)
     x = np.asarray(x, dtype=np.uint8)
     h, w = x.shape[-2], x.shape[-1]
     ph = (-h) % scale
@@ -138,7 +135,33 @@ def downsample_binary(x: np.ndarray, scale: int) -> np.ndarray:
     total = rows[..., 0::scale].copy()
     for j in range(1, scale):
         total += rows[..., j::scale]
-    # 2 * sum >= scale**2, without the doubling overflowing ``dtype``.
+    return total
+
+
+def block_areas(shape: Tuple[int, int], scale: int) -> np.ndarray:
+    """Cell count of every pooled block of a ``shape`` image.
+
+    Interior blocks hold ``scale**2`` cells; blocks on the bottom and right
+    edges are cropped when ``scale`` does not divide the side.
+    """
+    h, w = shape
+    heights = np.minimum(scale, h - scale * np.arange(-(-h // scale)))
+    widths = np.minimum(scale, w - scale * np.arange(-(-w // scale)))
+    return np.outer(heights, widths)
+
+
+def downsample_binary(x: np.ndarray, scale: int) -> np.ndarray:
+    """Majority-pool a binary image by ``scale`` (pads with zeros).
+
+    Accepts ``(H, W)`` or a batched ``(B, H, W)`` stack; the pooling is
+    applied to the trailing two axes either way.  A block is set when at
+    least half its cells are: ``2 * sum >= scale**2``, over the integer
+    :func:`block_sums`.
+    """
+    if scale == 1:
+        return x.astype(np.uint8)
+    total = block_sums(x, scale)
+    # 2 * sum >= scale**2, without the doubling overflowing the sum dtype.
     return (total >= (scale * scale + 1) // 2).astype(np.uint8)
 
 
@@ -247,15 +270,17 @@ class NeighborhoodDenoiser(Denoiser):
             cond = np.zeros(n, dtype=np.int64)
 
         slots = max(1, self.n_classes)
-        flat = {
-            s: np.zeros(slots * self.n_buckets * self._n_codes * 2)
+        counts = {
+            s: np.zeros((slots, self.n_buckets, self._n_codes, 2))
             for s in self.scales
         }
+        # A (class, code) pair names one count row; int32 indexes them all.
+        n_rows = slots * self._n_codes
         # Vectorized accumulation: buckets and noise levels for every
         # (pattern, draw) pair are drawn up front, then each bucket's draws
-        # are noised as one stacked batch and counted with one bincount per
-        # (bucket, scale) — the class offset is already folded into the
-        # flattened index, so mixed-class batches count in a single pass.
+        # are noised as one stacked batch and counted per (bucket, scale) —
+        # the class offset is already folded into the flattened index, so
+        # mixed-class batches count in a single pass.
         if draws_per_pattern >= self.n_buckets:
             buckets = np.broadcast_to(
                 np.arange(draws_per_pattern) % self.n_buckets,
@@ -270,6 +295,17 @@ class NeighborhoodDenoiser(Denoiser):
             * 0.5 / self.n_buckets
         )
         levels = np.clip(levels, 1e-4, 0.5)
+        # A pooled block shares one code across its cells, so a coarse
+        # scale counts at pooled resolution: each block adds its clean
+        # cells' ones and zeros to its code's row.  Those per-block counts
+        # come from the clean stack alone, so they are taken once here; a
+        # cropped edge block counts only the cells it really covers.  The
+        # weighted sums are of small integers, so float64 keeps them exact.
+        pooled = {}
+        for s in self.scales:
+            if s > 1:
+                ones = block_sums(topologies, s).astype(np.float64)
+                pooled[s] = (block_areas(topologies.shape[1:], s) - ones, ones)
         for bucket in range(self.n_buckets):
             pat_idx, draw_idx = np.nonzero(buckets == bucket)
             if pat_idx.size == 0:
@@ -279,22 +315,28 @@ class NeighborhoodDenoiser(Denoiser):
                 rng.random(x0.shape)
                 < levels[pat_idx, draw_idx][:, None, None]
             )
-            xk = np.where(flip, 1 - x0, x0).astype(np.uint8)
-            base = (cond[pat_idx] * self.n_buckets + bucket) * self._n_codes
-            target = x0.astype(np.int64)
+            xk = np.bitwise_xor(x0, flip)
+            base = (cond[pat_idx] * self._n_codes).astype(np.int32)
             for s in self.scales:
                 codes = neighborhood_codes(
                     downsample_binary(xk, s), self.offsets, pads=self._pads
                 )
-                pixel_codes = upsample_to(codes, s, x0.shape[1:])
-                index = (base[:, None, None] + pixel_codes) * 2 + target
-                flat[s] += np.bincount(
-                    index.ravel(), minlength=flat[s].shape[0]
-                )
-        for s in self.scales:
-            self._counts[s] = flat[s].reshape(
-                slots, self.n_buckets, self._n_codes, 2
-            )
+                index = codes.astype(np.int32)
+                index += base[:, None, None]
+                if s == 1:
+                    index <<= 1
+                    index += x0
+                    counts[s][:, bucket] = np.bincount(
+                        index.ravel(), minlength=2 * n_rows
+                    ).reshape(slots, self._n_codes, 2)
+                    continue
+                index = index.ravel()
+                for target, weights in enumerate(pooled[s]):
+                    counts[s][:, bucket, :, target] = np.bincount(
+                        index, weights=weights[pat_idx].ravel(),
+                        minlength=n_rows,
+                    ).reshape(slots, self._n_codes)
+        self._counts = counts
         self._record_target_fills(topologies, cond)
         fine = self._counts[self.scales[0]]
         totals = fine.sum(axis=2)

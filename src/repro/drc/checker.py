@@ -6,9 +6,10 @@ and connected components give polygon areas.  Corner-touching polygons are a
 zero-space violation that no geometry assignment can repair.
 
 The hot path is fully vectorized: run extents come from
-:class:`~repro.geometry.grid.RunSet` (all scan lines at once) and polygon
-areas/bounding boxes from labelled-component reductions, so a DRC pass costs
-a handful of NumPy sweeps instead of a Python loop per run.  Violation
+:class:`~repro.geometry.grid.RunSet` (all scan lines at once), and the row
+run set, built once, also yields the polygon labels and the per-polygon
+areas and bounding boxes, so a DRC pass costs a handful of NumPy sweeps
+instead of a Python loop per run.  Violation
 objects are only materialised for the (few) offending runs/polygons, in the
 same order the scalar reference produces them — :func:`check_pattern` with
 ``engine="reference"`` dispatches to :mod:`repro.drc.reference`, the
@@ -20,7 +21,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy import ndimage
 
 from repro.drc.rules import DesignRules
 from repro.drc.violations import DRCReport, GridRegion, Violation
@@ -28,7 +28,8 @@ from repro.geometry.grid import (
     RunSet,
     column_run_set,
     diagonal_touch_pairs,
-    label_components,
+    label_runs,
+    paint_runs,
     row_run_set,
 )
 from repro.squish.pattern import SquishPattern
@@ -47,11 +48,17 @@ def check_pattern(
     if engine != "vectorized":
         raise ValueError(f"unknown DRC engine {engine!r}; choose from {ENGINES}")
     report = DRCReport()
-    # One labelling serves both the corner and the area check.
-    labels = label_components(pattern.topology, connectivity=4)
-    report.violations.extend(_check_runs(pattern, rules))
-    report.violations.extend(_check_corners(pattern, labels))
-    report.violations.extend(_check_areas(pattern, rules, labels))
+    # One row run set serves the x-axis run check and the labelling; one
+    # labelling serves both the corner and the area check.
+    rows = row_run_set(pattern.topology)
+    run_labels, n_polygons = label_runs(rows, connectivity=4)
+    report.violations.extend(_check_runs(pattern, rules, rows))
+    report.violations.extend(
+        _check_corners(pattern, paint_runs(rows, run_labels))
+    )
+    report.violations.extend(
+        _check_areas(pattern, rules, rows, run_labels, n_polygons)
+    )
     return report
 
 
@@ -95,13 +102,16 @@ def _axis_run_violations(
     return violations
 
 
-def _check_runs(pattern: SquishPattern, rules: DesignRules) -> List[Violation]:
-    """Width of 1-runs and space of interior 0-runs, both axes."""
+def _check_runs(
+    pattern: SquishPattern, rules: DesignRules, rows: RunSet
+) -> List[Violation]:
+    """Width of 1-runs and space of interior 0-runs, both axes.
+
+    ``rows`` is the pattern's row run set, shared with the labelling.
+    """
     xs = np.concatenate(([0], np.cumsum(pattern.dx)))
     ys = np.concatenate(([0], np.cumsum(pattern.dy)))
-    violations = _axis_run_violations(
-        row_run_set(pattern.topology), xs, rules, "x"
-    )
+    violations = _axis_run_violations(rows, xs, rules, "x")
     violations.extend(
         _axis_run_violations(column_run_set(pattern.topology), ys, rules, "y")
     )
@@ -120,42 +130,47 @@ def _check_corners(
 
 
 def _check_areas(
-    pattern: SquishPattern, rules: DesignRules, labels: np.ndarray
+    pattern: SquishPattern,
+    rules: DesignRules,
+    rows: RunSet,
+    run_labels: np.ndarray,
+    n_polygons: int,
 ) -> List[Violation]:
     """Polygon area against ``min_area`` (border-touching polygons exempt).
 
-    Areas are exact integer reductions over the labelled components (cell
-    area = ``dy[row] * dx[col]``); bounding boxes come from
-    ``ndimage.find_objects`` so no per-cell Python work remains.
+    Works on the labelled row runs: after a stable sort by label, each
+    polygon's runs are one contiguous group, and ``reduceat`` over the
+    groups gives its exact integer area (run area = ``dy[row]`` times the
+    run's physical width) and its bounding box in cells.
     """
-    n_polygons = int(labels.max())
     if n_polygons == 0:
         return []
-    rows_i, cols_i = np.nonzero(labels)
-    labs = labels[rows_i, cols_i]
-    cell_areas = pattern.dy[rows_i].astype(np.int64) * pattern.dx[cols_i]
-    areas = np.zeros(n_polygons + 1, dtype=np.int64)
-    np.add.at(areas, labs, cell_areas)
-
-    violations: List[Violation] = []
+    filled = np.flatnonzero(run_labels)
+    order = np.argsort(run_labels[filled], kind="stable")
+    runs = filled[order]
+    groups = np.searchsorted(
+        run_labels[runs], np.arange(1, n_polygons + 1, dtype=run_labels.dtype)
+    )
+    row = rows.index[runs]
+    start = rows.start[runs]
+    stop = rows.stop[runs]
+    xs = np.concatenate(([0], np.cumsum(pattern.dx)))
+    run_areas = pattern.dy[row].astype(np.int64) * (xs[stop] - xs[start])
+    areas = np.add.reduceat(run_areas, groups)
+    row0 = np.minimum.reduceat(row, groups)
+    row1 = np.maximum.reduceat(row, groups)
+    col0 = np.minimum.reduceat(start, groups)
+    col1 = np.maximum.reduceat(stop, groups) - 1
     n_rows, n_cols = pattern.shape
-    for label, slices in enumerate(ndimage.find_objects(labels), start=1):
-        row_slice, col_slice = slices
-        touches_border = (
-            row_slice.start == 0
-            or col_slice.start == 0
-            or row_slice.stop == n_rows
-            or col_slice.stop == n_cols
+    interior = (
+        (row0 > 0) & (col0 > 0) & (row1 < n_rows - 1) & (col1 < n_cols - 1)
+    )
+    violations: List[Violation] = []
+    for i in np.flatnonzero(interior & (areas < rules.min_area)):
+        region = GridRegion(
+            int(row0[i]), int(col0[i]), int(row1[i]), int(col1[i])
         )
-        if touches_border:
-            continue
-        area = int(areas[label])
-        if area < rules.min_area:
-            region = GridRegion(
-                row_slice.start,
-                col_slice.start,
-                row_slice.stop - 1,
-                col_slice.stop - 1,
-            )
-            violations.append(Violation("area", region, area, rules.min_area))
+        violations.append(
+            Violation("area", region, int(areas[i]), rules.min_area)
+        )
     return violations

@@ -8,10 +8,9 @@ bottom scan stripe) and columns index the x axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def as_topology(array: np.ndarray) -> np.ndarray:
     if t.size == 0:
         raise ValueError("topology must be non-empty")
     t = t.astype(np.uint8, copy=False)
-    if not np.isin(t, (0, 1)).all():
+    if t.max() > 1:
         raise ValueError("topology entries must be 0 or 1")
     return t
 
@@ -160,26 +159,92 @@ def all_column_runs(topology: np.ndarray) -> List[Run]:
     return column_run_set(topology).runs()
 
 
+def label_runs(runs: RunSet, connectivity: int = 4) -> Tuple[np.ndarray, int]:
+    """Connected-component label of every run of a row :class:`RunSet`.
+
+    Returns ``(labels, count)``: an ``int32`` label per run (0 for empty
+    runs) and the number of components.  Two filled runs in adjacent rows
+    touch when their cell spans overlap (4-connectivity) or overlap or meet
+    at a corner (8-connectivity); the touching pairs are found with two
+    ``searchsorted`` calls over all rows at once.  Components are merged by
+    hooking the larger of two roots onto the smaller, then pointer jumping
+    until every run points at its root.  A root is therefore its
+    component's first run in raster order, and components are numbered
+    1..count in the raster order of their first cell, exactly as
+    ``scipy.ndimage.label`` numbers them.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    labels = np.zeros(len(runs), dtype=np.int32)
+    filled = np.flatnonzero(runs.value == 1)
+    n = filled.size
+    if n == 0:
+        return labels, 0
+    row = runs.index[filled]
+    start = runs.start[filled]
+    stop = runs.stop[filled]
+    # Sort keys ordering every run by (row, cell): a row's band is
+    # ``n_cells + 2`` wide, so the one-cell corner reach never leaves it.
+    band = runs.n_cells + 2
+    reach = 0 if connectivity == 4 else 1
+    below = (row + 1) * band
+    # The next row's runs touching a run form one contiguous slice: from
+    # the first whose stop passes the run's start to the last whose start
+    # precedes its stop, both widened by ``reach``.
+    first = np.searchsorted(
+        row * band + stop, below + start - reach, side="right"
+    )
+    end = np.searchsorted(
+        row * band + start, below + stop + reach, side="left"
+    )
+    degree = np.maximum(end - first, 0)
+    a = np.repeat(np.arange(n), degree)
+    b = np.repeat(first - (np.cumsum(degree) - degree), degree)
+    b += np.arange(b.size)
+
+    parent = np.arange(n)
+    while True:
+        pa, pb = parent[a], parent[b]
+        cross = pa != pb
+        if not cross.any():
+            break
+        pa, pb = pa[cross], pb[cross]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(n)
+    labels[filled] = np.cumsum(roots, dtype=np.int32)[parent]
+    return labels, int(np.count_nonzero(roots))
+
+
+def paint_runs(runs: RunSet, values: np.ndarray) -> np.ndarray:
+    """Grid holding ``values[i]`` on every cell of row run ``i``.
+
+    A row run set tiles its grid in row-major order, so this is one
+    ``np.repeat`` over the run lengths.
+    """
+    return np.repeat(values, runs.lengths).reshape(runs.n_lines, runs.n_cells)
+
+
 def label_components(topology: np.ndarray, connectivity: int = 4) -> np.ndarray:
     """Label 4- or 8-connected components of filled cells.
 
     Returns an ``int32`` array of the same shape where 0 marks empty cells and
-    components are numbered from 1.
+    components are numbered from 1 in raster order of their first cell (the
+    numbering of ``scipy.ndimage.label``), computed by :func:`label_runs`
+    over the row runs.
     """
-    if connectivity == 4:
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    elif connectivity == 8:
-        structure = np.ones((3, 3), dtype=int)
-    else:
-        raise ValueError("connectivity must be 4 or 8")
-    labels, _ = ndimage.label(as_topology(topology), structure=structure)
-    return labels.astype(np.int32)
+    runs = row_run_set(topology)
+    labels, _ = label_runs(runs, connectivity)
+    return paint_runs(runs, labels)
 
 
 def component_count(topology: np.ndarray, connectivity: int = 4) -> int:
     """Number of connected polygons in the topology."""
-    labels = label_components(topology, connectivity)
-    return int(labels.max())
+    return label_runs(row_run_set(topology), connectivity)[1]
 
 
 def diagonal_touch_pairs(
@@ -190,16 +255,21 @@ def diagonal_touch_pairs(
     Returns a list of ``(row, col)`` positions naming the lower-left cell of
     each offending 2x2 window.  Corner-touching polygons have zero physical
     spacing, which every space rule forbids.  ``labels`` may carry a
-    precomputed 4-connected labelling to spare a relabel on hot paths.
+    precomputed 4-connected labelling to spare a relabel on hot paths; a
+    grid without any diagonal-only 2x2 window needs no labelling at all.
     """
-    t = as_topology(topology)
+    t = as_topology(topology).view(bool)
+    a = t[:-1, :-1]
+    b = t[1:, 1:]
+    c = t[:-1, 1:]
+    d = t[1:, :-1]
+    diag1 = a & b & ~c & ~d
+    diag2 = c & d & ~a & ~b
+    if not (diag1.any() or diag2.any()):
+        return []
     if labels is None:
         labels = label_components(t, connectivity=4)
-    a = labels[:-1, :-1]
-    b = labels[1:, 1:]
-    c = labels[:-1, 1:]
-    d = labels[1:, :-1]
-    diag1 = (a > 0) & (b > 0) & (a != b) & (c == 0) & (d == 0)
-    diag2 = (c > 0) & (d > 0) & (c != d) & (a == 0) & (b == 0)
+    diag1 &= labels[:-1, :-1] != labels[1:, 1:]
+    diag2 &= labels[:-1, 1:] != labels[1:, :-1]
     rows, cols = np.nonzero(diag1 | diag2)
     return [(int(r), int(cc)) for r, cc in zip(rows, cols)]

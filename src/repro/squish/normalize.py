@@ -24,17 +24,19 @@ def split_axis(topology: np.ndarray, deltas: np.ndarray, target: int, axis: int)
     """Grow one axis to ``target`` entries by splitting the largest deltas.
 
     Splitting a column (axis=1) duplicates it in the topology and divides its
-    delta in two near-equal halves; the decoded layout is identical.
+    delta in two near-equal halves; the decoded layout is identical.  The
+    loop only tracks which source stripe each output stripe copies, so the
+    topology is gathered once at the end instead of re-copied per split.
     """
-    t = topology.copy()
     d = list(int(v) for v in deltas)
-    size = t.shape[axis]
+    size = topology.shape[axis]
     if size > target:
         raise NormalizationError(
             f"axis {axis} has {size} scan stripes, cannot split down to {target}"
         )
+    source = list(range(len(d)))
     while len(d) < target:
-        idx = int(np.argmax(d))
+        idx = d.index(max(d))  # the first maximum, as ``np.argmax`` picks
         if d[idx] < 2:
             raise NormalizationError(
                 "cannot split further: all deltas are 1 nm wide"
@@ -42,11 +44,8 @@ def split_axis(topology: np.ndarray, deltas: np.ndarray, target: int, axis: int)
         left = d[idx] // 2
         right = d[idx] - left
         d[idx : idx + 1] = [left, right]
-        if axis == 1:
-            t = np.insert(t, idx, t[:, idx], axis=1)
-        else:
-            t = np.insert(t, idx, t[idx, :], axis=0)
-    return t, np.array(d, dtype=np.int64)
+        source.insert(idx, source[idx])
+    return np.take(topology, source, axis=axis), np.array(d, dtype=np.int64)
 
 
 def normalize_pattern(pattern: SquishPattern, size: int) -> SquishPattern:

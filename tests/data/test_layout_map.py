@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.data import LAYER_10001, LAYER_10003, generate_layout_map
+from repro.data.layout_map import LayoutMap
 from repro.drc import check_pattern, rules_for_style
-from repro.geometry import Rect
+from repro.geometry import Rect, clip_rects
 from repro.squish import encode_rects
 
 
@@ -47,6 +48,32 @@ class TestMapGeneration:
                 pattern = encode_rects(rects, Rect(0, 0, 2048, 2048))
                 report = check_pattern(pattern, rules)
                 assert report.is_clean, f"{name}: {report.summary()}"
+
+    def test_window_matches_clipping_every_rect(self, maps):
+        rng = np.random.default_rng(2)
+        for layout_map in maps.values():
+            for _ in range(40):
+                x0 = int(rng.integers(-64, 4096))
+                y0 = int(rng.integers(-64, 4096))
+                size = int(rng.choice([16, 100, 512, 2048]))
+                win = Rect(x0, y0, x0 + size, y0 + size)
+                expected = [
+                    r.translated(-x0, -y0)
+                    for r in clip_rects(layout_map.rects, win)
+                ]
+                assert layout_map.window(x0, y0, size) == expected
+
+    def test_window_drops_edge_touching_rects(self):
+        layout_map = LayoutMap(
+            rects=[
+                Rect(0, 0, 10, 10), Rect(10, 0, 20, 10), Rect(5, 5, 15, 15),
+            ],
+            width=20, height=20, style="Layer-10001",
+        )
+        # The first rect only touches the window's left edge.
+        assert layout_map.window(10, 0, 10) == [
+            Rect(0, 0, 10, 10), Rect(0, 5, 5, 10),
+        ]
 
     def test_window_translates_to_origin(self, maps):
         layout_map = maps["Layer-10001"]

@@ -6,6 +6,7 @@ tests pin that representation to the on-the-fly reference path (within
 pickling.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -17,7 +18,9 @@ from repro.diffusion import (
     NeighborhoodDenoiser,
     neighborhood_codes,
 )
+from repro.api.config import TrainConfig
 from repro.diffusion.denoisers.neighborhood import downsample_binary, upsample_to
+from repro.serve.registry import ModelKey, fit_model
 
 LEVELS = (0.01, 0.1, 0.23, 0.4, 0.5)
 
@@ -244,3 +247,63 @@ class TestPooledGather:
                 assert np.array_equal(got, expected)
         finally:
             fitted_8.use_compiled = True
+
+
+def _model_digest(d) -> str:
+    """SHA-256 over every array ``fit`` leaves behind, in a fixed order."""
+    h = hashlib.sha256()
+    for s in d.scales:
+        h.update(np.ascontiguousarray(d._counts[s]).tobytes())
+    for s in d.scales:
+        h.update(np.ascontiguousarray(d._logit_tables[s]).tobytes())
+    h.update(np.ascontiguousarray(d._marginals).tobytes())
+    h.update(np.ascontiguousarray(d._target_fills).tobytes())
+    return h.hexdigest()
+
+
+class TestFittedModelPin:
+    """The fitted count and logit tables are pinned byte for byte.
+
+    The digests were recorded from the full-resolution, one-``bincount``
+    per (bucket, scale) fit; any rewrite of ``fit`` or of the training-set
+    build must reproduce them exactly, rng stream included.
+    """
+
+    STACK_DIGESTS = {
+        ((12, 100, 90), 16): (
+            "a010d7728dccba5743218a28209deae8"
+            "af1c9779dbc206f01e78985d6ff3b00f"
+        ),
+        ((12, 100, 90), 5): (
+            "5928f1a5990aad8aec11a8d66d65d44b"
+            "1a7b1228e40a61936aa86951ed951016"
+        ),
+        ((7, 13, 21), 16): (
+            "edd21510fb2d11ad95c849add3616345"
+            "4e9534c7ae8b1d4530231730be0c3800"
+        ),
+        ((7, 13, 21), 5): (
+            "34c5924f5cb873fba6dc1204e9710378"
+            "1e6f5ae9555f27da1e7be64dc43aebcd"
+        ),
+    }
+    RECIPE_DIGEST = (
+        "afaad8dd87d56be08da3e8139999dc0f"
+        "7e21caba45e855e4696fdbe3d48762b4"
+    )
+
+    @pytest.mark.parametrize("shape,draws", sorted(STACK_DIGESTS))
+    def test_random_stack(self, shape, draws):
+        rng = np.random.default_rng(sum(shape) + draws)
+        topos = (rng.random(shape) < 0.4).astype(np.uint8)
+        conds = np.arange(shape[0]) % 2
+        d = NeighborhoodDenoiser(n_classes=2, scales=(1, 2, 4, 8))
+        d.fit(topos, conds, DiffusionSchedule.linear(16), rng,
+              draws_per_pattern=draws)
+        assert _model_digest(d) == self.STACK_DIGESTS[(shape, draws)]
+
+    def test_train_config_recipe(self):
+        model = fit_model(ModelKey.from_config(
+            TrainConfig(window=64, train_count=3, seed=5)
+        ))
+        assert _model_digest(model.denoiser) == self.RECIPE_DIGEST

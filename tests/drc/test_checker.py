@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.drc import DesignRules, check_pattern, is_legal
+from repro.drc.reference import reference_check_areas
 from repro.squish import SquishPattern
 
 RULES = DesignRules(min_space=30, min_width=40, min_area=2000, name="test")
@@ -16,6 +17,10 @@ def pattern(topology, cell=50):
         dx=np.full(t.shape[1], cell, dtype=np.int64),
         dy=np.full(t.shape[0], cell, dtype=np.int64),
     )
+
+
+def _area_violations(p, rules):
+    return [v for v in check_pattern(p, rules).violations if v.rule == "area"]
 
 
 class TestCleanPatterns:
@@ -104,6 +109,35 @@ class TestAreaRule:
         p = pattern(t, cell=40)
         report = check_pattern(p, RULES)
         assert not any(v.rule == "area" for v in report.violations)
+
+    @pytest.mark.parametrize("border_cell", [(0, 3), (7, 3), (3, 0), (3, 7)])
+    def test_each_border_exempts_only_its_polygon(self, border_cell):
+        t = np.zeros((8, 8))
+        t[border_cell] = 1  # 40x40 = 1600 < 2000, but on the border
+        t[4, 4] = 1  # the same size inside: flagged
+        p = pattern(t, cell=40)
+        areas = _area_violations(p, RULES)
+        assert areas == reference_check_areas(p, RULES)
+        assert len(areas) == 1
+        assert (areas[0].region.upper, areas[0].region.left) == (4, 4)
+
+    def test_uneven_deltas_area_and_box(self):
+        # An interior L-shape over cells of different physical size.
+        t = np.zeros((6, 7), dtype=np.uint8)
+        t[2, 2:5] = 1
+        t[3, 2] = 1
+        p = SquishPattern(
+            topology=t,
+            dx=np.array([5, 7, 11, 13, 17, 19, 23], dtype=np.int64),
+            dy=np.array([3, 5, 7, 9, 11, 13], dtype=np.int64),
+        )
+        rules = DesignRules(min_space=1, min_width=1, min_area=10_000, name="t")
+        areas = _area_violations(p, rules)
+        assert areas == reference_check_areas(p, rules)
+        assert areas[0].measured == 7 * (11 + 13 + 17) + 9 * 11
+        region = areas[0].region
+        box = (region.upper, region.left, region.bottom, region.right)
+        assert box == (2, 2, 3, 4)
 
 
 class TestReport:

@@ -15,6 +15,7 @@ from repro.geometry import (
     row_run_set,
     row_runs,
 )
+from repro.geometry.grid import label_runs
 
 
 class TestAsTopology:
@@ -31,6 +32,24 @@ class TestAsTopology:
     def test_dtype_canonicalised(self):
         t = as_topology(np.array([[0.0, 1.0]]))
         assert t.dtype == np.uint8
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1, 255]], dtype=np.uint8),
+        np.array([[0, -1]], dtype=np.int64),
+    ])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_topology(bad)
+
+    @pytest.mark.parametrize("good", [
+        np.array([[True, False], [False, True]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0, 1], [1, 1]], dtype=np.int64),
+    ])
+    def test_accepts_binary_input(self, good):
+        t = as_topology(good)
+        assert t.dtype == np.uint8
+        assert np.array_equal(t, np.asarray(good).astype(np.uint8))
 
 
 class TestRuns:
@@ -114,6 +133,54 @@ class TestComponents:
     def test_bad_connectivity(self):
         with pytest.raises(ValueError):
             label_components(np.ones((2, 2)), connectivity=6)
+
+    def test_empty_grid(self):
+        labels, count = label_runs(row_run_set(np.zeros((3, 4))))
+        assert count == 0
+        assert not labels.any()
+        assert not label_components(np.zeros((3, 4))).any()
+
+
+class TestLabelOracle:
+    """The run labeller numbers components exactly as ``ndimage.label``."""
+
+    STRUCTURES = {
+        4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]),
+        8: np.ones((3, 3), dtype=int),
+    }
+
+    @staticmethod
+    def _grids(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            rows = int(rng.integers(1, 24))
+            cols = int(rng.integers(1, 24))
+            density = rng.choice([0.1, 0.3, 0.5, 0.6, 0.8, 0.95])
+            yield (rng.random((rows, cols)) < density).astype(np.uint8)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_identical_to_ndimage(self, connectivity):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for t in self._grids(connectivity, 600):
+            structure = self.STRUCTURES[connectivity]
+            expected, n = ndimage.label(t, structure=structure)
+            got = label_components(t, connectivity)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, expected)
+            assert label_runs(row_run_set(t), connectivity)[1] == n
+
+    def test_diagonal_touches_match_label_formula(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for t in self._grids(48, 300):
+            labels, _ = ndimage.label(t, structure=self.STRUCTURES[4])
+            a, b = labels[:-1, :-1], labels[1:, 1:]
+            c, d = labels[:-1, 1:], labels[1:, :-1]
+            diag1 = (a > 0) & (b > 0) & (a != b) & (c == 0) & (d == 0)
+            diag2 = (c > 0) & (d > 0) & (c != d) & (a == 0) & (b == 0)
+            rows, cols = np.nonzero(diag1 | diag2)
+            expected = [(int(r), int(cc)) for r, cc in zip(rows, cols)]
+            assert diagonal_touch_pairs(t) == expected
+            assert diagonal_touch_pairs(t, labels=labels) == expected
 
 
 class TestDiagonalTouch:

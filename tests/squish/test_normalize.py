@@ -17,6 +17,76 @@ from repro.squish import (
 )
 
 
+def _split_axis_by_insert(topology, deltas, target, axis):
+    """The original ``np.insert``-per-split loop, kept as the oracle."""
+    t = topology.copy()
+    d = list(int(v) for v in deltas)
+    size = t.shape[axis]
+    if size > target:
+        raise NormalizationError(
+            f"axis {axis} has {size} scan stripes, cannot split down to {target}"
+        )
+    while len(d) < target:
+        idx = int(np.argmax(d))
+        if d[idx] < 2:
+            raise NormalizationError(
+                "cannot split further: all deltas are 1 nm wide"
+            )
+        left = d[idx] // 2
+        right = d[idx] - left
+        d[idx : idx + 1] = [left, right]
+        if axis == 1:
+            t = np.insert(t, idx, t[:, idx], axis=1)
+        else:
+            t = np.insert(t, idx, t[idx, :], axis=0)
+    return t, np.array(d, dtype=np.int64)
+
+
+class TestSplitAxisOracle:
+    """``split_axis`` equals the original per-split ``np.insert`` loop."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_random_deltas_with_ties(self, axis):
+        rng = np.random.default_rng(axis)
+        for _ in range(200):
+            size = int(rng.integers(1, 12))
+            target = size + int(rng.integers(0, 20))
+            # A few distinct values, so maxima tie often.
+            deltas = rng.choice([2, 3, 8, 8, 16, 40], size=size)
+            shape = (size, 3) if axis == 0 else (3, size)
+            t = (rng.random(shape) < 0.5).astype(np.uint8)
+            try:
+                want_t, want_d = _split_axis_by_insert(t, deltas, target, axis)
+            except NormalizationError as exc:
+                with pytest.raises(NormalizationError, match=str(exc)):
+                    split_axis(t, deltas, target, axis=axis)
+                continue
+            got_t, got_d = split_axis(t, deltas, target, axis=axis)
+            assert np.array_equal(got_t, want_t)
+            assert got_t.dtype == want_t.dtype
+            assert np.array_equal(got_d, want_d)
+            assert got_d.dtype == want_d.dtype
+
+    def test_target_equals_size_returns_copy(self):
+        t = np.array([[1, 0, 1]], dtype=np.uint8)
+        got_t, got_d = split_axis(t, np.array([5, 6, 7]), 3, axis=1)
+        assert np.array_equal(got_t, t)
+        assert got_t is not t
+        assert list(got_d) == [5, 6, 7]
+
+    @pytest.mark.parametrize("args", [
+        (np.ones((1, 4), dtype=np.uint8), np.full(4, 10), 2, 1),
+        (np.ones((2, 1), dtype=np.uint8), np.array([1, 1]), 4, 0),
+        (np.ones((1, 2), dtype=np.uint8), np.array([3, 1]), 5, 1),
+    ])
+    def test_error_messages_unchanged(self, args):
+        with pytest.raises(NormalizationError) as want:
+            _split_axis_by_insert(*args)
+        with pytest.raises(NormalizationError) as got:
+            split_axis(*args[:3], axis=args[3])
+        assert str(got.value) == str(want.value)
+
+
 class TestSplitAxis:
     def test_splits_largest_delta(self):
         t = np.array([[1, 0]], dtype=np.uint8)
