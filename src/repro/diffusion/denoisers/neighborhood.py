@@ -33,6 +33,7 @@ in logit).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,6 +45,9 @@ Offset = Tuple[int, int]
 WindowSpec = Union[Tuple[int, int], str, Sequence[Offset]]
 
 _EPS = 1e-6
+
+#: Cells per chunk of :func:`neighborhood_codes` (four 128x128 items).
+_CHUNK_CELLS = 1 << 16
 
 
 def window_offsets(spec: WindowSpec) -> List[Offset]:
@@ -92,7 +96,17 @@ def neighborhood_codes(
     ``pads`` may carry the precomputed ``(max_row, max_col)`` offset reach so
     hot callers skip re-deriving it per call.  Codes come back in the
     narrowest unsigned dtype holding ``len(offsets)`` bits (uint16 for the
-    13-cell ``diamond2``), which keeps the per-bit shift-and-or passes small.
+    13-cell ``diamond2``), which keeps the shift-and-or passes small.
+
+    Bit ``i`` of a code is the cell at ``offsets[i]``.  Consecutive offsets
+    that step one column right along a row form a row segment (``diamond2``
+    has segments of width 1, 3, 5, 3 and 1), and a segment's bits are one
+    shifted read of a run code: ``runs[n]`` packs ``n`` horizontally
+    adjacent cells, and is built from a narrower run by one overlapping
+    shift-and-or.  ``diamond2`` thus takes 8 passes instead of 13.  Items
+    are hashed in chunks of about ``_CHUNK_CELLS`` cells, so the padded
+    copy and the run codes stay small however large the stack (``fit``
+    hashes whole training stacks).
     """
     batched = x.ndim == 3
     arr = x if batched else x[None]
@@ -101,24 +115,56 @@ def neighborhood_codes(
             max(abs(dr) for dr, _ in offsets),
             max(abs(dc) for _, dc in offsets),
         )
+    segments = []  # [row offset, first column offset, width, first bit]
+    for bit, (dr, dc) in enumerate(offsets):
+        last = segments[-1] if segments else None
+        if last and last[0] == dr and last[1] + last[2] == dc:
+            last[2] += 1
+        else:
+            segments.append([dr, dc, 1, bit])
+    codes = np.empty(arr.shape, dtype=np.min_scalar_type((1 << len(offsets)) - 1))
+    step = max(1, _CHUNK_CELLS // max(1, arr.shape[1] * arr.shape[2]))
+    for lo in range(0, arr.shape[0], step):
+        _hash_segments(arr[lo : lo + step], segments, pads, codes[lo : lo + step])
+    return codes if batched else codes[0]
+
+
+def _hash_segments(
+    arr: np.ndarray, segments: Sequence[list], pads: Tuple[int, int],
+    out: np.ndarray,
+) -> None:
+    """Write the codes of a ``(B, H, W)`` stack into ``out`` from its row
+    segments (see :func:`neighborhood_codes`)."""
     max_r, max_c = pads
     h, w = arr.shape[1], arr.shape[2]
-    pad = np.zeros((arr.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=arr.dtype)
+    pad = np.zeros(
+        (arr.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=out.dtype
+    )
     pad[:, max_r : max_r + h, max_c : max_c + w] = arr
-    dtype = np.min_scalar_type((1 << len(offsets)) - 1)
-    codes = np.zeros(arr.shape, dtype=dtype)
-    for bit, (dr, dc) in enumerate(offsets):
+    # runs[n][..., c] holds cells c .. c + n - 1 of a padded row in bits
+    # 0 .. n - 1; ORing runs[a] with runs[a] read ``step <= a`` columns on
+    # gives runs[a + step] (the overlapping bits agree).
+    runs = {1: pad}
+    for n in sorted({width for _, _, width, _ in segments}):
+        while max(runs) < n:
+            a = max(runs)
+            step = min(a, n - a)
+            runs[a + step] = runs[a][..., :-step] | (runs[a][..., step:] << step)
+    for i, (dr, dc, width, bit) in enumerate(segments):
         r0, c0 = max_r + dr, max_c + dc
-        codes |= np.left_shift(pad[:, r0 : r0 + h, c0 : c0 + w], bit, dtype=dtype)
-    return codes if batched else codes[0]
+        part = runs[width][:, r0 : r0 + h, c0 : c0 + w]
+        if i == 0:
+            np.left_shift(part, bit, out=out)
+        else:
+            out |= part << bit
 
 
 def block_sums(x: np.ndarray, scale: int) -> np.ndarray:
     """Filled-cell count of every ``scale x scale`` block (pads with zeros).
 
     Accepts ``(H, W)`` or a batched ``(B, H, W)`` stack of {0, 1} cells.
-    The sums are taken in the narrowest unsigned dtype holding ``scale**2``,
-    as ``scale`` strided row slices, then column slices.
+    The sums are taken in the narrowest unsigned dtype holding ``scale**2``
+    (see :func:`_sum_blocks`).
     """
     x = np.asarray(x, dtype=np.uint8)
     h, w = x.shape[-2], x.shape[-1]
@@ -128,13 +174,19 @@ def block_sums(x: np.ndarray, scale: int) -> np.ndarray:
     if ph or pw:
         padded = np.zeros(x.shape[:-2] + (h + ph, w + pw), dtype=x.dtype)
         padded[..., :h, :w] = x
-    dtype = np.min_scalar_type(scale * scale)
-    rows = padded[..., 0::scale, :].astype(dtype)
-    for i in range(1, scale):
-        rows += padded[..., i::scale, :]
-    total = rows[..., 0::scale].copy()
-    for j in range(1, scale):
-        total += rows[..., j::scale]
+    return _sum_blocks(padded, scale, np.min_scalar_type(scale * scale))
+
+
+def _sum_blocks(x: np.ndarray, factor: int, dtype) -> np.ndarray:
+    """Sum ``factor x factor`` blocks of ``x`` (sides divisible by
+    ``factor``) in ``dtype``: ``factor`` strided row slices, then column
+    slices."""
+    rows = x[..., 0::factor, :].astype(dtype)
+    for i in range(1, factor):
+        rows += x[..., i::factor, :]
+    total = rows[..., 0::factor].copy()
+    for j in range(1, factor):
+        total += rows[..., j::factor]
     return total
 
 
@@ -440,10 +492,15 @@ class NeighborhoodDenoiser(Denoiser):
         cheap as single-style ones in the serving scheduler.
 
         Each scale gathers its table values at the pooled resolution and
-        upsamples the float32 values: a pooled block shares one code, so
-        this equals gathering the upsampled codes, at ``1/s**2`` the
-        gather work.  The compiled tables give float32 logits; the
-        ``use_compiled = False`` reference path keeps float64.
+        adds them to every cell of their block through a broadcast view: a
+        pooled block shares one code, so this equals gathering the
+        upsampled codes, at ``1/s**2`` the gather work.  The stack is
+        zero-padded once to a multiple of every scale, and each scale's
+        block sums are pooled from those of the largest finer scale that
+        divides it; the padding only adds empty blocks past the image,
+        which read as the zeros :func:`neighborhood_codes` pads with, and
+        is cropped at the end.  The compiled tables give float32 logits;
+        the ``use_compiled = False`` reference path keeps float64.
         """
         stack, conds, bucket = self._check_many(xk, noise_level, conditions)
         if not (self._compiled and self.use_compiled):
@@ -452,13 +509,36 @@ class NeighborhoodDenoiser(Denoiser):
         # adding it to the codes turns the per-item class lookup into one
         # big gather with no intermediate table copies.
         base = ((conds * self.n_buckets + bucket) * self._n_codes)[:, None, None]
-        logit = np.zeros(stack.shape, dtype=np.float32)
+        n, h, w = stack.shape
+        block = math.lcm(*self.scales)
+        hp, wp = h + (-h) % block, w + (-w) % block
+        padded = stack
+        if (hp, wp) != (h, w):
+            padded = np.zeros((n, hp, wp), dtype=np.uint8)
+            padded[:, :h, :w] = stack
+        sums = {1: padded}
+        logit = np.zeros(padded.shape, dtype=np.float32)
         for s in self.scales:
-            codes = neighborhood_codes(
-                downsample_binary(stack, s), self.offsets, pads=self._pads
-            )
+            finer = max(t for t in sums if s % t == 0)
+            if finer != s:
+                sums[s] = _sum_blocks(
+                    sums[finer], s // finer, np.min_scalar_type(s * s)
+                )
+            # A block is set when at least half its cells are.
+            major = sums[s] if s == 1 else (
+                sums[s] >= (s * s + 1) // 2
+            ).astype(np.uint8)
+            codes = neighborhood_codes(major, self.offsets, pads=self._pads)
             values = self._logit_tables[s].reshape(-1)[base + codes]
-            logit += upsample_to(values, s, stack.shape[1:])
+            if s == 1:
+                logit += values
+                continue
+            # Repeat along columns, broadcast along the block's rows (a
+            # broadcast over both leaves s-long inner loops, slower at s=2).
+            rows = logit.reshape(n, hp // s, s, wp)
+            rows += values.repeat(s, axis=-1)[:, :, None, :]
+        if (hp, wp) != (h, w):
+            logit = np.ascontiguousarray(logit[:, :h, :w])
         return logit
 
     def _predict_x0_many_reference(

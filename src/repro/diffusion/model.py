@@ -211,8 +211,9 @@ class ConditionalDiffusionModel:
         The whole stack shares one denoiser call (the CFG-batching idiom
         adapted to class tables), and the step stays on its float32 logits:
         sharpening scales them, density guidance adds a per-item offset that
-        pins each item's class fill rate, and one uniform per cell draws
-        ``x0_hat`` and its re-noising together.
+        pins each item's class fill rate (solved from 0 here; the trajectory
+        loops carry it from step to step), and one uniform per cell draws
+        ``x0_hat`` and its re-noising together.  See :meth:`_reverse_step`.
         """
         xk = np.asarray(xk, dtype=np.uint8)
         if xk.ndim != 3:
@@ -225,29 +226,61 @@ class ConditionalDiffusionModel:
             k_next = k - 1
         if not 0 <= k_next < k:
             raise ValueError(f"k_next {k_next} must be in [0, {k})")
+        return self._reverse_step(
+            xk, k, k_next, conditions, rng, deterministic=deterministic
+        )[0]
+
+    def _reverse_step(
+        self,
+        xk: np.ndarray,
+        k: int,
+        k_next: int,
+        conditions: Sequence[Optional[int]],
+        rng: np.random.Generator,
+        offset: Optional[np.ndarray] = None,
+        deterministic: bool = False,
+        keep: Optional[np.ndarray] = None,
+        known: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The reverse step behind :meth:`denoise_step_batch`,
+        :meth:`sample_batch` and :func:`repro.ops.modify.modify_batch`.
+
+        Takes a checked uint8 ``(B, H, W)`` stack and returns the next state
+        with the per-item density offsets it calibrated.  ``offset`` is the
+        previous step's, from which the calibration starts (``None``: from
+        0).  ``keep``/``known`` make the step masked: kept cells take
+        ``known`` as their ``x0_hat``, so the x0 sampler's re-noising draws
+        them from the forward process at ``k_next`` (a one with probability
+        ``b + known (1 - 2b)``), with the same single uniform per cell, and
+        the deterministic final step returns ``known`` on them exactly.
+        """
         level = self.schedule.beta_bar(k)
         z = self.denoiser.predict_logits_many(xk, level, conditions)
+        # Progressive sharpening: as the noise anneals away, raise the
+        # inverse temperature of the x0 posterior.  Wobbling edges (one
+        # cell in/out per row) are the costliest artefact for legalization
+        # — they chain interval constraints across rows — and
+        # near-deterministic late steps straighten them out.  In logit
+        # space ``p^g / (p^g + (1-p)^g)`` is a scale by ``g``.
+        gamma = 1.0
         if self.sharpen > 0:
-            # Progressive sharpening: as the noise anneals away, raise the
-            # inverse temperature of the x0 posterior.  Wobbling edges (one
-            # cell in/out per row) are the costliest artefact for
-            # legalization — they chain interval constraints across rows —
-            # and near-deterministic late steps straighten them out.  In
-            # logit space ``p^g / (p^g + (1-p)^g)`` is a scale by ``g``.
-            z *= 1.0 + self.sharpen * (1.0 - level / 0.5)
-        np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
+            gamma += self.sharpen * (1.0 - level / 0.5)
+        e = _exp_neg_logits(z, gamma)
         if self.density_guidance:
-            p = _calibrate_density(z, self._targets(conditions))[0]
+            p, offset = _density_offsets(e, self._targets(conditions), offset)
         else:
-            p = sigmoid(z)
+            e += 1.0
+            p = np.reciprocal(e, out=e)
+        if keep is not None:
+            np.copyto(p, known, where=keep)
         if self.sampler == "posterior" and k_next == k - 1:
             p_prev = self.schedule.posterior_mix(xk, p, k)
             if deterministic:
-                return (p_prev > 0.5).astype(np.uint8)
-            return (rng.random(xk.shape) < p_prev).astype(np.uint8)
+                return (p_prev > 0.5).astype(np.uint8), offset
+            return (rng.random(xk.shape) < p_prev).astype(np.uint8), offset
         if deterministic:
             if k_next == 0:
-                return (p > 0.5).astype(np.uint8)
+                return (p > 0.5).astype(np.uint8), offset
             p = (p > 0.5).astype(p.dtype)
         # Drawing x0_hat ~ Bernoulli(p) and then flipping each cell with
         # probability b = beta_bar(k_next) gives a one with probability
@@ -256,7 +289,8 @@ class ConditionalDiffusionModel:
             flip = self.schedule.beta_bar(k_next)
             p *= 1.0 - 2.0 * flip
             p += flip
-        return (rng.random(xk.shape, dtype=np.float32) < p).astype(np.uint8)
+        draw = rng.random(xk.shape, dtype=np.float32)
+        return (draw < p).astype(np.uint8), offset
 
     def _targets(self, conditions: Sequence[Optional[int]]) -> np.ndarray:
         """Per-item class fill rates, the density-guidance targets."""
@@ -363,10 +397,11 @@ class ConditionalDiffusionModel:
         if not conditions:
             return np.zeros((0, h, w), dtype=np.uint8)
         xk = self.prior_sample((len(conditions), h, w), rng)
+        offset = None
         for k, k_next in self.reverse_step_plan(sampler_steps):
-            xk = self.denoise_step_batch(
-                xk, k, conditions, rng,
-                deterministic=(k_next == 0), k_next=k_next,
+            xk, offset = self._reverse_step(
+                xk, k, k_next, conditions, rng, offset,
+                deterministic=(k_next == 0),
             )
         return self.polish_batch(xk, conditions)
 
@@ -413,32 +448,51 @@ def _row_quantiles(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return lower + (pos - lo) * (flat[rows, hi] - lower)
 
 
-def _calibrate_density(
-    z: np.ndarray, targets: np.ndarray
+def _exp_neg_logits(z: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-clip(gamma z))`` in three in-place passes over ``z``.
+
+    ``z`` is overwritten and returned.  The clip bound is ``LOGIT_CLIP``,
+    so with the calibration bracket ``|d| <= 30`` the products
+    ``e exp(-d)`` stay within about 1e±22 and cannot overflow float32.
+    """
+    np.multiply(z, -gamma, out=z)
+    np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
+    return np.exp(z, out=z)
+
+
+def _density_offsets(
+    e: np.ndarray, targets: np.ndarray, start: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Moment-matching density guidance over a ``(B, H, W)`` logit stack.
+    """Moment-matching density guidance over a ``(B, ...)`` stack of
+    ``e = exp(-z)``.
 
     Finds per-item logit offsets ``d`` that bring ``mean(sigmoid(z + d))``
     within 1e-4 of each item's class fill rate; returns the maps
-    ``sigmoid(z + d)`` (in ``z``'s dtype) and the float64 offsets.  Local
+    ``sigmoid(z + d)`` (in ``e``'s dtype) and the float64 offsets.  Local
     structure (the *relative* ordering of pixels) is untouched; only the
     global density is pinned, which prevents the density drift local
     denoisers exhibit over long reverse chains.
 
-    Each round takes one sigmoid of the full maps and sums it in float64;
-    round 0 (``d = 0``) leaves items already within 1e-4 as they are.
-    The offsets come from safeguarded Newton on ``[-30, 30]``: each round
-    shrinks the bracket around the root, and a Newton step that leaves it
-    (or divides by a vanished slope) bisects the bracket instead.  Settled
-    items keep their offset; unreachable targets end at the bracket edge.
+    ``sigmoid(z + d) = 1 / (1 + e exp(-d))``, so a round is a multiply, an
+    add, a reciprocal and two float64 row reductions, with no ``exp`` of
+    the map.  The offsets come from safeguarded Newton on ``[-30, 30]``,
+    starting from ``start`` (clipped into the bracket; ``None`` starts at
+    0), and the first round leaves items already within 1e-4 as they are.
+    Each round shrinks the bracket around the root, and a Newton step that
+    leaves it (or divides by a vanished slope) bisects the bracket instead.
+    Settled items keep their offset; unreachable targets end at the
+    bracket edge; 64 rounds at most.
     """
-    flat = z.reshape(len(z), -1)
-    offset = np.zeros(len(z))
-    lo = np.full(len(z), -30.0)
-    hi = np.full(len(z), 30.0)
+    flat = e.reshape(len(e), -1)
+    offset = np.zeros(len(e)) if start is None else np.clip(start, -30.0, 30.0)
+    lo = np.full(len(e), -30.0)
+    hi = np.full(len(e), 30.0)
+    p = np.empty_like(flat)
     for rounds in range(1, 65):
-        p = sigmoid(flat + offset.astype(flat.dtype)[:, None])
-        mean = p.mean(axis=1, dtype=np.float64)
+        np.multiply(flat, np.exp(-offset).astype(flat.dtype)[:, None], out=p)
+        p += 1.0
+        np.reciprocal(p, out=p)
+        mean = p.sum(axis=1, dtype=np.float64) / flat.shape[1]
         excess = mean - targets
         # mean(p (1 - p)); the slope only steers the step, so the sum of
         # squares may accumulate in the map's dtype.
@@ -450,5 +504,19 @@ def _calibrate_density(
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
         settled = (np.abs(excess) < 1e-4) | (np.abs(step - offset) <= 1e-9)
         if settled.all() or rounds == 64:
-            return p.reshape(z.shape), offset
+            return p.reshape(e.shape), offset
         offset = np.where(settled, offset, step)
+
+
+def _calibrate_density(
+    z: np.ndarray, targets: np.ndarray, start: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_density_offsets` for a ``(B, ...)`` logit stack ``z``.
+
+    Returns ``sigmoid(z + d)``, computed from the logits (in ``z``'s
+    dtype), and the float64 offsets ``d``; ``z`` is left as it is.  The
+    reverse step skips the final sigmoid and keeps the solver's own maps.
+    """
+    _, offset = _density_offsets(np.exp(-z), targets, start)
+    shape = (-1,) + (1,) * (z.ndim - 1)
+    return sigmoid(z + offset.astype(z.dtype).reshape(shape)), offset

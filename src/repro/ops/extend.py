@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.diffusion.model import ConditionalDiffusionModel
-from repro.ops.modify import modify_batch
+from repro.ops.modify import _resolve_masked_corners, modify_batch
 
 
 def n_in_samplings(width: int, height: int, window: int) -> int:
@@ -161,7 +161,10 @@ def out_paint(
     The seed is placed at the origin and windows are planned in raster
     order, so every new window overlaps already-known cells on its
     top/left border.  The plan then runs in :func:`wavefront_levels`
-    order, each level batched at most one row of windows at a time.
+    order, each level batched at most one row of windows at a time.  A
+    window clears the corner touches it can see; a touch whose diagonal
+    pair straddles a window's outer corner is cleared at the end, on the
+    whole canvas, without altering the seed.
     """
     seed = np.asarray(seed_topology, dtype=np.uint8)
     window = model.window
@@ -183,6 +186,9 @@ def out_paint(
             model, canvas, [windows[i] for i in batch],
             [keeps[i] for i in batch], condition, rng, row_size, sampler_steps,
         )
+    seed_cells = np.zeros(canvas.shape, dtype=bool)
+    seed_cells[: seed.shape[0], : seed.shape[1]] = True
+    canvas = _resolve_masked_corners(canvas, seed_cells)
     return ExtensionResult(
         topology=canvas, method="out", samplings=len(windows), windows=windows
     )
@@ -205,7 +211,9 @@ def in_paint(
     tile-aligned size and cropped to ``target_shape``.  Each group (the
     tiles, the vertical seams, the horizontal seams, the corners) holds
     windows that do not overlap, so it runs batched, at most one row of
-    tiles at a time.
+    tiles at a time.  Corner touches whose diagonal pair straddles a
+    window's outer corner are cleared at the end; seed cells that no seam
+    window re-paints are never altered.
     """
     window = model.window
     band = seam_band or window // 2
@@ -217,6 +225,8 @@ def in_paint(
     full_h, full_w = gy * window, gx * window
 
     canvas = np.zeros((full_h, full_w), dtype=np.uint8)
+    # Seed cells no window has re-painted (yet).
+    seed_cells = np.zeros(canvas.shape, dtype=bool)
     tiles = [(j * window, i * window) for j in range(gy) for i in range(gx)]
     drawn = tiles
     if seed_topology is not None:
@@ -224,6 +234,7 @@ def in_paint(
         if seed.shape != (window, window):
             raise ValueError("seed must match the model window")
         canvas[:window, :window] = seed
+        seed_cells[:window, :window] = True
         drawn = tiles[1:]
     for lo in range(0, len(drawn), gx):
         chunk = drawn[lo : lo + gx]
@@ -261,9 +272,13 @@ def in_paint(
         )
         samplings += len(windows)
         visited.extend(windows)
+        for r0, c0 in windows:
+            seed_cells[r0 : r0 + window, c0 : c0 + window] &= keep == 1
 
     return ExtensionResult(
-        topology=canvas[:height, :width],
+        topology=_resolve_masked_corners(
+            canvas[:height, :width], seed_cells[:height, :width]
+        ),
         method="in",
         samplings=samplings,
         windows=visited,

@@ -74,10 +74,12 @@ def modify_batch(
     """:func:`modify` over a ``(B, H, W)`` stack in ONE masked trajectory.
 
     Item ``i`` keeps the cells where ``keep_masks[i]`` is 1 and regenerates
-    the rest under ``conditions[i]``.  Every reverse step noises the known
-    stack once and takes one :meth:`denoise_step_batch` over the whole
-    stack.  Items with nothing to regenerate are returned as they are and
-    use no random numbers.
+    the rest under ``conditions[i]``.  Every reverse step is one masked
+    step over the whole stack (the model's ``_reverse_step``): kept cells
+    are the known stack forward-noised to the step's level, drawn with the
+    same one uniform per cell as the painted ones, and the density offsets
+    carry from step to step.  Items with nothing to regenerate are
+    returned as they are and use no random numbers.
     """
     known = np.asarray(topologies, dtype=np.uint8)
     keep = np.asarray(keep_masks).astype(bool)
@@ -97,14 +99,15 @@ def modify_batch(
     conds = [conditions[i] for i in todo]
 
     xk = model.prior_sample(known.shape, rng)
+    offset = None
     for k, k_next in model.reverse_step_plan(sampler_steps):
-        # T_{k_next}^known ~ q(. | T_0^known)  (forward process to k_next)
-        known_prev = model.noise_to(known, k_next, rng)
-        # T_{k_next}^unknown ~ p_theta(. | T_k, c)
-        unknown_prev = model.denoise_step_batch(
-            xk, k, conds, rng, deterministic=(k_next == 0), k_next=k_next
+        # One draw per cell: T_{k_next}^unknown ~ p_theta(. | T_k, c) on
+        # the painted cells, T_{k_next}^known ~ q(. | T_0^known) (the
+        # forward process to k_next) on the kept ones.
+        xk, offset = model._reverse_step(
+            xk, k, k_next, conds, rng, offset,
+            deterministic=(k_next == 0), keep=keep, known=known,
         )
-        xk = np.where(keep, known_prev, unknown_prev)
     combined = np.where(keep, known, model.polish_batch(xk, conds))
     for j, i in enumerate(todo):
         out[i] = _resolve_masked_corners(combined[j], keep[j])

@@ -307,3 +307,50 @@ class TestFittedModelPin:
             TrainConfig(window=64, train_count=3, seed=5)
         ))
         assert _model_digest(model.denoiser) == self.RECIPE_DIGEST
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    return fit_model(ModelKey.from_config(TrainConfig()))
+
+
+class TestPredictionPin:
+    """``predict_logits_many`` of the default-recipe model, byte for byte.
+
+    Each digest covers both classes at three noise levels for one random
+    stack; they were recorded from the per-scale ``block_sums`` pooling,
+    ``repeat`` upsampling and one-shift-per-offset hashing.
+    """
+
+    DIGESTS = {
+        (1, 128, 128): (
+            "b3907aed4a8b74f81b8ce927b0f8a741"
+            "c5e9433f574527bed3ccec10c2e6b8d2"
+        ),
+        (3, 128, 128): (
+            "a1aa05e7f1c908b4031ac3227221ba54"
+            "210efb2a00c40a3b29b2a9d78f0c3c67"
+        ),
+        (2, 100, 90): (
+            "c9c33a585b968f7c4241389f7702ea5d"
+            "2a35e47b034c2fed5f7660e4999dfb72"
+        ),
+        (1, 13, 21): (
+            "e8f1075e9aa3a2d58b9f8d6a8bc68f03"
+            "52660a26a4b5bec9d0bf050256449de6"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DIGESTS))
+    def test_logits(self, default_model, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = (rng.random(shape) < 0.5).astype(np.uint8)
+        h = hashlib.sha256()
+        for cls in (0, 1):
+            for level in (0.01, 0.2, 0.5):
+                z = default_model.denoiser.predict_logits_many(
+                    stack, level, [cls] * shape[0]
+                )
+                assert z.dtype == np.float32 and z.shape == shape
+                h.update(z.tobytes())
+        assert h.hexdigest() == self.DIGESTS[shape]

@@ -186,7 +186,9 @@ class TestNarrowCodes:
         return codes
 
     @pytest.mark.parametrize(
-        "spec,bits", [("plus1", 5), ((3, 3), 9), ("diamond2", 13), ("diamond3", 25)]
+        "spec,bits",
+        [("plus1", 5), ((3, 3), 9), ("diamond2", 13), ("diamond3", 25),
+         ((5, 3), 15), ("plus2", 9)],
     )
     def test_matches_int64_formula(self, spec, bits):
         offsets = window_offsets(spec)

@@ -1,10 +1,12 @@
 """The reverse step in logit space with one random draw per cell.
 
 ``denoise_step_batch`` sharpens by scaling the denoiser's logits,
-calibrates density with a per-item logit offset and draws the next state
-with one uniform per cell; ``polish_batch`` and corner resolution compare
-logits.  These tests pin each piece to the probability-space math it
-replaced, and pin the statistics of the compiled kernel to the
+calibrates density with a per-item logit offset (solved on
+``exp(-clip(gamma z))``, warm-started along a trajectory) and draws the
+next state with one uniform per cell, kept cells of a masked chain
+included; ``polish_batch`` and corner resolution compare logits.  These
+tests pin each piece to the probability-space math it replaced, and pin
+the statistics of the compiled kernel to the
 ``use_compiled = False`` reference path.
 """
 
@@ -18,7 +20,12 @@ from repro.diffusion import (
     MarginalDenoiser,
 )
 from repro.diffusion.denoisers.base import LOGIT_CLIP
-from repro.diffusion.model import _clear_weakest_touch_cells, _row_quantiles
+from repro.diffusion.model import (
+    _clear_weakest_touch_cells,
+    _density_offsets,
+    _exp_neg_logits,
+    _row_quantiles,
+)
 from repro.geometry import diagonal_touch_pairs
 from repro.metrics import diversity, legalize_many
 from repro.ops.extend import extend
@@ -95,6 +102,102 @@ class TestOneDraw:
         )
         bound = 5.0 * np.sqrt(expected * (1.0 - expected) / out.size)
         assert abs(out.mean() - expected) < bound
+
+
+class TestMaskedDraw:
+    """A masked step draws kept cells from the forward process to
+    ``k_next`` with the same one uniform per cell as the painted ones."""
+
+    SHAPE = (4, 128, 128)
+    P = 0.3
+
+    def _step(self, k_next, deterministic=False):
+        model = _marginal_model(self.P)
+        rng = np.random.default_rng(k_next)
+        known = (rng.random(self.SHAPE) < 0.4).astype(np.uint8)
+        keep = np.zeros(self.SHAPE, dtype=bool)
+        keep[:, :, :80] = True
+        xk = (rng.random(self.SHAPE) < 0.5).astype(np.uint8)
+        conditions = [None] * self.SHAPE[0]
+        out, _ = model._reverse_step(
+            xk, 16, k_next, conditions, rng,
+            deterministic=deterministic, keep=keep, known=known,
+        )
+        return model, out, keep, known
+
+    @staticmethod
+    def _assert_frequency(values, expected):
+        bound = 5.0 * np.sqrt(expected * (1.0 - expected) / values.size)
+        assert abs(values.mean() - expected) < bound, (values.mean(), expected)
+
+    @pytest.mark.parametrize("k_next", [3, 15])
+    def test_kept_cells_flip_at_beta_bar(self, k_next):
+        model, out, keep, known = self._step(k_next)
+        flip = model.schedule.beta_bar(k_next)
+        self._assert_frequency((out != known)[keep], flip)
+        self._assert_frequency(out[~keep], flip + (1.0 - 2.0 * flip) * self.P)
+
+    def test_final_step_keeps_known(self):
+        _, out, keep, known = self._step(0, deterministic=True)
+        assert np.array_equal(out[keep], known[keep])
+        assert not out[~keep].any()  # the mode of p = 0.3
+
+
+class TestExpFormCalibration:
+    """The step's density solver works on ``e = exp(-clip(gamma z))``:
+    its maps are ``sigmoid(clip(gamma z) + d)`` up to float32 rounding,
+    from a cold or a warm start."""
+
+    TARGETS = np.array([0.15, 0.4, 0.7])
+
+    @staticmethod
+    def _logits(seed):
+        rng = np.random.default_rng(seed)
+        p = np.clip(rng.random((3, 48, 40)) ** 2, 1e-9, 1.0 - 1e-9)
+        return np.log(p / (1.0 - p)).astype(np.float32)
+
+    def _assert_on_target(self, p):
+        means = p.mean(axis=(1, 2), dtype=np.float64)
+        assert np.abs(means - self.TARGETS).max() < 1e-4
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_agrees_with_sigmoid(self, gamma):
+        z = self._logits(0)
+        p, offsets = _density_offsets(
+            _exp_neg_logits(z.copy(), gamma), self.TARGETS
+        )
+        assert p.dtype == np.float32 and p.shape == z.shape
+        shifted = np.clip(gamma * z.astype(np.float64), -LOGIT_CLIP, LOGIT_CLIP)
+        shifted += offsets[:, None, None]
+        expected = 1.0 / (1.0 + np.exp(-shifted))
+        assert np.abs(p - expected).max() < 1e-6
+        self._assert_on_target(p)
+
+    def test_warm_and_cold_starts_reach_target(self):
+        e = _exp_neg_logits(self._logits(1), 2.0)
+        p, cold = _density_offsets(e, self.TARGETS)
+        self._assert_on_target(p)
+        for start in (cold + 0.5, cold - 2.0, np.array([100.0, -100.0, 0.0])):
+            p, warm = _density_offsets(e, self.TARGETS, start)
+            self._assert_on_target(p)
+            assert np.all(np.abs(warm) <= 30.0)
+        # A start within the tolerance of the root settles in the first
+        # round and is kept as it is.
+        _, warm = _density_offsets(e, self.TARGETS, cold + 1e-6)
+        assert np.array_equal(warm, cold + 1e-6)
+
+    @pytest.mark.parametrize(
+        "logit,target,edge", [(-25.0, 0.9999, 30.0), (25.0, 1e-5, -30.0)]
+    )
+    @pytest.mark.parametrize("start", [None, 0.5])
+    def test_unreachable_target_ends_at_bracket_edge(
+        self, logit, target, edge, start
+    ):
+        e = np.exp(np.full((1, 4, 4), -logit, dtype=np.float32))
+        start = None if start is None else np.array([start])
+        p, offsets = _density_offsets(e, np.array([target]), start)
+        assert offsets[0] == pytest.approx(edge, abs=1e-6)
+        assert np.allclose(p, 1.0 / (1.0 + np.exp(-(logit + edge))))
 
 
 class TestBaseLogits:
