@@ -8,8 +8,8 @@ mixed two-style batch of dataset topologies is legalized three ways —
   per-run/per-polygon implementation (the pre-engine architecture);
 - **sequential vectorized**: the same loop on the vectorized engine
   (``legalize_many`` with one worker) — isolates the NumPy run/DRC rewrite;
-- **parallel vectorized**: ``legalize_many`` on its thread pool — the full
-  batch-legalization stage ``PatternService.legalize_and_store`` runs.
+- **parallel vectorized**: ``legalize_many`` on its thread pool — what
+  ``PatternPipeline.legalize_topologies`` runs for a batch.
 
 All three paths must agree on every legality outcome; the combined engine +
 fan-out speedup is asserted to be >= 3x.  ``REPRO_SMOKE=1`` shrinks the

@@ -8,10 +8,9 @@ Layers (front to back):
 - :class:`ServeEngine` — the execution engine: a bounded admission queue
   (``queue_limit`` backpressure, per-job deadlines), pluggable
   :class:`BatchPolicy` batching (``greedy`` | ``shape_bucketed`` |
-  ``fair_share``), an ``engine_workers``-sized executor pool draining
-  batches in parallel, and multi-model routing via :meth:`ServeEngine.bind`.
-- :class:`ExecutorBackend` — the seam of the engine's execution tier;
-  :class:`ThreadExecutor` runs ``engine_workers`` in-process threads.
+  ``fair_share`` | ``adaptive``), ``engine_workers`` in-process threads
+  draining batches in parallel, and multi-model routing via
+  :meth:`ServeEngine.bind`.
 - :class:`EngineClient` / :class:`BatchedSamplingModel` — the
   model-bound handle :meth:`ServeEngine.bind` returns, and the per-request
   drop-in model wrapping it: compatible sampling work from different
@@ -48,7 +47,6 @@ from repro.serve.engine import (
     UnknownPolicyError,
     resolve_batch_policy,
 )
-from repro.serve.executors import ExecutorBackend, ThreadExecutor
 from repro.serve.jobs import (
     CODE_SERVER_RESTART,
     JOB_STATES,
@@ -73,7 +71,6 @@ from repro.serve.service import (
 from repro.serve.stats import (
     BatchRecord,
     EngineStats,
-    LegalizeStageRecord,
     RequestStats,
     SchedulerStats,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "EngineError",
     "EngineJob",
     "EngineStats",
-    "ExecutorBackend",
     "FairSharePolicy",
     "GreedyPolicy",
     "JOB_STATES",
@@ -106,7 +102,6 @@ __all__ = [
     "JobStateStore",
     "JobTable",
     "JobTimeout",
-    "LegalizeStageRecord",
     "LibraryStore",
     "ModelKey",
     "ModelRegistry",
@@ -125,7 +120,6 @@ __all__ = [
     "StoreRecord",
     "StoreReport",
     "TERMINAL_STATES",
-    "ThreadExecutor",
     "TrajectoryPlan",
     "UnknownPolicyError",
     "error_code_for",

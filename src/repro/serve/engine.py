@@ -15,9 +15,8 @@ explicit layers, each independently configurable:
    across the whole queue so one trajectory carries as many samples as
    possible, ``fair_share`` round-robins across request *sources* so a
    bulk client cannot starve interactive ones.
-3. **Executor pool** — ``engine_workers`` in-process threads
-   (:class:`~repro.serve.executors.ThreadExecutor`, behind the
-   :class:`~repro.serve.executors.ExecutorBackend` seam).  Incompatible
+3. **Executor pool** — ``engine_workers`` in-process threads, each
+   gathering a batch and running its trajectories.  Incompatible
    batches (different shapes, step schedules or models) do not
    serialize behind each other.  ``stop`` drains gracefully, with three
    lifecycle guarantees: submit-after-stop raises, restart works, and
@@ -33,6 +32,11 @@ Callers drive the engine through the client :meth:`ServeEngine.bind`
 returns; the engine owns the lifecycle (``start`` / ``stop`` or ``with
 engine:``).  :class:`~repro.serve.batching.BatchedSamplingModel` wraps a
 client as a drop-in model for the agent's tools.
+
+Every scheduling decision takes its instant as a plain ``now`` argument
+(policy selection and aging, planning, load snapshots), so the offline
+tuner (:func:`repro.tune.simulate.simulate_trial`) replays traffic
+through an unstarted engine on virtual time.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from repro.obs.metrics import (
     bucket_percentile,
     default_metrics,
 )
-from repro.serve.executors import ThreadExecutor
 from repro.serve.stats import BatchRecord, EngineStats, SchedulerStats
 from repro.tune.controller import AdaptiveController, EngineLoadSnapshot
 
@@ -185,7 +188,7 @@ class EngineJob:
 
 
 class TrajectoryPlan:
-    """One fully-derived trajectory: the unit an executor backend runs.
+    """One fully-derived trajectory: the unit a worker runs.
 
     :meth:`ServeEngine._plan` turns a selected batch into plans — jobs
     grouped by trajectory key, re-sorted into arrival order, conditions
@@ -244,12 +247,14 @@ class BatchPolicy:
     Policies may keep state (e.g. fair-share rotation); the engine only
     calls ``select`` under the queue lock, so no extra locking is needed.
     Selection should stay O(jobs): it runs with admission blocked.
+    ``now`` is the selection instant on the jobs' ``submitted_at`` clock;
+    a policy that ages jobs reads time from it, never from the wall.
     """
 
     name = "base"
 
     def select(
-        self, jobs: Sequence[EngineJob], max_batch: int
+        self, jobs: Sequence[EngineJob], max_batch: int, now: float
     ) -> List[EngineJob]:
         raise NotImplementedError
 
@@ -281,7 +286,7 @@ class GreedyPolicy(BatchPolicy):
 
     name = "greedy"
 
-    def select(self, jobs, max_batch):
+    def select(self, jobs, max_batch, now):
         picked: List[EngineJob] = []
         total = 0
         for job in jobs:
@@ -314,12 +319,12 @@ class ShapeBucketedPolicy(BatchPolicy):
     def __init__(self, max_wait: float = 0.25) -> None:
         self.max_wait = float(max_wait)
 
-    def select(self, jobs, max_batch):
+    def select(self, jobs, max_batch, now):
         buckets: "OrderedDict[Tuple, List[EngineJob]]" = OrderedDict()
         for job in jobs:
             buckets.setdefault(job.batch_key, []).append(job)
         oldest = min(jobs, key=lambda job: job.submitted_at)
-        if time.perf_counter() - oldest.submitted_at > self.max_wait:
+        if now - oldest.submitted_at > self.max_wait:
             best = buckets[oldest.batch_key]
         else:
             # Insertion order IS first-arrival order, so the enumeration
@@ -354,7 +359,7 @@ class FairSharePolicy(BatchPolicy):
     def __init__(self) -> None:
         self._served: Dict[str, int] = {}
 
-    def select(self, jobs, max_batch):
+    def select(self, jobs, max_batch, now):
         by_source: "OrderedDict[str, deque]" = OrderedDict()
         for job in jobs:
             by_source.setdefault(job.source, deque()).append(job)
@@ -459,8 +464,8 @@ class AdaptivePolicy(BatchPolicy):
         cap = max(base, 0.25 * ctrl.config.slo_p95)
         engine.gather_window = min(base * ctrl.gather_scale(), cap)
 
-    def select(self, jobs, max_batch):
-        picked = self.inner.select(jobs, max_batch)
+    def select(self, jobs, max_batch, now):
+        picked = self.inner.select(jobs, max_batch, now)
         level = self.controller.level
         if level > 0:
             for job in picked:
@@ -561,7 +566,7 @@ class ServeEngine:
         self._has_work = threading.Condition(self._lock)
 
         # -- executor pool (layer 3) ----------------------------------
-        self.executor = ThreadExecutor()
+        self._threads: List[threading.Thread] = []
         self._draining = threading.Event()  # graceful: finish the queue
         self._halt = threading.Event()  # hard: finish in-flight, fail rest
         self._stopped = False  # a stopped engine refuses new jobs
@@ -704,7 +709,7 @@ class ServeEngine:
 
     @property
     def running(self) -> bool:
-        return self.executor.running
+        return any(thread.is_alive() for thread in self._threads)
 
     def start(self) -> "ServeEngine":
         with self._lifecycle_lock:
@@ -713,8 +718,24 @@ class ServeEngine:
             self._draining.clear()
             self._halt.clear()
             self._stopped = False
-            self.executor.start(self)
+            self._threads = [
+                threading.Thread(
+                    target=self._worker_loop,
+                    args=(index,),
+                    name=f"repro-serve-engine-{index}",
+                    daemon=True,
+                )
+                for index in range(self.engine_workers)
+            ]
+            for thread in self._threads:
+                thread.start()
             return self
+
+    def _join(self, deadline: float) -> None:
+        """Wait (until ``deadline``, perf_counter clock) for the workers to
+        leave their loops; the drain/halt events must be set first."""
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.perf_counter()))
 
     def stop(self, timeout: float = 10.0) -> None:
         """Drain queued jobs, then stop the worker pool.
@@ -728,20 +749,19 @@ class ServeEngine:
         """
         with self._lifecycle_lock:
             if not self.running:
-                self.executor.shutdown()
+                self._threads = []
                 return
             self._draining.set()
             with self._has_work:
                 self._has_work.notify_all()
-            deadline = time.perf_counter() + timeout
-            self.executor.join(deadline)
-            if self.executor.running:
+            self._join(time.perf_counter() + timeout)
+            if self.running:
                 self._halt.set()
                 with self._has_work:
                     self._has_work.notify_all()
-                self.executor.join(time.perf_counter() + timeout)
-            if not self.executor.running:
-                self.executor.shutdown()
+                self._join(time.perf_counter() + timeout)
+            if not self.running:
+                self._threads = []
                 self._stopped = True
                 # Hard-halt case: sweep whatever the pool never drained.
                 self._fail_pending("engine stopped before job ran")
@@ -889,17 +909,7 @@ class ServeEngine:
                             self._expire_locked(time.perf_counter())
                         )
                     if self._jobs:
-                        selected = self.policy.select(
-                            list(self._jobs), self.max_batch
-                        )
-                        if selected:
-                            chosen = set(id(job) for job in selected)
-                            self._jobs = [
-                                job
-                                for job in self._jobs
-                                if id(job) not in chosen
-                            ]
-                            self._m_queue_depth.set(len(self._jobs))
+                        selected = self._select_locked(time.perf_counter())
             # Futures resolve outside the queue lock: a caller woken by
             # set_exception must never contend with admission.
             self._fail_expired(expired)
@@ -910,17 +920,26 @@ class ServeEngine:
                 return selected
             # Everything expired or another worker selected first — loop.
 
+    def _select_locked(self, now: float) -> List[EngineJob]:
+        """Apply the policy at ``now`` and dequeue its pick (queue lock
+        held)."""
+        selected = self.policy.select(list(self._jobs), self.max_batch, now)
+        if selected:
+            chosen = set(id(job) for job in selected)
+            self._jobs = [job for job in self._jobs if id(job) not in chosen]
+            self._m_queue_depth.set(len(self._jobs))
+        return selected
+
     # -- execution (one trajectory per compatible group) ----------------
 
     def _plan(
-        self, jobs: Sequence[EngineJob], worker: int = 0
+        self, jobs: Sequence[EngineJob], now: float
     ) -> List[TrajectoryPlan]:
-        """Turn a selected batch into executable trajectory plans.
+        """Turn a batch selected at ``now`` into trajectory plans.
 
         Stamps selection timestamps, groups jobs by trajectory key, and
         derives each group's stacked conditions + seed list.
         """
-        now = time.perf_counter()
         for job in jobs:
             job.queue_wait = now - job.submitted_at
             job.selected_at = now
@@ -953,7 +972,7 @@ class ServeEngine:
 
     def _execute(self, jobs: Sequence[EngineJob], worker: int = 0) -> None:
         """Run a selected batch's trajectories on the calling worker."""
-        for plan in self._plan(jobs, worker=worker):
+        for plan in self._plan(jobs, time.perf_counter()):
             self._run_plan_local(plan, worker=worker)
 
     def _run_plan_local(self, plan: TrajectoryPlan, worker: int = 0) -> None:
@@ -973,21 +992,21 @@ class ServeEngine:
             self._fail_plan(plan, exc)
             return
         wall = time.perf_counter() - started
-        self._finish_plan(plan, samples, started, wall, worker=worker)
+        self._account(plan, started, wall, worker)
+        offset = 0
+        for job in plan.jobs:
+            job.batch_samples = plan.samples
+            job.exec_started_at = started
+            job.exec_ended_at = started + wall
+            job.future.set_result(samples[offset : offset + job.count])
+            offset += job.count
 
-    def _finish_plan(
-        self,
-        plan: TrajectoryPlan,
-        samples: np.ndarray,
-        started: float,
-        wall: float,
-        worker: int = 0,
+    def _account(
+        self, plan: TrajectoryPlan, started: float, wall: float, worker: int
     ) -> None:
-        """Record a delivered trajectory and distribute its samples.
-
-        ``started``/``wall`` are the trajectory's ``perf_counter`` start
-        and duration; they stamp the batch record and every rider.
-        """
+        """Book a trajectory that ran ``wall`` seconds from ``started``:
+        its batch record, the busy total the load snapshot reads, and
+        the batch histograms."""
         with self._records_lock:
             self._records.append(
                 BatchRecord(
@@ -1005,13 +1024,6 @@ class ServeEngine:
         self._m_batch_size.observe(plan.samples, policy=self.policy.name)
         self._m_batch_latency.observe(wall, policy=self.policy.name)
         self._m_worker_busy.inc(wall, worker=str(worker))
-        offset = 0
-        for job in plan.jobs:
-            job.batch_samples = plan.samples
-            job.exec_started_at = started
-            job.exec_ended_at = started + wall
-            job.future.set_result(samples[offset : offset + job.count])
-            offset += job.count
 
     @staticmethod
     def _fail_plan(plan: TrajectoryPlan, exc: BaseException) -> None:

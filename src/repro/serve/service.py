@@ -27,8 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro import faults
 from repro.agent.backend import LLMBackend, SimulatedLLM
 from repro.api.config import PipelineConfig
@@ -36,12 +34,10 @@ from repro.faults import FaultPlan
 from repro.api.pipeline import PatternPipeline, PipelineResult
 from repro.core.chatpattern import ChatPattern, ChatResult
 from repro.diffusion.model import ConditionalDiffusionModel
-from repro.drc.rules import DesignRules
 from repro.legalize.legalizer import (
     collect_legalize_timing,
     reset_legalize_timing,
 )
-from repro.metrics.legality import LegalityResult, default_legalize_workers
 from repro.obs.export import SnapshotWriter
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -62,7 +58,7 @@ from repro.serve.jobs import (
     error_code_for,
 )
 from repro.serve.registry import ModelKey, ModelRegistry
-from repro.serve.stats import LegalizeStageRecord, RequestStats, SchedulerStats
+from repro.serve.stats import RequestStats, SchedulerStats
 from repro.serve.store import LibraryStore
 
 #: Parameters a ``kind="pipeline"`` request may carry.
@@ -153,7 +149,6 @@ class ServiceStats:
     store: Optional[Dict] = None
     legalize_calls: int = 0
     legalize_seconds: float = 0.0
-    legalize_stages: List[LegalizeStageRecord] = field(default_factory=list)
     engine: Optional[Dict] = None
     jobs: Optional[Dict] = None
 
@@ -166,7 +161,6 @@ class ServiceStats:
             "registry": dict(self.registry),
             "legalize_calls": self.legalize_calls,
             "legalize_seconds": round(self.legalize_seconds, 4),
-            "legalize_stages": [s.as_dict() for s in self.legalize_stages],
         }
         if self.store is not None:
             payload["store"] = self.store
@@ -328,7 +322,6 @@ class PatternService:
         )
         self._pool: Optional[ThreadPoolExecutor] = None
         self._responses: List[ServeResponse] = []
-        self._legalize_stages: List[LegalizeStageRecord] = []
         # Aggregation must stay consistent while many request threads (and
         # overlapping serve() calls) finish concurrently.
         self._stats_lock = threading.Lock()
@@ -857,63 +850,6 @@ class PatternService:
             job_id=job.job_id if job is not None else None,
         )
 
-    # -- batch legalization stage --------------------------------------
-
-    def legalize_and_store(
-        self,
-        topologies: Sequence[np.ndarray],
-        style: str,
-        rules: Optional[DesignRules] = None,
-        physical_size: Optional[Tuple[int, int]] = None,
-        max_workers: Optional[int] = None,
-    ) -> LegalityResult:
-        """Post-sampling pipeline stage: batch-legalize, persist the legal.
-
-        Raw topologies (e.g. a batched sampling trajectory the caller pulled
-        straight off the engine) run through the shared
-        :class:`PatternPipeline` legalize/persist primitives: they fan out
-        over :func:`legalize_many`'s worker pool and DRC-clean results are
-        persisted into the attached store (content-hash deduplicated).  Each
-        invocation is recorded as a :class:`LegalizeStageRecord` in
-        :meth:`stats`.
-        """
-        items = list(topologies)
-        if max_workers is None:
-            max_workers = self.config.legalize.max_workers
-        workers = (
-            max_workers if max_workers is not None else default_legalize_workers()
-        )
-        # Mirror legalize_many's clamp so the record shows the pool actually
-        # used, not the requested ceiling.
-        workers = max(1, min(int(workers), len(items) or 1))
-        pipeline = PatternPipeline(
-            self.config,
-            model=self._model,
-            store=self.store,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        result = pipeline.legalize_topologies(
-            items,
-            style,
-            rules=rules,
-            physical_size=physical_size,
-            max_workers=workers,
-        )
-        record = LegalizeStageRecord(
-            topologies=result.total,
-            legal=len(result.legal),
-            wall_seconds=result.wall_seconds,
-            workers=workers,
-        )
-        report = pipeline.persist_library(result.legal)
-        if report is not None:
-            record.store_added = report.added
-            record.store_deduplicated = report.deduplicated
-        with self._stats_lock:
-            self._legalize_stages.append(record)
-        return result
-
     # -- observability -------------------------------------------------
 
     def retry_after_hint(self) -> int:
@@ -946,7 +882,6 @@ class PatternService:
         )
         with self._stats_lock:
             responses = list(self._responses)
-            legalize_stages = list(self._legalize_stages)
         return ServiceStats(
             requests=len(responses),
             produced=sum(r.produced for r in responses),
@@ -958,7 +893,6 @@ class PatternService:
             legalize_seconds=sum(
                 r.stats.legalize_seconds for r in responses
             ),
-            legalize_stages=legalize_stages,
             engine=(
                 self._engine.stats().as_dict()
                 if self._engine is not None

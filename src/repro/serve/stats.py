@@ -145,35 +145,6 @@ class EngineStats:
 
 
 @dataclass
-class LegalizeStageRecord:
-    """One batch legalize->store stage executed by the service."""
-
-    topologies: int
-    legal: int
-    wall_seconds: float
-    workers: int
-    store_added: int = 0
-    store_deduplicated: int = 0
-
-    @property
-    def patterns_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.topologies / self.wall_seconds
-
-    def as_dict(self) -> Dict:
-        return {
-            "topologies": self.topologies,
-            "legal": self.legal,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "workers": self.workers,
-            "patterns_per_sec": round(self.patterns_per_sec, 2),
-            "store_added": self.store_added,
-            "store_deduplicated": self.store_deduplicated,
-        }
-
-
-@dataclass
 class RequestStats:
     """Per-request service metrics (queue wait, batching, throughput).
 

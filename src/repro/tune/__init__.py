@@ -10,16 +10,16 @@ the latency SLO and hysteresis knobs):
   and widens batch gathering to hold the p95 SLO, restoring full quality
   once load calms.
 - **Offline** — the ``repro tune`` autotuner: replay a seeded
-  :class:`~repro.tune.workload.WorkloadSpec` through the deterministic
-  engine simulator (:mod:`repro.tune.simulate`) for a grid of knob
-  candidates, race them with successive halving
-  (:func:`~repro.tune.search.successive_halving`), and emit a tuned
-  :class:`~repro.api.config.PipelineConfig` plus a human-readable trial
-  report (:mod:`repro.tune.report`).
+  :class:`~repro.tune.workload.WorkloadSpec` on virtual time through an
+  unstarted :class:`~repro.serve.engine.ServeEngine`
+  (:mod:`repro.tune.simulate`) for a grid of knob candidates, race them
+  with successive halving (:func:`~repro.tune.search.successive_halving`),
+  and emit a tuned :class:`~repro.api.config.PipelineConfig` plus a
+  human-readable trial report (:mod:`repro.tune.report`).
 
-This package never imports :mod:`repro.serve` — the controller and the
-simulator stay pure so the engine can import the controller without a
-cycle, and simulated trials stay exactly reproducible.
+The engine imports the controller, so nothing here imports
+:mod:`repro.serve` at module level: the simulator loads the engine
+inside :func:`~repro.tune.simulate.simulate_trial`.
 """
 
 from repro.tune.controller import (

@@ -5,8 +5,7 @@ half (building :class:`EngineLoadSnapshot` views and applying the chosen
 degrade level to queued jobs) lives in
 :class:`~repro.serve.engine.AdaptivePolicy`.  Splitting them keeps this
 module pure — config + arithmetic, no threads, no engine imports — so the
-offline tuner's discrete-event simulator drives the *exact same*
-controller code the live engine runs.
+engine can import it without a cycle.
 
 Mechanics: each tick classifies the engine's load as *pressured*, *calm*
 or neutral.  ``degrade_after`` consecutive pressured ticks step the
@@ -65,8 +64,9 @@ def degrade_steps(requested: SamplerSpec, candidate: SamplerSpec) -> SamplerSpec
 class EngineLoadSnapshot:
     """One thread-consistent view of engine load, the controller's input.
 
-    Built by :meth:`~repro.serve.engine.ServeEngine.load_snapshot` under
-    the queue lock (or synthesized by the tuner's simulator).  ``at`` is a
+    Built by the engine under its queue lock
+    (:meth:`~repro.serve.engine.ServeEngine.load_snapshot`), on wall time
+    when serving and on virtual time in the offline tuner.  ``at`` is a
     ``perf_counter``-style instant used only for tick rate-limiting;
     ``queue_wait_p95`` is the *windowed* p95 of ``repro_queue_wait_seconds``
     (observations since the previous snapshot, not since boot), so the

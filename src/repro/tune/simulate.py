@@ -1,34 +1,35 @@
-"""Deterministic discrete-event simulator of the serving engine.
+"""Deterministic discrete-event simulation of the serving engine.
 
 The offline tuner needs *reproducible* trials: the acceptance contract of
 ``repro tune`` is "same workload spec + same seed → same winning config",
 which wall-clock runs against a live engine cannot promise (thread
-scheduling, machine load).  So candidate configs are scored against a
-virtual-clock model of the engine instead — the same four layers
-(admission with ``queue_limit`` rejection, gather window, batch policy,
-worker pool), the same trajectory grouping by ``(shape, sampler_steps)``,
-and for the ``adaptive`` policy the *real*
-:class:`~repro.tune.controller.AdaptiveController` ticking on synthesized
-:class:`~repro.tune.controller.EngineLoadSnapshot` views.
+scheduling, machine load).  So each candidate config is scored by
+replaying the arrival trace through a real, never-started
+:class:`~repro.serve.engine.ServeEngine` on virtual time: admission
+(``queue_limit`` rejection), the batch policy (selection, aging, the
+adaptive policy's ticks and gather widening), trajectory planning and
+the load snapshot are the engine's own code, handed simulated instants
+as their ``now`` arguments.  This module keeps only the event loop —
+which worker frees up next, the gather wait, the tick replay — and the
+cost of each trajectory.
 
 Execution cost comes from :class:`CostModel`: a trajectory costs a fixed
 dispatch overhead plus, per denoiser evaluation, a batch-size-independent
 base (the cost batching amortizes) and a per-sample increment.  The
 defaults are shaped like the repo's neighborhood denoiser (full = 128
 evals, bucketed ~ 16); absolute seconds don't matter — the tuner only
-needs the *ranking* of candidates to be faithful, and optionally
-validates the winner against a live engine afterwards.
+needs the *ranking* of candidates to be faithful.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.api.config import ConfigError, SERVE_POLICIES, StageConfig, TuneConfig
 from repro.diffusion.schedule import validate_sampler_steps
-from repro.tune.controller import AdaptiveController, EngineLoadSnapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.tune.workload import Arrival
 
 
@@ -151,73 +152,6 @@ def _percentile(sorted_values: List[float], p: float) -> float:
     return sorted_values[low] * (1.0 - frac) + sorted_values[high] * frac
 
 
-class _SimJob:
-    __slots__ = ("at", "count", "shape", "source", "requested", "effective")
-
-    def __init__(self, arrival: Arrival, configured_steps: Union[str, int]):
-        self.at = arrival.at
-        self.count = arrival.count
-        self.shape = arrival.shape
-        self.source = arrival.source
-        # What the workload *wants* (quality denominator): an explicit
-        # per-phase ask, else full quality.  What the candidate *runs*:
-        # the explicit ask wins (as a job-level override does on the live
-        # engine), otherwise the config's default schedule — so a
-        # statically degraded candidate pays for it in delivered quality,
-        # exactly like an adaptive degrade does.
-        ask = arrival.sampler_steps
-        self.requested = ask if ask is not None else "full"
-        self.effective = ask if ask is not None else configured_steps
-
-
-def _select(
-    policy: str,
-    queue: List[_SimJob],
-    max_batch: int,
-    served: Dict[str, int],
-) -> List[_SimJob]:
-    """The batch policies, mirrored onto sim jobs (arrival order kept)."""
-    if policy == "shape_bucketed":
-        buckets: "OrderedDict[Tuple, List[_SimJob]]" = OrderedDict()
-        for job in queue:
-            buckets.setdefault((job.shape, job.effective), []).append(job)
-        pool = min(
-            buckets.values(), key=lambda group: -sum(j.count for j in group)
-        )
-    elif policy == "fair_share":
-        by_source: "OrderedDict[str, deque]" = OrderedDict()
-        for job in queue:
-            by_source.setdefault(job.source, deque()).append(job)
-        arrival_rank = {source: i for i, source in enumerate(by_source)}
-        ordered = sorted(
-            by_source,
-            key=lambda s: (served.get(s, 0), arrival_rank[s]),
-        )
-        pool = []
-        while sum(j.count for j in pool) < max_batch:
-            progressed = False
-            for source in ordered:
-                if by_source[source]:
-                    pool.append(by_source[source].popleft())
-                    progressed = True
-                    if sum(j.count for j in pool) >= max_batch:
-                        break
-            if not progressed:
-                break
-    else:  # greedy and adaptive share FIFO-prefix selection
-        pool = queue
-    picked: List[_SimJob] = []
-    total = 0
-    for job in pool:
-        picked.append(job)
-        total += job.count
-        if total >= max_batch:
-            break
-    for job in picked:
-        served[job.source] = served.get(job.source, 0) + job.count
-    return picked
-
-
 def simulate_trial(
     candidate: Candidate,
     arrivals: List[Arrival],
@@ -226,146 +160,136 @@ def simulate_trial(
     gather_window: float = 0.02,
     max_batch: int = 64,
 ) -> TrialMetrics:
-    """Replay one arrival trace through the engine model of a candidate."""
+    """Replay one arrival trace through an engine built from a candidate."""
+    # Imported here: repro.serve.engine imports repro.tune.controller,
+    # which loads this package, so a top-level import would cycle.
+    from repro.serve.engine import (
+        AdaptivePolicy,
+        EngineJob,
+        QueueFullError,
+        ServeEngine,
+    )
+
     tune = tune if tune is not None else TuneConfig()
     cost = cost if cost is not None else CostModel()
-    controller = (
-        AdaptiveController(tune) if candidate.policy == "adaptive" else None
+    adaptive = (
+        AdaptivePolicy(config=tune) if candidate.policy == "adaptive" else None
     )
+    # Never started: nothing else touches its queue, so its ``*_locked``
+    # helpers run here without the lock.  It gets a registry of its own
+    # because ``metrics=None`` would report into the process-wide one.
+    engine = ServeEngine(
+        policy=adaptive if adaptive is not None else candidate.policy,
+        engine_workers=candidate.engine_workers,
+        queue_limit=candidate.queue_limit,
+        gather_window=gather_window,
+        max_batch=max_batch,
+        metrics=MetricsRegistry(),
+    )
+    model = object()  # the routing token every simulated job carries
+    # What each job *wants* (the quality denominator): the arrival's
+    # explicit ask, else full quality.  What it *runs* is its
+    # ``sampler_steps``: the explicit ask wins (a job-level override on
+    # the live engine), otherwise the candidate's default schedule — so a
+    # statically degraded candidate pays for it in delivered quality,
+    # exactly like an adaptive degrade does.
+    wanted: Dict[EngineJob, Union[str, int]] = {}
     workers = [0.0] * candidate.engine_workers
-    base_gather = gather_window
-    queue: List[_SimJob] = []
-    served: Dict[str, int] = {}
+    interval = max(tune.tick_interval, 1e-3)
+    next_tick = interval
     latencies: List[float] = []
     qualities: List[float] = []
-    recent_waits: "deque[Tuple[float, float]]" = deque()
-    completed = rejected = 0
-    completed_samples = 0
+    rejected = completed_samples = 0
     last_finish = 0.0
-    prev_busy = 0.0
-    prev_tick_at = 0.0
-    busy_acc = 0.0
     i = 0
 
-    def admit(now: float) -> None:
-        nonlocal i, rejected
-        while i < len(arrivals) and arrivals[i].at <= now:
-            if (
-                candidate.queue_limit is not None
-                and len(queue) >= candidate.queue_limit
-            ):
-                rejected += 1
+    def advance(until: float) -> None:
+        """Admit arrivals and replay policy ticks, in time order, up to
+        ``until``.  The live workers tick on their own cadence; a replay
+        every ``tick_interval`` lets the adaptive policy's pressured and
+        calm streaks accrue while a long batch runs."""
+        nonlocal i, next_tick, rejected
+        while True:
+            at = arrivals[i].at if i < len(arrivals) else math.inf
+            if next_tick <= until and next_tick < at:
+                engine.policy.tick(engine, next_tick)
+                next_tick += interval
+            elif at <= until:
+                arrival = arrivals[i]
+                i += 1
+                ask = arrival.sampler_steps
+                job = EngineJob(
+                    count=arrival.count,
+                    condition=None,
+                    shape=arrival.shape,
+                    sampler_steps=(
+                        ask if ask is not None else candidate.sampler_steps
+                    ),
+                    source=arrival.source,
+                    model=model,
+                )
+                job.submitted_at = arrival.at
+                try:
+                    engine.submit_job(job)
+                except QueueFullError:
+                    rejected += 1
+                    continue
+                wanted[job] = ask if ask is not None else "full"
             else:
-                queue.append(_SimJob(arrivals[i], candidate.sampler_steps))
-            i += 1
+                return
 
     while True:
         w = min(range(len(workers)), key=lambda k: (workers[k], k))
         now = workers[w]
-        admit(now)
-        if not queue:
+        advance(now)
+        if not engine._jobs:
             if i >= len(arrivals):
                 break
-            now = max(now, arrivals[i].at)
-            admit(now)
-        # Gather: wait for coalescing arrivals up to the (possibly
-        # adaptively widened) window, exactly like the live engine.
-        gather = base_gather
-        if controller is not None:
-            gather = min(
-                base_gather * controller.gather_scale(),
-                max(base_gather, 0.25 * tune.slo_p95),
-            )
+            now = arrivals[i].at
+            advance(now)
+        # Gather: wait for coalescing arrivals up to the engine's window
+        # (which the adaptive policy widens while degraded).
         start = now
-        if gather > 0 and sum(j.count for j in queue) < max_batch:
-            gather_end = now + gather
+        if (
+            engine.gather_window > 0
+            and engine._queued_samples_locked() < max_batch
+        ):
+            gather_end = now + engine.gather_window
             while (
                 i < len(arrivals)
                 and arrivals[i].at <= gather_end
-                and sum(j.count for j in queue) < max_batch
+                and engine._queued_samples_locked() < max_batch
             ):
-                start = max(now, arrivals[i].at)
-                admit(arrivals[i].at)
-            if sum(j.count for j in queue) < max_batch:
+                start = arrivals[i].at
+                advance(start)
+            if engine._queued_samples_locked() < max_batch:
                 start = gather_end
-        if controller is not None:
-            # The live dispatcher ticks every ``tick_interval`` while
-            # workers execute, so the pressured/calm streaks accrue in
-            # wall time.  Replay those ticks for the virtual time that
-            # elapsed since the last one — a single tick per worker-free
-            # event would never reach ``degrade_after`` during a long
-            # batch, leaving the sim blind to exactly the overload the
-            # controller exists for.
-            interval = max(tune.tick_interval, 1e-3)
-            t_tick = prev_tick_at + interval
-            while t_tick <= start:
-                pending = [j for j in queue if j.at <= t_tick]
-                while recent_waits and recent_waits[0][0] < t_tick - 1.0:
-                    recent_waits.popleft()
-                waits = sorted(
-                    wait for (at, wait) in recent_waits if at <= t_tick
-                )
-                window = max(t_tick - prev_tick_at, 1e-9)
-                controller.observe(
-                    EngineLoadSnapshot(
-                        at=t_tick,
-                        queue_depth=len(pending),
-                        queued_samples=sum(j.count for j in pending),
-                        oldest_wait=(
-                            t_tick - min(j.at for j in pending)
-                            if pending
-                            else 0.0
-                        ),
-                        queue_wait_p95=_percentile(waits, 95.0),
-                        busy_fraction=min(
-                            1.0,
-                            (busy_acc - prev_busy)
-                            / (window * candidate.engine_workers),
-                        ),
-                        workers=candidate.engine_workers,
-                    )
-                )
-                prev_tick_at = t_tick
-                prev_busy = busy_acc
-                t_tick += interval
-        batch = _select(candidate.policy, queue, max_batch, served)
-        chosen = set(id(j) for j in batch)
-        queue[:] = [j for j in queue if id(j) not in chosen]
-        if controller is not None and controller.level > 0:
-            for job in batch:
-                job.effective = controller.effective_steps(job.effective)
-        for job in batch:
-            recent_waits.append((start, start - job.at))
-        # One trajectory per (shape, steps) group, run back to back on
-        # this worker — the engine's _plan/_execute contract.
-        groups: "OrderedDict[Tuple, List[_SimJob]]" = OrderedDict()
-        for job in batch:
-            groups.setdefault((job.shape, job.effective), []).append(job)
+        advance(start)
+        # The engine's plans run back to back on this worker.
         t = start
-        for (_, steps), group in groups.items():
-            samples = sum(j.count for j in group)
-            dur = cost.batch_seconds(samples, steps)
-            t += dur
-            busy_acc += dur
-            for job in group:
-                latencies.append(t - job.at)
+        for plan in engine._plan(engine._select_locked(start), start):
+            seconds = cost.batch_seconds(plan.samples, plan.sampler_steps)
+            engine._account(plan, t, seconds, w)
+            t += seconds
+            for job in plan.jobs:
+                latencies.append(t - job.submitted_at)
                 qualities.append(
                     min(
                         1.0,
-                        cost.evals(job.effective)
-                        / max(1, cost.evals(job.requested)),
+                        cost.evals(plan.sampler_steps)
+                        / max(1, cost.evals(wanted.pop(job))),
                     )
                 )
-                completed += 1
-                completed_samples += job.count
+            completed_samples += plan.samples
         workers[w] = t
         last_finish = max(last_finish, t)
 
     latencies.sort()
     makespan = max(last_finish, arrivals[-1].at if arrivals else 0.0)
+    controller = adaptive.controller if adaptive is not None else None
     return TrialMetrics(
         requests=len(arrivals),
-        completed=completed,
+        completed=len(latencies),
         rejected=rejected,
         p50_latency=_percentile(latencies, 50.0),
         p95_latency=_percentile(latencies, 95.0),

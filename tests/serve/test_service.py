@@ -210,42 +210,6 @@ class TestServeConcurrent:
         assert stats.legalize_seconds > 0
 
 
-class TestLegalizeAndStore:
-    def test_batch_stage_persists_legal_patterns(
-        self, registry, tiny_library, tmp_path
-    ):
-        store = LibraryStore(tmp_path)
-        service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, store=store
-        )
-        topologies = [p.topology for p in tiny_library]
-        result = service.legalize_and_store(
-            topologies, "Layer-10001", physical_size=(1024, 1024)
-        )
-        assert result.legality == 1.0
-        assert result.wall_seconds > 0
-        stats = service.stats()
-        assert len(stats.legalize_stages) == 1
-        stage = stats.legalize_stages[0]
-        assert stage.topologies == len(topologies)
-        assert stage.legal == len(topologies)
-        assert stage.store_added + stage.store_deduplicated == len(topologies)
-        assert stats.as_dict()["legalize_stages"][0]["legal"] == len(
-            topologies
-        )
-
-    def test_stage_without_store_still_reports(self, registry, tiny_library):
-        service = PatternService(
-            model_key=ModelKey(window=64), registry=registry
-        )
-        result = service.legalize_and_store(
-            [tiny_library[0].topology], "Layer-10001", physical_size=(1024, 1024)
-        )
-        assert result.legality == 1.0
-        stage = service.stats().legalize_stages[0]
-        assert stage.store_added == 0 and stage.store_deduplicated == 0
-
-
 class TestEngineBackedService:
     def test_multi_worker_fair_share_service_keeps_request_order(
         self, registry

@@ -15,8 +15,10 @@ from repro.tune import (
     simulate_trial,
     successive_halving,
 )
+from repro.tune import simulate
 from repro.tune.search import _fidelity_subset
 from repro.tune.simulate import TrialMetrics
+from repro.tune.workload import Arrival
 
 
 def spike_spec():
@@ -164,6 +166,31 @@ class TestSimulation:
         assert greedy.quality == pytest.approx(1.0)
         # The headline: adaptive holds the SLO the static config misses.
         assert adaptive.p95_latency <= tune.slo_p95 < greedy.p95_latency
+
+    def test_shape_bucketed_ages_a_minority_shape_job(self, monkeypatch):
+        # A steady 64x64 stream always fills the biggest bucket; the lone
+        # 48x48 job must ride once it has waited past the policy's aging
+        # window, not starve until the stream ends (~31 s).
+        arrivals = [
+            Arrival(at=0.1 * k, count=2, shape=(64, 64), source="default",
+                    sampler_steps=None)
+            for k in range(300)
+        ]
+        arrivals.insert(1, Arrival(at=0.05, count=2, shape=(48, 48),
+                                   source="default", sampler_steps=None))
+        # The largest latency is the tail of the sorted list the trial
+        # hands to its percentile helper.
+        largest = []
+        percentile = simulate._percentile
+
+        def spy(values, p):
+            largest.append(values[-1] if values else 0.0)
+            return percentile(values, p)
+
+        monkeypatch.setattr(simulate, "_percentile", spy)
+        m = simulate_trial(Candidate(policy="shape_bucketed"), arrivals)
+        assert m.completed == len(arrivals)
+        assert max(largest) < 2.0
 
 
 class TestSuccessiveHalving:
