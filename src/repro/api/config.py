@@ -115,9 +115,10 @@ class SampleConfig(StageConfig):
     training seed when unset.  ``extend_size`` switches the pipeline's
     default run from the ``sample`` stage to the ``extend`` stage.
     ``sampler_steps`` picks the reverse-step schedule: ``"full"`` walks
-    every schedule step, ``"bucketed"`` collapses steps sharing a denoiser
-    noise bucket to one representative (~``n_buckets`` denoiser evaluations
-    instead of K), an int visits that many evenly spaced steps.
+    every step from the schedule's ``start_step`` down, ``"bucketed"``
+    collapses steps sharing a denoiser noise bucket to one representative
+    (~``n_buckets`` denoiser evaluations), an int visits that many evenly
+    spaced steps.
     """
 
     style: str = STYLES[0]

@@ -470,14 +470,15 @@ class PatternPipeline:
         """Step-schedule provenance for stage timings.
 
         Reports how many denoiser evaluations one trajectory costs under
-        the configured ``sampler_steps`` against the full chain, so
+        the configured ``sampler_steps`` against the full chain's
+        evaluations (``denoise_evals("full")``, not the schedule length), so
         ``PipelineResult.timings`` carries the per-stage speedup factor.
         """
         detail: Dict = {"sampler_steps": self.config.sample.sampler_steps}
         model = self.model
-        if hasattr(model, "denoise_evals") and hasattr(model, "schedule"):
+        if hasattr(model, "denoise_evals"):
             evals = int(model.denoise_evals(self.config.sample.sampler_steps))
-            full = int(model.schedule.steps)
+            full = int(model.denoise_evals("full"))
             detail.update(
                 denoise_evals=evals,
                 full_steps=full,

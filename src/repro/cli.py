@@ -75,9 +75,10 @@ _GLOBAL_OPTIONS = (
     (
         "--sampler-steps",
         {"type": _sampler_steps_arg, "metavar": "SPEC",
-         "help": "reverse-step schedule: 'full' (every step), 'bucketed' "
-                 "(one step per denoiser noise bucket, ~8x fewer denoiser "
-                 "evaluations), or an integer step count"},
+         "help": "reverse-step schedule: 'full' (every step below the "
+                 "schedule's signal start), 'bucketed' (one step per "
+                 "denoiser noise bucket, ~5x fewer denoiser evaluations), "
+                 "or an integer step count"},
     ),
 )
 

@@ -91,7 +91,13 @@ class ConditionalDiffusionModel:
     def prior_sample(
         self, shape: Tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        """``T_K``: the fully-noised stationary distribution (fair coin)."""
+        """The chain's starting state: the stationary fair coin.
+
+        It stands in for ``T_k`` at the plan's first step.  Under
+        ``"full"`` that is ``schedule.start_step``, where ``q(x_k | x_0)``
+        is within ``SIGNAL_FLOOR / 2`` of a fair coin per cell; plans that
+        start lower (``"bucketed"``, short int specs) accept a wider gap.
+        """
         return (rng.random(shape) < 0.5).astype(np.uint8)
 
     def reverse_step_plan(
@@ -100,12 +106,14 @@ class ConditionalDiffusionModel:
         """The ``(k, k_next)`` pairs a reverse chain visits, in order.
 
         ``sampler_steps`` overrides the model default (``None`` keeps it).
-        Under ``"full"`` the plan is the exact original chain
-        (``(K, K-1) .. (2, 1), (1, 0)``); ``"bucketed"`` collapses steps
-        sharing a denoiser noise bucket to one representative, so a K-step
-        schedule costs ~``n_buckets`` denoiser evaluations; an int picks
-        that many evenly spaced steps.  ``k_next == 0`` marks the
-        deterministic final step.
+        Under ``"full"`` the plan walks every step from the schedule's
+        ``start_step`` (``S``) down: ``(S, S-1) .. (2, 1), (1, 0)``; the
+        steps above ``S`` only re-noise to a fair coin and are skipped.
+        ``"bucketed"`` collapses steps sharing a denoiser noise bucket to
+        one representative, so a K-step schedule costs ~``n_buckets``
+        denoiser evaluations; an int picks that many evenly spaced steps
+        over ``S .. 1``.  ``k_next == 0`` marks the deterministic final
+        step.
         """
         value = self.sampler_steps if sampler_steps is None else sampler_steps
         ks = self.schedule.reverse_steps(

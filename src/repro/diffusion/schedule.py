@@ -20,6 +20,10 @@ import numpy as np
 
 SamplerSteps = Union[str, int, None]
 
+#: Survival ``1 - 2*beta_bar`` below which a step's state is pure noise;
+#: reverse chains start at the first step under it (``start_step``).
+SIGNAL_FLOOR = 0.01
+
 
 def validate_sampler_steps(value: SamplerSteps) -> SamplerSteps:
     """Check a ``sampler_steps`` spec: ``"full"`` | ``"bucketed"`` | int.
@@ -101,6 +105,18 @@ class DiffusionSchedule:
         """K, the diffusion length."""
         return int(self.betas.shape[0])
 
+    @property
+    def start_step(self) -> int:
+        """The step every reverse chain starts at.
+
+        The smallest ``k`` with ``1 - 2*beta_bar(k) < SIGNAL_FLOOR``, or
+        ``K`` if the schedule never gets there.  ``q(x_k | x_0)`` at that
+        step is within ``SIGNAL_FLOOR / 2`` of a fair coin per cell, so a
+        prior draw stands in for the steps above it.
+        """
+        below = np.flatnonzero(1.0 - 2.0 * self.beta_bars < SIGNAL_FLOOR)
+        return int(below[0]) + 1 if below.size else self.steps
+
     def reverse_steps(
         self,
         sampler_steps: Union[str, int, None] = "full",
@@ -112,28 +128,34 @@ class DiffusionSchedule:
         chain walks the returned ``k`` values in order (always ending at 1,
         the deterministic final step) and re-noises each prediction to the
         *next visited* step instead of ``k - 1``, a DDIM-style stride.
+        Every mode starts at or below :attr:`start_step`; the steps above
+        it would only re-noise to a fair coin.
 
         Modes:
 
-        - ``"full"`` (or ``None``) — every step ``K .. 1``, the exact
-          original chain.
+        - ``"full"`` (or ``None``) — every step ``start_step .. 1``.
         - ``"bucketed"`` — one representative step per *noise bucket* of a
           bucketed denoiser (``n_buckets`` required): consecutive steps
           whose ``beta_bar`` falls in the same bucket read identical tables,
           so only the lowest-noise step of each occupied bucket is kept —
-          cutting denoiser evaluations from ``K`` to at most ``n_buckets``.
-          Falls back to ``"full"`` when ``n_buckets`` is ``None`` (the
-          denoiser is not bucketed, so there is nothing to collapse).
-        - an ``int`` ``n`` — ``n`` steps evenly spaced over the step range
-          (endpoints included); ``n >= K`` clamps to the full chain, so one
-          configured count works across schedules of any length.
+          cutting denoiser evaluations to at most ``n_buckets``.  A
+          representative above ``start_step`` is dropped.  Falls back to
+          ``"full"`` when ``n_buckets`` is ``None`` (the denoiser is not
+          bucketed, so there is nothing to collapse).
+        - an ``int`` ``n`` — ``n`` steps evenly spaced over
+          ``start_step .. 1`` (endpoints included); ``n >= start_step``
+          clamps to the full chain, so one configured count works across
+          schedules of any length.
         """
         sampler_steps = validate_sampler_steps(sampler_steps)
-        if sampler_steps is None or sampler_steps == "full":
-            return list(range(self.steps, 0, -1))
+        start = self.start_step
+        if (
+            sampler_steps is None
+            or sampler_steps == "full"
+            or (sampler_steps == "bucketed" and n_buckets is None)
+        ):
+            return list(range(start, 0, -1))
         if sampler_steps == "bucketed":
-            if n_buckets is None:
-                return list(range(self.steps, 0, -1))
             # beta_bar is strictly increasing in k, so walking k upward
             # visits buckets in order; keep the first (lowest-noise) k of
             # each occupied bucket.  k=1 is always kept: it is the first k
@@ -142,8 +164,11 @@ class DiffusionSchedule:
                 n_buckets - 1, (self.beta_bars / 0.5 * n_buckets).astype(int)
             )
             _, first_of_bucket = np.unique(buckets, return_index=True)
-            return sorted((int(i) + 1 for i in first_of_bucket), reverse=True)
-        ks = np.linspace(self.steps, 1, min(sampler_steps, self.steps))
+            return sorted(
+                (int(i) + 1 for i in first_of_bucket if i < start),
+                reverse=True,
+            )
+        ks = np.linspace(start, 1, min(sampler_steps, start))
         return sorted({int(round(k)) for k in ks}, reverse=True)
 
     def beta(self, k: int) -> float:

@@ -74,7 +74,10 @@ def modify_batch(
     """:func:`modify` over a ``(B, H, W)`` stack in ONE masked trajectory.
 
     Item ``i`` keeps the cells where ``keep_masks[i]`` is 1 and regenerates
-    the rest under ``conditions[i]``.  Every reverse step is one masked
+    the rest under ``conditions[i]``.  The chain starts from a fair coin
+    at the plan's first step; under ``"full"`` that is the schedule's
+    ``start_step``, where kept cells noised to that level are a fair coin
+    too, to within ``SIGNAL_FLOOR / 2``.  Every reverse step is one masked
     step over the whole stack (the model's ``_reverse_step``): kept cells
     are the known stack forward-noised to the step's level, drawn with the
     same one uniform per cell as the painted ones, and the density offsets

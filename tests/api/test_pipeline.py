@@ -56,6 +56,14 @@ class TestStages:
         assert timing.stage == "extend"
         assert timing.detail["samplings"] >= 1
 
+    def test_full_chain_reports_unit_speedup(self, pipeline):
+        detail = pipeline.sample().timings[0].detail
+        assert detail["sampler_steps"] == "full"
+        assert detail["full_steps"] == detail["denoise_evals"] == (
+            pipeline.model.denoise_evals("full")
+        )
+        assert detail["step_speedup"] == 1.0
+
     def test_run_uses_config_defaults(self, pipeline, tmp_path):
         out = tmp_path / "run.npz"
         pipeline.config = pipeline.config.replace(

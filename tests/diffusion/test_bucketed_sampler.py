@@ -11,6 +11,7 @@ import pytest
 from repro.data import STYLES
 from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
 from repro.diffusion.model import validate_sampler_steps
+from repro.diffusion.schedule import SIGNAL_FLOOR
 from repro.geometry import diagonal_touch_pairs
 from repro.metrics import diversity, legalize_many
 
@@ -38,18 +39,18 @@ class TestReverseSteps:
     def test_bucketed_collapses_the_chain(self):
         schedule = DiffusionSchedule.linear(128, 0.003, 0.08)
         assert len(schedule.reverse_steps("bucketed", n_buckets=16)) <= 17
-        assert len(schedule.reverse_steps("full")) == 128
+        assert len(schedule.reverse_steps("full")) == schedule.start_step
 
     def test_bucketed_without_buckets_falls_back_to_full(self):
         schedule = DiffusionSchedule.linear(16)
-        assert schedule.reverse_steps("bucketed", n_buckets=None) == list(
-            range(16, 0, -1)
-        )
+        assert schedule.reverse_steps(
+            "bucketed", n_buckets=None
+        ) == schedule.reverse_steps("full")
 
     def test_int_spacing_includes_endpoints(self):
         schedule = DiffusionSchedule.linear(64, 0.003, 0.08)
         ks = schedule.reverse_steps(8)
-        assert ks[0] == 64 and ks[-1] == 1
+        assert ks[0] == schedule.start_step and ks[-1] == 1
         assert len(ks) == 8
         assert ks == sorted(ks, reverse=True)
 
@@ -77,11 +78,49 @@ class TestReverseSteps:
                 validate_sampler_steps(bad)
 
 
+class TestSignalStart:
+    """Chains start at the first step whose re-noise still carries signal."""
+
+    def test_default_schedule_starts_at_82(self):
+        schedule = DiffusionSchedule.linear(128, 0.003, 0.08)
+        assert schedule.start_step == 82
+        assert 1 - 2 * schedule.beta_bar(82) < SIGNAL_FLOOR
+        assert 1 - 2 * schedule.beta_bar(81) >= SIGNAL_FLOOR
+        assert schedule.reverse_steps("full") == list(range(82, 0, -1))
+
+    def test_schedule_above_the_floor_keeps_every_step(self):
+        schedule = DiffusionSchedule.linear(32, 0.003, 0.08)
+        assert 1 - 2 * schedule.beta_bar(32) >= SIGNAL_FLOOR
+        assert schedule.start_step == 32
+        assert schedule.reverse_steps("full") == list(range(32, 0, -1))
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 81, 82, 128])
+    def test_int_specs_span_start_to_one(self, n):
+        schedule = DiffusionSchedule.linear(128, 0.003, 0.08)
+        ks = schedule.reverse_steps(n)
+        assert ks[0] == schedule.start_step and ks[-1] == 1
+        assert len(ks) == min(n, schedule.start_step)
+
+    def test_default_bucketed_plan_is_unchanged(self):
+        schedule = DiffusionSchedule.linear(128, 0.003, 0.08)
+        assert schedule.reverse_steps("bucketed", n_buckets=16) == [
+            63, 54, 48, 44, 40, 36, 33, 30, 27, 24, 21, 18, 15, 11, 7, 1,
+        ]
+
+    def test_bucket_representatives_above_start_are_dropped(self):
+        # 1000 buckets split the near-coin levels above k=82 (the top
+        # representative would be k=101); only those at or below stay.
+        schedule = DiffusionSchedule.linear(128, 0.003, 0.08)
+        ks = schedule.reverse_steps("bucketed", n_buckets=1000)
+        assert ks[:4] == [82, 81, 80, 79]
+        assert ks[-1] == 1
+
+
 class TestStepPlan:
     def test_plan_chains_to_zero(self, small_model):
         plan = small_model.reverse_step_plan("full")
         ks = [k for k, _ in plan]
-        assert ks == list(range(small_model.schedule.steps, 0, -1))
+        assert ks == list(range(small_model.schedule.start_step, 0, -1))
         for (k, k_next), (nk, _) in zip(plan, plan[1:]):
             assert k_next == nk
         assert plan[-1] == (1, 0)
@@ -89,7 +128,7 @@ class TestStepPlan:
     def test_denoise_evals(self, small_model):
         full = small_model.denoise_evals("full")
         bucketed = small_model.denoise_evals("bucketed")
-        assert full == small_model.schedule.steps
+        assert full == small_model.schedule.start_step
         assert bucketed <= small_model.denoiser.n_buckets + 1
         assert bucketed < full
 

@@ -354,3 +354,32 @@ class TestPredictionPin:
                 assert z.dtype == np.float32 and z.shape == shape
                 h.update(z.tobytes())
         assert h.hexdigest() == self.DIGESTS[shape]
+
+
+class TestBucketedSamplePin:
+    """``"bucketed"`` samples of the default-recipe model, byte for byte.
+
+    The bucketed plan starts at k=63, below the schedule's signal start,
+    so neither its steps nor its random stream depend on where ``"full"``
+    starts.  Recorded before the chain start moved from K to
+    ``start_step``.
+    """
+
+    DIGESTS = {
+        0: (
+            "a1966d41983565ebf106a1ca07c89fdb"
+            "f456f817835d085af230825c8e92b31d"
+        ),
+        1: (
+            "fbd07d929e5aebefae866408149a89c7"
+            "adda3fc3c8a100ed3dc8d3febe10a848"
+        ),
+    }
+
+    @pytest.mark.parametrize("cls", sorted(DIGESTS))
+    def test_sample(self, default_model, cls):
+        x = default_model.sample(
+            2, cls, np.random.default_rng(0), sampler_steps="bucketed"
+        )
+        assert x.dtype == np.uint8 and x.shape == (2, 128, 128)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == self.DIGESTS[cls]
