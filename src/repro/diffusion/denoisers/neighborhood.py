@@ -17,12 +17,12 @@ paper's behaviour.
 **Compiled logit tables.**  The raw count tables are frozen once ``fit``
 returns, so everything the sampling hot loop derives from them per step —
 Laplace smoothing toward the class marginal, the probability ratio, the
-``log`` — is folded into per-(class, bucket, scale) float32 *logit lookup
-tables* at compile time: entry ``[c, b, code]`` holds
+``log`` — is folded into one float32 *logit lookup table* at compile time,
+laid out ``(bucket, scale, class, code)``: each entry holds
 ``(w_s / sum(w)) * log(p / (1 - p))`` for the smoothed ``p`` of that
-neighbourhood code.  ``predict_logits_many`` then reduces to one
-gather-and-add per scale, with no elementwise ``log``/``exp`` arithmetic;
-the sampling kernel stays on those float32 logits, and only
+neighbourhood code.  ``predict_logits_many`` then hashes all scales on one
+canvas and reads them with one gather, with no elementwise ``log``/``exp``
+arithmetic; the sampling kernel stays on those float32 logits, and only
 ``predict_x0_many`` takes their sigmoid.  The compiled form is rebuilt at
 the end of every :meth:`NeighborhoodDenoiser.fit` (the only operation that
 can change the counts) and pickles with the model, so it is never stale;
@@ -33,8 +33,9 @@ in logit).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +49,9 @@ _EPS = 1e-6
 
 #: Cells per chunk of :func:`neighborhood_codes` (four 128x128 items).
 _CHUNK_CELLS = 1 << 16
+
+#: Input shapes whose canvas layout a denoiser keeps before starting over.
+_LAYOUT_CACHE = 16
 
 
 def window_offsets(spec: WindowSpec) -> List[Offset]:
@@ -85,78 +89,121 @@ def window_offsets(spec: WindowSpec) -> List[Offset]:
     return [tuple(o) for o in spec]  # explicit offsets
 
 
-def neighborhood_codes(
-    x: np.ndarray,
-    offsets: Sequence[Offset],
-    pads: Optional[Tuple[int, int]] = None,
-) -> np.ndarray:
-    """Hash each pixel's neighbourhood (given by offsets) to an int code.
+class _HashPlan(NamedTuple):
+    """How :func:`neighborhood_codes` hashes one offsets tuple."""
 
-    Pads with zeros outside the image.  Accepts ``(H, W)`` or ``(B, H, W)``.
-    ``pads`` may carry the precomputed ``(max_row, max_col)`` offset reach so
-    hot callers skip re-deriving it per call.  Codes come back in the
-    narrowest unsigned dtype holding ``len(offsets)`` bits (uint16 for the
-    13-cell ``diamond2``), which keeps the shift-and-or passes small.
+    #: ``(max_row, max_col)`` offset reach: the zero border a stack needs
+    pads: Tuple[int, int]
+    #: ``(row offset, first column offset, width, first bit)`` per row
+    #: segment, in bit order
+    segments: Tuple[Tuple[int, int, int, int], ...]
+    #: ``(a, step)`` per run code to build, in order: ``runs[a + step]``
+    #: comes from ``runs[a]``
+    runs: Tuple[Tuple[int, int], ...]
+    #: narrowest unsigned dtype holding one code
+    dtype: np.dtype
 
-    Bit ``i`` of a code is the cell at ``offsets[i]``.  Consecutive offsets
-    that step one column right along a row form a row segment (``diamond2``
-    has segments of width 1, 3, 5, 3 and 1), and a segment's bits are one
-    shifted read of a run code: ``runs[n]`` packs ``n`` horizontally
-    adjacent cells, and is built from a narrower run by one overlapping
-    shift-and-or.  ``diamond2`` thus takes 8 passes instead of 13.  Items
-    are hashed in chunks of about ``_CHUNK_CELLS`` cells, so the padded
-    copy and the run codes stay small however large the stack (``fit``
-    hashes whole training stacks).
-    """
-    batched = x.ndim == 3
-    arr = x if batched else x[None]
-    if pads is None:
-        pads = (
-            max(abs(dr) for dr, _ in offsets),
-            max(abs(dc) for _, dc in offsets),
-        )
-    segments = []  # [row offset, first column offset, width, first bit]
+
+@functools.lru_cache(maxsize=32)
+def _hash_plan(offsets: Tuple[Offset, ...]) -> _HashPlan:
+    """The segment and run plan of ``offsets``, derived once per tuple."""
+    segments = []
     for bit, (dr, dc) in enumerate(offsets):
         last = segments[-1] if segments else None
         if last and last[0] == dr and last[1] + last[2] == dc:
             last[2] += 1
         else:
             segments.append([dr, dc, 1, bit])
-    codes = np.empty(arr.shape, dtype=np.min_scalar_type((1 << len(offsets)) - 1))
-    step = max(1, _CHUNK_CELLS // max(1, arr.shape[1] * arr.shape[2]))
-    for lo in range(0, arr.shape[0], step):
-        _hash_segments(arr[lo : lo + step], segments, pads, codes[lo : lo + step])
+    runs = []
+    built = 1
+    for width in sorted({width for _, _, width, _ in segments}):
+        while built < width:
+            step = min(built, width - built)
+            runs.append((built, step))
+            built += step
+    return _HashPlan(
+        pads=(
+            max(abs(dr) for dr, _ in offsets),
+            max(abs(dc) for _, dc in offsets),
+        ),
+        segments=tuple(tuple(segment) for segment in segments),
+        runs=tuple(runs),
+        dtype=np.min_scalar_type((1 << len(offsets)) - 1),
+    )
+
+
+def neighborhood_codes(x: np.ndarray, offsets: Sequence[Offset]) -> np.ndarray:
+    """Hash each pixel's neighbourhood (given by offsets) to an int code.
+
+    Pads with zeros outside the image.  Accepts ``(H, W)`` or ``(B, H, W)``.
+    Codes come back in the narrowest unsigned dtype holding
+    ``len(offsets)`` bits (uint16 for the 13-cell ``diamond2``), which
+    keeps the shift-and-or passes small.
+
+    Bit ``i`` of a code is the cell at ``offsets[i]``.  Consecutive offsets
+    that step one column right along a row form a row segment (``diamond2``
+    has segments of width 1, 3, 5, 3 and 1), and a segment's bits are one
+    shifted read of a run code: ``runs[n]`` packs ``n`` horizontally
+    adjacent cells, and is built from a narrower run by one overlapping
+    shift-and-or.  ``diamond2`` thus takes 8 passes instead of 13.  That
+    plan is derived once per offsets tuple and cached, so ``fit``, the
+    reference path and the compiled canvas share it.  Items are hashed in
+    chunks of about ``_CHUNK_CELLS`` cells, so the padded copy and the run
+    codes stay small however large the stack (``fit`` hashes whole
+    training stacks).
+    """
+    batched = x.ndim == 3
+    arr = x if batched else x[None]
+    plan = _hash_plan(tuple(map(tuple, offsets)))
+    max_r, max_c = plan.pads
+    n, h, w = arr.shape
+    codes = np.empty(arr.shape, dtype=plan.dtype)
+    step = max(1, _CHUNK_CELLS // max(1, h * w))
+    for lo in range(0, n, step):
+        chunk = arr[lo : lo + step]
+        pad = np.zeros(
+            (chunk.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=plan.dtype
+        )
+        pad[:, max_r : max_r + h, max_c : max_c + w] = chunk
+        _hash_padded(pad, plan, codes[lo : lo + step])
     return codes if batched else codes[0]
 
 
-def _hash_segments(
-    arr: np.ndarray, segments: Sequence[list], pads: Tuple[int, int],
-    out: np.ndarray,
-) -> None:
-    """Write the codes of a ``(B, H, W)`` stack into ``out`` from its row
-    segments (see :func:`neighborhood_codes`)."""
-    max_r, max_c = pads
-    h, w = arr.shape[1], arr.shape[2]
-    pad = np.zeros(
-        (arr.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=out.dtype
-    )
-    pad[:, max_r : max_r + h, max_c : max_c + w] = arr
+def _hash_padded(pad: np.ndarray, plan: _HashPlan, out: np.ndarray) -> None:
+    """Write the codes of a ``(B, H, W)`` stack into ``out`` from its copy
+    ``pad``, which carries a zero border of ``plan.pads`` on every side and
+    the code dtype (see :func:`neighborhood_codes`)."""
+    max_r, max_c = plan.pads
+    h, w = out.shape[1], out.shape[2]
     # runs[n][..., c] holds cells c .. c + n - 1 of a padded row in bits
     # 0 .. n - 1; ORing runs[a] with runs[a] read ``step <= a`` columns on
     # gives runs[a + step] (the overlapping bits agree).
     runs = {1: pad}
-    for n in sorted({width for _, _, width, _ in segments}):
-        while max(runs) < n:
-            a = max(runs)
-            step = min(a, n - a)
-            runs[a + step] = runs[a][..., :-step] | (runs[a][..., step:] << step)
-    for i, (dr, dc, width, bit) in enumerate(segments):
+    for a, step in plan.runs:
+        runs[a + step] = runs[a][..., :-step] | (runs[a][..., step:] << step)
+    for i, (dr, dc, width, bit) in enumerate(plan.segments):
         r0, c0 = max_r + dr, max_c + dc
         part = runs[width][:, r0 : r0 + h, c0 : c0 + w]
         if i == 0:
             np.left_shift(part, bit, out=out)
         else:
             out |= part << bit
+
+
+class _CanvasLayout(NamedTuple):
+    """Where the compiled :meth:`NeighborhoodDenoiser.predict_logits_many`
+    puts each scale's image on its hashing canvas, for one input shape."""
+
+    #: the input zero-padded to a multiple of every scale
+    padded: Tuple[int, int]
+    #: the canvas, zero border included
+    shape: Tuple[int, int]
+    #: top-left of each scale's image (in ``scales`` order), border excluded
+    corners: Tuple[Tuple[int, int], ...]
+    #: per canvas cell (border excluded): the start of its scale's block
+    #: in one bucket's ``(scale, class, code)`` table slice
+    offsets: np.ndarray
+    plan: _HashPlan
 
 
 def block_sums(x: np.ndarray, scale: int) -> np.ndarray:
@@ -271,13 +318,11 @@ class NeighborhoodDenoiser(Denoiser):
         self.n_buckets = n_buckets
         self.smoothing = float(smoothing)
         self._n_codes = 1 << len(self.offsets)
-        # Hoisted once: the PoE normaliser and the neighbourhood's padding
-        # reach are constants of the architecture, not of the input.
+        # Hoisted once: the PoE normaliser and the neighbourhood's reach
+        # (the compiled canvas's gutter width) are constants of the
+        # architecture, not of the input.
         self._weight_total = float(sum(self.scale_weights))
-        self._pads = (
-            max(abs(dr) for dr, _ in self.offsets),
-            max(abs(dc) for _, dc in self.offsets),
-        )
+        self._pads = _hash_plan(tuple(self.offsets)).pads
         slots = max(1, n_classes)
         self._counts = {
             s: np.zeros((slots, n_buckets, self._n_codes, 2), dtype=np.float64)
@@ -289,7 +334,24 @@ class NeighborhoodDenoiser(Denoiser):
         #: available for equivalence tests and baseline benchmarks)
         self.use_compiled = True
         self._compiled = False
+        #: the compiled logits, one float32 array laid out
+        #: ``(bucket, scale, class, code)``; ``_logit_tables[s]`` are its
+        #: ``(class, bucket, code)`` views per scale
+        self._table: Optional[np.ndarray] = None
         self._logit_tables: dict = {}
+        self._layouts: dict = {}  # (H, W) -> _CanvasLayout, never pickled
+
+    def __getstate__(self) -> dict:
+        # The per-scale views would pickle as copies and the layouts are a
+        # cache: both are rebuilt on load, so the table is stored once.
+        state = dict(self.__dict__)
+        state["_logit_tables"] = {}
+        state["_layouts"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._logit_tables = self._scale_views()
 
     def bucket_of(self, noise_level: float) -> int:
         """Map ``beta_bar`` in (0, 0.5] to a bucket index."""
@@ -371,7 +433,7 @@ class NeighborhoodDenoiser(Denoiser):
             base = (cond[pat_idx] * self._n_codes).astype(np.int32)
             for s in self.scales:
                 codes = neighborhood_codes(
-                    downsample_binary(xk, s), self.offsets, pads=self._pads
+                    downsample_binary(xk, s), self.offsets
                 )
                 index = codes.astype(np.int32)
                 index += base[:, None, None]
@@ -415,27 +477,44 @@ class NeighborhoodDenoiser(Denoiser):
         For each scale ``s`` the table entry ``[class, bucket, code]`` holds
         ``(w_s / sum(w)) * log(p / (1 - p))`` where ``p`` is the smoothed
         probability the reference path derives per pixel — so sampling-time
-        prediction becomes gather + add + one sigmoid.  Idempotent unless
-        ``force`` (``fit`` forces, because it changes the counts).
+        prediction becomes gather + add + one sigmoid.  All scales live in
+        one array laid out ``(bucket, scale, class, code)``, so one step's
+        reads (one bucket) are one contiguous block; ``_logit_tables[s]``
+        views it per scale.  Idempotent unless ``force`` (``fit`` forces,
+        because it changes the counts).
         """
         if not self._fitted:
             return False
         if self._compiled and not force:
             return True
-        tables = {}
-        for s, weight in zip(self.scales, self.scale_weights):
+        slots = max(1, self.n_classes)
+        table = np.empty(
+            (self.n_buckets, len(self.scales), slots, self._n_codes),
+            dtype=np.float32,
+        )
+        for j, (s, weight) in enumerate(zip(self.scales, self.scale_weights)):
             counts = self._counts[s]
             ones = counts[..., 1]
             total = counts.sum(axis=-1)
             prior = self._marginals[..., None]
             p = (ones + self.smoothing * prior) / (total + self.smoothing)
             p = np.clip(p, _EPS, 1.0 - _EPS)
-            tables[s] = (
+            table[:, j] = (
                 (weight / self._weight_total) * np.log(p / (1.0 - p))
-            ).astype(np.float32)
-        self._logit_tables = tables
+            ).astype(np.float32).transpose(1, 0, 2)
+        self._table = table
+        self._logit_tables = self._scale_views()
         self._compiled = True
         return True
+
+    def _scale_views(self) -> dict:
+        """Per-scale ``(class, bucket, code)`` views of the compiled table."""
+        if self._table is None:
+            return {}
+        return {
+            s: self._table[:, j].transpose(1, 0, 2)
+            for j, s in enumerate(self.scales)
+        }
 
     @property
     def compiled(self) -> bool:
@@ -491,55 +570,128 @@ class NeighborhoodDenoiser(Denoiser):
         own class's table row).  This is what makes cross-style batches as
         cheap as single-style ones in the serving scheduler.
 
-        Each scale gathers its table values at the pooled resolution and
-        adds them to every cell of their block through a broadcast view: a
-        pooled block shares one code, so this equals gathering the
-        upsampled codes, at ``1/s**2`` the gather work.  The stack is
-        zero-padded once to a multiple of every scale, and each scale's
-        block sums are pooled from those of the largest finer scale that
-        divides it; the padding only adds empty blocks past the image,
-        which read as the zeros :func:`neighborhood_codes` pads with, and
-        is cropped at the end.  The compiled tables give float32 logits;
-        the ``use_compiled = False`` reference path keeps float64.
+        The compiled path lays the stack and its majority-pooled images out
+        on one canvas per item (see :meth:`_canvas_layout`): zero gutters of
+        the neighbourhood reach keep every code what a separate
+        :func:`neighborhood_codes` call would give, so ONE hash covers all
+        scales.  ONE ``take`` then reads every scale's values from the
+        step's bucket of the compiled ``(bucket, scale, class, code)``
+        table, each cell offset by its scale (a cached per-shape array) and
+        its item's class.  A pooled block shares one code, so its value is
+        added to every cell of the block through a broadcast view, at
+        ``1/s**2`` the gather work of upsampled codes; the scales are summed
+        in their listed order, so the float32 result is bit-identical to a
+        per-scale loop.  The stack is zero-padded once to a multiple of
+        every scale, and each scale's block sums are pooled from those of
+        the largest finer scale that divides it; the padding only adds
+        empty blocks past the image, which read as zeros, and is cropped at
+        the end.  The ``use_compiled = False`` reference path keeps float64
+        and hashes each scale on its own; it is the test oracle.
         """
         stack, conds, bucket = self._check_many(xk, noise_level, conditions)
         if not (self._compiled and self.use_compiled):
             return self._many_reference_core(stack, conds, bucket)
-        # Per-item offset into the flattened (class, bucket, code) table:
-        # adding it to the codes turns the per-item class lookup into one
-        # big gather with no intermediate table copies.
-        base = ((conds * self.n_buckets + bucket) * self._n_codes)[:, None, None]
         n, h, w = stack.shape
-        block = math.lcm(*self.scales)
-        hp, wp = h + (-h) % block, w + (-w) % block
+        layout = self._canvas_layout(h, w)
+        hp, wp = layout.padded
+        pr, pc = self._pads
         padded = stack
         if (hp, wp) != (h, w):
             padded = np.zeros((n, hp, wp), dtype=np.uint8)
             padded[:, :h, :w] = stack
+        # Every scale's image goes onto one zeroed canvas in the code
+        # dtype, border included, so one hash covers them all.
+        canvas = np.zeros((n,) + layout.shape, dtype=layout.plan.dtype)
         sums = {1: padded}
-        logit = np.zeros(padded.shape, dtype=np.float32)
-        for s in self.scales:
+        for s, (r, c) in zip(self.scales, layout.corners):
+            r, c = pr + r, pc + c
+            region = canvas[:, r : r + hp // s, c : c + wp // s]
+            if s == 1:
+                region[...] = padded
+                continue
             finer = max(t for t in sums if s % t == 0)
             if finer != s:
                 sums[s] = _sum_blocks(
                     sums[finer], s // finer, np.min_scalar_type(s * s)
                 )
             # A block is set when at least half its cells are.
-            major = sums[s] if s == 1 else (
-                sums[s] >= (s * s + 1) // 2
-            ).astype(np.uint8)
-            codes = neighborhood_codes(major, self.offsets, pads=self._pads)
-            values = self._logit_tables[s].reshape(-1)[base + codes]
-            if s == 1:
-                logit += values
-                continue
-            # Repeat along columns, broadcast along the block's rows (a
-            # broadcast over both leaves s-long inner loops, slower at s=2).
+            np.greater_equal(sums[s], (s * s + 1) // 2, out=region)
+        codes = np.empty((n,) + layout.offsets.shape, dtype=layout.plan.dtype)
+        step = max(1, _CHUNK_CELLS // codes[0].size)
+        for lo in range(0, n, step):
+            _hash_padded(
+                canvas[lo : lo + step], layout.plan, codes[lo : lo + step]
+            )
+        # One gather for every scale and item: this bucket's (scale, class,
+        # code) slice, read from the lowest class present on, at each
+        # code plus its cell's scale offset plus its item's class offset.
+        low = int(conds.min())
+        table = self._table[bucket].reshape(-1)[low * self._n_codes :]
+        index = np.add(codes, layout.offsets)
+        if (conds != low).any():
+            index += ((conds - low) * self._n_codes)[:, None, None]
+        values = table.take(index)
+        # Sum the scales in their listed order, each block's value added to
+        # every cell of the block through a broadcast view.  Repeat along
+        # columns, broadcast along the block's rows (a broadcast over both
+        # leaves s-long inner loops, slower at s=2).
+        logit = np.empty((n, hp, wp), dtype=np.float32)
+        for j, (s, (r, c)) in enumerate(zip(self.scales, layout.corners)):
+            part = values[:, r : r + hp // s, c : c + wp // s]
+            if s > 1:
+                part = part.repeat(s, axis=-1)
             rows = logit.reshape(n, hp // s, s, wp)
-            rows += values.repeat(s, axis=-1)[:, :, None, :]
+            if j == 0:
+                rows[...] = part[:, :, None, :]
+            else:
+                rows += part[:, :, None, :]
         if (hp, wp) != (h, w):
             logit = np.ascontiguousarray(logit[:, :h, :w])
         return logit
+
+    def _canvas_layout(self, h: int, w: int) -> "_CanvasLayout":
+        """The hashing canvas of an ``(h, w)`` input, derived once per shape.
+
+        The input is zero-padded to ``(hp, wp)``, a multiple of every
+        scale.  The finest scale's image sits at the left and every other
+        scale's image is stacked in a column to its right, in scale order.
+        Zero gutters of the neighbourhood reach separate the images, so
+        each code reads only its own image or zeros, exactly as if its
+        image were hashed alone.
+        """
+        layout = self._layouts.get((h, w))
+        if layout is not None:
+            return layout
+        block = math.lcm(*self.scales)
+        hp, wp = h + (-h) % block, w + (-w) % block
+        pr, pc = self._pads
+        sizes = [(hp // s, wp // s) for s in self.scales]
+        finest = self.scales.index(min(self.scales))
+        corners = [(0, 0)] * len(sizes)
+        column = sizes[finest][1] + pc
+        rows, cols = sizes[finest]
+        top = 0
+        for j, (height, width) in enumerate(sizes):
+            if j != finest:
+                corners[j] = (top, column)
+                rows = max(rows, top + height)
+                cols = max(cols, column + width)
+                top += height + pr
+        slots = max(1, self.n_classes)
+        offsets = np.zeros((rows, cols), dtype=np.intp)
+        for j, ((r, c), (height, width)) in enumerate(zip(corners, sizes)):
+            offsets[r : r + height, c : c + width] = j * slots * self._n_codes
+        layout = _CanvasLayout(
+            padded=(hp, wp),
+            shape=(rows + 2 * pr, cols + 2 * pc),
+            corners=tuple(corners),
+            offsets=offsets,
+            plan=_hash_plan(tuple(self.offsets)),
+        )
+        if len(self._layouts) >= _LAYOUT_CACHE:
+            self._layouts.clear()
+        self._layouts[(h, w)] = layout
+        return layout
 
     def _predict_x0_many_reference(
         self,
@@ -560,7 +712,7 @@ class NeighborhoodDenoiser(Denoiser):
         logit = np.zeros(stack.shape, dtype=np.float64)
         for s, weight in zip(self.scales, self.scale_weights):
             codes = neighborhood_codes(
-                downsample_binary(stack, s), self.offsets, pads=self._pads
+                downsample_binary(stack, s), self.offsets
             )
             flat = self._counts[s].reshape(-1, 2)
             index = base + codes

@@ -136,6 +136,7 @@ class EngineJob:
         "exec_ended_at",
         "requested_sampler_steps",
         "degrade_level",
+        "awaited",
     )
 
     def __init__(
@@ -149,6 +150,7 @@ class EngineJob:
         deadline: Optional[float] = None,
         model=None,
         model_label: str = "model",
+        awaited: bool = False,
     ):
         self.count = int(count)
         self.condition = condition
@@ -176,6 +178,9 @@ class EngineJob:
         # controller level land here so the response can report it.
         self.requested_sampler_steps: SamplerSteps = None
         self.degrade_level = 0
+        #: the submitter blocks on this job until it resolves (see
+        #: :meth:`ServeEngine.request_started`)
+        self.awaited = awaited
 
     @property
     def batch_key(self) -> Tuple:
@@ -521,8 +526,11 @@ class ServeEngine:
             behavior).
         gather_window: seconds a worker keeps collecting after it sees the
             first queued job, giving concurrent submitters a chance to
-            coalesce.  Skipped while draining or once a full batch is
-            queued.
+            coalesce.  Skipped (or ended early) while draining, once a full
+            batch is queued, or when no companion can arrive: every request
+            opened with :meth:`request_started` already waits on a queued
+            or executing awaited job.  Callers that open no requests (raw
+            clients, the tuner's simulation) always gather.
         max_batch: sample budget per selected batch.
         deadline: default per-job deadline in seconds from submission
             (``None`` = jobs never expire).  Per-job deadlines override it.
@@ -593,6 +601,11 @@ class ServeEngine:
         self._submitted = 0
         self._rejected = 0
         self._expired = 0
+        # The gather rule's counts (queue lock): requests open between
+        # request_started/request_finished, and awaited jobs queued or
+        # executing.
+        self._requests = 0
+        self._awaited = 0
         self.metrics = metrics if metrics is not None else default_metrics()
         m = self.metrics
         self._m_queue_depth = m.gauge(
@@ -772,6 +785,49 @@ class ServeEngine:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    # -- the gather rule -----------------------------------------------
+
+    def request_started(self) -> None:
+        """Open a caller request that may submit awaited jobs.
+
+        The service opens one per admitted request and closes it with
+        :meth:`request_finished` once the request is done, whatever its
+        outcome.  While at least one request is open, a worker gathers
+        only if some open request is not yet waiting on an awaited job:
+        with all of them waiting, no companion can arrive before a job
+        completes, so the window would be spent idle.
+        """
+        with self._has_work:
+            self._requests += 1
+
+    def request_finished(self) -> None:
+        """Close a request opened with :meth:`request_started`."""
+        with self._has_work:
+            self._requests -= 1
+            # The rest may all be waiting now: end any gather in progress.
+            self._has_work.notify_all()
+
+    def _job_settled(self, _future) -> None:
+        """Done-callback of an awaited job's future (never runs under the
+        queue lock: futures resolve outside it)."""
+        with self._has_work:
+            self._awaited -= 1
+
+    def _gathering_locked(self) -> bool:
+        """Whether a worker holding queued work should keep waiting for
+        companions (queue lock held): the gather window is open, the pool
+        is neither draining nor halting, the queue holds less than a full
+        batch, and some open request could still submit (see
+        :meth:`request_started`).  The tuner's simulation asks the same
+        question of its unstarted engine."""
+        return (
+            self.gather_window > 0
+            and not self._draining.is_set()
+            and not self._halt.is_set()
+            and self._queued_samples_locked() < self.max_batch
+            and not 0 < self._requests <= self._awaited
+        )
+
     # -- admission (layer 1) -------------------------------------------
 
     def submit_job(self, job: EngineJob) -> EngineJob:
@@ -800,9 +856,13 @@ class ServeEngine:
                     )
                 self._jobs.append(job)
                 self._submitted += 1
+                self._awaited += job.awaited
                 self._m_submitted.inc()
                 self._m_queue_depth.set(len(self._jobs))
                 self._has_work.notify()
+        if job.awaited:
+            # Outside the lock: a job already done runs it right here.
+            job.future.add_done_callback(self._job_settled)
         return job
 
     def _fail_pending(self, message: str) -> None:
@@ -889,18 +949,9 @@ class ServeEngine:
                 self.policy.tick(self, saw_work)
                 expired.extend(self._expire_locked(time.perf_counter()))
                 if self._jobs:
-                    if (
-                        self.gather_window > 0
-                        and not self._draining.is_set()
-                        and not self._halt.is_set()
-                        and self._queued_samples_locked() < self.max_batch
-                    ):
+                    if self._gathering_locked():
                         gather_until = time.perf_counter() + self.gather_window
-                        while (
-                            self._queued_samples_locked() < self.max_batch
-                            and not self._draining.is_set()
-                            and not self._halt.is_set()
-                        ):
+                        while self._gathering_locked():
                             remaining = gather_until - time.perf_counter()
                             if remaining <= 0:
                                 break
@@ -1162,12 +1213,15 @@ class EngineClient:
         sampler_steps: SamplerSteps = None,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
+        awaited: bool = False,
     ) -> EngineJob:
         """Queue a sampling job for this client's model; returns its handle.
 
         ``deadline`` is relative seconds from now; jobs still queued past
         it fail with :class:`DeadlineExpiredError`.  A full admission
-        queue raises :class:`QueueFullError` immediately.
+        queue raises :class:`QueueFullError` immediately.  ``awaited``
+        says the caller blocks on the job until it resolves, which counts
+        toward the gather rule (see :meth:`ServeEngine.request_started`).
         """
         job = EngineJob(
             count=count,
@@ -1182,6 +1236,7 @@ class EngineClient:
             source=source if source is not None else self.source,
             model=self.model,
             model_label=self.label,
+            awaited=awaited,
         )
         if deadline is not None:
             if deadline <= 0:

@@ -46,8 +46,9 @@ from repro.obs.metrics import default_metrics
 
 # Bump when the pickled model layout changes; payloads of any other format
 # refit instead of loading.  Format 2: the pickled denoiser carries its
-# compiled logit tables, so a load needs no compile step.
-_CACHE_FORMAT = 2
+# compiled logit tables, so a load needs no compile step.  Format 3: those
+# tables are one (bucket, scale, class, code) array.
+_CACHE_FORMAT = 3
 
 
 @dataclass(frozen=True)

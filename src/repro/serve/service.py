@@ -531,7 +531,15 @@ class PatternService:
         explicit_ids = [r.request_id for r in resolved if r.request_id != 0]
         if explicit_ids:
             self._reserve_request_ids(explicit_ids)
-        jobs = [self.submit_job(request) for request in resolved]
+        # One extra engine request stays open while the batch is admitted,
+        # so the first request to reach the engine still gathers for the
+        # ones admitted after it.
+        self.start()
+        self._engine.request_started()
+        try:
+            jobs = [self.submit_job(request) for request in resolved]
+        finally:
+            self._engine.request_finished()
         responses = []
         for job in jobs:
             job.wait()
@@ -595,6 +603,9 @@ class PatternService:
         job.transition(QUEUED)
         self._m_jobs_active.inc()
         pool = self._pool
+        # Open from admission, so the engine keeps gathering for requests
+        # a burst has admitted but not yet started; _run_job closes it.
+        self._engine.request_started()
         try:
             if pool is None:
                 raise RuntimeError("service request pool is not running")
@@ -602,6 +613,7 @@ class PatternService:
         except RuntimeError:
             # The pool shut down between start() and here (service is
             # draining): fail the job instead of hanging its waiters.
+            self._engine.request_finished()
             self._finish_job(
                 job,
                 ServeResponse(
@@ -671,7 +683,8 @@ class PatternService:
     def _run_job(self, job: Job) -> None:
         """Request-pool entry: execute one admitted job to a terminal state.
 
-        Never raises — a failure here would vanish into the pool.
+        Never raises — a failure here would vanish into the pool.  Closes
+        the engine request :meth:`submit_job` opened, whatever the outcome.
         """
         request: ServeRequest = job.request
         try:
@@ -716,6 +729,8 @@ class PatternService:
                     job_id=job.job_id,
                 ),
             )
+        finally:
+            self._engine.request_finished()
 
     def _run_pipeline_request(
         self, pipeline: PatternPipeline, request: ServeRequest

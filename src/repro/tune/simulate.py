@@ -9,9 +9,10 @@ replaying the arrival trace through a real, never-started
 (``queue_limit`` rejection), the batch policy (selection, aging, the
 adaptive policy's ticks and gather widening), trajectory planning and
 the load snapshot are the engine's own code, handed simulated instants
-as their ``now`` arguments.  This module keeps only the event loop —
-which worker frees up next, the gather wait, the tick replay — and the
-cost of each trajectory.
+as their ``now`` arguments, and so is the decision whether to keep
+gathering.  This module keeps only the event loop — which worker frees
+up next, the gather wait, the tick replay — and the cost of each
+trajectory.
 
 Execution cost comes from :class:`CostModel`: a trajectory costs a fixed
 dispatch overhead plus, per denoiser evaluation, a batch-size-independent
@@ -248,21 +249,20 @@ def simulate_trial(
             now = arrivals[i].at
             advance(now)
         # Gather: wait for coalescing arrivals up to the engine's window
-        # (which the adaptive policy widens while degraded).
+        # (which the adaptive policy widens while degraded), for as long as
+        # the engine's own gather rule says so.  No simulated arrival opens
+        # a request, so only the window and a full batch end the wait.
         start = now
-        if (
-            engine.gather_window > 0
-            and engine._queued_samples_locked() < max_batch
-        ):
+        if engine._gathering_locked():
             gather_end = now + engine.gather_window
             while (
                 i < len(arrivals)
                 and arrivals[i].at <= gather_end
-                and engine._queued_samples_locked() < max_batch
+                and engine._gathering_locked()
             ):
                 start = arrivals[i].at
                 advance(start)
-            if engine._queued_samples_locked() < max_batch:
+            if engine._gathering_locked():
                 start = gather_end
         advance(start)
         # The engine's plans run back to back on this worker.

@@ -20,6 +20,7 @@ from repro.diffusion import (
 )
 from repro.api.config import TrainConfig
 from repro.diffusion.denoisers.neighborhood import downsample_binary, upsample_to
+from repro.ops.extend import extend
 from repro.serve.registry import ModelKey, fit_model
 
 LEVELS = (0.01, 0.1, 0.23, 0.4, 0.5)
@@ -150,6 +151,20 @@ class TestCompileLifecycle:
             clone.predict_x0(noisy, 0.2, 0), fitted.predict_x0(noisy, 0.2, 0)
         )
 
+    def test_scale_tables_are_views_of_one_table(self, fitted, noisy):
+        fitted.predict_x0(noisy, 0.2, 0)  # fills the layout cache
+        assert fitted._layouts
+        clone = pickle.loads(pickle.dumps(fitted))
+        for d in (fitted, clone):
+            for s in d.scales:
+                assert np.shares_memory(d._logit_tables[s], d._table)
+        # Neither the views nor the layout cache are pickled.
+        assert clone._layouts == {}
+        payload = len(pickle.dumps(fitted))
+        assert payload < 1.5 * fitted._table.nbytes + sum(
+            c.nbytes for c in fitted._counts.values()
+        )
+
 
 class TestVectorizedFit:
     def test_observation_count(self):
@@ -198,6 +213,17 @@ def fitted_8():
     return d
 
 
+@pytest.fixture(scope="module")
+def fitted_odd():
+    """Pools of 3 and 6 (not powers of two) and a 3x5 window, whose reach
+    differs by axis, so the canvas gutters differ by axis too."""
+    rng = np.random.default_rng(8)
+    topos = (rng.random((12, 36, 36)) < 0.4).astype(np.uint8)
+    d = NeighborhoodDenoiser(n_classes=2, scales=(1, 3, 6), window=(3, 5))
+    d.fit(topos, np.arange(12) % 2, DiffusionSchedule.linear(16), rng)
+    return d
+
+
 class TestPooledGather:
     """Gathering at pooled resolution equals gathering upsampled codes."""
 
@@ -233,20 +259,21 @@ class TestPooledGather:
 
     @pytest.mark.parametrize("compiled", [True, False])
     @pytest.mark.parametrize("shape", [(2, 100, 90), (3, 40, 40), (1, 13, 21)])
-    def test_bit_identical(self, fitted_8, compiled, shape):
+    def test_bit_identical(self, fitted_8, fitted_odd, compiled, shape):
         rng = np.random.default_rng(sum(shape))
         stack = (rng.random(shape) < 0.5).astype(np.uint8)
         conditions = [i % 2 for i in range(shape[0])]
-        fitted_8.use_compiled = compiled
-        try:
-            for level in (0.05, 0.3):
-                expected = self._upsample_then_gather(
-                    fitted_8, stack, level, conditions
-                )
-                got = fitted_8.predict_x0_many(stack, level, conditions)
-                assert np.array_equal(got, expected)
-        finally:
-            fitted_8.use_compiled = True
+        for d in (fitted_8, fitted_odd):
+            d.use_compiled = compiled
+            try:
+                for level in (0.05, 0.3):
+                    expected = self._upsample_then_gather(
+                        d, stack, level, conditions
+                    )
+                    got = d.predict_x0_many(stack, level, conditions)
+                    assert np.array_equal(got, expected)
+            finally:
+                d.use_compiled = True
 
 
 def _model_digest(d) -> str:
@@ -354,6 +381,58 @@ class TestPredictionPin:
                 assert z.dtype == np.float32 and z.shape == shape
                 h.update(z.tobytes())
         assert h.hexdigest() == self.DIGESTS[shape]
+
+
+class TestTrajectoryPin:
+    """``"full"`` trajectories and 256x256 extensions of the default-recipe
+    model, byte for byte.
+
+    Recorded from the per-scale hash-and-gather loop of
+    ``predict_logits_many``, before the scales shared one canvas and one
+    gather.
+    """
+
+    SAMPLE_DIGESTS = {
+        (0,): (
+            "92438e70f09490131f1ef6c6cded992b"
+            "a51faa8bb283b0f890861218efe6caad"
+        ),
+        (1, 0, 1): (
+            "a1428ac282aa536f822b83011cfad899"
+            "d42c587dc02c48f8502c09ec9af9dba1"
+        ),
+    }
+    EXTEND_DIGESTS = {
+        "out": (
+            "2b7bf451b79691a410c6f8cb1d24c15f"
+            "e97a826088a4b50302c594d3c4b071b1"
+        ),
+        "in": (
+            "9884b8f5876a8e95bef24f298542e962"
+            "f0d2a50c1d3ca797671b18303181ddaf"
+        ),
+    }
+
+    @pytest.mark.parametrize("conditions", sorted(SAMPLE_DIGESTS))
+    def test_full_sample_batch(self, default_model, conditions):
+        x = default_model.sample_batch(
+            list(conditions), np.random.default_rng(len(conditions) // 2),
+            sampler_steps="full",
+        )
+        assert x.dtype == np.uint8 and x.shape == (len(conditions), 128, 128)
+        digest = hashlib.sha256(x.tobytes()).hexdigest()
+        assert digest == self.SAMPLE_DIGESTS[conditions]
+
+    @pytest.mark.parametrize("method", sorted(EXTEND_DIGESTS))
+    def test_extend_256(self, default_model, method):
+        result = extend(
+            default_model, (256, 256), 0, np.random.default_rng(2),
+            method=method,
+        )
+        x = result.topology
+        assert x.dtype == np.uint8 and x.shape == (256, 256)
+        digest = hashlib.sha256(x.tobytes()).hexdigest()
+        assert digest == self.EXTEND_DIGESTS[method]
 
 
 class TestBucketedSamplePin:

@@ -275,7 +275,7 @@ class TestCompiledRehydration:
         assert loaded.denoiser.compiled
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        assert payload["format"] == 2
+        assert payload["format"] == 3
 
 
 class TestDiskCacheHardening:

@@ -5,6 +5,8 @@ flow through the micro-batching scheduler (observed batch size > 1) against
 a registry-cached model, and legal output lands in the indexed store.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.serve import (
     PatternService,
     ServeRequest,
 )
+from repro.serve.jobs import CANCELLED
 
 REQUEST = (
     "Generate 2 legal patterns, 64*64 topology, physical size "
@@ -309,3 +312,87 @@ class TestEngineBackedService:
         # agent tool layer as the request's failure reason.
         assert "deadline expired" in responses[0].error
         assert responses[1].ok
+
+
+def _settled(engine, timeout=2.0):
+    """Whether the engine's open-request and awaited-job counts return to
+    zero within ``timeout`` (a request closes just after its job turns
+    terminal)."""
+    give_up = time.monotonic() + timeout
+    while (engine._requests, engine._awaited) != (0, 0):
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestGatherRule:
+    """A lone request skips the gather window; every way a request can
+    end closes it in the engine, so the next lone request does too."""
+
+    WINDOW = 0.5
+
+    def _service(self, registry, **kwargs):
+        return PatternService(
+            model_key=ModelKey(window=64),
+            registry=registry,
+            gather_window=self.WINDOW,
+            max_retries=0,
+            **kwargs,
+        )
+
+    def _assert_lone_request_dispatches_at_once(self, service):
+        assert _settled(service.engine)
+        response = service.handle(_requests(1)[0])
+        assert response.ok
+        assert response.stats.queue_wait_seconds < 0.1
+        assert _settled(service.engine)
+
+    def test_lone_request_skips_the_gather_window(self, registry):
+        with self._service(registry) as service:
+            response = service.handle(_requests(1)[0])
+        assert response.ok
+        assert response.stats.queue_wait_seconds < 0.1
+
+    def test_refused_submit_leaves_counts_balanced(self, registry):
+        from repro.serve import ServeEngine
+
+        engine = ServeEngine(
+            registry=registry, queue_limit=1, gather_window=self.WINDOW
+        )
+        service = self._service(registry, engine=engine)
+        # A raw job fills the one-slot queue before the engine starts; the
+        # engine then gathers for it, as raw clients always do.
+        model = registry.get_or_fit(ModelKey(window=64))
+        raw = engine.bind(model).submit(1, 0)
+        with engine, service:
+            response = service.handle(_requests(1)[0])
+            assert not response.ok
+            assert response.error_code == "queue_full"
+            raw.result(timeout=30)
+            self._assert_lone_request_dispatches_at_once(service)
+
+    def test_cancelled_request_leaves_counts_balanced(self, registry):
+        with self._service(registry, max_workers=1) as service:
+            first = service.submit_job(_requests(1)[0])
+            second = service.submit_job(_requests(1)[0])
+            _, effective = service.cancel_job(second.job_id)
+            assert effective
+            assert first.wait(timeout=30) and second.wait(timeout=30)
+            assert first.response.ok
+            assert second.state == CANCELLED
+            self._assert_lone_request_dispatches_at_once(service)
+
+    def test_expired_request_leaves_counts_balanced(self, registry):
+        with self._service(registry, max_batch=32) as service:
+            # A full batch of raw work keeps the worker busy while the
+            # request's job waits out its deadline in the queue.
+            busy = service.scheduler.submit(32, 0)
+            response = service.serve(
+                [ServeRequest(text=_requests(1)[0], deadline=0.05)]
+            )[0]
+            busy.result(timeout=30)
+            assert not response.ok
+            assert "deadline expired" in response.error
+            assert service.engine.stats().expired == 1
+            self._assert_lone_request_dispatches_at_once(service)
