@@ -318,11 +318,9 @@ class NeighborhoodDenoiser(Denoiser):
         self.n_buckets = n_buckets
         self.smoothing = float(smoothing)
         self._n_codes = 1 << len(self.offsets)
-        # Hoisted once: the PoE normaliser and the neighbourhood's reach
-        # (the compiled canvas's gutter width) are constants of the
+        # Hoisted once: the PoE normaliser is a constant of the
         # architecture, not of the input.
         self._weight_total = float(sum(self.scale_weights))
-        self._pads = _hash_plan(tuple(self.offsets)).pads
         slots = max(1, n_classes)
         self._counts = {
             s: np.zeros((slots, n_buckets, self._n_codes, 2), dtype=np.float64)
@@ -335,23 +333,15 @@ class NeighborhoodDenoiser(Denoiser):
         self.use_compiled = True
         self._compiled = False
         #: the compiled logits, one float32 array laid out
-        #: ``(bucket, scale, class, code)``; ``_logit_tables[s]`` are its
-        #: ``(class, bucket, code)`` views per scale
+        #: ``(bucket, scale, class, code)``
         self._table: Optional[np.ndarray] = None
-        self._logit_tables: dict = {}
         self._layouts: dict = {}  # (H, W) -> _CanvasLayout, never pickled
 
     def __getstate__(self) -> dict:
-        # The per-scale views would pickle as copies and the layouts are a
-        # cache: both are rebuilt on load, so the table is stored once.
+        # The layouts are a cache, rebuilt on first use after a load.
         state = dict(self.__dict__)
-        state["_logit_tables"] = {}
         state["_layouts"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._logit_tables = self._scale_views()
 
     def bucket_of(self, noise_level: float) -> int:
         """Map ``beta_bar`` in (0, 0.5] to a bucket index."""
@@ -474,14 +464,12 @@ class NeighborhoodDenoiser(Denoiser):
     def compile_tables(self, force: bool = False) -> bool:
         """Fold smoothing and the logit transform into float32 lookup tables.
 
-        For each scale ``s`` the table entry ``[class, bucket, code]`` holds
-        ``(w_s / sum(w)) * log(p / (1 - p))`` where ``p`` is the smoothed
-        probability the reference path derives per pixel — so sampling-time
-        prediction becomes gather + add + one sigmoid.  All scales live in
-        one array laid out ``(bucket, scale, class, code)``, so one step's
-        reads (one bucket) are one contiguous block; ``_logit_tables[s]``
-        views it per scale.  Idempotent unless ``force`` (``fit`` forces,
-        because it changes the counts).
+        The entry ``[bucket, j, class, code]`` holds ``(w_s / sum(w)) *
+        log(p / (1 - p))`` for the ``j``-th scale ``s``, where ``p`` is the
+        smoothed probability the reference path derives per pixel — so
+        sampling-time prediction becomes gather + add + one sigmoid.  With
+        the bucket outermost, one step's reads are one contiguous block.  Idempotent unless
+        ``force`` (``fit`` forces, because it changes the counts).
         """
         if not self._fitted:
             return False
@@ -503,18 +491,8 @@ class NeighborhoodDenoiser(Denoiser):
                 (weight / self._weight_total) * np.log(p / (1.0 - p))
             ).astype(np.float32).transpose(1, 0, 2)
         self._table = table
-        self._logit_tables = self._scale_views()
         self._compiled = True
         return True
-
-    def _scale_views(self) -> dict:
-        """Per-scale ``(class, bucket, code)`` views of the compiled table."""
-        if self._table is None:
-            return {}
-        return {
-            s: self._table[:, j].transpose(1, 0, 2)
-            for j, s in enumerate(self.scales)
-        }
 
     @property
     def compiled(self) -> bool:
@@ -594,7 +572,7 @@ class NeighborhoodDenoiser(Denoiser):
         n, h, w = stack.shape
         layout = self._canvas_layout(h, w)
         hp, wp = layout.padded
-        pr, pc = self._pads
+        pr, pc = layout.plan.pads
         padded = stack
         if (hp, wp) != (h, w):
             padded = np.zeros((n, hp, wp), dtype=np.uint8)
@@ -664,7 +642,8 @@ class NeighborhoodDenoiser(Denoiser):
             return layout
         block = math.lcm(*self.scales)
         hp, wp = h + (-h) % block, w + (-w) % block
-        pr, pc = self._pads
+        plan = _hash_plan(tuple(self.offsets))
+        pr, pc = plan.pads
         sizes = [(hp // s, wp // s) for s in self.scales]
         finest = self.scales.index(min(self.scales))
         corners = [(0, 0)] * len(sizes)
@@ -686,7 +665,7 @@ class NeighborhoodDenoiser(Denoiser):
             shape=(rows + 2 * pr, cols + 2 * pc),
             corners=tuple(corners),
             offsets=offsets,
-            plan=_hash_plan(tuple(self.offsets)),
+            plan=plan,
         )
         if len(self._layouts) >= _LAYOUT_CACHE:
             self._layouts.clear()

@@ -114,8 +114,6 @@ class BatchedSamplingModel:
                 sampler_steps=sampler_steps,
                 source=self._source,
                 deadline=self._deadline,
-                # This thread blocks on the job right below.
-                awaited=True,
             )
             admitted_at = time.perf_counter()
             self._tracer.record("admission", submit_started, admitted_at)

@@ -136,7 +136,7 @@ class EngineJob:
         "exec_ended_at",
         "requested_sampler_steps",
         "degrade_level",
-        "awaited",
+        "engine",
     )
 
     def __init__(
@@ -150,7 +150,6 @@ class EngineJob:
         deadline: Optional[float] = None,
         model=None,
         model_label: str = "model",
-        awaited: bool = False,
     ):
         self.count = int(count)
         self.condition = condition
@@ -178,9 +177,8 @@ class EngineJob:
         # controller level land here so the response can report it.
         self.requested_sampler_steps: SamplerSteps = None
         self.degrade_level = 0
-        #: the submitter blocks on this job until it resolves (see
-        #: :meth:`ServeEngine.request_started`)
-        self.awaited = awaited
+        #: the engine that admitted the job (``None`` until admitted)
+        self.engine: Optional["ServeEngine"] = None
 
     @property
     def batch_key(self) -> Tuple:
@@ -188,8 +186,14 @@ class EngineJob:
         return (id(self.model), self.shape, self.sampler_steps)
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until a worker delivers this job's samples."""
-        return self.future.result(timeout=timeout)
+        """Block until a worker delivers this job's samples.
+
+        While it blocks, the caller counts toward the admitting engine's
+        gather rule (see :meth:`ServeEngine.request_started`).
+        """
+        if self.engine is None:
+            return self.future.result(timeout=timeout)
+        return self.engine._wait_for(self, timeout)
 
 
 class TrajectoryPlan:
@@ -528,9 +532,9 @@ class ServeEngine:
             first queued job, giving concurrent submitters a chance to
             coalesce.  Skipped (or ended early) while draining, once a full
             batch is queued, or when no companion can arrive: every request
-            opened with :meth:`request_started` already waits on a queued
-            or executing awaited job.  Callers that open no requests (raw
-            clients, the tuner's simulation) always gather.
+            opened with :meth:`request_started` is already blocked in
+            :meth:`EngineJob.result` on a job it submitted.  Callers that open no
+            requests (raw clients, the tuner's simulation) always gather.
         max_batch: sample budget per selected batch.
         deadline: default per-job deadline in seconds from submission
             (``None`` = jobs never expire).  Per-job deadlines override it.
@@ -602,10 +606,10 @@ class ServeEngine:
         self._rejected = 0
         self._expired = 0
         # The gather rule's counts (queue lock): requests open between
-        # request_started/request_finished, and awaited jobs queued or
-        # executing.
+        # request_started/request_finished, and callers blocked in
+        # EngineJob.result.
         self._requests = 0
-        self._awaited = 0
+        self._blocked = 0
         self.metrics = metrics if metrics is not None else default_metrics()
         m = self.metrics
         self._m_queue_depth = m.gauge(
@@ -788,13 +792,14 @@ class ServeEngine:
     # -- the gather rule -----------------------------------------------
 
     def request_started(self) -> None:
-        """Open a caller request that may submit awaited jobs.
+        """Open a caller request that may submit jobs.
 
-        The service opens one per admitted request and closes it with
-        :meth:`request_finished` once the request is done, whatever its
-        outcome.  While at least one request is open, a worker gathers
-        only if some open request is not yet waiting on an awaited job:
-        with all of them waiting, no companion can arrive before a job
+        The service opens one per admitted request it can run and closes
+        it with :meth:`request_finished` once the request is done, whatever
+        its outcome.  While at least one request is open, a worker gathers
+        only if some open request is not yet blocked in
+        :meth:`EngineJob.result`:
+        with all of them blocked, no companion can arrive before a job
         completes, so the window would be spent idle.
         """
         with self._has_work:
@@ -807,11 +812,26 @@ class ServeEngine:
             # The rest may all be waiting now: end any gather in progress.
             self._has_work.notify_all()
 
-    def _job_settled(self, _future) -> None:
-        """Done-callback of an awaited job's future (never runs under the
-        queue lock: futures resolve outside it)."""
+    def _wait_for(
+        self, job: EngineJob, timeout: Optional[float]
+    ) -> np.ndarray:
+        """:meth:`EngineJob.result` of a job this engine admitted: block on
+        it, counted as a blocked caller for the gather rule.
+
+        The count rises only once the job is queued (until then the caller
+        merely keeps a worker gathering) and falls before the caller can
+        submit again.  Callers that open no requests (raw clients) count
+        too, which changes nothing while no request is open.
+        """
         with self._has_work:
-            self._awaited -= 1
+            self._blocked += 1
+            # Every open request may be blocked now: end any gather.
+            self._has_work.notify_all()
+        try:
+            return job.future.result(timeout=timeout)
+        finally:
+            with self._has_work:
+                self._blocked -= 1
 
     def _gathering_locked(self) -> bool:
         """Whether a worker holding queued work should keep waiting for
@@ -825,7 +845,7 @@ class ServeEngine:
             and not self._draining.is_set()
             and not self._halt.is_set()
             and self._queued_samples_locked() < self.max_batch
-            and not 0 < self._requests <= self._awaited
+            and not 0 < self._requests <= self._blocked
         )
 
     # -- admission (layer 1) -------------------------------------------
@@ -854,15 +874,12 @@ class ServeEngine:
                         f"admission queue is full ({len(self._jobs)} queued, "
                         f"queue_limit={self.queue_limit}); retry later"
                     )
+                job.engine = self
                 self._jobs.append(job)
                 self._submitted += 1
-                self._awaited += job.awaited
                 self._m_submitted.inc()
                 self._m_queue_depth.set(len(self._jobs))
                 self._has_work.notify()
-        if job.awaited:
-            # Outside the lock: a job already done runs it right here.
-            job.future.add_done_callback(self._job_settled)
         return job
 
     def _fail_pending(self, message: str) -> None:
@@ -1213,15 +1230,12 @@ class EngineClient:
         sampler_steps: SamplerSteps = None,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
-        awaited: bool = False,
     ) -> EngineJob:
         """Queue a sampling job for this client's model; returns its handle.
 
         ``deadline`` is relative seconds from now; jobs still queued past
         it fail with :class:`DeadlineExpiredError`.  A full admission
-        queue raises :class:`QueueFullError` immediately.  ``awaited``
-        says the caller blocks on the job until it resolves, which counts
-        toward the gather rule (see :meth:`ServeEngine.request_started`).
+        queue raises :class:`QueueFullError` immediately.
         """
         job = EngineJob(
             count=count,
@@ -1236,7 +1250,6 @@ class EngineClient:
             source=source if source is not None else self.source,
             model=self.model,
             model_label=self.label,
-            awaited=awaited,
         )
         if deadline is not None:
             if deadline <= 0:

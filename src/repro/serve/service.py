@@ -328,6 +328,10 @@ class PatternService:
         # Overlapping serve() calls may both find the service cold; the
         # lock makes engine construction + model binding happen once.
         self._start_lock = threading.Lock()
+        # Requests admitted and not yet finished; the engine sees at most
+        # max_workers of them open (see _open_request).
+        self._open_requests = 0
+        self._open_lock = threading.Lock()
         # Request ids must be unique across overlapping serve() calls: they
         # seed per-request RNG streams, so a collision would make two live
         # requests sample identically.
@@ -605,7 +609,7 @@ class PatternService:
         pool = self._pool
         # Open from admission, so the engine keeps gathering for requests
         # a burst has admitted but not yet started; _run_job closes it.
-        self._engine.request_started()
+        self._open_request()
         try:
             if pool is None:
                 raise RuntimeError("service request pool is not running")
@@ -613,7 +617,7 @@ class PatternService:
         except RuntimeError:
             # The pool shut down between start() and here (service is
             # draining): fail the job instead of hanging its waiters.
-            self._engine.request_finished()
+            self._close_request()
             self._finish_job(
                 job,
                 ServeResponse(
@@ -684,7 +688,7 @@ class PatternService:
         """Request-pool entry: execute one admitted job to a terminal state.
 
         Never raises — a failure here would vanish into the pool.  Closes
-        the engine request :meth:`submit_job` opened, whatever the outcome.
+        the request :meth:`submit_job` opened, whatever the outcome.
         """
         request: ServeRequest = job.request
         try:
@@ -730,7 +734,28 @@ class PatternService:
                 ),
             )
         finally:
-            self._engine.request_finished()
+            self._close_request()
+
+    def _open_request(self) -> None:
+        """Count an admitted request toward the engine's gather rule.
+
+        The engine sees ``min(admitted, max_workers)`` requests open: one
+        that waits for a request-pool slot cannot submit before a running
+        request finishes, so it is no companion worth gathering for.  The
+        pool runs requests in admission order, and whenever more than
+        ``max_workers`` are admitted every slot is busy.
+        """
+        with self._open_lock:
+            self._open_requests += 1
+            if self._open_requests <= self.max_workers:
+                self._engine.request_started()
+
+    def _close_request(self) -> None:
+        """Undo :meth:`_open_request` once the request is done."""
+        with self._open_lock:
+            self._open_requests -= 1
+            if self._open_requests < self.max_workers:
+                self._engine.request_finished()
 
     def _run_pipeline_request(
         self, pipeline: PatternPipeline, request: ServeRequest

@@ -19,11 +19,20 @@ from repro.diffusion import (
     neighborhood_codes,
 )
 from repro.api.config import TrainConfig
-from repro.diffusion.denoisers.neighborhood import downsample_binary, upsample_to
+from repro.diffusion.denoisers.neighborhood import (
+    _hash_plan,
+    downsample_binary,
+    upsample_to,
+)
 from repro.ops.extend import extend
 from repro.serve.registry import ModelKey, fit_model
 
 LEVELS = (0.01, 0.1, 0.23, 0.4, 0.5)
+
+
+def _scale_table(d, s):
+    """Scale ``s``'s ``(class, bucket, code)`` view of the compiled table."""
+    return d._table[:, d.scales.index(s)].transpose(1, 0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +108,12 @@ class TestNumericalIdentity:
 class TestCompileLifecycle:
     def test_compiled_after_fit(self, fitted):
         assert fitted.compiled
-        assert set(fitted._logit_tables) == set(fitted.scales)
+        assert fitted._table.dtype == np.float32
+        assert fitted._table.shape == (
+            fitted.n_buckets, len(fitted.scales), 2, fitted._n_codes
+        )
         for s in fitted.scales:
-            table = fitted._logit_tables[s]
-            assert table.dtype == np.float32
+            table = _scale_table(fitted, s)
             assert table.shape == (2, fitted.n_buckets, fitted._n_codes)
 
     def test_unfitted_cannot_compile(self):
@@ -114,11 +125,10 @@ class TestCompileLifecycle:
         assert MarginalDenoiser(n_classes=0).compile_tables() is False
 
     def test_compile_is_idempotent_without_force(self, fitted):
-        before = dict(fitted._logit_tables)
+        before = fitted._table
         assert fitted.compile_tables()
-        for s in fitted.scales:
-            # no force -> the compiled tables are not rebuilt
-            assert fitted._logit_tables[s] is before[s]
+        # no force -> the compiled table is not rebuilt
+        assert fitted._table is before
 
     def test_refit_invalidates_and_recompiles(self):
         rng = np.random.default_rng(0)
@@ -127,19 +137,16 @@ class TestCompileLifecycle:
         dense = (rng.random((6, 16, 16)) < 0.6).astype(np.uint8)
         schedule = DiffusionSchedule.linear(8)
         d.fit(sparse, None, schedule, rng)
-        first = {s: t.copy() for s, t in d._logit_tables.items()}
+        first = d._table.copy()
         d.fit(dense, None, schedule, rng)
         assert d.compiled
-        assert any(
-            not np.array_equal(d._logit_tables[s], first[s])
-            for s in d.scales
-        )
+        assert not np.array_equal(d._table, first)
 
     def test_hoisted_attributes(self, fitted):
         assert fitted._weight_total == pytest.approx(
             sum(fitted.scale_weights)
         )
-        assert fitted._pads == (
+        assert _hash_plan(tuple(fitted.offsets)).pads == (
             max(abs(r) for r, _ in fitted.offsets),
             max(abs(c) for _, c in fitted.offsets),
         )
@@ -151,14 +158,12 @@ class TestCompileLifecycle:
             clone.predict_x0(noisy, 0.2, 0), fitted.predict_x0(noisy, 0.2, 0)
         )
 
-    def test_scale_tables_are_views_of_one_table(self, fitted, noisy):
+    def test_pickle_stores_the_table_once_without_layouts(
+        self, fitted, noisy
+    ):
         fitted.predict_x0(noisy, 0.2, 0)  # fills the layout cache
         assert fitted._layouts
         clone = pickle.loads(pickle.dumps(fitted))
-        for d in (fitted, clone):
-            for s in d.scales:
-                assert np.shares_memory(d._logit_tables[s], d._table)
-        # Neither the views nor the layout cache are pickled.
         assert clone._layouts == {}
         payload = len(pickle.dumps(fitted))
         assert payload < 1.5 * fitted._table.nbytes + sum(
@@ -240,7 +245,8 @@ class TestPooledGather:
                     downsample_binary(stack, s), d.offsets
                 ).astype(np.int64)
                 pixel_codes = upsample_to(codes, s, shape)
-                logit += d._logit_tables[s].reshape(-1)[base + pixel_codes]
+                table = _scale_table(d, s).reshape(-1)
+                logit += table[base + pixel_codes]
             return 1.0 / (1.0 + np.exp(-logit, dtype=np.float64))
         priors = d._marginals[conds, bucket][:, None, None]
         logit = np.zeros(stack.shape, dtype=np.float64)
@@ -282,7 +288,7 @@ def _model_digest(d) -> str:
     for s in d.scales:
         h.update(np.ascontiguousarray(d._counts[s]).tobytes())
     for s in d.scales:
-        h.update(np.ascontiguousarray(d._logit_tables[s]).tobytes())
+        h.update(np.ascontiguousarray(_scale_table(d, s)).tobytes())
     h.update(np.ascontiguousarray(d._marginals).tobytes())
     h.update(np.ascontiguousarray(d._target_fills).tobytes())
     return h.hexdigest()

@@ -101,52 +101,53 @@ class TestAdmission:
 class TestGatherRule:
     """The gather window is spent only while a companion can still arrive.
 
-    Requests opened with ``request_started`` that all wait on awaited jobs
-    cannot submit again before a job completes, so the worker dispatches
-    at once; callers that open no requests gather as before.
+    Requests opened with ``request_started`` that are all blocked in
+    ``EngineJob.result`` cannot submit again before a job completes, so
+    the worker dispatches at once; callers that open no requests gather as
+    before.
     """
 
     @staticmethod
-    def _counts(engine, expected=(0, 0), timeout=2.0):
-        """The engine's (open requests, awaited jobs), once they read
-        ``expected`` or ``timeout`` passes: an awaited job leaves the count
-        in its future's done-callback, just after its waiters wake."""
-        give_up = time.monotonic() + timeout
-        while (
-            (engine._requests, engine._awaited) != expected
-            and time.monotonic() < give_up
-        ):
-            time.sleep(0.001)
-        return engine._requests, engine._awaited
+    def _counts(engine):
+        """The engine's (open requests, blocked callers)."""
+        return engine._requests, engine._blocked
+
+    @staticmethod
+    def _wait_in_thread(job):
+        waiter = threading.Thread(target=job.result, args=(5,))
+        waiter.start()
+        return waiter
 
     def test_raw_clients_gather_the_full_window(self):
         with ServeEngine(gather_window=0.2) as engine:
-            job = engine.bind(StubModel()).submit(1, 0, awaited=True)
+            job = engine.bind(StubModel()).submit(1, 0)
             job.result(timeout=5)
         assert job.queue_wait >= 0.15
 
     def test_lone_open_request_dispatches_at_once(self):
         with ServeEngine(gather_window=0.5) as engine:
             engine.request_started()
-            job = engine.bind(StubModel()).submit(1, 0, awaited=True)
+            job = engine.bind(StubModel()).submit(1, 0)
             job.result(timeout=5)
             engine.request_finished()
             assert self._counts(engine) == (0, 0)
         assert job.queue_wait < 0.1
 
-    def test_gather_ends_when_the_last_open_request_submits(self):
+    def test_gather_ends_when_the_last_open_request_blocks(self):
         with ServeEngine(gather_window=0.5) as engine:
             client = engine.bind(StubModel())
             engine.request_started()
             engine.request_started()
-            first = client.submit(1, 0, awaited=True)
+            first = client.submit(1, 0)
+            waiter = self._wait_in_thread(first)
             time.sleep(0.05)
-            second = client.submit(1, 1, awaited=True)
-            first.result(timeout=5)
+            second = client.submit(1, 1)
             second.result(timeout=5)
+            waiter.join(timeout=5)
             engine.request_finished()
             engine.request_finished()
-        # One batch, dispatched when the second request arrived.
+            assert self._counts(engine) == (0, 0)
+        # One batch, dispatched when the second request blocked.
         assert first.batch_samples == second.batch_samples == 2
         assert 0.04 <= first.queue_wait < 0.4
 
@@ -154,37 +155,40 @@ class TestGatherRule:
         with ServeEngine(gather_window=0.5) as engine:
             engine.request_started()
             engine.request_started()
-            job = engine.bind(StubModel()).submit(1, 0, awaited=True)
+            job = engine.bind(StubModel()).submit(1, 0)
+            waiter = self._wait_in_thread(job)
             time.sleep(0.05)
             engine.request_finished()  # it never submitted
-            job.result(timeout=5)
+            waiter.join(timeout=5)
             engine.request_finished()
         assert job.queue_wait < 0.4
 
-    def test_unawaited_jobs_do_not_count_as_waiting(self):
+    def test_callers_not_blocked_keep_the_gather(self):
+        # A request that has submitted but not blocked on the job could
+        # still submit again, so the worker waits for it.
         with ServeEngine(gather_window=0.2) as engine:
             engine.request_started()
             job = engine.bind(StubModel()).submit(1, 0)
-            job.result(timeout=5)
+            job.future.result(timeout=5)
             engine.request_finished()
         assert job.queue_wait >= 0.15
 
-    def test_refused_expired_and_failed_jobs_settle_the_count(self):
+    def test_expired_and_failed_waits_leave_the_count_balanced(self):
         class Failing(StubModel):
             def sample_batch(self, conditions, rng, shape=None, **kwargs):
                 raise RuntimeError("boom")
 
         engine = ServeEngine(queue_limit=1, gather_window=0.0)
         client = engine.bind(StubModel())
-        expiring = client.submit(1, 0, deadline=0.001, awaited=True)
+        expiring = client.submit(1, 0, deadline=0.001)
         with pytest.raises(QueueFullError):
-            client.submit(1, 0, awaited=True)
-        assert self._counts(engine, expected=(0, 1)) == (0, 1)
+            client.submit(1, 0)
         time.sleep(0.01)
         with engine:
             with pytest.raises(DeadlineExpiredError):
                 expiring.result(timeout=5)
-            failing = engine.bind(Failing()).submit(1, 0, awaited=True)
+            assert self._counts(engine) == (0, 0)
+            failing = engine.bind(Failing()).submit(1, 0)
             with pytest.raises(RuntimeError, match="boom"):
                 failing.result(timeout=5)
             assert self._counts(engine) == (0, 0)

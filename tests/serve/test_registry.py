@@ -277,6 +277,40 @@ class TestCompiledRehydration:
             payload = pickle.load(handle)
         assert payload["format"] == 3
 
+    def test_per_scale_table_payload_refits_without_retries(
+        self, tmp_path, monkeypatch
+    ):
+        import copy
+        import pickle
+
+        from repro.serve import registry as registry_module
+
+        registry = ModelRegistry(save_dir=tmp_path)
+        key = ModelKey(**self.KEY)
+        model = registry.get_or_fit(key)
+        # A format-2 denoiser: one (class, bucket, code) table per scale in
+        # ``_logit_tables`` and no single ``_table``.
+        old = copy.deepcopy(model)
+        d = old.denoiser
+        d._logit_tables = {
+            s: d._table[:, j].transpose(1, 0, 2).copy()
+            for j, s in enumerate(d.scales)
+        }
+        del d._table
+        path = registry.cache_path(key)
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"format": 2, "recipe": key.as_dict(), "model": old}, handle
+            )
+        sleeps = []
+        monkeypatch.setattr(registry_module.time, "sleep", sleeps.append)
+        loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
+        # The payload unpickles and is refused for its format at once; it
+        # is not mistaken for a torn read and retried.
+        assert source == "fit"
+        assert sleeps == []
+        assert loaded.denoiser.compiled
+
 
 class TestDiskCacheHardening:
     """Bounded-retry reads and cross-process single-flight fits."""

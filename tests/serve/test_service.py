@@ -315,11 +315,11 @@ class TestEngineBackedService:
 
 
 def _settled(engine, timeout=2.0):
-    """Whether the engine's open-request and awaited-job counts return to
-    zero within ``timeout`` (a request closes just after its job turns
+    """Whether the engine's open-request and blocked-caller counts return
+    to zero within ``timeout`` (a request closes just after its job turns
     terminal)."""
     give_up = time.monotonic() + timeout
-    while (engine._requests, engine._awaited) != (0, 0):
+    while (engine._requests, engine._blocked) != (0, 0):
         if time.monotonic() > give_up:
             return False
         time.sleep(0.001)
@@ -354,6 +354,19 @@ class TestGatherRule:
         assert response.ok
         assert response.stats.queue_wait_seconds < 0.1
 
+    def test_requests_waiting_for_a_pool_slot_do_not_hold_the_gather(
+        self, registry
+    ):
+        # With one pool thread the second request cannot reach the engine
+        # until the first finishes, so neither waits out the window.
+        with self._service(registry, max_workers=1) as service:
+            jobs = [service.submit_job(_requests(1)[0]) for _ in range(2)]
+            for job in jobs:
+                assert job.wait(timeout=30)
+                assert job.response.ok
+                assert job.response.stats.queue_wait_seconds < 0.1
+            assert _settled(service.engine)
+
     def test_refused_submit_leaves_counts_balanced(self, registry):
         from repro.serve import ServeEngine
 
@@ -380,6 +393,9 @@ class TestGatherRule:
             assert effective
             assert first.wait(timeout=30) and second.wait(timeout=30)
             assert first.response.ok
+            # The cancelled request never held a pool slot, so the first
+            # did not gather for it.
+            assert first.response.stats.queue_wait_seconds < 0.1
             assert second.state == CANCELLED
             self._assert_lone_request_dispatches_at_once(service)
 
