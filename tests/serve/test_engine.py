@@ -7,6 +7,7 @@ multi-worker executor pool's lifecycle under concurrent submit/stop, and
 multi-model routing through a registry.
 """
 
+import sys
 import threading
 import time
 
@@ -144,6 +145,7 @@ class TestGatherRule:
             second = client.submit(1, 1)
             second.result(timeout=5)
             waiter.join(timeout=5)
+            assert not waiter.is_alive()
             engine.request_finished()
             engine.request_finished()
             assert self._counts(engine) == (0, 0)
@@ -160,6 +162,7 @@ class TestGatherRule:
             time.sleep(0.05)
             engine.request_finished()  # it never submitted
             waiter.join(timeout=5)
+            assert not waiter.is_alive()
             engine.request_finished()
         assert job.queue_wait < 0.4
 
@@ -192,6 +195,39 @@ class TestGatherRule:
             with pytest.raises(RuntimeError, match="boom"):
                 failing.result(timeout=5)
             assert self._counts(engine) == (0, 0)
+
+    def test_counts_balance_under_concurrent_requests(self):
+        errors = []
+
+        def request(engine, client, i):
+            engine.request_started()
+            try:
+                for _ in range(5):
+                    client.submit(1, i % 2).result(timeout=10)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+            finally:
+                engine.request_finished()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeEngine(gather_window=0.01, engine_workers=2) as engine:
+                client = engine.bind(StubModel())
+                threads = [
+                    threading.Thread(target=request, args=(engine, client, i))
+                    for i in range(16)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert self._counts(engine) == (0, 0)
+                assert engine.stats().submitted == 16 * 5
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestBatchPolicies:
