@@ -47,8 +47,16 @@ WindowSpec = Union[Tuple[int, int], str, Sequence[Offset]]
 
 _EPS = 1e-6
 
-#: Cells per chunk of :func:`neighborhood_codes` (four 128x128 items).
+#: Cells per chunk of :func:`neighborhood_codes` and of the compiled
+#: canvas hash (four 128x128 items): the padded copy and the run codes of
+#: one chunk stay small.
 _CHUNK_CELLS = 1 << 16
+
+#: Cells of (pattern, draw) pairs :meth:`NeighborhoodDenoiser.fit` noises,
+#: hashes and counts at once (sixteen 128x128 pairs).  Each pair holds a
+#: float64 uniform per cell, so this bounds the fit's working set; four
+#: hashing chunks keep the per-chunk ``bincount`` overhead off the fit time.
+_FIT_CHUNK_CELLS = 4 * _CHUNK_CELLS
 
 #: Input shapes whose canvas layout a denoiser keeps before starting over.
 _LAYOUT_CACHE = 16
@@ -149,8 +157,7 @@ def neighborhood_codes(x: np.ndarray, offsets: Sequence[Offset]) -> np.ndarray:
     plan is derived once per offsets tuple and cached, so ``fit``, the
     reference path and the compiled canvas share it.  Items are hashed in
     chunks of about ``_CHUNK_CELLS`` cells, so the padded copy and the run
-    codes stay small however large the stack (``fit`` hashes whole
-    training stacks).
+    codes stay small however large the stack.
     """
     batched = x.ndim == 3
     arr = x if batched else x[None]
@@ -361,6 +368,9 @@ class NeighborhoodDenoiser(Denoiser):
 
         Noise levels are drawn uniformly within each bucket so the tables
         cover the full (0, 0.5] range regardless of the training schedule.
+        The pairs are noised and counted in chunks of ``_FIT_CHUNK_CELLS``
+        cells, so beside the tables it keeps the fit needs a fixed working
+        set, however many patterns it is given.
         """
         topologies = np.asarray(topologies, dtype=np.uint8)
         if topologies.ndim != 3:
@@ -381,10 +391,14 @@ class NeighborhoodDenoiser(Denoiser):
         # A (class, code) pair names one count row; int32 indexes them all.
         n_rows = slots * self._n_codes
         # Vectorized accumulation: buckets and noise levels for every
-        # (pattern, draw) pair are drawn up front, then each bucket's draws
-        # are noised as one stacked batch and counted per (bucket, scale) —
-        # the class offset is already folded into the flattened index, so
-        # mixed-class batches count in a single pass.
+        # (pattern, draw) pair are drawn up front, then each bucket's pairs
+        # are noised, hashed and counted in chunks of ``_FIT_CHUNK_CELLS``
+        # cells, each chunk's counts added into that bucket's rows.  The
+        # chunks are drawn in pair order, so the float64 ``rng.random``
+        # stream is the same as drawing each bucket's whole stack at once,
+        # and the counts are sums of integers, so they come out exact.  The
+        # class offset is already folded into the flattened index, so
+        # mixed-class chunks count in a single pass.
         if draws_per_pattern >= self.n_buckets:
             buckets = np.broadcast_to(
                 np.arange(draws_per_pattern) % self.n_buckets,
@@ -402,44 +416,50 @@ class NeighborhoodDenoiser(Denoiser):
         # A pooled block shares one code across its cells, so a coarse
         # scale counts at pooled resolution: each block adds its clean
         # cells' ones and zeros to its code's row.  Those per-block counts
-        # come from the clean stack alone, so they are taken once here; a
-        # cropped edge block counts only the cells it really covers.  The
-        # weighted sums are of small integers, so float64 keeps them exact.
-        pooled = {}
-        for s in self.scales:
-            if s > 1:
-                ones = block_sums(topologies, s).astype(np.float64)
-                pooled[s] = (block_areas(topologies.shape[1:], s) - ones, ones)
+        # come from the clean stack alone, so they are taken once here, in
+        # their narrow integer dtype; a cropped edge block counts only the
+        # cells it really covers.  Only the current chunk's are cast to
+        # float64 for the weighted ``bincount``, whose sums of small
+        # integers float64 keeps exact.
+        h, w = topologies.shape[1:]
+        pooled = {
+            s: (block_areas((h, w), s), block_sums(topologies, s))
+            for s in self.scales
+            if s > 1
+        }
+        step = max(1, _FIT_CHUNK_CELLS // max(1, h * w))
         for bucket in range(self.n_buckets):
-            pat_idx, draw_idx = np.nonzero(buckets == bucket)
-            if pat_idx.size == 0:
-                continue
-            x0 = topologies[pat_idx]
-            flip = (
-                rng.random(x0.shape)
-                < levels[pat_idx, draw_idx][:, None, None]
-            )
-            xk = np.bitwise_xor(x0, flip)
-            base = (cond[pat_idx] * self._n_codes).astype(np.int32)
-            for s in self.scales:
-                codes = neighborhood_codes(
-                    downsample_binary(xk, s), self.offsets
+            pat_all, draw_all = np.nonzero(buckets == bucket)
+            for lo in range(0, pat_all.size, step):
+                pat_idx = pat_all[lo : lo + step]
+                x0 = topologies[pat_idx]
+                flip = (
+                    rng.random(x0.shape)
+                    < levels[pat_idx, draw_all[lo : lo + step]][:, None, None]
                 )
-                index = codes.astype(np.int32)
-                index += base[:, None, None]
-                if s == 1:
-                    index <<= 1
-                    index += x0
-                    counts[s][:, bucket] = np.bincount(
-                        index.ravel(), minlength=2 * n_rows
-                    ).reshape(slots, self._n_codes, 2)
-                    continue
-                index = index.ravel()
-                for target, weights in enumerate(pooled[s]):
-                    counts[s][:, bucket, :, target] = np.bincount(
-                        index, weights=weights[pat_idx].ravel(),
-                        minlength=n_rows,
-                    ).reshape(slots, self._n_codes)
+                xk = np.bitwise_xor(x0, flip)
+                base = (cond[pat_idx] * self._n_codes).astype(np.int32)
+                for s in self.scales:
+                    codes = neighborhood_codes(
+                        downsample_binary(xk, s), self.offsets
+                    )
+                    index = codes.astype(np.int32)
+                    index += base[:, None, None]
+                    rows = counts[s][:, bucket]
+                    if s == 1:
+                        index <<= 1
+                        index += x0
+                        rows += np.bincount(
+                            index.ravel(), minlength=2 * n_rows
+                        ).reshape(slots, self._n_codes, 2)
+                        continue
+                    index = index.ravel()
+                    areas, block_ones = pooled[s]
+                    ones = block_ones[pat_idx].astype(np.float64)
+                    for target, weights in enumerate((areas - ones, ones)):
+                        rows[..., target] += np.bincount(
+                            index, weights=weights.ravel(), minlength=n_rows
+                        ).reshape(slots, self._n_codes)
         self._counts = counts
         self._record_target_fills(topologies, cond)
         fine = self._counts[self.scales[0]]
@@ -454,7 +474,7 @@ class NeighborhoodDenoiser(Denoiser):
             "patterns": int(n),
             "observations": float(fine.sum()),
             "occupied_codes": {
-                s: int((self._counts[s].sum(axis=-1) > 0).sum())
+                s: int(np.count_nonzero(self._counts[s].any(axis=-1)))
                 for s in self.scales
             },
         }
@@ -480,16 +500,18 @@ class NeighborhoodDenoiser(Denoiser):
             (self.n_buckets, len(self.scales), slots, self._n_codes),
             dtype=np.float32,
         )
+        # One (bucket, scale) slice at a time: the float64 temporaries are
+        # one slice's (slots x codes), never a copy of the whole counts.
         for j, (s, weight) in enumerate(zip(self.scales, self.scale_weights)):
-            counts = self._counts[s]
-            ones = counts[..., 1]
-            total = counts.sum(axis=-1)
-            prior = self._marginals[..., None]
-            p = (ones + self.smoothing * prior) / (total + self.smoothing)
-            p = np.clip(p, _EPS, 1.0 - _EPS)
-            table[:, j] = (
-                (weight / self._weight_total) * np.log(p / (1.0 - p))
-            ).astype(np.float32).transpose(1, 0, 2)
+            factor = weight / self._weight_total
+            for bucket in range(self.n_buckets):
+                counts = self._counts[s][:, bucket]
+                ones = counts[..., 1]
+                total = counts.sum(axis=-1)
+                prior = self._marginals[:, bucket, None]
+                p = (ones + self.smoothing * prior) / (total + self.smoothing)
+                p = np.clip(p, _EPS, 1.0 - _EPS)
+                table[bucket, j] = factor * np.log(p / (1.0 - p))
         self._table = table
         self._compiled = True
         return True

@@ -290,7 +290,12 @@ class ModelRegistry:
         try:
             faults.fire("registry.disk_write")
             with open(tmp, "wb") as handle:
-                pickle.dump(payload, handle)
+                # Protocol 5 writes each array straight from its buffer;
+                # protocol 4 would copy every array into a memoized bytes
+                # object kept alive until the dump ends (the model's whole
+                # size again).  Loads read either protocol, so the payload
+                # format is unchanged.
+                pickle.dump(payload, handle, protocol=5)
             tmp.replace(path)  # atomic: concurrent readers see old or new
         except Exception:
             tmp.unlink(missing_ok=True)

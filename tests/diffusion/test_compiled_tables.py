@@ -8,6 +8,7 @@ pickling.
 
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,43 @@ class TestVectorizedFit:
         ).astype(np.uint8)
         recovered = (d.predict_x0(noisy, 0.15) > 0.5).astype(np.uint8)
         assert (recovered == base).mean() > 0.85
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedWorkingSet:
+    """The fit and the compile keep a fixed working set beside the tables
+    they leave behind, however large the training stack."""
+
+    MB = 1 << 20
+
+    @staticmethod
+    def _kept(d) -> int:
+        return d._table.nbytes + sum(c.nbytes for c in d._counts.values())
+
+    def test_fit_transient_does_not_grow_with_the_stack(self):
+        transient = {}
+        for n in (16, 64):
+            rng = np.random.default_rng(n)
+            topos = (rng.random((n, 128, 128)) < 0.4).astype(np.uint8)
+            d = NeighborhoodDenoiser(n_classes=2)
+            peak = _traced_peak(lambda: d.fit(
+                topos, np.arange(n) % 2, DiffusionSchedule.linear(16), rng
+            ))
+            transient[n] = peak - self._kept(d)
+        assert abs(transient[64] - transient[16]) < self.MB, transient
+
+    def test_compile_has_no_full_float64_temporaries(self, fitted_8):
+        peak = _traced_peak(lambda: fitted_8.compile_tables(force=True))
+        assert peak < 2 * fitted_8._table.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -312,6 +312,40 @@ class TestCompiledRehydration:
         assert loaded.denoiser.compiled
 
 
+class TestCacheWrite:
+    """Writing a fitted model to the disk tier copies none of its arrays."""
+
+    def test_save_streams_arrays_and_reloads_bit_identical(self, tmp_path):
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.serve.registry import fit_model
+
+        key = ModelKey.from_config(TrainConfig(window=64, train_count=3, seed=5))
+        model = fit_model(key)
+        d = model.denoiser
+        arrays = d._table.nbytes + sum(c.nbytes for c in d._counts.values())
+        assert arrays > 16 << 20  # the whole model is far above the bound
+        registry = ModelRegistry(save_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            assert registry._save_to_disk(key, model) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
+        assert source == "disk"
+        rng = np.random.default_rng(0)
+        stack = (rng.random((3, 64, 64)) < 0.5).astype(np.uint8)
+        for level in (0.02, 0.2, 0.5):
+            assert np.array_equal(
+                loaded.denoiser.predict_logits_many(stack, level, [0, 1, 1]),
+                d.predict_logits_many(stack, level, [0, 1, 1]),
+            )
+
+
 class TestDiskCacheHardening:
     """Bounded-retry reads and cross-process single-flight fits."""
 
