@@ -48,7 +48,6 @@ BULK_CLIENTS = 8 if SMOKE else 60
 BULK_COUNT = 4  # patterns per bulk job (interactive jobs ask for 1)
 MODEL_COST_LOOPS = 3  # synthetic per-pattern compute (a few ms each)
 MAX_WORKERS = 16
-ENGINE_WORKERS = 2
 GATHER_WINDOW = 0.005
 REGRESSION_TOLERANCE = 0.5 if SMOKE else 0.75
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
@@ -167,7 +166,6 @@ def _run(output_dir):
     service = PatternService(
         model=LoadModel(),
         max_workers=MAX_WORKERS,
-        engine_workers=ENGINE_WORKERS,
         gather_window=GATHER_WINDOW,
         max_batch=32,
     )
@@ -213,7 +211,6 @@ def _run(output_dir):
             "bulk_count": BULK_COUNT,
             "window": WINDOW,
             "max_workers": MAX_WORKERS,
-            "engine_workers": ENGINE_WORKERS,
         },
         "wall_seconds": round(wall, 3),
         "jobs": len(records),

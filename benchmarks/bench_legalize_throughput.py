@@ -1,20 +1,18 @@
 """E12 — legalize/DRC throughput: reference loop vs vectorized batch engine.
 
 The acceptance experiment for the vectorized DRC/legalization engine: a
-mixed two-style batch of dataset topologies is legalized three ways —
+mixed two-style batch of dataset topologies is legalized two ways —
 
 - **sequential reference**: one :func:`repro.legalize.legalizer.legalize`
   call after another with ``engine="reference"``, the original scalar
   per-run/per-polygon implementation (the pre-engine architecture);
-- **sequential vectorized**: the same loop on the vectorized engine
-  (``legalize_many`` with one worker) — isolates the NumPy run/DRC rewrite;
-- **parallel vectorized**: ``legalize_many`` on its thread pool — what
-  ``PatternPipeline.legalize_topologies`` runs for a batch.
+- **sequential vectorized**: ``legalize_many`` on the vectorized engine —
+  what ``PatternPipeline.legalize_topologies`` runs for a batch.
 
-All three paths must agree on every legality outcome; the combined engine +
-fan-out speedup is asserted to be >= 3x.  ``REPRO_SMOKE=1`` shrinks the
-workload to CI-smoke size and drops the speedup floor (tiny batches measure
-thread overhead, not throughput).
+Both paths must agree on every legality outcome; the vectorized speedup is
+asserted to be >= 3x.  ``REPRO_SMOKE=1`` shrinks the workload to CI-smoke
+size and drops the speedup floor (tiny batches measure call overhead, not
+throughput).
 """
 
 import json
@@ -25,7 +23,7 @@ from benchmarks.conftest import print_table, scale
 from repro.data import STYLES, DatasetConfig, build_training_set
 from repro.drc.rules import rules_for_style
 from repro.legalize.legalizer import legalize
-from repro.metrics import default_legalize_workers, legalize_many
+from repro.metrics import legalize_many
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 PER_STYLE = 4 if SMOKE else 24 * scale()
@@ -62,12 +60,12 @@ def _run_sequential_reference(per_style):
     return {"wall_seconds": round(wall, 3), "legal": legal, "total": total}
 
 
-def _run_batched(per_style, max_workers):
+def _run_batched(per_style):
     started = time.perf_counter()
     legal = 0
     total = 0
     for style, topologies in per_style.items():
-        result = legalize_many(topologies, style, max_workers=max_workers)
+        result = legalize_many(topologies, style)
         legal += len(result.legal)
         total += result.total
     wall = time.perf_counter() - started
@@ -76,10 +74,8 @@ def _run_batched(per_style, max_workers):
 
 def _run(output_dir):
     per_style = _workload()
-    workers = default_legalize_workers()
     reference = _run_sequential_reference(per_style)
-    vectorized = _run_batched(per_style, max_workers=1)
-    parallel = _run_batched(per_style, max_workers=workers)
+    vectorized = _run_batched(per_style)
 
     def _speedup(base, new):
         return round(base["wall_seconds"] / max(new["wall_seconds"], 1e-9), 3)
@@ -89,14 +85,11 @@ def _run(output_dir):
             "topologies": reference["total"],
             "topology_size": TOPOLOGY_SIZE,
             "styles": list(per_style),
-            "workers": workers,
             "smoke": SMOKE,
         },
         "sequential_reference": reference,
         "sequential_vectorized": vectorized,
-        "parallel_vectorized": parallel,
         "vectorize_speedup": _speedup(reference, vectorized),
-        "total_speedup": _speedup(reference, parallel),
     }
     out_path = os.path.join(output_dir, "legalize_throughput.json")
     with open(out_path, "w") as handle:
@@ -113,14 +106,10 @@ def _run(output_dir):
             ["sequential vectorized", vectorized["wall_seconds"],
              round(n / max(vectorized["wall_seconds"], 1e-9), 1),
              vectorized["legal"]],
-            [f"parallel vectorized (x{workers})", parallel["wall_seconds"],
-             round(n / max(parallel["wall_seconds"], 1e-9), 1),
-             parallel["legal"]],
         ],
     )
     print(
-        f"vectorize speedup: {payload['vectorize_speedup']}x, "
-        f"total speedup: {payload['total_speedup']}x  "
+        f"vectorize speedup: {payload['vectorize_speedup']}x  "
         f"(result JSON: {out_path})"
     )
     return payload
@@ -130,16 +119,15 @@ def test_legalize_throughput(benchmark, output_dir):
     payload = benchmark.pedantic(
         _run, args=(output_dir,), rounds=1, iterations=1
     )
-    # Every path must agree on what is legal — the engines are equivalent.
+    # Both paths must agree on what is legal — the engines are equivalent.
     assert (
         payload["sequential_reference"]["legal"]
         == payload["sequential_vectorized"]["legal"]
-        == payload["parallel_vectorized"]["legal"]
     )
     assert payload["sequential_reference"]["total"] > 0
     if SMOKE:
         # Tiny batches measure overhead, not throughput; just prove the
         # pipeline runs end to end.
-        assert payload["total_speedup"] > 0
+        assert payload["vectorize_speedup"] > 0
     else:
-        assert payload["total_speedup"] >= SPEEDUP_FLOOR
+        assert payload["vectorize_speedup"] >= SPEEDUP_FLOOR

@@ -1,26 +1,23 @@
 """E11 — serving throughput: the layered engine vs the pre-serve paths.
 
-Three measurements on one pre-fitted back-end:
+Four measurements on one pre-fitted back-end:
 
 - **sequential**: one ``ChatPattern.handle_request`` after another, each
   sub-task sampling the diffusion back-end in isolation (the pre-serve
   architecture);
 - **batched**: the same workload concurrently through ``PatternService``,
   whose engine coalesces the sampling work of different requests into
-  shared batched denoise trajectories.  The engine policy and worker pool
-  come from ``REPRO_SERVE_POLICY`` / ``REPRO_ENGINE_WORKERS`` (defaults:
-  greedy, 1 — the classic scheduler shape), which is how the CI smoke job
-  exercises a non-default policy with two workers.  Responses must come
-  back in request order regardless of how batches interleave.  Runs twice
-  — once with the default (enabled) observability stack and once with it
-  disabled — to gate the instrumentation tax under 5%, and records
-  p50/p95 per-request latency plus busy-time/parallelism in the payload.
+  shared batched denoise trajectories.  The engine policy comes from
+  ``REPRO_SERVE_POLICY`` (default: greedy, the classic scheduler shape),
+  which is how the CI smoke job exercises a non-default policy.
+  Responses must come back in request order regardless of how batches
+  interleave.  Runs twice — once with the default (enabled)
+  observability stack and once with it disabled — to gate the
+  instrumentation tax under 5%, and records p50/p95 per-request latency
+  plus busy time in the payload.
 - **mixed-shape engine**: a staggered-arrival stream of interleaved-shape
   jobs straight into a ``ServeEngine`` under the ``shape_bucketed``
-  policy, run with 1 and with 2 executor workers.  On a multi-core host
-  the second worker must win (incompatible trajectories drain in
-  parallel); on a single-core host parity within noise is the physical
-  ceiling, so the gate only demands it not *lose*.
+  policy; recorded, not gated.
 - **adaptive spike**: one identical burst of full-quality jobs into a
   ``greedy`` engine and into an ``adaptive`` engine with a tight p95 SLO.
   The adaptive policy must degrade sampler quality during the spike (so
@@ -68,7 +65,6 @@ TRAIN_COUNT = 8 if SMOKE else 48
 N_REQUESTS = 8
 PATTERNS_PER_REQUEST = (1 if SMOKE else 2) * scale()
 SERVICE_POLICY = os.environ.get("REPRO_SERVE_POLICY", "greedy")
-SERVICE_ENGINE_WORKERS = int(os.environ.get("REPRO_ENGINE_WORKERS", "1"))
 # Mixed-shape engine stream: interleaved (W, W) / (3W/4, 3W/4) jobs
 # arriving gradually, as a real request stream does.
 ENGINE_JOBS = 8 if SMOKE else 12
@@ -79,14 +75,11 @@ ENGINE_MAX_BATCH = 8
 # Fail under this fraction of the committed speedup (smoke workloads carry
 # more fixed overhead relative to throughput, so they get extra headroom).
 REGRESSION_TOLERANCE = 0.5 if SMOKE else 0.75
-# A second executor cannot beat the first without a second core; on a
-# single-CPU host the gate only demands parity within scheduler noise.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1
 )
-WORKER_FLOOR = 1.0 if CPUS >= 2 else 0.75
 # Adaptive spike: burst size and the controller knobs.  The SLO is set
-# tight enough that a single worker cannot hold it at full quality, so
+# tight enough that the engine cannot hold it at full quality, so
 # the adaptive engine must degrade to keep p95 — and must not end the
 # run degraded.
 SPIKE_JOBS = 10 if SMOKE else 16
@@ -154,7 +147,6 @@ def _run_batched(model, texts, obs_enabled=True):
             max_workers=N_REQUESTS,
             max_retries=1,
             policy=SERVICE_POLICY,
-            engine_workers=SERVICE_ENGINE_WORKERS,
         ),
         obs=ObsConfig(enabled=obs_enabled),
     )
@@ -169,7 +161,7 @@ def _run_batched(model, texts, obs_enabled=True):
         )
     wall = time.perf_counter() - started
     # The order contract: responses come back in request order no matter
-    # how the policy/pool interleaved their sampling.
+    # how the policy interleaved their sampling.
     response_ids = [r.request.request_id for r in responses]
     stats = service.stats()
     walls = [r.stats.wall_seconds for r in responses]
@@ -184,21 +176,18 @@ def _run_batched(model, texts, obs_enabled=True):
         "batches": stats.scheduler.batches,
         "samples_per_sec": round(stats.scheduler.samples_per_sec, 2),
         "busy_seconds": round(stats.scheduler.busy_seconds, 3),
-        "parallelism": round(stats.scheduler.parallelism, 2),
         "registry_hits": stats.registry["hits"],
         "policy": SERVICE_POLICY,
-        "engine_workers": SERVICE_ENGINE_WORKERS,
         "obs_enabled": obs_enabled,
         "in_order": response_ids == sorted(response_ids),
         "per_request": [r.stats.as_dict() for r in responses],
     }
 
 
-def _run_engine_stream(model, engine_workers):
-    """Mixed-shape staggered stream through the engine, N workers."""
+def _run_engine_stream(model):
+    """Mixed-shape staggered stream through the engine."""
     engine = ServeEngine(
         policy="shape_bucketed",
-        engine_workers=engine_workers,
         gather_window=ENGINE_GATHER,
         max_batch=ENGINE_MAX_BATCH,
     )
@@ -224,14 +213,10 @@ def _run_engine_stream(model, engine_workers):
     total = ENGINE_JOBS * ENGINE_SAMPLES_PER_JOB
     return {
         "wall_seconds": round(wall, 3),
-        "engine_workers": engine_workers,
         "samples": total,
         "samples_per_sec": round(total / wall, 2),
         "batches": stats.scheduler.batches,
         "max_batch_size": stats.scheduler.max_batch_size,
-        "workers_used": len(
-            {record.worker for record in engine.batch_records}
-        ),
     }
 
 
@@ -331,9 +316,7 @@ def _check_regression(payload, history):
 
     Anchoring on the committed first entry (not the latest run) keeps the
     gate from ratcheting downward as later runs are appended.  Speedup
-    *ratios* are compared — close to machine-independent — and the
-    multi-worker ratio only against anchors of the same core class (a
-    single-core anchor says nothing about a multi-core runner).
+    *ratios* are compared — close to machine-independent.
     """
     same = [
         entry for entry in history["history"]
@@ -350,14 +333,6 @@ def _check_regression(payload, history):
             f"against the committed {anchor['speedup_batched']}x "
             f"(floor {floor:.2f}x)"
         )
-    if min(anchor.get("cpus", 1), 2) == min(payload["cpus"], 2):
-        floor = anchor["speedup_workers"] * REGRESSION_TOLERANCE
-        if payload["speedup_workers"] < floor:
-            failures.append(
-                f"speedup_workers {payload['speedup_workers']}x regressed "
-                f"against the committed {anchor['speedup_workers']}x "
-                f"(floor {floor:.2f}x)"
-            )
     # Adaptive spike: the p95 ratio vs greedy must not collapse against
     # the committed anchor (older entries predate the adaptive policy,
     # hence the .get guards).
@@ -382,8 +357,7 @@ def _run(output_dir):
     sequential = _run_sequential(model, texts)
     batched = _run_batched(model, texts)
     batched_noobs = _run_batched(model, texts, obs_enabled=False)
-    engine_single = _run_engine_stream(model, 1)
-    engine_multi = _run_engine_stream(model, 2)
+    engine_single = _run_engine_stream(model)
     adaptive_spike = _run_adaptive_spike(model)
 
     payload = {
@@ -396,7 +370,6 @@ def _run(output_dir):
             "window": model.window,
             "steps": STEPS,
             "service_policy": SERVICE_POLICY,
-            "service_engine_workers": SERVICE_ENGINE_WORKERS,
             "engine_jobs": ENGINE_JOBS,
             "engine_samples_per_job": ENGINE_SAMPLES_PER_JOB,
         },
@@ -404,10 +377,8 @@ def _run(output_dir):
         "batched": batched,
         "batched_noobs": batched_noobs,
         "engine_single": engine_single,
-        "engine_multi": engine_multi,
         "adaptive_spike": adaptive_spike,
         "speedup_batched": _speedup(sequential, batched),
-        "speedup_workers": _speedup(engine_single, engine_multi),
         # Observability tax: the instrumented service vs the identical
         # workload with obs disabled (null metrics/tracer).  May come out
         # negative — the runs differ only by scheduler noise plus a few
@@ -431,7 +402,7 @@ def _run(output_dir):
 
     print_table(
         f"Serving throughput ({N_REQUESTS}-request workload, "
-        f"policy={SERVICE_POLICY}, engine_workers={SERVICE_ENGINE_WORKERS})",
+        f"policy={SERVICE_POLICY})",
         ["mode", "wall (s)", "req/s", "produced", "max batch"],
         [
             ["sequential handle_request", sequential["wall_seconds"],
@@ -447,21 +418,17 @@ def _run(output_dir):
     print(
         f"request latency p50/p95: {batched['request_latency_p50']}s / "
         f"{batched['request_latency_p95']}s, busy {batched['busy_seconds']}s "
-        f"over {batched['wall_seconds']}s wall "
-        f"(parallelism {batched['parallelism']}x), "
+        f"over {batched['wall_seconds']}s wall, "
         f"obs overhead: {payload['obs_overhead_pct']}%"
     )
     print_table(
         f"Mixed-shape engine stream ({ENGINE_JOBS} jobs, shape_bucketed, "
         f"{CPUS} cpu(s))",
-        ["engine_workers", "wall (s)", "samples/s", "batches", "workers used"],
+        ["wall (s)", "samples/s", "batches", "max batch"],
         [
-            [1, engine_single["wall_seconds"],
+            [engine_single["wall_seconds"],
              engine_single["samples_per_sec"], engine_single["batches"],
-             engine_single["workers_used"]],
-            [2, engine_multi["wall_seconds"],
-             engine_multi["samples_per_sec"], engine_multi["batches"],
-             engine_multi["workers_used"]],
+             engine_single["max_batch_size"]],
         ],
     )
     spike = payload["adaptive_spike"]
@@ -480,8 +447,7 @@ def _run(output_dir):
         ],
     )
     print(
-        f"batched speedup: {payload['speedup_batched']}x, "
-        f"2-worker speedup: {payload['speedup_workers']}x  "
+        f"batched speedup: {payload['speedup_batched']}x  "
         f"(history: {RESULT_PATH})"
     )
     payload["regressions"] = regressions
@@ -510,15 +476,6 @@ def test_serve_throughput(benchmark, output_dir):
     assert payload["speedup_batched"] > 1.0
     assert payload["sequential"]["produced"] > 0
     assert batched["produced"] > 0
-    # The second executor must pay for itself: a strict win with >= 2
-    # cores, no worse than parity-within-noise on a single-core host.
-    assert payload["speedup_workers"] >= WORKER_FLOOR, payload[
-        "speedup_workers"
-    ]
-    if CPUS >= 2:
-        assert payload["speedup_workers"] > 1.0, payload["speedup_workers"]
-    # Both executors must have actually drained batches in the 2-worker run.
-    assert payload["engine_multi"]["workers_used"] == 2
     # Adaptive spike: quality degraded during the burst, p95 no worse
     # than greedy (with noise headroom), and full quality restored after.
     spike = payload["adaptive_spike"]

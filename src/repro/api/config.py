@@ -146,7 +146,6 @@ class LegalizeConfig(StageConfig):
     """Batch-legalization knobs (see :func:`repro.metrics.legalize_many`)."""
 
     physical_size: Optional[Tuple[int, int]] = None
-    max_workers: Optional[int] = None
     engine: str = "vectorized"
     keep_failures: bool = False
     fault_isolation: bool = True
@@ -178,9 +177,8 @@ class ServeConfig(StageConfig):
     across the whole queue, ``fair_share`` = round-robin across request
     sources, ``adaptive`` = greedy selection steered by the
     :class:`TuneConfig` hysteresis controller, degrading sampler quality
-    under queue pressure to hold the latency SLO).  ``engine_workers``
-    sizes the engine's thread pool draining batches in parallel; ``queue_limit`` bounds the
-    admission queue (jobs beyond it fast-fail with backpressure instead
+    under queue pressure to hold the latency SLO).  ``queue_limit`` bounds
+    the admission queue (jobs beyond it fast-fail with backpressure instead
     of queueing unboundedly); ``deadline`` expires jobs still queued
     after that many seconds.
     ``job_ttl`` bounds, in seconds, how long finished lifecycle jobs stay
@@ -199,7 +197,6 @@ class ServeConfig(StageConfig):
     max_retries: int = 2
     base_seed: int = 0
     policy: str = "greedy"
-    engine_workers: int = 1
     queue_limit: Optional[int] = None
     deadline: Optional[float] = None
     job_ttl: float = 600.0
@@ -211,8 +208,6 @@ class ServeConfig(StageConfig):
                 f"unknown serve policy {self.policy!r}; known: "
                 f"{sorted(SERVE_POLICIES)}"
             )
-        if self.engine_workers < 1:
-            raise ConfigError("engine_workers must be >= 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1 (or null)")
         if self.deadline is not None and self.deadline <= 0:
@@ -302,7 +297,7 @@ class TuneConfig(StageConfig):
     ``degrade_after`` / ``restore_after`` are the hysteresis widths:
     consecutive pressured ticks before stepping down one level, and
     consecutive calm ticks before stepping back up.  ``queue_high`` /
-    ``queue_low`` are the per-worker queue-depth thresholds defining
+    ``queue_low`` are the queue-depth thresholds defining
     *pressured* and *calm*; ``gather_boost`` multiplies the engine's
     gather window per degrade level (wider gathering = bigger batches
     under load); ``tick_interval`` rate-limits controller decisions.

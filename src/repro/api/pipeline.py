@@ -426,10 +426,9 @@ class PatternPipeline:
         topologies: Sequence[np.ndarray],
         style: str,
         physical_size: Optional[Tuple[int, int]] = None,
-        max_workers: Optional[int] = None,
         rules=None,
     ) -> LegalityResult:
-        """Batch-legalize topologies with the configured engine/pool."""
+        """Batch-legalize topologies with the configured engine."""
         cfg = self.config.legalize
         return legalize_many(
             topologies,
@@ -437,7 +436,6 @@ class PatternPipeline:
             rules=rules,
             physical_size=physical_size or cfg.physical_size,
             keep_failures=cfg.keep_failures,
-            max_workers=max_workers if max_workers is not None else cfg.max_workers,
             engine=cfg.engine,
             fault_isolation=cfg.fault_isolation,
         )

@@ -148,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
              "config's [tune] section)",
     )
     srv.add_argument(
-        "--engine-workers", type=int, default=None,
-        help="engine worker threads draining batches in parallel",
-    )
-    srv.add_argument(
         "--queue-limit", type=int, default=None,
         help="bound on queued sampling jobs; beyond it submissions "
              "fast-fail with backpressure instead of queueing unboundedly",
@@ -355,8 +351,6 @@ def _cmd_serve(args) -> int:
         serve_cfg = serve_cfg.replace(max_workers=args.workers)
     if args.policy is not None:
         serve_cfg = serve_cfg.replace(policy=args.policy)
-    if args.engine_workers is not None:
-        serve_cfg = serve_cfg.replace(engine_workers=args.engine_workers)
     if args.queue_limit is not None:
         serve_cfg = serve_cfg.replace(queue_limit=args.queue_limit)
     if args.deadline is not None:

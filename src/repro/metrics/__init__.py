@@ -8,7 +8,6 @@ from repro.metrics.diversity import (
 )
 from repro.metrics.legality import (
     LegalityResult,
-    default_legalize_workers,
     legalize_many,
     legalize_sequential,
     physical_size_for,
@@ -20,7 +19,6 @@ __all__ = [
     "LibraryStats",
     "complexity_distribution",
     "complexity_of",
-    "default_legalize_workers",
     "diversity",
     "legalize_many",
     "legalize_sequential",

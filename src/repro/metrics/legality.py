@@ -9,9 +9,7 @@ protocol.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,36 +56,27 @@ class LegalityResult:
         return self.total / self.wall_seconds
 
 
-def default_legalize_workers() -> int:
-    """Worker count used when ``legalize_many`` is not told otherwise."""
-    return min(32, os.cpu_count() or 1)
-
-
 def legalize_many(
     topologies: Sequence[np.ndarray],
     style: str,
     rules: Optional[DesignRules] = None,
     physical_size: Optional[Tuple[int, int]] = None,
     keep_failures: bool = False,
-    max_workers: Optional[int] = None,
     engine: str = "vectorized",
     fault_isolation: bool = True,
 ) -> LegalityResult:
-    """Legalize a batch of topologies on a worker pool.
+    """Legalize a batch of topologies in order on the calling thread.
 
-    The batch counterpart of :func:`repro.legalize.legalizer.legalize`: items
-    fan out over a thread pool (the vectorized engine spends its time in
-    NumPy, which releases the GIL), results come back in input order, and a
-    topology that *raises* — rather than merely failing legalization — is
-    fault-isolated into a synthetic failed :class:`LegalizationResult` whose
-    cause is the exception type, so one malformed item cannot sink the batch.
+    The batch counterpart of :func:`repro.legalize.legalizer.legalize`:
+    results come back in input order, and a topology that *raises* — rather
+    than merely failing legalization — is fault-isolated into a synthetic
+    failed :class:`LegalizationResult` whose cause is the exception type, so
+    one malformed item cannot sink the batch.
     Pass ``fault_isolation=False`` to let such exceptions propagate instead
     (a malformed topology is then a programming error, not a statistic).
     """
     rules = rules or rules_for_style(style)
     items = list(topologies)
-    workers = max_workers if max_workers is not None else default_legalize_workers()
-    workers = max(1, min(int(workers), len(items) or 1))
 
     def _one(topology: np.ndarray) -> LegalizationResult:
         try:
@@ -101,13 +90,7 @@ def legalize_many(
             return failed
 
     started = time.perf_counter()
-    if workers == 1:
-        results = [_one(topology) for topology in items]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-legalize"
-        ) as pool:
-            results = list(pool.map(_one, items))
+    results = [_one(topology) for topology in items]
     wall = time.perf_counter() - started
 
     legal = PatternLibrary(name=f"legal-{style}")
@@ -139,8 +122,7 @@ def legalize_sequential(
 ) -> LegalityResult:
     """Deterministic single-thread batch legalization (Table-1 protocol).
 
-    The blessed spelling of ``legalize_many(..., max_workers=1,
-    fault_isolation=False)``: items run in order on the calling thread and
+    The blessed spelling of ``legalize_many(..., fault_isolation=False)``:
     a malformed topology raises (a programming error, not a statistic).
     """
     return legalize_many(
@@ -149,7 +131,6 @@ def legalize_sequential(
         rules=rules,
         physical_size=physical_size,
         keep_failures=keep_failures,
-        max_workers=1,
         fault_isolation=False,
     )
 

@@ -5,11 +5,11 @@ attribute-tagged — grouped by ``trace_id`` (the serving stack uses the
 request id).  Inside one thread, ``with tracer.trace("request",
 request_id=7)`` opens a root span and ``with tracer.span("legalize")``
 nests under whatever is currently open; work measured elsewhere (the
-engine's executor stamps job timestamps on worker threads) is attached
+engine's executor stamps job timestamps on its worker thread) is attached
 after the fact with :meth:`Tracer.record`, which parents to the caller's
 current span.  This is how one request's tree follows its job through
 admission → queue wait → batch gather → execute → legalize → store
-persist even though the middle hops run on engine workers.
+persist even though the middle hops run on the engine's worker.
 
 Timestamps are ``time.perf_counter()`` seconds — monotonic and
 process-relative, matching every other wall measurement in the serving

@@ -8,9 +8,8 @@ Layers (front to back):
 - :class:`ServeEngine` — the execution engine: a bounded admission queue
   (``queue_limit`` backpressure, per-job deadlines), pluggable
   :class:`BatchPolicy` batching (``greedy`` | ``shape_bucketed`` |
-  ``fair_share`` | ``adaptive``), ``engine_workers`` in-process threads
-  draining batches in parallel, and multi-model routing via
-  :meth:`ServeEngine.bind`.
+  ``fair_share`` | ``adaptive``), one in-process worker thread running
+  the batches, and multi-model routing via :meth:`ServeEngine.bind`.
 - :class:`EngineClient` / :class:`BatchedSamplingModel` — the
   model-bound handle :meth:`ServeEngine.bind` returns, and the per-request
   drop-in model wrapping it: compatible sampling work from different

@@ -8,7 +8,7 @@ per-step walk of the reverse chain — which is almost as cheap for a
 inside the batched step) therefore coalesce into single calls of
 :meth:`~repro.diffusion.model.ConditionalDiffusionModel.sample_batch`, so
 N requests cost ~1 batched denoise trajectory instead of N.  Admission,
-batching policy and the executor pool live in
+batching policy and the executor live in
 :class:`~repro.serve.engine.ServeEngine`; ``ServeEngine.bind(model)``
 returns the :class:`~repro.serve.engine.EngineClient` that submits to it.
 
@@ -74,8 +74,8 @@ class BatchedSamplingModel:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._job = job
         # One client is usually driven by one request thread, but nothing
-        # enforces that — operator code shares a client across the
-        # engine's worker threads (and the hammer test does, on purpose).
+        # enforces that — operator code shares a client across threads
+        # (and the hammer test does, on purpose).
         # ``+=`` on these counters is not atomic under free-threading, so
         # accumulation takes this lock.
         self._stats_lock = threading.Lock()

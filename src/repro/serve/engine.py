@@ -1,4 +1,4 @@
-"""The layered serving engine: admission -> policy -> executors -> routing.
+"""The layered serving engine: admission -> policy -> executor -> routing.
 
 ``ServeEngine`` decomposes what used to be one scheduler thread into four
 explicit layers, each independently configurable:
@@ -15,18 +15,15 @@ explicit layers, each independently configurable:
    across the whole queue so one trajectory carries as many samples as
    possible, ``fair_share`` round-robins across request *sources* so a
    bulk client cannot starve interactive ones.
-3. **Executor pool** — ``engine_workers`` in-process threads, each
-   gathering a batch and running its trajectories.  Incompatible
-   batches (different shapes, step schedules or models) do not
-   serialize behind each other.  ``stop`` drains gracefully, with three
-   lifecycle guarantees: submit-after-stop raises, restart works, and
-   nothing ever hangs.
+3. **Executor** — one in-process thread gathers a batch and runs its
+   trajectories, one batch after another.  ``stop`` drains gracefully,
+   with three lifecycle guarantees: submit-after-stop raises, restart
+   works, and nothing ever hangs.
 4. **Routing** — the engine serves many models at once: :meth:`bind`
    resolves a :class:`~repro.serve.registry.ModelKey` through a
    :class:`~repro.serve.registry.ModelRegistry` (or accepts a pre-fitted
    model) and returns an :class:`EngineClient` whose jobs are tagged with
-   their back-end.  A batch is always one trajectory of one model, but
-   different models' batches execute concurrently on the pool.
+   their back-end.  A batch is always one trajectory of one model.
 
 Callers drive the engine through the client :meth:`ServeEngine.bind`
 returns; the engine owns the lifecycle (``start`` / ``stop`` or ``with
@@ -202,7 +199,7 @@ class TrajectoryPlan:
     :meth:`ServeEngine._plan` turns a selected batch into plans — jobs
     grouped by trajectory key, re-sorted into arrival order, conditions
     stacked and seeds collected — so a trajectory's samples depend only on
-    its riders, never on which worker runs it.
+    its riders.
     """
 
     __slots__ = (
@@ -277,7 +274,7 @@ class BatchPolicy:
     def tick(self, engine: "ServeEngine", now: float) -> None:
         """Periodic load hook, called under the engine's queue lock.
 
-        Fires both when a worker is about to select a batch *and* on the
+        Fires both when the worker is about to select a batch *and* on the
         idle wait loop — so a policy reacting to load keeps reacting when
         the queue is empty (that is what lets the adaptive policy restore
         full quality after a spike drains, instead of freezing at its
@@ -313,14 +310,13 @@ class ShapeBucketedPolicy(BatchPolicy):
     schedule) and the bucket with the most samples wins (ties: the bucket
     whose first job arrived earliest).  Interleaved mixed-shape traffic
     that greedy would fragment into tiny per-shape trajectories coalesces
-    into full batches — and with multiple workers, the next-biggest bucket
-    executes concurrently instead of waiting its turn.
+    into full batches.
 
     Anti-starvation aging: a minority-shape job on a busy queue would
     otherwise never belong to the biggest bucket.  Once the oldest queued
     job has waited longer than ``max_wait`` seconds, its bucket is
-    selected regardless of size, so every bucket makes progress even on a
-    single-worker engine under sustained majority-shape load.
+    selected regardless of size, so every bucket makes progress under
+    sustained majority-shape load.
     """
 
     name = "shape_bucketed"
@@ -359,7 +355,7 @@ class FairSharePolicy(BatchPolicy):
     least-served-first order (by cumulative samples served) and the batch
     is filled one job per source per round.  A bulk client with a hundred
     queued jobs therefore shares every batch with the interactive client
-    that submitted one — instead of monopolizing the pool until its
+    that submitted one — instead of monopolizing the engine until its
     backlog drains.
     """
 
@@ -514,7 +510,7 @@ def resolve_batch_policy(policy: Union[str, BatchPolicy]) -> BatchPolicy:
 
 
 class ServeEngine:
-    """Multi-worker, policy-driven, multi-model sampling engine.
+    """Single-worker, policy-driven, multi-model sampling engine.
 
     Args:
         registry: :class:`~repro.serve.registry.ModelRegistry` used by
@@ -524,11 +520,10 @@ class ServeEngine:
             | ``"fair_share"`` | ``"adaptive"``) or a :class:`BatchPolicy`
             instance (e.g. an :class:`AdaptivePolicy` built from a
             specific :class:`~repro.api.config.TuneConfig`).
-        engine_workers: executor threads draining batches in parallel.
         queue_limit: max queued jobs before :meth:`submit` fast-fails with
             :class:`QueueFullError` (``None`` = unbounded, the legacy
             behavior).
-        gather_window: seconds a worker keeps collecting after it sees the
+        gather_window: seconds the worker keeps collecting after it sees the
             first queued job, giving concurrent submitters a chance to
             coalesce.  Skipped (or ended early) while draining, once a full
             batch is queued, or when no companion can arrive: every request
@@ -547,7 +542,6 @@ class ServeEngine:
         self,
         registry=None,
         policy: Union[str, BatchPolicy] = "greedy",
-        engine_workers: int = 1,
         queue_limit: Optional[int] = None,
         gather_window: float = 0.02,
         max_batch: int = 64,
@@ -558,15 +552,12 @@ class ServeEngine:
             raise ValueError("gather_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if engine_workers < 1:
-            raise ValueError("engine_workers must be >= 1")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 (or None)")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be > 0 seconds (or None)")
         self.registry = registry
         self.policy = resolve_batch_policy(policy)
-        self.engine_workers = int(engine_workers)
         self.queue_limit = queue_limit
         self.gather_window = float(gather_window)
         self.max_batch = int(max_batch)
@@ -577,15 +568,15 @@ class ServeEngine:
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
 
-        # -- executor pool (layer 3) ----------------------------------
-        self._threads: List[threading.Thread] = []
+        # -- executor (layer 3) ---------------------------------------
+        self._thread: Optional[threading.Thread] = None
         self._draining = threading.Event()  # graceful: finish the queue
         self._halt = threading.Event()  # hard: finish in-flight, fail rest
         self._stopped = False  # a stopped engine refuses new jobs
         # Serializes start/stop/submit: a submit cannot slip a job between
         # a stop()'s drain and its stopped-flag flip, and a stop()'s sweep
-        # cannot steal jobs from a concurrently restarted engine.  Workers
-        # never take this lock, so joins cannot deadlock.
+        # cannot steal jobs from a concurrently restarted engine.  The
+        # worker never takes this lock, so joins cannot deadlock.
         self._lifecycle_lock = threading.Lock()
 
         # -- routing (layer 4) ----------------------------------------
@@ -648,7 +639,7 @@ class ServeEngine:
         )
         self._m_worker_busy = m.counter(
             "repro_worker_busy_seconds_total",
-            "Summed trajectory execution time per executor worker",
+            "Summed trajectory execution time of the executor worker",
             labels=("worker",),
         )
         # Self-tuning instruments (stay at zero for static policies).
@@ -664,7 +655,7 @@ class ServeEngine:
 
         # -- load-snapshot window state (read by the adaptive policy) --
         # Trajectory execution time accumulates here (under
-        # ``_records_lock``) in addition to the per-worker counter, so
+        # ``_records_lock``) in addition to the busy counter, so
         # snapshots derive a busy fraction without scanning records.
         self._busy_total = 0.0
         self._load_prev: Optional[Tuple] = None
@@ -726,7 +717,7 @@ class ServeEngine:
 
     @property
     def running(self) -> bool:
-        return any(thread.is_alive() for thread in self._threads)
+        return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> "ServeEngine":
         with self._lifecycle_lock:
@@ -735,52 +726,41 @@ class ServeEngine:
             self._draining.clear()
             self._halt.clear()
             self._stopped = False
-            self._threads = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    args=(index,),
-                    name=f"repro-serve-engine-{index}",
-                    daemon=True,
-                )
-                for index in range(self.engine_workers)
-            ]
-            for thread in self._threads:
-                thread.start()
+            self._thread = threading.Thread(
+                target=self._worker_loop,
+                name="repro-serve-engine",
+                daemon=True,
+            )
+            self._thread.start()
             return self
 
-    def _join(self, deadline: float) -> None:
-        """Wait (until ``deadline``, perf_counter clock) for the workers to
-        leave their loops; the drain/halt events must be set first."""
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.perf_counter()))
-
     def stop(self, timeout: float = 10.0) -> None:
-        """Drain queued jobs, then stop the worker pool.
+        """Drain queued jobs, then stop the worker.
 
-        Graceful first: workers keep executing until the queue is empty
-        (skipping gather windows), then exit.  If the drain exceeds
-        ``timeout`` the pool is halted — workers finish their in-flight
-        batch and every job still queued fails rather than hang its
-        caller.  ``running`` only flips once every worker is actually
-        dead, so a restart can never race a live pool.
+        Graceful first: the worker keeps executing until the queue is
+        empty (skipping gather windows), then exits.  If the drain exceeds
+        ``timeout`` the engine is halted — the worker finishes its
+        in-flight batch and every job still queued fails rather than hang
+        its caller.  ``running`` only flips once the worker is actually
+        dead, so a restart can never race a live worker.
         """
         with self._lifecycle_lock:
             if not self.running:
-                self._threads = []
+                self._thread = None
                 return
             self._draining.set()
             with self._has_work:
                 self._has_work.notify_all()
-            self._join(time.perf_counter() + timeout)
+            self._thread.join(timeout)
             if self.running:
                 self._halt.set()
                 with self._has_work:
                     self._has_work.notify_all()
-                self._join(time.perf_counter() + timeout)
+                self._thread.join(timeout)
             if not self.running:
-                self._threads = []
+                self._thread = None
                 self._stopped = True
-                # Hard-halt case: sweep whatever the pool never drained.
+                # Hard-halt case: sweep whatever the worker never drained.
                 self._fail_pending("engine stopped before job ran")
 
     def __enter__(self) -> "ServeEngine":
@@ -796,7 +776,7 @@ class ServeEngine:
 
         The service opens one per admitted request it can run and closes
         it with :meth:`request_finished` once the request is done, whatever
-        its outcome.  While at least one request is open, a worker gathers
+        its outcome.  While at least one request is open, the worker gathers
         only if some open request is not yet blocked in
         :meth:`EngineJob.result`:
         with all of them blocked, no companion can arrive before a job
@@ -819,7 +799,7 @@ class ServeEngine:
         it, counted as a blocked caller for the gather rule.
 
         The count rises only once the job is queued (until then the caller
-        merely keeps a worker gathering) and falls before the caller can
+        merely keeps the worker gathering) and falls before the caller can
         submit again.  Callers that open no requests (raw clients) count
         too, which changes nothing while no request is open.
         """
@@ -834,8 +814,8 @@ class ServeEngine:
                 self._blocked -= 1
 
     def _gathering_locked(self) -> bool:
-        """Whether a worker holding queued work should keep waiting for
-        companions (queue lock held): the gather window is open, the pool
+        """Whether the worker holding queued work should keep waiting for
+        companions (queue lock held): the gather window is open, the engine
         is neither draining nor halting, the queue holds less than a full
         batch, and some open request could still submit (see
         :meth:`request_started`).  The tuner's simulation asks the same
@@ -925,14 +905,14 @@ class ServeEngine:
                 except Exception:
                     pass
 
-    # -- executor pool (layer 3) ---------------------------------------
+    # -- executor (layer 3) --------------------------------------------
 
-    def _worker_loop(self, index: int) -> None:
+    def _worker_loop(self) -> None:
         while True:
             batch = self._next_batch()
             if batch is None:
                 break
-            self._execute(batch, worker=index)
+            self._execute(batch)
         if self._halt.is_set():
             self._fail_pending("engine stopped before job ran")
 
@@ -942,10 +922,8 @@ class ServeEngine:
     def _next_batch(self) -> Optional[List[EngineJob]]:
         """Block for work, honor the gather window, apply the policy.
 
-        Returns ``None`` when the worker should exit: the pool is halting,
-        or it is draining and the queue is empty.  Multiple workers may
-        gather concurrently — selection runs under the queue lock, so each
-        job lands in exactly one batch.
+        Returns ``None`` when the worker should exit: the engine is
+        halting, or it is draining and the queue is empty.
         """
         while True:
             expired: List[EngineJob] = []
@@ -960,7 +938,7 @@ class ServeEngine:
                     # it.  No-op for the static policies.
                     self.policy.tick(self, time.perf_counter())
                     self._has_work.wait(timeout=0.05)
-                # Gather latency starts the instant this worker first sees
+                # Gather latency starts the instant the worker first sees
                 # queued work, so idle blocking above never counts.
                 saw_work = time.perf_counter()
                 self.policy.tick(self, saw_work)
@@ -986,7 +964,7 @@ class ServeEngine:
                     time.perf_counter() - saw_work, policy=self.policy.name
                 )
                 return selected
-            # Everything expired or another worker selected first — loop.
+            # Everything expired — loop.
 
     def _select_locked(self, now: float) -> List[EngineJob]:
         """Apply the policy at ``now`` and dequeue its pick (queue lock
@@ -1038,12 +1016,12 @@ class ServeEngine:
             )
         return plans
 
-    def _execute(self, jobs: Sequence[EngineJob], worker: int = 0) -> None:
-        """Run a selected batch's trajectories on the calling worker."""
+    def _execute(self, jobs: Sequence[EngineJob]) -> None:
+        """Run a selected batch's trajectories on the calling thread."""
         for plan in self._plan(jobs, time.perf_counter()):
-            self._run_plan_local(plan, worker=worker)
+            self._run_plan_local(plan)
 
-    def _run_plan_local(self, plan: TrajectoryPlan, worker: int = 0) -> None:
+    def _run_plan_local(self, plan: TrajectoryPlan) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(plan.seeds))
         kwargs = (
             {"sampler_steps": plan.sampler_steps}
@@ -1060,7 +1038,7 @@ class ServeEngine:
             self._fail_plan(plan, exc)
             return
         wall = time.perf_counter() - started
-        self._account(plan, started, wall, worker)
+        self._account(plan, started, wall)
         offset = 0
         for job in plan.jobs:
             job.batch_samples = plan.samples
@@ -1070,7 +1048,7 @@ class ServeEngine:
             offset += job.count
 
     def _account(
-        self, plan: TrajectoryPlan, started: float, wall: float, worker: int
+        self, plan: TrajectoryPlan, started: float, wall: float
     ) -> None:
         """Book a trajectory that ran ``wall`` seconds from ``started``:
         its batch record, the busy total the load snapshot reads, and
@@ -1083,7 +1061,6 @@ class ServeEngine:
                     shape=plan.shape,
                     wall_seconds=wall,
                     model=plan.model_label,
-                    worker=worker,
                     policy=self.policy.name,
                     started_at=started,
                 )
@@ -1091,7 +1068,8 @@ class ServeEngine:
             self._busy_total += wall
         self._m_batch_size.observe(plan.samples, policy=self.policy.name)
         self._m_batch_latency.observe(wall, policy=self.policy.name)
-        self._m_worker_busy.inc(wall, worker=str(worker))
+        # One worker: the label stays for scrapers keyed on a label set.
+        self._m_worker_busy.inc(wall, worker="0")
 
     @staticmethod
     def _fail_plan(plan: TrajectoryPlan, exc: BaseException) -> None:
@@ -1137,9 +1115,7 @@ class ServeEngine:
             window = now - prev_at
             if window > 0:
                 busy_fraction = min(
-                    1.0,
-                    max(0.0, busy_total - prev_busy)
-                    / (window * self.engine_workers),
+                    1.0, max(0.0, busy_total - prev_busy) / window
                 )
             if counts is not None and prev_counts is not None:
                 delta = [c - p for c, p in zip(counts, prev_counts)]
@@ -1155,7 +1131,6 @@ class ServeEngine:
             oldest_wait=oldest_wait,
             queue_wait_p95=p95,
             busy_fraction=busy_fraction,
-            workers=self.engine_workers,
         )
 
     def load_snapshot(self) -> EngineLoadSnapshot:
@@ -1187,7 +1162,6 @@ class ServeEngine:
         return EngineStats(
             scheduler=SchedulerStats.from_records(self.batch_records),
             policy=self.policy.name,
-            engine_workers=self.engine_workers,
             queue_limit=self.queue_limit,
             queued=queued,
             submitted=submitted,

@@ -17,7 +17,7 @@ layers write into it rather than keeping parallel books:
   ``stage_events`` and ``PipelineResult.timings`` are two views of one
   record, equal field for field.
 - :class:`~repro.serve.batching.BatchedSamplingModel` converts the
-  timestamps the :class:`~repro.serve.engine.ServeEngine` workers stamp on
+  timestamps the :class:`~repro.serve.engine.ServeEngine` worker stamps on
   each sampling job into ``engine_events`` on the lifecycle job.
 - :class:`~repro.serve.service.PatternService` owns the QUEUED/RUNNING
   edges and the terminal transition, mapping the engine's typed errors
@@ -208,7 +208,7 @@ class StageEvent:
 @dataclass
 class EngineEvent:
     """One engine-side hop of the job's sampling work, built from the
-    timestamps the executor workers stamped on the engine job."""
+    timestamps the executor worker stamped on the engine job."""
 
     kind: str  # admission | queue_wait | batch_gather | execute
     t: float  # offset from job creation, seconds

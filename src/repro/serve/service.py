@@ -6,15 +6,15 @@ each one running the ordinary agent pipeline (auto-format, plan, execute)
 against a :class:`~repro.serve.batching.BatchedSamplingModel` client whose
 sampling rides the shared :class:`~repro.serve.engine.ServeEngine` — the
 layered execution engine providing admission control (``queue_limit``
-backpressure, per-job deadlines), pluggable batching policies and a
-multi-threaded executor pool.  The fitted back-end comes from a
+backpressure, per-job deadlines), pluggable batching policies and one
+executor thread.  The fitted back-end comes from a
 :class:`~repro.serve.registry.ModelRegistry`, so repeated services (or
 repeated keys) skip retraining, and produced patterns are persisted through
 the shared :class:`~repro.api.pipeline.PatternPipeline` primitives into an
 indexed :class:`~repro.serve.store.LibraryStore`.
 
 Several services may share one engine (pass ``engine=``): each routes its
-own :class:`ModelKey` through it, so a single executor pool serves many
+own :class:`ModelKey` through it, so a single executor serves many
 models/tenants, with the fair-share policy keeping any one of them from
 starving the rest.
 """
@@ -189,7 +189,7 @@ class PatternService:
         gather_window / max_batch: engine batching knobs (see
             :class:`ServeEngine`).
         max_workers: concurrent request executors (the agent-side pool;
-            the sampling-side pool is ``engine_workers``).
+            sampling runs on the engine's one worker thread).
         base_seed: per-request seeds derive from this, so a served workload
             is reproducible for a fixed batch composition.
         max_retries: per-pattern legalization recovery budget.
@@ -198,10 +198,9 @@ class PatternService:
             arguments above still win, keeping the old constructor a thin
             facade.  Use :meth:`from_config` to derive everything from one
             config object.
-        policy / engine_workers / queue_limit / deadline:
-            engine layers (batching policy, executor pool size, admission
-            bound, default job deadline); ``None`` defers to
-            ``config.serve``.
+        policy / queue_limit / deadline:
+            engine layers (batching policy, admission bound, default job
+            deadline); ``None`` defers to ``config.serve``.
         engine: a pre-built (possibly shared) :class:`ServeEngine`.  The
             service then only *binds* its model to it — ``stop`` leaves a
             shared engine running for its other tenants.
@@ -228,7 +227,6 @@ class PatternService:
         max_retries: int = 2,
         config: Optional[PipelineConfig] = None,
         policy: Optional[str] = None,
-        engine_workers: Optional[int] = None,
         queue_limit: Optional[int] = None,
         deadline: Optional[float] = None,
         engine: Optional[ServeEngine] = None,
@@ -301,11 +299,6 @@ class PatternService:
         self.base_seed = int(base_seed)
         self.max_retries = int(max_retries)
         self.policy = policy if policy is not None else serve_cfg.policy
-        self.engine_workers = int(
-            engine_workers
-            if engine_workers is not None
-            else serve_cfg.engine_workers
-        )
         self.queue_limit = (
             queue_limit if queue_limit is not None else serve_cfg.queue_limit
         )
@@ -371,7 +364,6 @@ class PatternService:
             base_seed=serve.base_seed,
             max_retries=serve.max_retries,
             policy=serve.policy,
-            engine_workers=serve.engine_workers,
             queue_limit=serve.queue_limit,
             deadline=serve.deadline,
             engine=engine,
@@ -416,7 +408,7 @@ class PatternService:
 
     def start(self) -> "PatternService":
         """Resolve the model (registry hit or fit), bind it to the engine
-        and bring the executor pool up."""
+        and bring the engine's worker up."""
         with self._start_lock:
             if self.running and self._client is not None:
                 return self
@@ -433,7 +425,6 @@ class PatternService:
                 self._engine = ServeEngine(
                     registry=self.registry,
                     policy=policy,
-                    engine_workers=self.engine_workers,
                     queue_limit=self.queue_limit,
                     gather_window=self._gather_window,
                     max_batch=self._max_batch,

@@ -1,9 +1,10 @@
 """Observability records for the pattern-generation service.
 
 Every layer of :mod:`repro.serve` reports through these dataclasses: the
-micro-batching scheduler records one :class:`BatchRecord` per batched
-denoise trajectory, each served request gets a :class:`RequestStats`, and
-:class:`SchedulerStats` aggregates a run for dashboards/benchmarks.
+:class:`~repro.serve.engine.ServeEngine` records one :class:`BatchRecord`
+per batched denoise trajectory, :class:`SchedulerStats` aggregates those
+records and :class:`EngineStats` adds the engine's admission counters, and
+each served request gets a :class:`RequestStats`.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 class BatchRecord:
     """One batched sampling trajectory executed by the engine.
 
-    ``model``/``worker``/``policy`` carry the engine's routing provenance:
-    which bound back-end the trajectory served, which worker ran it and
-    under which batching policy it was selected.  ``started_at`` is the
-    ``time.perf_counter`` instant execution began — what lets the
-    aggregate distinguish wall-clock span from summed per-worker busy time
-    when workers overlap.
+    ``model``/``policy`` carry the engine's routing provenance: which
+    bound back-end the trajectory served and under which batching policy
+    it was selected.  ``started_at`` is the ``time.perf_counter`` instant
+    execution began — what lets the aggregate tell the wall-clock span
+    from the summed busy time.
     """
 
     jobs: int
@@ -30,7 +30,6 @@ class BatchRecord:
     wall_seconds: float
     started_at: float
     model: Optional[str] = None
-    worker: int = 0
     policy: str = ""
 
     @property
@@ -46,12 +45,10 @@ class BatchRecord:
 class SchedulerStats:
     """Aggregate view over a scheduler's batch records.
 
-    ``wall_seconds`` is the *span-union* wall clock — first batch start to
-    last batch end — so ``samples_per_sec`` reports true throughput even
-    when ``engine_workers > 1`` executors overlap.  ``busy_seconds`` is
-    the summed per-batch execution time across all workers (the old
-    ``wall_seconds`` semantics); ``busy_seconds / wall_seconds`` is the
-    pool's effective parallelism.
+    ``wall_seconds`` is the wall clock from the first batch start to the
+    last batch end, idle gaps included, so ``samples_per_sec`` reports
+    throughput over the run.  ``busy_seconds`` is the summed per-batch
+    execution time.
     """
 
     batches: int
@@ -66,21 +63,12 @@ class SchedulerStats:
     def samples_per_sec(self) -> float:
         return self.samples / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    @property
-    def parallelism(self) -> float:
-        """Effective executor overlap: summed busy time over span wall."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.busy_seconds / self.wall_seconds
-
     @classmethod
     def from_records(cls, records: Sequence[BatchRecord]) -> "SchedulerStats":
         if not records:
             return cls(0, 0, 0, 0, 0.0, 0.0, 0.0)
         sizes = [r.samples for r in records]
         busy = sum(r.wall_seconds for r in records)
-        # Span union (first start -> last end): parallel workers'
-        # overlapping batches do not double-count wall time.
         wall = max(r.ended_at for r in records) - min(
             r.started_at for r in records
         )
@@ -104,7 +92,6 @@ class SchedulerStats:
             "wall_seconds": round(self.wall_seconds, 4),
             "busy_seconds": round(self.busy_seconds, 4),
             "samples_per_sec": round(self.samples_per_sec, 2),
-            "parallelism": round(self.parallelism, 2),
         }
 
 
@@ -116,13 +103,12 @@ class EngineStats:
     ledger (accepted jobs, backpressure fast-fails, deadline expiries);
     ``queued`` is the instantaneous queue depth at snapshot time.  The
     snapshot is taken under the engine's queue lock and the batch records
-    under the records lock, so the numbers are consistent even while
-    multiple engine workers are running.
+    under the records lock, so the numbers are consistent while the
+    engine's worker is running.
     """
 
     scheduler: SchedulerStats
     policy: str
-    engine_workers: int
     queue_limit: Optional[int]
     queued: int
     submitted: int
@@ -134,7 +120,6 @@ class EngineStats:
         return {
             "scheduler": self.scheduler.as_dict(),
             "policy": self.policy,
-            "engine_workers": self.engine_workers,
             "queue_limit": self.queue_limit,
             "queued": self.queued,
             "submitted": self.submitted,

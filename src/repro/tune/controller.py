@@ -79,7 +79,6 @@ class EngineLoadSnapshot:
     oldest_wait: float
     queue_wait_p95: float
     busy_fraction: float
-    workers: int = 1
 
 
 class AdaptiveController:
@@ -119,9 +118,8 @@ class AdaptiveController:
     def pressured(self, snapshot: EngineLoadSnapshot) -> bool:
         """Load that, sustained, would miss the SLO: degrade evidence."""
         cfg = self.config
-        per_worker = snapshot.queue_depth / max(1, snapshot.workers)
         return (
-            per_worker >= cfg.queue_high
+            snapshot.queue_depth >= cfg.queue_high
             or snapshot.queue_wait_p95 > 0.5 * cfg.slo_p95
             or snapshot.oldest_wait > 0.5 * cfg.slo_p95
         )
@@ -134,9 +132,8 @@ class AdaptiveController:
         the hysteresis sticky instead of flappy.
         """
         cfg = self.config
-        per_worker = snapshot.queue_depth / max(1, snapshot.workers)
         return (
-            per_worker <= cfg.queue_low
+            snapshot.queue_depth <= cfg.queue_low
             and snapshot.queue_wait_p95 <= 0.25 * cfg.slo_p95
             and snapshot.oldest_wait <= 0.25 * cfg.slo_p95
         )

@@ -81,10 +81,9 @@ def render_report(outcome: TuneOutcome) -> str:
             f"{won.metrics.final_level}"
         )
     lines.append(
-        "  serve knobs: policy={p} engine_workers={w} queue_limit={q} "
+        "  serve knobs: policy={p} queue_limit={q} "
         "sampler_steps={s}".format(
             p=won.candidate.policy,
-            w=won.candidate.engine_workers,
             q=won.candidate.queue_limit,
             s=won.candidate.sampler_steps,
         )

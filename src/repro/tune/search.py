@@ -32,7 +32,6 @@ from repro.tune.workload import Arrival, WorkloadSpec
 #: Default grid axes (order fixed: it is part of the deterministic
 #: contract — ``--budget`` trims this enumeration, never reorders it).
 DEFAULT_POLICIES = ("greedy", "shape_bucketed", "fair_share", "adaptive")
-DEFAULT_WORKERS = (1, 2, 4)
 DEFAULT_QUEUE_LIMITS = (None, 64)
 DEFAULT_SAMPLER_STEPS = ("full", 32, "bucketed")
 
@@ -65,7 +64,6 @@ def _fidelity_subset(arrivals: List[Arrival], fidelity: float) -> List[Arrival]:
 
 def default_candidates(
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Sequence[int] = DEFAULT_WORKERS,
     queue_limits: Sequence[Optional[int]] = DEFAULT_QUEUE_LIMITS,
     sampler_steps: Sequence = DEFAULT_SAMPLER_STEPS,
 ) -> List[Candidate]:
@@ -79,20 +77,18 @@ def default_candidates(
     grid: List[Candidate] = []
     # Policy is the innermost axis so a small ``--budget`` prefix still
     # races every policy against each other instead of e.g. only greedy.
-    for n in workers:
-        for limit in queue_limits:
-            for steps in sampler_steps:
-                for policy in policies:
-                    if policy == "adaptive" and steps != "full":
-                        continue
-                    grid.append(
-                        Candidate(
-                            policy=policy,
-                            engine_workers=n,
-                            queue_limit=limit,
-                            sampler_steps=steps,
-                        )
+    for limit in queue_limits:
+        for steps in sampler_steps:
+            for policy in policies:
+                if policy == "adaptive" and steps != "full":
+                    continue
+                grid.append(
+                    Candidate(
+                        policy=policy,
+                        queue_limit=limit,
+                        sampler_steps=steps,
                     )
+                )
     return grid
 
 
@@ -167,7 +163,6 @@ class TuneOutcome:
         return base.replace(
             serve=base.serve.replace(
                 policy=won.policy,
-                engine_workers=won.engine_workers,
                 queue_limit=won.queue_limit,
             ),
             sample=base.sample.replace(sampler_steps=won.sampler_steps),

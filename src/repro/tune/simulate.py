@@ -10,15 +10,16 @@ replaying the arrival trace through a real, never-started
 adaptive policy's ticks and gather widening), trajectory planning and
 the load snapshot are the engine's own code, handed simulated instants
 as their ``now`` arguments, and so is the decision whether to keep
-gathering.  This module keeps only the event loop — which worker frees
-up next, the gather wait, the tick replay — and the cost of each
+gathering.  This module keeps only the event loop — when the worker
+frees up, the gather wait, the tick replay — and the cost of each
 trajectory.
 
 Execution cost comes from :class:`CostModel`: a trajectory costs a fixed
 dispatch overhead plus, per denoiser evaluation, a batch-size-independent
 base (the cost batching amortizes) and a per-sample increment.  The
-defaults are shaped like the repo's neighborhood denoiser (full = 128
-evals, bucketed ~ 16); absolute seconds don't matter — the tuner only
+defaults are an unfit placeholder (ROADMAP item 8): ``full_steps = 128``
+predates the default full chain's 82 evals and the per-step split was
+never fit to the kernel.  Absolute seconds don't matter — the tuner only
 needs the *ranking* of candidates to be faithful.
 """
 
@@ -39,10 +40,11 @@ class CostModel(StageConfig):
     """Virtual execution cost of one batched trajectory.
 
     ``batch_seconds = batch_overhead + evals * (step_base +
-    step_per_sample * samples)`` — per-step cost dominated by a fixed
-    component is exactly why micro-batching wins, and why degrading
-    ``full`` (128 evals) to ``bucketed`` (~16) under pressure buys back
-    nearly an order of magnitude of latency.
+    step_per_sample * samples)``.  The defaults are an unfit placeholder:
+    ``full_steps = 128`` overstates the default full chain (82 evals), and
+    the fixed per-step component is not what the kernel measures.  They
+    stay as they are so tuner output does not move until the model is fit
+    (ROADMAP item 8).
     """
 
     batch_overhead: float = 0.004
@@ -73,10 +75,9 @@ class CostModel(StageConfig):
 
 @dataclass(frozen=True)
 class Candidate(StageConfig):
-    """One point of the tuner's search space: the four searched knobs."""
+    """One point of the tuner's search space: the three searched knobs."""
 
     policy: str = "greedy"
-    engine_workers: int = 1
     queue_limit: Optional[int] = None
     sampler_steps: Union[str, int] = "full"
 
@@ -86,8 +87,6 @@ class Candidate(StageConfig):
                 f"unknown serve policy {self.policy!r}; known: "
                 f"{sorted(SERVE_POLICIES)}"
             )
-        if self.engine_workers < 1:
-            raise ConfigError("engine_workers must be >= 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1 (or null)")
         try:
@@ -98,10 +97,7 @@ class Candidate(StageConfig):
     def key(self) -> str:
         """Stable human-readable identity (also the search tie-breaker)."""
         limit = "inf" if self.queue_limit is None else str(self.queue_limit)
-        return (
-            f"{self.policy}/w{self.engine_workers}"
-            f"/q{limit}/s{self.sampler_steps}"
-        )
+        return f"{self.policy}/q{limit}/s{self.sampler_steps}"
 
 
 @dataclass
@@ -181,7 +177,6 @@ def simulate_trial(
     # because ``metrics=None`` would report into the process-wide one.
     engine = ServeEngine(
         policy=adaptive if adaptive is not None else candidate.policy,
-        engine_workers=candidate.engine_workers,
         queue_limit=candidate.queue_limit,
         gather_window=gather_window,
         max_batch=max_batch,
@@ -195,18 +190,17 @@ def simulate_trial(
     # statically degraded candidate pays for it in delivered quality,
     # exactly like an adaptive degrade does.
     wanted: Dict[EngineJob, Union[str, int]] = {}
-    workers = [0.0] * candidate.engine_workers
+    free_at = 0.0  # when the worker finishes its current batch
     interval = max(tune.tick_interval, 1e-3)
     next_tick = interval
     latencies: List[float] = []
     qualities: List[float] = []
     rejected = completed_samples = 0
-    last_finish = 0.0
     i = 0
 
     def advance(until: float) -> None:
         """Admit arrivals and replay policy ticks, in time order, up to
-        ``until``.  The live workers tick on their own cadence; a replay
+        ``until``.  The live worker ticks on its own cadence; a replay
         every ``tick_interval`` lets the adaptive policy's pressured and
         calm streaks accrue while a long batch runs."""
         nonlocal i, next_tick, rejected
@@ -240,8 +234,7 @@ def simulate_trial(
                 return
 
     while True:
-        w = min(range(len(workers)), key=lambda k: (workers[k], k))
-        now = workers[w]
+        now = free_at
         advance(now)
         if not engine._jobs:
             if i >= len(arrivals):
@@ -265,11 +258,11 @@ def simulate_trial(
             if engine._gathering_locked():
                 start = gather_end
         advance(start)
-        # The engine's plans run back to back on this worker.
+        # The engine's plans run back to back on its worker.
         t = start
         for plan in engine._plan(engine._select_locked(start), start):
             seconds = cost.batch_seconds(plan.samples, plan.sampler_steps)
-            engine._account(plan, t, seconds, w)
+            engine._account(plan, t, seconds)
             t += seconds
             for job in plan.jobs:
                 latencies.append(t - job.submitted_at)
@@ -281,11 +274,10 @@ def simulate_trial(
                     )
                 )
             completed_samples += plan.samples
-        workers[w] = t
-        last_finish = max(last_finish, t)
+        free_at = t
 
     latencies.sort()
-    makespan = max(last_finish, arrivals[-1].at if arrivals else 0.0)
+    makespan = max(free_at, arrivals[-1].at if arrivals else 0.0)
     controller = adaptive.controller if adaptive is not None else None
     return TrialMetrics(
         requests=len(arrivals),

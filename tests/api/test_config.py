@@ -30,14 +30,12 @@ def _variants():
         SampleConfig(style="Layer-10003", count=3, size=32, seed=11,
                      extend_size=128, extend_method="in",
                      sampler_steps="bucketed"),
-        LegalizeConfig(physical_size=(1024, 1024), max_workers=2,
-                       engine="reference", keep_failures=True,
-                       fault_isolation=False),
+        LegalizeConfig(physical_size=(1024, 1024), engine="reference",
+                       keep_failures=True, fault_isolation=False),
         StoreConfig(store_dir="store", output_path="out.npz"),
         ServeConfig(objective="diversity", gather_window=0.5, max_batch=16,
                     max_workers=2, max_retries=0, base_seed=3,
-                    policy="fair_share", engine_workers=2,
-                    queue_limit=128, deadline=30.0),
+                    policy="fair_share", queue_limit=128, deadline=30.0),
         TuneConfig(slo_p95=1.5, degrade_ladder=(64, 16, "bucketed"),
                    floor_steps=8, degrade_after=3, restore_after=4,
                    queue_high=16, queue_low=4, gather_boost=1.5,
@@ -89,8 +87,6 @@ class TestSectionRoundTrip:
         # A saved config naming a field the schema lacks must fail loudly.
         with pytest.raises(ConfigError, match="executor"):
             ServeConfig.from_dict({"executor": "thread"})
-        with pytest.raises(ConfigError, match="engine_workers"):
-            ServeConfig(engine_workers=0)
         with pytest.raises(ConfigError, match="queue_limit"):
             ServeConfig(queue_limit=0)
         with pytest.raises(ConfigError, match="deadline"):
@@ -101,9 +97,17 @@ class TestSectionRoundTrip:
         worker, greedy batching, unbounded queue, no deadlines."""
         cfg = ServeConfig()
         assert cfg.policy == "greedy"
-        assert cfg.engine_workers == 1
         assert cfg.queue_limit is None
         assert cfg.deadline is None
+
+    def test_removed_pool_knobs_fail_the_unknown_key_check(self):
+        """The engine runs one worker and legalization runs on the calling
+        thread; a saved config still naming either pool size must fail
+        loudly rather than be silently ignored."""
+        with pytest.raises(ConfigError, match="engine_workers"):
+            ServeConfig.from_dict({"engine_workers": 2})
+        with pytest.raises(ConfigError, match="max_workers"):
+            LegalizeConfig.from_dict({"max_workers": 2})
 
 
 class TestPipelineConfig:

@@ -199,7 +199,7 @@ class TestCommands:
         samples = small_model.sample(2, 0, np.random.default_rng(0))
         result = legalize_many(
             list(samples), "Layer-10001", physical_size=(1024, 1024),
-            max_workers=1, fault_isolation=False,
+            fault_isolation=False,
         )
         lib_path = tmp_path / "lib.npz"
         save_library(result.legal, lib_path)
@@ -224,7 +224,6 @@ class TestServeEngineFlags:
              request.format(style="Layer-10001"),
              request.format(style="Layer-10003"),
              "--policy", "fair_share",
-             "--engine-workers", "2",
              "--queue-limit", "64",
              "--deadline", "30",
              "--gather-window", "0.05"]
@@ -234,17 +233,23 @@ class TestServeEngineFlags:
         # service stats reflects the flags.
         assert captured.index("request 1:") < captured.index("request 2:")
         assert "'policy': 'fair_share'" in captured
-        assert "'engine_workers': 2" in captured
         assert "'queue_limit': 64" in captured
         built_cfg = fast_pipeline[-1].config.serve
         assert built_cfg.policy == "fair_share"
-        assert built_cfg.engine_workers == 2
         assert built_cfg.queue_limit == 64
         assert built_cfg.deadline == 30.0
 
     def test_parser_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["serve", "x", "--policy", "fifo"])
+
+    def test_parser_rejects_the_removed_pool_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["serve", "x", "--engine-workers", "2"]
+            )
+        assert exc.value.code == 2
+        assert "--engine-workers" in capsys.readouterr().err
 
 
 class TestTuneCommand:

@@ -191,11 +191,9 @@ class TestBucketedEquivalence:
 
     def test_legality_within_tolerance(self, samples):
         for style in STYLES:
-            full = legalize_many(
-                list(samples["full"][style]), style, max_workers=4
-            ).legality
+            full = legalize_many(list(samples["full"][style]), style).legality
             bucketed = legalize_many(
-                list(samples["bucketed"][style]), style, max_workers=4
+                list(samples["bucketed"][style]), style
             ).legality
             assert bucketed >= full - 0.25, (style, full, bucketed)
 

@@ -356,9 +356,7 @@ class TestReferencePathStatistics:
     def test_legality(self, outputs, op):
         for style in STYLES:
             compiled, reference = (
-                legalize_many(
-                    list(outputs[path][op][style]), style, max_workers=2
-                ).legality
+                legalize_many(list(outputs[path][op][style]), style).legality
                 for path in ("compiled", "reference")
             )
             assert compiled >= reference - 0.25, (op, style, reference)

@@ -64,7 +64,7 @@ def _live_server(**service_kwargs):
 class TestEngineChaos:
     def test_thread_tier_fault_fails_one_batch_not_the_engine(self):
         model = StubModel()
-        engine = ServeEngine(engine_workers=1, gather_window=0.0)
+        engine = ServeEngine(gather_window=0.0)
         client = engine.bind(model, label="stub")
         plan = FaultPlan(
             [FaultPoint(site="engine.execute", nth=1, times=1)]

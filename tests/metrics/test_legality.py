@@ -89,7 +89,7 @@ class TestSequentialContract:
         )
         direct = legalize_many(
             topologies, "Layer-10001", physical_size=(1024, 1024),
-            max_workers=1, fault_isolation=False,
+            fault_isolation=False,
         )
         assert sequential.total == direct.total
         assert sequential.legality == direct.legality
@@ -99,7 +99,7 @@ class TestSequentialContract:
 
 
 class TestLegalizeMany:
-    def test_parallel_matches_sequential(self, tiny_library):
+    def test_default_matches_sequential(self, tiny_library):
         bad = np.zeros((16, 16), dtype=np.uint8)
         bad[2:6, 2:6] = 1
         bad[6:10, 6:10] = 1
@@ -107,17 +107,13 @@ class TestLegalizeMany:
         sequential = legalize_sequential(
             topologies, "Layer-10001", physical_size=(1024, 1024)
         )
-        parallel = legalize_many(
-            topologies,
-            "Layer-10001",
-            physical_size=(1024, 1024),
-            max_workers=4,
+        isolated = legalize_many(
+            topologies, "Layer-10001", physical_size=(1024, 1024)
         )
-        assert parallel.total == sequential.total
-        assert parallel.legality == sequential.legality
-        assert parallel.failure_causes == sequential.failure_causes
-        # Results come back in input order regardless of worker scheduling.
-        for a, b in zip(parallel.legal.patterns, sequential.legal.patterns):
+        assert isolated.total == sequential.total
+        assert isolated.legality == sequential.legality
+        assert isolated.failure_causes == sequential.failure_causes
+        for a, b in zip(isolated.legal.patterns, sequential.legal.patterns):
             assert (a.topology == b.topology).all()
             assert (a.dx == b.dx).all() and (a.dy == b.dy).all()
 
@@ -141,7 +137,6 @@ class TestLegalizeMany:
             topologies,
             "Layer-10001",
             physical_size=(1024, 1024),
-            max_workers=3,
             keep_failures=True,
         )
         assert result.total == 3

@@ -201,10 +201,8 @@ class TestSchedulerEngineKnobs:
         with pytest.raises(QueueFullError):
             client.submit(1, 0, seed=2)
 
-    def test_multi_worker_scheduler_serves_mixed_shapes(self, small_model):
-        engine = ServeEngine(
-            gather_window=0.05, policy="shape_bucketed", engine_workers=2
-        )
+    def test_scheduler_serves_mixed_shapes(self, small_model):
+        engine = ServeEngine(gather_window=0.05, policy="shape_bucketed")
         client = engine.bind(small_model)
         jobs = [
             client.submit(
@@ -216,7 +214,6 @@ class TestSchedulerEngineKnobs:
             shapes = [job.result(timeout=60).shape for job in jobs]
         assert shapes == [(1, 64, 64), (1, 32, 32)] * 2
         engine_stats = engine.stats()
-        assert engine_stats.engine_workers == 2
         assert engine_stats.policy == "shape_bucketed"
         assert engine_stats.submitted == 4
 
@@ -224,7 +221,7 @@ class TestSchedulerEngineKnobs:
 class TestClientThreadSafety:
     """One client shared across threads: the stat books must balance.
 
-    Operator code (and the engine's own worker threads) may drive a
+    Operator code (and the engine's own worker thread) may drive a
     single :class:`BatchedSamplingModel` concurrently; ``+=`` on its
     counters is not atomic, so accumulation is locked.  This hammer test
     loses updates reliably on an unlocked implementation.
@@ -238,7 +235,7 @@ class TestClientThreadSafety:
                 (len(conditions), *shape), dtype=np.uint8
             ),
         )
-        engine = ServeEngine(gather_window=0.001, engine_workers=4)
+        engine = ServeEngine(gather_window=0.001)
         bound = engine.bind(model)
         client = BatchedSamplingModel(bound)
         threads_n, per_thread = 8, 25

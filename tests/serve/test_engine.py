@@ -3,7 +3,7 @@
 Covers the four layers in isolation from the diffusion back-end (stub
 models keep these tests fast): admission control (backpressure at
 ``queue_limit``, typed deadline expiry), the batching policies, the
-multi-worker executor pool's lifecycle under concurrent submit/stop, and
+executor's lifecycle under concurrent submit/stop, and
 multi-model routing through a registry.
 """
 
@@ -91,8 +91,6 @@ class TestAdmission:
             client.submit(0, 0)
         with pytest.raises(ValueError):
             client.submit(1, 0, deadline=-1.0)
-        with pytest.raises(ValueError):
-            ServeEngine(engine_workers=0)
         with pytest.raises(ValueError):
             ServeEngine(queue_limit=0)
         with pytest.raises(ValueError):
@@ -212,7 +210,7 @@ class TestGatherRule:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ServeEngine(gather_window=0.01, engine_workers=2) as engine:
+            with ServeEngine(gather_window=0.01) as engine:
                 client = engine.bind(StubModel())
                 threads = [
                     threading.Thread(target=request, args=(engine, client, i))
@@ -302,27 +300,9 @@ class TestBatchPolicies:
 
 
 class TestExecutorPool:
-    def test_multiple_workers_drain_incompatible_batches_in_parallel(self):
-        model = StubModel(delay=0.05)
-        engine = ServeEngine(
-            policy="shape_bucketed", engine_workers=2, gather_window=0.02
-        )
-        client = engine.bind(model)
-        with engine:
-            jobs = [
-                client.submit(
-                    2, 0, shape=(16, 16) if i % 2 == 0 else (8, 8), seed=i
-                )
-                for i in range(8)
-            ]
-            for job in jobs:
-                job.result(timeout=30)
-        workers = {record.worker for record in engine.batch_records}
-        assert len(workers) == 2  # both executors actually ran batches
-
     def test_concurrent_submit_and_stop_never_hang(self):
         model = StubModel(delay=0.002)
-        engine = ServeEngine(engine_workers=2, gather_window=0.001)
+        engine = ServeEngine(gather_window=0.001)
         engine.start()
         client = engine.bind(model)
         accepted = []
@@ -359,7 +339,7 @@ class TestExecutorPool:
 
     def test_graceful_stop_drains_the_queue(self):
         model = StubModel(delay=0.01)
-        engine = ServeEngine(engine_workers=2, gather_window=0.2)
+        engine = ServeEngine(gather_window=0.2)
         client = engine.bind(model)
         jobs = [client.submit(1, 0, seed=i) for i in range(6)]
         engine.start()
@@ -391,7 +371,6 @@ class TestRouting:
         engine = ServeEngine(
             registry=registry,
             policy="fair_share",
-            engine_workers=2,
             gather_window=0.02,
         )
         tenant_a = engine.bind(ModelKey(window=16), source="tenant-a")

@@ -1,8 +1,9 @@
-"""Executor-tier tests: a trajectory's samples depend on its riders only.
+"""Executor tests: a trajectory's samples depend on its riders only.
 
-The engine's thread pool may hand a batch to any worker, so the same
-seeded batch must produce the same bytes whatever the pool size.  The
-test uses a real (tiny) fitted model, so the full denoise kernel runs.
+The same seeded batch run through two fresh engines must produce the same
+bytes: nothing about an engine instance (its start time, its thread, its
+bindings) may leak into the trajectory's random stream.  The test uses a
+real (tiny) fitted model, so the full denoise kernel runs.
 """
 
 import numpy as np
@@ -20,9 +21,9 @@ def tiny_model():
     return ModelRegistry().get_or_fit(TINY_KEY)
 
 
-def _run_engine(model, workers):
+def _run_engine(model):
     """Submit every seeded job before start, so one batch carries them all."""
-    engine = ServeEngine(engine_workers=workers, gather_window=0.01)
+    engine = ServeEngine(gather_window=0.01)
     client = engine.bind(model, label="tiny")
     jobs = [
         client.submit(count=3, condition=i % 2, seed=seed)
@@ -37,13 +38,13 @@ def _run_engine(model, workers):
 
 
 class TestThreadDeterminism:
-    def test_worker_count_does_not_change_samples(self, tiny_model):
-        one, one_records = _run_engine(tiny_model, workers=1)
-        two, two_records = _run_engine(tiny_model, workers=2)
-        for records in (one_records, two_records):
+    def test_fresh_engines_give_identical_samples(self, tiny_model):
+        first, first_records = _run_engine(tiny_model)
+        second, second_records = _run_engine(tiny_model)
+        for records in (first_records, second_records):
             assert [r.jobs for r in records] == [len(SEEDS)]
-        assert len(one) == len(two) == len(SEEDS)
-        for a, b in zip(one, two):
+        assert len(first) == len(second) == len(SEEDS)
+        for a, b in zip(first, second):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
-        assert not np.array_equal(one[0], one[1])
+        assert not np.array_equal(first[0], first[1])

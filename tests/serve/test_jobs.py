@@ -255,6 +255,21 @@ class TestServiceJobs:
         finally:
             service.stop()
 
+    def test_request_stats_count_every_batch_legalize_call(self):
+        """The legalize stage runs on the request thread, so the request's
+        thread-local legalize counters see every pattern it legalized."""
+        service = PatternService(
+            model=StubModel(), max_workers=1, gather_window=0.0
+        )
+        try:
+            job = service.submit_job(_pipeline_request(count=3))
+            assert job.wait(timeout=30.0)
+            assert job.state == SUCCEEDED
+            assert job.response.stats.legalize_calls == 3
+            assert job.response.stats.legalize_seconds > 0
+        finally:
+            service.stop()
+
     def test_cancel_while_queued_never_executes(self):
         model = BlockingModel()
         service = PatternService(
@@ -306,11 +321,10 @@ class TestServiceJobs:
             model.release.set()
             service.stop()
 
-    def test_transition_logs_monotonic_under_two_worker_engine(self):
+    def test_transition_logs_monotonic_under_concurrent_requests(self):
         service = PatternService(
             model=StubModel(),
             max_workers=4,
-            engine_workers=2,
             gather_window=0.0,
         )
         try:

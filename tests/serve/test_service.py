@@ -224,7 +224,6 @@ class TestEngineBackedService:
             max_workers=8,
             max_retries=0,
             policy="fair_share",
-            engine_workers=2,
         )
         with service:
             responses = service.serve(
@@ -233,12 +232,11 @@ class TestEngineBackedService:
                     for i, text in enumerate(_requests(8))
                 ]
             )
-        # Responses come back in submission order regardless of how the
-        # pool interleaved their batches.
+        # Responses come back in submission order regardless of how
+        # their batches interleaved.
         assert [r.request.request_id for r in responses] == list(range(1, 9))
         payload = service.stats().as_dict()
         assert payload["engine"]["policy"] == "fair_share"
-        assert payload["engine"]["engine_workers"] == 2
         assert payload["engine"]["submitted"] >= 8
 
     def test_from_config_threads_engine_knobs(self, registry):
@@ -248,7 +246,6 @@ class TestEngineBackedService:
             train=TrainConfig(window=64),
             serve=ServeConfig(
                 policy="shape_bucketed",
-                engine_workers=2,
                 queue_limit=256,
                 deadline=60.0,
                 max_retries=0,
@@ -256,7 +253,6 @@ class TestEngineBackedService:
         )
         service = PatternService.from_config(config, registry=registry)
         assert service.policy == "shape_bucketed"
-        assert service.engine_workers == 2
         assert service.queue_limit == 256
         assert service.deadline == 60.0
         with service:
@@ -273,8 +269,7 @@ class TestEngineBackedService:
         # their sampling even coalesces into shared trajectories.
         registry.put(ModelKey(window=64, seed=1), small_model)
         engine = ServeEngine(
-            registry=registry, policy="fair_share", engine_workers=2,
-            gather_window=0.05,
+            registry=registry, policy="fair_share", gather_window=0.05,
         )
         first = PatternService(
             model_key=ModelKey(window=64), registry=registry,

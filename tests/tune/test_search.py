@@ -69,8 +69,6 @@ class TestCandidates:
         with pytest.raises(ConfigError):
             Candidate(policy="nonsense")
         with pytest.raises(ConfigError):
-            Candidate(engine_workers=0)
-        with pytest.raises(ConfigError):
             Candidate(queue_limit=0)
 
     def test_grid_is_stable_and_policy_diverse_up_front(self):
@@ -221,7 +219,6 @@ class TestSuccessiveHalving:
         assert loaded.dumps() == tuned.dumps()
         won = outcome.winner.candidate
         assert loaded.serve.policy == won.policy
-        assert loaded.serve.engine_workers == won.engine_workers
         assert loaded.serve.queue_limit == won.queue_limit
         assert loaded.sample.sampler_steps == won.sampler_steps
 
