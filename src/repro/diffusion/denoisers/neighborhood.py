@@ -329,8 +329,11 @@ class NeighborhoodDenoiser(Denoiser):
         # architecture, not of the input.
         self._weight_total = float(sum(self.scale_weights))
         slots = max(1, n_classes)
+        #: per scale, ``(class, bucket, code, target)`` counts of clean
+        #: zeros/ones; ``fit`` stores them in the narrowest unsigned dtype
+        #: that holds a row's bound, ``patterns x draws x H x W`` cells
         self._counts = {
-            s: np.zeros((slots, n_buckets, self._n_codes, 2), dtype=np.float64)
+            s: np.zeros((slots, n_buckets, self._n_codes, 2), dtype=np.uint8)
             for s in self.scales
         }
         self._marginals = np.full((slots, n_buckets), 0.5)
@@ -371,6 +374,11 @@ class NeighborhoodDenoiser(Denoiser):
         The pairs are noised and counted in chunks of ``_FIT_CHUNK_CELLS``
         cells, so beside the tables it keeps the fit needs a fixed working
         set, however many patterns it is given.
+
+        A bucket's rows together count at most ``N x draws_per_pattern x H
+        x W`` cells, so the count tables are kept in the narrowest unsigned
+        dtype that holds that bound (``np.min_scalar_type``): ``uint32`` on
+        the default recipe.  No row can wrap, not even ``ones + zeros``.
         """
         topologies = np.asarray(topologies, dtype=np.uint8)
         if topologies.ndim != 3:
@@ -384,8 +392,10 @@ class NeighborhoodDenoiser(Denoiser):
             cond = np.zeros(n, dtype=np.int64)
 
         slots = max(1, self.n_classes)
+        h, w = topologies.shape[1:]
+        dtype = np.min_scalar_type(n * draws_per_pattern * h * w)
         counts = {
-            s: np.zeros((slots, self.n_buckets, self._n_codes, 2))
+            s: np.zeros((slots, self.n_buckets, self._n_codes, 2), dtype=dtype)
             for s in self.scales
         }
         # A (class, code) pair names one count row; int32 indexes them all.
@@ -396,9 +406,12 @@ class NeighborhoodDenoiser(Denoiser):
         # cells, each chunk's counts added into that bucket's rows.  The
         # chunks are drawn in pair order, so the float64 ``rng.random``
         # stream is the same as drawing each bucket's whole stack at once,
-        # and the counts are sums of integers, so they come out exact.  The
-        # class offset is already folded into the flattened index, so
-        # mixed-class chunks count in a single pass.
+        # and the counts are sums of integers, so they come out exact: each
+        # chunk's ``bincount`` is added straight into the narrow rows (the
+        # weighted ones are float64 holding integers below 2**53, so the
+        # unsafe cast back is exact).  The class offset is already folded
+        # into the flattened index, so mixed-class chunks count in a single
+        # pass.
         if draws_per_pattern >= self.n_buckets:
             buckets = np.broadcast_to(
                 np.arange(draws_per_pattern) % self.n_buckets,
@@ -421,7 +434,6 @@ class NeighborhoodDenoiser(Denoiser):
         # cells it really covers.  Only the current chunk's are cast to
         # float64 for the weighted ``bincount``, whose sums of small
         # integers float64 keeps exact.
-        h, w = topologies.shape[1:]
         pooled = {
             s: (block_areas((h, w), s), block_sums(topologies, s))
             for s in self.scales
@@ -449,17 +461,28 @@ class NeighborhoodDenoiser(Denoiser):
                     if s == 1:
                         index <<= 1
                         index += x0
-                        rows += np.bincount(
-                            index.ravel(), minlength=2 * n_rows
-                        ).reshape(slots, self._n_codes, 2)
+                        np.add(
+                            rows,
+                            np.bincount(
+                                index.ravel(), minlength=2 * n_rows
+                            ).reshape(slots, self._n_codes, 2),
+                            out=rows,
+                            casting="unsafe",
+                        )
                         continue
                     index = index.ravel()
                     areas, block_ones = pooled[s]
                     ones = block_ones[pat_idx].astype(np.float64)
                     for target, weights in enumerate((areas - ones, ones)):
-                        rows[..., target] += np.bincount(
-                            index, weights=weights.ravel(), minlength=n_rows
-                        ).reshape(slots, self._n_codes)
+                        col = rows[..., target]
+                        np.add(
+                            col,
+                            np.bincount(
+                                index, weights=weights.ravel(), minlength=n_rows
+                            ).reshape(slots, self._n_codes),
+                            out=col,
+                            casting="unsafe",
+                        )
         self._counts = counts
         self._record_target_fills(topologies, cond)
         fine = self._counts[self.scales[0]]
@@ -488,8 +511,11 @@ class NeighborhoodDenoiser(Denoiser):
         log(p / (1 - p))`` for the ``j``-th scale ``s``, where ``p`` is the
         smoothed probability the reference path derives per pixel — so
         sampling-time prediction becomes gather + add + one sigmoid.  With
-        the bucket outermost, one step's reads are one contiguous block.  Idempotent unless
-        ``force`` (``fit`` forces, because it changes the counts).
+        the bucket outermost, one step's reads are one contiguous block.
+        The counts are read in their narrow unsigned dtype (see :meth:`fit`);
+        promotion to float64 gives the same values, so the table does not
+        depend on that dtype.  Idempotent unless ``force`` (``fit`` forces,
+        because it changes the counts).
         """
         if not self._fitted:
             return False

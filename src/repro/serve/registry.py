@@ -47,8 +47,9 @@ from repro.obs.metrics import default_metrics
 # Bump when the pickled model layout changes; payloads of any other format
 # refit instead of loading.  Format 2: the pickled denoiser carries its
 # compiled logit tables, so a load needs no compile step.  Format 3: those
-# tables are one (bucket, scale, class, code) array.
-_CACHE_FORMAT = 3
+# tables are one (bucket, scale, class, code) array.  Format 4: the count
+# tables are narrow unsigned integers, not float64.
+_CACHE_FORMAT = 4
 
 
 @dataclass(frozen=True)

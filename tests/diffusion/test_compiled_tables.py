@@ -209,6 +209,67 @@ class TestVectorizedFit:
         assert (recovered == base).mean() > 0.85
 
 
+def _fit_stack(n, draws, shape, **kwargs):
+    """A denoiser fit on ``n`` random ``shape`` patterns, ``draws`` each."""
+    rng = np.random.default_rng(n + draws)
+    topos = (rng.random((n,) + shape) < 0.4).astype(np.uint8)
+    d = NeighborhoodDenoiser(**kwargs)
+    d.fit(topos, None, DiffusionSchedule.linear(8), rng,
+          draws_per_pattern=draws)
+    return d
+
+
+class TestNarrowCounts:
+    """The count tables are stored in the narrowest unsigned dtype that
+    holds a row's bound, ``patterns x draws x H x W`` cells."""
+
+    def test_dtype_is_the_bound_of_the_fit(self, fitted, fitted_8):
+        for d, bound in ((fitted, 24 * 16 * 24 * 24),
+                         (fitted_8, 16 * 16 * 40 * 40)):
+            for counts in d._counts.values():
+                assert counts.dtype.kind == "u"
+                assert counts.dtype == np.min_scalar_type(bound)
+
+    @pytest.mark.parametrize("n,expected", [(15, np.uint16), (16, np.uint32)])
+    def test_bound_crossing_two_to_the_16_widens(self, n, expected):
+        # 16 x 16 x 16 x 16 = 2**16 cells no longer fit in uint16.
+        d = _fit_stack(n, 16, (16, 16), scales=(1, 2), n_buckets=4)
+        for counts in d._counts.values():
+            assert counts.dtype == expected
+
+    def test_reference_logits_do_not_wrap_near_the_dtype_range(self):
+        # One bucket, one scale, a centre-only window: the fullest row
+        # counts most of the 15 x 16 x 16 x 16 = 61,440 cells, so its
+        # ``ones + zeros`` in uint16 is past what int16 could hold.
+        d = _fit_stack(
+            15, 16, (16, 16), scales=(1,), n_buckets=1, window=[(0, 0)]
+        )
+        counts = d._counts[1]
+        assert counts.dtype == np.uint16
+        totals = counts.sum(axis=-1)
+        assert np.iinfo(np.int16).max < totals.max() <= np.iinfo(np.uint16).max
+        rng = np.random.default_rng(1)
+        stack = (rng.random((2, 16, 16)) < 0.5).astype(np.uint8)
+        fast = d.predict_logits_many(stack, 0.3, [None, None])
+        d.use_compiled = False
+        slow = d.predict_logits_many(stack, 0.3, [None, None])
+        # One scale of weight 1: the compiled entry is the reference logit
+        # rounded to float32.
+        assert np.array_equal(fast, slow.astype(np.float32))
+
+    def test_default_recipe_counts_are_uint32(self, default_model):
+        d = default_model.denoiser
+        for counts in d._counts.values():
+            assert counts.dtype == np.uint32
+        assert d._table.nbytes + sum(
+            c.nbytes for c in d._counts.values()
+        ) == 12 << 20
+
+    def test_unfitted_placeholder_is_narrow(self):
+        for counts in NeighborhoodDenoiser(n_classes=2)._counts.values():
+            assert counts.dtype == np.uint8
+
+
 def _traced_peak(call) -> int:
     """Peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
     tracemalloc.start()
@@ -240,6 +301,14 @@ class TestBoundedWorkingSet:
             ))
             transient[n] = peak - self._kept(d)
         assert abs(transient[64] - transient[16]) < self.MB, transient
+
+    def test_default_shape_fit_keeps_table_plus_4_byte_counts(self):
+        rng = np.random.default_rng(16)
+        topos = (rng.random((16, 128, 128)) < 0.4).astype(np.uint8)
+        d = NeighborhoodDenoiser(n_classes=2)
+        d.fit(topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng)
+        cells = sum(c.size for c in d._counts.values())
+        assert self._kept(d) <= d._table.nbytes + 4 * cells
 
     def test_compile_has_no_full_float64_temporaries(self, fitted_8):
         peak = _traced_peak(lambda: fitted_8.compile_tables(force=True))
@@ -321,10 +390,14 @@ class TestPooledGather:
 
 
 def _model_digest(d) -> str:
-    """SHA-256 over every array ``fit`` leaves behind, in a fixed order."""
+    """SHA-256 over every array ``fit`` leaves behind, in a fixed order.
+
+    The count tables are hashed as float64, the dtype they were recorded
+    in: their values, not their storage dtype, are pinned.
+    """
     h = hashlib.sha256()
     for s in d.scales:
-        h.update(np.ascontiguousarray(d._counts[s]).tobytes())
+        h.update(np.ascontiguousarray(d._counts[s], dtype=np.float64).tobytes())
     for s in d.scales:
         h.update(np.ascontiguousarray(_scale_table(d, s)).tobytes())
     h.update(np.ascontiguousarray(d._marginals).tobytes())

@@ -275,7 +275,7 @@ class TestCompiledRehydration:
         assert loaded.denoiser.compiled
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        assert payload["format"] == 3
+        assert payload["format"] == 4
 
     def test_per_scale_table_payload_refits_without_retries(
         self, tmp_path, monkeypatch
@@ -311,6 +311,43 @@ class TestCompiledRehydration:
         assert sleeps == []
         assert loaded.denoiser.compiled
 
+    def test_float64_count_payload_refits_without_retries(
+        self, tmp_path, monkeypatch
+    ):
+        import copy
+        import pickle
+
+        import numpy as np
+
+        from repro.serve import registry as registry_module
+
+        registry = ModelRegistry(save_dir=tmp_path)
+        key = ModelKey(**self.KEY)
+        model = registry.get_or_fit(key)
+        # A format-3 payload: the same model with float64 count tables.
+        old = copy.deepcopy(model)
+        d = old.denoiser
+        d._counts = {s: c.astype(np.float64) for s, c in d._counts.items()}
+        path = registry.cache_path(key)
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"format": 3, "recipe": key.as_dict(), "model": old}, handle
+            )
+        sleeps = []
+        monkeypatch.setattr(registry_module.time, "sleep", sleeps.append)
+        loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
+        # Refused for its format at once, not retried as a torn read, and
+        # not served at its float64 size.
+        assert source == "fit"
+        assert sleeps == []
+        for counts in loaded.denoiser._counts.values():
+            assert counts.dtype.kind == "u"
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["format"] == 4
+        for counts in payload["model"].denoiser._counts.values():
+            assert counts.dtype.kind == "u"
+
 
 class TestCacheWrite:
     """Writing a fitted model to the disk tier copies none of its arrays."""
@@ -326,7 +363,7 @@ class TestCacheWrite:
         model = fit_model(key)
         d = model.denoiser
         arrays = d._table.nbytes + sum(c.nbytes for c in d._counts.values())
-        assert arrays > 16 << 20  # the whole model is far above the bound
+        assert arrays > 8 << 20  # the whole model is far above the bound
         registry = ModelRegistry(save_dir=tmp_path)
         tracemalloc.start()
         try:
