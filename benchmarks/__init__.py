@@ -1,1 +1,2 @@
-"""Benchmark harness: one module per paper table/figure (see DESIGN.md)."""
+"""Benchmark harness: one module per paper table/figure (see the README's
+"Tests and benchmarks" section)."""

@@ -11,11 +11,14 @@ Four measurements on one pre-fitted back-end:
   ``REPRO_SERVE_POLICY`` (default: greedy, the classic scheduler shape),
   which is how the CI smoke job exercises a non-default policy.
   Responses must come back in request order regardless of how batches
-  interleave.  Runs ``OBS_TRIALS`` alternated pairs — the default
-  (enabled) observability stack against it disabled — and gates the
-  instrumentation tax, median against median, at ``OBS_TAX_BOUND`` plus
-  the measured run-to-run spread; records p50/p95 per-request latency
-  plus busy time of the median run in the payload.
+  interleave.  Runs ``OBS_TRIALS`` alternated trials of three arms —
+  sequential, the default (enabled) observability stack and it disabled
+  — and gates the instrumentation tax, median against median, at
+  ``OBS_TAX_BOUND`` plus the measured run-to-run spread.
+  ``speedup_batched`` is the median sequential wall over the median
+  batched wall, reported with both wall lists and their IQRs; records
+  p50/p95 per-request latency plus busy time of the median run in the
+  payload.
 - **mixed-shape engine**: a staggered-arrival stream of interleaved-shape
   jobs straight into a ``ServeEngine`` under the ``shape_bucketed``
   policy; recorded, not gated.
@@ -192,30 +195,38 @@ def _run_batched(model, texts, obs_enabled=True):
 
 
 def _run_obs_trials(model, texts):
-    """``OBS_TRIALS`` alternated obs-on/obs-off pairs of the batched run;
-    returns each arm's median run and the tax measured between them."""
-    arms = {True: [], False: []}
+    """``OBS_TRIALS`` alternated trials of the sequential, obs-on and
+    obs-off runs; returns each arm's median run, the obs tax and the
+    batched speedup measured between them.
+
+    Even trials run sequential, obs-on, obs-off; odd trials the reverse,
+    so no arm always runs first or last, and obs-on and obs-off swap
+    order every trial.
+    """
+    arms = {"sequential": [], True: [], False: []}
     for trial in range(OBS_TRIALS):
-        order = (True, False) if trial % 2 == 0 else (False, True)
-        for enabled in order:
-            arms[enabled].append(
-                _run_batched(model, texts, obs_enabled=enabled)
+        order = ("sequential", True, False)
+        for arm in order if trial % 2 == 0 else order[::-1]:
+            arms[arm].append(
+                _run_sequential(model, texts)
+                if arm == "sequential"
+                else _run_batched(model, texts, obs_enabled=arm)
             )
     walls = {
-        enabled: [r["wall_seconds"] for r in runs]
-        for enabled, runs in arms.items()
+        arm: [r["wall_seconds"] for r in runs] for arm, runs in arms.items()
     }
     median_run = {
-        enabled: sorted(runs, key=lambda r: r["wall_seconds"])[OBS_TRIALS // 2]
-        for enabled, runs in arms.items()
+        arm: sorted(runs, key=lambda r: r["wall_seconds"])[OBS_TRIALS // 2]
+        for arm, runs in arms.items()
     }
-    medians = {e: run["wall_seconds"] for e, run in median_run.items()}
-    # Relative IQR of the identical workload, the wider of the two arms:
-    # how far two medians can drift apart by noise alone.
-    spread = max(
-        float(np.subtract(*np.percentile(w, [75, 25]))) / medians[enabled]
-        for enabled, w in walls.items()
-    )
+    medians = {arm: run["wall_seconds"] for arm, run in median_run.items()}
+    # Relative IQR of each arm's identical runs: how far a median can
+    # drift by noise alone.
+    iqr = {
+        arm: float(np.subtract(*np.percentile(w, [75, 25]))) / medians[arm]
+        for arm, w in walls.items()
+    }
+    spread = max(iqr[True], iqr[False])
     tax = {
         "trials": OBS_TRIALS,
         "walls_on": walls[True],
@@ -225,7 +236,17 @@ def _run_obs_trials(model, texts):
         "tolerance_pct": round((OBS_TAX_BOUND + spread) * 100.0, 1),
         "in_order": all(r["in_order"] for r in arms[True] + arms[False]),
     }
-    return median_run[True], median_run[False], tax
+    speedup = {
+        "trials": OBS_TRIALS,
+        "walls_sequential": walls["sequential"],
+        "walls_batched": walls[True],
+        "iqr_sequential_pct": round(iqr["sequential"] * 100.0, 1),
+        "iqr_batched_pct": round(iqr[True] * 100.0, 1),
+    }
+    return (
+        median_run["sequential"], median_run[True], median_run[False],
+        tax, speedup,
+    )
 
 
 def _run_engine_stream(model):
@@ -372,10 +393,14 @@ def _check_regression(payload, history):
     failures = []
     floor = anchor["speedup_batched"] * REGRESSION_TOLERANCE
     if payload["speedup_batched"] < floor:
+        trials = payload["speedup_trials"]
         failures.append(
-            f"speedup_batched {payload['speedup_batched']}x regressed "
-            f"against the committed {anchor['speedup_batched']}x "
-            f"(floor {floor:.2f}x)"
+            f"speedup_batched {payload['speedup_batched']}x (median over "
+            f"{trials['trials']} alternated trials) regressed against the "
+            f"committed {anchor['speedup_batched']}x (floor {floor:.2f}x); "
+            f"sequential walls {trials['walls_sequential']} "
+            f"(IQR {trials['iqr_sequential_pct']}%), batched walls "
+            f"{trials['walls_batched']} (IQR {trials['iqr_batched_pct']}%)"
         )
     # Adaptive spike: the p95 ratio vs greedy must not collapse against
     # the committed anchor (older entries predate the adaptive policy,
@@ -398,8 +423,9 @@ def _run(output_dir):
     model.sample(1, 0, np.random.default_rng(0))  # warm-up outside timing
 
     texts = _workload(model.window)
-    sequential = _run_sequential(model, texts)
-    batched, batched_noobs, obs_tax = _run_obs_trials(model, texts)
+    sequential, batched, batched_noobs, obs_tax, speedup_trials = (
+        _run_obs_trials(model, texts)
+    )
     engine_single = _run_engine_stream(model)
     adaptive_spike = _run_adaptive_spike(model)
 
@@ -421,7 +447,9 @@ def _run(output_dir):
         "batched_noobs": batched_noobs,
         "engine_single": engine_single,
         "adaptive_spike": adaptive_spike,
+        # Median sequential wall over median batched wall.
         "speedup_batched": _speedup(sequential, batched),
+        "speedup_trials": speedup_trials,
         # Observability tax: the instrumented service vs the identical
         # workload with obs disabled (null metrics/tracer), median against
         # median.  May come out negative — the runs differ only by
@@ -488,8 +516,10 @@ def _run(output_dir):
         ],
     )
     print(
-        f"batched speedup: {payload['speedup_batched']}x  "
-        f"(history: {RESULT_PATH})"
+        f"batched speedup: {payload['speedup_batched']}x, median of "
+        f"{OBS_TRIALS} alternated trials (IQR sequential "
+        f"{speedup_trials['iqr_sequential_pct']}%, batched "
+        f"{speedup_trials['iqr_batched_pct']}%)  (history: {RESULT_PATH})"
     )
     payload["regressions"] = regressions
     return payload

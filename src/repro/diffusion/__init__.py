@@ -1,11 +1,10 @@
-"""Conditional discrete diffusion: schedule, losses, denoisers, model."""
+"""Conditional discrete diffusion: schedule, denoisers, model."""
 
 from repro.diffusion.denoisers.base import Denoiser, MarginalDenoiser
 from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
     neighborhood_codes,
 )
-from repro.diffusion.loss import bernoulli_kl, bernoulli_nll, diffusion_loss
 from repro.diffusion.model import ConditionalDiffusionModel
 from repro.diffusion.schedule import DiffusionSchedule, linear_beta_schedule
 
@@ -15,9 +14,6 @@ __all__ = [
     "DiffusionSchedule",
     "MarginalDenoiser",
     "NeighborhoodDenoiser",
-    "bernoulli_kl",
-    "bernoulli_nll",
-    "diffusion_loss",
     "linear_beta_schedule",
     "neighborhood_codes",
 ]

@@ -11,8 +11,9 @@ feature pitch far exceeds the neighbourhood radius).
 
 Iterating the reverse process with these local conditionals behaves like
 annealed Gibbs sampling of a learned Markov random field; it trains in
-seconds on CPU.  See DESIGN.md for why this substitution preserves the
-paper's behaviour.
+seconds on CPU.  It estimates the same ``p(x_0 | x_k, c)`` a U-Net would,
+so the reverse chain and the modify/extend operators run on it unchanged;
+it cannot learn structure beyond its neighbourhoods and pools.
 
 **Compiled logit tables.**  The raw count tables are frozen once ``fit``
 returns, so everything the sampling hot loop derives from them per step —

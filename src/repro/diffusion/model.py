@@ -1,8 +1,8 @@
 """The conditional discrete diffusion generator (back-end of ChatPattern).
 
-Bundles a noise schedule with a pluggable denoiser and exposes the three
-primitives every higher-level tool builds on: batch sampling (Eq. 11), a
-single reverse step (Eq. 9) and forward noising (Eq. 2).
+Bundles a noise schedule with a pluggable denoiser and exposes the two
+primitives every higher-level tool builds on: batch sampling (Eq. 11) and
+a single x0-resampling reverse step (Eq. 9).
 """
 
 from __future__ import annotations
@@ -46,18 +46,14 @@ class ConditionalDiffusionModel:
         schedule: Optional[DiffusionSchedule] = None,
         window: int = 128,
         n_classes: int = 2,
-        sampler: str = "x0",
         density_guidance: bool = True,
         sharpen: float = 2.0,
         polish_sweeps: int = 4,
         sampler_steps: SamplerSteps = "full",
     ):
-        if sampler not in ("x0", "posterior"):
-            raise ValueError("sampler must be 'x0' or 'posterior'")
         self.denoiser = denoiser or NeighborhoodDenoiser(n_classes=n_classes)
         self.schedule = schedule or DiffusionSchedule.linear(128, 0.003, 0.08)
         self.window = window
-        self.sampler = sampler
         self.density_guidance = density_guidance
         self.sharpen = float(sharpen)
         self.polish_sweeps = int(polish_sweeps)
@@ -174,14 +170,6 @@ class ConditionalDiffusionModel:
             [condition] * count, rng, shape=shape, sampler_steps=sampler_steps
         )
 
-    def noise_to(
-        self, x0: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Forward-noise clean pixels to step ``k`` (Eq. 2)."""
-        if k == 0:
-            return np.asarray(x0, dtype=np.uint8).copy()
-        return self.schedule.forward_sample(np.asarray(x0, dtype=np.uint8), k, rng)
-
     # -- batched mixed-condition sampling (the serving path) ------------
 
     def denoise_step_batch(
@@ -196,22 +184,16 @@ class ConditionalDiffusionModel:
         """One reverse step ``x_k -> x_{k_next}`` (Eq. 9; default ``k - 1``)
         over a ``(B, H, W)`` stack with per-item conditions.
 
-        Two samplers implement the step:
-
-        - ``"posterior"`` — the exact Eq. (5)/(9) ancestral step, summing the
-          closed-form posterior over the predicted ``x_0``.
-        - ``"x0"`` (default) — x0-resampling: draw ``x0_hat ~ p_theta(x0|x_k,c)``
-          and re-noise it to level ``k_next`` via the forward process.  Both
-          target the same learned posterior; x0-resampling applies the
-          denoiser at full strength every step, which anneals global
-          structure far more effectively for local (tabular) denoisers and
-          is a standard sampler choice in D3PM implementations.
+        The step is x0-resampling: draw ``x0_hat ~ p_theta(x0|x_k,c)`` and
+        re-noise it to level ``k_next`` via the forward process.  It applies
+        the denoiser at full strength every step, which anneals global
+        structure far more effectively for local (tabular) denoisers, and
+        is a standard sampler choice in D3PM implementations.
 
         ``k_next`` is the step the state is re-noised to — ``k - 1`` for the
         classic chain, further for the strided step schedules of
-        :meth:`reverse_step_plan` (x0-resampling re-noises to any level in
-        closed form, so a stride costs nothing extra; the adjacent-step
-        posterior sampler falls back to the same jump).  ``k_next == 0``
+        :meth:`reverse_step_plan` (the re-noising reaches any level in
+        closed form, so a stride costs nothing extra).  ``k_next == 0``
         returns the clean prediction.  ``deterministic`` takes the mode
         instead of sampling — used for the final step, the discrete
         analogue of dropping the noise term at k=1.
@@ -257,8 +239,8 @@ class ConditionalDiffusionModel:
         with the per-item density offsets it calibrated.  ``offset`` is the
         previous step's, from which the calibration starts (``None``: from
         0).  ``keep``/``known`` make the step masked: kept cells take
-        ``known`` as their ``x0_hat``, so the x0 sampler's re-noising draws
-        them from the forward process at ``k_next`` (a one with probability
+        ``known`` as their ``x0_hat``, so the re-noising draws them from
+        the forward process at ``k_next`` (a one with probability
         ``b + known (1 - 2b)``), with the same single uniform per cell, and
         the deterministic final step returns ``known`` on them exactly.
         """
@@ -281,11 +263,6 @@ class ConditionalDiffusionModel:
             p = np.reciprocal(e, out=e)
         if keep is not None:
             np.copyto(p, known, where=keep)
-        if self.sampler == "posterior" and k_next == k - 1:
-            p_prev = self.schedule.posterior_mix(xk, p, k)
-            if deterministic:
-                return (p_prev > 0.5).astype(np.uint8), offset
-            return (rng.random(xk.shape) < p_prev).astype(np.uint8), offset
         if deterministic:
             if k_next == 0:
                 return (p > 0.5).astype(np.uint8), offset

@@ -6,8 +6,9 @@ Implements Eqs. (1)-(4) of the paper for the binary topology alphabet
     Q_k = [[1 - beta_k, beta_k], [beta_k, 1 - beta_k]],
 
 so the cumulative product stays in the same family with an effective flip
-probability ``beta_bar_k`` obeying ``1 - 2*beta_bar_k = prod(1 - 2*beta_i)``,
-which gives closed-form forward sampling at any step.
+probability ``beta_bar_k`` obeying ``1 - 2*beta_bar_k = prod(1 - 2*beta_i)``:
+the denoiser's noise level at step ``k`` and the flip probability with
+which the reverse step re-noises its x0 draw to it.
 """
 
 from __future__ import annotations
@@ -80,26 +81,6 @@ class DiffusionSchedule:
         """Schedule with the paper's linear beta ramp (default 0.01 -> 0.5)."""
         return cls(betas=linear_beta_schedule(steps, beta_1, beta_k))
 
-    def respaced(self, steps: int) -> "DiffusionSchedule":
-        """DDIM-style respacing: a shorter schedule visiting the same
-        terminal noise level.
-
-        Selects ``steps`` cumulative noise levels evenly spaced over this
-        schedule's ``beta_bar`` trajectory and derives the per-step betas
-        that realise them, so a denoiser trained against this schedule can
-        sample in fewer reverse steps without re-training.
-        """
-        if not 1 <= steps <= self.steps:
-            raise ValueError(f"respaced steps must be in [1, {self.steps}]")
-        indices = np.linspace(0, self.steps - 1, steps).round().astype(int)
-        bars = self.beta_bars[indices]
-        # Invert the cumulative recursion: 1-2*bar_k = prod(1-2*beta_i).
-        survival = 1.0 - 2.0 * bars
-        prev = np.concatenate(([1.0], survival[:-1]))
-        ratio = np.clip(survival / prev, 1e-12, 1.0)
-        betas = np.clip((1.0 - ratio) / 2.0, 1e-9, 0.5)
-        return DiffusionSchedule(betas=betas)
-
     @property
     def steps(self) -> int:
         """K, the diffusion length."""
@@ -171,61 +152,10 @@ class DiffusionSchedule:
         ks = np.linspace(start, 1, min(sampler_steps, start))
         return sorted({int(round(k)) for k in ks}, reverse=True)
 
-    def beta(self, k: int) -> float:
-        """Flip probability of forward step ``k`` (1-based)."""
-        self._check_k(k)
-        return float(self.betas[k - 1])
-
     def beta_bar(self, k: int) -> float:
         """Cumulative flip probability of ``q(x_k | x_0)`` (1-based)."""
         self._check_k(k)
         return float(self.beta_bars[k - 1])
-
-    def forward_sample(
-        self, x0: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample ``x_k ~ q(x_k | x_0)`` (Eq. 2) by independent pixel flips."""
-        flip = rng.random(x0.shape, dtype=np.float32) < self.beta_bar(k)
-        return np.bitwise_xor(np.asarray(x0, dtype=np.uint8), flip)
-
-    def posterior_probability(
-        self, xk: np.ndarray, x0: np.ndarray, k: int
-    ) -> np.ndarray:
-        """``P(x_{k-1} = 1 | x_k, x_0)`` elementwise.
-
-        ``q(x_{k-1}|x_k, x_0) \\propto q(x_k|x_{k-1}) q(x_{k-1}|x_0)``; for
-        ``k = 1`` the posterior is the delta at ``x_0``.
-        """
-        self._check_k(k)
-        xk_f = xk.astype(np.float64)
-        x0_f = x0.astype(np.float64)
-        if k == 1:
-            return x0_f
-        beta = self.beta(k)
-        bar_prev = self.beta_bar(k - 1)
-        # Likelihood of observing x_k from hypothetical x_{k-1} = 1 / 0.
-        like_1 = np.where(xk_f == 1.0, 1.0 - beta, beta)
-        like_0 = np.where(xk_f == 0.0, 1.0 - beta, beta)
-        # Prior of x_{k-1} given x_0.
-        prior_1 = np.where(x0_f == 1.0, 1.0 - bar_prev, bar_prev)
-        prior_0 = 1.0 - prior_1
-        numer = like_1 * prior_1
-        denom = numer + like_0 * prior_0
-        return numer / denom
-
-    def posterior_mix(
-        self, xk: np.ndarray, p_x0: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Eq. (5)/(9): ``P(x_{k-1}=1 | x_k)`` marginalised over predicted x0.
-
-        ``p_x0`` holds the model's ``P(x_0 = 1 | x_k, c)`` per pixel; the sum
-        over the two possible ``x_0`` states is carried out in closed form.
-        """
-        ones = np.ones_like(xk)
-        zeros = np.zeros_like(xk)
-        post_if_1 = self.posterior_probability(xk, ones, k)
-        post_if_0 = self.posterior_probability(xk, zeros, k)
-        return p_x0 * post_if_1 + (1.0 - p_x0) * post_if_0
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= self.steps:

@@ -14,7 +14,7 @@ returns the :class:`~repro.serve.engine.EngineClient` that submits to it.
 
 ``BatchedSamplingModel`` wraps such a client as a drop-in stand-in for
 the fitted model: its ``sample`` rides the shared engine while every
-other attribute (``denoise_step``, ``noise_to``, ``schedule`` ...)
+other attribute (``denoise_step``, ``polish``, ``schedule`` ...)
 delegates to the real model, so modification/extension code paths work
 unchanged.
 """

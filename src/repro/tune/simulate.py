@@ -17,10 +17,11 @@ trajectory.
 Execution cost comes from :class:`CostModel`: a trajectory costs a fixed
 dispatch overhead plus, per denoiser evaluation, a batch-size-independent
 base (the cost batching amortizes) and a per-sample increment.  The
-defaults are an unfit placeholder (ROADMAP item 8): ``full_steps = 128``
-predates the default full chain's 82 evals and the per-step split was
-never fit to the kernel.  Absolute seconds don't matter — the tuner only
-needs the *ranking* of candidates to be faithful.
+defaults are an unfit placeholder until they are fit to measured
+trajectory timings: ``full_steps = 128`` predates the default full chain's
+82 evals and the per-step split was never fit to the kernel.  Absolute
+seconds don't matter — the tuner only needs the *ranking* of candidates
+to be faithful.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class CostModel(StageConfig):
     ``full_steps = 128`` overstates the default full chain (82 evals), and
     the fixed per-step component is not what the kernel measures.  They
     stay as they are so tuner output does not move until the model is fit
-    (ROADMAP item 8).
+    to measured trajectory timings.
     """
 
     batch_overhead: float = 0.004

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion import (
-    ConditionalDiffusionModel,
-    DiffusionSchedule,
-    MarginalDenoiser,
-)
+from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
 from repro.diffusion.denoisers.base import sigmoid
 from repro.diffusion.model import _calibrate_density
 from repro.geometry import diagonal_touch_pairs
@@ -19,9 +15,10 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             model.sample(1, None, np.random.default_rng(0))
 
-    def test_bad_sampler_rejected(self):
-        with pytest.raises(ValueError):
-            ConditionalDiffusionModel(sampler="nonsense")
+    def test_sampler_option_removed(self):
+        """x0-resampling is the only reverse step; there is no option."""
+        with pytest.raises(TypeError):
+            ConditionalDiffusionModel(sampler="x0")
 
     def test_prior_is_fair_coin(self):
         model = ConditionalDiffusionModel(window=16, n_classes=0)
@@ -69,35 +66,6 @@ class TestSampling:
         a = stripe_model.sample(2, None, np.random.default_rng(7))
         b = stripe_model.sample(2, None, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-    def test_posterior_sampler_runs(self):
-        rng = np.random.default_rng(0)
-        topos = (rng.random((8, 16, 16)) < 0.3).astype(np.uint8)
-        model = ConditionalDiffusionModel(
-            denoiser=MarginalDenoiser(n_classes=0),
-            schedule=DiffusionSchedule.linear(16),
-            window=16,
-            n_classes=0,
-            sampler="posterior",
-            density_guidance=False,
-            sharpen=0.0,
-        )
-        model.fit(topos, None, rng)
-        s = model.sample(2, None, rng)
-        assert s.shape == (2, 16, 16)
-
-
-class TestNoiseTo:
-    def test_k0_is_identity(self):
-        model = ConditionalDiffusionModel(window=8, n_classes=0)
-        x0 = np.eye(8, dtype=np.uint8)
-        assert np.array_equal(model.noise_to(x0, 0, np.random.default_rng(0)), x0)
-
-    def test_k_positive_flips(self):
-        model = ConditionalDiffusionModel(window=8, n_classes=0)
-        x0 = np.zeros((64, 64), dtype=np.uint8)
-        xk = model.noise_to(x0, model.schedule.steps, np.random.default_rng(0))
-        assert xk.mean() == pytest.approx(0.5, abs=0.05)
 
 
 def _bisection_offsets(logits, targets, bins=512):

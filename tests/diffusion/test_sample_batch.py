@@ -93,17 +93,3 @@ class TestSampleBatch:
         model = ConditionalDiffusionModel(window=16, n_classes=2)
         with pytest.raises(RuntimeError):
             model.sample_batch([0], np.random.default_rng(0))
-
-    def test_posterior_sampler_supported(self, small_dataset):
-        from repro.diffusion import DiffusionSchedule
-
-        topologies, conditions = small_dataset
-        model = ConditionalDiffusionModel(
-            schedule=DiffusionSchedule.linear(16, 0.003, 0.08),
-            window=64,
-            n_classes=2,
-            sampler="posterior",
-        )
-        model.fit(topologies, conditions, np.random.default_rng(0))
-        out = model.sample_batch([0, 1], np.random.default_rng(2))
-        assert out.shape == (2, 64, 64)

@@ -348,6 +348,27 @@ class TestCompiledRehydration:
         for counts in payload["model"].denoiser._counts.values():
             assert counts.dtype.kind == "u"
 
+    def test_format4_payload_with_sampler_attribute_samples_identically(
+        self, tmp_path
+    ):
+        import copy
+
+        import numpy as np
+
+        key = ModelKey(**self.KEY)
+        model = ModelRegistry().get_or_fit(key)
+        # Format-4 payloads written before the sampler option was removed
+        # carry ``sampler = "x0"``; nothing reads it, so they stay valid.
+        old = copy.deepcopy(model)
+        old.sampler = "x0"
+        assert ModelRegistry(save_dir=tmp_path)._save_to_disk(key, old)
+        loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
+        assert source == "disk"
+        assert loaded.sampler == "x0"
+        expected = model.sample_batch([0, 1], np.random.default_rng(3))
+        got = loaded.sample_batch([0, 1], np.random.default_rng(3))
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestCacheWrite:
     """Writing a fitted model to the disk tier copies none of its arrays."""
