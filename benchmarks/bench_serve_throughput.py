@@ -7,9 +7,8 @@ Four measurements on one pre-fitted back-end:
   architecture);
 - **batched**: the same workload concurrently through ``PatternService``,
   whose engine coalesces the sampling work of different requests into
-  shared batched denoise trajectories.  The engine policy comes from
-  ``REPRO_SERVE_POLICY`` (default: greedy, the classic scheduler shape),
-  which is how the CI smoke job exercises a non-default policy.
+  shared batched denoise trajectories under the engine's default
+  ``fair_share`` rule (the requests alternate between two sources).
   Responses must come back in request order regardless of how batches
   interleave.  Runs ``OBS_TRIALS`` alternated trials of three arms —
   sequential, the default (enabled) observability stack and it disabled
@@ -20,13 +19,14 @@ Four measurements on one pre-fitted back-end:
   p50/p95 per-request latency plus busy time of the median run in the
   payload.
 - **mixed-shape engine**: a staggered-arrival stream of interleaved-shape
-  jobs straight into a ``ServeEngine`` under the ``shape_bucketed``
-  policy; recorded, not gated.
+  jobs straight into a ``ServeEngine`` on the default policy; recorded,
+  not gated.
 - **adaptive spike**: one identical burst of full-quality jobs into a
-  ``greedy`` engine and into an ``adaptive`` engine with a tight p95 SLO.
-  The adaptive policy must degrade sampler quality during the spike (so
-  its p95 does not lose to greedy), then restore full quality once the
-  burst drains — the self-tuning contract of ``repro.tune``.
+  default-policy engine and into an ``adaptive`` engine with a tight p95
+  SLO.  The adaptive policy must degrade sampler quality during the
+  spike (so its p95 does not lose to the static baseline), then restore
+  full quality once the burst drains — the self-tuning contract of
+  ``repro.tune``.
 
 Results are appended to ``BENCH_serve_throughput.json`` at the repo root.
 A run FAILS if a speedup ratio falls below ``REGRESSION_TOLERANCE`` times
@@ -68,7 +68,6 @@ STEPS = 64
 TRAIN_COUNT = 8 if SMOKE else 48
 N_REQUESTS = 8
 PATTERNS_PER_REQUEST = (1 if SMOKE else 2) * scale()
-SERVICE_POLICY = os.environ.get("REPRO_SERVE_POLICY", "greedy")
 # Mixed-shape engine stream: interleaved (W, W) / (3W/4, 3W/4) jobs
 # arriving gradually, as a real request stream does.
 ENGINE_JOBS = 8 if SMOKE else 12
@@ -156,7 +155,6 @@ def _run_batched(model, texts, obs_enabled=True):
             gather_window=0.05,
             max_workers=N_REQUESTS,
             max_retries=1,
-            policy=SERVICE_POLICY,
         ),
         obs=ObsConfig(enabled=obs_enabled),
     )
@@ -187,7 +185,7 @@ def _run_batched(model, texts, obs_enabled=True):
         "samples_per_sec": round(stats.scheduler.samples_per_sec, 2),
         "busy_seconds": round(stats.scheduler.busy_seconds, 3),
         "registry_hits": stats.registry["hits"],
-        "policy": SERVICE_POLICY,
+        "policy": stats.engine["policy"],
         "obs_enabled": obs_enabled,
         "in_order": response_ids == sorted(response_ids),
         "per_request": [r.stats.as_dict() for r in responses],
@@ -252,7 +250,6 @@ def _run_obs_trials(model, texts):
 def _run_engine_stream(model):
     """Mixed-shape staggered stream through the engine."""
     engine = ServeEngine(
-        policy="shape_bucketed",
         gather_window=ENGINE_GATHER,
         max_batch=ENGINE_MAX_BATCH,
     )
@@ -340,12 +337,13 @@ def _measure_spike(model, policy, tune_config=None):
 
 
 def _run_adaptive_spike(model):
-    """Greedy vs adaptive on one identical burst, tight p95 SLO."""
-    greedy = _measure_spike(model, "greedy")
+    """The default policy vs adaptive on one identical burst, tight p95
+    SLO."""
+    static = _measure_spike(model, "fair_share")
     # SLO set from the measured full-quality p95: tight enough that the
     # controller must react, loose enough to be holdable degraded.
     tune = TuneConfig(
-        slo_p95=max(0.2, greedy["latency_p95"] * 0.5),
+        slo_p95=max(0.2, static["latency_p95"] * 0.5),
         degrade_ladder=("bucketed",),
         degrade_after=1,
         restore_after=2,
@@ -355,12 +353,12 @@ def _run_adaptive_spike(model):
     )
     adaptive = _measure_spike(model, "adaptive", tune)
     return {
-        "greedy": greedy,
+        "fair_share": static,
         "adaptive": adaptive,
         "slo_p95": round(tune.slo_p95, 3),
-        # >= 1.0 means adaptive's p95 was no worse than greedy's.
+        # >= 1.0 means adaptive's p95 was no worse than the default's.
         "p95_ratio": round(
-            greedy["latency_p95"] / max(adaptive["latency_p95"], 1e-9), 3
+            static["latency_p95"] / max(adaptive["latency_p95"], 1e-9), 3
         ),
     }
 
@@ -402,9 +400,9 @@ def _check_regression(payload, history):
             f"(IQR {trials['iqr_sequential_pct']}%), batched walls "
             f"{trials['walls_batched']} (IQR {trials['iqr_batched_pct']}%)"
         )
-    # Adaptive spike: the p95 ratio vs greedy must not collapse against
-    # the committed anchor (older entries predate the adaptive policy,
-    # hence the .get guards).
+    # Adaptive spike: the p95 ratio vs the default policy must not
+    # collapse against the committed anchor (older entries predate the
+    # adaptive policy, hence the .get guards).
     anchor_spike = (anchor.get("adaptive_spike") or {}).get("p95_ratio")
     payload_spike = (payload.get("adaptive_spike") or {}).get("p95_ratio")
     if anchor_spike and payload_spike is not None:
@@ -438,7 +436,6 @@ def _run(output_dir):
             "patterns_per_request": PATTERNS_PER_REQUEST,
             "window": model.window,
             "steps": STEPS,
-            "service_policy": SERVICE_POLICY,
             "engine_jobs": ENGINE_JOBS,
             "engine_samples_per_job": ENGINE_SAMPLES_PER_JOB,
         },
@@ -470,7 +467,7 @@ def _run(output_dir):
 
     print_table(
         f"Serving throughput ({N_REQUESTS}-request workload, "
-        f"policy={SERVICE_POLICY})",
+        f"policy={batched['policy']})",
         ["mode", "wall (s)", "req/s", "produced", "max batch"],
         [
             ["sequential handle_request", sequential["wall_seconds"],
@@ -491,8 +488,7 @@ def _run(output_dir):
         f"alternated pairs, tolerance {obs_tax['tolerance_pct']}%)"
     )
     print_table(
-        f"Mixed-shape engine stream ({ENGINE_JOBS} jobs, shape_bucketed, "
-        f"{CPUS} cpu(s))",
+        f"Mixed-shape engine stream ({ENGINE_JOBS} jobs, {CPUS} cpu(s))",
         ["wall (s)", "samples/s", "batches", "max batch"],
         [
             [engine_single["wall_seconds"],
@@ -506,9 +502,9 @@ def _run(output_dir):
         f"SLO p95 <= {spike['slo_p95']}s)",
         ["policy", "p50 (s)", "p95 (s)", "degraded", "restored"],
         [
-            ["greedy", spike["greedy"]["latency_p50"],
-             spike["greedy"]["latency_p95"],
-             spike["greedy"]["degraded_jobs"], "-"],
+            ["fair_share", spike["fair_share"]["latency_p50"],
+             spike["fair_share"]["latency_p95"],
+             spike["fair_share"]["degraded_jobs"], "-"],
             ["adaptive", spike["adaptive"]["latency_p50"],
              spike["adaptive"]["latency_p95"],
              spike["adaptive"]["degraded_jobs"],
@@ -552,12 +548,12 @@ def test_serve_throughput(benchmark, output_dir):
     assert payload["sequential"]["produced"] > 0
     assert batched["produced"] > 0
     # Adaptive spike: quality degraded during the burst, p95 no worse
-    # than greedy (with noise headroom), and full quality restored after.
+    # than the default policy (with noise headroom), and full quality restored after.
     spike = payload["adaptive_spike"]
     assert spike["adaptive"]["degraded_jobs"] > 0, spike
     assert spike["adaptive"]["restored"], spike
     assert spike["adaptive"]["tail_degrade_level"] == 0, spike
-    assert spike["greedy"]["degraded_jobs"] == 0
+    assert spike["fair_share"]["degraded_jobs"] == 0
     assert spike["p95_ratio"] >= 0.9, spike
     # No speedup below REGRESSION_TOLERANCE x its committed anchor.
     assert not payload["regressions"], payload["regressions"]

@@ -159,12 +159,13 @@ class StoreConfig(StageConfig):
     output_path: Optional[str] = None
 
 
-#: Registered batching policies of the serving engine.  The canonical
-#: implementations live in :mod:`repro.serve.engine`; the names are
-#: declared here so config validation never has to import the engine.
-#: ``adaptive`` is the self-tuning policy: greedy selection steered by the
-#: hysteresis controller configured through :class:`TuneConfig`.
-SERVE_POLICIES = ("greedy", "shape_bucketed", "fair_share", "adaptive")
+#: Batching policies of the serving engine.  The implementations live in
+#: :mod:`repro.serve.engine`; the names are declared here so config
+#: validation never has to import the engine.  ``fair_share`` is the one
+#: selection rule (FIFO within a request source, sources taking turns);
+#: ``adaptive`` is that rule steered by the hysteresis controller
+#: configured through :class:`TuneConfig`.
+SERVE_POLICIES = ("fair_share", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -172,15 +173,13 @@ class ServeConfig(StageConfig):
     """Multi-request service/engine knobs (see :class:`PatternService` and
     :class:`~repro.serve.engine.ServeEngine`).
 
-    ``policy`` picks the batching policy (``greedy`` = classic
-    gather-window FIFO, ``shape_bucketed`` = coalesce compatible jobs
-    across the whole queue, ``fair_share`` = round-robin across request
-    sources, ``adaptive`` = greedy selection steered by the
-    :class:`TuneConfig` hysteresis controller, degrading sampler quality
-    under queue pressure to hold the latency SLO).  ``queue_limit`` bounds
-    the admission queue (jobs beyond it fast-fail with backpressure instead
-    of queueing unboundedly); ``deadline`` expires jobs still queued
-    after that many seconds.
+    ``policy`` picks the batching policy (``fair_share`` = FIFO within a
+    request source, sources taking turns; ``adaptive`` = fair-share
+    selection steered by the :class:`TuneConfig` hysteresis controller,
+    degrading sampler quality under queue pressure to hold the latency
+    SLO).  ``queue_limit`` bounds the admission queue (jobs beyond it
+    fast-fail with backpressure instead of queueing unboundedly);
+    ``deadline`` expires jobs still queued after that many seconds.
     ``job_ttl`` bounds, in seconds, how long finished lifecycle jobs stay
     readable in the service's :class:`~repro.serve.jobs.JobTable` (and
     thus pollable over HTTP) after reaching a terminal state.
@@ -196,7 +195,7 @@ class ServeConfig(StageConfig):
     max_workers: int = 8
     max_retries: int = 2
     base_seed: int = 0
-    policy: str = "greedy"
+    policy: str = "fair_share"
     queue_limit: Optional[int] = None
     deadline: Optional[float] = None
     job_ttl: float = 600.0

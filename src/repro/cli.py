@@ -11,8 +11,8 @@ Subcommands:
 - ``stats``    — summarize a metrics snapshot written by ``serve
   --metrics-snapshot`` (JSON or Prometheus text exposition); with
   ``--watch SECS`` it re-renders as a live dashboard.
-- ``tune``     — offline autotuner: race serve-knob candidates over a
-  seeded workload spec (successive halving on the deterministic engine
+- ``tune``     — offline autotuner: score every serve-knob candidate on
+  a seeded workload spec's full trace (the deterministic engine
   simulator) and emit a tuned pipeline config plus a trial report.
 
 Every subcommand is a thin shell over the typed pipeline API
@@ -140,12 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--policy", choices=SERVE_POLICIES, default=None,
-        help="engine batching policy: greedy (gather-window FIFO), "
-             "shape_bucketed (coalesce compatible jobs across the whole "
-             "queue), fair_share (round-robin across request sources) or "
-             "adaptive (greedy plus an SLO-driven quality controller that "
-             "degrades sampler steps under queue pressure; tuned by the "
-             "config's [tune] section)",
+        help="engine batching policy: fair_share (the default: FIFO "
+             "within a request source, sources taking turns) or adaptive "
+             "(fair-share selection plus an SLO-driven quality controller "
+             "that degrades sampler steps under queue pressure; tuned by "
+             "the config's [tune] section)",
     )
     srv.add_argument(
         "--queue-limit", type=int, default=None,
@@ -250,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         help="workload spec JSON (phases of request traffic; see "
              "repro.tune.WorkloadSpec)",
-    )
-    tn.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="cap the candidate grid at its first N entries (smaller = "
-             "faster, searched grid prefix is deterministic)",
     )
     tn.add_argument(
         "--slo", type=float, default=None, metavar="SECS",
@@ -640,7 +634,7 @@ def _cmd_tune(args) -> int:
     from pathlib import Path
 
     from repro.api.config import ConfigError
-    from repro.tune import WorkloadSpec, render_report, successive_halving
+    from repro.tune import WorkloadSpec, grid_search, render_report
 
     try:
         spec = WorkloadSpec.load(args.workload)
@@ -660,11 +654,10 @@ def _cmd_tune(args) -> int:
             return 2
         cfg = cfg.replace(tune=tune_cfg)
     try:
-        outcome = successive_halving(
+        outcome = grid_search(
             spec,
             tune=tune_cfg,
             seed=args.seed,
-            budget=args.budget,
             gather_window=cfg.serve.gather_window,
             max_batch=cfg.serve.max_batch,
         )

@@ -10,7 +10,7 @@ threads:
   Prometheus-style cumulative buckets and p50/p95/p99 derivation by
   linear interpolation inside the winning bucket.
 
-Instruments support optional labels (``counter.inc(policy="greedy")``),
+Instruments support optional labels (``counter.inc(policy="fair_share")``),
 one independent series per label-value combination, exactly like the
 Prometheus data model.  ``registry.snapshot()`` captures every series as a
 plain JSON-able dict (each histogram series carries its derived

@@ -6,9 +6,10 @@ Layers (front to back):
   natural-language requests, each running the full agent pipeline, with
   per-request stats (queue wait, batch sizes, samples/sec).
 - :class:`ServeEngine` — the execution engine: a bounded admission queue
-  (``queue_limit`` backpressure, per-job deadlines), pluggable
-  :class:`BatchPolicy` batching (``greedy`` | ``shape_bucketed`` |
-  ``fair_share`` | ``adaptive``), one in-process worker thread running
+  (``queue_limit`` backpressure, per-job deadlines), one
+  :class:`BatchPolicy` selection rule (``fair_share``: FIFO within a
+  request source, sources taking turns; ``adaptive`` steers it with an
+  SLO-driven quality controller), one in-process worker thread running
   the batches, and multi-model routing via :meth:`ServeEngine.bind`.
 - :class:`EngineClient` / :class:`BatchedSamplingModel` — the
   model-bound handle :meth:`ServeEngine.bind` returns, and the per-request
@@ -38,10 +39,8 @@ from repro.serve.engine import (
     EngineError,
     EngineJob,
     FairSharePolicy,
-    GreedyPolicy,
     QueueFullError,
     ServeEngine,
-    ShapeBucketedPolicy,
     TrajectoryPlan,
     UnknownPolicyError,
     resolve_batch_policy,
@@ -92,7 +91,6 @@ __all__ = [
     "EngineJob",
     "EngineStats",
     "FairSharePolicy",
-    "GreedyPolicy",
     "JOB_STATES",
     "Job",
     "JobCancelled",
@@ -115,7 +113,6 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "ServiceStats",
-    "ShapeBucketedPolicy",
     "StoreRecord",
     "StoreReport",
     "TERMINAL_STATES",

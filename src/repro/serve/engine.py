@@ -9,12 +9,12 @@ explicit layers, each independently configurable:
    carry a deadline; a job still queued past its deadline fails with
    :class:`DeadlineExpiredError` rather than occupying a trajectory a
    caller has already given up on.
-2. **Batching policy** — a pluggable :class:`BatchPolicy` decides which
-   queued jobs form the next batch: ``greedy`` reproduces the classic
-   gather-window FIFO behavior, ``shape_bucketed`` groups compatible jobs
-   across the whole queue so one trajectory carries as many samples as
-   possible, ``fair_share`` round-robins across request *sources* so a
-   bulk client cannot starve interactive ones.
+2. **Batching policy** — a :class:`BatchPolicy` decides which queued
+   jobs form the next batch.  There is one selection rule,
+   ``fair_share``: FIFO within a request *source*, sources taking turns,
+   so a bulk client cannot starve interactive ones (with one source it
+   is the classic gather-window FIFO prefix).  ``adaptive`` is the same
+   rule steered by an SLO-driven quality controller.
 3. **Executor** — one in-process thread gathers a batch and runs its
    trajectories, one batch after another.  ``stop`` drains gracefully,
    with three lifecycle guarantees: submit-after-stop raises, restart
@@ -31,7 +31,7 @@ engine:``).  :class:`~repro.serve.batching.BatchedSamplingModel` wraps a
 client as a drop-in model for the agent's tools.
 
 Every scheduling decision takes its instant as a plain ``now`` argument
-(policy selection and aging, planning, load snapshots), so the offline
+(policy selection and ticks, planning, load snapshots), so the offline
 tuner (:func:`repro.tune.simulate.simulate_trial`) replays traffic
 through an unstarted engine on virtual time.
 """
@@ -43,7 +43,7 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -148,6 +148,12 @@ class EngineJob:
         model=None,
         model_label: str = "model",
     ):
+        # The selection rule groups jobs by source: a bad tag must fail
+        # the submitter here, not the worker thread at selection.
+        if not isinstance(source, str) or not source:
+            raise ValueError(
+                f"source must be a non-empty string, got {source!r}"
+            )
         self.count = int(count)
         self.condition = condition
         self.shape = tuple(shape)
@@ -250,11 +256,11 @@ class BatchPolicy:
     request's samples are reproducible for a fixed batch composition
     regardless of the order a policy picked the jobs in.
 
-    Policies may keep state (e.g. fair-share rotation); the engine only
-    calls ``select`` under the queue lock, so no extra locking is needed.
-    Selection should stay O(jobs): it runs with admission blocked.
-    ``now`` is the selection instant on the jobs' ``submitted_at`` clock;
-    a policy that ages jobs reads time from it, never from the wall.
+    The engine only calls ``select`` under the queue lock, so no extra
+    locking is needed.  Selection should stay O(jobs): it runs with
+    admission blocked.  ``now`` is the selection instant on the jobs'
+    ``submitted_at`` clock; a policy that reads time reads it from
+    ``now``, never from the wall.
     """
 
     name = "base"
@@ -283,123 +289,46 @@ class BatchPolicy:
         """
 
 
-class GreedyPolicy(BatchPolicy):
-    """Classic gather-window behavior: FIFO prefix up to ``max_batch``.
-
-    Exactly the pre-engine scheduler: take jobs in arrival order until the
-    sample budget is reached (the last job may overshoot it, as before).
-    """
-
-    name = "greedy"
-
-    def select(self, jobs, max_batch, now):
-        picked: List[EngineJob] = []
-        total = 0
-        for job in jobs:
-            picked.append(job)
-            total += job.count
-            if total >= max_batch:
-                break
-        return picked
-
-
-class ShapeBucketedPolicy(BatchPolicy):
-    """Group compatible jobs across the *whole* queue, not a FIFO window.
-
-    All queued jobs are bucketed by trajectory key (model, shape, step
-    schedule) and the bucket with the most samples wins (ties: the bucket
-    whose first job arrived earliest).  Interleaved mixed-shape traffic
-    that greedy would fragment into tiny per-shape trajectories coalesces
-    into full batches.
-
-    Anti-starvation aging: a minority-shape job on a busy queue would
-    otherwise never belong to the biggest bucket.  Once the oldest queued
-    job has waited longer than ``max_wait`` seconds, its bucket is
-    selected regardless of size, so every bucket makes progress under
-    sustained majority-shape load.
-    """
-
-    name = "shape_bucketed"
-
-    def __init__(self, max_wait: float = 0.25) -> None:
-        self.max_wait = float(max_wait)
-
-    def select(self, jobs, max_batch, now):
-        buckets: "OrderedDict[Tuple, List[EngineJob]]" = OrderedDict()
-        for job in jobs:
-            buckets.setdefault(job.batch_key, []).append(job)
-        oldest = min(jobs, key=lambda job: job.submitted_at)
-        if now - oldest.submitted_at > self.max_wait:
-            best = buckets[oldest.batch_key]
-        else:
-            # Insertion order IS first-arrival order, so the enumeration
-            # position breaks ties without rescanning the queue.
-            best = min(
-                buckets.values(),
-                key=lambda group: -sum(job.count for job in group),
-            )
-        picked: List[EngineJob] = []
-        total = 0
-        for job in best:
-            picked.append(job)
-            total += job.count
-            if total >= max_batch:
-                break
-        return picked
-
-
 class FairSharePolicy(BatchPolicy):
-    """Round-robin across request sources so no client starves another.
+    """The engine's selection rule: FIFO within a source, sources in turn.
 
-    Jobs are grouped by their ``source`` tag; sources are visited in
-    least-served-first order (by cumulative samples served) and the batch
-    is filled one job per source per round.  A bulk client with a hundred
-    queued jobs therefore shares every batch with the interactive client
-    that submitted one — instead of monopolizing the engine until its
-    backlog drains.
+    Jobs are grouped by their ``source`` tag and sources are ordered by
+    their oldest queued job; the batch is filled one job per source per
+    round, each source's jobs in arrival order, until ``max_batch``
+    samples are reached (the last job may overshoot it).  A bulk client
+    with a hundred queued jobs therefore shares every batch with the
+    interactive client that submitted one, instead of monopolizing the
+    engine until its backlog drains.  With a single source — or a queue
+    that fits in one batch — the pick is the plain FIFO prefix.
+
+    The rule is stateless: the selection depends only on the queue, so
+    no per-source bookkeeping outlives the jobs it described.
     """
 
     name = "fair_share"
 
-    def __init__(self) -> None:
-        self._served: Dict[str, int] = {}
-
     def select(self, jobs, max_batch, now):
-        by_source: "OrderedDict[str, deque]" = OrderedDict()
+        # Dict insertion order is first-arrival order: sources line up
+        # by their oldest queued job.
+        by_source: Dict[str, deque] = {}
         for job in jobs:
             by_source.setdefault(job.source, deque()).append(job)
-        # Least-served sources pick first; insertion (arrival) order breaks
-        # ties so the rotation is deterministic.
-        arrival = {source: i for i, source in enumerate(by_source)}
-        ordered = sorted(
-            by_source,
-            key=lambda source: (self._served.get(source, 0), arrival[source]),
-        )
+        queues = list(by_source.values())
         picked: List[EngineJob] = []
         total = 0
-        while total < max_batch:
-            progressed = False
-            for source in ordered:
-                queue = by_source[source]
-                if not queue:
-                    continue
+        while queues and total < max_batch:
+            for queue in queues:
                 job = queue.popleft()
                 picked.append(job)
                 total += job.count
-                progressed = True
                 if total >= max_batch:
                     break
-            if not progressed:
-                break
-        for job in picked:
-            self._served[job.source] = (
-                self._served.get(job.source, 0) + job.count
-            )
+            queues = [queue for queue in queues if queue]
         return picked
 
 
-class AdaptivePolicy(BatchPolicy):
-    """SLO-holding policy: greedy selection under a degrade controller.
+class AdaptivePolicy(FairSharePolicy):
+    """SLO-holding policy: fair-share selection under a degrade controller.
 
     The online half of the ``repro.tune`` self-tuning subsystem.  Each
     tick (idle and pre-selection, under the queue lock) the policy feeds
@@ -416,9 +345,6 @@ class AdaptivePolicy(BatchPolicy):
     exported (``repro_adaptive_level``), and each degraded job carries
     its original ask in ``requested_sampler_steps``/``degrade_level`` so
     the response layer can stamp a ``degraded`` engine event.
-
-    ``inner`` is the selection strategy being steered (greedy by default,
-    matching the classic gather-window behavior when at full quality).
     """
 
     name = "adaptive"
@@ -427,7 +353,6 @@ class AdaptivePolicy(BatchPolicy):
         self,
         controller: Optional[AdaptiveController] = None,
         config: Optional[TuneConfig] = None,
-        inner: Optional[BatchPolicy] = None,
     ):
         if controller is not None and config is not None:
             raise ValueError("pass controller or config, not both")
@@ -436,7 +361,6 @@ class AdaptivePolicy(BatchPolicy):
             if controller is not None
             else AdaptiveController(config)
         )
-        self.inner = inner if inner is not None else GreedyPolicy()
         self._base_gather: Optional[float] = None
         self._m_transitions = None
         self._m_level = None
@@ -470,7 +394,7 @@ class AdaptivePolicy(BatchPolicy):
         engine.gather_window = min(base * ctrl.gather_scale(), cap)
 
     def select(self, jobs, max_batch, now):
-        picked = self.inner.select(jobs, max_batch, now)
+        picked = super().select(jobs, max_batch, now)
         level = self.controller.level
         if level > 0:
             for job in picked:
@@ -482,27 +406,22 @@ class AdaptivePolicy(BatchPolicy):
         return picked
 
 
-_POLICY_CLASSES: Dict[str, Callable[[], BatchPolicy]] = {
-    GreedyPolicy.name: GreedyPolicy,
-    ShapeBucketedPolicy.name: ShapeBucketedPolicy,
-    FairSharePolicy.name: FairSharePolicy,
-    AdaptivePolicy.name: AdaptivePolicy,
-}
-assert set(_POLICY_CLASSES) == set(SERVE_POLICIES)
+assert (FairSharePolicy.name, AdaptivePolicy.name) == SERVE_POLICIES
 
 
 def resolve_batch_policy(policy: Union[str, BatchPolicy]) -> BatchPolicy:
-    """Accept a policy instance or one of the registered policy names.
+    """Accept a policy instance or one of the policy names.
 
     Unknown names raise :class:`UnknownPolicyError` (a ``ValueError``)
-    listing the registered names.
+    listing the known names.
     """
     if isinstance(policy, BatchPolicy):
         return policy
-    try:
-        return _POLICY_CLASSES[policy]()
-    except KeyError:
-        raise UnknownPolicyError(policy, _POLICY_CLASSES) from None
+    if policy == FairSharePolicy.name:
+        return FairSharePolicy()
+    if policy == AdaptivePolicy.name:
+        return AdaptivePolicy()
+    raise UnknownPolicyError(policy, SERVE_POLICIES)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +435,10 @@ class ServeEngine:
         registry: :class:`~repro.serve.registry.ModelRegistry` used by
             :meth:`bind` to resolve :class:`ModelKey` recipes.  Optional —
             an engine fed only pre-fitted models never needs one.
-        policy: batching policy name (``"greedy"`` | ``"shape_bucketed"``
-            | ``"fair_share"`` | ``"adaptive"``) or a :class:`BatchPolicy`
-            instance (e.g. an :class:`AdaptivePolicy` built from a
-            specific :class:`~repro.api.config.TuneConfig`).
+        policy: batching policy name (``"fair_share"`` | ``"adaptive"``)
+            or a :class:`BatchPolicy` instance (e.g. an
+            :class:`AdaptivePolicy` built from a specific
+            :class:`~repro.api.config.TuneConfig`).
         queue_limit: max queued jobs before :meth:`submit` fast-fails with
             :class:`QueueFullError` (``None`` = unbounded, the legacy
             behavior).
@@ -541,7 +460,7 @@ class ServeEngine:
     def __init__(
         self,
         registry=None,
-        policy: Union[str, BatchPolicy] = "greedy",
+        policy: Union[str, BatchPolicy] = "fair_share",
         queue_limit: Optional[int] = None,
         gather_window: float = 0.02,
         max_batch: int = 64,

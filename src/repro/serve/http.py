@@ -397,11 +397,18 @@ class PatternHttpServer:
                 _error_body('"client_job_id" must be a non-empty string'),
                 "application/json",
             )
+        source = payload.get("source", "default")
+        if not isinstance(source, str) or not source:
+            return (
+                400,
+                _error_body('"source" must be a non-empty string'),
+                "application/json",
+            )
         try:
             request = ServeRequest(
                 text=text,
                 objective=payload.get("objective", "legality"),
-                source=payload.get("source", "default"),
+                source=source,
                 deadline=payload.get("deadline"),
                 kind=kind,
                 params=payload.get("params"),

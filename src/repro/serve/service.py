@@ -70,7 +70,8 @@ class ServeRequest:
     """One generation request entering the service.
 
     ``source`` tags the request's sampling jobs for the engine's
-    fair-share policy (e.g. ``"bulk"`` vs ``"interactive"``); ``deadline``
+    selection rule, which takes turns across sources (e.g. ``"bulk"`` vs
+    ``"interactive"``); it must be a non-empty string.  ``deadline``
     bounds, in seconds, how long its jobs may sit queued before failing
     with a typed error (``None`` defers to the engine default).
 

@@ -12,8 +12,8 @@ the latency SLO and hysteresis knobs):
 - **Offline** — the ``repro tune`` autotuner: replay a seeded
   :class:`~repro.tune.workload.WorkloadSpec` on virtual time through an
   unstarted :class:`~repro.serve.engine.ServeEngine`
-  (:mod:`repro.tune.simulate`) for a grid of knob candidates, race them
-  with successive halving (:func:`~repro.tune.search.successive_halving`),
+  (:mod:`repro.tune.simulate`) for every candidate of a small knob grid,
+  score each on the full trace (:func:`~repro.tune.search.grid_search`),
   and emit a tuned :class:`~repro.api.config.PipelineConfig` plus a
   human-readable trial report (:mod:`repro.tune.report`).
 
@@ -34,8 +34,8 @@ from repro.tune.search import (
     TrialResult,
     TuneOutcome,
     default_candidates,
+    grid_search,
     score_metrics,
-    successive_halving,
 )
 from repro.tune.simulate import CostModel, TrialMetrics, simulate_trial
 from repro.tune.workload import (
@@ -59,9 +59,9 @@ __all__ = [
     "WorkloadSpec",
     "default_candidates",
     "degrade_steps",
+    "grid_search",
     "quality_rank",
     "render_report",
     "score_metrics",
     "simulate_trial",
-    "successive_halving",
 ]

@@ -1,9 +1,9 @@
 """Human-readable trial reports for ``repro tune``.
 
-One fixed-width table per rung (low fidelity at the top, the full-trace
-final rung at the bottom), then the winner with the exact serve knobs to
-copy.  Plain text on purpose: the report lands next to the tuned config
-JSON and gets pasted into PRs and incident docs.
+One fixed-width table of every candidate scored on the full trace (best
+first), then the winner with the exact serve knobs to copy.  Plain text
+on purpose: the report lands next to the tuned config JSON and gets
+pasted into PRs and incident docs.
 """
 
 from __future__ import annotations
@@ -39,32 +39,23 @@ def _row(trial: TrialResult, slo_p95: float) -> str:
 
 
 def render_report(outcome: TuneOutcome) -> str:
-    """The full multi-rung report as one printable string."""
+    """The full report as one printable string."""
     lines: List[str] = []
     lines.append(
         f"repro tune — workload {outcome.workload!r}, seed {outcome.seed}, "
         f"SLO p95 <= {outcome.slo_p95:.3f}s"
     )
     lines.append(
-        f"{outcome.candidates} candidate(s), {outcome.rungs} rung(s), "
-        f"{len(outcome.trials)} trial(s)"
+        f"{len(outcome.trials)} candidate(s), each scored on the full trace"
     )
     header = "  ".join(
         name.ljust(width) for name, width in _COLUMNS
     ).rstrip()
-    for rung in range(outcome.rungs):
-        rows = [t for t in outcome.trials if t.rung == rung]
-        if not rows:
-            continue
-        lines.append("")
-        lines.append(
-            f"rung {rung} — fidelity {rows[0].fidelity:.0%} "
-            f"({len(rows)} candidate(s))"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for trial in rows:
-            lines.append(_row(trial, outcome.slo_p95))
+    lines.append("")
+    lines.append(header)
+    lines.append("-" * len(header))
+    for trial in outcome.trials:
+        lines.append(_row(trial, outcome.slo_p95))
     won = outcome.winner
     lines.append("")
     lines.append(f"winner: {won.candidate.key()}")

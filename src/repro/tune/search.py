@@ -1,10 +1,8 @@
-"""Successive-halving search over serve-engine knob configurations.
+"""Grid search over serve-engine knob configurations.
 
-The classic multi-fidelity racing scheme: every surviving candidate is
-simulated on a *prefix* of the workload's arrival trace, the weaker half
-is dropped, and the fidelity doubles — so a budget of N candidates costs
-roughly 2N cheap-trial-equivalents instead of N full replays, and the
-final rung always scores the survivors on the complete trace.
+Every candidate of the (small) knob grid is simulated on the workload's
+complete arrival trace, so each is judged on the traffic that separates
+it from the others, spikes included.
 
 Scoring is lexicographic (:func:`score_metrics`): meet the p95 SLO
 without shedding load first, then maximize delivered sampler quality,
@@ -20,51 +18,20 @@ The output is a :class:`TuneOutcome`: every trial for the report, plus
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.config import PipelineConfig, TuneConfig
+from repro.api.config import SERVE_POLICIES, PipelineConfig, TuneConfig
 from repro.tune.simulate import Candidate, CostModel, TrialMetrics, simulate_trial
-from repro.tune.workload import Arrival, WorkloadSpec
+from repro.tune.workload import WorkloadSpec
 
-#: Default grid axes (order fixed: it is part of the deterministic
-#: contract — ``--budget`` trims this enumeration, never reorders it).
-DEFAULT_POLICIES = ("greedy", "shape_bucketed", "fair_share", "adaptive")
-DEFAULT_QUEUE_LIMITS = (None, 64)
+#: Default grid axes (order fixed: the enumeration order is part of the
+#: deterministic contract).
 DEFAULT_SAMPLER_STEPS = ("full", 32, "bucketed")
-
-#: Fewest arrivals a low-fidelity rung may score a candidate on.
-MIN_FIDELITY_ARRIVALS = 8
-
-
-def _fidelity_subset(arrivals: List[Arrival], fidelity: float) -> List[Arrival]:
-    """A shape-preserving subsample of the trace at the given fidelity.
-
-    Each phase contributes its earliest ``round(len * fidelity)``
-    arrivals (at least one), so a mid-trace spike survives every rung —
-    a plain prefix would score cheap rungs only on the calm lead-in and
-    eliminate exactly the candidates the spike is meant to separate.
-    """
-    if fidelity >= 1.0:
-        return list(arrivals)
-    floor = min(MIN_FIDELITY_ARRIVALS, len(arrivals))
-    fidelity = max(fidelity, floor / max(1, len(arrivals)))
-    by_phase: "OrderedDict[int, List[Arrival]]" = OrderedDict()
-    for arrival in arrivals:
-        by_phase.setdefault(arrival.phase, []).append(arrival)
-    subset: List[Arrival] = []
-    for group in by_phase.values():
-        group.sort(key=lambda a: a.at)
-        subset.extend(group[: max(1, int(round(len(group) * fidelity)))])
-    subset.sort(key=lambda a: a.at)
-    return subset
 
 
 def default_candidates(
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    queue_limits: Sequence[Optional[int]] = DEFAULT_QUEUE_LIMITS,
+    policies: Sequence[str] = SERVE_POLICIES,
     sampler_steps: Sequence = DEFAULT_SAMPLER_STEPS,
 ) -> List[Candidate]:
     """The full knob grid, in stable enumeration order.
@@ -72,24 +39,15 @@ def default_candidates(
     The ``adaptive`` policy owns its quality schedule (that is the point
     of it), so it is only paired with ``sampler_steps="full"`` — the
     other combinations would just pre-degrade what the controller
-    manages dynamically.
+    manages dynamically.  The queue limit is not searched: it is the
+    overload guard, and it never changed a candidate's score.
     """
-    grid: List[Candidate] = []
-    # Policy is the innermost axis so a small ``--budget`` prefix still
-    # races every policy against each other instead of e.g. only greedy.
-    for limit in queue_limits:
-        for steps in sampler_steps:
-            for policy in policies:
-                if policy == "adaptive" and steps != "full":
-                    continue
-                grid.append(
-                    Candidate(
-                        policy=policy,
-                        queue_limit=limit,
-                        sampler_steps=steps,
-                    )
-                )
-    return grid
+    return [
+        Candidate(policy=policy, sampler_steps=steps)
+        for steps in sampler_steps
+        for policy in policies
+        if policy != "adaptive" or steps == "full"
+    ]
 
 
 def score_metrics(metrics: TrialMetrics, slo_p95: float) -> Tuple:
@@ -123,20 +81,16 @@ def score_metrics(metrics: TrialMetrics, slo_p95: float) -> Tuple:
 
 @dataclass
 class TrialResult:
-    """One (candidate, fidelity) simulation and its score."""
+    """One candidate's full-trace simulation and its score."""
 
     candidate: Candidate
     metrics: TrialMetrics
-    rung: int
-    fidelity: float
     score: Tuple
 
     def as_dict(self) -> dict:
         return {
             "candidate": self.candidate.as_dict(),
             "key": self.candidate.key(),
-            "rung": self.rung,
-            "fidelity": round(self.fidelity, 4),
             "metrics": self.metrics.as_dict(),
             "score": list(self.score),
         }
@@ -150,9 +104,8 @@ class TuneOutcome:
     seed: int
     slo_p95: float
     winner: TrialResult
+    #: every candidate's trial, best first
     trials: List[TrialResult]
-    rungs: int
-    candidates: int
 
     def tuned_config(self, base: Optional[PipelineConfig] = None) -> PipelineConfig:
         """The winner's knobs grafted onto ``base`` (default config if
@@ -169,74 +122,51 @@ class TuneOutcome:
         )
 
 
-def successive_halving(
+def grid_search(
     spec: WorkloadSpec,
     candidates: Optional[Sequence[Candidate]] = None,
     tune: Optional[TuneConfig] = None,
     cost: Optional[CostModel] = None,
     seed: Optional[int] = None,
-    budget: Optional[int] = None,
     gather_window: float = 0.02,
     max_batch: int = 64,
 ) -> TuneOutcome:
-    """Race candidate configs over the spec's seeded arrival trace.
+    """Score every candidate on the spec's seeded arrival trace.
 
-    ``budget`` caps how many grid points enter rung 0 (a deterministic
-    prefix of the stable enumeration).  ``seed`` overrides the spec's
-    own arrival seed.
+    ``candidates`` defaults to :func:`default_candidates`; ``seed``
+    overrides the spec's own arrival seed.
     """
     tune = tune if tune is not None else TuneConfig()
     cost = cost if cost is not None else CostModel()
     pool = list(candidates) if candidates is not None else default_candidates()
-    if budget is not None:
-        if budget < 1:
-            raise ValueError("budget must be >= 1 candidates")
-        pool = pool[:budget]
     if not pool:
         raise ValueError("no candidates to search")
     arrivals = spec.arrivals(seed)
     if not arrivals:
         raise ValueError(f"workload {spec.name!r} produced no arrivals")
-    used_seed = spec.seed if seed is None else seed
-    rungs = max(1, math.ceil(math.log2(len(pool)))) if len(pool) > 1 else 1
-    survivors = pool
-    trials: List[TrialResult] = []
-    final_rung: List[TrialResult] = []
-    for rung in range(rungs):
-        fidelity = 1.0 / (2 ** (rungs - 1 - rung))
-        subset = _fidelity_subset(arrivals, fidelity)
-        results = []
-        for candidate in survivors:
-            metrics = simulate_trial(
-                candidate,
-                subset,
-                tune=tune,
-                cost=cost,
-                gather_window=gather_window,
-                max_batch=max_batch,
+    trials = []
+    for candidate in pool:
+        metrics = simulate_trial(
+            candidate,
+            arrivals,
+            tune=tune,
+            cost=cost,
+            gather_window=gather_window,
+            max_batch=max_batch,
+        )
+        trials.append(
+            TrialResult(
+                candidate=candidate,
+                metrics=metrics,
+                score=score_metrics(metrics, tune.slo_p95),
             )
-            results.append(
-                TrialResult(
-                    candidate=candidate,
-                    metrics=metrics,
-                    rung=rung,
-                    fidelity=len(subset) / len(arrivals),
-                    score=score_metrics(metrics, tune.slo_p95),
-                )
-            )
-        # Best first; the stable key string settles exact score ties.
-        results.sort(key=lambda t: (t.score, t.candidate.key()), reverse=True)
-        trials.extend(results)
-        final_rung = results
-        survivors = [
-            t.candidate for t in results[: max(1, len(results) // 2)]
-        ]
+        )
+    # Best first; the stable key string settles exact score ties.
+    trials.sort(key=lambda t: (t.score, t.candidate.key()), reverse=True)
     return TuneOutcome(
         workload=spec.name,
-        seed=used_seed,
+        seed=spec.seed if seed is None else seed,
         slo_p95=tune.slo_p95,
-        winner=final_rung[0],
+        winner=trials[0],
         trials=trials,
-        rungs=rungs,
-        candidates=len(pool),
     )

@@ -6,8 +6,8 @@ which wall-clock runs against a live engine cannot promise (thread
 scheduling, machine load).  So each candidate config is scored by
 replaying the arrival trace through a real, never-started
 :class:`~repro.serve.engine.ServeEngine` on virtual time: admission
-(``queue_limit`` rejection), the batch policy (selection, aging, the
-adaptive policy's ticks and gather widening), trajectory planning and
+(``queue_limit`` rejection), the batch policy (selection, the adaptive
+policy's ticks and gather widening), trajectory planning and
 the load snapshot are the engine's own code, handed simulated instants
 as their ``now`` arguments, and so is the decision whether to keep
 gathering.  This module keeps only the event loop — when the worker
@@ -78,7 +78,7 @@ class CostModel(StageConfig):
 class Candidate(StageConfig):
     """One point of the tuner's search space: the three searched knobs."""
 
-    policy: str = "greedy"
+    policy: str = "fair_share"
     queue_limit: Optional[int] = None
     sampler_steps: Union[str, int] = "full"
 

@@ -92,11 +92,7 @@ class WorkloadPhase(StageConfig):
 class Arrival:
     """One request of the derived trace (sorted by ``at``).
 
-    ``phase`` records which spec phase produced the request, so the
-    tuner's low-fidelity rungs can subsample *each phase proportionally*
-    — a prefix of the raw trace would silently drop a mid-trace spike,
-    making cheap rungs blind to exactly the traffic that separates the
-    candidates.
+    ``phase`` records which spec phase (by index) produced the request.
     """
 
     at: float

@@ -94,11 +94,17 @@ class TestSectionRoundTrip:
 
     def test_serve_config_defaults_preserve_legacy_engine(self):
         """The default engine shape is the pre-engine scheduler: one
-        worker, greedy batching, unbounded queue, no deadlines."""
+        worker, FIFO batching (fair-share across sources, the plain FIFO
+        prefix for one), unbounded queue, no deadlines."""
         cfg = ServeConfig()
-        assert cfg.policy == "greedy"
+        assert cfg.policy == "fair_share"
         assert cfg.queue_limit is None
         assert cfg.deadline is None
+
+    @pytest.mark.parametrize("policy", ["greedy", "shape_bucketed"])
+    def test_removed_batch_policies_fail_the_known_name_check(self, policy):
+        with pytest.raises(ConfigError, match="unknown serve policy"):
+            ServeConfig.from_dict({"policy": policy})
 
     def test_removed_pool_knobs_fail_the_unknown_key_check(self):
         """The engine runs one worker and legalization runs on the calling

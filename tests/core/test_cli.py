@@ -223,7 +223,7 @@ class TestServeEngineFlags:
             ["serve",
              request.format(style="Layer-10001"),
              request.format(style="Layer-10003"),
-             "--policy", "fair_share",
+             "--policy", "adaptive",
              "--queue-limit", "64",
              "--deadline", "30",
              "--gather-window", "0.05"]
@@ -232,16 +232,22 @@ class TestServeEngineFlags:
         # Responses print in request order and the engine section of the
         # service stats reflects the flags.
         assert captured.index("request 1:") < captured.index("request 2:")
-        assert "'policy': 'fair_share'" in captured
+        assert "'policy': 'adaptive'" in captured
         assert "'queue_limit': 64" in captured
         built_cfg = fast_pipeline[-1].config.serve
-        assert built_cfg.policy == "fair_share"
+        assert built_cfg.policy == "adaptive"
         assert built_cfg.queue_limit == 64
         assert built_cfg.deadline == 30.0
 
     def test_parser_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["serve", "x", "--policy", "fifo"])
+
+    def test_removed_shape_bucketed_policy_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["serve", "x", "--policy", "shape_bucketed"])
+        assert exc.value.code == 2
+        assert "shape_bucketed" in capsys.readouterr().err
 
     def test_parser_rejects_the_removed_pool_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,7 +278,7 @@ class TestTuneCommand:
         out = tmp_path / "tuned.json"
         report = tmp_path / "report.txt"
         code = cli.main(
-            ["tune", str(spec), "--budget", "8", "--slo", "1.0",
+            ["tune", str(spec), "--slo", "1.0",
              "-o", str(out), "--report", str(report)]
         )
         assert code == 0
@@ -289,18 +295,17 @@ class TestTuneCommand:
         spec = self.spec_path(tmp_path)
         one, two = tmp_path / "one.json", tmp_path / "two.json"
         assert cli.main(
-            ["tune", str(spec), "--budget", "8", "-o", str(one)]
+            ["tune", str(spec), "-o", str(one)]
         ) == 0
         assert cli.main(
-            ["tune", str(spec), "--budget", "8", "-o", str(two)]
+            ["tune", str(spec), "-o", str(two)]
         ) == 0
         capsys.readouterr()
         assert one.read_text() == two.read_text()
 
     def test_seed_flag_overrides_the_spec_seed(self, tmp_path, capsys):
         spec = self.spec_path(tmp_path)
-        assert cli.main(["tune", str(spec), "--budget", "4",
-                         "--seed", "99"]) == 0
+        assert cli.main(["tune", str(spec), "--seed", "99"]) == 0
         assert "seed 99" in capsys.readouterr().out
 
     def test_missing_and_malformed_specs_exit_2(self, tmp_path, capsys):
@@ -309,6 +314,13 @@ class TestTuneCommand:
         bad.write_text("{\"name\": \"x\"}")  # no phases
         assert cli.main(["tune", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_removed_budget_flag_exits_2(self, tmp_path, capsys):
+        spec = self.spec_path(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tune", str(spec), "--budget", "16"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
     def test_bad_slo_exits_2(self, tmp_path, capsys):
         spec = self.spec_path(tmp_path)

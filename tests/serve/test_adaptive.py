@@ -15,7 +15,7 @@ from repro.serve import (
     UnknownPolicyError,
     resolve_batch_policy,
 )
-from repro.serve.engine import FairSharePolicy, GreedyPolicy
+from repro.serve.engine import FairSharePolicy
 from repro.tune import AdaptiveController
 
 
@@ -55,9 +55,7 @@ class TestPolicyRegistry:
         err = excinfo.value
         assert isinstance(err, ValueError)  # old except clauses still work
         assert err.policy == "fifo"
-        assert err.known == (
-            "adaptive", "fair_share", "greedy", "shape_bucketed"
-        )
+        assert err.known == ("adaptive", "fair_share")
         for name in err.known:
             assert name in str(err)
 
@@ -68,7 +66,8 @@ class TestPolicyRegistry:
     def test_adaptive_resolves_from_the_registry(self):
         policy = resolve_batch_policy("adaptive")
         assert isinstance(policy, AdaptivePolicy)
-        assert isinstance(policy.inner, GreedyPolicy)
+        # The same selection rule, steered by the controller.
+        assert isinstance(policy, FairSharePolicy)
 
     def test_instances_pass_through(self):
         fair = FairSharePolicy()

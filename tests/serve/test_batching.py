@@ -202,7 +202,7 @@ class TestSchedulerEngineKnobs:
             client.submit(1, 0, seed=2)
 
     def test_scheduler_serves_mixed_shapes(self, small_model):
-        engine = ServeEngine(gather_window=0.05, policy="shape_bucketed")
+        engine = ServeEngine(gather_window=0.05)
         client = engine.bind(small_model)
         jobs = [
             client.submit(
@@ -214,7 +214,7 @@ class TestSchedulerEngineKnobs:
             shapes = [job.result(timeout=60).shape for job in jobs]
         assert shapes == [(1, 64, 64), (1, 32, 32)] * 2
         engine_stats = engine.stats()
-        assert engine_stats.policy == "shape_bucketed"
+        assert engine_stats.policy == "fair_share"
         assert engine_stats.submitted == 4
 
 

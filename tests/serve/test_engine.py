@@ -2,11 +2,12 @@
 
 Covers the four layers in isolation from the diffusion back-end (stub
 models keep these tests fast): admission control (backpressure at
-``queue_limit``, typed deadline expiry), the batching policies, the
+``queue_limit``, typed deadline expiry), the batch selection rule, the
 executor's lifecycle under concurrent submit/stop, and
 multi-model routing through a registry.
 """
 
+import copy
 import sys
 import threading
 import time
@@ -14,8 +15,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.config import SERVE_POLICIES
 from repro.serve import (
     DeadlineExpiredError,
+    FairSharePolicy,
     ModelKey,
     ModelRegistry,
     QueueFullError,
@@ -234,10 +237,11 @@ class TestBatchPolicies:
             resolve_batch_policy("fifo")
 
     def test_greedy_keeps_fifo_window_semantics(self):
+        """One source: the default rule is the classic greedy FIFO prefix."""
         model = StubModel()
-        engine = ServeEngine(policy="greedy", gather_window=0.0, max_batch=4)
+        engine = ServeEngine(gather_window=0.0, max_batch=4)
         client = engine.bind(model)
-        # Interleaved shapes: greedy takes a FIFO prefix of 4, which
+        # Interleaved shapes: the rule takes a FIFO prefix of 4, which
         # fragments into two 2-sample trajectories per selection.
         jobs = [
             client.submit(1, 0, shape=(16, 16) if i % 2 == 0 else (8, 8), seed=i)
@@ -249,27 +253,6 @@ class TestBatchPolicies:
         stats = engine.stats().scheduler
         assert stats.batches == 4
         assert stats.max_batch_size == 2
-
-    def test_shape_bucketed_coalesces_across_the_whole_queue(self):
-        model = StubModel()
-        engine = ServeEngine(
-            policy="shape_bucketed", gather_window=0.0, max_batch=4
-        )
-        client = engine.bind(model)
-        jobs = [
-            client.submit(1, 0, shape=(16, 16) if i % 2 == 0 else (8, 8), seed=i)
-            for i in range(8)
-        ]
-        with engine:
-            for job in jobs:
-                job.result(timeout=30)
-        stats = engine.stats().scheduler
-        # The same interleaved workload now forms two full same-shape
-        # batches instead of four fragmented ones.
-        assert stats.batches == 2
-        assert stats.max_batch_size == 4
-        for record in engine.batch_records:
-            assert record.policy == "shape_bucketed"
 
     def test_fair_share_prevents_bulk_starvation(self):
         model = StubModel()
@@ -286,17 +269,48 @@ class TestBatchPolicies:
         # ride the very first batch instead of waiting out the backlog.
         assert 1 in model.calls[0]["conditions"]
 
-    def test_greedy_would_starve_the_interactive_source(self):
-        """The control experiment for the fair-share test above."""
+    def test_default_engine_serves_the_interactive_job_first_batch(self):
+        """No ``policy=``: the default rule still lets an interactive job
+        that sits behind a bulk backlog ride the very first batch."""
         model = StubModel()
-        engine = ServeEngine(policy="greedy", gather_window=0.0, max_batch=4)
+        engine = ServeEngine(gather_window=0.0, max_batch=4)
         client = engine.bind(model)
         bulk = [client.submit(1, 0, seed=i, source="bulk") for i in range(8)]
         live = client.submit(1, 1, seed=99, source="interactive")
         with engine:
             for job in bulk + [live]:
                 job.result(timeout=30)
-        assert 1 not in model.calls[0]["conditions"]
+        assert model.calls[0]["conditions"] == [0, 0, 0, 1]
+
+    def test_distinct_sources_leave_no_per_source_state(self):
+        """Selection depends only on the queue: ten thousand one-off
+        sources leave nothing behind on the policy once served."""
+        policy = FairSharePolicy()
+        engine = ServeEngine(policy=policy, gather_window=0.0, max_batch=64)
+        client = engine.bind(StubModel())
+        before = copy.deepcopy(vars(policy))
+        jobs = [
+            client.submit(1, 0, seed=i, source=f"tenant-{i}")
+            for i in range(10_000)
+        ]
+        with engine:
+            for job in jobs:
+                job.result(timeout=60)
+        assert vars(policy) == before
+        assert engine.stats().scheduler.batches == 10_000 // 64 + 1
+
+    def test_bad_source_fails_the_submitter_and_the_worker_lives(self):
+        model = StubModel()
+        engine = ServeEngine(gather_window=0.0)
+        client = engine.bind(model)
+        with engine:
+            for bad in (["x"], "", 7):
+                with pytest.raises(ValueError, match="source"):
+                    client.submit(1, 0, source=bad)
+            assert engine.stats().submitted == 0
+            # The worker survived: the next job is served.
+            client.submit(1, 0, seed=1).result(timeout=30)
+        assert len(model.calls) == 1
 
 
 class TestExecutorPool:
@@ -427,7 +441,7 @@ class TestRouting:
     def test_trajectories_never_mix_models(self):
         registry = self._registry()
         engine = ServeEngine(
-            registry=registry, policy="greedy", gather_window=0.05
+            registry=registry, gather_window=0.05
         )
         # Same shape, different back-ends: must still be two trajectories.
         a = engine.bind(ModelKey(window=16), source="a")
@@ -456,9 +470,7 @@ class TestDeliveryIdentity:
                 out[i] = condition
             return out
 
-    @pytest.mark.parametrize(
-        "policy", ["greedy", "shape_bucketed", "fair_share"]
-    )
+    @pytest.mark.parametrize("policy", SERVE_POLICIES)
     def test_every_job_gets_its_own_samples(self, policy):
         engine = ServeEngine(policy=policy, gather_window=0.0, max_batch=64)
         client = engine.bind(self.MarkerModel())

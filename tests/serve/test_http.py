@@ -179,6 +179,19 @@ class TestHttpErrors:
         )
         assert status == 400 and "bogus" in payload["error"]
 
+    def test_bad_source_400_and_the_next_job_is_served(self, live):
+        _server, client, _model = live
+        for source in (["x"], "", 7):
+            status, payload = client._request(
+                "POST", "/v1/jobs",
+                {"kind": "pipeline", "params": PARAMS, "source": source},
+            )
+            assert status == 400
+            assert payload["error_code"] == "invalid_request"
+            assert "source" in payload["error"]
+        job_id = client.submit(kind="pipeline", params=PARAMS, source="ok")
+        assert client.wait(job_id, timeout=30.0)["state"] == SUCCEEDED
+
     def test_failed_job_result_maps_invalid_request_to_400(self, live):
         _server, client, _model = live
         job_id = client.submit(

@@ -56,13 +56,13 @@ class TestEngineInstrumentation:
         assert metrics.get("repro_jobs_submitted_total").value() == 4
         assert metrics.get("repro_queue_depth").value() == 0
         batches = metrics.get("repro_batch_size_samples")
-        assert batches.count(policy="greedy") == stats.scheduler.batches
+        assert batches.count(policy="fair_share") == stats.scheduler.batches
         # Batch sizes are in samples: 4 jobs x 2 samples = 8 observed total.
-        assert batches.total(policy="greedy") == 8
+        assert batches.total(policy="fair_share") == 8
         latency = metrics.get("repro_batch_latency_seconds")
-        assert latency.count(policy="greedy") == stats.scheduler.batches
+        assert latency.count(policy="fair_share") == stats.scheduler.batches
         gather = metrics.get("repro_gather_latency_seconds")
-        assert gather.count(policy="greedy") == stats.scheduler.batches
+        assert gather.count(policy="fair_share") == stats.scheduler.batches
         assert metrics.get("repro_queue_wait_seconds").count() == 4
         busy = metrics.get("repro_worker_busy_seconds_total")
         assert busy.value(worker="0") == pytest.approx(
@@ -183,7 +183,7 @@ class TestServiceInstrumentation:
         assert metrics.get("repro_jobs_submitted_total").value() >= 4
         assert metrics.get("repro_queue_depth").value() == 0
         assert metrics.get("repro_batch_latency_seconds").count(
-            policy="greedy"
+            policy="fair_share"
         ) >= 1
         # Model registry counters live in the same registry.
         assert metrics.get("repro_model_cache_hits_total").value(

@@ -245,20 +245,20 @@ class TestEngineBackedService:
         config = PipelineConfig(
             train=TrainConfig(window=64),
             serve=ServeConfig(
-                policy="shape_bucketed",
+                policy="adaptive",
                 queue_limit=256,
                 deadline=60.0,
                 max_retries=0,
             ),
         )
         service = PatternService.from_config(config, registry=registry)
-        assert service.policy == "shape_bucketed"
+        assert service.policy == "adaptive"
         assert service.queue_limit == 256
         assert service.deadline == 60.0
         with service:
             service.serve(_requests(1))
         stats = service.stats()
-        assert stats.engine["policy"] == "shape_bucketed"
+        assert stats.engine["policy"] == "adaptive"
         assert stats.engine["queue_limit"] == 256
 
     def test_two_services_share_one_engine(self, registry, small_model):
