@@ -299,6 +299,11 @@ class PatternPipeline:
             return
         if source == "fit":
             message = f"[repro] training done in {seconds:.1f}s"
+            phases = getattr(self._model, "fit_phases", None)
+            if phases:
+                message += " (" + ", ".join(
+                    f"{name} {took:.1f}s" for name, took in phases.items()
+                ) + ")"
         elif source == "disk":
             message = (
                 "[repro] model cache hit: loaded fitted back-end from "

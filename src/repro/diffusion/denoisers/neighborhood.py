@@ -54,9 +54,12 @@ _EPS = 1e-6
 _CHUNK_CELLS = 1 << 16
 
 #: Cells of (pattern, draw) pairs :meth:`NeighborhoodDenoiser.fit` noises,
-#: hashes and counts at once (sixteen 128x128 pairs).  Each pair holds a
-#: float64 uniform per cell, so this bounds the fit's working set; four
-#: hashing chunks keep the per-chunk ``bincount`` overhead off the fit time.
+#: hashes and counts at once (sixteen 128x128 pairs).  The fit's reused
+#: buffers are sized by it: the intp index ``bincount`` reads (8 bytes a
+#: cell) is the largest, beside the narrow codes, the noised stack and the
+#: pooled scales' float64 weights; the noise is drawn one pair at a time.
+#: Four hashing chunks keep the per-chunk ``bincount`` overhead off the fit
+#: time.
 _FIT_CHUNK_CELLS = 4 * _CHUNK_CELLS
 
 #: Input shapes whose canvas layout a denoiser keeps before starting over.
@@ -163,18 +166,26 @@ def neighborhood_codes(x: np.ndarray, offsets: Sequence[Offset]) -> np.ndarray:
     batched = x.ndim == 3
     arr = x if batched else x[None]
     plan = _hash_plan(tuple(map(tuple, offsets)))
-    max_r, max_c = plan.pads
-    n, h, w = arr.shape
     codes = np.empty(arr.shape, dtype=plan.dtype)
-    step = max(1, _CHUNK_CELLS // max(1, h * w))
-    for lo in range(0, n, step):
-        chunk = arr[lo : lo + step]
-        pad = np.zeros(
-            (chunk.shape[0], h + 2 * max_r, w + 2 * max_c), dtype=plan.dtype
-        )
-        pad[:, max_r : max_r + h, max_c : max_c + w] = chunk
-        _hash_padded(pad, plan, codes[lo : lo + step])
+    _hash_into(arr, plan, codes)
     return codes if batched else codes[0]
+
+
+def _hash_into(stack: np.ndarray, plan: _HashPlan, out: np.ndarray) -> None:
+    """Write the codes of a ``(B, H, W)`` stack into ``out``, in chunks of
+    about ``_CHUNK_CELLS`` cells through one reused zero-bordered copy (see
+    :func:`neighborhood_codes`).  ``out`` may be wider than the code dtype."""
+    max_r, max_c = plan.pads
+    n, h, w = stack.shape
+    step = max(1, _CHUNK_CELLS // max(1, h * w))
+    pad = np.zeros(
+        (min(n, step), h + 2 * max_r, w + 2 * max_c), dtype=plan.dtype
+    )
+    for lo in range(0, n, step):
+        chunk = stack[lo : lo + step]
+        k = chunk.shape[0]
+        pad[:k, max_r : max_r + h, max_c : max_c + w] = chunk
+        _hash_padded(pad[:k], plan, out[lo : lo + step])
 
 
 def _hash_padded(pad: np.ndarray, plan: _HashPlan, out: np.ndarray) -> None:
@@ -243,6 +254,17 @@ def _sum_blocks(x: np.ndarray, factor: int, dtype) -> np.ndarray:
     for j in range(1, factor):
         total += rows[..., j::factor]
     return total
+
+
+def _add_bincount(
+    rows: np.ndarray, index: np.ndarray, weights: Optional[np.ndarray] = None
+) -> None:
+    """Add the (weighted) ``bincount`` of the flat ``index`` into the
+    narrow unsigned ``rows``, one count per cell of ``rows``.  The counts
+    are integers (weighted ones float64 below 2**53), so the unsafe cast
+    back to the rows' dtype is exact."""
+    counts = np.bincount(index, weights=weights, minlength=rows.size)
+    np.add(rows, counts.reshape(rows.shape), out=rows, casting="unsafe")
 
 
 def block_areas(shape: Tuple[int, int], scale: int) -> np.ndarray:
@@ -373,8 +395,13 @@ class NeighborhoodDenoiser(Denoiser):
         Noise levels are drawn uniformly within each bucket so the tables
         cover the full (0, 0.5] range regardless of the training schedule.
         The pairs are noised and counted in chunks of ``_FIT_CHUNK_CELLS``
-        cells, so beside the tables it keeps the fit needs a fixed working
-        set, however many patterns it is given.
+        cells, in buffers allocated once and reused by every chunk, so
+        beside the tables it keeps the fit needs a fixed working set,
+        however many patterns it is given.  The counting returns before the
+        tables compile, so its buffers are released first: the compiled
+        table is not stacked on top of them, and little freed heap is left
+        behind.  The counts, logit tables and marginals do not depend on
+        the chunking: they are exact integer sums over the same rng stream.
 
         A bucket's rows together count at most ``N x draws_per_pattern x H
         x W`` cells, so the count tables are kept in the narrowest unsigned
@@ -391,28 +418,56 @@ class NeighborhoodDenoiser(Denoiser):
             cond = np.asarray(conditions, dtype=np.int64)
         else:
             cond = np.zeros(n, dtype=np.int64)
+        # The counting's buffers are released before the tables compile.
+        self._counts = self._count_pairs(
+            topologies, cond, rng, draws_per_pattern
+        )
+        self._record_target_fills(topologies, cond)
+        fine = self._counts[self.scales[0]]
+        totals = fine.sum(axis=2)
+        sums = totals.sum(axis=2)
+        self._marginals = np.where(
+            sums > 0, totals[..., 1] / np.maximum(sums, 1.0), 0.5
+        )
+        self._fitted = True
+        self.compile_tables(force=True)
+        return {
+            "patterns": int(n),
+            "observations": float(fine.sum()),
+            "occupied_codes": {
+                s: int(np.count_nonzero(self._counts[s].any(axis=-1)))
+                for s in self.scales
+            },
+        }
 
+    def _count_pairs(
+        self,
+        topologies: np.ndarray,
+        cond: np.ndarray,
+        rng: np.random.Generator,
+        draws_per_pattern: int,
+    ) -> dict:
+        """The per-scale count tables of :meth:`fit`."""
+        n, h, w = topologies.shape
         slots = max(1, self.n_classes)
-        h, w = topologies.shape[1:]
         dtype = np.min_scalar_type(n * draws_per_pattern * h * w)
         counts = {
             s: np.zeros((slots, self.n_buckets, self._n_codes, 2), dtype=dtype)
             for s in self.scales
         }
-        # A (class, code) pair names one count row; int32 indexes them all.
+        # A (class, code) pair names one count row.
         n_rows = slots * self._n_codes
         # Vectorized accumulation: buckets and noise levels for every
         # (pattern, draw) pair are drawn up front, then each bucket's pairs
         # are noised, hashed and counted in chunks of ``_FIT_CHUNK_CELLS``
         # cells, each chunk's counts added into that bucket's rows.  The
-        # chunks are drawn in pair order, so the float64 ``rng.random``
-        # stream is the same as drawing each bucket's whole stack at once,
-        # and the counts are sums of integers, so they come out exact: each
-        # chunk's ``bincount`` is added straight into the narrow rows (the
-        # weighted ones are float64 holding integers below 2**53, so the
-        # unsafe cast back is exact).  The class offset is already folded
-        # into the flattened index, so mixed-class chunks count in a single
-        # pass.
+        # noise is drawn one pair at a time in pair order, so the float64
+        # ``rng.random`` stream is the same as drawing each bucket's whole
+        # stack at once, and the counts are sums of integers, so they come
+        # out exact: each chunk's ``bincount`` is added straight into the
+        # narrow rows (:func:`_add_bincount`).  The class offset is already
+        # folded into the flattened index, so mixed-class chunks count in a
+        # single pass.
         if draws_per_pattern >= self.n_buckets:
             buckets = np.broadcast_to(
                 np.arange(draws_per_pattern) % self.n_buckets,
@@ -440,68 +495,85 @@ class NeighborhoodDenoiser(Denoiser):
             for s in self.scales
             if s > 1
         }
+        # The fine index ``(class, code, target)`` is built in place on the
+        # codes, in the narrowest dtype holding a code and that index
+        # (uint16 on the default recipe: 2 x 2 classes x 2**13 codes), and
+        # copied once into an intp buffer, which ``bincount`` reads as it
+        # is.  The noised stack is padded once to a multiple of every
+        # scale; each coarse scale is pooled from the block sums of the
+        # largest finer scale that divides it, as ``predict_logits_many``
+        # does, and cropped to ``ceil(h / s) x ceil(w / s)`` blocks (the
+        # padding only adds empty blocks past the image).
+        plan = _hash_plan(tuple(self.offsets))
+        index_dtype = np.result_type(
+            plan.dtype, np.min_scalar_type(2 * n_rows - 1)
+        )
+        base = (cond * self._n_codes).astype(index_dtype)
+        block = math.lcm(*self.scales)
         step = max(1, _FIT_CHUNK_CELLS // max(1, h * w))
+        pooled_cells = max(
+            [areas.size for areas, _ in pooled.values()], default=0
+        )
+        # Per-chunk buffers, reused by every chunk.
+        uniform = np.empty((h, w))
+        flip = np.empty((h, w), dtype=bool)
+        x0 = np.empty((step, h, w), dtype=np.uint8)
+        xk = np.zeros(
+            (step, h + (-h) % block, w + (-w) % block), dtype=np.uint8
+        )
+        codes = np.empty(step * h * w, dtype=index_dtype)
+        index = np.empty(step * h * w, dtype=np.intp)
+        weights = np.empty(step * pooled_cells)
         for bucket in range(self.n_buckets):
             pat_all, draw_all = np.nonzero(buckets == bucket)
             for lo in range(0, pat_all.size, step):
                 pat_idx = pat_all[lo : lo + step]
-                x0 = topologies[pat_idx]
-                flip = (
-                    rng.random(x0.shape)
-                    < levels[pat_idx, draw_all[lo : lo + step]][:, None, None]
-                )
-                xk = np.bitwise_xor(x0, flip)
-                base = (cond[pat_idx] * self._n_codes).astype(np.int32)
+                k = pat_idx.size
+                np.take(topologies, pat_idx, axis=0, out=x0[:k])
+                pair_levels = levels[pat_idx, draw_all[lo : lo + step]]
+                for i, level in enumerate(pair_levels):
+                    rng.random(out=uniform)
+                    np.less(uniform, level, out=flip)
+                    np.bitwise_xor(x0[i], flip, out=xk[i, :h, :w])
+                offset = base[pat_idx][:, None, None]
+                sums = {1: xk[:k]}
                 for s in self.scales:
-                    codes = neighborhood_codes(
-                        downsample_binary(xk, s), self.offsets
-                    )
-                    index = codes.astype(np.int32)
-                    index += base[:, None, None]
                     rows = counts[s][:, bucket]
                     if s == 1:
-                        index <<= 1
-                        index += x0
-                        np.add(
-                            rows,
-                            np.bincount(
-                                index.ravel(), minlength=2 * n_rows
-                            ).reshape(slots, self._n_codes, 2),
-                            out=rows,
-                            casting="unsafe",
+                        image = xk[:k, :h, :w]
+                    else:
+                        finer = max(t for t in sums if s % t == 0)
+                        sums[s] = _sum_blocks(
+                            sums[finer], s // finer, np.min_scalar_type(s * s)
                         )
+                        areas, block_ones = pooled[s]
+                        # A block is set when at least half its cells are.
+                        image = (
+                            sums[s][:, : areas.shape[0], : areas.shape[1]]
+                            >= (s * s + 1) // 2
+                        )
+                    cells = image.size
+                    code = codes[:cells].reshape(image.shape)
+                    _hash_into(image, plan, code)
+                    code += offset
+                    if s == 1:
+                        # The fine index also carries the clean target.
+                        code <<= 1
+                        code += x0[:k]
+                    flat = index[:cells]
+                    flat[...] = codes[:cells]
+                    if s == 1:
+                        _add_bincount(rows, flat)
                         continue
-                    index = index.ravel()
-                    areas, block_ones = pooled[s]
-                    ones = block_ones[pat_idx].astype(np.float64)
-                    for target, weights in enumerate((areas - ones, ones)):
-                        col = rows[..., target]
-                        np.add(
-                            col,
-                            np.bincount(
-                                index, weights=weights.ravel(), minlength=n_rows
-                            ).reshape(slots, self._n_codes),
-                            out=col,
-                            casting="unsafe",
-                        )
-        self._counts = counts
-        self._record_target_fills(topologies, cond)
-        fine = self._counts[self.scales[0]]
-        totals = fine.sum(axis=2)
-        sums = totals.sum(axis=2)
-        self._marginals = np.where(
-            sums > 0, totals[..., 1] / np.maximum(sums, 1.0), 0.5
-        )
-        self._fitted = True
-        self.compile_tables(force=True)
-        return {
-            "patterns": int(n),
-            "observations": float(fine.sum()),
-            "occupied_codes": {
-                s: int(np.count_nonzero(self._counts[s].any(axis=-1)))
-                for s in self.scales
-            },
-        }
+                    # One float64 buffer weighs each block by its clean
+                    # ones, then in place by its zeros (area less ones).
+                    weight = weights[:cells]
+                    ones = weight.reshape(image.shape)
+                    ones[...] = block_ones[pat_idx]
+                    _add_bincount(rows[..., 1], flat, weight)
+                    np.subtract(areas, ones, out=ones)
+                    _add_bincount(rows[..., 0], flat, weight)
+        return counts
 
     # -- compiled logit tables -----------------------------------------
 

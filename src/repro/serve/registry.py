@@ -73,14 +73,24 @@ class ModelKey(TrainConfig):
 
 
 def fit_model(key: ModelKey) -> ConditionalDiffusionModel:
-    """Default builder: train the conditional back-end described by ``key``."""
+    """Default builder: train the conditional back-end described by ``key``.
+
+    The seconds each cold-start phase took, the training-set build and the
+    fit, are left in the model's ``fit_phases`` for the start-up log.
+    """
+    started = time.perf_counter()
     topologies, conditions = build_training_set(
         list(key.styles), key.train_count, key.dataset_config()
     )
+    built = time.perf_counter()
     model = ConditionalDiffusionModel(
         window=key.window, n_classes=len(key.styles)
     )
     model.fit(topologies, conditions, np.random.default_rng(key.seed))
+    model.fit_phases = {
+        "training set": built - started,
+        "fit": time.perf_counter() - built,
+    }
     return model
 
 

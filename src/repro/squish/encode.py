@@ -43,15 +43,22 @@ def encode_rects(
     xs, ys = scan_lines(clipped, window)
     dx = np.diff(xs)
     dy = np.diff(ys)
-    topology = np.zeros((dy.shape[0], dx.shape[0]), dtype=np.uint8)
-    # Mark cells covered by each rect via searchsorted on scan lines; rect
-    # edges are scan lines by construction so coverage is exact.
-    for r in clipped:
-        c0 = int(np.searchsorted(xs, r.x0))
-        c1 = int(np.searchsorted(xs, r.x1))
-        r0 = int(np.searchsorted(ys, r.y0))
-        r1 = int(np.searchsorted(ys, r.y1))
-        topology[r0:r1, c0:c1] = 1
+    # Rect edges are scan lines by construction, so coverage is exact.
+    # Each rect marks its four grid corners +1/-1 on a difference grid,
+    # whose 2-D prefix sums count the rects covering every cell.
+    edges = np.array(
+        [(r.x0, r.x1, r.y0, r.y1) for r in clipped], dtype=np.int64
+    ).reshape(-1, 4)
+    c0, c1 = np.searchsorted(xs, edges[:, 0]), np.searchsorted(xs, edges[:, 1])
+    r0, r1 = np.searchsorted(ys, edges[:, 2]), np.searchsorted(ys, edges[:, 3])
+    marks = np.zeros((dy.shape[0] + 1, dx.shape[0] + 1), dtype=np.int64)
+    np.add.at(
+        marks,
+        (np.concatenate((r0, r0, r1, r1)), np.concatenate((c0, c1, c0, c1))),
+        np.repeat([1, -1, -1, 1], len(clipped)),
+    )
+    cover = marks.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+    topology = (cover > 0).astype(np.uint8)
     return SquishPattern(topology=topology, dx=dx, dy=dy, style=style)
 
 
@@ -63,39 +70,22 @@ def resquish(pattern: SquishPattern) -> SquishPattern:
     physical layout is unchanged.
     """
     t = pattern.topology
-    dx = pattern.dx.astype(np.int64).copy()
-    dy = pattern.dy.astype(np.int64).copy()
-
     keep_cols = _distinct_mask(t.T)
-    new_cols = []
-    new_dx = []
-    acc = 0
-    for c in range(t.shape[1]):
-        acc += int(dx[c])
-        if keep_cols[c]:
-            new_cols.append(c)
-            new_dx.append(acc)
-            acc = 0
-    t2 = t[:, new_cols]
-
+    t2 = t[:, keep_cols]
     keep_rows = _distinct_mask(t2)
-    new_rows = []
-    new_dy = []
-    acc = 0
-    for r in range(t2.shape[0]):
-        acc += int(dy[r])
-        if keep_rows[r]:
-            new_rows.append(r)
-            new_dy.append(acc)
-            acc = 0
-    t3 = t2[new_rows, :]
-
     return SquishPattern(
-        topology=t3.copy(),
-        dx=np.array(new_dx, dtype=np.int64),
-        dy=np.array(new_dy, dtype=np.int64),
+        topology=t2[keep_rows],
+        dx=_merged_deltas(pattern.dx, keep_cols),
+        dy=_merged_deltas(pattern.dy, keep_rows),
         style=pattern.style,
     )
+
+
+def _merged_deltas(deltas: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each kept stripe's delta plus those of the dropped stripes before it
+    (the last stripe is always kept, so no delta is lost)."""
+    ends = np.cumsum(np.asarray(deltas, dtype=np.int64))[keep]
+    return np.diff(ends, prepend=0)
 
 
 def _distinct_mask(t: np.ndarray) -> np.ndarray:
@@ -104,9 +94,6 @@ def _distinct_mask(t: np.ndarray) -> np.ndarray:
     When merging duplicates we keep the last row of each duplicate block so
     accumulated deltas attach to it.
     """
-    rows = t.shape[0]
-    keep = np.ones(rows, dtype=bool)
-    for r in range(rows - 1):
-        if np.array_equal(t[r], t[r + 1]):
-            keep[r] = False
+    keep = np.ones(t.shape[0], dtype=bool)
+    keep[:-1] = (t[:-1] != t[1:]).any(axis=1)
     return keep

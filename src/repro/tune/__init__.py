@@ -19,8 +19,13 @@ the latency SLO and hysteresis knobs):
 
 The engine imports the controller, so nothing here imports
 :mod:`repro.serve` at module level: the simulator loads the engine
-inside :func:`~repro.tune.simulate.simulate_trial`.
+inside :func:`~repro.tune.simulate.simulate_trial`.  Only the controller is
+imported with the package; the offline names load on first use (a module
+``__getattr__``), so a server start does not import the simulator, search,
+report or workload modules.
 """
+
+import importlib
 
 from repro.tune.controller import (
     AdaptiveController,
@@ -28,22 +33,34 @@ from repro.tune.controller import (
     degrade_steps,
     quality_rank,
 )
-from repro.tune.report import render_report
-from repro.tune.search import (
-    Candidate,
-    TrialResult,
-    TuneOutcome,
-    default_candidates,
-    grid_search,
-    score_metrics,
-)
-from repro.tune.simulate import CostModel, TrialMetrics, simulate_trial
-from repro.tune.workload import (
-    ARRIVAL_PATTERNS,
-    Arrival,
-    WorkloadPhase,
-    WorkloadSpec,
-)
+
+#: Offline names, resolved from their module on first use.
+_LAZY = {
+    "render_report": "repro.tune.report",
+    "Candidate": "repro.tune.simulate",
+    "TrialResult": "repro.tune.search",
+    "TuneOutcome": "repro.tune.search",
+    "default_candidates": "repro.tune.search",
+    "grid_search": "repro.tune.search",
+    "score_metrics": "repro.tune.search",
+    "CostModel": "repro.tune.simulate",
+    "TrialMetrics": "repro.tune.simulate",
+    "simulate_trial": "repro.tune.simulate",
+    "ARRIVAL_PATTERNS": "repro.tune.workload",
+    "Arrival": "repro.tune.workload",
+    "WorkloadPhase": "repro.tune.workload",
+    "WorkloadSpec": "repro.tune.workload",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ARRIVAL_PATTERNS",

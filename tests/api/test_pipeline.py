@@ -1,10 +1,14 @@
 """Tests for PatternPipeline: chainable stages, timings, facades."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.api import PipelineConfig, PatternPipeline
 from repro.api.config import SampleConfig, StoreConfig, TrainConfig
+from repro.serve.registry import ModelRegistry
 from repro.serve.store import LibraryStore
 
 
@@ -143,3 +147,35 @@ class TestFacades:
                 "1024nm * 1024nm, style Layer-10001."
             )
         assert response.ok
+
+
+class TestStartupLog:
+    """A cold start reports its training-set build and fit apart."""
+
+    def test_training_line_names_both_phases(self, capsys):
+        cfg = PipelineConfig(
+            train=TrainConfig(window=64, train_count=3, seed=5)
+        )
+        pipeline = PatternPipeline(cfg, registry=ModelRegistry(), verbose=True)
+        model = pipeline.model
+        err = capsys.readouterr().err
+        assert "[repro] training back-end (3 tiles/style, window 64)" in err
+        (line,) = [l for l in err.splitlines() if "training done" in l]
+        assert re.fullmatch(
+            r"\[repro\] training done in \d+\.\ds "
+            r"\(training set \d+\.\ds, fit \d+\.\ds\)",
+            line,
+        ), line
+        assert list(model.fit_phases) == ["training set", "fit"]
+        assert all(took > 0 for took in model.fit_phases.values())
+
+    def test_builder_without_phases_keeps_the_plain_line(self, capsys):
+        stub = SimpleNamespace(fitted=True)
+        registry = ModelRegistry(builder=lambda key: stub)
+        pipeline = PatternPipeline(registry=registry, verbose=True)
+        pipeline.model
+        (line,) = [
+            l for l in capsys.readouterr().err.splitlines()
+            if "training done" in l
+        ]
+        assert re.fullmatch(r"\[repro\] training done in \d+\.\ds", line)

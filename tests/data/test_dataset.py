@@ -1,5 +1,7 @@
 """Unit tests for the dataset builder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from repro.data import (
     reference_library,
     topology_stack,
 )
+from repro.api.config import TrainConfig
 from repro.drc import check_pattern, rules_for_style
+from repro.serve.registry import ModelKey
 
 CFG = DatasetConfig(tile_nm=1024, topology_size=64, map_scale=6, seed=5)
 
@@ -51,6 +55,25 @@ class TestTrainingSet:
         assert topos.shape == (8, 64, 64)
         assert list(np.unique(conds)) == [0, 1]
         assert (conds[:4] == 0).all() and (conds[4:] == 1).all()
+
+    #: SHA-256 of the default recipe's ``(topologies, conditions)`` bytes,
+    #: recorded from the per-rect, per-row loop encoder.
+    DEFAULT_DIGEST = (
+        "dbc4946a2cae5295ccd9bcf04d51a7c0"
+        "c65d73d7f372e5a7dcdc5a362831fdf2"
+    )
+
+    def test_default_recipe_is_pinned(self):
+        key = ModelKey.from_config(TrainConfig())
+        topos, conds = build_training_set(
+            list(key.styles), key.train_count, key.dataset_config()
+        )
+        assert topos.shape == (96, 128, 128) and topos.dtype == np.uint8
+        assert conds.dtype == np.int64
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(topos).tobytes())
+        digest.update(np.ascontiguousarray(conds).tobytes())
+        assert digest.hexdigest() == self.DEFAULT_DIGEST
 
     def test_topology_stack(self):
         lib = build_library("Layer-10001", 3, CFG)

@@ -22,6 +22,8 @@ from repro.diffusion import (
 from repro.api.config import TrainConfig
 from repro.diffusion.denoisers.neighborhood import (
     _hash_plan,
+    block_areas,
+    block_sums,
     downsample_binary,
     upsample_to,
 )
@@ -270,6 +272,95 @@ class TestNarrowCounts:
             assert counts.dtype == np.uint8
 
 
+def _loop_counts(d, topos, conds, rng, draws):
+    """``d``'s count tables by a plain per-pair, per-scale loop: the rng
+    stream of ``fit`` (levels up front, then each bucket's pairs in
+    order), int64 indices and ``np.add.at`` at every scale's own pooled
+    resolution."""
+    n, h, w = topos.shape
+    counts = {
+        s: np.zeros((d.n_classes, d.n_buckets, d._n_codes, 2), dtype=np.int64)
+        for s in d.scales
+    }
+    if draws >= d.n_buckets:
+        buckets = np.broadcast_to(np.arange(draws) % d.n_buckets, (n, draws))
+    else:
+        buckets = rng.integers(0, d.n_buckets, size=(n, draws))
+    levels = np.clip(
+        (buckets + rng.random((n, draws))) * 0.5 / d.n_buckets, 1e-4, 0.5
+    )
+    for bucket in range(d.n_buckets):
+        for p, k in zip(*np.nonzero(buckets == bucket)):
+            x0 = topos[p]
+            xk = x0 ^ (rng.random((h, w)) < levels[p, k])
+            for s in d.scales:
+                codes = neighborhood_codes(
+                    downsample_binary(xk, s), d.offsets
+                ).astype(np.int64)
+                rows = counts[s][conds[p], bucket]
+                if s == 1:
+                    np.add.at(rows, (codes, x0), 1)
+                    continue
+                ones = block_sums(x0, s).astype(np.int64)
+                np.add.at(rows[:, 1], codes, ones)
+                np.add.at(rows[:, 0], codes, block_areas((h, w), s) - ones)
+    return counts
+
+
+class TestNarrowIndex:
+    """The fine index ``(class, code, target)`` is built on the uint16
+    codes when ``2 x classes x codes <= 2**16`` and wider past it; stacks
+    on both sides of that bound count exactly what a plain loop does."""
+
+    @staticmethod
+    def _fit_and_oracle(seed, shape, fills, conds, **kwargs):
+        conds = np.asarray(conds)
+        fill = np.asarray(fills)[conds][:, None, None]
+        tables = []
+        for fit in (True, False):
+            rng = np.random.default_rng(seed)
+            topos = (rng.random(shape) < fill).astype(np.uint8)
+            d = NeighborhoodDenoiser(**kwargs)
+            if fit:
+                d.fit(topos, conds, DiffusionSchedule.linear(16), rng)
+                tables.append(d._counts)
+            else:
+                tables.append(_loop_counts(d, topos, conds, rng, 16))
+        fitted, oracle = tables
+        for s in d.scales:
+            assert np.array_equal(fitted[s], oracle[s]), s
+        return d, oracle
+
+    def test_five_classes_past_the_bound(self):
+        # 2 x 5 x 2**13 = 81,920 indices; class 4 sits wholly past 2**16.
+        d, oracle = self._fit_and_oracle(
+            21, (10, 20, 22), (0.1, 0.3, 0.5, 0.7, 0.9), np.arange(10) % 5,
+            n_classes=5,
+        )
+        assert 2 * d.n_classes * d._n_codes > 1 << 16
+        assert oracle[1][4].sum() > 0
+
+    def test_fifteen_bit_window_past_the_bound(self):
+        # ``fitted_odd``'s recipe: a (3, 5) window has 2**15 codes, so
+        # class 1 indexes from 2 x 2**15 = 2**16 on.
+        d, oracle = self._fit_and_oracle(
+            8, (12, 36, 36), (0.4, 0.4), np.arange(12) % 2,
+            n_classes=2, scales=(1, 3, 6), window=(3, 5),
+        )
+        assert d._n_codes == 1 << 15
+        assert oracle[1][1].sum() > 0
+
+    def test_four_classes_at_the_bound(self):
+        # 2 x 4 x 2**13 = 2**16: the top index, 65,535, is class 3's
+        # all-set neighbourhood over a set clean cell, and is reached.
+        d, oracle = self._fit_and_oracle(
+            22, (8, 20, 22), (0.1, 0.4, 0.7, 0.95), np.arange(8) % 4,
+            n_classes=4,
+        )
+        assert 2 * d.n_classes * d._n_codes == 1 << 16
+        assert oracle[1][3, :, -1, 1].sum() > 0
+
+
 def _traced_peak(call) -> int:
     """Peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
     tracemalloc.start()
@@ -301,6 +392,21 @@ class TestBoundedWorkingSet:
             ))
             transient[n] = peak - self._kept(d)
         assert abs(transient[64] - transient[16]) < self.MB, transient
+
+    #: Traced fit transient above the kept tables at 16 random 128x128
+    #: patterns: measured 0.63 MB with the reused counting buffers (1.58 MB
+    #: with per-chunk draws, flips and int32 indices), plus a 0.25 MB margin.
+    DEFAULT_SHAPE_TRANSIENT = 0.88 * MB
+
+    def test_default_shape_fit_transient_is_bounded(self):
+        rng = np.random.default_rng(16)
+        topos = (rng.random((16, 128, 128)) < 0.4).astype(np.uint8)
+        d = NeighborhoodDenoiser(n_classes=2)
+        peak = _traced_peak(lambda: d.fit(
+            topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng
+        ))
+        transient = peak - self._kept(d)
+        assert transient < self.DEFAULT_SHAPE_TRANSIENT, transient / self.MB
 
     def test_default_shape_fit_keeps_table_plus_4_byte_counts(self):
         rng = np.random.default_rng(16)
