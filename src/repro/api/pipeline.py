@@ -46,7 +46,7 @@ from repro.metrics.legality import (
 )
 from repro.metrics.stats import library_stats
 from repro.obs.metrics import NULL_METRICS, default_metrics
-from repro.obs.trace import NULL_TRACER, default_tracer
+from repro.obs.trace import NULL_TRACER, StageTiming, default_tracer
 from repro.ops.extend import ExtensionResult, extend
 from repro.squish.pattern import PatternLibrary
 
@@ -72,22 +72,6 @@ def default_registry(model_cache: Optional[Union[str, Path]] = None):
             registry = ModelRegistry(save_dir=model_cache)
             _default_registries[token] = registry
         return registry
-
-
-@dataclass
-class StageTiming:
-    """Wall-clock record of one executed stage."""
-
-    stage: str
-    seconds: float
-    detail: Dict = field(default_factory=dict)
-
-    def as_dict(self) -> Dict:
-        return {
-            "stage": self.stage,
-            "seconds": round(self.seconds, 4),
-            **({"detail": dict(self.detail)} if self.detail else {}),
-        }
 
 
 @dataclass
@@ -133,9 +117,10 @@ class PipelineResult:
     # -- bookkeeping ---------------------------------------------------
 
     def _record(self, stage: str, seconds: float, **detail) -> None:
-        self.timings.append(StageTiming(stage, seconds, dict(detail)))
+        timing = StageTiming(stage, seconds, detail)
+        self.timings.append(timing)
         if self._pipeline is not None:
-            self._pipeline._observe_stage(stage, seconds, detail)
+            self._pipeline._observe_stage(timing)
 
     def stage_seconds(self, stage: str) -> float:
         return sum(t.seconds for t in self.timings if t.stage == stage)
@@ -192,10 +177,10 @@ class PatternPipeline:
             pipeline reports into.  Each chainable stage then starts with
             a cancel checkpoint + state transition
             (``legalize`` -> LEGALIZING, ``persist`` -> PERSISTING, others
-            -> RUNNING(stage)), and the stage record produced by
-            ``PipelineResult._record`` is mirrored into the job's
-            ``stage_events`` — ``PipelineResult.timings`` and the job's
-            progress are two views of one record.
+            -> RUNNING(stage)), and each :class:`StageTiming` that
+            ``PipelineResult._record`` builds is appended to the job's
+            ``stage_events`` as well as to ``PipelineResult.timings`` —
+            one object in both lists.
     """
 
     def __init__(
@@ -231,20 +216,18 @@ class PatternPipeline:
             labels=("stage",),
         )
 
-    def _observe_stage(
-        self, stage: str, seconds: float, detail: Optional[Dict] = None
-    ) -> None:
+    def _observe_stage(self, timing: StageTiming) -> None:
         """Feed one executed stage into metrics, trace and the job.
 
-        Rides the same ``PipelineResult._record`` call that produces
-        :class:`StageTiming`, so all views (timings, histogram, span, job
-        ``stage_events``) always agree on the measured window.
+        Rides the ``PipelineResult._record`` call that builds the
+        :class:`StageTiming`, and the job's ``stage_events`` hold that
+        same object, so every view agrees on the measured window.
         """
-        self._m_stage_latency.observe(seconds, stage=stage)
+        self._m_stage_latency.observe(timing.seconds, stage=timing.stage)
         now = time.perf_counter()
-        self.tracer.record(stage, now - seconds, now)
+        self.tracer.record(timing.stage, now - timing.seconds, now)
         if self.job is not None:
-            self.job.record_stage(stage, seconds, detail)
+            self.job.record_stage(timing)
 
     def _enter_stage(self, stage: str) -> None:
         """Stage entry hook: cancel checkpoint + job state transition.

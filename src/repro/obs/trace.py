@@ -30,8 +30,29 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+
+@dataclass
+class StageTiming:
+    """Wall-clock record of one executed pipeline stage.
+
+    ``PipelineResult.timings`` and a lifecycle job's ``stage_events`` hold
+    the same objects; defined here so both layers import it.
+    """
+
+    stage: str
+    seconds: float
+    detail: Dict = field(default_factory=dict)
+
+    def as_dict(self) -> Dict:
+        return {
+            "stage": self.stage,
+            "seconds": round(self.seconds, 4),
+            **({"detail": dict(self.detail)} if self.detail else {}),
+        }
 
 
 class Span:

@@ -16,14 +16,16 @@ returns the :class:`~repro.serve.engine.EngineClient` that submits to it.
 the fitted model: its ``sample`` rides the shared engine while every
 other attribute (``denoise_step``, ``polish``, ``schedule`` ...)
 delegates to the real model, so modification/extension code paths work
-unchanged.
+unchanged.  It keeps no books of its own: each engine hop is written once
+into the request's lifecycle job (and the tracer), and the request's
+sampling statistics are read back from there
+(:meth:`~repro.serve.stats.RequestStats.from_job`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,51 +44,43 @@ class BatchedSamplingModel:
     ``client`` is anything with ``.model`` and ``.submit`` — in serving,
     the :class:`~repro.serve.engine.EngineClient` from ``ServeEngine.bind``.
 
-    One client is created per request so its counters double as the
-    request's sampling statistics.  ``source`` tags this client's jobs for
-    the fair-share policy (e.g. one tag per tenant), and ``deadline``
-    bounds how long its jobs may sit queued.  ``tracer`` attaches each
-    sampling call's lifecycle (admission → queue wait → batch gather →
-    execute) as spans under the caller's current trace, using the
-    timestamps the engine stamped on the job — so the trace follows the
-    work across the executor threads without the engine knowing about
-    tracing at all.  Default: no tracing.
-
-    ``job`` optionally attaches a lifecycle :class:`~repro.serve.jobs.Job`:
-    each sampling call then starts with a cancel checkpoint (so a
-    cancelled request stops before queueing more engine work) and the same
-    engine-stamped hops recorded as tracer spans are mirrored into the
-    job's ``engine_events`` — one record, two views.
+    ``job`` is the request's lifecycle :class:`~repro.serve.jobs.Job`.
+    Each sampling call starts with its cancel checkpoint (a cancelled
+    request stops before queueing more engine work), then writes the
+    call's engine hops into the job's ``engine_events``: ``admission`` as
+    soon as the engine accepted the work, so a status poll during the
+    queue wait sees it, then ``queue_wait``, ``batch_gather``, ``execute``
+    (carrying the call's sample ``count``) and, when the adaptive policy
+    cut the call's steps, ``degraded``, from the timestamps the engine
+    stamped.  The same hops go to ``tracer`` as spans under the caller's
+    current trace, so the trace follows the work onto the engine's worker
+    thread without the engine knowing about tracing.  ``source`` tags this
+    client's jobs for the fair-share policy (e.g. one tag per tenant), and
+    ``deadline`` bounds how long its jobs may sit queued.
     """
 
     def __init__(
         self,
         client,
+        job,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
         tracer=None,
-        job=None,
     ):
         self._client = client
         self._model = client.model
+        self._job = job
         self._source = source
         self._deadline = deadline
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._job = job
-        # One client is usually driven by one request thread, but nothing
-        # enforces that — operator code shares a client across threads
-        # (and the hammer test does, on purpose).
-        # ``+=`` on these counters is not atomic under free-threading, so
-        # accumulation takes this lock.
-        self._stats_lock = threading.Lock()
-        self.queue_wait_seconds = 0.0
-        self.sample_jobs = 0
-        self.samples = 0
-        self.degraded_jobs = 0
-        self.batch_sizes: List[int] = []
 
     def __getattr__(self, name: str):
         return getattr(self._model, name)
+
+    def _hop(self, kind: str, start: float, end: float, **detail) -> None:
+        """Write one engine hop to the job's record and the tracer."""
+        self._job.record_engine(kind, start, end, **detail)
+        self._tracer.record(kind, start, end, **detail)
 
     def sample(
         self,
@@ -97,13 +91,13 @@ class BatchedSamplingModel:
         sampler_steps: SamplerSteps = None,
     ) -> np.ndarray:
         """Batched stand-in for ``ConditionalDiffusionModel.sample``."""
-        if self._job is not None:
-            # Cancel checkpoint: a cancelled request must not queue more
-            # engine work (raises JobCancelled).
-            self._job.check_cancelled()
-        with self._tracer.span("sample", count=int(count)):
+        # Cancel checkpoint: a cancelled request must not queue more
+        # engine work (raises JobCancelled).
+        self._job.check_cancelled()
+        count = int(count)
+        with self._tracer.span("sample", count=count):
             submit_started = time.perf_counter()
-            job = self._client.submit(
+            work = self._client.submit(
                 count,
                 condition,
                 shape=shape,
@@ -115,64 +109,32 @@ class BatchedSamplingModel:
                 source=self._source,
                 deadline=self._deadline,
             )
-            admitted_at = time.perf_counter()
-            self._tracer.record("admission", submit_started, admitted_at)
-            if self._job is not None:
-                self._job.record_engine(
-                    "admission", submit_started, admitted_at,
-                    count=int(count),
+            self._hop(
+                "admission", submit_started, time.perf_counter(), count=count
+            )
+            result = work.result()
+            # The remaining hops come from the timestamps the engine's
+            # worker stamped on the job (it ran on another thread).
+            if work.selected_at > 0:
+                self._hop("queue_wait", work.submitted_at, work.selected_at)
+            if work.exec_started_at > 0:
+                self._hop(
+                    "batch_gather", work.selected_at, work.exec_started_at,
+                    batch_samples=work.batch_samples,
                 )
-            result = job.result()
-            # Attach the engine-side hops from the timestamps the workers
-            # stamped on the job (they ran on other threads).
-            if job.selected_at > 0:
-                self._tracer.record(
-                    "queue_wait", job.submitted_at, job.selected_at
+                self._hop(
+                    "execute", work.exec_started_at, work.exec_ended_at,
+                    count=count,
                 )
-                if self._job is not None:
-                    self._job.record_engine(
-                        "queue_wait", job.submitted_at, job.selected_at
-                    )
-            if job.exec_started_at > 0:
-                self._tracer.record(
-                    "batch_gather", job.selected_at, job.exec_started_at,
-                    batch_samples=job.batch_samples,
-                )
-                self._tracer.record(
-                    "execute", job.exec_started_at, job.exec_ended_at,
-                )
-                if self._job is not None:
-                    self._job.record_engine(
-                        "batch_gather", job.selected_at, job.exec_started_at,
-                        batch_samples=job.batch_samples,
-                    )
-                    self._job.record_engine(
-                        "execute", job.exec_started_at, job.exec_ended_at
-                    )
-            if job.degrade_level > 0:
+            if work.degrade_level > 0:
                 # The adaptive policy traded this job's sampler quality
-                # for latency; surface that in the trace and the
-                # lifecycle record so the response can report it.
-                self._tracer.record(
-                    "degraded", job.selected_at, job.exec_ended_at,
-                    level=job.degrade_level,
-                    sampler_steps=str(job.sampler_steps),
-                    requested=str(job.requested_sampler_steps),
+                # for latency; the record says so, with the original ask.
+                self._hop(
+                    "degraded", work.selected_at, work.exec_ended_at,
+                    level=work.degrade_level,
+                    sampler_steps=str(work.sampler_steps),
+                    requested=str(work.requested_sampler_steps),
                 )
-                if self._job is not None:
-                    self._job.record_engine(
-                        "degraded", job.selected_at, job.exec_ended_at,
-                        level=job.degrade_level,
-                        sampler_steps=str(job.sampler_steps),
-                        requested=str(job.requested_sampler_steps),
-                    )
-        with self._stats_lock:
-            self.queue_wait_seconds += job.queue_wait
-            self.sample_jobs += 1
-            self.samples += int(count)
-            if job.degrade_level > 0:
-                self.degraded_jobs += 1
-            self.batch_sizes.append(job.batch_samples)
         return result
 
 

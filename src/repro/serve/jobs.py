@@ -7,23 +7,29 @@ explicit state machine
             -> {SUCCEEDED, FAILED, CANCELLED, EXPIRED}
 
 with a monotonic transition log, per-stage progress events and engine-side
-hop records (admission, queue wait, batch gather, execute).  The three
-layers write into it rather than keeping parallel books:
+hop records (admission, queue wait, batch gather, execute).  The job is
+the one place a served request's record is written; everything else
+reads it:
 
-- :class:`~repro.api.pipeline.PatternPipeline` stage execution enters a
-  stage (a cancel checkpoint + state transition) and then reports the
-  executed stage through the same ``PipelineResult._record`` call that
-  produces :class:`~repro.api.pipeline.StageTiming` — so a job's
-  ``stage_events`` and ``PipelineResult.timings`` are two views of one
-  record, equal field for field.
-- :class:`~repro.serve.batching.BatchedSamplingModel` converts the
-  timestamps the :class:`~repro.serve.engine.ServeEngine` worker stamps on
-  each sampling job into ``engine_events`` on the lifecycle job.
+- :class:`~repro.api.pipeline.PatternPipeline` enters each stage (a cancel
+  checkpoint + state transition) and appends the
+  :class:`~repro.obs.trace.StageTiming` that ``PipelineResult._record``
+  built to ``stage_events`` — the same object ``PipelineResult.timings``
+  holds.
+- :class:`~repro.serve.batching.BatchedSamplingModel` writes each engine
+  hop once, to ``engine_events`` and the tracer, from the timestamps the
+  :class:`~repro.serve.engine.ServeEngine` worker stamped on the sampling
+  job.  The request's sampling statistics
+  (:meth:`~repro.serve.stats.RequestStats.from_job`) are read back from
+  those events.
 - :class:`~repro.serve.service.PatternService` owns the QUEUED/RUNNING
   edges and the terminal transition, mapping the engine's typed errors
   (:class:`~repro.serve.engine.QueueFullError`,
   :class:`~repro.serve.engine.DeadlineExpiredError`) to terminal states
   with stable machine-readable codes.
+- :class:`JobTable` hooks every job's terminal edge — run, cancel and
+  expiry, whoever triggers it — to count the terminal state, drop the
+  active-jobs gauge and journal the record.
 
 Cancellation is cooperative: :meth:`Job.request_cancel` on a queued job
 cancels it outright (it never executes); on a running job it raises
@@ -33,7 +39,8 @@ absorbing: double-cancel and cancel-after-success are idempotent no-ops.
 
 :class:`JobTable` is the thread-safe registry behind the HTTP API:
 ids -> jobs, with TTL-bounded retention of terminal jobs so a long-lived
-server does not accumulate every job it ever ran.
+server does not accumulate every job it ever ran (a purged job releases
+its response and result with it).
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import StageTiming
 
 _log = logging.getLogger("repro.serve.jobs")
 
@@ -189,23 +199,6 @@ class JobTransition:
 
 
 @dataclass
-class StageEvent:
-    """One executed pipeline stage — the job-side view of
-    :class:`~repro.api.pipeline.StageTiming`, serialized identically."""
-
-    stage: str
-    seconds: float
-    detail: Dict = field(default_factory=dict)
-
-    def as_dict(self) -> Dict:
-        return {
-            "stage": self.stage,
-            "seconds": round(self.seconds, 4),
-            **({"detail": dict(self.detail)} if self.detail else {}),
-        }
-
-
-@dataclass
 class EngineEvent:
     """One engine-side hop of the job's sampling work, built from the
     timestamps the executor worker stamped on the engine job."""
@@ -257,7 +250,7 @@ class Job:
         self.state = PENDING
         self.stage: Optional[str] = None
         self.transitions: List[JobTransition] = [JobTransition(PENDING, 0.0)]
-        self.stage_events: List[StageEvent] = []
+        self.stage_events: List[StageTiming] = []
         self.engine_events: List[EngineEvent] = []
         self.error: Optional[str] = None
         self.error_code: Optional[str] = None
@@ -269,7 +262,7 @@ class Job:
         #: client-supplied idempotency key (see :meth:`JobTable.create`)
         self.client_id: Optional[str] = None
         #: called with the job right after a terminal transition (the
-        #: :class:`JobTable` journal hook; errors are logged, not raised)
+        #: :class:`JobTable` hook; errors are logged, not raised)
         self.on_terminal = None
         #: for jobs rehydrated from a state journal: the frozen dict view
         self._restored_view: Optional[Dict] = None
@@ -366,14 +359,10 @@ class Job:
         self.check_cancelled()
         self.transition(_STAGE_STATES.get(stage, RUNNING), stage=stage, **detail)
 
-    def record_stage(
-        self, stage: str, seconds: float, detail: Optional[Dict] = None
-    ) -> None:
-        """Record one executed stage (the ``StageTiming`` mirror)."""
+    def record_stage(self, timing: StageTiming) -> None:
+        """Record one executed stage (the pipeline's own record)."""
         with self._lock:
-            self.stage_events.append(
-                StageEvent(stage, seconds, dict(detail or {}))
-            )
+            self.stage_events.append(timing)
 
     def record_engine(
         self, kind: str, start: float, end: float, **detail
@@ -505,7 +494,7 @@ class Job:
             job.client_id = payload.get("client_id")
             job.cancel_requested = bool(payload.get("cancel_requested", False))
             job.stage_events = [
-                StageEvent(
+                StageTiming(
                     e["stage"], e["seconds"], dict(e.get("detail", {}))
                 )
                 for e in payload.get("stage_events", [])
@@ -647,6 +636,10 @@ class JobTable:
     the crash are resurrected as FAILED with the stable
     ``server_restart`` code — a client polling a pre-restart id gets a
     truthful answer, never silence.
+
+    ``repro_jobs_active`` rises in :meth:`create`; the terminal hook every
+    created job carries lowers it and counts ``repro_job_terminal_total``,
+    so each job is counted once, whichever path ends it.
     """
 
     def __init__(
@@ -670,7 +663,17 @@ class JobTable:
         if state_dir is not None:
             self.state_store = JobStateStore(state_dir)
             self._restore()
-        if metrics is not None and (self.restored or self.resurrected):
+        metrics = metrics if metrics is not None else NULL_METRICS
+        self._m_terminal = metrics.counter(
+            "repro_job_terminal_total",
+            "Lifecycle jobs reaching a terminal state",
+            labels=("state",),
+        )
+        self._m_active = metrics.gauge(
+            "repro_jobs_active",
+            "Lifecycle jobs admitted but not yet terminal",
+        )
+        if self.restored or self.resurrected:
             restored_metric = metrics.counter(
                 "repro_jobs_restored_total",
                 "Jobs rehydrated from the state journal at boot",
@@ -722,6 +725,8 @@ class JobTable:
         )
 
     def _on_job_terminal(self, job: Job) -> None:
+        self._m_terminal.inc(state=job.state)
+        self._m_active.dec()
         if self.state_store is not None:
             self.state_store.record_terminal(job)
 
@@ -739,8 +744,8 @@ class JobTable:
         job_id = f"job-{next(self._counter):06d}-{secrets.token_hex(4)}"
         job = Job(job_id, request=request, deadline=deadline)
         job.client_id = client_id
-        if self.state_store is not None:
-            job.on_terminal = self._on_job_terminal
+        job.on_terminal = self._on_job_terminal
+        self._m_active.inc()
         with self._lock:
             self._purge_locked()
             self._jobs[job_id] = job
@@ -840,7 +845,6 @@ __all__ = [
     "QUEUED",
     "RUNNING",
     "SUCCEEDED",
-    "StageEvent",
     "TERMINAL_STATES",
     "error_code_for",
     "terminal_state_for",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -49,6 +50,7 @@ from repro.serve.engine import (
     ServeEngine,
 )
 from repro.serve.jobs import (
+    CODE_INTERNAL,
     CODE_SHUTDOWN,
     PERSISTING,
     QUEUED,
@@ -80,7 +82,7 @@ class ServeRequest:
     the typed stage chain (sample -> legalize -> score -> persist)
     directly with ``params`` (``count`` / ``style`` / ``size`` / ``seed``)
     — the path whose :class:`~repro.api.pipeline.PipelineResult.timings`
-    mirror the job's per-stage progress one to one.
+    are the job's per-stage progress records themselves.
 
     ``client_job_id`` is an optional client-supplied idempotency key:
     resubmitting with the same key returns the *existing* job instead of
@@ -110,7 +112,9 @@ class ServeResponse:
     clients key on —
     while every other request in the same ``serve`` call completes
     normally.  ``job_id`` names the lifecycle job that tracked this
-    request (``None`` for pre-job code paths).
+    request; the job holds the response until its table purges it, and
+    ``stats`` is a view of that job's record
+    (:meth:`~repro.serve.stats.RequestStats.from_job`).
     """
 
     request: ServeRequest
@@ -140,7 +144,11 @@ class ServeResponse:
 
 @dataclass
 class ServiceStats:
-    """Service-level aggregate over one lifetime."""
+    """Service-level aggregate over one lifetime.
+
+    ``requests``, ``produced``, ``dropped`` and the legalize totals are
+    running sums, so they outlive the responses they count.
+    """
 
     requests: int
     produced: int
@@ -266,15 +274,6 @@ class PatternService:
             "repro_request_latency_seconds",
             "End-to-end request wall time",
         )
-        self._m_job_states = self.metrics.counter(
-            "repro_job_terminal_total",
-            "Lifecycle jobs reaching a terminal state",
-            labels=("state",),
-        )
-        self._m_jobs_active = self.metrics.gauge(
-            "repro_jobs_active",
-            "Lifecycle jobs admitted but not yet terminal",
-        )
         # An enabled FaultConfig installs the process-wide plan here —
         # before any component below can hit a seam — so a configured
         # server boots faulty end to end (the chaos-smoke contract).
@@ -315,10 +314,13 @@ class PatternService:
             metrics=self.metrics,
         )
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._responses: List[ServeResponse] = []
-        # Aggregation must stay consistent while many request threads (and
-        # overlapping serve() calls) finish concurrently.
+        # Running totals over finalised responses (see _finish_job), added
+        # to by many request threads at once.
         self._stats_lock = threading.Lock()
+        self._totals = Counter(
+            requests=0, produced=0, dropped=0,
+            legalize_calls=0, legalize_seconds=0.0,
+        )
         # Overlapping serve() calls may both find the service cold; the
         # lock makes engine construction + model binding happen once.
         self._start_lock = threading.Lock()
@@ -597,7 +599,6 @@ class PatternService:
             client_id=request.client_job_id,
         )
         job.transition(QUEUED)
-        self._m_jobs_active.inc()
         pool = self._pool
         # Open from admission, so the engine keeps gathering for requests
         # a burst has admitted but not yet started; _run_job closes it.
@@ -612,13 +613,10 @@ class PatternService:
             self._close_request()
             self._finish_job(
                 job,
-                ServeResponse(
-                    request=request,
-                    result=None,
-                    stats=RequestStats(request_id=request.request_id),
-                    error="service is draining; job was not executed",
-                    error_code=CODE_SHUTDOWN,
-                    job_id=job.job_id,
+                self._empty_response(
+                    job,
+                    "service is draining; job was not executed",
+                    CODE_SHUTDOWN,
                 ),
             )
         return job
@@ -636,13 +634,7 @@ class PatternService:
         job = self.jobs.get(job_id)
         if job is None:
             return None, False
-        was_terminal = job.is_terminal
-        effective = job.request_cancel()
-        if effective and not was_terminal and job.is_terminal:
-            # Cancelled straight out of the queue: no worker will ever
-            # touch it, so account for the terminal state here.
-            self._account_terminal(job)
-        return job, effective
+        return job, job.request_cancel()
 
     def job_status(self, job_id: str) -> Optional[Dict]:
         """The full progress view of a job (``None`` for unknown ids)."""
@@ -652,79 +644,67 @@ class PatternService:
         job.maybe_expire()
         return job.as_dict()
 
-    def _account_terminal(self, job: Job) -> None:
-        self._m_job_states.inc(state=job.state)
-        self._m_jobs_active.dec()
+    def _empty_response(
+        self,
+        job: Job,
+        error: Optional[str] = None,
+        error_code: Optional[str] = None,
+    ) -> ServeResponse:
+        """The response of a job that produced no result: the job's own
+        error unless one is given, and the stats its record holds."""
+        request: ServeRequest = job.request
+        return ServeResponse(
+            request=request,
+            result=None,
+            stats=RequestStats.from_job(job, request_id=request.request_id),
+            error=error if error is not None else job.error,
+            error_code=error_code if error_code is not None else job.error_code,
+            job_id=job.job_id,
+        )
 
     def _finish_job(self, job: Job, response: ServeResponse) -> None:
-        """Stamp the terminal state + response onto a job, record stats."""
+        """Attach the response, add it to the totals, end the job."""
         job.response = response
-        if job.is_terminal:
-            # Cancelled-while-queued or expired: the terminal state (and
-            # its accounting) is already on the job.
-            pass
-        elif response.error is None:
-            job.succeed(produced=response.produced)
-            self._account_terminal(job)
-        else:
-            job.fail(response.error, code=response.error_code or "internal")
-            self._account_terminal(job)
-        # Re-journal with the response attached so a restored record
-        # carries the produced count (the transition hook ran earlier,
-        # before the response existed; last record wins at replay).
-        self.jobs.persist(job)
         with self._stats_lock:
-            self._responses.append(response)
+            self._totals.update(
+                requests=1,
+                produced=response.produced,
+                dropped=response.dropped,
+                legalize_calls=response.stats.legalize_calls,
+                legalize_seconds=response.stats.legalize_seconds,
+            )
+        if job.is_terminal:
+            # Cancelled or expired before it ran: the terminal edge (and
+            # the table's accounting of it) already happened.
+            return
+        if response.ok:
+            job.succeed(produced=response.produced)
+        else:
+            job.fail(response.error, code=response.error_code or CODE_INTERNAL)
+        # Re-journal the terminal record; the last one wins at replay.
+        self.jobs.persist(job)
 
     def _run_job(self, job: Job) -> None:
         """Request-pool entry: execute one admitted job to a terminal state.
 
-        Never raises — a failure here would vanish into the pool.  Closes
-        the request :meth:`submit_job` opened, whatever the outcome.
+        A failure while serving becomes the job's error response, so the
+        job always ends and is finished exactly once.  Closes the request
+        :meth:`submit_job` opened, whatever the outcome.
         """
-        request: ServeRequest = job.request
         try:
-            if job.is_terminal:
-                # Cancelled while queued: DELETE prevented its execution.
-                if job.response is None:
-                    job.response = ServeResponse(
-                        request=request,
-                        result=None,
-                        stats=RequestStats(request_id=request.request_id),
-                        error=job.error,
-                        error_code=job.error_code,
-                        job_id=job.job_id,
-                    )
-                    with self._stats_lock:
-                        self._responses.append(job.response)
-                return
-            if job.maybe_expire():
-                self._account_terminal(job)
-                job.response = ServeResponse(
-                    request=request,
-                    result=None,
-                    stats=RequestStats(request_id=request.request_id),
-                    error=job.error,
-                    error_code=job.error_code,
-                    job_id=job.job_id,
+            try:
+                if job.is_terminal or job.maybe_expire():
+                    # Cancelled or expired while queued: it never runs.
+                    response = self._empty_response(job)
+                else:
+                    response = self._handle_one(job)
+            except Exception as exc:  # pragma: no cover - defensive
+                response = self._empty_response(
+                    job,
+                    f"{type(exc).__name__}: {exc}",
+                    error_code_for(exc, state=job.state),
                 )
-                with self._stats_lock:
-                    self._responses.append(job.response)
-                return
-            response = self._handle_one(request, job=job)
             self._finish_job(job, response)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._finish_job(
-                job,
-                ServeResponse(
-                    request=request,
-                    result=None,
-                    stats=RequestStats(request_id=request.request_id),
-                    error=f"{type(exc).__name__}: {exc}",
-                    error_code=error_code_for(exc, state=job.state),
-                    job_id=job.job_id,
-                ),
-            )
         finally:
             self._close_request()
 
@@ -768,27 +748,26 @@ class PatternService:
         )
         return pipeline.persist(pipeline.score(pipeline.legalize(result)))
 
-    def _handle_one(
-        self, request: ServeRequest, job: Optional[Job] = None
-    ) -> ServeResponse:
+    def _handle_one(self, job: Job) -> ServeResponse:
+        request: ServeRequest = job.request
         started = time.perf_counter()
-        if job is not None:
-            job.transition(RUNNING, stage=request.kind)
+        job.transition(RUNNING, stage=request.kind)
         client = BatchedSamplingModel(
             self._client,
+            job,
             source=request.source,
             deadline=request.deadline,
             tracer=self.tracer,
-            job=job,
         )
         result: Optional[Union[ChatResult, PipelineResult]] = None
         error: Optional[str] = None
         error_code: Optional[str] = None
+        store_added = store_deduplicated = 0
         # One pipeline per request, bound to the batched client: the agent
         # tools, the persistence below and the CLI all share these stage
         # primitives.  The job rides the pipeline, so each stage entry is
-        # a cancel checkpoint + state transition and each StageTiming is
-        # mirrored into the job's stage_events.
+        # a cancel checkpoint + state transition and each StageTiming
+        # lands in the job's stage_events.
         pipeline = PatternPipeline(
             self.config,
             model=client,
@@ -833,53 +812,48 @@ class PatternService:
                 error = f"{type(exc).__name__}: {exc}"
                 # Classify while the job still shows the failing stage
                 # (LEGALIZING at this point means legalization raised).
-                error_code = error_code_for(
-                    exc, state=job.state if job is not None else None
-                )
+                error_code = error_code_for(exc, state=job.state)
             legalize_calls, legalize_seconds = collect_legalize_timing()
-            stats = RequestStats(
-                request_id=request.request_id,
-                wall_seconds=time.perf_counter() - started,
-                queue_wait_seconds=client.queue_wait_seconds,
-                sample_jobs=client.sample_jobs,
-                samples=client.samples,
-                degraded_jobs=client.degraded_jobs,
-                batch_sizes=list(client.batch_sizes),
-                produced=result.produced if result is not None else 0,
-                dropped=result.dropped if result is not None else 0,
-                legalize_calls=legalize_calls,
-                legalize_seconds=legalize_seconds,
-            )
+            wall_seconds = time.perf_counter() - started
             if isinstance(result, PipelineResult):
                 # The pipeline chain already ran its persist stage; just
                 # surface its store accounting.
-                stats.store_added = result.store_added
-                stats.store_deduplicated = result.store_deduplicated
+                store_added = result.store_added
+                store_deduplicated = result.store_deduplicated
             elif result is not None and len(result.library):
                 # Unconditional persistence through the pipeline primitive:
                 # the add is idempotent (content-hash dedup), so patterns
                 # the agent already saved via Save_Library simply show up
                 # in `store_deduplicated` here.  No-op without a store.
-                if job is not None:
-                    # Direct transition (no cancel checkpoint): the result
-                    # already exists, cancelling now would only lose it.
-                    job.transition(PERSISTING, stage="persist")
+                # Direct transition (no cancel checkpoint): the result
+                # already exists, cancelling now would only lose it.
+                job.transition(PERSISTING, stage="persist")
                 with self.tracer.span(
                     "store_persist", patterns=len(result.library)
                 ):
                     report = pipeline.persist_library(result.library)
                 if report is not None:
-                    stats.store_added = report.added
-                    stats.store_deduplicated = report.deduplicated
+                    store_added = report.added
+                    store_deduplicated = report.deduplicated
         self._m_requests.inc(status="error" if error else "ok")
         self._m_request_latency.observe(time.perf_counter() - started)
         return ServeResponse(
             request=request,
             result=result,
-            stats=stats,
+            stats=RequestStats.from_job(
+                job,
+                request_id=request.request_id,
+                wall_seconds=wall_seconds,
+                produced=result.produced if result is not None else 0,
+                dropped=result.dropped if result is not None else 0,
+                store_added=store_added,
+                store_deduplicated=store_deduplicated,
+                legalize_calls=legalize_calls,
+                legalize_seconds=legalize_seconds,
+            ),
             error=error,
             error_code=error_code,
-            job_id=job.job_id if job is not None else None,
+            job_id=job.job_id,
         )
 
     # -- observability -------------------------------------------------
@@ -901,11 +875,6 @@ class PatternService:
                 estimate += sum(r.wall_seconds for r in recent) / len(recent)
         return max(1, min(60, int(estimate + 0.999)))
 
-    @property
-    def responses(self) -> List[ServeResponse]:
-        with self._stats_lock:
-            return list(self._responses)
-
     def stats(self) -> ServiceStats:
         scheduler_stats = (
             self._client.stats()
@@ -913,18 +882,12 @@ class PatternService:
             else SchedulerStats.from_records([])
         )
         with self._stats_lock:
-            responses = list(self._responses)
+            totals = dict(self._totals)
         return ServiceStats(
-            requests=len(responses),
-            produced=sum(r.produced for r in responses),
-            dropped=sum(r.dropped for r in responses),
             scheduler=scheduler_stats,
             registry=self.registry.stats(),
             store=self.store.stats() if self.store is not None else None,
-            legalize_calls=sum(r.stats.legalize_calls for r in responses),
-            legalize_seconds=sum(
-                r.stats.legalize_seconds for r in responses
-            ),
+            **totals,
             engine=(
                 self._engine.stats().as_dict()
                 if self._engine is not None

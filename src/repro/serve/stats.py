@@ -4,7 +4,8 @@ Every layer of :mod:`repro.serve` reports through these dataclasses: the
 :class:`~repro.serve.engine.ServeEngine` records one :class:`BatchRecord`
 per batched denoise trajectory, :class:`SchedulerStats` aggregates those
 records and :class:`EngineStats` adds the engine's admission counters, and
-each served request gets a :class:`RequestStats`.
+each served request gets a :class:`RequestStats`, whose sampling fields
+are read off the request's lifecycle job.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ class EngineStats:
 class RequestStats:
     """Per-request service metrics (queue wait, batching, throughput).
 
+    A view of the request's lifecycle job, built by :meth:`from_job`.
     Everything but ``request_id`` defaults to zero so a request that never
     executed (cancelled while queued, expired, rejected at shutdown) still
     carries a well-formed record.
@@ -151,6 +153,28 @@ class RequestStats:
     store_deduplicated: int = 0
     legalize_calls: int = 0
     legalize_seconds: float = 0.0
+
+    @classmethod
+    def from_job(cls, job, request_id: int, **fields) -> "RequestStats":
+        """The request's stats, sampling fields read off its engine hops.
+
+        Each sampling call that returned left an ``execute`` hop carrying
+        its sample ``count``; one that failed after admission left only
+        its ``admission`` hop and adds nothing.  ``fields`` are what the
+        hops do not hold (wall time, output, store and legalize counts).
+        """
+        stats = cls(request_id=request_id, **fields)
+        for event in list(job.engine_events):
+            if event.kind == "queue_wait":
+                stats.queue_wait_seconds += event.seconds
+            elif event.kind == "batch_gather":
+                stats.batch_sizes.append(event.detail["batch_samples"])
+            elif event.kind == "execute":
+                stats.sample_jobs += 1
+                stats.samples += event.detail["count"]
+            elif event.kind == "degraded":
+                stats.degraded_jobs += 1
+        return stats
 
     @property
     def mean_batch_size(self) -> float:

@@ -214,32 +214,34 @@ class TestDegradedEngineEvent:
         def submit(self, count, condition, **kwargs):
             return TestDegradedEngineEvent._FakeEngineJob()
 
-    class _RecordingJob:
-        def __init__(self):
-            self.events = []
-
-        def check_cancelled(self):
-            pass
-
-        def record_engine(self, hop, started, ended, **fields):
-            self.events.append((hop, fields))
-
     def test_degraded_hop_is_recorded_with_the_original_ask(self):
+        from repro.obs.trace import Tracer
         from repro.serve import BatchedSamplingModel
+        from repro.serve.jobs import Job
+        from repro.serve.stats import RequestStats
 
-        lifecycle = self._RecordingJob()
+        lifecycle = Job("job-degraded")
+        tracer = Tracer()
         client = BatchedSamplingModel(
-            self._FakeScheduler(), job=lifecycle
+            self._FakeScheduler(), lifecycle, tracer=tracer
         )
         client.sample(1, 0, np.random.default_rng(0))
-        hops = dict(lifecycle.events)
+        hops = {e.kind: e.detail for e in lifecycle.engine_events}
         assert "degraded" in hops
         assert hops["degraded"] == {
             "level": 2,
             "sampler_steps": "bucketed",
             "requested": "full",
         }
-        assert client.degraded_jobs == 1
+        spans = {span.name: span.attrs for span in tracer.spans()}
+        assert spans["degraded"] == hops["degraded"]
+        # The request's stats read the hop back; these are the values the
+        # client's own counters gave before they were derived.
+        stats = RequestStats.from_job(lifecycle, request_id=1)
+        assert stats.degraded_jobs == 1
+        assert (stats.samples, stats.sample_jobs) == (1, 1)
+        assert stats.batch_sizes == [4]
+        assert stats.queue_wait_seconds == 1.0
         # Undegraded jobs don't emit the hop.
         plain = self._FakeEngineJob()
         plain.degrade_level = 0
@@ -248,8 +250,8 @@ class TestDegradedEngineEvent:
             def submit(self, count, condition, **kwargs):
                 return plain
 
-        quiet = self._RecordingJob()
-        client2 = BatchedSamplingModel(PlainScheduler(), job=quiet)
+        quiet = Job("job-quiet")
+        client2 = BatchedSamplingModel(PlainScheduler(), quiet)
         client2.sample(1, 0, np.random.default_rng(0))
-        assert "degraded" not in dict(quiet.events)
-        assert client2.degraded_jobs == 0
+        assert "degraded" not in [e.kind for e in quiet.engine_events]
+        assert RequestStats.from_job(quiet, request_id=2).degraded_jobs == 0

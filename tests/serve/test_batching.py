@@ -1,5 +1,6 @@
 """Micro-batching through ``ServeEngine(...).bind(model)`` on a real model,
-and the :class:`BatchedSamplingModel` client that rides it."""
+and the :class:`BatchedSamplingModel` client that rides it, writing its
+engine hops into a lifecycle job that the request's stats are read from."""
 
 import threading
 import time
@@ -9,6 +10,19 @@ import numpy as np
 import pytest
 
 from repro.serve import BatchedSamplingModel, QueueFullError, ServeEngine
+from repro.serve.engine import DeadlineExpiredError
+from repro.serve.jobs import Job
+from repro.serve.stats import RequestStats
+
+
+def _sampling_fields(stats):
+    return {
+        "samples": stats.samples,
+        "sample_jobs": stats.sample_jobs,
+        "batch_sizes": stats.batch_sizes,
+        "queue_wait_seconds": stats.queue_wait_seconds,
+        "degraded_jobs": stats.degraded_jobs,
+    }
 
 
 class TestSchedulerBatching:
@@ -123,7 +137,9 @@ class TestSchedulerLifecycle:
 
 class TestBatchedSamplingModel:
     def test_delegates_model_attributes(self, small_model):
-        client = BatchedSamplingModel(ServeEngine().bind(small_model))
+        client = BatchedSamplingModel(
+            ServeEngine().bind(small_model), Job("job-delegate")
+        )
         assert client.window == small_model.window
         assert client.n_classes == small_model.n_classes
         assert client.fitted is True
@@ -132,19 +148,26 @@ class TestBatchedSamplingModel:
     def test_sample_rides_scheduler_and_records_stats(self, small_model):
         engine = ServeEngine(gather_window=0.05)
         bound = engine.bind(small_model)
-        client = BatchedSamplingModel(bound)
+        job = Job("job-sample")
+        client = BatchedSamplingModel(bound, job)
         with engine:
             samples = client.sample(2, 0, np.random.default_rng(3))
         assert samples.shape == (2, 64, 64)
-        assert client.sample_jobs == 1
-        assert client.samples == 2
-        assert client.batch_sizes == [2]
+        assert [e.kind for e in job.engine_events] == [
+            "admission", "queue_wait", "batch_gather", "execute",
+        ]
+        stats = RequestStats.from_job(job, request_id=1)
+        assert stats.sample_jobs == 1
+        assert stats.samples == 2
+        assert stats.batch_sizes == [2]
         assert bound.stats().jobs == 1
 
     def test_concurrent_clients_coalesce(self, small_model):
         engine = ServeEngine(gather_window=0.2)
         bound = engine.bind(small_model)
-        clients = [BatchedSamplingModel(bound) for _ in range(4)]
+        clients = [
+            BatchedSamplingModel(bound, Job(f"job-{i}")) for i in range(4)
+        ]
         outputs = [None] * 4
 
         def worker(i):
@@ -219,12 +242,12 @@ class TestSchedulerEngineKnobs:
 
 
 class TestClientThreadSafety:
-    """One client shared across threads: the stat books must balance.
+    """One client and one job shared across threads: the record balances.
 
-    Operator code (and the engine's own worker thread) may drive a
-    single :class:`BatchedSamplingModel` concurrently; ``+=`` on its
-    counters is not atomic, so accumulation is locked.  This hammer test
-    loses updates reliably on an unlocked implementation.
+    Operator code may drive a single :class:`BatchedSamplingModel` (and
+    so one lifecycle job) from many threads; their hops interleave in the
+    job's ``engine_events``, and the stats read back from them must still
+    count every call exactly.
     """
 
     def test_hammered_shared_client_keeps_exact_totals(self):
@@ -237,7 +260,8 @@ class TestClientThreadSafety:
         )
         engine = ServeEngine(gather_window=0.001)
         bound = engine.bind(model)
-        client = BatchedSamplingModel(bound)
+        job = Job("job-hammer")
+        client = BatchedSamplingModel(bound, job)
         threads_n, per_thread = 8, 25
         errors = []
 
@@ -266,11 +290,119 @@ class TestClientThreadSafety:
             for i in range(threads_n)
             for k in range(per_thread)
         )
-        # Exact, not approximate: a lost update shows up as a short count.
-        assert client.sample_jobs == expected_jobs
-        assert client.samples == expected_samples
-        assert len(client.batch_sizes) == expected_jobs
-        assert client.degraded_jobs == 0
-        assert client.queue_wait_seconds >= 0.0
+        # Exact, not approximate: a lost hop shows up as a short count.
+        stats = RequestStats.from_job(job, request_id=1)
+        assert stats.sample_jobs == expected_jobs
+        assert stats.samples == expected_samples
+        assert len(stats.batch_sizes) == expected_jobs
+        assert stats.degraded_jobs == 0
+        assert stats.queue_wait_seconds >= 0.0
+        kinds = [e.kind for e in job.engine_events]
+        assert kinds.count("admission") == expected_jobs
         assert bound.stats().jobs == expected_jobs
         assert bound.stats().samples == expected_samples
+
+
+class _FakeEngineJob:
+    """An engine job with fixed hop stamps, done (or expired) on result."""
+
+    def __init__(self, count, batch_samples=4, degrade_level=0, fail=False):
+        self.count = count
+        self.submitted_at = 1.0
+        self.selected_at = 2.0
+        self.exec_started_at = 2.5
+        self.exec_ended_at = 3.0
+        self.batch_samples = batch_samples
+        self.queue_wait = 1.0
+        self.sampler_steps = "bucketed"
+        self.requested_sampler_steps = "full"
+        self.degrade_level = degrade_level
+        self.fail = fail
+
+    def result(self):
+        if self.fail:
+            raise DeadlineExpiredError("job deadline expired in queue")
+        return np.zeros((self.count, 16, 16), dtype=np.uint8)
+
+
+class _FakeClient:
+    """Hands out prepared engine jobs in submission order."""
+
+    def __init__(self, *jobs):
+        self.model = SimpleNamespace(window=16)
+        self._jobs = list(jobs)
+
+    def submit(self, count, condition, **kwargs):
+        return self._jobs.pop(0)
+
+
+class TestDerivedRequestStats:
+    """``RequestStats.from_job`` equals the per-client counters it replaced.
+
+    The expected values are what ``BatchedSamplingModel``'s own counters
+    (``samples``, ``sample_jobs``, ``batch_sizes``, ``queue_wait_seconds``,
+    ``degraded_jobs``) read for the same calls before the stats were
+    derived from the job's engine hops.
+    """
+
+    def test_two_sampling_calls(self):
+        job = Job("job-two")
+        client = BatchedSamplingModel(
+            _FakeClient(
+                _FakeEngineJob(2, batch_samples=3),
+                _FakeEngineJob(3, batch_samples=5),
+            ),
+            job,
+        )
+        client.sample(2, 0, np.random.default_rng(0))
+        client.sample(3, 1, np.random.default_rng(1))
+        assert _sampling_fields(RequestStats.from_job(job, request_id=1)) == {
+            "samples": 5,
+            "sample_jobs": 2,
+            "batch_sizes": [3, 5],
+            "queue_wait_seconds": 2.0,
+            "degraded_jobs": 0,
+        }
+
+    def test_degraded_job(self):
+        job = Job("job-degraded")
+        client = BatchedSamplingModel(
+            _FakeClient(_FakeEngineJob(1, degrade_level=2)), job
+        )
+        client.sample(1, 0, np.random.default_rng(0))
+        assert [e.kind for e in job.engine_events] == [
+            "admission", "queue_wait", "batch_gather", "execute", "degraded",
+        ]
+        assert _sampling_fields(RequestStats.from_job(job, request_id=1)) == {
+            "samples": 1,
+            "sample_jobs": 1,
+            "batch_sizes": [4],
+            "queue_wait_seconds": 1.0,
+            "degraded_jobs": 1,
+        }
+
+    def test_call_expired_after_admission_is_not_counted(self):
+        job = Job("job-expired")
+        client = BatchedSamplingModel(
+            _FakeClient(
+                _FakeEngineJob(2, batch_samples=2),
+                _FakeEngineJob(3, fail=True),
+            ),
+            job,
+        )
+        client.sample(2, 0, np.random.default_rng(0))
+        with pytest.raises(DeadlineExpiredError):
+            client.sample(3, 0, np.random.default_rng(1))
+        # The second call was admitted, so its admission stays on record;
+        # it never returned samples, so the stats do not count it.
+        assert [e.kind for e in job.engine_events] == [
+            "admission", "queue_wait", "batch_gather", "execute", "admission",
+        ]
+        assert job.engine_events[-1].detail == {"count": 3}
+        assert _sampling_fields(RequestStats.from_job(job, request_id=1)) == {
+            "samples": 2,
+            "sample_jobs": 1,
+            "batch_sizes": [2],
+            "queue_wait_seconds": 1.0,
+            "degraded_jobs": 0,
+        }

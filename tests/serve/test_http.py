@@ -8,6 +8,7 @@ parser and the acceptance check that DELETE on a queued job prevents its
 execution entirely."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ class TestHttpErrors:
             client.result(doomed)
         assert excinfo.value.status == 504
         assert excinfo.value.code == CODE_DEADLINE_EXPIRED
+
+    def test_expiry_through_a_result_poll_is_counted(self, blocked):
+        server, client, model = blocked
+        pinned = client.submit(kind="pipeline", params=PARAMS)
+        assert model.started.wait(timeout=10.0)
+        doomed = client.submit(
+            kind="pipeline", params=PARAMS, deadline=0.05
+        )
+        time.sleep(0.1)
+        # GET result is the first to look: it expires the queued job.
+        with pytest.raises(ServeClientError) as excinfo:
+            client.result(doomed)
+        assert excinfo.value.status == 504
+        model.release.set()
+        assert client.wait(pinned, timeout=30.0)["state"] == SUCCEEDED
+        assert server.service.jobs.get(doomed).wait(timeout=10.0)
+        metrics = server.service.metrics
+        terminal = metrics.get("repro_job_terminal_total")
+        assert metrics.get("repro_jobs_active").value() == 0
+        assert terminal.value(state=EXPIRED) == 1
+        assert terminal.value(state=SUCCEEDED) == 1
 
 
 class TestHttpCancel:

@@ -1,13 +1,18 @@
 """Job lifecycle state machine tests: transitions, cancellation, TTL,
-and the service-level contract that ``PipelineResult.timings`` and
-``Job.stage_events`` are two views of one record."""
+the journal format, and the service-level contract that
+``PipelineResult.timings`` and ``Job.stage_events`` hold one record."""
 
+import gc
+import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.api.config import PipelineConfig, ServeConfig
+from repro.obs.trace import StageTiming
 from repro.serve import (
     PatternService,
     QueueFullError,
@@ -180,7 +185,7 @@ class TestJobStateMachine:
 
         job = Job("job-11", request=_pipeline_request())
         job.transition(QUEUED)
-        job.record_stage("sample", 0.5, {"produced": 2})
+        job.record_stage(StageTiming("sample", 0.5, {"produced": 2}))
         job.fail("boom", code=CODE_INVALID_REQUEST)
         view = json.loads(json.dumps(job.as_dict()))
         assert view["state"] == FAILED
@@ -231,6 +236,52 @@ class TestJobTable:
             JobTable(ttl=0.0)
 
 
+#: A terminal journal line as the table wrote it when stage records had a
+#: job-side copy class: a pipeline job with its stage and engine events.
+JOURNAL_LINE = (
+    '{"op": "terminal", "record": {"cancel_requested": false, "client_id": '
+    '"compat-1", "created_unix": 1792386809.931, "elapsed_seconds": 0.0164,'
+    ' "engine_events": [{"detail": {"count": 2}, "kind": "admission", "seco'
+    'nds": 0.000179, "t": 0.011957}, {"kind": "queue_wait", "seconds": 0.00'
+    '0258, "t": 0.012009}, {"detail": {"batch_samples": 2}, "kind": "batch_'
+    'gather", "seconds": 0.000108, "t": 0.012267}, {"kind": "execute", "sec'
+    'onds": 3.2e-05, "t": 0.012374}], "job_id": "job-000001-65ae2557", "pro'
+    'duced": 2, "request": {"kind": "pipeline", "objective": "legality", "r'
+    'equest_id": 1, "source": "default", "text": ""}, "stage": null, "stage'
+    '_events": [{"detail": {"count": 2, "sampler_steps": "full", "size": 16'
+    ', "style": "Layer-10001"}, "seconds": 0.0112, "stage": "sample"}, {"de'
+    'tail": {"legal": 2, "total": 2}, "seconds": 0.0029, "stage": "legalize'
+    '"}, {"seconds": 0.0006, "stage": "score"}, {"detail": {"output": null,'
+    ' "store_added": 0}, "seconds": 0.0, "stage": "persist"}], "state": "SU'
+    'CCEEDED", "transitions": [{"state": "PENDING", "t": 0.0}, {"state": "Q'
+    'UEUED", "t": 0.00071}, {"stage": "pipeline", "state": "RUNNING", "t": '
+    '0.001154}, {"stage": "sample", "state": "RUNNING", "t": 0.001322}, {"s'
+    'tage": "legalize", "state": "LEGALIZING", "t": 0.012632}, {"stage": "s'
+    'core", "state": "RUNNING", "t": 0.015626}, {"stage": "persist", "state'
+    '": "PERSISTING", "t": 0.016263}, {"detail": {"produced": 2}, "state": '
+    '"SUCCEEDED", "t": 0.016401}]}}'
+)
+
+
+class TestJournalFormat:
+    def test_older_terminal_line_restores_unchanged(self, tmp_path):
+        (tmp_path / "jobs.jsonl").write_text(JOURNAL_LINE + "\n")
+        record = json.loads(JOURNAL_LINE)["record"]
+        table = JobTable(state_dir=tmp_path)
+        try:
+            assert table.restored == 1
+            job = table.get(record["job_id"])
+            assert job is not None and job.state == SUCCEEDED
+            assert job.as_dict() == {**record, "restored": True}
+            assert all(isinstance(e, StageTiming) for e in job.stage_events)
+            assert [e.as_dict() for e in job.stage_events] == (
+                record["stage_events"]
+            )
+            assert table.find_client("compat-1") is job
+        finally:
+            table.close()
+
+
 # -- service integration -----------------------------------------------------
 
 
@@ -250,8 +301,40 @@ class TestServiceJobs:
             assert [t.as_dict() for t in result.timings] == [
                 e.as_dict() for e in job.stage_events
             ]
+            # Not copies: the job holds the pipeline's own records.
+            assert all(
+                a is b for a, b in zip(result.timings, job.stage_events)
+            )
             stages = [e.stage for e in job.stage_events]
             assert stages == ["sample", "legalize", "score", "persist"]
+        finally:
+            service.stop()
+
+    def test_purged_job_releases_its_result(self):
+        """The job is the only holder of a finished request's response:
+        once the table purges the job, its result can be collected, and
+        the service totals still count the request."""
+        service = PatternService(
+            model=StubModel(),
+            max_workers=1,
+            gather_window=0.0,
+            config=PipelineConfig(serve=ServeConfig(job_ttl=0.05)),
+        )
+        try:
+            job = service.submit_job(_pipeline_request(count=2))
+            assert job.wait(timeout=30.0)
+            assert job.state == SUCCEEDED
+            result = weakref.ref(job.response.result)
+            job_id = job.job_id
+            del job
+            time.sleep(0.2)
+            assert service.jobs.get(job_id) is None  # purged past its TTL
+            gc.collect()
+            assert result() is None
+            stats = service.stats()
+            assert stats.requests == 1
+            assert stats.produced == 2
+            assert stats.legalize_calls == 2
         finally:
             service.stop()
 

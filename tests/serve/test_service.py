@@ -17,7 +17,8 @@ from repro.serve import (
     PatternService,
     ServeRequest,
 )
-from repro.serve.jobs import CANCELLED
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.jobs import CANCELLED, EXPIRED, SUCCEEDED
 
 REQUEST = (
     "Generate 2 legal patterns, 64*64 topology, physical size "
@@ -120,7 +121,7 @@ class TestServeConcurrent:
             second = service.serve(_requests(1))
         assert first[0].request.request_id == 1
         assert second[0].request.request_id == 2
-        assert len(service.responses) == 2
+        assert service.stats().requests == 2
 
     def test_explicit_request_objects_preserved(self, registry):
         service = PatternService(
@@ -407,3 +408,38 @@ class TestGatherRule:
             assert "deadline expired" in response.error
             assert service.engine.stats().expired == 1
             self._assert_lone_request_dispatches_at_once(service)
+
+
+class TestTerminalAccounting:
+    """Each job is counted once at its terminal edge, whoever ends it."""
+
+    def test_expiry_through_a_status_poll_is_counted(self, small_model):
+        metrics = MetricsRegistry()
+        service = PatternService(
+            model=small_model, max_workers=1, gather_window=0.0,
+            metrics=metrics,
+        )
+        params = {"count": 512, "style": "Layer-10001"}
+        with service:
+            long_job = service.submit_job(
+                ServeRequest(text="", kind="pipeline", params=params)
+            )
+            waiting = service.submit_job(
+                ServeRequest(
+                    text="",
+                    kind="pipeline",
+                    params=dict(params, count=1),
+                    deadline=0.05,
+                )
+            )
+            time.sleep(0.1)
+            # The poll, not a worker, finds the deadline passed.
+            assert service.job_status(waiting.job_id)["state"] == EXPIRED
+            assert long_job.wait(timeout=120.0)
+            assert waiting.wait(timeout=120.0)
+            assert long_job.state == SUCCEEDED
+        terminal = metrics.get("repro_job_terminal_total")
+        assert metrics.get("repro_jobs_active").value() == 0
+        assert terminal.value(state=EXPIRED) == 1
+        assert terminal.value(state=SUCCEEDED) == 1
+        assert service.stats().requests == 2
