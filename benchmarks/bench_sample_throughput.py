@@ -4,9 +4,11 @@ The acceptance experiment for the sampling performance engine.  The same
 workloads run twice:
 
 - **baseline**: the pre-engine architecture — on-the-fly probability
-  derivation from the raw count tables (``use_compiled = False``) walking
-  the **full** reverse chain, every step from the schedule's
-  ``start_step`` down (82 of the K=128 steps; 58 of the smoke run's 64);
+  derivation from the raw count tables (the float64
+  :class:`~repro.diffusion.ReferenceDenoiser`, its counts replayed from
+  the fit's training set and seed) walking the **full** reverse chain,
+  every step from the schedule's ``start_step`` down (82 of the K=128
+  steps; 58 of the smoke run's 64);
 - **optimized**: compiled float32 logit lookup tables plus the
   **bucket-collapsed** step schedule (one denoiser evaluation per noise
   bucket).
@@ -22,6 +24,7 @@ workload and relaxes the floors — tiny maps measure fixed overhead, not
 throughput).
 """
 
+import copy
 import json
 import os
 import time
@@ -31,7 +34,11 @@ import numpy as np
 
 from benchmarks.conftest import print_table, scale
 from repro.data import DatasetConfig, STYLES, build_training_set
-from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
+from repro.diffusion import (
+    ConditionalDiffusionModel,
+    DiffusionSchedule,
+    ReferenceDenoiser,
+)
 from repro.serve import ServeEngine
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
@@ -61,13 +68,15 @@ RESULT_PATH = os.path.join(
 )
 
 MODES = {
-    # (use_compiled, sampler_steps)
-    "baseline": (False, "full"),
-    "optimized": (True, "bucketed"),
+    # (model, sampler_steps)
+    "baseline": ("reference", "full"),
+    "optimized": ("compiled", "bucketed"),
 }
 
 
-def _build_model():
+def _build_models():
+    """The fitted model, and the same model on the float64 reference
+    denoiser, whose count tables replay the fit's training set and seed."""
     topologies, conditions = build_training_set(
         list(STYLES),
         TRAIN_COUNT,
@@ -79,20 +88,23 @@ def _build_model():
         n_classes=len(STYLES),
     )
     model.fit(topologies, conditions, np.random.default_rng(0))
-    return model
+    reference = copy.copy(model)
+    reference.denoiser = ReferenceDenoiser(
+        model.denoiser,
+        model.denoiser.count_tables(
+            topologies, conditions, np.random.default_rng(0)
+        ),
+    )
+    return {"compiled": model, "reference": reference}
 
 
-def _run_single(model, compiled, sampler_steps):
-    model.denoiser.use_compiled = compiled
-    try:
-        started = time.perf_counter()
-        samples = model.sample(
-            SINGLE_COUNT, 0, np.random.default_rng(1),
-            sampler_steps=sampler_steps,
-        )
-        wall = time.perf_counter() - started
-    finally:
-        model.denoiser.use_compiled = True
+def _run_single(model, sampler_steps):
+    started = time.perf_counter()
+    samples = model.sample(
+        SINGLE_COUNT, 0, np.random.default_rng(1),
+        sampler_steps=sampler_steps,
+    )
+    wall = time.perf_counter() - started
     assert samples.shape == (SINGLE_COUNT, WINDOW, WINDOW)
     return {
         "wall_seconds": round(wall, 3),
@@ -102,24 +114,18 @@ def _run_single(model, compiled, sampler_steps):
     }
 
 
-def _run_serve(model, compiled, sampler_steps):
+def _run_serve(model, sampler_steps):
     """8 concurrent requests coalescing in the serving engine."""
-    model.denoiser.use_compiled = compiled
-    try:
-        engine = ServeEngine(gather_window=GATHER_WINDOW)
-        client = engine.bind(model, sampler_steps=sampler_steps)
-        started = time.perf_counter()
-        with engine:
-            jobs = [
-                client.submit(
-                    SAMPLES_PER_REQUEST, i % len(STYLES), seed=i
-                )
-                for i in range(N_REQUESTS)
-            ]
-            results = [job.result(timeout=600) for job in jobs]
-        wall = time.perf_counter() - started
-    finally:
-        model.denoiser.use_compiled = True
+    engine = ServeEngine(gather_window=GATHER_WINDOW)
+    client = engine.bind(model, sampler_steps=sampler_steps)
+    started = time.perf_counter()
+    with engine:
+        jobs = [
+            client.submit(SAMPLES_PER_REQUEST, i % len(STYLES), seed=i)
+            for i in range(N_REQUESTS)
+        ]
+        results = [job.result(timeout=600) for job in jobs]
+    wall = time.perf_counter() - started
     total = sum(len(r) for r in results)
     assert total == N_REQUESTS * SAMPLES_PER_REQUEST
     stats = client.stats()
@@ -175,16 +181,16 @@ def _check_regression(payload, history):
 
 
 def _run(output_dir):
-    model = _build_model()
+    models = _build_models()
     # Warm-up outside the timed windows (page-faults the tables, warms
     # numpy's pools) so both modes measure steady-state throughput.
-    model.sample(1, 0, np.random.default_rng(0))
+    models["compiled"].sample(1, 0, np.random.default_rng(0))
 
     single = {}
     serve = {}
-    for mode, (compiled, steps) in MODES.items():
-        single[mode] = _run_single(model, compiled, steps)
-        serve[mode] = _run_serve(model, compiled, steps)
+    for mode, (name, steps) in MODES.items():
+        single[mode] = _run_single(models[name], steps)
+        serve[mode] = _run_serve(models[name], steps)
 
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -3,6 +3,7 @@
 from repro.diffusion.denoisers.base import Denoiser, MarginalDenoiser
 from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
+    ReferenceDenoiser,
     neighborhood_codes,
 )
 from repro.diffusion.model import ConditionalDiffusionModel
@@ -14,6 +15,7 @@ __all__ = [
     "DiffusionSchedule",
     "MarginalDenoiser",
     "NeighborhoodDenoiser",
+    "ReferenceDenoiser",
     "linear_beta_schedule",
     "neighborhood_codes",
 ]

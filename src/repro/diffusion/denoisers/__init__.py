@@ -3,6 +3,7 @@
 from repro.diffusion.denoisers.base import Denoiser, MarginalDenoiser
 from repro.diffusion.denoisers.neighborhood import (
     NeighborhoodDenoiser,
+    ReferenceDenoiser,
     neighborhood_codes,
 )
 
@@ -10,5 +11,6 @@ __all__ = [
     "Denoiser",
     "MarginalDenoiser",
     "NeighborhoodDenoiser",
+    "ReferenceDenoiser",
     "neighborhood_codes",
 ]

@@ -124,15 +124,6 @@ class Denoiser(ABC):
     ) -> dict:
         """Train on clean topologies; returns a metrics/history dict."""
 
-    def compile_tables(self, force: bool = False) -> bool:
-        """Precompile sampling-time lookup structures, if the backend has any.
-
-        Called at the end of :meth:`fit`, so the compiled form pickles with
-        the model.  Returns ``True`` when the denoiser holds a compiled
-        representation afterwards; the default has none.
-        """
-        return False
-
     def _validate_condition(self, condition: Optional[int]) -> int:
         if self.n_classes == 0:
             return 0

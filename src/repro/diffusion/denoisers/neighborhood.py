@@ -15,28 +15,40 @@ seconds on CPU.  It estimates the same ``p(x_0 | x_k, c)`` a U-Net would,
 so the reverse chain and the modify/extend operators run on it unchanged;
 it cannot learn structure beyond its neighbourhoods and pools.
 
-**Compiled logit tables.**  The raw count tables are frozen once ``fit``
-returns, so everything the sampling hot loop derives from them per step —
-Laplace smoothing toward the class marginal, the probability ratio, the
-``log`` — is folded into one float32 *logit lookup table* at compile time,
-laid out ``(bucket, scale, class, code)``: each entry holds
-``(w_s / sum(w)) * log(p / (1 - p))`` for the smoothed ``p`` of that
-neighbourhood code.  ``predict_logits_many`` then hashes all scales on one
-canvas and reads them with one gather, with no elementwise ``log``/``exp``
-arithmetic; the sampling kernel stays on those float32 logits, and only
-``predict_x0_many`` takes their sigmoid.  The compiled form is rebuilt at
-the end of every :meth:`NeighborhoodDenoiser.fit` (the only operation that
-can change the counts) and pickles with the model, so it is never stale;
-``use_compiled = False`` switches back to the on-the-fly reference path,
-which the equivalence tests pin to the compiled output within 1e-6 (1e-5
-in logit).
+**Compiled logit table.**  Everything the sampling hot loop would derive
+per step from the neighbourhood counts — Laplace smoothing toward the
+class marginal, the probability ratio, the ``log`` — is folded into one
+float32 *logit lookup table* while the model fits, laid out ``(bucket,
+scale, class, code)``: each entry holds ``(w_s / sum(w)) * log(p / (1 -
+p))`` for the smoothed ``p`` of that neighbourhood code.
+``predict_logits_many`` then hashes all scales on one canvas and reads
+them with one gather, with no elementwise ``log``/``exp`` arithmetic; the
+sampling kernel stays on those float32 logits, and only
+``predict_x0_many`` takes their sigmoid.  :meth:`NeighborhoodDenoiser.fit`
+counts one noise bucket at a time and compiles that bucket's table slice
+from the bucket's counts before counting the next, so the count tables
+never exist whole: the fitted denoiser (and its pickle) holds the table,
+the class marginals and the target fills.  The float64 reference path is
+an oracle, not state: :meth:`NeighborhoodDenoiser.count_tables` replays a
+fit's inputs and seed into the full count tables, and
+:class:`ReferenceDenoiser` predicts from them on the fly; the equivalence
+tests pin the table to it within 1e-6 in probability (1e-5 in logit).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -54,13 +66,16 @@ _EPS = 1e-6
 _CHUNK_CELLS = 1 << 16
 
 #: Cells of (pattern, draw) pairs :meth:`NeighborhoodDenoiser.fit` noises,
-#: hashes and counts at once (sixteen 128x128 pairs).  The fit's reused
+#: hashes and counts at once (eight 128x128 pairs).  The fit's reused
 #: buffers are sized by it: the intp index ``bincount`` reads (8 bytes a
 #: cell) is the largest, beside the narrow codes, the noised stack and the
 #: pooled scales' float64 weights; the noise is drawn one pair at a time.
-#: Four hashing chunks keep the per-chunk ``bincount`` overhead off the fit
-#: time.
-_FIT_CHUNK_CELLS = 4 * _CHUNK_CELLS
+#: These buffers sit beside the 4 MiB compiled table, which the fit fills
+#: as it counts.  Measured on the default recipe (2-core box, 8 alternating
+#: fresh processes): sixteen pairs peak at 57.3 MB ``VmHWM`` and fit in
+#: 0.70 s (median), eight at 55.6 MB and 0.76 s, four at 54.5 MB and
+#: 0.85 s, where the per-chunk ``bincount`` overhead starts to show.
+_FIT_CHUNK_CELLS = 2 * _CHUNK_CELLS
 
 #: Input shapes whose canvas layout a denoiser keeps before starting over.
 _LAYOUT_CACHE = 16
@@ -351,20 +366,8 @@ class NeighborhoodDenoiser(Denoiser):
         # Hoisted once: the PoE normaliser is a constant of the
         # architecture, not of the input.
         self._weight_total = float(sum(self.scale_weights))
-        slots = max(1, n_classes)
-        #: per scale, ``(class, bucket, code, target)`` counts of clean
-        #: zeros/ones; ``fit`` stores them in the narrowest unsigned dtype
-        #: that holds a row's bound, ``patterns x draws x H x W`` cells
-        self._counts = {
-            s: np.zeros((slots, n_buckets, self._n_codes, 2), dtype=np.uint8)
-            for s in self.scales
-        }
-        self._marginals = np.full((slots, n_buckets), 0.5)
+        self._marginals = np.full((max(1, n_classes), n_buckets), 0.5)
         self._fitted = False
-        #: gate for the compiled fast path (the reference path stays
-        #: available for equivalence tests and baseline benchmarks)
-        self.use_compiled = True
-        self._compiled = False
         #: the compiled logits, one float32 array laid out
         #: ``(bucket, scale, class, code)``
         self._table: Optional[np.ndarray] = None
@@ -390,24 +393,81 @@ class NeighborhoodDenoiser(Denoiser):
         rng: np.random.Generator,
         draws_per_pattern: int = 16,
     ) -> dict:
-        """Accumulate neighbourhood statistics from noised training pairs.
+        """Accumulate neighbourhood statistics from noised training pairs
+        and compile them into the logit table, one noise bucket at a time.
 
-        Noise levels are drawn uniformly within each bucket so the tables
-        cover the full (0, 0.5] range regardless of the training schedule.
-        The pairs are noised and counted in chunks of ``_FIT_CHUNK_CELLS``
-        cells, in buffers allocated once and reused by every chunk, so
-        beside the tables it keeps the fit needs a fixed working set,
-        however many patterns it is given.  The counting returns before the
-        tables compile, so its buffers are released first: the compiled
-        table is not stacked on top of them, and little freed heap is left
-        behind.  The counts, logit tables and marginals do not depend on
-        the chunking: they are exact integer sums over the same rng stream.
-
-        A bucket's rows together count at most ``N x draws_per_pattern x H
-        x W`` cells, so the count tables are kept in the narrowest unsigned
-        dtype that holds that bound (``np.min_scalar_type``): ``uint32`` on
-        the default recipe.  No row can wrap, not even ``ones + zeros``.
+        Noise levels are drawn uniformly within each bucket so the table
+        covers the full (0, 0.5] range regardless of the training schedule.
+        :meth:`_bucket_counts` counts one bucket's pairs at a time into
+        reused count rows; as soon as a bucket is counted, its column of
+        the class marginals and its slice of the table are computed from
+        those rows, which the next bucket then reuses.  A bucket's marginal
+        and table slice read only that bucket's rows, so the table is what
+        compiling the whole count tables at once would give, while those
+        tables never exist: the fitted denoiser keeps only the table, the
+        marginals and the target fills.  :meth:`count_tables` rebuilds the
+        counts from the same inputs and seed for the float64
+        :class:`ReferenceDenoiser`.
         """
+        topologies, cond = self._fit_inputs(topologies, conditions)
+        slots = max(1, self.n_classes)
+        table = np.empty(
+            (self.n_buckets, len(self.scales), slots, self._n_codes),
+            dtype=np.float32,
+        )
+        marginals = np.empty((slots, self.n_buckets))
+        observations = 0
+        occupied = dict.fromkeys(self.scales, 0)
+        for bucket, rows in self._bucket_counts(
+            topologies, cond, rng, draws_per_pattern
+        ):
+            fine = rows[self.scales[0]]
+            totals = fine.sum(axis=1)
+            sums = totals.sum(axis=1)
+            marginals[:, bucket] = np.where(
+                sums > 0, totals[:, 1] / np.maximum(sums, 1.0), 0.5
+            )
+            self._compile_bucket(table[bucket], rows, marginals[:, bucket])
+            observations += int(sums.sum())
+            for s in self.scales:
+                occupied[s] += int(np.count_nonzero(rows[s].any(axis=-1)))
+        self._record_target_fills(topologies, cond)
+        self._table = table
+        self._marginals = marginals
+        self._fitted = True
+        return {
+            "patterns": int(topologies.shape[0]),
+            "observations": float(observations),
+            "occupied_codes": occupied,
+        }
+
+    def count_tables(
+        self,
+        topologies: np.ndarray,
+        conditions: Optional[np.ndarray],
+        rng: np.random.Generator,
+        draws_per_pattern: int = 16,
+    ) -> Dict[int, np.ndarray]:
+        """The per-scale ``(class, bucket, code, target)`` count tables a
+        :meth:`fit` on the same inputs and ``rng`` state counts, stacked
+        from the same :meth:`_bucket_counts` stream (the fit itself never
+        holds them).  The oracle of :class:`ReferenceDenoiser`."""
+        topologies, cond = self._fit_inputs(topologies, conditions)
+        buckets = [
+            {s: r.copy() for s, r in rows.items()}
+            for _, rows in self._bucket_counts(
+                topologies, cond, rng, draws_per_pattern
+            )
+        ]
+        return {
+            s: np.stack([rows[s] for rows in buckets], axis=1)
+            for s in self.scales
+        }
+
+    def _fit_inputs(
+        self, topologies: np.ndarray, conditions: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The checked uint8 stack and int64 per-pattern classes."""
         topologies = np.asarray(topologies, dtype=np.uint8)
         if topologies.ndim != 3:
             raise ValueError("topologies must be (N, H, W)")
@@ -415,44 +475,35 @@ class NeighborhoodDenoiser(Denoiser):
         if self.n_classes > 0:
             if conditions is None or len(conditions) != n:
                 raise ValueError("conditions must align with topologies")
-            cond = np.asarray(conditions, dtype=np.int64)
-        else:
-            cond = np.zeros(n, dtype=np.int64)
-        # The counting's buffers are released before the tables compile.
-        self._counts = self._count_pairs(
-            topologies, cond, rng, draws_per_pattern
-        )
-        self._record_target_fills(topologies, cond)
-        fine = self._counts[self.scales[0]]
-        totals = fine.sum(axis=2)
-        sums = totals.sum(axis=2)
-        self._marginals = np.where(
-            sums > 0, totals[..., 1] / np.maximum(sums, 1.0), 0.5
-        )
-        self._fitted = True
-        self.compile_tables(force=True)
-        return {
-            "patterns": int(n),
-            "observations": float(fine.sum()),
-            "occupied_codes": {
-                s: int(np.count_nonzero(self._counts[s].any(axis=-1)))
-                for s in self.scales
-            },
-        }
+            return topologies, np.asarray(conditions, dtype=np.int64)
+        return topologies, np.zeros(n, dtype=np.int64)
 
-    def _count_pairs(
+    def _bucket_counts(
         self,
         topologies: np.ndarray,
         cond: np.ndarray,
         rng: np.random.Generator,
         draws_per_pattern: int,
-    ) -> dict:
-        """The per-scale count tables of :meth:`fit`."""
+    ) -> Iterator[Tuple[int, Dict[int, np.ndarray]]]:
+        """Yield ``(bucket, {scale: rows})`` for every noise bucket in order.
+
+        Each scale's rows are one ``(class, code, target)`` array of clean
+        zero/one counts, reused by every bucket: they hold the yielded
+        bucket's counts until the generator resumes.  They are kept in the
+        narrowest unsigned dtype holding ``patterns x draws x H x W``
+        (``np.min_scalar_type``; ``uint32`` on the default recipe), the
+        most all of a bucket's rows can count, so no row can wrap, not even
+        ``ones + zeros``.  The pairs are noised and counted in chunks of
+        ``_FIT_CHUNK_CELLS`` cells, in buffers allocated once, so the
+        working set is fixed however many patterns there are.  The counts
+        do not depend on the chunking: they are exact integer sums over
+        the same rng stream.
+        """
         n, h, w = topologies.shape
         slots = max(1, self.n_classes)
         dtype = np.min_scalar_type(n * draws_per_pattern * h * w)
-        counts = {
-            s: np.zeros((slots, self.n_buckets, self._n_codes, 2), dtype=dtype)
+        rows_of = {
+            s: np.zeros((slots, self._n_codes, 2), dtype=dtype)
             for s in self.scales
         }
         # A (class, code) pair names one count row.
@@ -460,7 +511,7 @@ class NeighborhoodDenoiser(Denoiser):
         # Vectorized accumulation: buckets and noise levels for every
         # (pattern, draw) pair are drawn up front, then each bucket's pairs
         # are noised, hashed and counted in chunks of ``_FIT_CHUNK_CELLS``
-        # cells, each chunk's counts added into that bucket's rows.  The
+        # cells, each chunk's counts added into the bucket's rows.  The
         # noise is drawn one pair at a time in pair order, so the float64
         # ``rng.random`` stream is the same as drawing each bucket's whole
         # stack at once, and the counts are sums of integers, so they come
@@ -525,6 +576,8 @@ class NeighborhoodDenoiser(Denoiser):
         index = np.empty(step * h * w, dtype=np.intp)
         weights = np.empty(step * pooled_cells)
         for bucket in range(self.n_buckets):
+            for rows in rows_of.values():
+                rows.fill(0)
             pat_all, draw_all = np.nonzero(buckets == bucket)
             for lo in range(0, pat_all.size, step):
                 pat_idx = pat_all[lo : lo + step]
@@ -538,7 +591,7 @@ class NeighborhoodDenoiser(Denoiser):
                 offset = base[pat_idx][:, None, None]
                 sums = {1: xk[:k]}
                 for s in self.scales:
-                    rows = counts[s][:, bucket]
+                    rows = rows_of[s]
                     if s == 1:
                         image = xk[:k, :h, :w]
                     else:
@@ -573,52 +626,35 @@ class NeighborhoodDenoiser(Denoiser):
                     _add_bincount(rows[..., 1], flat, weight)
                     np.subtract(areas, ones, out=ones)
                     _add_bincount(rows[..., 0], flat, weight)
-        return counts
+            yield bucket, rows_of
 
-    # -- compiled logit tables -----------------------------------------
+    def _compile_bucket(
+        self,
+        out: np.ndarray,
+        rows: Dict[int, np.ndarray],
+        prior: np.ndarray,
+    ) -> None:
+        """Fold smoothing and the logit transform of one bucket's count
+        ``rows`` into its ``(scale, class, code)`` table slice ``out``.
 
-    def compile_tables(self, force: bool = False) -> bool:
-        """Fold smoothing and the logit transform into float32 lookup tables.
-
-        The entry ``[bucket, j, class, code]`` holds ``(w_s / sum(w)) *
-        log(p / (1 - p))`` for the ``j``-th scale ``s``, where ``p`` is the
-        smoothed probability the reference path derives per pixel — so
+        The entry ``[j, class, code]`` holds ``(w_s / sum(w)) * log(p / (1
+        - p))`` for the ``j``-th scale ``s``, where ``p`` is the count's
+        Laplace-smoothed probability toward the bucket's class marginal
+        ``prior`` (what :class:`ReferenceDenoiser` derives per pixel), so
         sampling-time prediction becomes gather + add + one sigmoid.  With
         the bucket outermost, one step's reads are one contiguous block.
-        The counts are read in their narrow unsigned dtype (see :meth:`fit`);
-        promotion to float64 gives the same values, so the table does not
-        depend on that dtype.  Idempotent unless ``force`` (``fit`` forces,
-        because it changes the counts).
+        The counts are read in their narrow unsigned dtype; promotion to
+        float64 gives the same values, so the table does not depend on
+        that dtype.
         """
-        if not self._fitted:
-            return False
-        if self._compiled and not force:
-            return True
-        slots = max(1, self.n_classes)
-        table = np.empty(
-            (self.n_buckets, len(self.scales), slots, self._n_codes),
-            dtype=np.float32,
-        )
-        # One (bucket, scale) slice at a time: the float64 temporaries are
-        # one slice's (slots x codes), never a copy of the whole counts.
+        prior = prior[:, None]
         for j, (s, weight) in enumerate(zip(self.scales, self.scale_weights)):
-            factor = weight / self._weight_total
-            for bucket in range(self.n_buckets):
-                counts = self._counts[s][:, bucket]
-                ones = counts[..., 1]
-                total = counts.sum(axis=-1)
-                prior = self._marginals[:, bucket, None]
-                p = (ones + self.smoothing * prior) / (total + self.smoothing)
-                p = np.clip(p, _EPS, 1.0 - _EPS)
-                table[bucket, j] = factor * np.log(p / (1.0 - p))
-        self._table = table
-        self._compiled = True
-        return True
-
-    @property
-    def compiled(self) -> bool:
-        """Whether the compiled logit tables are built and current."""
-        return self._compiled
+            counts = rows[s]
+            ones = counts[..., 1]
+            total = counts.sum(axis=-1)
+            p = (ones + self.smoothing * prior) / (total + self.smoothing)
+            p = np.clip(p, _EPS, 1.0 - _EPS)
+            out[j] = (weight / self._weight_total) * np.log(p / (1.0 - p))
 
     # -- prediction ----------------------------------------------------
 
@@ -629,20 +665,6 @@ class NeighborhoodDenoiser(Denoiser):
         ``(B, H, W)``."""
         stack, batched = as_stack(xk)
         out = self.predict_x0_many(stack, noise_level, [condition] * len(stack))
-        return out if batched else out[0]
-
-    def _predict_x0_reference(
-        self, xk: np.ndarray, noise_level: float, condition: Optional[int] = None
-    ) -> np.ndarray:
-        """On-the-fly prediction from the raw count tables.
-
-        The numerical ground truth the compiled tables are pinned against
-        (and the baseline of the sampling-throughput benchmark).
-        """
-        stack, batched = as_stack(xk)
-        out = self._predict_x0_many_reference(
-            stack, noise_level, [condition] * len(stack)
-        )
         return out if batched else out[0]
 
     def predict_x0_many(
@@ -669,8 +691,8 @@ class NeighborhoodDenoiser(Denoiser):
         own class's table row).  This is what makes cross-style batches as
         cheap as single-style ones in the serving scheduler.
 
-        The compiled path lays the stack and its majority-pooled images out
-        on one canvas per item (see :meth:`_canvas_layout`): zero gutters of
+        The stack and its majority-pooled images are laid out on one canvas
+        per item (see :meth:`_canvas_layout`): zero gutters of
         the neighbourhood reach keep every code what a separate
         :func:`neighborhood_codes` call would give, so ONE hash covers all
         scales.  ONE ``take`` then reads every scale's values from the
@@ -684,12 +706,10 @@ class NeighborhoodDenoiser(Denoiser):
         every scale, and each scale's block sums are pooled from those of
         the largest finer scale that divides it; the padding only adds
         empty blocks past the image, which read as zeros, and is cropped at
-        the end.  The ``use_compiled = False`` reference path keeps float64
-        and hashes each scale on its own; it is the test oracle.
+        the end.  :class:`ReferenceDenoiser`, the test oracle, keeps float64
+        and hashes each scale on its own.
         """
         stack, conds, bucket = self._check_many(xk, noise_level, conditions)
-        if not (self._compiled and self.use_compiled):
-            return self._many_reference_core(stack, conds, bucket)
         n, h, w = stack.shape
         layout = self._canvas_layout(h, w)
         hp, wp = layout.padded
@@ -793,38 +813,6 @@ class NeighborhoodDenoiser(Denoiser):
         self._layouts[(h, w)] = layout
         return layout
 
-    def _predict_x0_many_reference(
-        self,
-        xk: np.ndarray,
-        noise_level: float,
-        conditions: Sequence[Optional[int]],
-    ) -> np.ndarray:
-        """On-the-fly counterpart of :meth:`predict_x0_many`."""
-        checked = self._check_many(xk, noise_level, conditions)
-        return sigmoid(self._many_reference_core(*checked))
-
-    def _many_reference_core(
-        self, stack: np.ndarray, conds: np.ndarray, bucket: int
-    ) -> np.ndarray:
-        """float64 logits derived from the raw count tables."""
-        priors = self._marginals[conds, bucket][:, None, None]
-        base = ((conds * self.n_buckets + bucket) * self._n_codes)[:, None, None]
-        logit = np.zeros(stack.shape, dtype=np.float64)
-        for s, weight in zip(self.scales, self.scale_weights):
-            codes = neighborhood_codes(
-                downsample_binary(stack, s), self.offsets
-            )
-            flat = self._counts[s].reshape(-1, 2)
-            index = base + codes
-            ones = flat[index, 1]
-            total = ones + flat[index, 0]
-            p = (ones + self.smoothing * priors) / (total + self.smoothing)
-            p = np.clip(p, _EPS, 1.0 - _EPS)
-            logit += upsample_to(
-                weight * np.log(p / (1.0 - p)), s, stack.shape[1:]
-            )
-        return logit / self._weight_total
-
     def _check_many(
         self,
         xk: np.ndarray,
@@ -844,3 +832,71 @@ class NeighborhoodDenoiser(Denoiser):
             [self._validate_condition(c) for c in conditions], dtype=np.int64
         )
         return stack, conds, self.bucket_of(noise_level)
+
+
+class ReferenceDenoiser(Denoiser):
+    """The float64 oracle of a fitted :class:`NeighborhoodDenoiser`.
+
+    Predicts on the fly from ``counts``, the count tables
+    :meth:`NeighborhoodDenoiser.count_tables` rebuilds by replaying the
+    fit's inputs and seed: each scale's codes are hashed on their own, each
+    count is smoothed toward the fitted class marginal and turned into a
+    logit in float64, and the weighted logits are summed over upsampled
+    scales.  The compiled table is pinned to it, and a model whose
+    ``denoiser`` is this wrapper samples, modifies and extends on the
+    reference path (the baseline of the sampling-throughput benchmark).
+    """
+
+    def __init__(
+        self, fitted: NeighborhoodDenoiser, counts: Dict[int, np.ndarray]
+    ):
+        self.fitted = fitted
+        self.counts = counts
+        self.n_classes = fitted.n_classes
+        self.n_buckets = fitted.n_buckets
+
+    def fit(self, topologies, conditions, schedule, rng) -> dict:
+        raise TypeError("a ReferenceDenoiser wraps an already fitted denoiser")
+
+    def target_fill(self, condition: Optional[int] = None) -> float:
+        return self.fitted.target_fill(condition)
+
+    def predict_x0(
+        self, xk: np.ndarray, noise_level: float, condition: Optional[int] = None
+    ) -> np.ndarray:
+        stack, batched = as_stack(xk)
+        out = self.predict_x0_many(stack, noise_level, [condition] * len(stack))
+        return out if batched else out[0]
+
+    def predict_x0_many(
+        self,
+        xk: np.ndarray,
+        noise_level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        return sigmoid(self.predict_logits_many(xk, noise_level, conditions))
+
+    def predict_logits_many(
+        self,
+        xk: np.ndarray,
+        noise_level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        """float64 logits derived from the count tables."""
+        d = self.fitted
+        stack, conds, bucket = d._check_many(xk, noise_level, conditions)
+        priors = d._marginals[conds, bucket][:, None, None]
+        base = ((conds * d.n_buckets + bucket) * d._n_codes)[:, None, None]
+        logit = np.zeros(stack.shape, dtype=np.float64)
+        for s, weight in zip(d.scales, d.scale_weights):
+            codes = neighborhood_codes(downsample_binary(stack, s), d.offsets)
+            flat = self.counts[s].reshape(-1, 2)
+            index = base + codes
+            ones = flat[index, 1]
+            total = ones + flat[index, 0]
+            p = (ones + d.smoothing * priors) / (total + d.smoothing)
+            p = np.clip(p, _EPS, 1.0 - _EPS)
+            logit += upsample_to(
+                weight * np.log(p / (1.0 - p)), s, stack.shape[1:]
+            )
+        return logit / d._weight_total

@@ -1068,6 +1068,12 @@ class ServeEngine:
         with self._records_lock:
             return list(self._records)
 
+    def recent_records(self, n: int) -> List[BatchRecord]:
+        """The last ``n >= 1`` batch records, oldest first, copying only
+        those."""
+        with self._records_lock:
+            return self._records[-n:]
+
     def records_for(self, label: str) -> List[BatchRecord]:
         """Batch records of one bound model (routing-aware stats)."""
         return [r for r in self.batch_records if r.model == label]

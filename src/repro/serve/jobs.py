@@ -516,8 +516,9 @@ class JobStateStore:
 
     One JSON line per event: ``create`` when a job is admitted to the
     table, ``terminal`` (the full ``Job.as_dict`` snapshot) when it
-    finishes — appended again by :meth:`JobTable.persist` once the
-    service attaches the response, so the last record wins at replay.
+    finishes.  The service attaches a job's response before its terminal
+    edge, so one terminal line carries it; were a job journaled twice
+    (:meth:`JobTable.persist`), the last record would win at replay.
     Boot compacts the journal down to one terminal record per surviving
     job.  A torn trailing line (crash mid-append) is dropped at replay,
     never propagated.
@@ -731,7 +732,9 @@ class JobTable:
             self.state_store.record_terminal(job)
 
     def persist(self, job: Job) -> None:
-        """Re-journal a terminal job (after the response was attached)."""
+        """Re-journal a terminal job.  The terminal hook already journals
+        every job once, with its response, so the service does not call
+        this; a later record would replace the earlier one at replay."""
         if self.state_store is not None and job.is_terminal:
             self.state_store.record_terminal(job)
 

@@ -677,12 +677,12 @@ class PatternService:
             # Cancelled or expired before it ran: the terminal edge (and
             # the table's accounting of it) already happened.
             return
+        # The response is attached first, so the terminal edge's one
+        # journal record carries it.
         if response.ok:
             job.succeed(produced=response.produced)
         else:
             job.fail(response.error, code=response.error_code or CODE_INTERNAL)
-        # Re-journal the terminal record; the last one wins at replay.
-        self.jobs.persist(job)
 
     def _run_job(self, job: Job) -> None:
         """Request-pool entry: execute one admitted job to a terminal state.
@@ -870,7 +870,7 @@ class PatternService:
         estimate = self._gather_window
         engine = self._engine
         if engine is not None:
-            recent = engine.batch_records[-8:]
+            recent = engine.recent_records(8)
             if recent:
                 estimate += sum(r.wall_seconds for r in recent) / len(recent)
         return max(1, min(60, int(estimate + 0.999)))

@@ -1,11 +1,13 @@
-"""Compiled logit tables: numerical identity, lifecycle and vectorized fit.
+"""Compiled logit table: numerical identity, lifecycle and vectorized fit.
 
-The sampling hot loop reads precompiled float32 logit lookup tables; these
-tests pin that representation to the on-the-fly reference path (within
-1e-6 in probability, 1e-5 in logit) and cover compilation across fit and
-pickling.
+The sampling hot loop reads a float32 logit lookup table that the fit
+compiles one noise bucket at a time; these tests pin it to the float64
+:class:`ReferenceDenoiser` oracle (within 1e-6 in probability, 1e-5 in
+logit), whose count tables are rebuilt by replaying the fit's inputs and
+seed, and cover the table across fit and pickling.
 """
 
+import copy
 import hashlib
 import pickle
 import tracemalloc
@@ -15,11 +17,12 @@ import pytest
 
 from repro.diffusion import (
     DiffusionSchedule,
-    MarginalDenoiser,
     NeighborhoodDenoiser,
+    ReferenceDenoiser,
     neighborhood_codes,
 )
 from repro.api.config import TrainConfig
+from repro.data.dataset import build_training_set
 from repro.diffusion.denoisers.neighborhood import (
     _hash_plan,
     block_areas,
@@ -38,8 +41,25 @@ def _scale_table(d, s):
     return d._table[:, d.scales.index(s)].transpose(1, 0, 2)
 
 
+def _fit_with_counts(d, topos, conds, rng, **kwargs):
+    """Fit ``d``; return the count tables that fit counted, rebuilt by
+    replaying its inputs from a copy of ``rng``."""
+    replay = copy.deepcopy(rng)
+    d.fit(topos, conds, DiffusionSchedule.linear(16), rng, **kwargs)
+    return d.count_tables(topos, conds, replay, **kwargs)
+
+
+def _recipe_counts(d, key):
+    """The count tables ``fit_model(key)`` counted for its denoiser ``d``,
+    replayed from the key's training set and seed."""
+    topos, conds = build_training_set(
+        list(key.styles), key.train_count, key.dataset_config()
+    )
+    return d.count_tables(topos, conds, np.random.default_rng(key.seed))
+
+
 @pytest.fixture(scope="module")
-def fitted():
+def oracle():
     rng = np.random.default_rng(3)
     base = np.zeros((24, 24), dtype=np.uint8)
     base[:, 2::5] = 1
@@ -50,8 +70,12 @@ def fitted():
     )
     conds = np.array([0] * 12 + [1] * 12)
     d = NeighborhoodDenoiser(n_classes=2, scales=(1, 2, 4), n_buckets=8)
-    d.fit(topos, conds, DiffusionSchedule.linear(16), rng)
-    return d
+    return ReferenceDenoiser(d, _fit_with_counts(d, topos, conds, rng))
+
+
+@pytest.fixture(scope="module")
+def fitted(oracle):
+    return oracle.fitted
 
 
 @pytest.fixture()
@@ -61,36 +85,32 @@ def noisy():
 
 
 class TestNumericalIdentity:
-    def test_predict_x0_matches_reference(self, fitted, noisy):
+    def test_predict_x0_matches_reference(self, fitted, oracle, noisy):
         for level in LEVELS:
             for c in (0, 1):
                 fast = fitted.predict_x0(noisy, level, c)
-                slow = fitted._predict_x0_reference(noisy, level, c)
+                slow = oracle.predict_x0(noisy, level, c)
                 assert np.abs(fast - slow).max() <= 1e-6
 
-    def test_predict_x0_many_matches_reference(self, fitted, noisy):
+    def test_predict_x0_many_matches_reference(self, fitted, oracle, noisy):
         conds = [0, 1, 1, 0]
         for level in LEVELS:
             fast = fitted.predict_x0_many(noisy, level, conds)
-            slow = fitted._predict_x0_many_reference(noisy, level, conds)
+            slow = oracle.predict_x0_many(noisy, level, conds)
             assert np.abs(fast - slow).max() <= 1e-6
 
-    def test_logits_match_reference(self, fitted, noisy):
+    def test_logits_match_reference(self, fitted, oracle, noisy):
         conds = [0, 1, 1, 0]
         for level in LEVELS:
             fast = fitted.predict_logits_many(noisy, level, conds)
-            fitted.use_compiled = False
-            try:
-                slow = fitted.predict_logits_many(noisy, level, conds)
-            finally:
-                fitted.use_compiled = True
+            slow = oracle.predict_logits_many(noisy, level, conds)
             assert fast.dtype == np.float32
             assert slow.dtype == np.float64
             assert np.abs(fast - slow).max() <= 1e-5
 
-    def test_single_image_matches_reference(self, fitted, noisy):
+    def test_single_image_matches_reference(self, fitted, oracle, noisy):
         fast = fitted.predict_x0(noisy[0], 0.2, 1)
-        slow = fitted._predict_x0_reference(noisy[0], 0.2, 1)
+        slow = oracle.predict_x0(noisy[0], 0.2, 1)
         assert fast.shape == (24, 24)
         assert np.abs(fast - slow).max() <= 1e-6
 
@@ -98,19 +118,9 @@ class TestNumericalIdentity:
         p = fitted.predict_x0(noisy, 0.3, 0)
         assert ((p > 0) & (p < 1)).all()
 
-    def test_use_compiled_toggle_selects_reference(self, fitted, noisy):
-        fitted.use_compiled = False
-        try:
-            toggled = fitted.predict_x0(noisy, 0.2, 0)
-            reference = fitted._predict_x0_reference(noisy, 0.2, 0)
-        finally:
-            fitted.use_compiled = True
-        assert np.array_equal(toggled, reference)
-
 
 class TestCompileLifecycle:
     def test_compiled_after_fit(self, fitted):
-        assert fitted.compiled
         assert fitted._table.dtype == np.float32
         assert fitted._table.shape == (
             fitted.n_buckets, len(fitted.scales), 2, fitted._n_codes
@@ -121,17 +131,9 @@ class TestCompileLifecycle:
 
     def test_unfitted_cannot_compile(self):
         d = NeighborhoodDenoiser(n_classes=0)
-        assert not d.compile_tables()
-        assert not d.compiled
-
-    def test_base_denoiser_has_no_tables(self):
-        assert MarginalDenoiser(n_classes=0).compile_tables() is False
-
-    def test_compile_is_idempotent_without_force(self, fitted):
-        before = fitted._table
-        assert fitted.compile_tables()
-        # no force -> the compiled table is not rebuilt
-        assert fitted._table is before
+        assert d._table is None
+        with pytest.raises(RuntimeError, match="not fitted"):
+            d.predict_x0(np.zeros((8, 8), dtype=np.uint8), 0.2)
 
     def test_refit_invalidates_and_recompiles(self):
         rng = np.random.default_rng(0)
@@ -142,7 +144,6 @@ class TestCompileLifecycle:
         d.fit(sparse, None, schedule, rng)
         first = d._table.copy()
         d.fit(dense, None, schedule, rng)
-        assert d.compiled
         assert not np.array_equal(d._table, first)
 
     def test_hoisted_attributes(self, fitted):
@@ -156,7 +157,7 @@ class TestCompileLifecycle:
 
     def test_pickle_roundtrip_keeps_compiled_form(self, fitted, noisy):
         clone = pickle.loads(pickle.dumps(fitted))
-        assert clone.compiled
+        assert np.array_equal(clone._table, fitted._table)
         assert np.array_equal(
             clone.predict_x0(noisy, 0.2, 0), fitted.predict_x0(noisy, 0.2, 0)
         )
@@ -169,9 +170,7 @@ class TestCompileLifecycle:
         clone = pickle.loads(pickle.dumps(fitted))
         assert clone._layouts == {}
         payload = len(pickle.dumps(fitted))
-        assert payload < 1.5 * fitted._table.nbytes + sum(
-            c.nbytes for c in fitted._counts.values()
-        )
+        assert payload < 1.5 * fitted._table.nbytes
 
 
 class TestVectorizedFit:
@@ -191,9 +190,8 @@ class TestVectorizedFit:
         rng = np.random.default_rng(6)
         topos = (rng.random((4, 16, 16)) < 0.3).astype(np.uint8)
         d = NeighborhoodDenoiser(n_classes=0, scales=(1,), n_buckets=8)
-        d.fit(topos, None, DiffusionSchedule.linear(8), rng,
-              draws_per_pattern=8)
-        per_bucket = d._counts[1][0].sum(axis=(1, 2))
+        counts = _fit_with_counts(d, topos, None, rng, draws_per_pattern=8)
+        per_bucket = counts[1][0].sum(axis=(1, 2))
         assert (per_bucket > 0).all()
 
     def test_learns_structure(self):
@@ -212,64 +210,74 @@ class TestVectorizedFit:
 
 
 def _fit_stack(n, draws, shape, **kwargs):
-    """A denoiser fit on ``n`` random ``shape`` patterns, ``draws`` each."""
+    """A denoiser fit on ``n`` random ``shape`` patterns, ``draws`` each,
+    and the count tables its fit counted."""
     rng = np.random.default_rng(n + draws)
     topos = (rng.random((n,) + shape) < 0.4).astype(np.uint8)
     d = NeighborhoodDenoiser(**kwargs)
-    d.fit(topos, None, DiffusionSchedule.linear(8), rng,
-          draws_per_pattern=draws)
-    return d
+    return d, _fit_with_counts(d, topos, None, rng, draws_per_pattern=draws)
 
 
 class TestNarrowCounts:
-    """The count tables are stored in the narrowest unsigned dtype that
-    holds a row's bound, ``patterns x draws x H x W`` cells."""
+    """The fit counts in the narrowest unsigned dtype that holds a row's
+    bound, ``patterns x draws x H x W`` cells."""
 
-    def test_dtype_is_the_bound_of_the_fit(self, fitted, fitted_8):
-        for d, bound in ((fitted, 24 * 16 * 24 * 24),
-                         (fitted_8, 16 * 16 * 40 * 40)):
-            for counts in d._counts.values():
+    def test_dtype_is_the_bound_of_the_fit(self, oracle, oracle_8):
+        for reference, bound in ((oracle, 24 * 16 * 24 * 24),
+                                 (oracle_8, 16 * 16 * 40 * 40)):
+            for counts in reference.counts.values():
                 assert counts.dtype.kind == "u"
                 assert counts.dtype == np.min_scalar_type(bound)
 
     @pytest.mark.parametrize("n,expected", [(15, np.uint16), (16, np.uint32)])
     def test_bound_crossing_two_to_the_16_widens(self, n, expected):
         # 16 x 16 x 16 x 16 = 2**16 cells no longer fit in uint16.
-        d = _fit_stack(n, 16, (16, 16), scales=(1, 2), n_buckets=4)
-        for counts in d._counts.values():
+        _, tables = _fit_stack(n, 16, (16, 16), scales=(1, 2), n_buckets=4)
+        for counts in tables.values():
             assert counts.dtype == expected
 
     def test_reference_logits_do_not_wrap_near_the_dtype_range(self):
         # One bucket, one scale, a centre-only window: the fullest row
         # counts most of the 15 x 16 x 16 x 16 = 61,440 cells, so its
         # ``ones + zeros`` in uint16 is past what int16 could hold.
-        d = _fit_stack(
+        d, tables = _fit_stack(
             15, 16, (16, 16), scales=(1,), n_buckets=1, window=[(0, 0)]
         )
-        counts = d._counts[1]
+        counts = tables[1]
         assert counts.dtype == np.uint16
         totals = counts.sum(axis=-1)
         assert np.iinfo(np.int16).max < totals.max() <= np.iinfo(np.uint16).max
         rng = np.random.default_rng(1)
         stack = (rng.random((2, 16, 16)) < 0.5).astype(np.uint8)
         fast = d.predict_logits_many(stack, 0.3, [None, None])
-        d.use_compiled = False
-        slow = d.predict_logits_many(stack, 0.3, [None, None])
+        slow = ReferenceDenoiser(d, tables).predict_logits_many(
+            stack, 0.3, [None, None]
+        )
         # One scale of weight 1: the compiled entry is the reference logit
         # rounded to float32.
         assert np.array_equal(fast, slow.astype(np.float32))
 
     def test_default_recipe_counts_are_uint32(self, default_model):
         d = default_model.denoiser
-        for counts in d._counts.values():
+        tables = _recipe_counts(d, ModelKey.from_config(TrainConfig()))
+        for counts in tables.values():
             assert counts.dtype == np.uint32
-        assert d._table.nbytes + sum(
-            c.nbytes for c in d._counts.values()
-        ) == 12 << 20
+        # The 8 MiB of counts are the oracle's; the model keeps the table.
+        assert sum(c.nbytes for c in tables.values()) == 8 << 20
+        assert d._table.nbytes == 4 << 20
 
     def test_unfitted_placeholder_is_narrow(self):
-        for counts in NeighborhoodDenoiser(n_classes=2)._counts.values():
-            assert counts.dtype == np.uint8
+        # Before a fit the only array is the 0.5 marginal placeholder: no
+        # count tables and no table are allocated.
+        d = NeighborhoodDenoiser(n_classes=2)
+        arrays = {
+            name: value.nbytes
+            for name, value in vars(d).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert arrays == {"_marginals": 2 * d.n_buckets * 8}
+        assert not hasattr(d, "_counts")
+        assert d._table is None
 
 
 def _loop_counts(d, topos, conds, rng, draws):
@@ -322,8 +330,7 @@ class TestNarrowIndex:
             topos = (rng.random(shape) < fill).astype(np.uint8)
             d = NeighborhoodDenoiser(**kwargs)
             if fit:
-                d.fit(topos, conds, DiffusionSchedule.linear(16), rng)
-                tables.append(d._counts)
+                tables.append(_fit_with_counts(d, topos, conds, rng))
             else:
                 tables.append(_loop_counts(d, topos, conds, rng, 16))
         fitted, oracle = tables
@@ -372,14 +379,15 @@ def _traced_peak(call) -> int:
 
 
 class TestBoundedWorkingSet:
-    """The fit and the compile keep a fixed working set beside the tables
-    they leave behind, however large the training stack."""
+    """The fit keeps a fixed working set beside the compiled table it
+    leaves behind, however large the training stack, and holds no count
+    tables."""
 
     MB = 1 << 20
 
     @staticmethod
     def _kept(d) -> int:
-        return d._table.nbytes + sum(c.nbytes for c in d._counts.values())
+        return d._table.nbytes
 
     def test_fit_transient_does_not_grow_with_the_stack(self):
         transient = {}
@@ -393,10 +401,12 @@ class TestBoundedWorkingSet:
             transient[n] = peak - self._kept(d)
         assert abs(transient[64] - transient[16]) < self.MB, transient
 
-    #: Traced fit transient above the kept tables at 16 random 128x128
-    #: patterns: measured 0.63 MB with the reused counting buffers (1.58 MB
-    #: with per-chunk draws, flips and int32 indices), plus a 0.25 MB margin.
-    DEFAULT_SHAPE_TRANSIENT = 0.88 * MB
+    #: Traced fit peak above the kept 4 MiB table at 16 random 128x128
+    #: patterns: measured 3.20 MB (the eight-pair chunk buffers and one
+    #: bucket's count rows) counting one bucket at a time, plus a 0.25 MB
+    #: margin.  A fit that keeps the full ``uint32`` count tables peaks at
+    #: 8.64 MB above the table.
+    DEFAULT_SHAPE_TRANSIENT = 3.45 * MB
 
     def test_default_shape_fit_transient_is_bounded(self):
         rng = np.random.default_rng(16)
@@ -408,50 +418,74 @@ class TestBoundedWorkingSet:
         transient = peak - self._kept(d)
         assert transient < self.DEFAULT_SHAPE_TRANSIENT, transient / self.MB
 
-    def test_default_shape_fit_keeps_table_plus_4_byte_counts(self):
+    def test_fitted_denoiser_holds_only_table_marginals_and_fills(self):
         rng = np.random.default_rng(16)
         topos = (rng.random((16, 128, 128)) < 0.4).astype(np.uint8)
         d = NeighborhoodDenoiser(n_classes=2)
         d.fit(topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng)
-        cells = sum(c.size for c in d._counts.values())
-        assert self._kept(d) <= d._table.nbytes + 4 * cells
+        arrays = {}
+        for name, value in vars(d).items():
+            if isinstance(value, np.ndarray):
+                arrays[name] = value.nbytes
+            elif isinstance(value, dict):
+                for item in value.values():
+                    assert not isinstance(item, np.ndarray), name
+        assert set(arrays) == {"_table", "_marginals", "_target_fills"}
+        assert arrays["_table"] == 4 << 20
+        assert len(pickle.dumps(d)) < (4 << 20) + (16 << 10)
 
-    def test_compile_has_no_full_float64_temporaries(self, fitted_8):
-        peak = _traced_peak(lambda: fitted_8.compile_tables(force=True))
-        assert peak < 2 * fitted_8._table.nbytes
+    def test_compile_has_no_full_float64_temporaries(self):
+        # The fit compiles each bucket's slices from that bucket's rows, so
+        # it never holds a float64 copy of the table (or of the counts).
+        rng = np.random.default_rng(5)
+        topos = (rng.random((16, 40, 40)) < 0.35).astype(np.uint8)
+        d = NeighborhoodDenoiser(n_classes=2)
+        peak = _traced_peak(lambda: d.fit(
+            topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng
+        ))
+        assert peak < 2 * d._table.nbytes
 
 
 @pytest.fixture(scope="module")
-def fitted_8():
+def oracle_8():
     """Four scales, so the coarsest pool is 8 and odd shapes get padded."""
     rng = np.random.default_rng(5)
     topos = (rng.random((16, 40, 40)) < 0.35).astype(np.uint8)
     d = NeighborhoodDenoiser(n_classes=2)
-    d.fit(topos, np.arange(16) % 2, DiffusionSchedule.linear(16), rng)
-    return d
+    return ReferenceDenoiser(
+        d, _fit_with_counts(d, topos, np.arange(16) % 2, rng)
+    )
 
 
 @pytest.fixture(scope="module")
-def fitted_odd():
+def fitted_8(oracle_8):
+    return oracle_8.fitted
+
+
+@pytest.fixture(scope="module")
+def oracle_odd():
     """Pools of 3 and 6 (not powers of two) and a 3x5 window, whose reach
     differs by axis, so the canvas gutters differ by axis too."""
     rng = np.random.default_rng(8)
     topos = (rng.random((12, 36, 36)) < 0.4).astype(np.uint8)
     d = NeighborhoodDenoiser(n_classes=2, scales=(1, 3, 6), window=(3, 5))
-    d.fit(topos, np.arange(12) % 2, DiffusionSchedule.linear(16), rng)
-    return d
+    return ReferenceDenoiser(
+        d, _fit_with_counts(d, topos, np.arange(12) % 2, rng)
+    )
 
 
 class TestPooledGather:
-    """Gathering at pooled resolution equals gathering upsampled codes."""
+    """Gathering at pooled resolution equals gathering upsampled codes, on
+    the compiled table and on the oracle's count tables."""
 
     @staticmethod
-    def _upsample_then_gather(d, stack, level, conditions):
+    def _upsample_then_gather(oracle, compiled, stack, level, conditions):
+        d = oracle.fitted
         conds = np.asarray(conditions, dtype=np.int64)
         bucket = d.bucket_of(level)
         base = ((conds * d.n_buckets + bucket) * d._n_codes)[:, None, None]
         shape = stack.shape[1:]
-        if d.use_compiled:
+        if compiled:
             logit = np.zeros(stack.shape, dtype=np.float32)
             for s in d.scales:
                 codes = neighborhood_codes(
@@ -468,7 +502,7 @@ class TestPooledGather:
                 downsample_binary(stack, s), d.offsets
             ).astype(np.int64)
             index = base + upsample_to(codes, s, shape)
-            flat = d._counts[s].reshape(-1, 2)
+            flat = oracle.counts[s].reshape(-1, 2)
             ones = flat[index, 1]
             total = ones + flat[index, 0]
             p = (ones + d.smoothing * priors) / (total + d.smoothing)
@@ -478,32 +512,31 @@ class TestPooledGather:
 
     @pytest.mark.parametrize("compiled", [True, False])
     @pytest.mark.parametrize("shape", [(2, 100, 90), (3, 40, 40), (1, 13, 21)])
-    def test_bit_identical(self, fitted_8, fitted_odd, compiled, shape):
+    def test_bit_identical(self, oracle_8, oracle_odd, compiled, shape):
         rng = np.random.default_rng(sum(shape))
         stack = (rng.random(shape) < 0.5).astype(np.uint8)
         conditions = [i % 2 for i in range(shape[0])]
-        for d in (fitted_8, fitted_odd):
-            d.use_compiled = compiled
-            try:
-                for level in (0.05, 0.3):
-                    expected = self._upsample_then_gather(
-                        d, stack, level, conditions
-                    )
-                    got = d.predict_x0_many(stack, level, conditions)
-                    assert np.array_equal(got, expected)
-            finally:
-                d.use_compiled = True
+        for oracle in (oracle_8, oracle_odd):
+            d = oracle.fitted if compiled else oracle
+            for level in (0.05, 0.3):
+                expected = self._upsample_then_gather(
+                    oracle, compiled, stack, level, conditions
+                )
+                got = d.predict_x0_many(stack, level, conditions)
+                assert np.array_equal(got, expected)
 
 
-def _model_digest(d) -> str:
-    """SHA-256 over every array ``fit`` leaves behind, in a fixed order.
+def _model_digest(d, counts) -> str:
+    """SHA-256 over the count tables the fit of ``d`` counted (``counts``,
+    replayed from its seed) and every array it leaves behind, in a fixed
+    order.
 
     The count tables are hashed as float64, the dtype they were recorded
     in: their values, not their storage dtype, are pinned.
     """
     h = hashlib.sha256()
     for s in d.scales:
-        h.update(np.ascontiguousarray(d._counts[s], dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(counts[s], dtype=np.float64).tobytes())
     for s in d.scales:
         h.update(np.ascontiguousarray(_scale_table(d, s)).tobytes())
     h.update(np.ascontiguousarray(d._marginals).tobytes())
@@ -512,7 +545,7 @@ def _model_digest(d) -> str:
 
 
 class TestFittedModelPin:
-    """The fitted count and logit tables are pinned byte for byte.
+    """The counted and compiled tables of a fit are pinned byte for byte.
 
     The digests were recorded from the full-resolution, one-``bincount``
     per (bucket, scale) fit; any rewrite of ``fit`` or of the training-set
@@ -548,15 +581,18 @@ class TestFittedModelPin:
         topos = (rng.random(shape) < 0.4).astype(np.uint8)
         conds = np.arange(shape[0]) % 2
         d = NeighborhoodDenoiser(n_classes=2, scales=(1, 2, 4, 8))
-        d.fit(topos, conds, DiffusionSchedule.linear(16), rng,
-              draws_per_pattern=draws)
-        assert _model_digest(d) == self.STACK_DIGESTS[(shape, draws)]
+        counts = _fit_with_counts(
+            d, topos, conds, rng, draws_per_pattern=draws
+        )
+        assert _model_digest(d, counts) == self.STACK_DIGESTS[(shape, draws)]
 
     def test_train_config_recipe(self):
-        model = fit_model(ModelKey.from_config(
+        key = ModelKey.from_config(
             TrainConfig(window=64, train_count=3, seed=5)
-        ))
-        assert _model_digest(model.denoiser) == self.RECIPE_DIGEST
+        )
+        d = fit_model(key).denoiser
+        digest = _model_digest(d, _recipe_counts(d, key))
+        assert digest == self.RECIPE_DIGEST
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,11 @@ calibrates density with a per-item logit offset (solved on
 next state with one uniform per cell, kept cells of a masked chain
 included; ``polish_batch`` and corner resolution compare logits.  These
 tests pin each piece to the probability-space math it replaced, and pin
-the statistics of the compiled kernel to the
-``use_compiled = False`` reference path.
+the statistics of the compiled kernel to the float64
+:class:`ReferenceDenoiser` oracle.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.diffusion import (
     ConditionalDiffusionModel,
     DiffusionSchedule,
     MarginalDenoiser,
+    ReferenceDenoiser,
 )
 from repro.diffusion.denoisers.base import LOGIT_CLIP
 from repro.diffusion.model import (
@@ -301,15 +304,23 @@ class TestPolishOnLogits:
 
 
 class TestReferencePathStatistics:
-    """The compiled float32 kernel against the ``use_compiled = False``
-    reference path: random streams differ, so statistics are pinned, not
-    bytes, the way the bucketed sampler is pinned to the full chain."""
+    """The compiled float32 kernel against the float64 reference path (the
+    same model on a :class:`ReferenceDenoiser` whose count tables replay
+    the fit): random streams differ, so statistics are pinned, not bytes,
+    the way the bucketed sampler is pinned to the full chain."""
 
     N = 6
 
     @pytest.fixture(scope="class")
-    def outputs(self, small_model):
-        denoiser = small_model.denoiser
+    def outputs(self, small_model, small_dataset):
+        topologies, conditions = small_dataset
+        reference = copy.copy(small_model)
+        reference.denoiser = ReferenceDenoiser(
+            small_model.denoiser,
+            small_model.denoiser.count_tables(
+                topologies, conditions, np.random.default_rng(0)
+            ),
+        )
         seeds = {
             cls: small_model.sample(
                 self.N, cls, np.random.default_rng(300 + cls)
@@ -319,28 +330,25 @@ class TestReferencePathStatistics:
         keep = np.ones((self.N, 64, 64), dtype=np.uint8)
         keep[:, 16:48, 16:48] = 0
         out = {}
-        for path, compiled in (("compiled", True), ("reference", False)):
-            denoiser.use_compiled = compiled
-            try:
-                per_op = {"sample": {}, "modify": {}, "extend": {}}
-                for cls, style in enumerate(STYLES):
-                    per_op["sample"][style] = small_model.sample_batch(
-                        [cls] * self.N, np.random.default_rng(100)
-                    )
-                    per_op["modify"][style] = modify_batch(
-                        small_model, seeds[cls], keep, [cls] * self.N,
-                        np.random.default_rng(200),
-                    )
-                    per_op["extend"][style] = np.stack([
-                        extend(
-                            small_model, (128, 128), cls,
-                            np.random.default_rng(400 + j), method="out",
-                            seed_topology=seeds[cls][j],
-                        ).topology
-                        for j in range(2)
-                    ])
-            finally:
-                denoiser.use_compiled = True
+        for path, model in (("compiled", small_model),
+                            ("reference", reference)):
+            per_op = {"sample": {}, "modify": {}, "extend": {}}
+            for cls, style in enumerate(STYLES):
+                per_op["sample"][style] = model.sample_batch(
+                    [cls] * self.N, np.random.default_rng(100)
+                )
+                per_op["modify"][style] = modify_batch(
+                    model, seeds[cls], keep, [cls] * self.N,
+                    np.random.default_rng(200),
+                )
+                per_op["extend"][style] = np.stack([
+                    extend(
+                        model, (128, 128), cls,
+                        np.random.default_rng(400 + j), method="out",
+                        seed_topology=seeds[cls][j],
+                    ).topology
+                    for j in range(2)
+                ])
             out[path] = per_op
         return out
 

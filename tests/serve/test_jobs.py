@@ -338,6 +338,45 @@ class TestServiceJobs:
         finally:
             service.stop()
 
+    def test_finished_job_is_journaled_once_and_restores_unchanged(
+        self, tmp_path
+    ):
+        """The terminal edge writes a finished job's one terminal line,
+        response included; a restarted table restores it as it was."""
+        service = PatternService(
+            model=StubModel(),
+            max_workers=1,
+            gather_window=0.0,
+            config=PipelineConfig(serve=ServeConfig(state_dir=str(tmp_path))),
+        )
+        try:
+            jobs = [service.submit_job(_pipeline_request(count=2))
+                    for _ in range(2)]
+            for job in jobs:
+                assert job.wait(timeout=30.0)
+                assert job.state == SUCCEEDED
+            finished = {job.job_id: job.as_dict() for job in jobs}
+        finally:
+            service.stop()
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "jobs.jsonl").read_text().splitlines()
+        ]
+        terminal = [e["record"] for e in lines if e["op"] == "terminal"]
+        assert sorted(r["job_id"] for r in terminal) == sorted(finished)
+        for record in terminal:
+            assert record == finished[record["job_id"]]
+            assert record["produced"] == 2
+        table = JobTable(state_dir=tmp_path)
+        try:
+            assert table.restored == 2
+            for job_id, view in finished.items():
+                assert table.get(job_id).as_dict() == {
+                    **view, "restored": True
+                }
+        finally:
+            table.close()
+
     def test_request_stats_count_every_batch_legalize_call(self):
         """The legalize stage runs on the request thread, so the request's
         thread-local legalize counters see every pattern it legalized."""

@@ -243,6 +243,29 @@ class TestRealFit:
         assert samples.shape == (2, 64, 64)
 
 
+def _is_compiled(model) -> bool:
+    """The denoiser holds its float32 logit table and no count tables."""
+    import numpy as np
+
+    d = model.denoiser
+    return d._table.dtype == np.float32 and not hasattr(d, "_counts")
+
+
+def _recipe_counts(model, key):
+    """The count tables ``fit_model(key)`` counted, replayed from the key's
+    training set and seed (the fitted model keeps none)."""
+    import numpy as np
+
+    from repro.data.dataset import build_training_set
+
+    topologies, conditions = build_training_set(
+        list(key.styles), key.train_count, key.dataset_config()
+    )
+    return model.denoiser.count_tables(
+        topologies, conditions, np.random.default_rng(key.seed)
+    )
+
+
 class TestCompiledRehydration:
     """The disk tier must always serve the compiled sampling representation."""
 
@@ -251,11 +274,11 @@ class TestCompiledRehydration:
     def test_fit_and_disk_hit_are_compiled(self, tmp_path):
         registry = ModelRegistry(save_dir=tmp_path)
         model = registry.get_or_fit(ModelKey(**self.KEY))
-        assert model.denoiser.compiled
+        assert _is_compiled(model)
         fresh = ModelRegistry(save_dir=tmp_path)
         loaded, source = fresh.resolve(ModelKey(**self.KEY))
         assert source == "disk"
-        assert loaded.denoiser.compiled
+        assert _is_compiled(loaded)
 
     def test_stale_format_payload_refits_and_is_rewritten(self, tmp_path):
         import pickle
@@ -272,10 +295,10 @@ class TestCompiledRehydration:
         fresh = ModelRegistry(save_dir=tmp_path)
         loaded, source = fresh.resolve(key)
         assert source == "fit"
-        assert loaded.denoiser.compiled
+        assert _is_compiled(loaded)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        assert payload["format"] == 4
+        assert payload["format"] == 5
 
     def test_per_scale_table_payload_refits_without_retries(
         self, tmp_path, monkeypatch
@@ -309,7 +332,7 @@ class TestCompiledRehydration:
         # is not mistaken for a torn read and retried.
         assert source == "fit"
         assert sleeps == []
-        assert loaded.denoiser.compiled
+        assert _is_compiled(loaded)
 
     def test_float64_count_payload_refits_without_retries(
         self, tmp_path, monkeypatch
@@ -326,8 +349,10 @@ class TestCompiledRehydration:
         model = registry.get_or_fit(key)
         # A format-3 payload: the same model with float64 count tables.
         old = copy.deepcopy(model)
-        d = old.denoiser
-        d._counts = {s: c.astype(np.float64) for s, c in d._counts.items()}
+        old.denoiser._counts = {
+            s: c.astype(np.float64)
+            for s, c in _recipe_counts(model, key).items()
+        }
         path = registry.cache_path(key)
         with open(path, "wb") as handle:
             pickle.dump(
@@ -337,35 +362,41 @@ class TestCompiledRehydration:
         monkeypatch.setattr(registry_module.time, "sleep", sleeps.append)
         loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
         # Refused for its format at once, not retried as a torn read, and
-        # not served at its float64 size.
+        # not served with its count tables.
         assert source == "fit"
         assert sleeps == []
-        for counts in loaded.denoiser._counts.values():
-            assert counts.dtype.kind == "u"
+        assert _is_compiled(loaded)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        assert payload["format"] == 4
-        for counts in payload["model"].denoiser._counts.values():
-            assert counts.dtype.kind == "u"
+        assert payload["format"] == 5
+        assert _is_compiled(payload["model"])
 
     def test_format4_payload_with_sampler_attribute_samples_identically(
         self, tmp_path
     ):
         import copy
+        import pickle
 
         import numpy as np
 
+        registry = ModelRegistry(save_dir=tmp_path)
         key = ModelKey(**self.KEY)
-        model = ModelRegistry().get_or_fit(key)
-        # Format-4 payloads written before the sampler option was removed
-        # carry ``sampler = "x0"``; nothing reads it, so they stay valid.
+        model = registry.get_or_fit(key)
+        # A format-4 payload: resident uint32 count tables beside the table,
+        # and ``sampler = "x0"`` from before the sampler option was removed.
         old = copy.deepcopy(model)
         old.sampler = "x0"
-        assert ModelRegistry(save_dir=tmp_path)._save_to_disk(key, old)
+        old.denoiser._counts = _recipe_counts(model, key)
+        with open(registry.cache_path(key), "wb") as handle:
+            pickle.dump(
+                {"format": 4, "recipe": key.as_dict(), "model": old}, handle
+            )
+        # It is refit, not served with its counts, and the refit model
+        # samples what the format-4 model sampled, byte for byte.
         loaded, source = ModelRegistry(save_dir=tmp_path).resolve(key)
-        assert source == "disk"
-        assert loaded.sampler == "x0"
-        expected = model.sample_batch([0, 1], np.random.default_rng(3))
+        assert source == "fit"
+        assert _is_compiled(loaded)
+        expected = old.sample_batch([0, 1], np.random.default_rng(3))
         got = loaded.sample_batch([0, 1], np.random.default_rng(3))
         assert got.tobytes() == expected.tobytes()
 
@@ -383,8 +414,12 @@ class TestCacheWrite:
         key = ModelKey.from_config(TrainConfig(window=64, train_count=3, seed=5))
         model = fit_model(key)
         d = model.denoiser
-        arrays = d._table.nbytes + sum(c.nbytes for c in d._counts.values())
-        assert arrays > 8 << 20  # the whole model is far above the bound
+        # The model's arrays are its 4 MiB table (the 8 MiB of counts the
+        # fit counted are not kept), far above the bound.
+        assert d._table.nbytes == 4 << 20
+        assert sum(c.nbytes for c in _recipe_counts(model, key).values()) == (
+            8 << 20
+        )
         registry = ModelRegistry(save_dir=tmp_path)
         tracemalloc.start()
         try:

@@ -443,3 +443,34 @@ class TestTerminalAccounting:
         assert terminal.value(state=EXPIRED) == 1
         assert terminal.value(state=SUCCEEDED) == 1
         assert service.stats().requests == 2
+
+
+class TestRetryAfterHint:
+    """A 429's ``Retry-After`` reads only the engine's last 8 batches."""
+
+    def test_hint_reads_only_the_last_eight_records(self, monkeypatch):
+        from repro.serve import ServeEngine
+        from repro.serve.stats import BatchRecord
+
+        engine = ServeEngine(gather_window=0.25)
+        walls = [0.1] * 40 + [1.5, 5.0] * 4
+        engine._records.extend(
+            BatchRecord(
+                jobs=1, samples=1, shape=(16, 16), wall_seconds=wall,
+                started_at=float(i),
+            )
+            for i, wall in enumerate(walls)
+        )
+        service = PatternService(engine=engine, gather_window=0.25)
+        recent = engine.batch_records[-8:]
+        expected = max(1, min(60, int(
+            0.25 + sum(r.wall_seconds for r in recent) / len(recent) + 0.999
+        )))
+        assert expected == 4  # 0.25 + 3.25 s, rounded up
+        assert engine.recent_records(8) == recent
+        # The hint must not copy the whole history to read its tail.
+        monkeypatch.setattr(
+            ServeEngine, "batch_records",
+            property(lambda self: pytest.fail("copied every batch record")),
+        )
+        assert service.retry_after_hint() == expected
