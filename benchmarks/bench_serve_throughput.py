@@ -448,7 +448,7 @@ def _run(output_dir):
         "speedup_batched": _speedup(sequential, batched),
         "speedup_trials": speedup_trials,
         # Observability tax: the instrumented service vs the identical
-        # workload with obs disabled (null metrics/tracer), median against
+        # workload with obs disabled (null metrics, no trace), median against
         # median.  May come out negative — the runs differ only by
         # scheduler noise plus a few counter increments per job.
         "obs_overhead_pct": obs_tax["tax_pct"],

@@ -222,15 +222,16 @@ class ObsConfig(StageConfig):
     """Observability knobs (see :mod:`repro.obs`).
 
     ``enabled`` turns the whole telemetry layer on/off — off hands every
-    instrumented component a shared no-op registry/tracer, so the cost of
-    instrumentation is one attribute call.  ``snapshot_path`` (with
-    ``snapshot_interval`` seconds) activates the background
+    instrumented component a shared no-op registry and writes no trace,
+    so the cost of instrumentation is one attribute call.
+    ``snapshot_path`` (with ``snapshot_interval`` seconds) activates the
+    background
     :class:`~repro.obs.export.SnapshotWriter` dumping the JSON snapshot
     there and the Prometheus text exposition next to it (``+ ".prom"``);
     ``trace_path`` writes the request span trees as JSON lines on service
-    shutdown.  ``latency_buckets`` is the histogram bucket ladder
-    (seconds, strictly increasing) every latency histogram uses;
-    ``max_spans`` bounds the tracer's span buffer.
+    shutdown, derived from the jobs the service still holds (the job TTL
+    bounds them).  ``latency_buckets`` is the histogram bucket ladder
+    (seconds, strictly increasing) every latency histogram uses.
     """
 
     enabled: bool = True
@@ -238,13 +239,10 @@ class ObsConfig(StageConfig):
     snapshot_interval: float = 5.0
     trace_path: Optional[str] = None
     latency_buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-    max_spans: int = 10000
 
     def __post_init__(self):
         if self.snapshot_interval <= 0:
             raise ConfigError("snapshot_interval must be > 0 seconds")
-        if self.max_spans < 1:
-            raise ConfigError("max_spans must be >= 1")
         try:
             validate_buckets(self.latency_buckets)
         except MetricError as exc:

@@ -46,7 +46,7 @@ from repro.metrics.legality import (
 )
 from repro.metrics.stats import library_stats
 from repro.obs.metrics import NULL_METRICS, default_metrics
-from repro.obs.trace import NULL_TRACER, StageTiming, default_tracer
+from repro.obs.trace import StageTiming
 from repro.ops.extend import ExtensionResult, extend
 from repro.squish.pattern import PatternLibrary
 
@@ -117,7 +117,9 @@ class PipelineResult:
     # -- bookkeeping ---------------------------------------------------
 
     def _record(self, stage: str, seconds: float, **detail) -> None:
-        timing = StageTiming(stage, seconds, detail)
+        timing = StageTiming(
+            stage, seconds, detail, start=time.perf_counter() - seconds
+        )
         self.timings.append(timing)
         if self._pipeline is not None:
             self._pipeline._observe_stage(timing)
@@ -169,9 +171,9 @@ class PatternPipeline:
             ``config.store.store_dir``.
         verbose: print model-resolution markers to stderr (the CLI's
             training/cache-hit lines).
-        metrics / tracer: explicit observability sinks.  When omitted,
-            ``config.obs.enabled`` picks between the process-wide defaults
-            and the shared no-op instances, so a disabled config costs one
+        metrics: explicit metrics registry.  When omitted,
+            ``config.obs.enabled`` picks between the process-wide default
+            and the shared no-op registry, so a disabled config costs one
             attribute call per stage.
         job: optional lifecycle :class:`~repro.serve.jobs.Job` this
             pipeline reports into.  Each chainable stage then starts with
@@ -192,7 +194,6 @@ class PatternPipeline:
         store=_UNSET,
         verbose: bool = False,
         metrics=None,
-        tracer=None,
         job=None,
     ):
         self.config = config or PipelineConfig()
@@ -205,10 +206,7 @@ class PatternPipeline:
         obs = self.config.obs
         if metrics is None:
             metrics = default_metrics() if obs.enabled else NULL_METRICS
-        if tracer is None:
-            tracer = default_tracer() if obs.enabled else NULL_TRACER
         self.metrics = metrics
-        self.tracer = tracer
         self.job = job
         self._m_stage_latency = metrics.histogram(
             "repro_stage_latency_seconds",
@@ -217,15 +215,15 @@ class PatternPipeline:
         )
 
     def _observe_stage(self, timing: StageTiming) -> None:
-        """Feed one executed stage into metrics, trace and the job.
+        """Feed one executed stage into metrics and the job.
 
         Rides the ``PipelineResult._record`` call that builds the
         :class:`StageTiming`, and the job's ``stage_events`` hold that
-        same object, so every view agrees on the measured window.
+        same object (its span is derived from it,
+        :func:`~repro.obs.trace.job_spans`), so every view agrees on the
+        measured window.
         """
         self._m_stage_latency.observe(timing.seconds, stage=timing.stage)
-        now = time.perf_counter()
-        self.tracer.record(timing.stage, now - timing.seconds, now)
         if self.job is not None:
             self.job.record_stage(timing)
 
@@ -340,7 +338,6 @@ class PatternPipeline:
             store=self._store if self._store_resolved else _UNSET,
             verbose=False,
             metrics=self.metrics,
-            tracer=self.tracer,
             job=self.job,
         )
 
@@ -356,7 +353,6 @@ class PatternPipeline:
             store=store,
             verbose=False,
             metrics=self.metrics,
-            tracer=self.tracer,
             job=self.job,
         )
 
@@ -661,8 +657,8 @@ class PatternPipeline:
         ``engine`` attaches the service to an existing (possibly shared)
         :class:`~repro.serve.engine.ServeEngine` instead of letting it
         build a private one — the multi-tenant wiring.  The service shares
-        this pipeline's metrics registry and tracer, so one snapshot
-        covers the pipeline stages, the engine and the store.
+        this pipeline's metrics registry, so one snapshot covers the
+        pipeline stages, the engine and the store.
         """
         from repro.serve.service import PatternService
 
@@ -673,5 +669,4 @@ class PatternPipeline:
             store=self.store,
             engine=engine,
             metrics=self.metrics,
-            tracer=self.tracer,
         )

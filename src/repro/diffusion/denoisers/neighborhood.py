@@ -494,10 +494,11 @@ class NeighborhoodDenoiser(Denoiser):
         (``np.min_scalar_type``; ``uint32`` on the default recipe), the
         most all of a bucket's rows can count, so no row can wrap, not even
         ``ones + zeros``.  The pairs are noised and counted in chunks of
-        ``_FIT_CHUNK_CELLS`` cells, in buffers allocated once, so the
-        working set is fixed however many patterns there are.  The counts
-        do not depend on the chunking: they are exact integer sums over
-        the same rng stream.
+        at most ``_FIT_CHUNK_CELLS`` cells and at most the largest bucket's
+        pairs, in buffers allocated once, so the working set is fixed
+        however many patterns there are, and small for a small fit.  The
+        counts do not depend on the chunking: they are exact integer sums
+        over the same rng stream.
         """
         n, h, w = topologies.shape
         slots = max(1, self.n_classes)
@@ -561,7 +562,11 @@ class NeighborhoodDenoiser(Denoiser):
         )
         base = (cond * self._n_codes).astype(index_dtype)
         block = math.lcm(*self.scales)
-        step = max(1, _FIT_CHUNK_CELLS // max(1, h * w))
+        # A chunk never holds more pairs than the largest bucket has.
+        step = max(1, min(
+            _FIT_CHUNK_CELLS // max(1, h * w),
+            int(np.bincount(buckets.ravel(), minlength=1).max()),
+        ))
         pooled_cells = max(
             [areas.size for areas, _ in pooled.values()], default=0
         )

@@ -11,10 +11,10 @@ The telemetry layer of the serving stack, stdlib-only:
   text-exposition exporters, the matching minimal exposition parser, and
   the background :class:`SnapshotWriter` dumping both formats
   periodically.
-- :mod:`repro.obs.trace` — the span API: per-request span trees
-  (``tracer.trace(...)`` / ``tracer.span(...)`` / ``tracer.record(...)``)
-  following a job through admission → queue wait → batch gather →
-  execute → legalize → store persist, exportable as JSON lines.
+- :mod:`repro.obs.trace` — per-request span trees as a view of the
+  lifecycle job record (:func:`job_spans`), following a job through
+  admission → queue wait → batch gather → execute → legalize → store
+  persist; the service writes them as JSON lines on shutdown.
 
 Every serve-stack component (:class:`~repro.serve.engine.ServeEngine`,
 :class:`~repro.serve.service.PatternService`,
@@ -23,7 +23,8 @@ Every serve-stack component (:class:`~repro.serve.engine.ServeEngine`,
 :class:`~repro.api.pipeline.PatternPipeline`) accepts an explicit
 ``metrics=`` registry and defaults to the process-wide one;
 :class:`~repro.api.config.ObsConfig` switches a configured pipeline's
-observability off (null instruments) or on with snapshot/trace outputs.
+observability off (null instruments, no trace output) or on with
+snapshot/trace outputs.
 """
 
 from repro.obs.export import (
@@ -48,7 +49,7 @@ from repro.obs.metrics import (
     set_default_metrics,
     validate_buckets,
 )
-from repro.obs.trace import NULL_TRACER, Span, Tracer, default_tracer
+from repro.obs.trace import job_spans
 
 __all__ = [
     "Counter",
@@ -60,13 +61,10 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NULL_METRICS",
-    "NULL_TRACER",
     "SnapshotWriter",
-    "Span",
-    "Tracer",
     "default_metrics",
-    "default_tracer",
     "exposition_path",
+    "job_spans",
     "load_snapshot",
     "parse_exposition",
     "render_exposition",

@@ -17,9 +17,9 @@ the fitted model: its ``sample`` rides the shared engine while every
 other attribute (``denoise_step``, ``polish``, ``schedule`` ...)
 delegates to the real model, so modification/extension code paths work
 unchanged.  It keeps no books of its own: each engine hop is written once
-into the request's lifecycle job (and the tracer), and the request's
-sampling statistics are read back from there
-(:meth:`~repro.serve.stats.RequestStats.from_job`).
+into the request's lifecycle job, and the request's sampling statistics
+(:meth:`~repro.serve.stats.RequestStats.from_job`) and spans
+(:func:`~repro.obs.trace.job_spans`) are read back from there.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.diffusion.model import SamplerSteps
-from repro.obs.trace import NULL_TRACER
 
 
 class BatchedSamplingModel:
@@ -52,11 +51,10 @@ class BatchedSamplingModel:
     queue wait sees it, then ``queue_wait``, ``batch_gather``, ``execute``
     (carrying the call's sample ``count``) and, when the adaptive policy
     cut the call's steps, ``degraded``, from the timestamps the engine
-    stamped.  The same hops go to ``tracer`` as spans under the caller's
-    current trace, so the trace follows the work onto the engine's worker
-    thread without the engine knowing about tracing.  ``source`` tags this
-    client's jobs for the fair-share policy (e.g. one tag per tenant), and
-    ``deadline`` bounds how long its jobs may sit queued.
+    stamped, so the request's trace follows the work onto the engine's
+    worker thread without the engine knowing about tracing.  ``source``
+    tags this client's jobs for the fair-share policy (e.g. one tag per
+    tenant), and ``deadline`` bounds how long its jobs may sit queued.
     """
 
     def __init__(
@@ -65,22 +63,15 @@ class BatchedSamplingModel:
         job,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
-        tracer=None,
     ):
         self._client = client
         self._model = client.model
         self._job = job
         self._source = source
         self._deadline = deadline
-        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def __getattr__(self, name: str):
         return getattr(self._model, name)
-
-    def _hop(self, kind: str, start: float, end: float, **detail) -> None:
-        """Write one engine hop to the job's record and the tracer."""
-        self._job.record_engine(kind, start, end, **detail)
-        self._tracer.record(kind, start, end, **detail)
 
     def sample(
         self,
@@ -93,48 +84,49 @@ class BatchedSamplingModel:
         """Batched stand-in for ``ConditionalDiffusionModel.sample``."""
         # Cancel checkpoint: a cancelled request must not queue more
         # engine work (raises JobCancelled).
-        self._job.check_cancelled()
+        job = self._job
+        job.check_cancelled()
         count = int(count)
-        with self._tracer.span("sample", count=count):
-            submit_started = time.perf_counter()
-            work = self._client.submit(
-                count,
-                condition,
-                shape=shape,
-                # The job seed is drawn from the caller's stream, so a
-                # request with a fixed base seed submits a reproducible
-                # seed sequence.
-                seed=int(rng.integers(0, 2**31 - 1)),
-                sampler_steps=sampler_steps,
-                source=self._source,
-                deadline=self._deadline,
+        submit_started = time.perf_counter()
+        work = self._client.submit(
+            count,
+            condition,
+            shape=shape,
+            # The job seed is drawn from the caller's stream, so a request
+            # with a fixed base seed submits a reproducible seed sequence.
+            seed=int(rng.integers(0, 2**31 - 1)),
+            sampler_steps=sampler_steps,
+            source=self._source,
+            deadline=self._deadline,
+        )
+        job.record_engine(
+            "admission", submit_started, time.perf_counter(), count=count
+        )
+        result = work.result()
+        # The remaining hops come from the timestamps the engine's worker
+        # stamped on the job (it ran on another thread).
+        if work.selected_at > 0:
+            job.record_engine(
+                "queue_wait", work.submitted_at, work.selected_at
             )
-            self._hop(
-                "admission", submit_started, time.perf_counter(), count=count
+        if work.exec_started_at > 0:
+            job.record_engine(
+                "batch_gather", work.selected_at, work.exec_started_at,
+                batch_samples=work.batch_samples,
             )
-            result = work.result()
-            # The remaining hops come from the timestamps the engine's
-            # worker stamped on the job (it ran on another thread).
-            if work.selected_at > 0:
-                self._hop("queue_wait", work.submitted_at, work.selected_at)
-            if work.exec_started_at > 0:
-                self._hop(
-                    "batch_gather", work.selected_at, work.exec_started_at,
-                    batch_samples=work.batch_samples,
-                )
-                self._hop(
-                    "execute", work.exec_started_at, work.exec_ended_at,
-                    count=count,
-                )
-            if work.degrade_level > 0:
-                # The adaptive policy traded this job's sampler quality
-                # for latency; the record says so, with the original ask.
-                self._hop(
-                    "degraded", work.selected_at, work.exec_ended_at,
-                    level=work.degrade_level,
-                    sampler_steps=str(work.sampler_steps),
-                    requested=str(work.requested_sampler_steps),
-                )
+            job.record_engine(
+                "execute", work.exec_started_at, work.exec_ended_at,
+                count=count,
+            )
+        if work.degrade_level > 0:
+            # The adaptive policy traded this job's sampler quality for
+            # latency; the record says so, with the original ask.
+            job.record_engine(
+                "degraded", work.selected_at, work.exec_ended_at,
+                level=work.degrade_level,
+                sampler_steps=str(work.sampler_steps),
+                requested=str(work.requested_sampler_steps),
+            )
         return result
 
 

@@ -55,8 +55,18 @@ from repro.obs.metrics import (
     bucket_percentile,
     default_metrics,
 )
-from repro.serve.stats import BatchRecord, EngineStats, SchedulerStats
+from repro.serve.stats import (
+    BatchRecord,
+    BatchTotals,
+    EngineStats,
+    SchedulerStats,
+)
 from repro.tune.controller import AdaptiveController, EngineLoadSnapshot
+
+#: Batch records an engine keeps for ``recent_records``/``batch_records``;
+#: ``stats()`` reads running totals over every batch, so a long-lived
+#: engine's history stays this size.
+BATCH_RECORD_RING = 1024
 
 
 class EngineError(RuntimeError):
@@ -510,7 +520,11 @@ class ServeEngine:
         self._bind_lock = threading.Lock()
 
         # -- observability --------------------------------------------
-        self._records: List[BatchRecord] = []
+        # The last BATCH_RECORD_RING batch records, and running totals
+        # over every batch, overall and per bound model.
+        self._records: "deque[BatchRecord]" = deque(maxlen=BATCH_RECORD_RING)
+        self._totals = BatchTotals()
+        self._model_totals: Dict[Optional[str], BatchTotals] = {}
         self._records_lock = threading.Lock()
         self._submitted = 0
         self._rejected = 0
@@ -573,10 +587,7 @@ class ServeEngine:
         )
 
         # -- load-snapshot window state (read by the adaptive policy) --
-        # Trajectory execution time accumulates here (under
-        # ``_records_lock``) in addition to the busy counter, so
-        # snapshots derive a busy fraction without scanning records.
-        self._busy_total = 0.0
+        # Snapshots derive a busy fraction from the running busy total.
         self._load_prev: Optional[Tuple] = None
         self.policy.attach(self)
 
@@ -970,21 +981,23 @@ class ServeEngine:
         self, plan: TrajectoryPlan, started: float, wall: float
     ) -> None:
         """Book a trajectory that ran ``wall`` seconds from ``started``:
-        its batch record, the busy total the load snapshot reads, and
-        the batch histograms."""
+        its batch record in the ring, the running totals (whose busy
+        seconds the load snapshot reads) and the batch histograms."""
+        record = BatchRecord(
+            jobs=len(plan.jobs),
+            samples=plan.samples,
+            shape=plan.shape,
+            wall_seconds=wall,
+            model=plan.model_label,
+            policy=self.policy.name,
+            started_at=started,
+        )
         with self._records_lock:
-            self._records.append(
-                BatchRecord(
-                    jobs=len(plan.jobs),
-                    samples=plan.samples,
-                    shape=plan.shape,
-                    wall_seconds=wall,
-                    model=plan.model_label,
-                    policy=self.policy.name,
-                    started_at=started,
-                )
-            )
-            self._busy_total += wall
+            self._records.append(record)
+            self._totals.add(record)
+            self._model_totals.setdefault(
+                plan.model_label, BatchTotals()
+            ).add(record)
         self._m_batch_size.observe(plan.samples, policy=self.policy.name)
         self._m_batch_latency.observe(wall, policy=self.policy.name)
         # One worker: the label stays for scrapers keyed on a label set.
@@ -1026,7 +1039,7 @@ class ServeEngine:
         )
         counts = self._m_queue_wait.raw_counts()
         with self._records_lock:
-            busy_total = self._busy_total
+            busy_total = self._totals.busy_seconds
         p95 = 0.0
         busy_fraction = 0.0
         if self._load_prev is not None:
@@ -1065,6 +1078,8 @@ class ServeEngine:
 
     @property
     def batch_records(self) -> List[BatchRecord]:
+        """The most recent batch records (at most ``BATCH_RECORD_RING``),
+        oldest first."""
         with self._records_lock:
             return list(self._records)
 
@@ -1072,11 +1087,13 @@ class ServeEngine:
         """The last ``n >= 1`` batch records, oldest first, copying only
         those."""
         with self._records_lock:
-            return self._records[-n:]
+            records = self._records
+            return [records[i] for i in range(-min(n, len(records)), 0)]
 
-    def records_for(self, label: str) -> List[BatchRecord]:
-        """Batch records of one bound model (routing-aware stats)."""
-        return [r for r in self.batch_records if r.model == label]
+    def stats_for(self, label: str) -> SchedulerStats:
+        """Scheduling totals over every batch one bound model ran."""
+        with self._records_lock:
+            return self._model_totals.get(label, BatchTotals()).stats()
 
     def stats(self) -> EngineStats:
         with self._has_work:
@@ -1084,8 +1101,10 @@ class ServeEngine:
             submitted = self._submitted
             rejected = self._rejected
             expired = self._expired
+        with self._records_lock:
+            scheduler = self._totals.stats()
         return EngineStats(
-            scheduler=SchedulerStats.from_records(self.batch_records),
+            scheduler=scheduler,
             policy=self.policy.name,
             queue_limit=self.queue_limit,
             queued=queued,
@@ -1103,7 +1122,7 @@ class EngineClient:
     back-end (and default step schedule / source) and forwards them to the
     shared engine, which the caller starts and stops.  ``model`` and
     ``submit`` are all :class:`~repro.serve.batching.BatchedSamplingModel`
-    needs; ``stats`` scopes the engine's batch records to this model.
+    needs; ``stats`` scopes the engine's batch totals to this model.
     """
 
     def __init__(
@@ -1158,9 +1177,5 @@ class EngineClient:
 
     # -- observability (scoped to this model) --------------------------
 
-    @property
-    def batch_records(self) -> List[BatchRecord]:
-        return self.engine.records_for(self.label)
-
     def stats(self) -> SchedulerStats:
-        return SchedulerStats.from_records(self.batch_records)
+        return self.engine.stats_for(self.label)

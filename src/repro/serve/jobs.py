@@ -17,11 +17,14 @@ reads it:
   built to ``stage_events`` — the same object ``PipelineResult.timings``
   holds.
 - :class:`~repro.serve.batching.BatchedSamplingModel` writes each engine
-  hop once, to ``engine_events`` and the tracer, from the timestamps the
+  hop once, to ``engine_events``, from the timestamps the
   :class:`~repro.serve.engine.ServeEngine` worker stamped on the sampling
   job.  The request's sampling statistics
   (:meth:`~repro.serve.stats.RequestStats.from_job`) are read back from
   those events.
+- The request's span tree (:func:`~repro.obs.trace.job_spans`) is a
+  projection of the transitions, stage events and engine events; the
+  service writes it for every job still in the table on shutdown.
 - :class:`~repro.serve.service.PatternService` owns the QUEUED/RUNNING
   edges and the terminal transition, mapping the engine's typed errors
   (:class:`~repro.serve.engine.QueueFullError`,

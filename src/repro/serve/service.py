@@ -21,11 +21,13 @@ starving the rest.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
@@ -41,7 +43,7 @@ from repro.legalize.legalizer import (
 )
 from repro.obs.export import SnapshotWriter
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import job_spans
 from repro.serve.batching import BatchedSamplingModel
 from repro.serve.engine import (
     AdaptivePolicy,
@@ -213,13 +215,12 @@ class PatternService:
         engine: a pre-built (possibly shared) :class:`ServeEngine`.  The
             service then only *binds* its model to it — ``stop`` leaves a
             shared engine running for its other tenants.
-        metrics / tracer: explicit observability sinks.  When omitted and
+        metrics: explicit metrics registry.  When omitted and
             ``config.obs.enabled``, the service builds a *private*
             :class:`~repro.obs.metrics.MetricsRegistry` (with the
-            configured latency buckets) and
-            :class:`~repro.obs.trace.Tracer` and threads them through
-            every component it constructs; disabled configs get the
-            shared no-op instances.
+            configured latency buckets) and threads it through every
+            component it constructs; disabled configs get the shared
+            no-op registry.
     """
 
     def __init__(
@@ -240,7 +241,6 @@ class PatternService:
         deadline: Optional[float] = None,
         engine: Optional[ServeEngine] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -248,7 +248,7 @@ class PatternService:
         serve_cfg = self.config.serve
         obs_cfg = self.config.obs
         faults_cfg = getattr(self.config, "faults", None)
-        # A private registry/tracer per service (unless injected): its
+        # A private registry per service (unless injected): its
         # snapshots then describe exactly this service's traffic, and two
         # services in one process never mix series.
         if metrics is not None:
@@ -259,12 +259,6 @@ class PatternService:
             )
         else:
             self.metrics = NULL_METRICS
-        if tracer is not None:
-            self.tracer = tracer
-        elif obs_cfg.enabled:
-            self.tracer = Tracer(max_spans=obs_cfg.max_spans)
-        else:
-            self.tracer = NULL_TRACER
         self._m_requests = self.metrics.counter(
             "repro_requests_total",
             "Requests served, by outcome",
@@ -344,7 +338,6 @@ class PatternService:
         backend_factory: Optional[Callable[[], LLMBackend]] = None,
         engine: Optional[ServeEngine] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> "PatternService":
         """Build a service entirely from one :class:`PipelineConfig`.
 
@@ -372,7 +365,6 @@ class PatternService:
             engine=engine,
             config=config,
             metrics=metrics,
-            tracer=tracer,
         )
 
     def _next_request_id(self) -> int:
@@ -484,8 +476,10 @@ class PatternService:
         A *shared* engine (passed in via ``engine=``) keeps running — its
         other tenants still depend on it; only the owner stops it.  The
         service's own telemetry outputs always close: the snapshot writer
-        performs a final dump and the configured ``trace_path`` receives
-        the collected spans as JSON lines.
+        performs a final dump and, while obs is enabled, the configured
+        ``trace_path`` receives the span trees of the jobs still in the
+        table as JSON lines (a job restored from the state journal kept no
+        transitions, so it adds none).
         """
         self.drain()
         if self._engine is not None and self._owns_engine:
@@ -497,8 +491,15 @@ class PatternService:
             self._snapshot_writer.stop(write_final=True)
             self._snapshot_writer = None
         trace_path = self.config.obs.trace_path
-        if trace_path and self.tracer.enabled:
-            self.tracer.export_jsonl(trace_path)
+        if trace_path and self.config.obs.enabled:
+            lines = [
+                json.dumps(span, sort_keys=True) + "\n"
+                for job in self.jobs.jobs()
+                for span in job_spans(job)
+            ]
+            path = Path(trace_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("".join(lines))
 
     def __enter__(self) -> "PatternService":
         return self.start()
@@ -757,7 +758,6 @@ class PatternService:
             job,
             source=request.source,
             deadline=request.deadline,
-            tracer=self.tracer,
         )
         result: Optional[Union[ChatResult, PipelineResult]] = None
         error: Optional[str] = None
@@ -773,68 +773,58 @@ class PatternService:
             model=client,
             store=self.store,
             metrics=self.metrics,
-            tracer=self.tracer,
             job=job,
         )
         # The whole agent pipeline for this request runs on this thread, so
-        # the thread-local legalization counters isolate its legalize cost
-        # — and the root span opened here parents every stage span and
-        # every engine-side hop the batched client records.
+        # the thread-local legalization counters isolate its legalize cost.
         reset_legalize_timing()
-        with self.tracer.trace(
-            "request",
-            request_id=request.request_id,
-            source=request.source,
-            objective=request.objective,
-        ):
-            try:  # fault isolation: one bad request must not sink the
-                # batch, and that covers per-request setup too
-                if request.kind == "pipeline":
-                    result = self._run_pipeline_request(pipeline, request)
-                elif request.kind == "chat":
-                    chat = ChatPattern(
-                        model=client,
-                        backend=self._backend_factory(),
-                        max_retries=self.max_retries,
-                        base_seed=self.base_seed + 7919 * request.request_id,
-                        store=self.store,
-                        pipeline=pipeline,
-                    )
-                    result = chat.handle_request(
-                        request.text, objective=request.objective
-                    )
-                else:
-                    raise ValueError(
-                        f"unknown request kind {request.kind!r}; "
-                        "known: chat, pipeline"
-                    )
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                # Classify while the job still shows the failing stage
-                # (LEGALIZING at this point means legalization raised).
-                error_code = error_code_for(exc, state=job.state)
-            legalize_calls, legalize_seconds = collect_legalize_timing()
-            wall_seconds = time.perf_counter() - started
-            if isinstance(result, PipelineResult):
-                # The pipeline chain already ran its persist stage; just
-                # surface its store accounting.
-                store_added = result.store_added
-                store_deduplicated = result.store_deduplicated
-            elif result is not None and len(result.library):
-                # Unconditional persistence through the pipeline primitive:
-                # the add is idempotent (content-hash dedup), so patterns
-                # the agent already saved via Save_Library simply show up
-                # in `store_deduplicated` here.  No-op without a store.
-                # Direct transition (no cancel checkpoint): the result
-                # already exists, cancelling now would only lose it.
-                job.transition(PERSISTING, stage="persist")
-                with self.tracer.span(
-                    "store_persist", patterns=len(result.library)
-                ):
-                    report = pipeline.persist_library(result.library)
-                if report is not None:
-                    store_added = report.added
-                    store_deduplicated = report.deduplicated
+        try:  # fault isolation: one bad request must not sink the
+            # batch, and that covers per-request setup too
+            if request.kind == "pipeline":
+                result = self._run_pipeline_request(pipeline, request)
+            elif request.kind == "chat":
+                chat = ChatPattern(
+                    model=client,
+                    backend=self._backend_factory(),
+                    max_retries=self.max_retries,
+                    base_seed=self.base_seed + 7919 * request.request_id,
+                    store=self.store,
+                    pipeline=pipeline,
+                )
+                result = chat.handle_request(
+                    request.text, objective=request.objective
+                )
+            else:
+                raise ValueError(
+                    f"unknown request kind {request.kind!r}; "
+                    "known: chat, pipeline"
+                )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            # Classify while the job still shows the failing stage
+            # (LEGALIZING at this point means legalization raised).
+            error_code = error_code_for(exc, state=job.state)
+        legalize_calls, legalize_seconds = collect_legalize_timing()
+        wall_seconds = time.perf_counter() - started
+        if isinstance(result, PipelineResult):
+            # The pipeline chain already ran its persist stage; just
+            # surface its store accounting.
+            store_added = result.store_added
+            store_deduplicated = result.store_deduplicated
+        elif result is not None and len(result.library):
+            # Unconditional persistence through the pipeline primitive: the
+            # add is idempotent (content-hash dedup), so patterns the agent
+            # already saved via Save_Library simply show up in
+            # `store_deduplicated` here.  No-op without a store.  Direct
+            # transition (no cancel checkpoint): the result already
+            # exists, cancelling now would only lose it.
+            job.transition(
+                PERSISTING, stage="persist", patterns=len(result.library)
+            )
+            report = pipeline.persist_library(result.library)
+            if report is not None:
+                store_added = report.added
+                store_deduplicated = report.deduplicated
         self._m_requests.inc(status="error" if error else "ok")
         self._m_request_latency.observe(time.perf_counter() - started)
         return ServeResponse(

@@ -3,13 +3,15 @@
 Every layer of :mod:`repro.serve` reports through these dataclasses: the
 :class:`~repro.serve.engine.ServeEngine` records one :class:`BatchRecord`
 per batched denoise trajectory, :class:`SchedulerStats` aggregates those
-records and :class:`EngineStats` adds the engine's admission counters, and
-each served request gets a :class:`RequestStats`, whose sampling fields
-are read off the request's lifecycle job.
+records (kept as running :class:`BatchTotals`), :class:`EngineStats` adds
+the engine's admission counters, and each served request gets a
+:class:`RequestStats`, whose sampling fields are read off the request's
+lifecycle job.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,22 +68,10 @@ class SchedulerStats:
 
     @classmethod
     def from_records(cls, records: Sequence[BatchRecord]) -> "SchedulerStats":
-        if not records:
-            return cls(0, 0, 0, 0, 0.0, 0.0, 0.0)
-        sizes = [r.samples for r in records]
-        busy = sum(r.wall_seconds for r in records)
-        wall = max(r.ended_at for r in records) - min(
-            r.started_at for r in records
-        )
-        return cls(
-            batches=len(records),
-            jobs=sum(r.jobs for r in records),
-            samples=sum(sizes),
-            max_batch_size=max(sizes),
-            mean_batch_size=sum(sizes) / len(sizes),
-            wall_seconds=wall,
-            busy_seconds=busy,
-        )
+        totals = BatchTotals()
+        for record in records:
+            totals.add(record)
+        return totals.stats()
 
     def as_dict(self) -> Dict:
         return {
@@ -94,6 +84,43 @@ class SchedulerStats:
             "busy_seconds": round(self.busy_seconds, 4),
             "samples_per_sec": round(self.samples_per_sec, 2),
         }
+
+
+class BatchTotals:
+    """Running :class:`SchedulerStats` over batch records, O(1) a record.
+
+    Adding records one at a time gives the same numbers, to the bit, as
+    aggregating the whole list at once, so an engine keeps its totals
+    without keeping its history.  Not thread-safe: the owner locks.
+    """
+
+    def __init__(self):
+        self.batches = self.jobs = self.samples = self.max_batch_size = 0
+        self.busy_seconds = 0.0
+        self.first_start = math.inf
+        self.last_end = -math.inf
+
+    def add(self, record: BatchRecord) -> None:
+        self.batches += 1
+        self.jobs += record.jobs
+        self.samples += record.samples
+        self.max_batch_size = max(self.max_batch_size, record.samples)
+        self.busy_seconds += record.wall_seconds
+        self.first_start = min(self.first_start, record.started_at)
+        self.last_end = max(self.last_end, record.ended_at)
+
+    def stats(self) -> SchedulerStats:
+        if not self.batches:
+            return SchedulerStats(0, 0, 0, 0, 0.0, 0.0, 0.0)
+        return SchedulerStats(
+            batches=self.batches,
+            jobs=self.jobs,
+            samples=self.samples,
+            max_batch_size=self.max_batch_size,
+            mean_batch_size=self.samples / self.batches,
+            wall_seconds=self.last_end - self.first_start,
+            busy_seconds=self.busy_seconds,
+        )
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from repro.api.config import (
     ConfigError,
     LegalizeConfig,
+    ObsConfig,
     PipelineConfig,
     SampleConfig,
     ServeConfig,
@@ -114,6 +115,14 @@ class TestSectionRoundTrip:
             ServeConfig.from_dict({"engine_workers": 2})
         with pytest.raises(ConfigError, match="max_workers"):
             LegalizeConfig.from_dict({"max_workers": 2})
+
+    def test_removed_span_buffer_knob_fails_the_unknown_key_check(self):
+        """Spans are derived from the jobs the service holds, which the job
+        TTL bounds; a saved config still sizing a span buffer must fail."""
+        with pytest.raises(ConfigError, match="unknown ObsConfig.*max_spans"):
+            ObsConfig.from_dict({"max_spans": 10000})
+        with pytest.raises(ConfigError, match="max_spans"):
+            PipelineConfig.from_dict({"obs": {"max_spans": 10000}})
 
 
 class TestPipelineConfig:

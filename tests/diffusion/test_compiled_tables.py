@@ -24,6 +24,7 @@ from repro.diffusion import (
 from repro.api.config import TrainConfig
 from repro.data.dataset import build_training_set
 from repro.diffusion.denoisers.neighborhood import (
+    _FIT_CHUNK_CELLS,
     _hash_plan,
     block_areas,
     block_sums,
@@ -417,6 +418,30 @@ class TestBoundedWorkingSet:
         ))
         transient = peak - self._kept(d)
         assert transient < self.DEFAULT_SHAPE_TRANSIENT, transient / self.MB
+
+    #: Traced fit peak above the table at 16 random 40x40 patterns: 3.05 MB
+    #: when the chunk buffers were sized by ``_FIT_CHUNK_CELLS`` alone (81
+    #: pairs), 1.60 MB sized by the largest bucket (16 pairs).
+    SMALL_FIT_TRANSIENT = 2 * MB
+
+    def test_small_fit_sizes_chunks_by_its_largest_bucket(self):
+        rng = np.random.default_rng(5)
+        topos = (rng.random((16, 40, 40)) < 0.35).astype(np.uint8)
+        cond = np.arange(16) % 2
+        d = NeighborhoodDenoiser(n_classes=2)
+        # Sixteen draws a pattern over sixteen buckets: 16 pairs a bucket,
+        # while _FIT_CHUNK_CELLS alone would allow 81 pairs of 40x40.
+        assert _FIT_CHUNK_CELLS // (40 * 40) == 81
+        counts = d._bucket_counts(topos, cond, np.random.default_rng(0), 16)
+        next(counts)
+        assert counts.gi_frame.f_locals["x0"].shape[0] == 16
+        assert counts.gi_frame.f_locals["index"].size == 16 * 40 * 40
+        counts.close()
+        peak = _traced_peak(lambda: d.fit(
+            topos, cond, DiffusionSchedule.linear(16), rng
+        ))
+        transient = peak - self._kept(d)
+        assert transient < self.SMALL_FIT_TRANSIENT, transient / self.MB
 
     def test_fitted_denoiser_holds_only_table_marginals_and_fills(self):
         rng = np.random.default_rng(16)

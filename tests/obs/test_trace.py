@@ -1,139 +1,193 @@
-"""Tracer tests: nesting, cross-thread record, trees, JSONL export."""
+"""Span projection tests: a job's record read as a Dapper-style span tree.
+
+``job_spans`` derives every span from the lifecycle job — its transitions,
+stage events and engine hops — so these tests write a job's record the way
+the serving stack does and read the tree back: nesting, attrs, the JSON
+keys and one root per trace.
+"""
 
 import json
-import threading
 import time
 
-from repro.obs import NULL_TRACER, Tracer
+import numpy as np
+
+from repro.obs import NULL_METRICS, job_spans
+from repro.obs.trace import StageTiming
+from repro.serve import BatchedSamplingModel, ServeEngine
+from repro.serve.jobs import PERSISTING, RUNNING, Job
+
+SPAN_KEYS = {
+    "name", "trace_id", "span_id", "parent_id", "start", "end", "duration"
+}
+
+
+class _StubModel:
+    window = 16
+    fitted = True
+
+    def sample_batch(self, conditions, rng, shape=None, **kwargs):
+        return np.zeros((len(conditions), 16, 16), dtype=np.uint8)
+
+
+class _Request:
+    def __init__(self, request_id, source="cli", objective="legal"):
+        self.request_id = request_id
+        self.source = source
+        self.objective = objective
+
+
+def _served_job(request_id=7, calls=(2,), persist=True):
+    """A job whose record is written as ``PatternService`` writes one: a
+    RUNNING edge, one sample stage wrapping ``calls`` engine sampling
+    calls (each admission -> queue wait -> gather -> execute), a
+    PERSISTING edge and the terminal edge."""
+    job = Job(f"job-{request_id}", request=_Request(request_id))
+    job.transition(RUNNING, stage="chat")
+    started = time.perf_counter()
+    for count in calls:
+        t = [time.perf_counter() for _ in range(5)]
+        job.record_engine("admission", t[0], t[1], count=count)
+        job.record_engine("queue_wait", t[1], t[2])
+        job.record_engine("batch_gather", t[2], t[3], batch_samples=4)
+        job.record_engine("execute", t[3], t[4], count=count)
+    seconds = time.perf_counter() - started
+    job.record_stage(
+        StageTiming("sample", seconds, {"produced": 2}, start=started)
+    )
+    if persist:
+        job.transition(PERSISTING, stage="persist", patterns=2)
+    job.succeed()
+    return job
+
+
+def _by_name(spans):
+    return {span["name"]: span for span in spans}
 
 
 class TestSpans:
     def test_trace_and_nested_spans(self):
-        tracer = Tracer()
-        with tracer.trace("request", request_id="req-1", source="cli"):
-            with tracer.span("sample", count=4):
-                pass
-            with tracer.span("legalize"):
-                pass
-        spans = {span.name: span for span in tracer.spans("req-1")}
-        assert set(spans) == {"request", "sample", "legalize"}
-        root = spans["request"]
-        assert root.parent_id is None
-        assert root.attrs == {"source": "cli"}
-        assert spans["sample"].parent_id == root.span_id
-        assert spans["sample"].attrs == {"count": 4}
-        assert spans["legalize"].parent_id == root.span_id
-        # The root closes last: it covers its children.
-        assert root.end >= spans["legalize"].end
-        assert root.duration >= 0.0
+        spans = job_spans(_served_job())
+        named = _by_name(spans)
+        root = named["request"]
+        assert root["parent_id"] is None
+        assert root["trace_id"] == 7
+        assert root["attrs"] == {"source": "cli", "objective": "legal"}
+        for name in ("sample", "store_persist"):
+            assert named[name]["parent_id"] == root["span_id"]
+        # The stage span and the sampling call share the name "sample";
+        # the call is the one that parents the hops.
+        (call,) = [s for s in spans if s["name"] == "sample"
+                   and s.get("attrs") == {"count": 2}]
+        for hop in ("admission", "queue_wait", "batch_gather", "execute"):
+            assert named[hop]["parent_id"] == call["span_id"]
+        # The root covers every span of its trace.
+        for span in spans:
+            assert root["start"] <= span["start"] <= span["end"] <= root["end"]
 
-    def test_span_without_root_starts_fresh_trace(self):
-        tracer = Tracer()
-        with tracer.span("standalone"):
-            pass
-        (span,) = tracer.spans()
-        assert span.parent_id is None
-        assert tracer.trace_ids() == [span.trace_id]
+    def test_hop_and_stage_detail_become_attrs(self):
+        spans = job_spans(_served_job())
+        named = _by_name(spans)
+        assert named["batch_gather"]["attrs"] == {"batch_samples": 4}
+        assert named["execute"]["attrs"] == {"count": 2}
+        assert "attrs" not in named["queue_wait"]
+        assert named["store_persist"]["attrs"] == {"patterns": 2}
+        (stage,) = [s for s in spans if s["name"] == "sample"
+                    and s.get("attrs") == {"produced": 2}]
+        assert stage["duration"] >= 0.0
 
-    def test_record_attaches_to_current_context(self):
-        tracer = Tracer()
-        with tracer.trace("request", request_id=9) as root:
-            tracer.record("queue_wait", 1.0, 1.5, batch_samples=3)
-        (recorded,) = [s for s in tracer.spans(9) if s.name == "queue_wait"]
-        assert recorded.parent_id == root.span_id
-        assert recorded.start == 1.0
-        assert recorded.duration == 0.5
-        assert recorded.attrs == {"batch_samples": 3}
+    def test_each_admission_opens_the_next_sampling_call(self):
+        spans = job_spans(_served_job(calls=(1, 3), persist=False))
+        calls = [s for s in spans if s["name"] == "sample" and "count"
+                 in s.get("attrs", {})]
+        assert [c["attrs"]["count"] for c in calls] == [1, 3]
+        for call in calls:
+            hops = [s for s in spans if s["parent_id"] == call["span_id"]]
+            assert [h["name"] for h in hops] == [
+                "admission", "queue_wait", "batch_gather", "execute"
+            ]
+            # A call runs from its admission to the end of its last hop.
+            assert call["start"] == hops[0]["start"]
+            assert call["end"] == max(h["end"] for h in hops)
+        assert "store_persist" not in _by_name(spans)
 
-    def test_record_cross_thread_with_explicit_ids(self):
-        """A worker thread attaches measured work to the client's trace."""
-        tracer = Tracer()
-        with tracer.trace("request", request_id="r") as root:
-            ids = (root.trace_id, root.span_id)
+    def test_engine_worker_hops_join_the_request_trace(self):
+        """The engine's worker thread stamps the hops; the request's trace
+        holds them under the sampling call that submitted the work."""
+        engine = ServeEngine(gather_window=0.0, metrics=NULL_METRICS)
+        job = Job("job-engine", request=_Request(5))
+        job.transition(RUNNING, stage="chat")
+        client = BatchedSamplingModel(engine.bind(_StubModel()), job)
+        with engine:
+            client.sample(2, 0, np.random.default_rng(0))
+        job.succeed()
+        spans = job_spans(job)
+        (call,) = [s for s in spans if s["name"] == "sample"]
+        hops = [s["name"] for s in spans if s["parent_id"] == call["span_id"]]
+        assert hops == ["admission", "queue_wait", "batch_gather", "execute"]
+        assert {s["trace_id"] for s in spans} == {5}
 
-            def worker():
-                tracer.record(
-                    "execute", 2.0, 3.0, trace_id=ids[0], parent_id=ids[1]
-                )
+    def test_a_job_that_never_ran_has_no_spans(self):
+        job = Job("job-queued", request=_Request(9))
+        job.request_cancel()
+        assert job_spans(job) == []
 
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        tree = tracer.tree("r")
-        assert [child["name"] for child in tree["children"]] == ["execute"]
+    def test_a_job_restored_from_the_journal_has_no_spans(self):
+        assert job_spans(Job.restore(_served_job().as_dict())) == []
 
-    def test_stack_recovers_from_leaked_inner_span(self):
-        tracer = Tracer()
-        with tracer.trace("outer", request_id=1):
-            inner = tracer.span("inner")
-            inner.__enter__()  # never exited — the outer pop must recover
-        assert tracer.current() is None
-        with tracer.span("after"):
-            pass
-        names = [span.name for span in tracer.spans()]
-        assert "after" in names
+    def test_a_running_job_projects_up_to_now(self):
+        job = Job("job-live", request=_Request(4))
+        job.transition(RUNNING, stage="chat")
+        before = time.perf_counter()
+        (root,) = job_spans(job)
+        assert root["end"] >= round(before, 6)
 
 
 class TestTreeAndExport:
     def test_tree_nests_and_sorts_children(self):
-        tracer = Tracer()
-        with tracer.trace("request", request_id="t"):
-            with tracer.span("first"):
-                time.sleep(0.001)
-            with tracer.span("second"):
-                pass
-        tree = tracer.tree("t")
-        assert tree["name"] == "request"
-        assert [c["name"] for c in tree["children"]] == ["first", "second"]
-        assert tracer.tree("missing") is None
+        spans = job_spans(_served_job(calls=(1, 2)))
+        nodes = {s["span_id"]: {**s, "children": []} for s in spans}
+        for span in sorted(spans, key=lambda s: s["start"]):
+            if span["parent_id"] is not None:
+                nodes[span["parent_id"]]["children"].append(
+                    nodes[span["span_id"]]
+                )
+        root = nodes[1]
+        assert root["name"] == "request"
+        starts = [child["start"] for child in root["children"]]
+        assert starts == sorted(starts)
+        assert [c["name"] for c in root["children"]].count("sample") == 3
+        assert [c["name"] for c in root["children"]][-1] == "store_persist"
 
-    def test_tree_synthesizes_root_for_orphan_spans(self):
-        tracer = Tracer()
-        tracer.record("a", 1.0, 2.0, trace_id="x", parent_id=999)
-        tracer.record("b", 2.0, 4.0, trace_id="x", parent_id=999)
-        tree = tracer.tree("x")
-        assert tree["name"] == "trace"
-        assert tree["duration"] == 3.0
-        assert len(tree["children"]) == 2
+    def test_export_jsonl(self):
+        for span in job_spans(_served_job()):
+            line = json.loads(json.dumps(span, sort_keys=True))
+            assert set(line) - {"attrs"} == SPAN_KEYS
+            assert abs(line["duration"] - (line["end"] - line["start"])) < 2e-6
 
-    def test_bounded_buffer_evicts_oldest(self):
-        tracer = Tracer(max_spans=3)
-        for i in range(5):
-            tracer.record(f"s{i}", 0.0, 1.0, trace_id=i)
-        assert [span.name for span in tracer.spans()] == ["s2", "s3", "s4"]
-
-    def test_export_jsonl(self, tmp_path):
-        tracer = Tracer()
-        with tracer.trace("request", request_id="req-7"):
-            with tracer.span("sample"):
-                pass
-        with tracer.trace("request", request_id="req-8"):
-            pass
-        path = tracer.export_jsonl(tmp_path / "traces.jsonl")
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == 3
-        assert {line["trace_id"] for line in lines} == {"req-7", "req-8"}
-        only = tracer.export_jsonl(tmp_path / "one.jsonl", trace_id="req-7")
-        lines = [json.loads(l) for l in only.read_text().splitlines()]
-        assert {line["trace_id"] for line in lines} == {"req-7"}
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record("a", 0.0, 1.0)
-        tracer.clear()
-        assert tracer.spans() == []
+    def test_one_root_per_trace_and_every_parent_resolves(self):
+        spans = [
+            span
+            for request_id in (1, 2, 3)
+            for span in job_spans(_served_job(request_id, calls=(1, 2)))
+        ]
+        traces = {}
+        for span in spans:
+            traces.setdefault(span["trace_id"], []).append(span)
+        assert sorted(traces) == [1, 2, 3]
+        for trace in traces.values():
+            roots = [s for s in trace if s["parent_id"] is None]
+            assert [r["name"] for r in roots] == ["request"]
+            ids = [s["span_id"] for s in trace]
+            assert len(set(ids)) == len(ids)
+            assert all(
+                s["parent_id"] in ids for s in trace if s is not roots[0]
+            )
 
 
-class TestDisabled:
-    def test_null_tracer_is_inert(self):
-        with NULL_TRACER.trace("request", request_id=1) as span:
-            assert span is None
-            with NULL_TRACER.span("child") as child:
-                assert child is None
-        assert NULL_TRACER.record("x", 0.0, 1.0) is None
-        assert NULL_TRACER.spans() == []
-
-    def test_disabled_tracer_export_writes_empty_file(self, tmp_path):
-        tracer = Tracer(enabled=False)
-        path = tracer.export_jsonl(tmp_path / "traces.jsonl")
-        assert path.read_text() == ""
+class TestStageTimingStart:
+    def test_start_stays_off_the_wire_and_out_of_equality(self):
+        timing = StageTiming("legalize", 0.25, {"legal": 2}, start=12.5)
+        assert timing.as_dict() == {
+            "stage": "legalize", "seconds": 0.25, "detail": {"legal": 2}
+        }
+        assert timing == StageTiming("legalize", 0.25, {"legal": 2})

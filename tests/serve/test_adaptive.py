@@ -215,16 +215,14 @@ class TestDegradedEngineEvent:
             return TestDegradedEngineEvent._FakeEngineJob()
 
     def test_degraded_hop_is_recorded_with_the_original_ask(self):
-        from repro.obs.trace import Tracer
+        from repro.obs.trace import job_spans
         from repro.serve import BatchedSamplingModel
-        from repro.serve.jobs import Job
+        from repro.serve.jobs import RUNNING, Job
         from repro.serve.stats import RequestStats
 
         lifecycle = Job("job-degraded")
-        tracer = Tracer()
-        client = BatchedSamplingModel(
-            self._FakeScheduler(), lifecycle, tracer=tracer
-        )
+        lifecycle.transition(RUNNING, stage="chat")
+        client = BatchedSamplingModel(self._FakeScheduler(), lifecycle)
         client.sample(1, 0, np.random.default_rng(0))
         hops = {e.kind: e.detail for e in lifecycle.engine_events}
         assert "degraded" in hops
@@ -233,8 +231,9 @@ class TestDegradedEngineEvent:
             "sampler_steps": "bucketed",
             "requested": "full",
         }
-        spans = {span.name: span.attrs for span in tracer.spans()}
-        assert spans["degraded"] == hops["degraded"]
+        spans = {span["name"]: span for span in job_spans(lifecycle)}
+        assert spans["degraded"]["attrs"] == hops["degraded"]
+        assert spans["degraded"]["parent_id"] == spans["sample"]["span_id"]
         # The request's stats read the hop back; these are the values the
         # client's own counters gave before they were derived.
         stats = RequestStats.from_job(lifecycle, request_id=1)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api.config import SERVE_POLICIES
+from repro.obs import NULL_METRICS
 from repro.serve import (
     DeadlineExpiredError,
     FairSharePolicy,
@@ -25,6 +26,8 @@ from repro.serve import (
     ServeEngine,
     resolve_batch_policy,
 )
+from repro.serve.engine import BATCH_RECORD_RING
+from repro.serve.stats import SchedulerStats
 
 
 class StubModel:
@@ -453,6 +456,121 @@ class TestRouting:
             ja.result(timeout=30)
             jb.result(timeout=30)
         assert engine.stats().scheduler.batches == 2
+
+
+class _StubPlan:
+    """What ``ServeEngine._account`` reads off a trajectory plan."""
+
+    def __init__(self, jobs, samples, label):
+        self.jobs = [None] * jobs
+        self.samples = samples
+        self.shape = (16, 16)
+        self.model_label = label
+
+
+def _aggregate_list(records):
+    """``SchedulerStats`` aggregated over a whole record list at once, as
+    the engine did before it kept running totals."""
+    if not records:
+        return SchedulerStats(0, 0, 0, 0, 0.0, 0.0, 0.0)
+    sizes = [r.samples for r in records]
+    return SchedulerStats(
+        batches=len(records),
+        jobs=sum(r.jobs for r in records),
+        samples=sum(sizes),
+        max_batch_size=max(sizes),
+        mean_batch_size=sum(sizes) / len(sizes),
+        wall_seconds=max(r.ended_at for r in records)
+        - min(r.started_at for r in records),
+        busy_seconds=sum(r.wall_seconds for r in records),
+    )
+
+
+class TestBatchHistory:
+    """The engine keeps a fixed ring of recent batch records beside
+    running totals over every batch, overall and per bound model."""
+
+    def test_history_stays_at_the_ring_bound(self):
+        engine = ServeEngine(metrics=NULL_METRICS)
+        n = 100_000
+        for i in range(n):
+            engine._account(
+                _StubPlan(1 + i % 3, 1 + i % 5, "ab"[i % 2]), float(i), 0.5
+            )
+        assert len(engine.batch_records) == BATCH_RECORD_RING
+        assert engine.batch_records[-1].started_at == float(n - 1)
+        stats = engine.stats().scheduler
+        assert stats.batches == n
+        assert stats.samples == sum(1 + i % 5 for i in range(n))
+        assert stats.busy_seconds == 0.5 * n
+        assert stats.wall_seconds == n - 1 + 0.5
+        assert engine.stats_for("a").batches == n // 2
+        assert engine.recent_records(3) == engine.batch_records[-3:]
+
+    def test_concurrent_accounting_loses_no_batch(self):
+        """Writers book batches while a reader takes snapshots: no batch
+        is lost and no snapshot sees a batch half-booked."""
+        engine = ServeEngine(metrics=NULL_METRICS)
+        per_thread = 5000
+        torn = []
+        done = threading.Event()
+
+        def book(label):
+            for i in range(per_thread):
+                engine._account(_StubPlan(1, 2, label), float(i), 0.25)
+
+        def read():
+            while not done.is_set():
+                stats = engine.stats().scheduler
+                if stats.busy_seconds != 0.25 * stats.batches:
+                    torn.append(stats)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            writers = [
+                threading.Thread(target=book, args=(label,))
+                for label in "abc"
+            ]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+            assert not any(t.is_alive() for t in writers + [reader])
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == []
+        stats = engine.stats().scheduler
+        assert stats.batches == 3 * per_thread
+        assert stats.samples == 6 * per_thread
+        assert [engine.stats_for(label).batches for label in "abc"] == [
+            per_thread
+        ] * 3
+
+    def test_totals_match_the_list_aggregate_while_the_run_fits(self):
+        rng = np.random.default_rng(0)
+        engine = ServeEngine(metrics=NULL_METRICS)
+        started = 0.0
+        for i in range(BATCH_RECORD_RING):
+            started += float(rng.random())
+            engine._account(
+                _StubPlan(int(rng.integers(1, 5)), int(rng.integers(1, 65)),
+                          "ab"[i % 2]),
+                started, float(rng.random()),
+            )
+        records = engine.batch_records
+        assert len(records) == BATCH_RECORD_RING
+        assert engine.stats().scheduler == _aggregate_list(records)
+        assert SchedulerStats.from_records(records) == _aggregate_list(records)
+        for label in "ab":
+            assert engine.stats_for(label) == _aggregate_list(
+                [r for r in records if r.model == label]
+            )
+        assert engine.stats_for("unbound") == _aggregate_list([])
 
 
 class TestDeliveryIdentity:

@@ -8,6 +8,7 @@ are maintained independently (gauge in the instrumented hot path, counter
 in the engine's own bookkeeping) and must tell the same story.
 """
 
+import json
 import threading
 import time
 
@@ -15,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.api import ObsConfig, PipelineConfig, ServeConfig, TrainConfig
-from repro.obs import NULL_METRICS, MetricsRegistry, parse_exposition
+from repro.obs import (
+    NULL_METRICS,
+    MetricsRegistry,
+    job_spans,
+    parse_exposition,
+)
 from repro.serve import (
     DeadlineExpiredError,
     ModelKey,
@@ -25,6 +31,24 @@ from repro.serve import (
     ServeEngine,
     ServeRequest,
 )
+
+
+SPAN_KEYS = {
+    "name", "trace_id", "span_id", "parent_id", "start", "end", "duration"
+}
+
+
+def _tree(spans):
+    """One trace's spans as a nested dict under its single root."""
+    nodes = {s["span_id"]: {**s, "children": []} for s in spans}
+    roots = []
+    for span in sorted(spans, key=lambda s: s["start"]):
+        parent = nodes.get(span["parent_id"])
+        (parent["children"] if parent else roots).append(
+            nodes[span["span_id"]]
+        )
+    (root,) = roots
+    return root
 
 
 class StubModel:
@@ -199,16 +223,21 @@ class TestServiceInstrumentation:
         ):
             assert name in families, name
 
-        # Each request produced a span tree rooted at its request id.
-        tracer = service.tracer
-        assert tracer.enabled
-        ids = [r.request.request_id for r in responses]
-        for request_id in ids:
-            tree = tracer.tree(request_id)
-            assert tree is not None
+        # Each request's job projects to a span tree rooted at its
+        # request id, whose sample calls parent the engine hops.
+        for response in responses:
+            spans = job_spans(service.jobs.get(response.job_id))
+            tree = _tree(spans)
             assert tree["name"] == "request"
+            assert tree["trace_id"] == response.request.request_id
             names = {child["name"] for child in tree["children"]}
             assert "sample" in names
+            sample = next(
+                c for c in tree["children"] if c["name"] == "sample"
+            )
+            assert [c["name"] for c in sample["children"]][:4] == [
+                "admission", "queue_wait", "batch_gather", "execute"
+            ]
 
     def test_obs_disabled_leaves_null_instruments(self, registry):
         config = PipelineConfig(
@@ -221,8 +250,48 @@ class TestServiceInstrumentation:
             responses = service.serve([REQUEST])
         assert len(responses) == 1
         assert service.metrics.names() == []
-        assert not service.tracer.enabled
-        assert service.tracer.spans() == []
+
+    def test_stop_writes_the_jobs_spans_as_json_lines(
+        self, registry, tmp_path
+    ):
+        path = tmp_path / "traces.jsonl"
+        config = PipelineConfig(
+            train=TrainConfig(window=64),
+            serve=ServeConfig(max_retries=1),
+            obs=ObsConfig(trace_path=str(path)),
+        )
+        service = PatternService.from_config(config, registry=registry)
+        with service:
+            responses = service.serve([REQUEST, REQUEST])
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all(set(span) - {"attrs"} == SPAN_KEYS for span in spans)
+        by_trace = {}
+        for span in spans:
+            by_trace.setdefault(span["trace_id"], []).append(span)
+        assert sorted(by_trace) == sorted(
+            r.request.request_id for r in responses
+        )
+        for trace in by_trace.values():
+            ids = {span["span_id"] for span in trace}
+            assert [s["name"] for s in trace if s["parent_id"] is None] == [
+                "request"
+            ]
+            assert all(
+                s["parent_id"] in ids for s in trace if s["parent_id"]
+            )
+        assert {"request", "sample", "admission", "queue_wait",
+                "batch_gather", "execute"} <= {s["name"] for s in spans}
+
+    def test_obs_disabled_writes_no_trace(self, registry, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        config = PipelineConfig(
+            train=TrainConfig(window=64),
+            serve=ServeConfig(max_retries=1),
+            obs=ObsConfig(enabled=False, trace_path=str(path)),
+        )
+        with PatternService.from_config(config, registry=registry) as service:
+            service.serve([REQUEST])
+        assert not path.exists()
 
     def test_two_services_have_independent_registries(self, registry):
         first = PatternService(
