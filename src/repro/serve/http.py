@@ -11,9 +11,11 @@ Endpoints::
     GET    /v1/jobs/{id}      progress: state, stage, transitions,
                               stage_events, engine_events  | 404
     GET    /v1/jobs/{id}/result
-                              200 result | 202 still running |
-                              409 cancelled | 429 queue_full |
-                              504 deadline_expired | 500 failed
+                              200 result (the job's compact outcome;
+                              ``?topologies=1`` unpacks its patterns) |
+                              202 still running | 409 cancelled |
+                              429 queue_full | 504 deadline_expired |
+                              500 failed
     DELETE /v1/jobs/{id}      cancel: 200 honored | 409 conflict
                               (job already finished) | 404
     GET    /metrics           Prometheus text exposition (repro.obs)
@@ -540,47 +542,43 @@ def _error_body(message: str, code: str = CODE_INVALID_REQUEST) -> str:
 
 
 def _result_payload(job, include_topologies: bool) -> Dict:
-    """JSON view of a succeeded job's outcome (library + stage record)."""
-    response = job.response
-    result = response.result if response is not None else None
+    """JSON view of a succeeded job's outcome (library + stage record).
+
+    Read from the job's compact :class:`~repro.serve.jobs.JobOutcome`;
+    topologies are unpacked only when asked for.
+    """
+    outcome = job.outcome
     payload: Dict = {
         "job_id": job.job_id,
         "state": job.state,
         "produced": job.produced,
         "stage_events": [e.as_dict() for e in job.stage_events],
     }
-    if response is not None:
-        payload["request_id"] = response.request.request_id
-        payload["stats"] = {
-            "wall_seconds": round(response.stats.wall_seconds, 4),
-            "queue_wait_seconds": round(
-                response.stats.queue_wait_seconds, 4
-            ),
-            "samples": response.stats.samples,
-            "store_added": response.stats.store_added,
-            "store_deduplicated": response.stats.store_deduplicated,
-        }
-    if result is None:
+    if outcome is None:
         return payload
-    payload["dropped"] = result.dropped
-    scores = getattr(result, "scores", None)
-    if scores:
-        payload["scores"] = scores
-    timings = getattr(result, "timings", None)
-    if timings is not None:
-        payload["timings"] = [t.as_dict() for t in timings]
-    library = getattr(result, "library", None)
-    if library is not None:
-        patterns = []
-        for index, pattern in enumerate(library):
-            entry: Dict = {"index": index}
-            topology = getattr(pattern, "topology", None)
-            if topology is not None:
-                entry["shape"] = list(topology.shape)
-                if include_topologies:
-                    entry["topology"] = topology.astype(int).tolist()
-            patterns.append(entry)
-        payload["library"] = patterns
+    stats = outcome.stats
+    payload["request_id"] = stats.request_id
+    payload["stats"] = {
+        "wall_seconds": round(stats.wall_seconds, 4),
+        "queue_wait_seconds": round(stats.queue_wait_seconds, 4),
+        "samples": stats.samples,
+        "store_added": stats.store_added,
+        "store_deduplicated": stats.store_deduplicated,
+    }
+    if outcome.patterns is None:
+        return payload
+    payload["dropped"] = outcome.dropped
+    if outcome.scores:
+        payload["scores"] = outcome.scores
+    if outcome.timings is not None:
+        payload["timings"] = [t.as_dict() for t in outcome.timings]
+    patterns = []
+    for index, packed in enumerate(outcome.patterns):
+        entry: Dict = {"index": index, "shape": list(packed.shape)}
+        if include_topologies:
+            entry["topology"] = packed.unpack().tolist()
+        patterns.append(entry)
+    payload["library"] = patterns
     return payload
 
 

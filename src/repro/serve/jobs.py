@@ -42,8 +42,11 @@ absorbing: double-cancel and cancel-after-success are idempotent no-ops.
 
 :class:`JobTable` is the thread-safe registry behind the HTTP API:
 ids -> jobs, with TTL-bounded retention of terminal jobs so a long-lived
-server does not accumulate every job it ever ran (a purged job releases
-its response and result with it).
+server does not accumulate every job it ever ran.  A retained job keeps
+only its :class:`JobOutcome` — counts, scores, stage timings, request
+stats and bit-packed topologies — not the agent's plan, reports and
+history: one byte per eight delivered cells plus the record, whatever
+the request did to get there.
 """
 
 from __future__ import annotations
@@ -56,12 +59,16 @@ import re
 import secrets
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import StageTiming
+from repro.serve.stats import RequestStats
 
 _log = logging.getLogger("repro.serve.jobs")
 
@@ -222,6 +229,67 @@ class EngineEvent:
         return out
 
 
+@dataclass(frozen=True)
+class PackedTopology:
+    """One delivered pattern's 0/1 topology, eight cells to a byte.
+
+    ``bits`` is ``np.packbits`` of the row-major matrix: ``ceil(rows *
+    cols / 8)`` bytes, against one byte per cell unpacked.
+    """
+
+    shape: Tuple[int, int]
+    bits: bytes
+
+    @classmethod
+    def pack(cls, topology: np.ndarray) -> "PackedTopology":
+        rows, cols = topology.shape
+        return cls((int(rows), int(cols)), np.packbits(topology != 0).tobytes())
+
+    def unpack(self) -> np.ndarray:
+        """The ``uint8`` matrix of {0, 1} that was packed."""
+        rows, cols = self.shape
+        bits = np.frombuffer(self.bits, dtype=np.uint8)
+        return np.unpackbits(bits, count=rows * cols).reshape(rows, cols)
+
+
+@dataclass
+class JobOutcome:
+    """What a finished job keeps of its response while the table holds it.
+
+    Built at the terminal edge from the full response, whose result
+    (agent plan, reports, history, unpacked library) goes back to the
+    in-process caller or is dropped.  ``patterns`` is ``None`` when the
+    request produced no result at all; ``timings`` is ``None`` for a
+    result kind that keeps none (the agent path).
+    """
+
+    stats: RequestStats
+    scores: Dict = field(default_factory=dict)
+    timings: Optional[List[StageTiming]] = None
+    patterns: Optional[List[PackedTopology]] = None
+
+    @classmethod
+    def of(cls, stats: RequestStats, result) -> "JobOutcome":
+        """Compact a response's ``result`` (a ``ChatResult``, a
+        ``PipelineResult`` or ``None``)."""
+        if result is None:
+            return cls(stats)
+        return cls(
+            stats,
+            scores=getattr(result, "scores", None) or {},
+            timings=getattr(result, "timings", None),
+            patterns=[PackedTopology.pack(p.topology) for p in result.library],
+        )
+
+    @property
+    def produced(self) -> int:
+        return self.stats.produced
+
+    @property
+    def dropped(self) -> int:
+        return self.stats.dropped
+
+
 # -- the job ----------------------------------------------------------------
 
 
@@ -259,9 +327,9 @@ class Job:
         self.error_code: Optional[str] = None
         self.cancel_requested = False
         self.finished_at: Optional[float] = None
-        #: the service attaches the full :class:`ServeResponse` here when
-        #: the job reaches a terminal state
-        self.response = None
+        #: the service attaches the :class:`JobOutcome` here, before the
+        #: terminal edge
+        self.outcome: Optional[JobOutcome] = None
         #: client-supplied idempotency key (see :meth:`JobTable.create`)
         self.client_id: Optional[str] = None
         #: called with the job right after a terminal transition (the
@@ -431,12 +499,12 @@ class Job:
 
     @property
     def produced(self) -> int:
-        response = self.response
-        if response is None or response.result is None:
+        outcome = self.outcome
+        if outcome is None:
             if self._restored_view is not None:
                 return int(self._restored_view.get("produced", 0))
             return 0
-        return response.result.produced
+        return outcome.produced
 
     def as_dict(self) -> Dict:
         """The full JSON-safe progress view (the HTTP status payload)."""
@@ -519,7 +587,7 @@ class JobStateStore:
 
     One JSON line per event: ``create`` when a job is admitted to the
     table, ``terminal`` (the full ``Job.as_dict`` snapshot) when it
-    finishes.  The service attaches a job's response before its terminal
+    finishes.  The service attaches a job's outcome before its terminal
     edge, so one terminal line carries it; were a job journaled twice
     (:meth:`JobTable.persist`), the last record would win at replay.
     Boot compacts the journal down to one terminal record per surviving
@@ -633,6 +701,9 @@ class JobTable:
     Terminal jobs are kept ``ttl`` seconds past their finish so pollers
     can still read the outcome, then purged lazily on the next table
     access — no background reaper thread.  Live jobs are never purged.
+    Terminal jobs queue in the order their terminal edges ran (restored
+    jobs first, at boot), so a purge pops the expired head of that queue
+    and never scans the jobs still retained.
 
     With ``state_dir`` set, the table journals every job through a
     :class:`JobStateStore` and rehydrates on construction: terminal jobs
@@ -657,6 +728,8 @@ class JobTable:
         self.ttl = float(ttl)
         self._jobs: "Dict[str, Job]" = {}
         self._by_client: Dict[str, str] = {}
+        #: (retention start, job) per terminal job, oldest first
+        self._retiring: Deque[Tuple[float, Job]] = deque()
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         self.state_store: Optional[JobStateStore] = None
@@ -700,6 +773,7 @@ class JobTable:
             self._jobs[job.job_id] = job
             if job.client_id:
                 self._by_client[job.client_id] = job.job_id
+            self._retiring.append((job.finished_at, job))
             self.restored += 1
         for job_id, entry in orphans.items():
             view = {
@@ -716,6 +790,7 @@ class JobTable:
             self._jobs[job.job_id] = job
             if job.client_id:
                 self._by_client[job.client_id] = job.job_id
+            self._retiring.append((job.finished_at, job))
             self.resurrected += 1
         for job_id in self._jobs:
             match = _JOB_ID_RE.match(job_id)
@@ -729,6 +804,10 @@ class JobTable:
         )
 
     def _on_job_terminal(self, job: Job) -> None:
+        with self._lock:
+            # Stamped under the lock, so the queue stays in clock order
+            # even when two jobs' terminal edges race to this hook.
+            self._retiring.append((time.perf_counter(), job))
         self._m_terminal.inc(state=job.state)
         self._m_active.dec()
         if self.state_store is not None:
@@ -736,7 +815,7 @@ class JobTable:
 
     def persist(self, job: Job) -> None:
         """Re-journal a terminal job.  The terminal hook already journals
-        every job once, with its response, so the service does not call
+        every job once, with its outcome, so the service does not call
         this; a later record would replace the earlier one at replay."""
         if self.state_store is not None and job.is_terminal:
             self.state_store.record_terminal(job)
@@ -802,19 +881,20 @@ class JobTable:
             return self._purge_locked()
 
     def _purge_locked(self) -> int:
-        now = time.perf_counter()
-        stale = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.finished_at is not None
-            and now - job.finished_at > self.ttl
-        ]
-        for job_id in stale:
-            client_id = self._jobs[job_id].client_id
+        retiring = self._retiring
+        cutoff = time.perf_counter() - self.ttl
+        purged = 0
+        while retiring and retiring[0][0] < cutoff:
+            job = retiring.popleft()[1]
+            job_id = job.job_id
+            if self._jobs.get(job_id) is not job:
+                continue
+            client_id = job.client_id
             if client_id and self._by_client.get(client_id) == job_id:
                 del self._by_client[client_id]
             del self._jobs[job_id]
-        return len(stale)
+            purged += 1
+        return purged
 
     def close(self) -> None:
         """Release the state journal handle, if any."""
@@ -841,6 +921,7 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobError",
+    "JobOutcome",
     "JobStateError",
     "JobStateStore",
     "JobTable",
@@ -848,6 +929,7 @@ __all__ = [
     "LEGALIZING",
     "PENDING",
     "PERSISTING",
+    "PackedTopology",
     "QUEUED",
     "RUNNING",
     "SUCCEEDED",

@@ -25,7 +25,7 @@ import json
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,6 +58,7 @@ from repro.serve.jobs import (
     QUEUED,
     RUNNING,
     Job,
+    JobOutcome,
     JobTable,
     error_code_for,
 )
@@ -114,9 +115,10 @@ class ServeResponse:
     clients key on —
     while every other request in the same ``serve`` call completes
     normally.  ``job_id`` names the lifecycle job that tracked this
-    request; the job holds the response until its table purges it, and
-    ``stats`` is a view of that job's record
-    (:meth:`~repro.serve.stats.RequestStats.from_job`).
+    request, and ``stats`` is a view of that job's record
+    (:meth:`~repro.serve.stats.RequestStats.from_job`).  The response
+    goes to the in-process caller only; the job keeps its compact
+    :class:`~repro.serve.jobs.JobOutcome` until its table purges it.
     """
 
     request: ServeRequest
@@ -517,7 +519,11 @@ class PatternService:
         This is the batched counterpart of calling
         ``ChatPattern.handle_request`` in a loop: all requests run at once
         (up to ``max_workers``) and their sampling work coalesces in the
-        engine.
+        engine.  Each response carries the full ``ChatResult`` /
+        ``PipelineResult``, handed over from the request pool; the job
+        table keeps only the compact outcome.  A request whose
+        ``client_job_id`` names a job admitted earlier runs nothing and
+        gets that job's retained outcome: its stats and error, no result.
         """
         if not requests:
             return []
@@ -536,14 +542,15 @@ class PatternService:
         self.start()
         self._engine.request_started()
         try:
-            jobs = [self.submit_job(request) for request in resolved]
+            admitted = [self._admit(request) for request in resolved]
         finally:
             self._engine.request_finished()
-        responses = []
-        for job in jobs:
-            job.wait()
-            responses.append(job.response)
-        return responses
+        return [
+            handoff.result()
+            if handoff is not None
+            else self._retained_response(job, request)
+            for request, (job, handoff) in zip(resolved, admitted)
+        ]
 
     def handle(
         self, text: str, objective: str = "legality"
@@ -568,16 +575,27 @@ class PatternService:
         jobs are already waiting — the blocking :meth:`serve` path keeps
         its engine-level-only backpressure, unchanged.
         """
-        self.start()
         if not isinstance(request, ServeRequest):
             request = ServeRequest(text=request)
+        return self._admit(request, enforce_queue_limit)[0]
+
+    def _admit(
+        self, request: ServeRequest, enforce_queue_limit: bool = False
+    ) -> Tuple[Job, Optional["Future[ServeResponse]"]]:
+        """:meth:`submit_job`, plus the future of the job's full response.
+
+        The future is the request pool's own, so nothing else holds the
+        response once the caller drops it; it is ``None`` for a job
+        admitted earlier under the same ``client_job_id``.
+        """
+        self.start()
         if request.client_job_id:
             # Idempotent resubmission: the same client key returns the
             # job already created for it (whatever state it is in) —
             # a retried POST after a lost response runs the work once.
             existing = self.jobs.find_client(request.client_job_id)
             if existing is not None:
-                return existing
+                return existing, None
         if request.request_id == 0:
             request.request_id = self._next_request_id()
         else:
@@ -607,20 +625,18 @@ class PatternService:
         try:
             if pool is None:
                 raise RuntimeError("service request pool is not running")
-            pool.submit(self._run_job, job)
+            return job, pool.submit(self._run_job, job)
         except RuntimeError:
             # The pool shut down between start() and here (service is
             # draining): fail the job instead of hanging its waiters.
             self._close_request()
-            self._finish_job(
-                job,
-                self._empty_response(
-                    job,
-                    "service is draining; job was not executed",
-                    CODE_SHUTDOWN,
-                ),
+            response = self._empty_response(
+                job, "service is draining; job was not executed", CODE_SHUTDOWN
             )
-        return job
+            self._finish_job(job, response)
+            handoff: "Future[ServeResponse]" = Future()
+            handoff.set_result(response)
+            return job, handoff
 
     def cancel_job(self, job_id: str) -> Tuple[Optional[Job], bool]:
         """Request cancellation of a job by id.
@@ -663,9 +679,31 @@ class PatternService:
             job_id=job.job_id,
         )
 
+    def _retained_response(
+        self, job: Job, request: ServeRequest
+    ) -> ServeResponse:
+        """The response a finished job can still give: its outcome's
+        stats and its error, without the result it did not keep."""
+        job.wait()
+        outcome = job.outcome
+        return ServeResponse(
+            request=request,
+            result=None,
+            stats=(
+                outcome.stats
+                if outcome is not None
+                else RequestStats(request_id=request.request_id)
+            ),
+            error=job.error,
+            error_code=job.error_code,
+            job_id=job.job_id,
+        )
+
     def _finish_job(self, job: Job, response: ServeResponse) -> None:
-        """Attach the response, add it to the totals, end the job."""
-        job.response = response
+        """Attach the compact outcome, add the response to the totals,
+        end the job.  The full result is not attached: the job table
+        holds only what ``GET /v1/jobs/{id}/result`` serves."""
+        job.outcome = JobOutcome.of(response.stats, response.result)
         with self._stats_lock:
             self._totals.update(
                 requests=1,
@@ -678,19 +716,20 @@ class PatternService:
             # Cancelled or expired before it ran: the terminal edge (and
             # the table's accounting of it) already happened.
             return
-        # The response is attached first, so the terminal edge's one
+        # The outcome is attached first, so the terminal edge's one
         # journal record carries it.
         if response.ok:
             job.succeed(produced=response.produced)
         else:
             job.fail(response.error, code=response.error_code or CODE_INTERNAL)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> ServeResponse:
         """Request-pool entry: execute one admitted job to a terminal state.
 
         A failure while serving becomes the job's error response, so the
         job always ends and is finished exactly once.  Closes the request
-        :meth:`submit_job` opened, whatever the outcome.
+        :meth:`submit_job` opened, whatever the outcome.  Returns the full
+        response, which reaches only a caller holding the pool's future.
         """
         try:
             try:
@@ -708,6 +747,7 @@ class PatternService:
             self._finish_job(job, response)
         finally:
             self._close_request()
+        return response
 
     def _open_request(self) -> None:
         """Count an admitted request toward the engine's gather rule.

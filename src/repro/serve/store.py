@@ -11,23 +11,34 @@ for the same styles — are counted, not re-stored.
 
 Durability contract (the crash-safety half of this module):
 
-- ``add()`` is **write-ahead journaled**: the object file is written
-  first, then a JSONL record is appended to ``journal.jsonl`` and
+- A **commit** (``add()``, or ``add_library()`` for a whole library) costs
+  no more as the store grows: the object file is written and fsynced
+  (with its shard directory, and ``objects/`` when the shard is new), then
+  one JSONL record per pattern is appended to ``journal.jsonl`` and
   fsynced, and only then does the in-memory index mutate.  Once ``add()``
-  returns, the pattern survives any crash.
-- ``_flush()`` publishes the index atomically — temp file written,
-  fsynced, ``os.replace``d, parent directory fsynced — and stamps the
-  journal high-water mark (``journal_seq``) into the payload, after
-  which the journal is compacted.
-- Boot replays journal entries *newer* than the index's ``journal_seq``
-  (tolerating a torn trailing line from a mid-append crash), so a crash
-  between an acked ``add()`` and the next index flush loses nothing.
-  Replays are counted in ``repro_store_journal_replays_total``.
+  returns, the pattern survives a process crash *and* a power loss:
+  everything it needs at boot — object bytes, directory entries, journal
+  line — reached the disk before the ack.
+- A **checkpoint** publishes the index atomically — temp file written,
+  fsynced, ``os.replace``d, parent directory fsynced — stamps the journal
+  high-water mark (``journal_seq``) into the payload, and then truncates
+  the journal.  It rewrites every record, so it runs only at
+  :meth:`LibraryStore.close`, at boot after a replay, and after a commit
+  once the journal holds as many entries as the last checkpoint
+  published: checkpoints fall at 1, 2, 4, 8, … records, and the O(N)
+  rewrite is paid once per N commits.
+- Between checkpoints ``index.json`` lags the store; the journal holds
+  the difference.  Boot replays journal entries *newer* than the index's
+  ``journal_seq`` (tolerating a torn trailing line from a mid-append
+  crash), so whether the process crashed or the machine lost power, an
+  acked add is never lost.  Replays are counted in
+  ``repro_store_journal_replays_total``.
 
 Named fault sites (``store.object_write``, ``store.journal_append``,
 ``store.journal_sync``, ``store.flush_tmp``, ``store.flush_publish``,
 ``store.flush_compact``) let the chaos suite kill the process at every
-step of that protocol and property-test the recovery.
+step of that protocol — the ``flush_*`` sites inside a checkpoint — and
+property-test the recovery.
 """
 
 from __future__ import annotations
@@ -115,19 +126,27 @@ class LibraryStore:
 
     One instance is safe for concurrent use from many threads (a reentrant
     lock guards index mutations) and persistent: re-opening the same root
-    reads the JSON index back.  Use a single instance per root — each
-    instance caches the index in memory and rewrites it wholesale on add,
-    so two live instances on the same directory would clobber each other's
-    entries.
+    reads the JSON index back and replays the journal over it.  Use a
+    single instance per root — each instance caches the index in memory,
+    appends to one journal and rewrites the index wholesale at each
+    checkpoint, so two live instances on the same directory would clobber
+    each other's entries.
     """
 
     def __init__(self, root: Union[str, Path], metrics=None):
         self.root = Path(root)
-        (self.root / "objects").mkdir(parents=True, exist_ok=True)
+        objects = self.root / "objects"
+        if not objects.is_dir():
+            objects.mkdir(parents=True, exist_ok=True)
+            self._fsync_dir(self.root)
         self._lock = threading.RLock()
         self._records: Dict[str, StoreRecord] = {}
         self._journal = None
         self._journal_seq = 0
+        # Checkpoint bookkeeping: records the last published index holds,
+        # and journal entries appended since (see _maybe_checkpoint).
+        self._published = 0
+        self._pending = 0
         self.metrics = metrics if metrics is not None else default_metrics()
         self._m_added = self.metrics.counter(
             "repro_store_added_total", "Unique patterns written to the store"
@@ -147,6 +166,7 @@ class LibraryStore:
         #: Journal entries applied during this boot (0 after a clean stop).
         self.journal_replayed = self._replay_journal()
         self._m_unique.set(len(self._records))
+        self._published = len(self._records)
         if self.journal_replayed:
             self._m_replays.inc(self.journal_replayed)
             with self._lock:
@@ -163,8 +183,18 @@ class LibraryStore:
         return self.root / _JOURNAL_NAME
 
     def close(self) -> None:
-        """Release the journal file handle (the index is already durable)."""
+        """Checkpoint, then release the journal file handle.
+
+        Every acked add is already durable in the journal, so ``close``
+        adds no durability: it publishes ``index.json`` with every record
+        (skipped when nothing was journaled since the last checkpoint) and
+        truncates the journal, so the next boot replays nothing.  A store
+        that is never closed — a crashed process, a lost machine — loses
+        no acked add either; its next boot replays the journal instead.
+        """
         with self._lock:
+            if self._pending:
+                self._flush()
             if self._journal is not None:
                 self._journal.close()
                 self._journal = None
@@ -224,6 +254,7 @@ class LibraryStore:
     def _append_journal(self, entry: Dict) -> None:
         """Write-ahead: the entry is durable (fsynced) before this returns."""
         self._journal_seq += 1
+        self._pending += 1
         entry["seq"] = self._journal_seq
         handle = self._journal_handle()
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -233,8 +264,16 @@ class LibraryStore:
         faults.fire("store.journal_sync")
 
     @staticmethod
+    def _fsync_file(path: Path) -> None:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    @staticmethod
     def _fsync_dir(path: Path) -> None:
-        """Make a rename durable: fsync the directory holding it."""
+        """Make a rename or a new entry durable: fsync its directory."""
         try:
             fd = os.open(path, os.O_RDONLY)
         except OSError:  # pragma: no cover - platform-specific
@@ -246,7 +285,15 @@ class LibraryStore:
         finally:
             os.close(fd)
 
+    def _maybe_checkpoint(self) -> None:
+        """Checkpoint once the journal holds as many entries as the last
+        checkpoint published (at least one), so each O(N) index rewrite
+        is paid for by N commits."""
+        if self._pending >= max(self._published, 1):
+            self._flush()
+
     def _flush(self) -> None:
+        """The checkpoint: publish the index, then truncate the journal."""
         payload = {
             "version": _INDEX_VERSION,
             "journal_seq": self._journal_seq,
@@ -260,6 +307,8 @@ class LibraryStore:
         faults.fire("store.flush_tmp")
         os.replace(tmp, self.index_path)
         self._fsync_dir(self.root)
+        self._published = len(self._records)
+        self._pending = 0
         faults.fire("store.flush_publish")
         # Every journaled entry is now in the published index; truncate.
         self._compact_journal()
@@ -285,8 +334,10 @@ class LibraryStore:
         object tree.  A known ``legal`` verdict upgrades a record whose
         legality was previously unknown.
 
-        Durability: by the time this returns, the add is journaled and
-        fsynced — a crash at any later point replays it at next boot.
+        Durability: by the time this returns, the object and the journal
+        line are fsynced — a crash or power loss at any later point
+        replays the add at next boot.  ``flush=False`` skips the
+        checkpoint check (:meth:`add_library` runs it once at the end).
         """
         content_hash = pattern_content_hash(pattern)
         with self._lock:
@@ -300,15 +351,22 @@ class LibraryStore:
                     record.legal = legal
                 self._m_deduplicated.inc()
                 if flush:
-                    self._flush()
+                    self._maybe_checkpoint()
                 return content_hash, False
             rel = Path("objects") / content_hash[:2] / f"{content_hash}.npz"
             target = self.root / rel
+            new_shard = not target.parent.is_dir()
             target.parent.mkdir(parents=True, exist_ok=True)
             faults.fire("store.object_write")
             written = save_library(
                 PatternLibrary(patterns=[pattern], name=content_hash), target
             )
+            # The journal line is about to name this file: its bytes and
+            # its directory entries must reach the disk first.
+            self._fsync_file(written)
+            self._fsync_dir(target.parent)
+            if new_shard:
+                self._fsync_dir(target.parent.parent)
             record = StoreRecord(
                 content_hash=content_hash,
                 style=pattern.style,
@@ -324,7 +382,7 @@ class LibraryStore:
             self._m_added.inc()
             self._m_unique.set(len(self._records))
             if flush:
-                self._flush()
+                self._maybe_checkpoint()
             return content_hash, True
 
     def add_library(
@@ -332,7 +390,8 @@ class LibraryStore:
     ) -> StoreReport:
         """Store every pattern of a library, deduplicating as it goes.
 
-        The index is flushed once at the end, not per pattern.
+        One commit: each pattern is journaled as it is added, and the
+        checkpoint check runs once at the end, not per pattern.
         """
         report = StoreReport()
         with self._lock:
@@ -344,7 +403,7 @@ class LibraryStore:
                 else:
                     report.deduplicated += 1
             if len(library):
-                self._flush()
+                self._maybe_checkpoint()
         return report
 
     # -- reading -------------------------------------------------------

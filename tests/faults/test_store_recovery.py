@@ -20,7 +20,10 @@ from repro.faults import FaultPlan, FaultPoint, SimulatedCrash, injected
 from repro.serve import LibraryStore, pattern_content_hash
 from repro.squish import SquishPattern
 
-#: Every kill point along the add()/flush() write path, in write order.
+#: Every kill point along the add() write path, in write order.  The
+#: ``flush_*`` sites fire inside a checkpoint: the matrix's fourth add is
+#: one (the last checkpoint published 2 records, and 2 entries are
+#: journaled since), so every site is reached on the victim add.
 KILL_SITES = (
     "store.object_write",
     "store.journal_append",
@@ -94,6 +97,34 @@ class TestKillPointMatrix:
             assert reopened.get(victim_hash) == victim
         if site in DURABLE_AFTER:
             assert recovered
+
+    def test_the_victim_add_reaches_every_kill_site(self, tmp_path):
+        store = LibraryStore(tmp_path)
+        for row in range(3):
+            store.add(_pattern(fill_row=row))
+        plan = FaultPlan([])
+        with injected(plan):
+            store.add(_pattern(fill_row=3))
+        assert plan.counts() == {site: 1 for site in KILL_SITES}
+
+    @pytest.mark.parametrize(
+        "site", [s for s in KILL_SITES if s.startswith("store.flush_")]
+    )
+    def test_a_crash_in_a_later_checkpoint_loses_no_acked_add(
+        self, site, tmp_path
+    ):
+        # Adds 5-7 are journaled only (the checkpoint at 4 published 4
+        # records); the 8th add's checkpoint crashes.
+        store = LibraryStore(tmp_path)
+        patterns = [_pattern(fill_row=row, size=8) for row in range(8)]
+        acked = [store.add(p)[0] for p in patterns[:7]]
+        with injected(_crash_plan(site)):
+            with pytest.raises(SimulatedCrash):
+                store.add(patterns[7])  # journaled before the crash
+        reopened = LibraryStore(tmp_path)
+        for content_hash, pattern in zip(acked, patterns):
+            assert reopened.get(content_hash) == pattern
+        assert len(reopened) == 8
 
     @pytest.mark.parametrize("site", KILL_SITES)
     def test_reopened_store_keeps_serving_writes(self, site, tmp_path):

@@ -7,6 +7,7 @@ sockets: 202 (accepted / still running), 200, 400, 404, 405, 409
 parser and the acceptance check that DELETE on a queued job prevents its
 execution entirely."""
 
+import math
 import threading
 import time
 
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.obs.export import parse_exposition
+from repro.core.chatpattern import ChatResult
 from repro.serve import (
     PatternHttpServer,
     PatternService,
     ServeClient,
     ServeClientError,
+    ServeRequest,
 )
 from repro.serve.jobs import (
     CANCELLED,
@@ -27,6 +30,7 @@ from repro.serve.jobs import (
     CODE_QUEUE_FULL,
     EXPIRED,
     SUCCEEDED,
+    JobOutcome,
 )
 
 
@@ -313,3 +317,49 @@ class TestHttpCancel:
         first = client.cancel(queued)
         second = client.cancel(queued)  # idempotent: still 200
         assert first["state"] == second["state"] == CANCELLED
+
+
+class TestCompactOutcome:
+    CHAT = (
+        "Generate 1 legal patterns, 256*256 topology, physical size "
+        "4096nm * 4096nm, style Layer-10001."
+    )
+
+    def test_free_size_chat_over_the_wire_matches_in_process(
+        self, small_model
+    ):
+        """The in-process caller gets the full ChatResult; the job keeps
+        packed topologies only, and the wire unpacks them bit for bit."""
+        service = PatternService(
+            model=small_model, max_workers=1, gather_window=0.0
+        )
+        server = PatternHttpServer(service, port=0).start()
+        try:
+            response = service.serve([ServeRequest(text=self.CHAT)])[0]
+            assert response.ok, response.error
+            assert isinstance(response.result, ChatResult)
+            library = response.result.library
+            assert len(library) >= 1
+            job = service.jobs.get(response.job_id)
+            assert isinstance(job.outcome, JobOutcome)
+            assert not hasattr(job, "response")
+            for packed, pattern in zip(job.outcome.patterns, library):
+                rows, cols = pattern.topology.shape
+                assert (rows, cols) == (256, 256)
+                assert len(packed.bits) == math.ceil(rows * cols / 8)
+
+            client = ServeClient(server.url)
+            wire = client.result(response.job_id, include_topologies=True)
+            assert wire["produced"] == response.produced
+            assert len(wire["library"]) == len(library)
+            for entry, pattern in zip(wire["library"], library):
+                assert entry["shape"] == [256, 256]
+                assert entry["topology"] == pattern.topology.astype(int).tolist()
+            bare = client.result(response.job_id)
+            assert [e["shape"] for e in bare["library"]] == [
+                [256, 256]
+            ] * len(library)
+            assert all("topology" not in e for e in bare["library"])
+            assert bare["stats"]["samples"] == response.stats.samples
+        finally:
+            server.stop()

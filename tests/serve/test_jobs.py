@@ -4,8 +4,11 @@ the journal format, and the service-level contract that
 
 import gc
 import json
+import math
+import sys
 import threading
 import time
+import types
 import weakref
 
 import numpy as np
@@ -37,6 +40,7 @@ from repro.serve.jobs import (
     JobCancelled,
     JobStateError,
     JobTable,
+    PackedTopology,
     error_code_for,
     terminal_state_for,
 )
@@ -235,6 +239,149 @@ class TestJobTable:
         with pytest.raises(ValueError):
             JobTable(ttl=0.0)
 
+    @staticmethod
+    def _patch_clock(monkeypatch, clock):
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(
+            jobs_module,
+            "time",
+            types.SimpleNamespace(perf_counter=lambda: clock[0], time=time.time),
+        )
+
+    def test_purge_pops_exactly_the_expired_jobs(self, monkeypatch):
+        """Terminal jobs leave in the order their terminal edges ran, each
+        once ``ttl`` has passed since its edge; live jobs never leave, and
+        the client-key index forgets exactly the purged jobs' keys."""
+        clock = [100.0]
+        self._patch_clock(monkeypatch, clock)
+        table = JobTable(ttl=10.0)
+        live = table.create(client_id="k-live")
+        first = table.create(client_id="k-first")
+        second = table.create()
+        third = table.create(client_id="k-third")
+        first.succeed()  # t=100
+        clock[0] = 105.0
+        third.fail("boom")  # t=105: edges run out of creation order
+        clock[0] = 106.0
+        second.request_cancel()  # t=106
+        live.transition(RUNNING, stage="sample")
+
+        clock[0] = 110.0  # nothing is older than ttl yet
+        assert table.purge() == 0
+        assert len(table) == 4
+        clock[0] = 110.5  # first's edge is 10.5 s old
+        assert table.get(first.job_id) is None
+        assert table.find_client("k-first") is None
+        assert [j.job_id for j in table.jobs()] == [
+            live.job_id, second.job_id, third.job_id
+        ]
+        clock[0] = 115.5  # third goes next, though created after second
+        assert table.purge() == 1
+        assert table.get(third.job_id) is None
+        assert table.find_client("k-third") is None
+        assert table.get(second.job_id) is second
+        clock[0] = 1000.0
+        assert table.purge() == 1
+        assert table.jobs() == [live]  # the live job outlives them all
+        assert table.find_client("k-live") is live
+        assert not table._retiring
+        live.succeed()  # t=1000: its retention starts now
+        clock[0] = 1009.0
+        assert table.get(live.job_id) is live
+        clock[0] = 1010.5
+        assert len(table) == 0
+        assert table._by_client == {}
+
+    def test_purge_keeps_a_reused_client_key(self, monkeypatch):
+        clock = [0.0]
+        self._patch_clock(monkeypatch, clock)
+        table = JobTable(ttl=1.0)
+        old = table.create(client_id="k")
+        old.succeed()
+        new = table.create(client_id="k")  # the key now names the new job
+        clock[0] = 2.0
+        assert table.get(old.job_id) is None
+        assert table.find_client("k") is new
+
+    def test_restored_jobs_retire_from_boot(self, tmp_path, monkeypatch):
+        clock = [50.0]
+        self._patch_clock(monkeypatch, clock)
+        first = JobTable(ttl=5.0, state_dir=tmp_path)
+        done = first.create(client_id="k-done")
+        done.succeed()
+        first.create()  # in flight at the "crash"
+        first.close()
+        clock[0] = 500.0  # the restart: retention restarts here
+        table = JobTable(ttl=5.0, state_dir=tmp_path)
+        try:
+            assert table.restored == 1 and table.resurrected == 1
+            clock[0] = 504.0
+            assert len(table) == 2
+            clock[0] = 505.5
+            assert len(table) == 0
+            assert table.find_client("k-done") is None
+        finally:
+            table.close()
+
+    def test_concurrent_edges_and_polls_keep_the_table_consistent(self):
+        """More threads than cores finish jobs while others poll: no live
+        job is ever purged, and once every retention has run out the
+        table, its client index and its retirement queue are all empty."""
+        table = JobTable(ttl=0.005)
+        errors = []
+        stop = threading.Event()
+
+        def worker(index):
+            try:
+                for n in range(60):
+                    job = table.create(client_id=f"k-{index}-{n % 7}")
+                    if table.get(job.job_id) is not job:
+                        errors.append(f"live job {job.job_id} purged")
+                    job.transition(QUEUED)
+                    (job.succeed if n % 2 else job.request_cancel)()
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(repr(exc))
+
+        def poller():
+            while not stop.is_set():
+                len(table)
+                table.jobs()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            pollers = [threading.Thread(target=poller) for _ in range(2)]
+            for thread in threads + pollers:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            stop.set()
+            for thread in pollers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + pollers)
+        assert errors == []
+        time.sleep(0.02)
+        assert len(table) == 0
+        assert table._by_client == {}
+        assert not table._retiring
+
+
+class TestPackedTopology:
+    @pytest.mark.parametrize("shape", [(5, 3), (16, 16), (7, 1)])
+    def test_round_trip_and_size(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        topology = (rng.random(shape) < 0.5).astype(np.uint8)
+        packed = PackedTopology.pack(topology)
+        assert packed.shape == shape
+        assert len(packed.bits) == math.ceil(shape[0] * shape[1] / 8)
+        unpacked = packed.unpack()
+        assert unpacked.dtype == np.uint8
+        assert np.array_equal(unpacked, topology)
+
 
 #: A terminal journal line as the table wrote it when stage records had a
 #: job-side copy class: a pipeline job with its stage and engine events.
@@ -296,14 +443,14 @@ class TestServiceJobs:
             job = service.submit_job(_pipeline_request(count=3))
             assert job.wait(timeout=30.0)
             assert job.state == SUCCEEDED
-            result = job.response.result
-            assert result.produced == 3
-            assert [t.as_dict() for t in result.timings] == [
+            outcome = job.outcome
+            assert outcome.produced == 3
+            assert [t.as_dict() for t in outcome.timings] == [
                 e.as_dict() for e in job.stage_events
             ]
             # Not copies: the job holds the pipeline's own records.
             assert all(
-                a is b for a, b in zip(result.timings, job.stage_events)
+                a is b for a, b in zip(outcome.timings, job.stage_events)
             )
             stages = [e.stage for e in job.stage_events]
             assert stages == ["sample", "legalize", "score", "persist"]
@@ -311,9 +458,10 @@ class TestServiceJobs:
             service.stop()
 
     def test_purged_job_releases_its_result(self):
-        """The job is the only holder of a finished request's response:
-        once the table purges the job, its result can be collected, and
-        the service totals still count the request."""
+        """A finished job never holds its request's full result: the
+        in-process caller's response is its only holder.  Once the table
+        purges the job, its compact outcome can be collected too, and the
+        service totals still count the request."""
         service = PatternService(
             model=StubModel(),
             max_workers=1,
@@ -321,20 +469,51 @@ class TestServiceJobs:
             config=PipelineConfig(serve=ServeConfig(job_ttl=0.05)),
         )
         try:
-            job = service.submit_job(_pipeline_request(count=2))
-            assert job.wait(timeout=30.0)
-            assert job.state == SUCCEEDED
-            result = weakref.ref(job.response.result)
+            response = service.serve([_pipeline_request(count=2)])[0]
+            assert response.ok and response.result.produced == 2
+            # A strong reference: the job stays alive whatever the purge.
+            job = service.jobs.get(response.job_id)
+            assert job is not None and job.state == SUCCEEDED
+            result = weakref.ref(response.result)
+            del response
+            gc.collect()
+            assert result() is None
+            assert job.produced == 2
+            outcome = weakref.ref(job.outcome)
             job_id = job.job_id
             del job
             time.sleep(0.2)
             assert service.jobs.get(job_id) is None  # purged past its TTL
             gc.collect()
-            assert result() is None
+            assert outcome() is None
             stats = service.stats()
             assert stats.requests == 1
             assert stats.produced == 2
             assert stats.legalize_calls == 2
+        finally:
+            service.stop()
+
+    def test_resubmitted_client_key_gets_the_retained_outcome(self):
+        """serve() with a client key already used runs nothing: the
+        response names the first job and carries its stats, not a
+        result the job did not keep."""
+        service = PatternService(
+            model=StubModel(), max_workers=1, gather_window=0.0
+        )
+        try:
+            first = service.serve(
+                [_pipeline_request(count=2, client_job_id="ck-1")]
+            )[0]
+            assert first.ok and first.result.produced == 2
+            calls = len(service.model.calls)
+            again = service.serve(
+                [_pipeline_request(count=2, client_job_id="ck-1")]
+            )[0]
+            assert again.job_id == first.job_id
+            assert again.ok and again.result is None
+            assert again.stats is service.jobs.get(first.job_id).outcome.stats
+            assert again.stats.produced == 2
+            assert len(service.model.calls) == calls  # nothing re-ran
         finally:
             service.stop()
 
@@ -387,8 +566,8 @@ class TestServiceJobs:
             job = service.submit_job(_pipeline_request(count=3))
             assert job.wait(timeout=30.0)
             assert job.state == SUCCEEDED
-            assert job.response.stats.legalize_calls == 3
-            assert job.response.stats.legalize_seconds > 0
+            assert job.outcome.stats.legalize_calls == 3
+            assert job.outcome.stats.legalize_seconds > 0
         finally:
             service.stop()
 
@@ -413,8 +592,10 @@ class TestServiceJobs:
             assert blocker.state == SUCCEEDED
             # the distinctive batch size 7 never reached the model
             assert 7 not in model.calls
-            assert queued.response is not None
-            assert queued.response.error_code == CODE_CANCELLED
+            service.drain()  # the pool has finished the cancelled job
+            assert queued.outcome is not None
+            assert queued.outcome.patterns is None
+            assert queued.produced == 0
         finally:
             model.release.set()
             service.stop()
@@ -436,7 +617,7 @@ class TestServiceJobs:
             # the sample stage finished; legalize's checkpoint raised
             assert job.state == CANCELLED
             assert job.error_code == CODE_CANCELLED
-            assert job.response.error_code == CODE_CANCELLED
+            assert job.outcome.patterns is None
             stages = [e.stage for e in job.stage_events]
             assert "sample" in stages and "legalize" not in stages
         finally:
@@ -474,8 +655,8 @@ class TestServiceJobs:
             assert job.wait(timeout=30.0)
             assert job.state == FAILED
             assert job.error_code == CODE_INVALID_REQUEST
-            assert job.response.error_code == CODE_INVALID_REQUEST
-            assert not job.response.ok
+            assert job.outcome.patterns is None
+            assert job.produced == 0
         finally:
             service.stop()
 

@@ -359,8 +359,8 @@ class TestGatherRule:
             jobs = [service.submit_job(_requests(1)[0]) for _ in range(2)]
             for job in jobs:
                 assert job.wait(timeout=30)
-                assert job.response.ok
-                assert job.response.stats.queue_wait_seconds < 0.1
+                assert job.error is None
+                assert job.outcome.stats.queue_wait_seconds < 0.1
             assert _settled(service.engine)
 
     def test_refused_submit_leaves_counts_balanced(self, registry):
@@ -388,10 +388,10 @@ class TestGatherRule:
             _, effective = service.cancel_job(second.job_id)
             assert effective
             assert first.wait(timeout=30) and second.wait(timeout=30)
-            assert first.response.ok
+            assert first.error is None
             # The cancelled request never held a pool slot, so the first
             # did not gather for it.
-            assert first.response.stats.queue_wait_seconds < 0.1
+            assert first.outcome.stats.queue_wait_seconds < 0.1
             assert second.state == CANCELLED
             self._assert_lone_request_dispatches_at_once(service)
 
