@@ -15,7 +15,7 @@ workloads run twice:
 
 Two workloads are measured: a single 8-sample request
 (``model.sample``) and an 8-request serve workload riding the serving
-engine (``ServeEngine.bind(model)`` → ``sample_batch``), mixed styles.
+engine (``ServeEngine(model)`` → ``sample_batch``), mixed styles.
 Results are appended to ``BENCH_sample_throughput.json`` at the repo root;
 a run FAILS if its speedups regress more than 25% against the committed
 baseline (the first entry of the same workload class), or fall below the
@@ -116,19 +116,20 @@ def _run_single(model, sampler_steps):
 
 def _run_serve(model, sampler_steps):
     """8 concurrent requests coalescing in the serving engine."""
-    engine = ServeEngine(gather_window=GATHER_WINDOW)
-    client = engine.bind(model, sampler_steps=sampler_steps)
+    engine = ServeEngine(
+        model, sampler_steps=sampler_steps, gather_window=GATHER_WINDOW
+    )
     started = time.perf_counter()
     with engine:
         jobs = [
-            client.submit(SAMPLES_PER_REQUEST, i % len(STYLES), seed=i)
+            engine.submit(SAMPLES_PER_REQUEST, i % len(STYLES), seed=i)
             for i in range(N_REQUESTS)
         ]
         results = [job.result(timeout=600) for job in jobs]
     wall = time.perf_counter() - started
     total = sum(len(r) for r in results)
     assert total == N_REQUESTS * SAMPLES_PER_REQUEST
-    stats = client.stats()
+    stats = engine.stats().scheduler
     return {
         "wall_seconds": round(wall, 3),
         "requests": N_REQUESTS,

@@ -53,8 +53,8 @@ from repro.api import (
 from repro.core import ChatPattern
 from repro.data import DatasetConfig, STYLES, build_training_set
 from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
+from repro.tune import AdaptiveController
 from repro.serve import (
-    AdaptivePolicy,
     ModelKey,
     ModelRegistry,
     PatternService,
@@ -250,17 +250,17 @@ def _run_obs_trials(model, texts):
 def _run_engine_stream(model):
     """Mixed-shape staggered stream through the engine."""
     engine = ServeEngine(
+        model,
         gather_window=ENGINE_GATHER,
         max_batch=ENGINE_MAX_BATCH,
     )
-    client = engine.bind(model)
     small = (WINDOW * 3 // 4, WINDOW * 3 // 4)
     jobs = []
     started = time.perf_counter()
     with engine:
         for i in range(ENGINE_JOBS):
             jobs.append(
-                client.submit(
+                engine.submit(
                     ENGINE_SAMPLES_PER_JOB,
                     i % 2,
                     shape=(WINDOW, WINDOW) if i % 2 == 0 else small,
@@ -285,23 +285,21 @@ def _run_engine_stream(model):
 def _measure_spike(model, policy, tune_config=None):
     """One burst of full-quality jobs; per-job latency percentiles."""
     engine = ServeEngine(
-        policy=(
-            AdaptivePolicy(config=tune_config)
-            if policy == "adaptive"
-            else policy
+        model,
+        controller=(
+            AdaptiveController(tune_config) if policy == "adaptive" else None
         ),
         gather_window=0.01,
         max_batch=ENGINE_MAX_BATCH,
     )
-    client = engine.bind(model)
     with engine:
         # Warm dispatch outside the clock.
-        client.submit(1, 0, seed=10_000).result(timeout=600)
+        engine.submit(1, 0, seed=10_000).result(timeout=600)
         submitted = []
         jobs = []
         for i in range(SPIKE_JOBS):
             submitted.append(time.perf_counter())
-            jobs.append(client.submit(SPIKE_SAMPLES_PER_JOB, i % 2, seed=i))
+            jobs.append(engine.submit(SPIKE_SAMPLES_PER_JOB, i % 2, seed=i))
         latencies = []
         for at, job in zip(submitted, jobs):
             job.result(timeout=600)
@@ -312,12 +310,12 @@ def _measure_spike(model, policy, tune_config=None):
         if policy == "adaptive":
             # The calm tail: idle ticks must walk the level back to 0,
             # after which a new job runs at full requested quality.
-            controller = engine.policy.controller
+            controller = engine.controller
             deadline = time.time() + 30
             while controller.level > 0 and time.time() < deadline:
                 time.sleep(0.02)
             restored = controller.level == 0
-            tail = client.submit(SPIKE_SAMPLES_PER_JOB, 0, seed=9_999)
+            tail = engine.submit(SPIKE_SAMPLES_PER_JOB, 0, seed=9_999)
             tail.result(timeout=600)
             tail_degraded = tail.degrade_level
     result = {
@@ -330,7 +328,7 @@ def _measure_spike(model, policy, tune_config=None):
         "tail_degrade_level": tail_degraded,
     }
     if policy == "adaptive":
-        controller = engine.policy.controller
+        controller = engine.controller
         result["degrades"] = controller.degrades
         result["restores"] = controller.restores
     return result

@@ -651,14 +651,11 @@ class PatternPipeline:
             text, objective=objective or self.config.serve.objective
         )
 
-    def service(self, registry=None, engine=None):
+    def service(self, registry=None):
         """Build a :class:`PatternService` from this pipeline's config.
 
-        ``engine`` attaches the service to an existing (possibly shared)
-        :class:`~repro.serve.engine.ServeEngine` instead of letting it
-        build a private one — the multi-tenant wiring.  The service shares
-        this pipeline's metrics registry, so one snapshot covers the
-        pipeline stages, the engine and the store.
+        The service shares this pipeline's metrics registry, so one
+        snapshot covers the pipeline stages, the engine and the store.
         """
         from repro.serve.service import PatternService
 
@@ -667,6 +664,5 @@ class PatternPipeline:
             model=self._model,
             registry=registry or self.registry,
             store=self.store,
-            engine=engine,
             metrics=self.metrics,
         )

@@ -12,9 +12,14 @@ The telemetry layer of the serving stack, stdlib-only:
   the background :class:`SnapshotWriter` dumping both formats
   periodically.
 - :mod:`repro.obs.trace` — per-request span trees as a view of the
-  lifecycle job record (:func:`job_spans`), following a job through
-  admission → queue wait → batch gather → execute → legalize → store
-  persist; the service writes them as JSON lines on shutdown.
+  lifecycle job record (:func:`job_spans`), following each sampling call
+  through admission → queue wait → batch gather → execute, and the
+  request through the pipeline stages it recorded.  A ``pipeline``
+  request has a span per stage (sample, legalize, score, persist); a
+  chat request's tree is ``request`` → ``sample`` calls →
+  ``store_persist``, with no legalize span, because the agent's tools
+  call pipeline primitives that record no stage.  The service writes the
+  spans as JSON lines on shutdown.
 
 Every serve-stack component (:class:`~repro.serve.engine.ServeEngine`,
 :class:`~repro.serve.service.PatternService`,

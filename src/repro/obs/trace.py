@@ -5,10 +5,15 @@ A served request's record is its lifecycle job
 :class:`StageTiming` per executed pipeline stage and one engine event per
 sampling hop.  :func:`job_spans` projects that record into a Dapper-style
 span tree — named, nested, attribute-tagged intervals grouped by
-``trace_id`` (the request id) — following the job through admission →
-queue wait → batch gather → execute → legalize → store persist, though
-the middle hops ran on the engine's worker thread.  Nothing writes spans:
-they are derived on demand, so the trace cannot disagree with the record.
+``trace_id`` (the request id) — following each sampling call through
+admission → queue wait → batch gather → execute, though those hops ran
+on the engine's worker thread, and the request through the pipeline
+stages its job recorded.  A ``pipeline`` request records every stage
+(sample, legalize, score, persist), so its tree holds a legalize span.
+A chat request records none: the agent's tools call pipeline primitives
+that build no :class:`StageTiming`, so its tree is ``request`` →
+``sample`` calls → ``store_persist``.  Nothing writes spans: they are
+derived on demand, so the trace cannot disagree with the record.
 
 Timestamps are ``time.perf_counter()`` seconds — monotonic and
 process-relative, matching every other wall measurement in the serving

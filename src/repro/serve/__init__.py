@@ -5,16 +5,15 @@ Layers (front to back):
 - :class:`PatternService` — the service front-end: many concurrent
   natural-language requests, each running the full agent pipeline, with
   per-request stats (queue wait, batch sizes, samples/sec).
-- :class:`ServeEngine` — the execution engine: a bounded admission queue
-  (``queue_limit`` backpressure, per-job deadlines), one
-  :class:`BatchPolicy` selection rule (``fair_share``: FIFO within a
-  request source, sources taking turns; ``adaptive`` steers it with an
-  SLO-driven quality controller), one in-process worker thread running
-  the batches, and multi-model routing via :meth:`ServeEngine.bind`.
-- :class:`EngineClient` / :class:`BatchedSamplingModel` — the
-  model-bound handle :meth:`ServeEngine.bind` returns, and the per-request
-  drop-in model wrapping it: compatible sampling work from different
-  requests coalesces into single batched denoise trajectories
+- :class:`ServeEngine` — the execution engine for one fitted model: a
+  bounded admission queue (``queue_limit`` backpressure, per-job
+  deadlines), one fair-share selection rule (FIFO within a request
+  source, sources taking turns; the ``adaptive`` policy steers it with an
+  SLO-driven :class:`~repro.tune.controller.AdaptiveController`), and one
+  in-process worker thread running the batches.
+- :class:`BatchedSamplingModel` — the per-request drop-in model wrapping
+  the engine: compatible sampling work from different requests coalesces
+  into single batched denoise trajectories
   (``ConditionalDiffusionModel.sample_batch``).
 - :class:`ModelRegistry` / :class:`ModelKey` — fitted models cached by
   training recipe (``ModelKey`` derives from
@@ -32,18 +31,12 @@ Layers (front to back):
 
 from repro.serve.batching import BatchedSamplingModel
 from repro.serve.engine import (
-    AdaptivePolicy,
-    BatchPolicy,
     DeadlineExpiredError,
-    EngineClient,
     EngineError,
     EngineJob,
-    FairSharePolicy,
     QueueFullError,
     ServeEngine,
     TrajectoryPlan,
-    UnknownPolicyError,
-    resolve_batch_policy,
 )
 from repro.serve.jobs import (
     CODE_SERVER_RESTART,
@@ -80,17 +73,13 @@ from repro.serve.store import (
 )
 
 __all__ = [
-    "AdaptivePolicy",
-    "BatchPolicy",
     "CODE_SERVER_RESTART",
     "BatchRecord",
     "BatchedSamplingModel",
     "DeadlineExpiredError",
-    "EngineClient",
     "EngineError",
     "EngineJob",
     "EngineStats",
-    "FairSharePolicy",
     "JOB_STATES",
     "Job",
     "JobCancelled",
@@ -117,9 +106,7 @@ __all__ = [
     "StoreReport",
     "TERMINAL_STATES",
     "TrajectoryPlan",
-    "UnknownPolicyError",
     "error_code_for",
     "fit_model",
     "pattern_content_hash",
-    "resolve_batch_policy",
 ]

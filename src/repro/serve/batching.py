@@ -8,12 +8,11 @@ per-step walk of the reverse chain — which is almost as cheap for a
 inside the batched step) therefore coalesce into single calls of
 :meth:`~repro.diffusion.model.ConditionalDiffusionModel.sample_batch`, so
 N requests cost ~1 batched denoise trajectory instead of N.  Admission,
-batching policy and the executor live in
-:class:`~repro.serve.engine.ServeEngine`; ``ServeEngine.bind(model)``
-returns the :class:`~repro.serve.engine.EngineClient` that submits to it.
+selection and the executor live in
+:class:`~repro.serve.engine.ServeEngine`.
 
-``BatchedSamplingModel`` wraps such a client as a drop-in stand-in for
-the fitted model: its ``sample`` rides the shared engine while every
+``BatchedSamplingModel`` wraps the engine as a drop-in stand-in for
+the engine's fitted model: its ``sample`` rides the engine while every
 other attribute (``denoise_step``, ``polish``, ``schedule`` ...)
 delegates to the real model, so modification/extension code paths work
 unchanged.  It keeps no books of its own: each engine hop is written once
@@ -40,8 +39,8 @@ class BatchedSamplingModel:
     delegates to the real model, so the agent's tools and the RePaint-style
     modification/extension operators run unmodified.  Only the hot path —
     full-trajectory sampling — is intercepted and coalesced across requests.
-    ``client`` is anything with ``.model`` and ``.submit`` — in serving,
-    the :class:`~repro.serve.engine.EngineClient` from ``ServeEngine.bind``.
+    ``engine`` is anything with ``.model`` and ``.submit`` — in serving,
+    the service's :class:`~repro.serve.engine.ServeEngine`.
 
     ``job`` is the request's lifecycle :class:`~repro.serve.jobs.Job`.
     Each sampling call starts with its cancel checkpoint (a cancelled
@@ -53,19 +52,19 @@ class BatchedSamplingModel:
     cut the call's steps, ``degraded``, from the timestamps the engine
     stamped, so the request's trace follows the work onto the engine's
     worker thread without the engine knowing about tracing.  ``source``
-    tags this client's jobs for the fair-share policy (e.g. one tag per
+    tags this client's jobs for the fair-share rule (e.g. one tag per
     tenant), and ``deadline`` bounds how long its jobs may sit queued.
     """
 
     def __init__(
         self,
-        client,
+        engine,
         job,
-        source: Optional[str] = None,
+        source: str = "default",
         deadline: Optional[float] = None,
     ):
-        self._client = client
-        self._model = client.model
+        self._engine = engine
+        self._model = engine.model
         self._job = job
         self._source = source
         self._deadline = deadline
@@ -88,7 +87,7 @@ class BatchedSamplingModel:
         job.check_cancelled()
         count = int(count)
         submit_started = time.perf_counter()
-        work = self._client.submit(
+        work = self._engine.submit(
             count,
             condition,
             shape=shape,

@@ -1,7 +1,7 @@
-"""The layered serving engine: admission -> policy -> executor -> routing.
+"""The serving engine: admission -> selection -> executor, for one model.
 
-``ServeEngine`` decomposes what used to be one scheduler thread into four
-explicit layers, each independently configurable:
+``ServeEngine`` serves the one fitted model it is built with, in three
+layers:
 
 1. **Admission** — a bounded request queue.  ``queue_limit`` caps the
    number of queued jobs; when full, :meth:`ServeEngine.submit` fast-fails
@@ -9,58 +9,45 @@ explicit layers, each independently configurable:
    carry a deadline; a job still queued past its deadline fails with
    :class:`DeadlineExpiredError` rather than occupying a trajectory a
    caller has already given up on.
-2. **Batching policy** — a :class:`BatchPolicy` decides which queued
-   jobs form the next batch.  There is one selection rule,
-   ``fair_share``: FIFO within a request *source*, sources taking turns,
-   so a bulk client cannot starve interactive ones (with one source it
-   is the classic gather-window FIFO prefix).  ``adaptive`` is the same
-   rule steered by an SLO-driven quality controller.
+2. **Selection** — one rule, fair share: FIFO within a request *source*,
+   sources taking turns, so a bulk client cannot starve interactive ones
+   (with one source it is the classic gather-window FIFO prefix).  An
+   optional :class:`~repro.tune.controller.AdaptiveController` steers it
+   (the ``adaptive`` policy): under queue pressure it degrades the
+   selected jobs' step schedules and widens the gather window.
 3. **Executor** — one in-process thread gathers a batch and runs its
    trajectories, one batch after another.  ``stop`` drains gracefully,
    with three lifecycle guarantees: submit-after-stop raises, restart
    works, and nothing ever hangs.
-4. **Routing** — the engine serves many models at once: :meth:`bind`
-   resolves a :class:`~repro.serve.registry.ModelKey` through a
-   :class:`~repro.serve.registry.ModelRegistry` (or accepts a pre-fitted
-   model) and returns an :class:`EngineClient` whose jobs are tagged with
-   their back-end.  A batch is always one trajectory of one model.
 
-Callers drive the engine through the client :meth:`ServeEngine.bind`
-returns; the engine owns the lifecycle (``start`` / ``stop`` or ``with
-engine:``).  :class:`~repro.serve.batching.BatchedSamplingModel` wraps a
-client as a drop-in model for the agent's tools.
+The engine owns its lifecycle (``start`` / ``stop`` or ``with engine:``).
+:class:`~repro.serve.batching.BatchedSamplingModel` wraps it as a drop-in
+model for the agent's tools.
 
 Every scheduling decision takes its instant as a plain ``now`` argument
-(policy selection and ticks, planning, load snapshots), so the offline
-tuner (:func:`repro.tune.simulate.simulate_trial`) replays traffic
-through an unstarted engine on virtual time.
+(controller ticks, planning, load snapshots), so the offline tuner
+(:func:`repro.tune.simulate.simulate_trial`) replays traffic through an
+unstarted engine on virtual time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults
-from repro.api.config import SERVE_POLICIES, TuneConfig
 from repro.diffusion.model import SamplerSteps
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     bucket_percentile,
     default_metrics,
 )
-from repro.serve.stats import (
-    BatchRecord,
-    BatchTotals,
-    EngineStats,
-    SchedulerStats,
-)
+from repro.serve.stats import BatchRecord, BatchTotals, EngineStats
 from repro.tune.controller import AdaptiveController, EngineLoadSnapshot
 
 #: Batch records an engine keeps for ``recent_records``/``batch_records``;
@@ -95,30 +82,14 @@ class DeadlineExpiredError(EngineError):
     code = "deadline_expired"
 
 
-class UnknownPolicyError(ValueError):
-    """A batch-policy name is not in the registry.
-
-    Carries the registered names as ``known`` (and lists them in the
-    message), so callers — CLI validation, config errors — can show what
-    *would* have worked.
-    """
-
-    def __init__(self, policy, known: Sequence[str]):
-        self.policy = policy
-        self.known = tuple(sorted(known))
-        super().__init__(
-            f"unknown batch policy {policy!r}; known: {list(self.known)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Jobs
 
 
 class EngineJob:
-    """One sampling job inside the engine (the unit the policies see).
+    """One sampling job inside the engine (the unit selection sees).
 
-    Built by :meth:`EngineClient.submit`, which returns it as the caller's
+    Built by :meth:`ServeEngine.submit`, which returns it as the caller's
     handle: ``result()`` waits for the samples, and the engine stamps the
     hop timestamps (``selected_at``, ``exec_started_at`` ...) and
     ``batch_samples`` on it as the job moves through the layers.
@@ -132,8 +103,6 @@ class EngineJob:
         "sampler_steps",
         "source",
         "deadline",
-        "model",
-        "model_label",
         "submitted_at",
         "future",
         "queue_wait",
@@ -155,8 +124,6 @@ class EngineJob:
         sampler_steps: SamplerSteps = None,
         source: str = "default",
         deadline: Optional[float] = None,
-        model=None,
-        model_label: str = "model",
     ):
         # The selection rule groups jobs by source: a bad tag must fail
         # the submitter here, not the worker thread at selection.
@@ -173,21 +140,19 @@ class EngineJob:
         #: absolute ``time.perf_counter`` instant after which the job is
         #: dead on arrival at a worker (``None`` = no deadline)
         self.deadline = deadline
-        self.model = model
-        self.model_label = model_label
         self.submitted_at = time.perf_counter()
         self.future: "Future[np.ndarray]" = Future()
         self.queue_wait = 0.0
         self.batch_samples = 0  # total samples of the batch this job rode in
         # Lifecycle timestamps (perf_counter) stamped by the engine, the
-        # substrate per-request traces are built from: when the policy
-        # selected this job, and when its trajectory started/finished.
+        # substrate per-request traces are built from: when selection
+        # picked this job, and when its trajectory started/finished.
         self.selected_at = 0.0
         self.exec_started_at = 0.0
         self.exec_ended_at = 0.0
-        # Adaptive-policy provenance: when the policy degrades a job's
-        # step schedule at selection time, the original ask and the
-        # controller level land here so the response can report it.
+        # Adaptive provenance: when the controller degrades a job's step
+        # schedule at selection time, the original ask and the controller
+        # level land here so the response can report it.
         self.requested_sampler_steps: SamplerSteps = None
         self.degrade_level = 0
         #: the engine that admitted the job (``None`` until admitted)
@@ -196,7 +161,7 @@ class EngineJob:
     @property
     def batch_key(self) -> Tuple:
         """Trajectory compatibility: jobs coalesce only within one key."""
-        return (id(self.model), self.shape, self.sampler_steps)
+        return (self.shape, self.sampler_steps)
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
         """Block until a worker delivers this job's samples.
@@ -218,31 +183,19 @@ class TrajectoryPlan:
     its riders.
     """
 
-    __slots__ = (
-        "jobs",
-        "shape",
-        "sampler_steps",
-        "model",
-        "model_label",
-        "conditions",
-        "seeds",
-    )
+    __slots__ = ("jobs", "shape", "sampler_steps", "conditions", "seeds")
 
     def __init__(
         self,
         jobs: List["EngineJob"],
         shape: Tuple[int, int],
         sampler_steps: SamplerSteps,
-        model,
-        model_label: str,
         conditions: List[Optional[int]],
         seeds: List[int],
     ):
         self.jobs = jobs
         self.shape = shape
         self.sampler_steps = sampler_steps
-        self.model = model
-        self.model_label = model_label
         self.conditions = conditions
         self.seeds = seeds
 
@@ -252,213 +205,29 @@ class TrajectoryPlan:
 
 
 # ---------------------------------------------------------------------------
-# Batching policies
-
-
-class BatchPolicy:
-    """Strategy deciding which queued jobs form the next batch.
-
-    ``select`` is called under the admission queue's lock with the queued
-    jobs in arrival order; it must return a non-empty subset (when given a
-    non-empty queue), which the engine removes and executes.  A selection
-    may mix trajectory keys — the executor splits it into one trajectory
-    per key and re-sorts each trajectory's jobs into arrival order, so a
-    request's samples are reproducible for a fixed batch composition
-    regardless of the order a policy picked the jobs in.
-
-    The engine only calls ``select`` under the queue lock, so no extra
-    locking is needed.  Selection should stay O(jobs): it runs with
-    admission blocked.  ``now`` is the selection instant on the jobs'
-    ``submitted_at`` clock; a policy that reads time reads it from
-    ``now``, never from the wall.
-    """
-
-    name = "base"
-
-    def select(
-        self, jobs: Sequence[EngineJob], max_batch: int, now: float
-    ) -> List[EngineJob]:
-        raise NotImplementedError
-
-    def attach(self, engine: "ServeEngine") -> None:
-        """Adoption hook: called once from ``ServeEngine.__init__``.
-
-        Stateless policies ignore it; the adaptive policy uses it to grab
-        the engine's metrics instruments and baseline gather window.
-        """
-
-    def tick(self, engine: "ServeEngine", now: float) -> None:
-        """Periodic load hook, called under the engine's queue lock.
-
-        Fires both when the worker is about to select a batch *and* on the
-        idle wait loop — so a policy reacting to load keeps reacting when
-        the queue is empty (that is what lets the adaptive policy restore
-        full quality after a spike drains, instead of freezing at its
-        last degraded level).  Must be cheap: it runs with admission
-        blocked.  The base hook is a no-op.
-        """
-
-
-class FairSharePolicy(BatchPolicy):
-    """The engine's selection rule: FIFO within a source, sources in turn.
-
-    Jobs are grouped by their ``source`` tag and sources are ordered by
-    their oldest queued job; the batch is filled one job per source per
-    round, each source's jobs in arrival order, until ``max_batch``
-    samples are reached (the last job may overshoot it).  A bulk client
-    with a hundred queued jobs therefore shares every batch with the
-    interactive client that submitted one, instead of monopolizing the
-    engine until its backlog drains.  With a single source — or a queue
-    that fits in one batch — the pick is the plain FIFO prefix.
-
-    The rule is stateless: the selection depends only on the queue, so
-    no per-source bookkeeping outlives the jobs it described.
-    """
-
-    name = "fair_share"
-
-    def select(self, jobs, max_batch, now):
-        # Dict insertion order is first-arrival order: sources line up
-        # by their oldest queued job.
-        by_source: Dict[str, deque] = {}
-        for job in jobs:
-            by_source.setdefault(job.source, deque()).append(job)
-        queues = list(by_source.values())
-        picked: List[EngineJob] = []
-        total = 0
-        while queues and total < max_batch:
-            for queue in queues:
-                job = queue.popleft()
-                picked.append(job)
-                total += job.count
-                if total >= max_batch:
-                    break
-            queues = [queue for queue in queues if queue]
-        return picked
-
-
-class AdaptivePolicy(FairSharePolicy):
-    """SLO-holding policy: fair-share selection under a degrade controller.
-
-    The online half of the ``repro.tune`` self-tuning subsystem.  Each
-    tick (idle and pre-selection, under the queue lock) the policy feeds
-    the engine's :class:`~repro.tune.controller.EngineLoadSnapshot` —
-    queue depth, windowed queue-wait p95, worker busy fraction — to an
-    :class:`~repro.tune.controller.AdaptiveController`.  Under sustained
-    queue pressure the controller steps down a degrade ladder; while
-    degraded, selected jobs' effective ``sampler_steps`` are rewritten
-    toward ``"bucketed"`` (never below the configured floor, never above
-    what the job asked for) and the engine's gather window is widened so
-    batches coalesce harder.  When load calms, quality restores after the
-    hysteresis window.  Every transition is counted
-    (``repro_adaptive_degrade_total{direction}``), the current level is
-    exported (``repro_adaptive_level``), and each degraded job carries
-    its original ask in ``requested_sampler_steps``/``degrade_level`` so
-    the response layer can stamp a ``degraded`` engine event.
-    """
-
-    name = "adaptive"
-
-    def __init__(
-        self,
-        controller: Optional[AdaptiveController] = None,
-        config: Optional[TuneConfig] = None,
-    ):
-        if controller is not None and config is not None:
-            raise ValueError("pass controller or config, not both")
-        self.controller = (
-            controller
-            if controller is not None
-            else AdaptiveController(config)
-        )
-        self._base_gather: Optional[float] = None
-        self._m_transitions = None
-        self._m_level = None
-
-    def attach(self, engine: "ServeEngine") -> None:
-        self._base_gather = engine.gather_window
-        self._m_transitions = engine._m_adaptive_transitions
-        self._m_level = engine._m_adaptive_level
-
-    def tick(self, engine: "ServeEngine", now: float) -> None:
-        ctrl = self.controller
-        if not ctrl.due(now):
-            return
-        before = ctrl.level
-        level = ctrl.observe(engine._load_snapshot_locked(now))
-        if level == before:
-            return
-        if self._m_transitions is not None:
-            self._m_transitions.inc(
-                direction="degrade" if level > before else "restore"
-            )
-            self._m_level.set(level)
-        base = (
-            self._base_gather
-            if self._base_gather is not None
-            else engine.gather_window
-        )
-        # Wider gathering while degraded, but never wide enough to spend
-        # the SLO budget on waiting: cap at a quarter of the SLO.
-        cap = max(base, 0.25 * ctrl.config.slo_p95)
-        engine.gather_window = min(base * ctrl.gather_scale(), cap)
-
-    def select(self, jobs, max_batch, now):
-        picked = super().select(jobs, max_batch, now)
-        level = self.controller.level
-        if level > 0:
-            for job in picked:
-                effective = self.controller.effective_steps(job.sampler_steps)
-                if effective != job.sampler_steps:
-                    job.requested_sampler_steps = job.sampler_steps
-                    job.sampler_steps = effective
-                    job.degrade_level = level
-        return picked
-
-
-assert (FairSharePolicy.name, AdaptivePolicy.name) == SERVE_POLICIES
-
-
-def resolve_batch_policy(policy: Union[str, BatchPolicy]) -> BatchPolicy:
-    """Accept a policy instance or one of the policy names.
-
-    Unknown names raise :class:`UnknownPolicyError` (a ``ValueError``)
-    listing the known names.
-    """
-    if isinstance(policy, BatchPolicy):
-        return policy
-    if policy == FairSharePolicy.name:
-        return FairSharePolicy()
-    if policy == AdaptivePolicy.name:
-        return AdaptivePolicy()
-    raise UnknownPolicyError(policy, SERVE_POLICIES)
-
-
-# ---------------------------------------------------------------------------
 # The engine
 
 
 class ServeEngine:
-    """Single-worker, policy-driven, multi-model sampling engine.
+    """Single-worker, fair-share sampling engine for one model.
 
     Args:
-        registry: :class:`~repro.serve.registry.ModelRegistry` used by
-            :meth:`bind` to resolve :class:`ModelKey` recipes.  Optional —
-            an engine fed only pre-fitted models never needs one.
-        policy: batching policy name (``"fair_share"`` | ``"adaptive"``)
-            or a :class:`BatchPolicy` instance (e.g. an
-            :class:`AdaptivePolicy` built from a specific
-            :class:`~repro.api.config.TuneConfig`).
+        model: the fitted back-end every job samples from (anything with
+            ``window`` and ``sample_batch``).
+        sampler_steps: step schedule of jobs submitted without one
+            (``None`` = the model's default).
+        controller: an :class:`~repro.tune.controller.AdaptiveController`
+            steering selection (the ``adaptive`` policy); ``None`` runs
+            the plain ``fair_share`` rule.
         queue_limit: max queued jobs before :meth:`submit` fast-fails with
-            :class:`QueueFullError` (``None`` = unbounded, the legacy
-            behavior).
+            :class:`QueueFullError` (``None`` = unbounded).
         gather_window: seconds the worker keeps collecting after it sees the
             first queued job, giving concurrent submitters a chance to
             coalesce.  Skipped (or ended early) while draining, once a full
             batch is queued, or when no companion can arrive: every request
             opened with :meth:`request_started` is already blocked in
             :meth:`EngineJob.result` on a job it submitted.  Callers that open no
-            requests (raw clients, the tuner's simulation) always gather.
+            requests (raw submitters, the tuner's simulation) always gather.
         max_batch: sample budget per selected batch.
         deadline: default per-job deadline in seconds from submission
             (``None`` = jobs never expire).  Per-job deadlines override it.
@@ -469,8 +238,9 @@ class ServeEngine:
 
     def __init__(
         self,
-        registry=None,
-        policy: Union[str, BatchPolicy] = "fair_share",
+        model,
+        sampler_steps: SamplerSteps = None,
+        controller: Optional[AdaptiveController] = None,
         queue_limit: Optional[int] = None,
         gather_window: float = 0.02,
         max_batch: int = 64,
@@ -485,10 +255,15 @@ class ServeEngine:
             raise ValueError("queue_limit must be >= 1 (or None)")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be > 0 seconds (or None)")
-        self.registry = registry
-        self.policy = resolve_batch_policy(policy)
+        self.model = model
+        self.sampler_steps = sampler_steps
+        self.controller = controller
+        #: the ``policy`` label of the engine's metrics and stats
+        self.policy = "fair_share" if controller is None else "adaptive"
         self.queue_limit = queue_limit
         self.gather_window = float(gather_window)
+        # The controller widens the window from this baseline.
+        self._base_gather = self.gather_window
         self.max_batch = int(max_batch)
         self.deadline = deadline
 
@@ -508,23 +283,11 @@ class ServeEngine:
         # worker never takes this lock, so joins cannot deadlock.
         self._lifecycle_lock = threading.Lock()
 
-        # -- routing (layer 4) ----------------------------------------
-        # Weak values: a binding must not pin its model in memory for the
-        # engine's lifetime — long-lived multi-tenant engines rely on the
-        # registry's LRU to bound resident fitted models, and dropping the
-        # last client reference releases the model as before the engine.
-        self._bindings: "weakref.WeakValueDictionary[int, EngineClient]" = (
-            weakref.WeakValueDictionary()
-        )
-        self._bind_count = 0
-        self._bind_lock = threading.Lock()
-
         # -- observability --------------------------------------------
         # The last BATCH_RECORD_RING batch records, and running totals
-        # over every batch, overall and per bound model.
+        # over every batch.
         self._records: "deque[BatchRecord]" = deque(maxlen=BATCH_RECORD_RING)
         self._totals = BatchTotals()
-        self._model_totals: Dict[Optional[str], BatchTotals] = {}
         self._records_lock = threading.Lock()
         self._submitted = 0
         self._rejected = 0
@@ -575,7 +338,7 @@ class ServeEngine:
             "Summed trajectory execution time of the executor worker",
             labels=("worker",),
         )
-        # Self-tuning instruments (stay at zero for static policies).
+        # Self-tuning instruments (stay at zero without a controller).
         self._m_adaptive_transitions = m.counter(
             "repro_adaptive_degrade_total",
             "Adaptive-policy level transitions (quality degrade/restore)",
@@ -586,62 +349,9 @@ class ServeEngine:
             "Current adaptive-policy degrade level (0 = full quality)",
         )
 
-        # -- load-snapshot window state (read by the adaptive policy) --
+        # -- load-snapshot window state (read by the controller) ------
         # Snapshots derive a busy fraction from the running busy total.
         self._load_prev: Optional[Tuple] = None
-        self.policy.attach(self)
-
-    # -- routing -------------------------------------------------------
-
-    def bind(
-        self,
-        model_or_key,
-        sampler_steps: SamplerSteps = None,
-        source: str = "default",
-        label: Optional[str] = None,
-    ) -> "EngineClient":
-        """Resolve a back-end and return its submission handle.
-
-        ``model_or_key`` is either a pre-fitted model object or a
-        :class:`~repro.serve.registry.ModelKey` /
-        :class:`~repro.api.config.TrainConfig` recipe resolved through the
-        engine's registry (fitting on first use).  Binding the same model
-        object twice shares one routing token, so jobs from different
-        clients of one model still coalesce.
-        """
-        from repro.api.config import TrainConfig
-
-        if isinstance(model_or_key, TrainConfig):
-            if self.registry is None:
-                raise ValueError(
-                    "binding a ModelKey requires an engine registry"
-                )
-            from repro.serve.registry import ModelKey
-
-            key = ModelKey.from_config(model_or_key)
-            model = self.registry.get_or_fit(key)
-            label = label or f"model-{key.recipe_hash()[:8]}"
-        else:
-            model = model_or_key
-        token = id(model)
-        with self._bind_lock:
-            existing = self._bindings.get(token)
-            if label is None:
-                label = (
-                    existing.label
-                    if existing is not None
-                    else f"model-{self._bind_count}"
-                )
-            self._bind_count += 1
-            client = EngineClient(
-                self,
-                model,
-                label,
-                sampler_steps=sampler_steps,
-                source=source,
-            )
-            self._bindings[token] = client
-        return client
 
     # -- lifecycle -----------------------------------------------------
 
@@ -730,7 +440,7 @@ class ServeEngine:
 
         The count rises only once the job is queued (until then the caller
         merely keeps the worker gathering) and falls before the caller can
-        submit again.  Callers that open no requests (raw clients) count
+        submit again.  Callers that open no requests (raw submitters) count
         too, which changes nothing while no request is open.
         """
         with self._has_work:
@@ -760,12 +470,45 @@ class ServeEngine:
 
     # -- admission (layer 1) -------------------------------------------
 
+    def submit(
+        self,
+        count: int,
+        condition: Optional[int],
+        shape: Optional[Tuple[int, int]] = None,
+        seed: int = 0,
+        sampler_steps: SamplerSteps = None,
+        source: str = "default",
+        deadline: Optional[float] = None,
+    ) -> EngineJob:
+        """Queue a sampling job for the engine's model; returns its handle.
+
+        ``shape`` defaults to the model's window and ``sampler_steps`` to
+        the engine's.  ``deadline`` is relative seconds from now; jobs
+        still queued past it fail with :class:`DeadlineExpiredError`.  A
+        full admission queue raises :class:`QueueFullError` immediately.
+        """
+        job = EngineJob(
+            count=count,
+            condition=condition,
+            shape=tuple(shape) if shape else (self.model.window,) * 2,
+            seed=seed,
+            sampler_steps=(
+                sampler_steps
+                if sampler_steps is not None
+                else self.sampler_steps
+            ),
+            source=source,
+        )
+        if deadline is not None:
+            if deadline <= 0:
+                raise ValueError("deadline must be > 0 seconds")
+            job.deadline = job.submitted_at + deadline
+        return self.submit_job(job)
+
     def submit_job(self, job: EngineJob) -> EngineJob:
         """Admit a fully-formed job into the queue (or fast-fail)."""
         if job.count < 1:
             raise ValueError("count must be >= 1")
-        if job.model is None:
-            raise ValueError("job must carry a model (use EngineClient)")
         if job.deadline is None and self.deadline is not None:
             job.deadline = job.submitted_at + self.deadline
         with self._lifecycle_lock:
@@ -835,6 +578,80 @@ class ServeEngine:
                 except Exception:
                     pass
 
+    # -- selection (layer 2) -------------------------------------------
+
+    def _tick_locked(self, now: float) -> None:
+        """The controller's load tick at ``now`` (queue lock held).
+
+        The worker ticks before each selection *and* on its idle wait
+        loop, so the controller keeps seeing the (calm) queue while
+        nothing arrives and restores full quality after a spike drains,
+        instead of freezing at its last degraded level.  A level change
+        is counted (``repro_adaptive_degrade_total{direction}``), exported
+        (``repro_adaptive_level``) and widens or narrows the gather
+        window.  A no-op without a controller.
+        """
+        ctrl = self.controller
+        if ctrl is None or not ctrl.due(now):
+            return
+        before = ctrl.level
+        level = ctrl.observe(self._load_snapshot_locked(now))
+        if level == before:
+            return
+        self._m_adaptive_transitions.inc(
+            direction="degrade" if level > before else "restore"
+        )
+        self._m_adaptive_level.set(level)
+        # Wider gathering while degraded, but never wide enough to spend
+        # the SLO budget on waiting: cap at a quarter of the SLO.
+        base = self._base_gather
+        cap = max(base, 0.25 * ctrl.config.slo_p95)
+        self.gather_window = min(base * ctrl.gather_scale(), cap)
+
+    def _select_locked(self) -> List[EngineJob]:
+        """Pick and dequeue the next batch (queue lock held).
+
+        Fair share: jobs are grouped by their ``source`` tag and sources
+        are ordered by their oldest queued job; the batch is filled one
+        job per source per round, each source's jobs in arrival order,
+        until ``max_batch`` samples are reached (the last job may
+        overshoot it).  A bulk client with a hundred queued jobs therefore
+        shares every batch with the interactive client that submitted
+        one.  The pick depends only on the queue, so no per-source state
+        outlives the jobs it described.  While the controller is degraded,
+        each picked job's ``sampler_steps`` is rewritten to the level's
+        schedule (never below the configured floor, never above the ask),
+        and the job keeps its original ask in ``requested_sampler_steps``.
+        """
+        # Dict insertion order is first-arrival order: sources line up
+        # by their oldest queued job.
+        by_source: Dict[str, deque] = {}
+        for job in self._jobs:
+            by_source.setdefault(job.source, deque()).append(job)
+        queues = list(by_source.values())
+        picked: List[EngineJob] = []
+        total = 0
+        while queues and total < self.max_batch:
+            for queue in queues:
+                job = queue.popleft()
+                picked.append(job)
+                total += job.count
+                if total >= self.max_batch:
+                    break
+            queues = [queue for queue in queues if queue]
+        chosen = set(id(job) for job in picked)
+        self._jobs = [job for job in self._jobs if id(job) not in chosen]
+        self._m_queue_depth.set(len(self._jobs))
+        ctrl = self.controller
+        if ctrl is not None and ctrl.level > 0:
+            for job in picked:
+                effective = ctrl.effective_steps(job.sampler_steps)
+                if effective != job.sampler_steps:
+                    job.requested_sampler_steps = job.sampler_steps
+                    job.sampler_steps = effective
+                    job.degrade_level = ctrl.level
+        return picked
+
     # -- executor (layer 3) --------------------------------------------
 
     def _worker_loop(self) -> None:
@@ -850,7 +667,7 @@ class ServeEngine:
         return sum(job.count for job in self._jobs)
 
     def _next_batch(self) -> Optional[List[EngineJob]]:
-        """Block for work, honor the gather window, apply the policy.
+        """Block for work, honor the gather window, select a batch.
 
         Returns ``None`` when the worker should exit: the engine is
         halting, or it is draining and the queue is empty.
@@ -862,16 +679,14 @@ class ServeEngine:
                 while not self._jobs:
                     if self._halt.is_set() or self._draining.is_set():
                         return None
-                    # Idle tick: load-reactive policies must keep seeing
-                    # the (calm) queue while nothing is arriving, or a
-                    # degraded level would outlive the spike that caused
-                    # it.  No-op for the static policies.
-                    self.policy.tick(self, time.perf_counter())
+                    # Idle tick: a degraded level must not outlive the
+                    # spike that caused it.
+                    self._tick_locked(time.perf_counter())
                     self._has_work.wait(timeout=0.05)
                 # Gather latency starts the instant the worker first sees
                 # queued work, so idle blocking above never counts.
                 saw_work = time.perf_counter()
-                self.policy.tick(self, saw_work)
+                self._tick_locked(saw_work)
                 expired.extend(self._expire_locked(time.perf_counter()))
                 if self._jobs:
                     if self._gathering_locked():
@@ -885,26 +700,16 @@ class ServeEngine:
                             self._expire_locked(time.perf_counter())
                         )
                     if self._jobs:
-                        selected = self._select_locked(time.perf_counter())
+                        selected = self._select_locked()
             # Futures resolve outside the queue lock: a caller woken by
             # set_exception must never contend with admission.
             self._fail_expired(expired)
             if selected:
                 self._m_gather_latency.observe(
-                    time.perf_counter() - saw_work, policy=self.policy.name
+                    time.perf_counter() - saw_work, policy=self.policy
                 )
                 return selected
             # Everything expired — loop.
-
-    def _select_locked(self, now: float) -> List[EngineJob]:
-        """Apply the policy at ``now`` and dequeue its pick (queue lock
-        held)."""
-        selected = self.policy.select(list(self._jobs), self.max_batch, now)
-        if selected:
-            chosen = set(id(job) for job in selected)
-            self._jobs = [job for job in self._jobs if id(job) not in chosen]
-            self._m_queue_depth.set(len(self._jobs))
-        return selected
 
     # -- execution (one trajectory per compatible group) ----------------
 
@@ -924,11 +729,11 @@ class ServeEngine:
         for job in jobs:
             groups.setdefault(job.batch_key, []).append(job)
         plans: List[TrajectoryPlan] = []
-        for (_, shape, steps), group in groups.items():
+        for (shape, steps), group in groups.items():
             # A trajectory's riders always line up in arrival order, so the
             # stacked conditions and the derived seed sequence — and hence
-            # each job's samples — do not depend on the order the policy
-            # happened to pick the jobs in (fair-share interleaves sources).
+            # each job's samples — do not depend on the order selection
+            # happened to pick the jobs in (fair share interleaves sources).
             group.sort(key=lambda job: job.submitted_at)
             conditions: List[Optional[int]] = []
             for job in group:
@@ -938,8 +743,6 @@ class ServeEngine:
                     jobs=group,
                     shape=shape,
                     sampler_steps=steps,
-                    model=group[0].model,
-                    model_label=group[0].model_label,
                     conditions=conditions,
                     seeds=[job.seed % (2**32) for job in group],
                 )
@@ -961,7 +764,7 @@ class ServeEngine:
         started = time.perf_counter()
         try:
             faults.fire("engine.execute")
-            samples = plan.model.sample_batch(
+            samples = self.model.sample_batch(
                 plan.conditions, rng, shape=plan.shape, **kwargs
             )
         except Exception as exc:  # propagate to every waiting caller
@@ -988,18 +791,14 @@ class ServeEngine:
             samples=plan.samples,
             shape=plan.shape,
             wall_seconds=wall,
-            model=plan.model_label,
-            policy=self.policy.name,
+            policy=self.policy,
             started_at=started,
         )
         with self._records_lock:
             self._records.append(record)
             self._totals.add(record)
-            self._model_totals.setdefault(
-                plan.model_label, BatchTotals()
-            ).add(record)
-        self._m_batch_size.observe(plan.samples, policy=self.policy.name)
-        self._m_batch_latency.observe(wall, policy=self.policy.name)
+        self._m_batch_size.observe(plan.samples, policy=self.policy)
+        self._m_batch_latency.observe(wall, policy=self.policy)
         # One worker: the label stays for scrapers keyed on a label set.
         self._m_worker_busy.inc(wall, worker="0")
 
@@ -1069,9 +868,9 @@ class ServeEngine:
         """A thread-consistent view of current engine load.
 
         Note: windowed fields share their delta baseline with the
-        adaptive policy's ticks — external polling therefore narrows the
-        windows the policy sees (harmless, but worth knowing when reading
-        ``queue_wait_p95`` next to controller decisions).
+        controller's ticks — external polling therefore narrows the
+        windows the controller sees (harmless, but worth knowing when
+        reading ``queue_wait_p95`` next to controller decisions).
         """
         with self._has_work:
             return self._load_snapshot_locked()
@@ -1090,11 +889,6 @@ class ServeEngine:
             records = self._records
             return [records[i] for i in range(-min(n, len(records)), 0)]
 
-    def stats_for(self, label: str) -> SchedulerStats:
-        """Scheduling totals over every batch one bound model ran."""
-        with self._records_lock:
-            return self._model_totals.get(label, BatchTotals()).stats()
-
     def stats(self) -> EngineStats:
         with self._has_work:
             queued = len(self._jobs)
@@ -1105,77 +899,10 @@ class ServeEngine:
             scheduler = self._totals.stats()
         return EngineStats(
             scheduler=scheduler,
-            policy=self.policy.name,
+            policy=self.policy,
             queue_limit=self.queue_limit,
             queued=queued,
             submitted=submitted,
             rejected=rejected,
             expired=expired,
-            models=len(self._bindings),
         )
-
-
-class EngineClient:
-    """A model-bound submission handle: the routing layer's front door.
-
-    Owns no threads and no lifecycle — it tags jobs with its resolved
-    back-end (and default step schedule / source) and forwards them to the
-    shared engine, which the caller starts and stops.  ``model`` and
-    ``submit`` are all :class:`~repro.serve.batching.BatchedSamplingModel`
-    needs; ``stats`` scopes the engine's batch totals to this model.
-    """
-
-    def __init__(
-        self,
-        engine: ServeEngine,
-        model,
-        label: str,
-        sampler_steps: SamplerSteps = None,
-        source: str = "default",
-    ):
-        self.engine = engine
-        self.model = model
-        self.label = label
-        self.sampler_steps = sampler_steps
-        self.source = source
-
-    def submit(
-        self,
-        count: int,
-        condition: Optional[int],
-        shape: Optional[Tuple[int, int]] = None,
-        seed: int = 0,
-        sampler_steps: SamplerSteps = None,
-        source: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> EngineJob:
-        """Queue a sampling job for this client's model; returns its handle.
-
-        ``deadline`` is relative seconds from now; jobs still queued past
-        it fail with :class:`DeadlineExpiredError`.  A full admission
-        queue raises :class:`QueueFullError` immediately.
-        """
-        job = EngineJob(
-            count=count,
-            condition=condition,
-            shape=tuple(shape) if shape else (self.model.window,) * 2,
-            seed=seed,
-            sampler_steps=(
-                sampler_steps
-                if sampler_steps is not None
-                else self.sampler_steps
-            ),
-            source=source if source is not None else self.source,
-            model=self.model,
-            model_label=self.label,
-        )
-        if deadline is not None:
-            if deadline <= 0:
-                raise ValueError("deadline must be > 0 seconds")
-            job.deadline = job.submitted_at + deadline
-        return self.engine.submit_job(job)
-
-    # -- observability (scoped to this model) --------------------------
-
-    def stats(self) -> SchedulerStats:
-        return self.engine.stats_for(self.label)

@@ -59,7 +59,7 @@ import re
 import secrets
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -695,6 +695,18 @@ class JobStateStore:
 _JOB_ID_RE = re.compile(r"^job-(\d+)-[0-9a-f]+$")
 
 
+def _finished_unix(record: Dict, default: float) -> float:
+    """Wall-clock finish of a journaled terminal record: its
+    ``created_unix`` plus its ``elapsed_seconds`` (``default`` when the
+    record does not say)."""
+    try:
+        return float(record["created_unix"]) + float(
+            record.get("elapsed_seconds") or 0.0
+        )
+    except (KeyError, TypeError, ValueError):
+        return default
+
+
 class JobTable:
     """Thread-safe id -> :class:`Job` registry with TTL-bounded retention.
 
@@ -703,14 +715,19 @@ class JobTable:
     access — no background reaper thread.  Live jobs are never purged.
     Terminal jobs queue in the order their terminal edges ran (restored
     jobs first, at boot), so a purge pops the expired head of that queue
-    and never scans the jobs still retained.
+    and never scans the jobs still retained.  Beside it the table keeps
+    the live (non-terminal) jobs and a per-state count of the retained
+    terminal ones, so :meth:`queued_count` and :meth:`counts` cost the
+    live jobs, not the retained history.
 
     With ``state_dir`` set, the table journals every job through a
     :class:`JobStateStore` and rehydrates on construction: terminal jobs
-    come back pollable (instead of 404) and jobs that were in flight at
-    the crash are resurrected as FAILED with the stable
-    ``server_restart`` code — a client polling a pre-restart id gets a
-    truthful answer, never silence.
+    whose wall-clock finish is less than ``ttl`` ago come back pollable
+    (instead of 404), and jobs that were in flight at the crash are
+    resurrected as FAILED with the stable ``server_restart`` code — a
+    client polling a pre-restart id gets a truthful answer, never
+    silence.  Records past their TTL are dropped before the boot
+    compaction, so the journal holds at most one ``ttl`` window of jobs.
 
     ``repro_jobs_active`` rises in :meth:`create`; the terminal hook every
     created job carries lowers it and counts ``repro_job_terminal_total``,
@@ -730,6 +747,10 @@ class JobTable:
         self._by_client: Dict[str, str] = {}
         #: (retention start, job) per terminal job, oldest first
         self._retiring: Deque[Tuple[float, Job]] = deque()
+        #: jobs not yet terminal, by id
+        self._live: Dict[str, Job] = {}
+        #: retained terminal jobs per state
+        self._terminal_counts: "Counter[str]" = Counter()
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         self.state_store: Optional[JobStateStore] = None
@@ -763,17 +784,23 @@ class JobTable:
 
     def _restore(self) -> None:
         terminals, orphans = self.state_store.replay()
+        # New ids continue past every journaled one, dropped ones included.
         max_serial = 0
+        for job_id in list(terminals) + list(orphans):
+            match = _JOB_ID_RE.match(job_id)
+            if match:
+                max_serial = max(max_serial, int(match.group(1)))
+        self._counter = itertools.count(max_serial + 1)
+        now_unix = time.time()
         for job_id, payload in terminals.items():
+            if _finished_unix(payload, now_unix) < now_unix - self.ttl:
+                continue  # past its TTL: gone, as if purged before the stop
             try:
                 job = Job.restore(payload)
             except (JobStateError, KeyError, TypeError, ValueError):
                 _log.warning("dropping unreadable job record %r", job_id)
                 continue
-            self._jobs[job.job_id] = job
-            if job.client_id:
-                self._by_client[job.client_id] = job.job_id
-            self._retiring.append((job.finished_at, job))
+            self._adopt_restored(job)
             self.restored += 1
         for job_id, entry in orphans.items():
             view = {
@@ -786,28 +813,33 @@ class JobTable:
                 "request": entry.get("request"),
                 "produced": 0,
             }
-            job = Job.restore(view)
-            self._jobs[job.job_id] = job
-            if job.client_id:
-                self._by_client[job.client_id] = job.job_id
-            self._retiring.append((job.finished_at, job))
+            created_unix = entry.get("created_unix")
+            if created_unix is not None:
+                # It ended at this boot, which starts its TTL window.
+                view["elapsed_seconds"] = round(now_unix - created_unix, 4)
+            self._adopt_restored(Job.restore(view))
             self.resurrected += 1
-        for job_id in self._jobs:
-            match = _JOB_ID_RE.match(job_id)
-            if match:
-                max_serial = max(max_serial, int(match.group(1)))
-        self._counter = itertools.count(max_serial + 1)
         # One terminal line per surviving job; orphan resurrections are
         # durable from here on (a second restart must not forget them).
         self.state_store.compact(
             [job.as_dict() for job in self._jobs.values()]
         )
 
+    def _adopt_restored(self, job: Job) -> None:
+        """Retain a terminal job rehydrated at boot."""
+        self._jobs[job.job_id] = job
+        if job.client_id:
+            self._by_client[job.client_id] = job.job_id
+        self._retiring.append((job.finished_at, job))
+        self._terminal_counts[job.state] += 1
+
     def _on_job_terminal(self, job: Job) -> None:
         with self._lock:
             # Stamped under the lock, so the queue stays in clock order
             # even when two jobs' terminal edges race to this hook.
             self._retiring.append((time.perf_counter(), job))
+            self._live.pop(job.job_id, None)
+            self._terminal_counts[job.state] += 1
         self._m_terminal.inc(state=job.state)
         self._m_active.dec()
         if self.state_store is not None:
@@ -834,6 +866,7 @@ class JobTable:
         with self._lock:
             self._purge_locked()
             self._jobs[job_id] = job
+            self._live[job_id] = job
             if client_id:
                 self._by_client[client_id] = job_id
         if self.state_store is not None:
@@ -864,16 +897,22 @@ class JobTable:
 
     def counts(self) -> Dict[str, int]:
         """Jobs per state (for stats/metrics endpoints)."""
-        counts: Dict[str, int] = {}
-        for job in self.jobs():
-            counts[job.state] = counts.get(job.state, 0) + 1
-        return counts
+        with self._lock:
+            self._purge_locked()
+            counts = Counter(
+                {state: n for state, n in self._terminal_counts.items() if n}
+            )
+            live = list(self._live.values())
+        # A job whose terminal edge has not reached the hook yet is still
+        # live here, and counts once, under the state it already shows.
+        counts.update(job.state for job in live)
+        return dict(counts)
 
     def queued_count(self) -> int:
         """Jobs admitted but not yet running — the admission-bound gauge."""
-        return sum(
-            1 for job in self.jobs() if job.state in (PENDING, QUEUED)
-        )
+        with self._lock:
+            live = list(self._live.values())
+        return sum(1 for job in live if job.state in (PENDING, QUEUED))
 
     def purge(self) -> int:
         """Drop terminal jobs older than ``ttl``; returns how many."""
@@ -893,6 +932,7 @@ class JobTable:
             if client_id and self._by_client.get(client_id) == job_id:
                 del self._by_client[client_id]
             del self._jobs[job_id]
+            self._terminal_counts[job.state] -= 1
             purged += 1
         return purged
 

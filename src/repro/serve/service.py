@@ -4,19 +4,15 @@
 into a batched service: requests are handled concurrently on a worker pool,
 each one running the ordinary agent pipeline (auto-format, plan, execute)
 against a :class:`~repro.serve.batching.BatchedSamplingModel` client whose
-sampling rides the shared :class:`~repro.serve.engine.ServeEngine` — the
-layered execution engine providing admission control (``queue_limit``
-backpressure, per-job deadlines), pluggable batching policies and one
-executor thread.  The fitted back-end comes from a
-:class:`~repro.serve.registry.ModelRegistry`, so repeated services (or
-repeated keys) skip retraining, and produced patterns are persisted through
-the shared :class:`~repro.api.pipeline.PatternPipeline` primitives into an
-indexed :class:`~repro.serve.store.LibraryStore`.
-
-Several services may share one engine (pass ``engine=``): each routes its
-own :class:`ModelKey` through it, so a single executor serves many
-models/tenants, with the fair-share policy keeping any one of them from
-starving the rest.
+sampling rides the service's :class:`~repro.serve.engine.ServeEngine` —
+the execution engine providing admission control (``queue_limit``
+backpressure, per-job deadlines), fair-share batch selection (optionally
+steered by the adaptive controller) and one executor thread.  The fitted
+back-end comes from a :class:`~repro.serve.registry.ModelRegistry`, so
+repeated services (or repeated keys) skip retraining, and produced
+patterns are persisted through the shared
+:class:`~repro.api.pipeline.PatternPipeline` primitives into an indexed
+:class:`~repro.serve.store.LibraryStore`.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.agent.backend import LLMBackend, SimulatedLLM
-from repro.api.config import PipelineConfig
+from repro.api.config import SERVE_POLICIES, ConfigError, PipelineConfig
 from repro.faults import FaultPlan
 from repro.api.pipeline import PatternPipeline, PipelineResult
 from repro.core.chatpattern import ChatPattern, ChatResult
@@ -45,12 +41,7 @@ from repro.obs.export import SnapshotWriter
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import job_spans
 from repro.serve.batching import BatchedSamplingModel
-from repro.serve.engine import (
-    AdaptivePolicy,
-    EngineClient,
-    QueueFullError,
-    ServeEngine,
-)
+from repro.serve.engine import QueueFullError, ServeEngine
 from repro.serve.jobs import (
     CODE_INTERNAL,
     CODE_SHUTDOWN,
@@ -65,6 +56,7 @@ from repro.serve.jobs import (
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.stats import RequestStats, SchedulerStats
 from repro.serve.store import LibraryStore
+from repro.tune.controller import AdaptiveController
 
 #: Parameters a ``kind="pipeline"`` request may carry.
 _PIPELINE_PARAMS = frozenset({"count", "style", "size", "seed"})
@@ -212,11 +204,10 @@ class PatternService:
             facade.  Use :meth:`from_config` to derive everything from one
             config object.
         policy / queue_limit / deadline:
-            engine layers (batching policy, admission bound, default job
-            deadline); ``None`` defers to ``config.serve``.
-        engine: a pre-built (possibly shared) :class:`ServeEngine`.  The
-            service then only *binds* its model to it — ``stop`` leaves a
-            shared engine running for its other tenants.
+            engine layers (batch policy, admission bound, default job
+            deadline); ``None`` defers to ``config.serve``.  The service
+            builds and owns its engine once :meth:`start` has resolved
+            the model.
         metrics: explicit metrics registry.  When omitted and
             ``config.obs.enabled``, the service builds a *private*
             :class:`~repro.obs.metrics.MetricsRegistry` (with the
@@ -241,7 +232,6 @@ class PatternService:
         policy: Optional[str] = None,
         queue_limit: Optional[int] = None,
         deadline: Optional[float] = None,
-        engine: Optional[ServeEngine] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if max_workers < 1:
@@ -249,6 +239,11 @@ class PatternService:
         self.config = config or PipelineConfig()
         serve_cfg = self.config.serve
         obs_cfg = self.config.obs
+        if policy is not None and policy not in SERVE_POLICIES:
+            raise ConfigError(
+                f"unknown serve policy {policy!r}; known: "
+                f"{sorted(SERVE_POLICIES)}"
+            )
         faults_cfg = getattr(self.config, "faults", None)
         # A private registry per service (unless injected): its
         # snapshots then describe exactly this service's traffic, and two
@@ -299,9 +294,7 @@ class PatternService:
             queue_limit if queue_limit is not None else serve_cfg.queue_limit
         )
         self.deadline = deadline if deadline is not None else serve_cfg.deadline
-        self._engine = engine
-        self._owns_engine = engine is None
-        self._client: Optional[EngineClient] = None
+        self._engine: Optional[ServeEngine] = None
         #: lifecycle registry behind submit/cancel/status and the HTTP API
         #: (``serve.state_dir`` makes it journal + rehydrate across restarts)
         self.jobs = JobTable(
@@ -318,7 +311,7 @@ class PatternService:
             legalize_calls=0, legalize_seconds=0.0,
         )
         # Overlapping serve() calls may both find the service cold; the
-        # lock makes engine construction + model binding happen once.
+        # lock makes model resolution + engine construction happen once.
         self._start_lock = threading.Lock()
         # Requests admitted and not yet finished; the engine sees at most
         # max_workers of them open (see _open_request).
@@ -338,7 +331,6 @@ class PatternService:
         registry: Optional[ModelRegistry] = None,
         store: Optional[LibraryStore] = None,
         backend_factory: Optional[Callable[[], LLMBackend]] = None,
-        engine: Optional[ServeEngine] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "PatternService":
         """Build a service entirely from one :class:`PipelineConfig`.
@@ -364,7 +356,6 @@ class PatternService:
             policy=serve.policy,
             queue_limit=serve.queue_limit,
             deadline=serve.deadline,
-            engine=engine,
             config=config,
             metrics=metrics,
         )
@@ -398,36 +389,12 @@ class PatternService:
     def engine(self) -> Optional[ServeEngine]:
         return self._engine
 
-    @property
-    def scheduler(self) -> Optional[EngineClient]:
-        """This service's model-bound submission handle on the engine."""
-        return self._client
-
     def start(self) -> "PatternService":
-        """Resolve the model (registry hit or fit), bind it to the engine
-        and bring the engine's worker up."""
+        """Resolve the model (registry hit or fit), build the engine that
+        serves it and bring the engine's worker up."""
         with self._start_lock:
-            if self.running and self._client is not None:
+            if self.running:
                 return self
-            if self._engine is None:
-                # The adaptive policy is configured, not just named: its
-                # hysteresis controller reads ``config.tune`` (SLO, degrade
-                # ladder, thresholds), which the bare registry name can't
-                # carry.
-                policy = (
-                    AdaptivePolicy(config=self.config.tune)
-                    if self.policy == "adaptive"
-                    else self.policy
-                )
-                self._engine = ServeEngine(
-                    registry=self.registry,
-                    policy=policy,
-                    queue_limit=self.queue_limit,
-                    gather_window=self._gather_window,
-                    max_batch=self._max_batch,
-                    deadline=self.deadline,
-                    metrics=self.metrics,
-                )
             obs_cfg = self.config.obs
             if (
                 obs_cfg.enabled
@@ -441,13 +408,25 @@ class PatternService:
                 ).start()
             if self._model is None:
                 self._model = self.registry.get_or_fit(self.model_key)
-            if self._client is None or self._client.model is not self._model:
-                self._client = self._engine.bind(
+            if self._engine is None:
+                self._engine = ServeEngine(
                     self._model,
                     # The serving default rides the config's step schedule;
                     # per-job overrides still win inside the engine.
                     sampler_steps=self.config.sample.sampler_steps,
-                    label=f"model-{self.model_key.recipe_hash()[:8]}",
+                    # The adaptive policy is configured, not just named:
+                    # its controller reads ``config.tune`` (SLO, degrade
+                    # ladder, thresholds).
+                    controller=(
+                        AdaptiveController(self.config.tune)
+                        if self.policy == "adaptive"
+                        else None
+                    ),
+                    queue_limit=self.queue_limit,
+                    gather_window=self._gather_window,
+                    max_batch=self._max_batch,
+                    deadline=self.deadline,
+                    metrics=self.metrics,
                 )
             if self._pool is None:
                 # Persistent request pool: submitted jobs outlive any one
@@ -473,18 +452,16 @@ class PatternService:
             pool.shutdown(wait=True)
 
     def stop(self) -> None:
-        """Drain requests, then stop an owned engine.
+        """Drain requests, then stop the engine.
 
-        A *shared* engine (passed in via ``engine=``) keeps running — its
-        other tenants still depend on it; only the owner stops it.  The
-        service's own telemetry outputs always close: the snapshot writer
+        The service's telemetry outputs close too: the snapshot writer
         performs a final dump and, while obs is enabled, the configured
         ``trace_path`` receives the span trees of the jobs still in the
         table as JSON lines (a job restored from the state journal kept no
         transitions, so it adds none).
         """
         self.drain()
-        if self._engine is not None and self._owns_engine:
+        if self._engine is not None:
             self._engine.stop()
         self.jobs.close()
         if self.store is not None:
@@ -794,7 +771,7 @@ class PatternService:
         started = time.perf_counter()
         job.transition(RUNNING, stage=request.kind)
         client = BatchedSamplingModel(
-            self._client,
+            self._engine,
             job,
             source=request.source,
             deadline=request.deadline,
@@ -906,22 +883,22 @@ class PatternService:
         return max(1, min(60, int(estimate + 0.999)))
 
     def stats(self) -> ServiceStats:
-        scheduler_stats = (
-            self._client.stats()
-            if self._client is not None
-            else SchedulerStats.from_records([])
+        engine_stats = (
+            self._engine.stats() if self._engine is not None else None
         )
         with self._stats_lock:
             totals = dict(self._totals)
         return ServiceStats(
-            scheduler=scheduler_stats,
+            scheduler=(
+                engine_stats.scheduler
+                if engine_stats is not None
+                else SchedulerStats.from_records([])
+            ),
             registry=self.registry.stats(),
             store=self.store.stats() if self.store is not None else None,
             **totals,
             engine=(
-                self._engine.stats().as_dict()
-                if self._engine is not None
-                else None
+                engine_stats.as_dict() if engine_stats is not None else None
             ),
             jobs=self.jobs.counts(),
         )

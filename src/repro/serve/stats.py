@@ -20,11 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 class BatchRecord:
     """One batched sampling trajectory executed by the engine.
 
-    ``model``/``policy`` carry the engine's routing provenance: which
-    bound back-end the trajectory served and under which batching policy
-    it was selected.  ``started_at`` is the ``time.perf_counter`` instant
-    execution began — what lets the aggregate tell the wall-clock span
-    from the summed busy time.
+    ``policy`` names the selection policy the trajectory ran under.
+    ``started_at`` is the ``time.perf_counter`` instant execution began —
+    what lets the aggregate tell the wall-clock span from the summed busy
+    time.
     """
 
     jobs: int
@@ -32,7 +31,6 @@ class BatchRecord:
     shape: Tuple[int, int]
     wall_seconds: float
     started_at: float
-    model: Optional[str] = None
     policy: str = ""
 
     @property
@@ -142,7 +140,6 @@ class EngineStats:
     submitted: int
     rejected: int
     expired: int
-    models: int
 
     def as_dict(self) -> Dict:
         return {
@@ -153,7 +150,6 @@ class EngineStats:
             "submitted": self.submitted,
             "rejected": self.rejected,
             "expired": self.expired,
-            "models": self.models,
         }
 
 

@@ -5,7 +5,7 @@ the latency SLO and hysteresis knobs):
 
 - **Online** — :class:`~repro.tune.controller.AdaptiveController`, the
   pure hysteresis controller behind the engine's ``adaptive`` batch
-  policy (:class:`~repro.serve.engine.AdaptivePolicy`): under queue
+  policy (``ServeEngine(model, controller=...)``): under queue
   pressure it degrades effective ``sampler_steps`` toward ``"bucketed"``
   and widens batch gathering to hold the p95 SLO, restoring full quality
   once load calms.

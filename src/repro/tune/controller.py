@@ -2,8 +2,9 @@
 
 The controller is the *decision* half of online self-tuning; the engine
 half (building :class:`EngineLoadSnapshot` views and applying the chosen
-degrade level to queued jobs) lives in
-:class:`~repro.serve.engine.AdaptivePolicy`.  Splitting them keeps this
+degrade level to selected jobs) lives in
+:class:`~repro.serve.engine.ServeEngine`, which ticks the controller it
+is given.  Splitting them keeps this
 module pure — config + arithmetic, no threads, no engine imports — so the
 engine can import it without a cycle.
 
@@ -94,7 +95,7 @@ class AdaptiveController:
         self.config = config if config is not None else TuneConfig()
         self.level = 0
         #: lifetime transition counts, mirrored into the engine's
-        #: ``repro_adaptive_degrade_total`` counter by the policy
+        #: ``repro_adaptive_degrade_total`` counter by its tick
         self.degrades = 0
         self.restores = 0
         self._pressure_streak = 0

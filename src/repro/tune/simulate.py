@@ -6,8 +6,8 @@ which wall-clock runs against a live engine cannot promise (thread
 scheduling, machine load).  So each candidate config is scored by
 replaying the arrival trace through a real, never-started
 :class:`~repro.serve.engine.ServeEngine` on virtual time: admission
-(``queue_limit`` rejection), the batch policy (selection, the adaptive
-policy's ticks and gather widening), trajectory planning and
+(``queue_limit`` rejection), fair-share selection, the adaptive
+controller's ticks and gather widening, trajectory planning and
 the load snapshot are the engine's own code, handed simulated instants
 as their ``now`` arguments, and so is the decision whether to keep
 gathering.  This module keeps only the event loop — when the worker
@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Union
 from repro.api.config import ConfigError, SERVE_POLICIES, StageConfig, TuneConfig
 from repro.diffusion.schedule import validate_sampler_steps
 from repro.obs.metrics import MetricsRegistry
+from repro.tune.controller import AdaptiveController
 from repro.tune.workload import Arrival
 
 
@@ -161,29 +162,26 @@ def simulate_trial(
     """Replay one arrival trace through an engine built from a candidate."""
     # Imported here: repro.serve.engine imports repro.tune.controller,
     # which loads this package, so a top-level import would cycle.
-    from repro.serve.engine import (
-        AdaptivePolicy,
-        EngineJob,
-        QueueFullError,
-        ServeEngine,
-    )
+    from repro.serve.engine import EngineJob, QueueFullError, ServeEngine
 
     tune = tune if tune is not None else TuneConfig()
     cost = cost if cost is not None else CostModel()
-    adaptive = (
-        AdaptivePolicy(config=tune) if candidate.policy == "adaptive" else None
+    controller = (
+        AdaptiveController(tune) if candidate.policy == "adaptive" else None
     )
-    # Never started: nothing else touches its queue, so its ``*_locked``
-    # helpers run here without the lock.  It gets a registry of its own
-    # because ``metrics=None`` would report into the process-wide one.
+    # Never started and given no model (the cost model prices each
+    # trajectory instead): nothing else touches its queue, so its
+    # ``*_locked`` helpers run here without the lock.  It gets a registry
+    # of its own because ``metrics=None`` would report into the
+    # process-wide one.
     engine = ServeEngine(
-        policy=adaptive if adaptive is not None else candidate.policy,
+        None,
+        controller=controller,
         queue_limit=candidate.queue_limit,
         gather_window=gather_window,
         max_batch=max_batch,
         metrics=MetricsRegistry(),
     )
-    model = object()  # the routing token every simulated job carries
     # What each job *wants* (the quality denominator): the arrival's
     # explicit ask, else full quality.  What it *runs* is its
     # ``sampler_steps``: the explicit ask wins (a job-level override on
@@ -200,15 +198,15 @@ def simulate_trial(
     i = 0
 
     def advance(until: float) -> None:
-        """Admit arrivals and replay policy ticks, in time order, up to
-        ``until``.  The live worker ticks on its own cadence; a replay
-        every ``tick_interval`` lets the adaptive policy's pressured and
-        calm streaks accrue while a long batch runs."""
+        """Admit arrivals and replay controller ticks, in time order, up
+        to ``until``.  The live worker ticks on its own cadence; a replay
+        every ``tick_interval`` lets the adaptive controller's pressured
+        and calm streaks accrue while a long batch runs."""
         nonlocal i, next_tick, rejected
         while True:
             at = arrivals[i].at if i < len(arrivals) else math.inf
             if next_tick <= until and next_tick < at:
-                engine.policy.tick(engine, next_tick)
+                engine._tick_locked(next_tick)
                 next_tick += interval
             elif at <= until:
                 arrival = arrivals[i]
@@ -222,7 +220,6 @@ def simulate_trial(
                         ask if ask is not None else candidate.sampler_steps
                     ),
                     source=arrival.source,
-                    model=model,
                 )
                 job.submitted_at = arrival.at
                 try:
@@ -243,9 +240,10 @@ def simulate_trial(
             now = arrivals[i].at
             advance(now)
         # Gather: wait for coalescing arrivals up to the engine's window
-        # (which the adaptive policy widens while degraded), for as long as
-        # the engine's own gather rule says so.  No simulated arrival opens
-        # a request, so only the window and a full batch end the wait.
+        # (which the adaptive controller widens while degraded), for as
+        # long as the engine's own gather rule says so.  No simulated
+        # arrival opens a request, so only the window and a full batch
+        # end the wait.
         start = now
         if engine._gathering_locked():
             gather_end = now + engine.gather_window
@@ -261,7 +259,7 @@ def simulate_trial(
         advance(start)
         # The engine's plans run back to back on its worker.
         t = start
-        for plan in engine._plan(engine._select_locked(start), start):
+        for plan in engine._plan(engine._select_locked(), start):
             seconds = cost.batch_seconds(plan.samples, plan.sampler_steps)
             engine._account(plan, t, seconds)
             t += seconds
@@ -279,7 +277,6 @@ def simulate_trial(
 
     latencies.sort()
     makespan = max(free_at, arrivals[-1].at if arrivals else 0.0)
-    controller = adaptive.controller if adaptive is not None else None
     return TrialMetrics(
         requests=len(arrivals),
         completed=len(latencies),

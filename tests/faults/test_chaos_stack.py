@@ -64,16 +64,15 @@ def _live_server(**service_kwargs):
 class TestEngineChaos:
     def test_thread_tier_fault_fails_one_batch_not_the_engine(self):
         model = StubModel()
-        engine = ServeEngine(gather_window=0.0)
-        client = engine.bind(model, label="stub")
+        engine = ServeEngine(model, gather_window=0.0)
         plan = FaultPlan(
             [FaultPoint(site="engine.execute", nth=1, times=1)]
         )
         with injected(plan), engine:
-            doomed = client.submit(count=1, condition=0, seed=1)
+            doomed = engine.submit(count=1, condition=0, seed=1)
             with pytest.raises(Exception, match="injected fault"):
                 doomed.result(timeout=30)
-            healthy = client.submit(count=1, condition=0, seed=2)
+            healthy = engine.submit(count=1, condition=0, seed=2)
             assert healthy.result(timeout=30).shape == (1, 16, 16)
         assert plan.injected_total() == 1
 

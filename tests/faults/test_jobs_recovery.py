@@ -126,6 +126,31 @@ class TestOrphanResurrection:
         assert rebooted.get(job.job_id) is None  # then TTL applies
 
 
+    def test_jobs_past_their_ttl_are_dropped_at_boot(self, tmp_path):
+        """A restart after the TTL restores none of the finished jobs and
+        compacts the journal to nothing; new ids still continue past
+        theirs."""
+        table = JobTable(state_dir=tmp_path, ttl=0.05)
+        serials = []
+        for _ in range(300):
+            job = table.create()
+            job.transition(QUEUED)
+            job.succeed()
+            serials.append(int(job.job_id.split("-")[1]))
+        table.close()
+        time.sleep(0.1)
+        rebooted = _restart(tmp_path, ttl=0.05)
+        try:
+            assert rebooted.restored == 0
+            assert len(rebooted) == 0
+            journal = (tmp_path / "jobs.jsonl").read_text()
+            assert journal.splitlines() == []
+            fresh = rebooted.create()
+            assert int(fresh.job_id.split("-")[1]) == max(serials) + 1
+        finally:
+            rebooted.close()
+
+
 class TestRetentionRaces:
     def test_ttl_purge_races_status_lookups(self, tmp_path):
         """Hammer get()/counts() from threads while jobs expire and new

@@ -113,10 +113,12 @@ class TestSpans:
     def test_engine_worker_hops_join_the_request_trace(self):
         """The engine's worker thread stamps the hops; the request's trace
         holds them under the sampling call that submitted the work."""
-        engine = ServeEngine(gather_window=0.0, metrics=NULL_METRICS)
+        engine = ServeEngine(
+            _StubModel(), gather_window=0.0, metrics=NULL_METRICS
+        )
         job = Job("job-engine", request=_Request(5))
         job.transition(RUNNING, stage="chat")
-        client = BatchedSamplingModel(engine.bind(_StubModel()), job)
+        client = BatchedSamplingModel(engine, job)
         with engine:
             client.sample(2, 0, np.random.default_rng(0))
         job.succeed()

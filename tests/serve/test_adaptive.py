@@ -1,5 +1,6 @@
 """The online half of self-tuning: the ``adaptive`` policy on the live
-engine, the policy registry's typed error, and the config round-trip."""
+engine (fair-share selection steered by an ``AdaptiveController``), the
+service's policy names, and the config round-trip."""
 
 import threading
 import time
@@ -7,15 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.api.config import PipelineConfig, TuneConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.serve import (
-    AdaptivePolicy,
-    ServeEngine,
-    UnknownPolicyError,
-    resolve_batch_policy,
+from repro.api.config import (
+    SERVE_POLICIES,
+    ConfigError,
+    PipelineConfig,
+    TuneConfig,
 )
-from repro.serve.engine import FairSharePolicy
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.serve import PatternService, ServeEngine
 from repro.tune import AdaptiveController
 
 
@@ -49,37 +49,14 @@ def pressure_config(**overrides):
 
 
 class TestPolicyRegistry:
+    """The policy names (``SERVE_POLICIES``) a service accepts."""
+
     def test_unknown_name_raises_typed_error_listing_known(self):
-        with pytest.raises(UnknownPolicyError) as excinfo:
-            resolve_batch_policy("fifo")
-        err = excinfo.value
-        assert isinstance(err, ValueError)  # old except clauses still work
-        assert err.policy == "fifo"
-        assert err.known == ("adaptive", "fair_share")
-        for name in err.known:
-            assert name in str(err)
-
-    def test_engine_constructor_propagates_the_error(self):
-        with pytest.raises(UnknownPolicyError):
-            ServeEngine(policy="fifo")
-
-    def test_adaptive_resolves_from_the_registry(self):
-        policy = resolve_batch_policy("adaptive")
-        assert isinstance(policy, AdaptivePolicy)
-        # The same selection rule, steered by the controller.
-        assert isinstance(policy, FairSharePolicy)
-
-    def test_instances_pass_through(self):
-        fair = FairSharePolicy()
-        assert resolve_batch_policy(fair) is fair
-        custom = AdaptivePolicy(config=pressure_config())
-        assert resolve_batch_policy(custom) is custom
-
-    def test_controller_and_config_are_exclusive(self):
-        with pytest.raises(ValueError):
-            AdaptivePolicy(
-                controller=AdaptiveController(), config=TuneConfig()
-            )
+        with pytest.raises(ConfigError) as excinfo:
+            PatternService(model=StepRecordingModel(), policy="fifo")
+        assert isinstance(excinfo.value, ValueError)
+        for name in SERVE_POLICIES:
+            assert name in str(excinfo.value)
 
 
 class TestServeConfigRoundTrip:
@@ -96,33 +73,51 @@ class TestServeConfigRoundTrip:
         assert loaded.tune.degrade_after == 3
 
     def test_config_policy_feeds_the_engine(self):
-        engine = ServeEngine(policy="adaptive")
-        assert isinstance(engine.policy, AdaptivePolicy)
+        cfg = PipelineConfig()
+        cfg = cfg.replace(
+            serve=cfg.serve.replace(policy="adaptive"),
+            tune=cfg.tune.replace(slo_p95=1.5),
+        )
+        service = PatternService.from_config(
+            cfg, model=StepRecordingModel(), metrics=NULL_METRICS
+        )
+        with service:
+            engine = service.engine
+            assert engine.policy == "adaptive"
+            assert isinstance(engine.controller, AdaptiveController)
+            # Configured, not just named: the controller reads config.tune.
+            assert engine.controller.config == cfg.tune
+            assert service.stats().engine["policy"] == "adaptive"
+        plain = PatternService(
+            model=StepRecordingModel(), metrics=NULL_METRICS
+        )
+        with plain:
+            assert plain.engine.controller is None
+            assert plain.engine.policy == "fair_share"
 
 
 class TestAdaptiveEngine:
     def test_degrades_under_pressure_and_restores_when_calm(self):
-        policy = AdaptivePolicy(config=pressure_config())
+        controller = AdaptiveController(pressure_config())
         metrics = MetricsRegistry()
-        engine = ServeEngine(
-            policy=policy, gather_window=0.0, metrics=metrics
-        )
         model = StepRecordingModel(delay=0.05)
-        client = engine.bind(model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(12)]
+        engine = ServeEngine(
+            model, controller=controller, gather_window=0.0, metrics=metrics
+        )
+        jobs = [engine.submit(1, 0, seed=i) for i in range(12)]
         with engine:
             for job in jobs:
                 job.result(timeout=60)
-            assert policy.controller.degrades >= 1
+            assert controller.degrades >= 1
             # Idle ticks happen in the dispatcher's wait loop: give the
             # calm streak time to walk the level back to 0.
             deadline = time.time() + 10
-            while policy.controller.level > 0 and time.time() < deadline:
+            while controller.level > 0 and time.time() < deadline:
                 time.sleep(0.05)
-            assert policy.controller.level == 0
-            assert policy.controller.restores >= 1
+            assert controller.level == 0
+            assert controller.restores >= 1
             # A post-spike job runs at full requested quality again.
-            tail = client.submit(1, 0, seed=99)
+            tail = engine.submit(1, 0, seed=99)
             tail.result(timeout=60)
             assert tail.degrade_level == 0
         # The spike's batches ran degraded schedules.
@@ -133,11 +128,13 @@ class TestAdaptiveEngine:
         assert metrics.get("repro_adaptive_level").value() == 0.0
 
     def test_degraded_jobs_carry_their_original_ask(self):
-        policy = AdaptivePolicy(config=pressure_config())
-        engine = ServeEngine(policy=policy, gather_window=0.0)
         model = StepRecordingModel(delay=0.05)
-        client = engine.bind(model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(12)]
+        engine = ServeEngine(
+            model,
+            controller=AdaptiveController(pressure_config()),
+            gather_window=0.0,
+        )
+        jobs = [engine.submit(1, 0, seed=i) for i in range(12)]
         with engine:
             for job in jobs:
                 job.result(timeout=60)
@@ -148,12 +145,14 @@ class TestAdaptiveEngine:
             assert job.sampler_steps in (32, "bucketed")
 
     def test_never_degrades_below_the_floor_or_an_explicit_ask(self):
-        policy = AdaptivePolicy(config=pressure_config(floor_steps=32))
-        engine = ServeEngine(policy=policy, gather_window=0.0)
         model = StepRecordingModel(delay=0.05)
-        client = engine.bind(model)
+        engine = ServeEngine(
+            model,
+            controller=AdaptiveController(pressure_config(floor_steps=32)),
+            gather_window=0.0,
+        )
         jobs = [
-            client.submit(1, 0, seed=i, sampler_steps=8) for i in range(12)
+            engine.submit(1, 0, seed=i, sampler_steps=8) for i in range(12)
         ]
         with engine:
             for job in jobs:
@@ -164,23 +163,26 @@ class TestAdaptiveEngine:
         assert all(job.degrade_level == 0 for job in jobs)
 
     def test_widens_gather_window_while_degraded(self):
-        policy = AdaptivePolicy(config=pressure_config(restore_after=10 ** 6))
-        engine = ServeEngine(policy=policy, gather_window=0.01)
-        model = StepRecordingModel(delay=0.05)
-        client = engine.bind(model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(12)]
+        controller = AdaptiveController(
+            pressure_config(restore_after=10 ** 6)
+        )
+        engine = ServeEngine(
+            StepRecordingModel(delay=0.05),
+            controller=controller,
+            gather_window=0.01,
+        )
+        jobs = [engine.submit(1, 0, seed=i) for i in range(12)]
         with engine:
             for job in jobs:
                 job.result(timeout=60)
-            assert policy.controller.level > 0
+            assert controller.level > 0
             assert engine.gather_window > 0.01
             # Capped: widening must never eat the whole SLO budget.
             assert engine.gather_window <= max(0.01, 0.25 * 0.5)
 
     def test_load_snapshot_is_publicly_scrapeable(self):
-        engine = ServeEngine(gather_window=0.0)
-        client = engine.bind(StepRecordingModel())
-        client.submit(2, 0, seed=1)
+        engine = ServeEngine(StepRecordingModel(), gather_window=0.0)
+        engine.submit(2, 0, seed=1)
         snapshot = engine.load_snapshot()
         assert snapshot.queue_depth == 1
         assert snapshot.queued_samples == 2
@@ -207,7 +209,7 @@ class TestDegradedEngineEvent:
         def result(self):
             return np.zeros((1, 16, 16), dtype=np.uint8)
 
-    class _FakeScheduler:
+    class _FakeEngine:
         def __init__(self):
             self.model = StepRecordingModel()
 
@@ -222,7 +224,7 @@ class TestDegradedEngineEvent:
 
         lifecycle = Job("job-degraded")
         lifecycle.transition(RUNNING, stage="chat")
-        client = BatchedSamplingModel(self._FakeScheduler(), lifecycle)
+        client = BatchedSamplingModel(self._FakeEngine(), lifecycle)
         client.sample(1, 0, np.random.default_rng(0))
         hops = {e.kind: e.detail for e in lifecycle.engine_events}
         assert "degraded" in hops
@@ -245,12 +247,12 @@ class TestDegradedEngineEvent:
         plain = self._FakeEngineJob()
         plain.degrade_level = 0
 
-        class PlainScheduler(self._FakeScheduler):
+        class PlainEngine(self._FakeEngine):
             def submit(self, count, condition, **kwargs):
                 return plain
 
         quiet = Job("job-quiet")
-        client2 = BatchedSamplingModel(PlainScheduler(), quiet)
+        client2 = BatchedSamplingModel(PlainEngine(), quiet)
         client2.sample(1, 0, np.random.default_rng(0))
         assert "degraded" not in [e.kind for e in quiet.engine_events]
         assert RequestStats.from_job(quiet, request_id=2).degraded_jobs == 0

@@ -1,4 +1,4 @@
-"""Micro-batching through ``ServeEngine(...).bind(model)`` on a real model,
+"""Micro-batching through ``ServeEngine(model, ...)`` on a real model,
 and the :class:`BatchedSamplingModel` client that rides it, writing its
 engine hops into a lifecycle job that the request's stats are read from."""
 
@@ -27,17 +27,16 @@ def _sampling_fields(stats):
 
 class TestSchedulerBatching:
     def test_pre_submitted_jobs_form_one_batch(self, small_model):
-        engine = ServeEngine(gather_window=0.05)
-        client = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.05)
         jobs = [
-            client.submit(1, i % 2, seed=i) for i in range(4)
+            engine.submit(1, i % 2, seed=i) for i in range(4)
         ]  # queued before the worker starts
         with engine:
             results = [job.result(timeout=60) for job in jobs]
         for result in results:
             assert result.shape == (1, 64, 64)
             assert result.dtype == np.uint8
-        stats = client.stats()
+        stats = engine.stats().scheduler
         assert stats.batches == 1
         assert stats.jobs == 4
         assert stats.max_batch_size == 4
@@ -45,92 +44,86 @@ class TestSchedulerBatching:
         assert all(job.queue_wait >= 0.0 for job in jobs)
 
     def test_multi_count_jobs_split_correctly(self, small_model):
-        engine = ServeEngine(gather_window=0.05)
-        client = engine.bind(small_model)
-        a = client.submit(2, 0, seed=1)
-        b = client.submit(3, 1, seed=2)
+        engine = ServeEngine(small_model, gather_window=0.05)
+        a = engine.submit(2, 0, seed=1)
+        b = engine.submit(3, 1, seed=2)
         with engine:
             ra = a.result(timeout=60)
             rb = b.result(timeout=60)
         assert ra.shape == (2, 64, 64)
         assert rb.shape == (3, 64, 64)
-        assert client.stats().samples == 5
+        assert engine.stats().scheduler.samples == 5
 
     def test_mixed_shapes_grouped_by_shape(self, small_model):
-        engine = ServeEngine(gather_window=0.05)
-        client = engine.bind(small_model)
-        a = client.submit(1, 0, shape=(64, 64), seed=1)
-        b = client.submit(1, 1, shape=(32, 32), seed=2)
+        engine = ServeEngine(small_model, gather_window=0.05)
+        a = engine.submit(1, 0, shape=(64, 64), seed=1)
+        b = engine.submit(1, 1, shape=(32, 32), seed=2)
         with engine:
             assert a.result(timeout=60).shape == (1, 64, 64)
             assert b.result(timeout=60).shape == (1, 32, 32)
-        stats = client.stats()
+        stats = engine.stats().scheduler
         # One gather, but two trajectories: shapes cannot share a stack.
         assert stats.batches == 2
         assert stats.max_batch_size == 1
 
     def test_max_batch_caps_gathering(self, small_model):
-        engine = ServeEngine(gather_window=0.05, max_batch=2)
-        client = engine.bind(small_model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(4)]
+        engine = ServeEngine(small_model, gather_window=0.05, max_batch=2)
+        jobs = [engine.submit(1, 0, seed=i) for i in range(4)]
         with engine:
             for job in jobs:
                 job.result(timeout=60)
-        assert client.stats().max_batch_size <= 2
+        assert engine.stats().scheduler.max_batch_size <= 2
 
     def test_error_propagates_to_every_rider(self):
         def boom(conditions, rng, shape=None):
             raise RuntimeError("backend exploded")
 
         model = SimpleNamespace(window=16, fitted=True, sample_batch=boom)
-        engine = ServeEngine(gather_window=0.05)
-        client = engine.bind(model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(2)]
+        engine = ServeEngine(model, gather_window=0.05)
+        jobs = [engine.submit(1, 0, seed=i) for i in range(2)]
         with engine:
             for job in jobs:
                 with pytest.raises(RuntimeError, match="backend exploded"):
                     job.result(timeout=10)
 
     def test_rejects_bad_arguments(self, small_model):
-        client = ServeEngine().bind(small_model)
+        engine = ServeEngine(small_model)
         with pytest.raises(ValueError):
-            client.submit(0, 0)
+            engine.submit(0, 0)
         with pytest.raises(ValueError):
-            ServeEngine(gather_window=-1)
+            ServeEngine(small_model, gather_window=-1)
         with pytest.raises(ValueError):
-            ServeEngine(max_batch=0)
+            ServeEngine(small_model, max_batch=0)
 
 
 class TestSchedulerLifecycle:
     def test_submit_after_stop_fails_fast(self, small_model):
-        engine = ServeEngine(gather_window=0.01)
-        client = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.01)
         with engine:
-            client.submit(1, 0, seed=1).result(timeout=60)
+            engine.submit(1, 0, seed=1).result(timeout=60)
         assert not engine.running
         # No worker will ever drain the queue again: result() would hang.
         with pytest.raises(RuntimeError, match="stopped"):
-            client.submit(1, 0, seed=2)
+            engine.submit(1, 0, seed=2)
 
     def test_restart_after_stop_accepts_jobs_again(self, small_model):
-        engine = ServeEngine(gather_window=0.01)
-        client = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.01)
         with engine:
-            client.submit(1, 0, seed=1).result(timeout=60)
+            engine.submit(1, 0, seed=1).result(timeout=60)
         with engine:  # restart clears the stopped state
-            result = client.submit(1, 0, seed=2).result(timeout=60)
+            result = engine.submit(1, 0, seed=2).result(timeout=60)
         assert result.shape == (1, 64, 64)
 
     def test_submit_before_start_still_allowed(self, small_model):
-        engine = ServeEngine(gather_window=0.01)
-        job = engine.bind(small_model).submit(1, 0, seed=3)  # worker not up
+        engine = ServeEngine(small_model, gather_window=0.01)
+        job = engine.submit(1, 0, seed=3)  # worker not up
         with engine:
             assert job.result(timeout=60).shape == (1, 64, 64)
 
     def test_stop_before_start_keeps_scheduler_usable(self, small_model):
-        engine = ServeEngine(gather_window=0.01)
+        engine = ServeEngine(small_model, gather_window=0.01)
         engine.stop()  # no-op: never started
-        job = engine.bind(small_model).submit(1, 0, seed=4)
+        job = engine.submit(1, 0, seed=4)
         with engine:
             assert job.result(timeout=60).shape == (1, 64, 64)
 
@@ -138,7 +131,7 @@ class TestSchedulerLifecycle:
 class TestBatchedSamplingModel:
     def test_delegates_model_attributes(self, small_model):
         client = BatchedSamplingModel(
-            ServeEngine().bind(small_model), Job("job-delegate")
+            ServeEngine(small_model), Job("job-delegate")
         )
         assert client.window == small_model.window
         assert client.n_classes == small_model.n_classes
@@ -146,10 +139,9 @@ class TestBatchedSamplingModel:
         assert client.schedule is small_model.schedule
 
     def test_sample_rides_scheduler_and_records_stats(self, small_model):
-        engine = ServeEngine(gather_window=0.05)
-        bound = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.05)
         job = Job("job-sample")
-        client = BatchedSamplingModel(bound, job)
+        client = BatchedSamplingModel(engine, job)
         with engine:
             samples = client.sample(2, 0, np.random.default_rng(3))
         assert samples.shape == (2, 64, 64)
@@ -160,13 +152,12 @@ class TestBatchedSamplingModel:
         assert stats.sample_jobs == 1
         assert stats.samples == 2
         assert stats.batch_sizes == [2]
-        assert bound.stats().jobs == 1
+        assert engine.stats().scheduler.jobs == 1
 
     def test_concurrent_clients_coalesce(self, small_model):
-        engine = ServeEngine(gather_window=0.2)
-        bound = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.2)
         clients = [
-            BatchedSamplingModel(bound, Job(f"job-{i}")) for i in range(4)
+            BatchedSamplingModel(engine, Job(f"job-{i}")) for i in range(4)
         ]
         outputs = [None] * 4
 
@@ -185,7 +176,7 @@ class TestBatchedSamplingModel:
                 thread.join()
         assert all(out.shape == (1, 64, 64) for out in outputs)
         # All four single-sample jobs rode batched trajectories.
-        assert bound.stats().max_batch_size > 1
+        assert engine.stats().scheduler.max_batch_size > 1
 
 
 class TestSamplerStepsForwarding:
@@ -201,15 +192,16 @@ class TestSamplerStepsForwarding:
         model = SimpleNamespace(
             window=16, fitted=True, sample_batch=sample_batch
         )
-        engine = ServeEngine(gather_window=0.01)
-        client = engine.bind(model, sampler_steps="bucketed")
+        engine = ServeEngine(
+            model, sampler_steps="bucketed", gather_window=0.01
+        )
         with engine:
-            client.submit(1, 0, seed=1).result(timeout=30)
+            engine.submit(1, 0, seed=1).result(timeout=30)
         assert calls == [{"sampler_steps": "bucketed"}]
 
 
 class TestSchedulerEngineKnobs:
-    """Admission and executor-pool knobs of the engine on a bound model."""
+    """Admission and executor knobs of the engine on a stub model."""
 
     def test_scheduler_exposes_queue_limit_backpressure(self):
         model = SimpleNamespace(
@@ -219,16 +211,15 @@ class TestSchedulerEngineKnobs:
                 (len(conditions), *shape), dtype=np.uint8
             ),
         )
-        client = ServeEngine(queue_limit=1).bind(model)
-        client.submit(1, 0, seed=1)
+        engine = ServeEngine(model, queue_limit=1)
+        engine.submit(1, 0, seed=1)
         with pytest.raises(QueueFullError):
-            client.submit(1, 0, seed=2)
+            engine.submit(1, 0, seed=2)
 
     def test_scheduler_serves_mixed_shapes(self, small_model):
-        engine = ServeEngine(gather_window=0.05)
-        client = engine.bind(small_model)
+        engine = ServeEngine(small_model, gather_window=0.05)
         jobs = [
-            client.submit(
+            engine.submit(
                 1, i % 2, shape=(64, 64) if i % 2 == 0 else (32, 32), seed=i
             )
             for i in range(4)
@@ -258,10 +249,9 @@ class TestClientThreadSafety:
                 (len(conditions), *shape), dtype=np.uint8
             ),
         )
-        engine = ServeEngine(gather_window=0.001)
-        bound = engine.bind(model)
+        engine = ServeEngine(model, gather_window=0.001)
         job = Job("job-hammer")
-        client = BatchedSamplingModel(bound, job)
+        client = BatchedSamplingModel(engine, job)
         threads_n, per_thread = 8, 25
         errors = []
 
@@ -299,8 +289,8 @@ class TestClientThreadSafety:
         assert stats.queue_wait_seconds >= 0.0
         kinds = [e.kind for e in job.engine_events]
         assert kinds.count("admission") == expected_jobs
-        assert bound.stats().jobs == expected_jobs
-        assert bound.stats().samples == expected_samples
+        assert engine.stats().scheduler.jobs == expected_jobs
+        assert engine.stats().scheduler.samples == expected_samples
 
 
 class _FakeEngineJob:
@@ -325,7 +315,7 @@ class _FakeEngineJob:
         return np.zeros((self.count, 16, 16), dtype=np.uint8)
 
 
-class _FakeClient:
+class _FakeEngine:
     """Hands out prepared engine jobs in submission order."""
 
     def __init__(self, *jobs):
@@ -348,7 +338,7 @@ class TestDerivedRequestStats:
     def test_two_sampling_calls(self):
         job = Job("job-two")
         client = BatchedSamplingModel(
-            _FakeClient(
+            _FakeEngine(
                 _FakeEngineJob(2, batch_samples=3),
                 _FakeEngineJob(3, batch_samples=5),
             ),
@@ -367,7 +357,7 @@ class TestDerivedRequestStats:
     def test_degraded_job(self):
         job = Job("job-degraded")
         client = BatchedSamplingModel(
-            _FakeClient(_FakeEngineJob(1, degrade_level=2)), job
+            _FakeEngine(_FakeEngineJob(1, degrade_level=2)), job
         )
         client.sample(1, 0, np.random.default_rng(0))
         assert [e.kind for e in job.engine_events] == [
@@ -384,7 +374,7 @@ class TestDerivedRequestStats:
     def test_call_expired_after_admission_is_not_counted(self):
         job = Job("job-expired")
         client = BatchedSamplingModel(
-            _FakeClient(
+            _FakeEngine(
                 _FakeEngineJob(2, batch_samples=2),
                 _FakeEngineJob(3, fail=True),
             ),

@@ -1,13 +1,12 @@
-"""Unit tests for the layered serving engine.
+"""Unit tests for the serving engine.
 
-Covers the four layers in isolation from the diffusion back-end (stub
+Covers the three layers in isolation from the diffusion back-end (stub
 models keep these tests fast): admission control (backpressure at
-``queue_limit``, typed deadline expiry), the batch selection rule, the
-executor's lifecycle under concurrent submit/stop, and
-multi-model routing through a registry.
+``queue_limit``, typed deadline expiry), the fair-share selection rule
+and the executor's lifecycle under concurrent submit/stop.  One test runs
+a real (tiny) fitted model to pin seeded-batch determinism.
 """
 
-import copy
 import sys
 import threading
 import time
@@ -19,15 +18,14 @@ from repro.api.config import SERVE_POLICIES
 from repro.obs import NULL_METRICS
 from repro.serve import (
     DeadlineExpiredError,
-    FairSharePolicy,
     ModelKey,
     ModelRegistry,
     QueueFullError,
     ServeEngine,
-    resolve_batch_policy,
 )
 from repro.serve.engine import BATCH_RECORD_RING
 from repro.serve.stats import SchedulerStats
+from repro.tune import AdaptiveController
 
 
 class StubModel:
@@ -53,11 +51,10 @@ class StubModel:
 
 class TestAdmission:
     def test_queue_limit_fast_fails_with_backpressure(self):
-        engine = ServeEngine(queue_limit=2, gather_window=0.0)
-        client = engine.bind(StubModel())
-        jobs = [client.submit(1, 0, seed=i) for i in range(2)]
+        engine = ServeEngine(StubModel(), queue_limit=2, gather_window=0.0)
+        jobs = [engine.submit(1, 0, seed=i) for i in range(2)]
         with pytest.raises(QueueFullError, match="queue_limit=2"):
-            client.submit(1, 0, seed=9)
+            engine.submit(1, 0, seed=9)
         stats = engine.stats()
         assert stats.rejected == 1
         assert stats.submitted == 2
@@ -69,11 +66,10 @@ class TestAdmission:
         assert engine.stats().queued == 0
 
     def test_expired_job_fails_with_typed_error(self):
-        engine = ServeEngine(gather_window=0.0)
-        client = engine.bind(StubModel())
-        doomed = client.submit(1, 0, seed=1, deadline=0.01)
+        engine = ServeEngine(StubModel(), gather_window=0.0)
+        doomed = engine.submit(1, 0, seed=1, deadline=0.01)
         time.sleep(0.05)  # expires while the pool is still down
-        alive = client.submit(1, 0, seed=2)
+        alive = engine.submit(1, 0, seed=2)
         with engine:
             with pytest.raises(DeadlineExpiredError):
                 doomed.result(timeout=30)
@@ -81,9 +77,8 @@ class TestAdmission:
         assert engine.stats().expired == 1
 
     def test_engine_default_deadline_applies_to_every_job(self):
-        engine = ServeEngine(gather_window=0.0, deadline=0.01)
-        client = engine.bind(StubModel())
-        job = client.submit(1, 0, seed=1)
+        engine = ServeEngine(StubModel(), gather_window=0.0, deadline=0.01)
+        job = engine.submit(1, 0, seed=1)
         assert job.deadline is not None
         time.sleep(0.05)
         with engine:
@@ -91,16 +86,15 @@ class TestAdmission:
                 job.result(timeout=30)
 
     def test_bad_submit_arguments_rejected(self):
-        engine = ServeEngine()
-        client = engine.bind(StubModel())
+        engine = ServeEngine(StubModel())
         with pytest.raises(ValueError):
-            client.submit(0, 0)
+            engine.submit(0, 0)
         with pytest.raises(ValueError):
-            client.submit(1, 0, deadline=-1.0)
+            engine.submit(1, 0, deadline=-1.0)
         with pytest.raises(ValueError):
-            ServeEngine(queue_limit=0)
+            ServeEngine(StubModel(), queue_limit=0)
         with pytest.raises(ValueError):
-            ServeEngine(deadline=0.0)
+            ServeEngine(StubModel(), deadline=0.0)
 
 
 class TestGatherRule:
@@ -124,29 +118,28 @@ class TestGatherRule:
         return waiter
 
     def test_raw_clients_gather_the_full_window(self):
-        with ServeEngine(gather_window=0.2) as engine:
-            job = engine.bind(StubModel()).submit(1, 0)
+        with ServeEngine(StubModel(), gather_window=0.2) as engine:
+            job = engine.submit(1, 0)
             job.result(timeout=5)
         assert job.queue_wait >= 0.15
 
     def test_lone_open_request_dispatches_at_once(self):
-        with ServeEngine(gather_window=0.5) as engine:
+        with ServeEngine(StubModel(), gather_window=0.5) as engine:
             engine.request_started()
-            job = engine.bind(StubModel()).submit(1, 0)
+            job = engine.submit(1, 0)
             job.result(timeout=5)
             engine.request_finished()
             assert self._counts(engine) == (0, 0)
         assert job.queue_wait < 0.1
 
     def test_gather_ends_when_the_last_open_request_blocks(self):
-        with ServeEngine(gather_window=0.5) as engine:
-            client = engine.bind(StubModel())
+        with ServeEngine(StubModel(), gather_window=0.5) as engine:
             engine.request_started()
             engine.request_started()
-            first = client.submit(1, 0)
+            first = engine.submit(1, 0)
             waiter = self._wait_in_thread(first)
             time.sleep(0.05)
-            second = client.submit(1, 1)
+            second = engine.submit(1, 1)
             second.result(timeout=5)
             waiter.join(timeout=5)
             assert not waiter.is_alive()
@@ -158,10 +151,10 @@ class TestGatherRule:
         assert 0.04 <= first.queue_wait < 0.4
 
     def test_gather_ends_when_another_request_finishes(self):
-        with ServeEngine(gather_window=0.5) as engine:
+        with ServeEngine(StubModel(), gather_window=0.5) as engine:
             engine.request_started()
             engine.request_started()
-            job = engine.bind(StubModel()).submit(1, 0)
+            job = engine.submit(1, 0)
             waiter = self._wait_in_thread(job)
             time.sleep(0.05)
             engine.request_finished()  # it never submitted
@@ -173,9 +166,9 @@ class TestGatherRule:
     def test_callers_not_blocked_keep_the_gather(self):
         # A request that has submitted but not blocked on the job could
         # still submit again, so the worker waits for it.
-        with ServeEngine(gather_window=0.2) as engine:
+        with ServeEngine(StubModel(), gather_window=0.2) as engine:
             engine.request_started()
-            job = engine.bind(StubModel()).submit(1, 0)
+            job = engine.submit(1, 0)
             job.future.result(timeout=5)
             engine.request_finished()
         assert job.queue_wait >= 0.15
@@ -183,19 +176,20 @@ class TestGatherRule:
     def test_expired_and_failed_waits_leave_the_count_balanced(self):
         class Failing(StubModel):
             def sample_batch(self, conditions, rng, shape=None, **kwargs):
-                raise RuntimeError("boom")
+                if conditions == [7]:
+                    raise RuntimeError("boom")
+                return super().sample_batch(conditions, rng, shape, **kwargs)
 
-        engine = ServeEngine(queue_limit=1, gather_window=0.0)
-        client = engine.bind(StubModel())
-        expiring = client.submit(1, 0, deadline=0.001)
+        engine = ServeEngine(Failing(), queue_limit=1, gather_window=0.0)
+        expiring = engine.submit(1, 0, deadline=0.001)
         with pytest.raises(QueueFullError):
-            client.submit(1, 0)
+            engine.submit(1, 0)
         time.sleep(0.01)
         with engine:
             with pytest.raises(DeadlineExpiredError):
                 expiring.result(timeout=5)
             assert self._counts(engine) == (0, 0)
-            failing = engine.bind(Failing()).submit(1, 0)
+            failing = engine.submit(1, 7)
             with pytest.raises(RuntimeError, match="boom"):
                 failing.result(timeout=5)
             assert self._counts(engine) == (0, 0)
@@ -203,11 +197,11 @@ class TestGatherRule:
     def test_counts_balance_under_concurrent_requests(self):
         errors = []
 
-        def request(engine, client, i):
+        def request(engine, i):
             engine.request_started()
             try:
                 for _ in range(5):
-                    client.submit(1, i % 2).result(timeout=10)
+                    engine.submit(1, i % 2).result(timeout=10)
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
             finally:
@@ -216,10 +210,9 @@ class TestGatherRule:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ServeEngine(gather_window=0.01) as engine:
-                client = engine.bind(StubModel())
+            with ServeEngine(StubModel(), gather_window=0.01) as engine:
                 threads = [
-                    threading.Thread(target=request, args=(engine, client, i))
+                    threading.Thread(target=request, args=(engine, i))
                     for i in range(16)
                 ]
                 for thread in threads:
@@ -235,19 +228,13 @@ class TestGatherRule:
 
 
 class TestBatchPolicies:
-    def test_resolve_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown batch policy"):
-            resolve_batch_policy("fifo")
-
     def test_greedy_keeps_fifo_window_semantics(self):
         """One source: the default rule is the classic greedy FIFO prefix."""
-        model = StubModel()
-        engine = ServeEngine(gather_window=0.0, max_batch=4)
-        client = engine.bind(model)
+        engine = ServeEngine(StubModel(), gather_window=0.0, max_batch=4)
         # Interleaved shapes: the rule takes a FIFO prefix of 4, which
         # fragments into two 2-sample trajectories per selection.
         jobs = [
-            client.submit(1, 0, shape=(16, 16) if i % 2 == 0 else (8, 8), seed=i)
+            engine.submit(1, 0, shape=(16, 16) if i % 2 == 0 else (8, 8), seed=i)
             for i in range(8)
         ]
         with engine:
@@ -259,12 +246,12 @@ class TestBatchPolicies:
 
     def test_fair_share_prevents_bulk_starvation(self):
         model = StubModel()
-        engine = ServeEngine(policy="fair_share", gather_window=0.0, max_batch=4)
-        client = engine.bind(model)
+        engine = ServeEngine(model, gather_window=0.0, max_batch=4)
+        assert engine.policy == "fair_share"
         bulk = [
-            client.submit(1, 0, seed=i, source="bulk") for i in range(8)
+            engine.submit(1, 0, seed=i, source="bulk") for i in range(8)
         ]
-        live = client.submit(1, 1, seed=99, source="interactive")
+        live = engine.submit(1, 1, seed=99, source="interactive")
         with engine:
             for job in bulk + [live]:
                 job.result(timeout=30)
@@ -273,13 +260,12 @@ class TestBatchPolicies:
         assert 1 in model.calls[0]["conditions"]
 
     def test_default_engine_serves_the_interactive_job_first_batch(self):
-        """No ``policy=``: the default rule still lets an interactive job
+        """No controller: the default rule still lets an interactive job
         that sits behind a bulk backlog ride the very first batch."""
         model = StubModel()
-        engine = ServeEngine(gather_window=0.0, max_batch=4)
-        client = engine.bind(model)
-        bulk = [client.submit(1, 0, seed=i, source="bulk") for i in range(8)]
-        live = client.submit(1, 1, seed=99, source="interactive")
+        engine = ServeEngine(model, gather_window=0.0, max_batch=4)
+        bulk = [engine.submit(1, 0, seed=i, source="bulk") for i in range(8)]
+        live = engine.submit(1, 1, seed=99, source="interactive")
         with engine:
             for job in bulk + [live]:
                 job.result(timeout=30)
@@ -287,48 +273,50 @@ class TestBatchPolicies:
 
     def test_distinct_sources_leave_no_per_source_state(self):
         """Selection depends only on the queue: ten thousand one-off
-        sources leave nothing behind on the policy once served."""
-        policy = FairSharePolicy()
-        engine = ServeEngine(policy=policy, gather_window=0.0, max_batch=64)
-        client = engine.bind(StubModel())
-        before = copy.deepcopy(vars(policy))
+        sources leave nothing keyed by source on the engine once
+        served."""
+        engine = ServeEngine(StubModel(), gather_window=0.0, max_batch=64)
+        before = set(vars(engine))
         jobs = [
-            client.submit(1, 0, seed=i, source=f"tenant-{i}")
+            engine.submit(1, 0, seed=i, source=f"tenant-{i}")
             for i in range(10_000)
         ]
         with engine:
             for job in jobs:
                 job.result(timeout=60)
-        assert vars(policy) == before
+        assert set(vars(engine)) == before
+        for value in vars(engine).values():
+            if isinstance(value, dict):
+                assert not any(
+                    str(key).startswith("tenant-") for key in value
+                )
+        assert engine._jobs == []
         assert engine.stats().scheduler.batches == 10_000 // 64 + 1
 
     def test_bad_source_fails_the_submitter_and_the_worker_lives(self):
         model = StubModel()
-        engine = ServeEngine(gather_window=0.0)
-        client = engine.bind(model)
+        engine = ServeEngine(model, gather_window=0.0)
         with engine:
             for bad in (["x"], "", 7):
                 with pytest.raises(ValueError, match="source"):
-                    client.submit(1, 0, source=bad)
+                    engine.submit(1, 0, source=bad)
             assert engine.stats().submitted == 0
             # The worker survived: the next job is served.
-            client.submit(1, 0, seed=1).result(timeout=30)
+            engine.submit(1, 0, seed=1).result(timeout=30)
         assert len(model.calls) == 1
 
 
 class TestExecutorPool:
     def test_concurrent_submit_and_stop_never_hang(self):
-        model = StubModel(delay=0.002)
-        engine = ServeEngine(gather_window=0.001)
+        engine = ServeEngine(StubModel(delay=0.002), gather_window=0.001)
         engine.start()
-        client = engine.bind(model)
         accepted = []
         accepted_lock = threading.Lock()
 
         def submitter(offset):
             for i in range(20):
                 try:
-                    job = client.submit(1, 0, seed=offset * 100 + i)
+                    job = engine.submit(1, 0, seed=offset * 100 + i)
                 except RuntimeError:
                     return  # engine stopped underneath us: acceptable
                 with accepted_lock:
@@ -355,117 +343,32 @@ class TestExecutorPool:
             assert result.shape == (1, 16, 16)
 
     def test_graceful_stop_drains_the_queue(self):
-        model = StubModel(delay=0.01)
-        engine = ServeEngine(gather_window=0.2)
-        client = engine.bind(model)
-        jobs = [client.submit(1, 0, seed=i) for i in range(6)]
+        engine = ServeEngine(StubModel(delay=0.01), gather_window=0.2)
+        jobs = [engine.submit(1, 0, seed=i) for i in range(6)]
         engine.start()
         engine.stop(timeout=30)  # must not wait out the gather window 6x
         for job in jobs:
             assert job.result(timeout=1).shape == (1, 16, 16)
 
     def test_restart_after_stop(self):
-        engine = ServeEngine(gather_window=0.0)
-        client = engine.bind(StubModel())
+        engine = ServeEngine(StubModel(), gather_window=0.0)
         with engine:
-            client.submit(1, 0, seed=1).result(timeout=30)
+            engine.submit(1, 0, seed=1).result(timeout=30)
         with pytest.raises(RuntimeError, match="stopped"):
-            client.submit(1, 0, seed=2)
+            engine.submit(1, 0, seed=2)
         with engine:
-            assert client.submit(1, 0, seed=3).result(timeout=30).shape == (
+            assert engine.submit(1, 0, seed=3).result(timeout=30).shape == (
                 1, 16, 16,
             )
-
-
-class TestRouting:
-    def _registry(self):
-        return ModelRegistry(
-            builder=lambda key: StubModel(window=key.window)
-        )
-
-    def test_one_engine_serves_two_model_keys_concurrently(self):
-        registry = self._registry()
-        engine = ServeEngine(
-            registry=registry,
-            policy="fair_share",
-            gather_window=0.02,
-        )
-        tenant_a = engine.bind(ModelKey(window=16), source="tenant-a")
-        tenant_b = engine.bind(ModelKey(window=24), source="tenant-b")
-        assert tenant_a.model is not tenant_b.model
-        results = {}
-
-        def run(name, client, count):
-            results[name] = [
-                client.submit(1, i % 2, seed=i).result(timeout=30)
-                for i in range(count)
-            ]
-
-        with engine:
-            threads = [
-                threading.Thread(target=run, args=("a", tenant_a, 4)),
-                threading.Thread(target=run, args=("b", tenant_b, 4)),
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        assert all(r.shape == (1, 16, 16) for r in results["a"])
-        assert all(r.shape == (1, 24, 24) for r in results["b"])
-        stats = engine.stats()
-        assert stats.models == 2
-        assert stats.policy == "fair_share"
-        # Per-binding stats are scoped to each tenant's model.
-        assert tenant_a.stats().samples == 4
-        assert tenant_b.stats().samples == 4
-        labels = {record.model for record in engine.batch_records}
-        assert labels == {tenant_a.label, tenant_b.label}
-
-    def test_binding_same_model_twice_shares_batches(self):
-        model = StubModel()
-        engine = ServeEngine(gather_window=0.05)
-        first = engine.bind(model)
-        second = engine.bind(model)
-        a = first.submit(1, 0, seed=1)
-        b = second.submit(1, 1, seed=2)
-        with engine:
-            a.result(timeout=30)
-            b.result(timeout=30)
-        # Same back-end => same trajectory, even across bindings.
-        stats = engine.stats().scheduler
-        assert stats.batches == 1
-        assert stats.max_batch_size == 2
-
-    def test_binding_a_key_requires_a_registry(self):
-        engine = ServeEngine()
-        with pytest.raises(ValueError, match="registry"):
-            engine.bind(ModelKey(window=16))
-
-    def test_trajectories_never_mix_models(self):
-        registry = self._registry()
-        engine = ServeEngine(
-            registry=registry, gather_window=0.05
-        )
-        # Same shape, different back-ends: must still be two trajectories.
-        a = engine.bind(ModelKey(window=16), source="a")
-        b = engine.bind(ModelKey(window=16, seed=1), source="b")
-        assert a.model is not b.model
-        ja = a.submit(1, 0, seed=1)
-        jb = b.submit(1, 0, seed=2)
-        with engine:
-            ja.result(timeout=30)
-            jb.result(timeout=30)
-        assert engine.stats().scheduler.batches == 2
 
 
 class _StubPlan:
     """What ``ServeEngine._account`` reads off a trajectory plan."""
 
-    def __init__(self, jobs, samples, label):
+    def __init__(self, jobs, samples):
         self.jobs = [None] * jobs
         self.samples = samples
         self.shape = (16, 16)
-        self.model_label = label
 
 
 def _aggregate_list(records):
@@ -488,36 +391,34 @@ def _aggregate_list(records):
 
 class TestBatchHistory:
     """The engine keeps a fixed ring of recent batch records beside
-    running totals over every batch, overall and per bound model."""
+    running totals over every batch."""
 
     def test_history_stays_at_the_ring_bound(self):
-        engine = ServeEngine(metrics=NULL_METRICS)
+        engine = ServeEngine(StubModel(), metrics=NULL_METRICS)
         n = 100_000
         for i in range(n):
-            engine._account(
-                _StubPlan(1 + i % 3, 1 + i % 5, "ab"[i % 2]), float(i), 0.5
-            )
+            engine._account(_StubPlan(1 + i % 3, 1 + i % 5), float(i), 0.5)
         assert len(engine.batch_records) == BATCH_RECORD_RING
         assert engine.batch_records[-1].started_at == float(n - 1)
         stats = engine.stats().scheduler
         assert stats.batches == n
+        assert stats.jobs == sum(1 + i % 3 for i in range(n))
         assert stats.samples == sum(1 + i % 5 for i in range(n))
         assert stats.busy_seconds == 0.5 * n
         assert stats.wall_seconds == n - 1 + 0.5
-        assert engine.stats_for("a").batches == n // 2
         assert engine.recent_records(3) == engine.batch_records[-3:]
 
     def test_concurrent_accounting_loses_no_batch(self):
         """Writers book batches while a reader takes snapshots: no batch
         is lost and no snapshot sees a batch half-booked."""
-        engine = ServeEngine(metrics=NULL_METRICS)
+        engine = ServeEngine(StubModel(), metrics=NULL_METRICS)
         per_thread = 5000
         torn = []
         done = threading.Event()
 
-        def book(label):
+        def book():
             for i in range(per_thread):
-                engine._account(_StubPlan(1, 2, label), float(i), 0.25)
+                engine._account(_StubPlan(1, 2), float(i), 0.25)
 
         def read():
             while not done.is_set():
@@ -530,10 +431,7 @@ class TestBatchHistory:
         try:
             reader = threading.Thread(target=read)
             reader.start()
-            writers = [
-                threading.Thread(target=book, args=(label,))
-                for label in "abc"
-            ]
+            writers = [threading.Thread(target=book) for _ in range(3)]
             for thread in writers:
                 thread.start()
             for thread in writers:
@@ -546,35 +444,47 @@ class TestBatchHistory:
         assert torn == []
         stats = engine.stats().scheduler
         assert stats.batches == 3 * per_thread
+        assert stats.jobs == 3 * per_thread
         assert stats.samples == 6 * per_thread
-        assert [engine.stats_for(label).batches for label in "abc"] == [
-            per_thread
-        ] * 3
 
     def test_totals_match_the_list_aggregate_while_the_run_fits(self):
         rng = np.random.default_rng(0)
-        engine = ServeEngine(metrics=NULL_METRICS)
+        engine = ServeEngine(StubModel(), metrics=NULL_METRICS)
         started = 0.0
-        for i in range(BATCH_RECORD_RING):
+        for _ in range(BATCH_RECORD_RING):
             started += float(rng.random())
             engine._account(
-                _StubPlan(int(rng.integers(1, 5)), int(rng.integers(1, 65)),
-                          "ab"[i % 2]),
+                _StubPlan(int(rng.integers(1, 5)), int(rng.integers(1, 65))),
                 started, float(rng.random()),
             )
         records = engine.batch_records
         assert len(records) == BATCH_RECORD_RING
         assert engine.stats().scheduler == _aggregate_list(records)
         assert SchedulerStats.from_records(records) == _aggregate_list(records)
-        for label in "ab":
-            assert engine.stats_for(label) == _aggregate_list(
-                [r for r in records if r.model == label]
-            )
-        assert engine.stats_for("unbound") == _aggregate_list([])
+        assert SchedulerStats.from_records([]) == _aggregate_list([])
+
+
+def _engine_for(policy, model, **kwargs):
+    """The engine a service builds for a policy name: ``adaptive`` steers
+    fair share with a controller, ``fair_share`` runs it plain."""
+    controller = AdaptiveController() if policy == "adaptive" else None
+    engine = ServeEngine(model, controller=controller, **kwargs)
+    assert engine.policy == policy
+    return engine
+
+
+#: The smallest recipe the dataset builder can extract tiles for.
+TINY_KEY = ModelKey(window=64, train_count=4)
+TINY_SEEDS = (101, 202, 303, 404)
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    return ModelRegistry().get_or_fit(TINY_KEY)
 
 
 class TestDeliveryIdentity:
-    """Each job must receive ITS samples, however the policy reordered."""
+    """Each job must receive ITS samples, however selection reordered."""
 
     class MarkerModel:
         """Returns each sample filled with its condition value."""
@@ -590,12 +500,13 @@ class TestDeliveryIdentity:
 
     @pytest.mark.parametrize("policy", SERVE_POLICIES)
     def test_every_job_gets_its_own_samples(self, policy):
-        engine = ServeEngine(policy=policy, gather_window=0.0, max_batch=64)
-        client = engine.bind(self.MarkerModel())
+        engine = _engine_for(
+            policy, self.MarkerModel(), gather_window=0.0, max_batch=64
+        )
         jobs = []
         for i in range(12):
             jobs.append(
-                client.submit(
+                engine.submit(
                     1 + i % 3,
                     condition=i,  # the per-job payload marker
                     seed=i,
@@ -624,10 +535,40 @@ class TestDeliveryIdentity:
                 recorded.append(list(conditions))
                 return np.zeros((len(conditions), *shape), dtype=np.uint8)
 
-        engine = ServeEngine(policy="fair_share", gather_window=0.0)
-        client = engine.bind(Recorder())
+        engine = ServeEngine(Recorder(), gather_window=0.0)
         for i, source in enumerate(["bulk", "bulk", "bulk", "live"]):
-            client.submit(1, condition=i, seed=i, source=source)
+            engine.submit(1, condition=i, seed=i, source=source)
         with engine:
             pass  # drain on exit
         assert recorded == [[0, 1, 2, 3]]
+
+    @staticmethod
+    def _run_seeded_batch(model):
+        """Submit every seeded job before start, so one batch carries
+        them all."""
+        engine = ServeEngine(model, gather_window=0.01)
+        jobs = [
+            engine.submit(count=3, condition=i % 2, seed=seed)
+            for i, seed in enumerate(TINY_SEEDS)
+        ]
+        engine.start()
+        try:
+            samples = [job.result(timeout=240) for job in jobs]
+        finally:
+            engine.stop()
+        return samples, engine.batch_records
+
+    def test_fresh_engines_give_identical_samples(self, tiny_model):
+        """A trajectory's samples depend on its riders only: the same
+        seeded batch run through two fresh engines gives the same bytes,
+        whatever the engine instance (start time, thread).  The full
+        denoise kernel runs on a real fitted model."""
+        first, first_records = self._run_seeded_batch(tiny_model)
+        second, second_records = self._run_seeded_batch(tiny_model)
+        for records in (first_records, second_records):
+            assert [r.jobs for r in records] == [len(TINY_SEEDS)]
+        assert len(first) == len(second) == len(TINY_SEEDS)
+        for a, b in zip(first, second):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(first[0], first[1])

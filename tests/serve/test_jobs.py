@@ -324,6 +324,79 @@ class TestJobTable:
         finally:
             table.close()
 
+    @staticmethod
+    def _brute_counts(table):
+        """``counts()`` and ``queued_count()`` as a scan of every job."""
+        counts = {}
+        for job in table.jobs():
+            counts[job.state] = counts.get(job.state, 0) + 1
+        queued = sum(
+            1 for job in table.jobs() if job.state in (PENDING, QUEUED)
+        )
+        return counts, queued
+
+    def test_counts_match_a_brute_force_count(self, tmp_path, monkeypatch):
+        """The live set and the per-state terminal counts give what a scan
+        of every retained job gives, through create, terminal, purge and
+        restore."""
+        clock = [0.0]
+        self._patch_clock(monkeypatch, clock)
+
+        def check(table):
+            assert (table.counts(), table.queued_count()) == (
+                self._brute_counts(table)
+            )
+
+        table = JobTable(ttl=10.0, state_dir=tmp_path)
+        jobs = [table.create() for _ in range(12)]
+        check(table)
+        for i, job in enumerate(jobs):
+            if i % 4 != 0:
+                job.transition(QUEUED)
+            if i % 4 == 2:
+                job.transition(RUNNING, stage="sample")
+            check(table)
+        for i, job in enumerate(jobs[:8]):
+            clock[0] = float(i)
+            if i % 3 == 0:
+                job.succeed()
+            elif i % 3 == 1:
+                job.fail("boom")
+            else:
+                job.request_cancel()
+            check(table)
+        for now in (10.5, 13.5, 20.0):  # purge the oldest edges, then all
+            clock[0] = now
+            table.purge()
+            check(table)
+        # Job 2 was RUNNING when cancelled: it stops at its checkpoint.
+        assert table.counts() == {PENDING: 1, QUEUED: 2, RUNNING: 2}
+        fresh = [table.create() for _ in range(3)]
+        fresh[0].succeed()
+        fresh[1].transition(QUEUED)
+        check(table)
+        table.close()
+        # Restore: every terminal record is within its wall-clock TTL and
+        # comes back (a purge does not rewrite the journal), and the seven
+        # in-flight jobs resurface as FAILED ``server_restart``.
+        rebooted = JobTable(ttl=10.0, state_dir=tmp_path)
+        try:
+            assert rebooted.restored == 8 and rebooted.resurrected == 7
+            check(rebooted)
+            assert rebooted.counts() == {
+                SUCCEEDED: 4, FAILED: 10, CANCELLED: 1
+            }
+            assert rebooted.queued_count() == 0
+            extra = rebooted.create()
+            extra.transition(QUEUED)
+            check(rebooted)
+            clock[0] = 1000.0
+            rebooted.purge()
+            check(rebooted)
+            assert rebooted.counts() == {QUEUED: 1}
+        finally:
+            rebooted.close()
+
     def test_concurrent_edges_and_polls_keep_the_table_consistent(self):
         """More threads than cores finish jobs while others poll: no live
         job is ever purged, and once every retention has run out the
@@ -414,7 +487,10 @@ class TestJournalFormat:
     def test_older_terminal_line_restores_unchanged(self, tmp_path):
         (tmp_path / "jobs.jsonl").write_text(JOURNAL_LINE + "\n")
         record = json.loads(JOURNAL_LINE)["record"]
-        table = JobTable(state_dir=tmp_path)
+        # A record is restored while its wall-clock finish is within the
+        # TTL: give this one a window that covers its age.
+        age = time.time() - record["created_unix"]
+        table = JobTable(state_dir=tmp_path, ttl=age + 600.0)
         try:
             assert table.restored == 1
             job = table.get(record["job_id"])

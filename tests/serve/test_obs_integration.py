@@ -69,10 +69,9 @@ class StubModel:
 class TestEngineInstrumentation:
     def test_counters_and_histograms_populate(self):
         metrics = MetricsRegistry()
-        engine = ServeEngine(gather_window=0.0, metrics=metrics)
-        client = engine.bind(StubModel())
+        engine = ServeEngine(StubModel(), gather_window=0.0, metrics=metrics)
         with engine:
-            jobs = [client.submit(2, 0, seed=i) for i in range(4)]
+            jobs = [engine.submit(2, 0, seed=i) for i in range(4)]
             for job in jobs:
                 job.result(timeout=30)
         stats = engine.stats()
@@ -96,12 +95,11 @@ class TestEngineInstrumentation:
     def test_rejected_and_expired_counters(self):
         metrics = MetricsRegistry()
         engine = ServeEngine(
-            queue_limit=1, gather_window=0.0, metrics=metrics
+            StubModel(), queue_limit=1, gather_window=0.0, metrics=metrics
         )
-        client = engine.bind(StubModel())
-        doomed = client.submit(1, 0, seed=1, deadline=0.01)
+        doomed = engine.submit(1, 0, seed=1, deadline=0.01)
         with pytest.raises(QueueFullError):
-            client.submit(1, 0, seed=2)
+            engine.submit(1, 0, seed=2)
         time.sleep(0.05)  # the queued job expires while the pool is down
         with engine:
             with pytest.raises(DeadlineExpiredError):
@@ -115,9 +113,9 @@ class TestEngineInstrumentation:
         """Gauge and ``EngineStats.queued`` agree while submit races drain."""
         metrics = MetricsRegistry()
         engine = ServeEngine(
-            gather_window=0.0, max_batch=2, metrics=metrics
+            StubModel(delay=0.002), gather_window=0.0, max_batch=2,
+            metrics=metrics,
         )
-        client = engine.bind(StubModel(delay=0.002))
         n_threads, per_thread = 4, 10
         jobs, jobs_lock = [], threading.Lock()
         start = threading.Barrier(n_threads)
@@ -125,7 +123,7 @@ class TestEngineInstrumentation:
         def submitter(base):
             start.wait()
             for i in range(per_thread):
-                job = client.submit(1, 0, seed=base * 100 + i)
+                job = engine.submit(1, 0, seed=base * 100 + i)
                 with jobs_lock:
                     jobs.append(job)
 
@@ -159,10 +157,11 @@ class TestEngineInstrumentation:
         assert metrics.get("repro_queue_depth").value() == 0
 
     def test_null_metrics_record_nothing(self):
-        engine = ServeEngine(gather_window=0.0, metrics=NULL_METRICS)
-        client = engine.bind(StubModel())
+        engine = ServeEngine(
+            StubModel(), gather_window=0.0, metrics=NULL_METRICS
+        )
         with engine:
-            client.submit(1, 0, seed=1).result(timeout=30)
+            engine.submit(1, 0, seed=1).result(timeout=30)
         assert NULL_METRICS.names() == []
         assert NULL_METRICS.get("repro_jobs_submitted_total") is None
 

@@ -262,33 +262,6 @@ class TestEngineBackedService:
         assert stats.engine["policy"] == "adaptive"
         assert stats.engine["queue_limit"] == 256
 
-    def test_two_services_share_one_engine(self, registry, small_model):
-        from repro.serve import ServeEngine
-
-        # Two tenants with distinct recipes resolving through one engine;
-        # the registry maps both keys to the same fitted back-end here, so
-        # their sampling even coalesces into shared trajectories.
-        registry.put(ModelKey(window=64, seed=1), small_model)
-        engine = ServeEngine(
-            registry=registry, policy="fair_share", gather_window=0.05,
-        )
-        first = PatternService(
-            model_key=ModelKey(window=64), registry=registry,
-            max_retries=0, engine=engine,
-        )
-        second = PatternService(
-            model_key=ModelKey(window=64, seed=1), registry=registry,
-            max_retries=0, engine=engine,
-        )
-        with engine:
-            responses_first = first.serve(_requests(2))
-            # A tenant's stop() must NOT kill the shared engine.
-            first.stop()
-            assert engine.running
-            responses_second = second.serve(_requests(2))
-        assert all(r.ok for r in responses_first + responses_second)
-        assert first.engine is second.engine
-
     def test_request_deadline_failure_is_typed_and_isolated(self, registry):
         service = PatternService(
             model_key=ModelKey(window=64),
@@ -364,17 +337,18 @@ class TestGatherRule:
             assert _settled(service.engine)
 
     def test_refused_submit_leaves_counts_balanced(self, registry):
-        from repro.serve import ServeEngine
-
-        engine = ServeEngine(
-            registry=registry, queue_limit=1, gather_window=self.WINDOW
+        service = PatternService(
+            model_key=ModelKey(window=64),
+            registry=registry,
+            gather_window=2.0,
+            max_retries=0,
+            queue_limit=1,
         )
-        service = self._service(registry, engine=engine)
-        # A raw job fills the one-slot queue before the engine starts; the
-        # engine then gathers for it, as raw clients always do.
-        model = registry.get_or_fit(ModelKey(window=64))
-        raw = engine.bind(model).submit(1, 0)
-        with engine, service:
+        with service:
+            # A raw job fills the one-slot queue; the engine gathers for
+            # it, as it always does for raw submitters, so it stays
+            # queued while the request below is refused.
+            raw = service.engine.submit(1, 0)
             response = service.handle(_requests(1)[0])
             assert not response.ok
             assert response.error_code == "queue_full"
@@ -399,7 +373,7 @@ class TestGatherRule:
         with self._service(registry, max_batch=32) as service:
             # A full batch of raw work keeps the worker busy while the
             # request's job waits out its deadline in the queue.
-            busy = service.scheduler.submit(32, 0)
+            busy = service.engine.submit(32, 0)
             response = service.serve(
                 [ServeRequest(text=_requests(1)[0], deadline=0.05)]
             )[0]
@@ -448,11 +422,15 @@ class TestTerminalAccounting:
 class TestRetryAfterHint:
     """A 429's ``Retry-After`` reads only the engine's last 8 batches."""
 
-    def test_hint_reads_only_the_last_eight_records(self, monkeypatch):
+    def test_hint_reads_only_the_last_eight_records(
+        self, monkeypatch, small_model
+    ):
         from repro.serve import ServeEngine
         from repro.serve.stats import BatchRecord
 
-        engine = ServeEngine(gather_window=0.25)
+        service = PatternService(model=small_model, gather_window=0.25)
+        service.start()
+        engine = service.engine
         walls = [0.1] * 40 + [1.5, 5.0] * 4
         engine._records.extend(
             BatchRecord(
@@ -461,7 +439,6 @@ class TestRetryAfterHint:
             )
             for i, wall in enumerate(walls)
         )
-        service = PatternService(engine=engine, gather_window=0.25)
         recent = engine.batch_records[-8:]
         expected = max(1, min(60, int(
             0.25 + sum(r.wall_seconds for r in recent) / len(recent) + 0.999
@@ -473,4 +450,8 @@ class TestRetryAfterHint:
             ServeEngine, "batch_records",
             property(lambda self: pytest.fail("copied every batch record")),
         )
-        assert service.retry_after_hint() == expected
+        try:
+            assert service.retry_after_hint() == expected
+        finally:
+            monkeypatch.undo()
+            service.stop()

@@ -207,3 +207,32 @@ class TestSuccessiveHalving:
         assert "winner:" in report
         assert outcome.winner.candidate.key() in report
         assert "serve knobs:" in report
+
+
+class TestSpikeReportPin:
+    """The tuner's report on the committed spike workload, pinned by
+    digest.  The simulator replays traffic through the serving engine's
+    own admission, selection and gather code, so a refactor of the engine
+    that changes any scheduling decision changes this report."""
+
+    #: SHA-256 of ``repro tune benchmarks/workloads/spike.json --seed 1``'s
+    #: stdout, which is the report itself
+    SPIKE_REPORT_SHA256 = (
+        "84cacd2535c0535e679ec4039ad3fb7c46adf4ed1ba1c3e1669cba57b6d4c808"
+    )
+
+    def test_spike_report_digest(self, capsys):
+        import hashlib
+        from pathlib import Path
+
+        from repro import cli
+
+        workload = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "workloads" / "spike.json"
+        )
+        assert cli.main(["tune", str(workload), "--seed", "1"]) == 0
+        report = capsys.readouterr().out
+        assert "winner: fair_share/qinf/sfull" in report
+        digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+        assert digest == self.SPIKE_REPORT_SHA256
