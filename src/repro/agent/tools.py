@@ -10,21 +10,15 @@ the text the agent reasons over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # runtime import would cycle through repro.serve -> core
-    from repro.serve.store import LibraryStore
-
 from repro.api.pipeline import PatternPipeline
-from repro.data.styles import style_condition
-from repro.diffusion.model import ConditionalDiffusionModel
 from repro.drc.rules import rules_for_style
 from repro.drc.violations import GridRegion
 from repro.legalize.legalizer import LegalizationResult
 from repro.metrics.stats import library_stats
-from repro.ops.modify import modify_region
 from repro.squish.complexity import topology_complexity
 from repro.squish.pattern import PatternLibrary
 
@@ -74,46 +68,31 @@ class Workspace:
 
 
 class AgentTools:
-    """The tool suite bound to a generator model and a workspace.
+    """The tool suite bound to a pipeline and a workspace.
 
     Args:
-        model: the conditional diffusion back-end.
+        pipeline: the :class:`PatternPipeline` every tool that does work
+            calls a primitive of.  Its model is the generator the tools
+            drive (a batched engine client on the serving path); its store,
+            when attached, is where ``Save_Library`` persists the output
+            library (content-hash dedup) and what ``Analyze_Library``
+            reports; its job, when set, records each primitive as a stage,
+            and each stage entry is the job's cancel checkpoint.
         workspace: handle store (a fresh one is created by default).
         base_seed: offset mixed into every per-call seed for reproducibility.
-        store: optional indexed :class:`~repro.serve.store.LibraryStore`;
-            when attached, ``Save_Library`` persists the output library with
-            content-hash dedup and ``Analyze_Library`` reports store totals.
-        pipeline: the :class:`PatternPipeline` the sampling/extension/
-            legalization tools route through; rebound to ``model`` so the
-            tools and the pipeline always agree on the back-end (the serve
-            path hands in a batched scheduler client).  A default pipeline
-            is built when omitted.
     """
 
     def __init__(
         self,
-        model: ConditionalDiffusionModel,
+        pipeline: PatternPipeline,
         workspace: Optional[Workspace] = None,
         base_seed: int = 0,
-        store: Optional["LibraryStore"] = None,
-        pipeline: Optional[PatternPipeline] = None,
     ):
-        self.model = model
+        self.pipeline = pipeline
         # Note: "workspace or Workspace()" would discard an *empty* caller
         # workspace (PatternLibrary-backed containers are falsy when empty).
         self.workspace = workspace if workspace is not None else Workspace()
         self.base_seed = base_seed
-        self.store = store
-        self.pipeline = (
-            pipeline.bound_to(model)
-            if pipeline is not None
-            else PatternPipeline(model=model)
-        )
-        if store is not None:
-            # Save_Library persists through the pipeline's store primitive,
-            # so the tools' store and the pipeline's must be one object
-            # (with_store is a no-op when they already are).
-            self.pipeline = self.pipeline.with_store(store)
         self.call_log: List[Tuple[str, Dict]] = []
         self._registry: Dict[str, Callable[..., ToolResult]] = {
             "Topology_Generation": self.topology_generation,
@@ -125,6 +104,14 @@ class AgentTools:
             "Save_Library": self.save_library,
         }
 
+    @property
+    def model(self):
+        return self.pipeline.model
+
+    @property
+    def store(self):
+        return self.pipeline.store
+
     # -- registry ------------------------------------------------------
 
     def names(self) -> List[str]:
@@ -133,12 +120,6 @@ class AgentTools:
     def call(self, name: str, **kwargs) -> ToolResult:
         """Dispatch a tool call by name (the agent's Action)."""
         self.call_log.append((name, dict(kwargs)))
-        job = getattr(self.pipeline, "job", None)
-        if job is not None:
-            # Cancel checkpoint between tool calls: a DELETEd chat job
-            # stops before its next action rather than running the plan
-            # to completion.
-            job.check_cancelled()
         fn = self._registry.get(name)
         if fn is None:
             return ToolResult(
@@ -151,8 +132,9 @@ class AgentTools:
             # Typed serving control-flow must propagate with its class
             # intact: engine backpressure/deadline errors carry the stable
             # machine-readable ``code`` the service's terminal job state is
-            # keyed on, and a cancel must abort the whole request — neither
-            # is a tool failure the agent should retry around.
+            # keyed on, and a cancel (raised when a primitive enters its
+            # stage) must abort the whole request — neither is a tool
+            # failure the agent should retry around.
             from repro.serve.engine import EngineError
             from repro.serve.jobs import JobCancelled
 
@@ -301,10 +283,8 @@ class AgentTools:
             min(rows - 1, bottom),
             min(cols - 1, right),
         )
-        condition = style_condition(style) if self.model.n_classes else None
-        repaired = modify_region(
-            self.model, topo, region, condition, self._rng(seed),
-            sampler_steps=self.pipeline.config.sample.sampler_steps,
+        repaired = self.pipeline.modify_one(
+            topo, region, style, rng=self._rng(seed)
         )
         handle = self.workspace.put(repaired, style)
         return ToolResult(

@@ -18,9 +18,12 @@ The fitted back-end is resolved lazily through a
 :class:`~repro.serve.registry.ModelRegistry` (memory LRU + optional disk
 cache under ``config.model_cache``), so repeated pipelines — including
 repeated CLI processes — skip retraining.  The stage *primitives*
-(``sample_topologies``, ``extend_one``, ``legalize_topologies``,
-``legalize_one``, ``persist_library``) are the single implementation the
-agent tools, the serving subsystem and the CLI all route through.
+(``sample_topologies``, ``extend_one``, ``modify_one``,
+``legalize_topologies``, ``legalize_one``, ``persist_library``) are the
+single implementation the agent tools, the serving subsystem and the CLI
+all route through, and each runs inside the pipeline's one stage recorder
+(:meth:`PatternPipeline.stage`): a request records the same stages
+whether the agent or the chain calls them.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.config import PipelineConfig
 from repro.data.styles import style_condition
+from repro.drc.violations import GridRegion
 from repro.io.gds import write_gds
 from repro.io.store import save_library
 from repro.legalize.legalizer import LegalizationResult, legalize
@@ -48,6 +53,7 @@ from repro.metrics.stats import library_stats
 from repro.obs.metrics import NULL_METRICS, default_metrics
 from repro.obs.trace import StageTiming
 from repro.ops.extend import ExtensionResult, extend
+from repro.ops.modify import modify_region
 from repro.squish.pattern import PatternLibrary
 
 # Process-wide default registries, one per model-cache directory, so every
@@ -116,14 +122,6 @@ class PipelineResult:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _record(self, stage: str, seconds: float, **detail) -> None:
-        timing = StageTiming(
-            stage, seconds, detail, start=time.perf_counter() - seconds
-        )
-        self.timings.append(timing)
-        if self._pipeline is not None:
-            self._pipeline._observe_stage(timing)
-
     def stage_seconds(self, stage: str) -> float:
         return sum(t.seconds for t in self.timings if t.stage == stage)
 
@@ -162,8 +160,8 @@ class PatternPipeline:
         config: the composed pipeline description; defaults to the paper's
             base setting.
         model: a pre-fitted back-end, bypassing registry resolution (used
-            by the agent tools, whose model may be a batched scheduler
-            client, and by tests).
+            by the serving path, whose model is a per-request batched
+            engine client, and by tests).
         registry: explicit :class:`ModelRegistry`; defaults to the shared
             process-wide registry for ``config.model_cache``.
         store: explicit :class:`LibraryStore` (or an explicit ``None`` to
@@ -176,13 +174,9 @@ class PatternPipeline:
             and the shared no-op registry, so a disabled config costs one
             attribute call per stage.
         job: optional lifecycle :class:`~repro.serve.jobs.Job` this
-            pipeline reports into.  Each chainable stage then starts with
-            a cancel checkpoint + state transition
-            (``legalize`` -> LEGALIZING, ``persist`` -> PERSISTING, others
-            -> RUNNING(stage)), and each :class:`StageTiming` that
-            ``PipelineResult._record`` builds is appended to the job's
-            ``stage_events`` as well as to ``PipelineResult.timings`` —
-            one object in both lists.
+            pipeline reports into: every stage :meth:`stage` records is a
+            cancel checkpoint + state transition of the job and lands in
+            its ``stage_events``.
     """
 
     def __init__(
@@ -208,35 +202,38 @@ class PatternPipeline:
             metrics = default_metrics() if obs.enabled else NULL_METRICS
         self.metrics = metrics
         self.job = job
+        #: the stage :meth:`stage` recorded last, which the chain stages
+        #: append to their result (a pipeline runs one stage at a time)
+        self.last_stage: Optional[StageTiming] = None
         self._m_stage_latency = metrics.histogram(
             "repro_stage_latency_seconds",
             "Pipeline stage wall time",
             labels=("stage",),
         )
 
-    def _observe_stage(self, timing: StageTiming) -> None:
-        """Feed one executed stage into metrics and the job.
+    @contextmanager
+    def stage(self, name: str, **detail) -> Iterator[StageTiming]:
+        """Record one stage: the one place a stage is recorded.
 
-        Rides the ``PipelineResult._record`` call that builds the
-        :class:`StageTiming`, and the job's ``stage_events`` hold that
-        same object (its span is derived from it,
-        :func:`~repro.obs.trace.job_spans`), so every view agrees on the
-        measured window.
+        Entering is the job's cancel checkpoint and state transition
+        (``legalize`` -> LEGALIZING, ``persist`` -> PERSISTING, others ->
+        RUNNING(stage)), before the timed window, so ``DELETE`` on a
+        running job takes effect at its next stage and ``GET`` status
+        reports the stage executing.  The body may add to the yielded
+        :class:`StageTiming`'s ``detail``.  When the body returns, the
+        timing is observed into ``repro_stage_latency_seconds``, appended
+        to the job's ``stage_events`` and kept as :attr:`last_stage`; a
+        body that raises records nothing.
         """
-        self._m_stage_latency.observe(timing.seconds, stage=timing.stage)
+        if self.job is not None:
+            self.job.enter_stage(name)
+        timing = StageTiming(name, 0.0, detail, start=time.perf_counter())
+        yield timing
+        timing.seconds = time.perf_counter() - timing.start
+        self._m_stage_latency.observe(timing.seconds, stage=name)
         if self.job is not None:
             self.job.record_stage(timing)
-
-    def _enter_stage(self, stage: str) -> None:
-        """Stage entry hook: cancel checkpoint + job state transition.
-
-        Runs before the stage's timed window, so ``DELETE`` on a running
-        job takes effect between stages (raising
-        :class:`~repro.serve.jobs.JobCancelled`) and ``GET`` status
-        reports the stage actually executing.  No-op without a job.
-        """
-        if self.job is not None:
-            self.job.enter_stage(stage)
+        self.last_stage = timing
 
     # -- resolution ----------------------------------------------------
 
@@ -326,36 +323,6 @@ class PatternPipeline:
     def _result(self) -> PipelineResult:
         return PipelineResult(config=self.config, _pipeline=self)
 
-    def bound_to(self, model) -> "PatternPipeline":
-        """A pipeline with the same config/registry/store but a different
-        back-end (e.g. a per-request batched scheduler client)."""
-        if model is self._model:
-            return self
-        return PatternPipeline(
-            self.config,
-            model=model,
-            registry=self._registry,
-            store=self._store if self._store_resolved else _UNSET,
-            verbose=False,
-            metrics=self.metrics,
-            job=self.job,
-        )
-
-    def with_store(self, store) -> "PatternPipeline":
-        """A pipeline with the same config/model/registry but a different
-        attached store (``None`` disables persistence)."""
-        if self._store_resolved and store is self._store:
-            return self
-        return PatternPipeline(
-            self.config,
-            model=self._model,
-            registry=self._registry,
-            store=store,
-            verbose=False,
-            metrics=self.metrics,
-            job=self.job,
-        )
-
     def with_library(self, library: PatternLibrary) -> PipelineResult:
         """Start a result from an existing library (evaluate/export flows)."""
         result = self._result()
@@ -371,13 +338,18 @@ class PatternPipeline:
         size: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Sample ``count`` fixed-size topologies of one style."""
+        """Sample ``count`` fixed-size topologies of one style (a
+        ``sample`` stage)."""
         size = size or self.config.sample.size or self.model.window
-        return self.model.sample(
-            count, self._condition(style), rng or self._rng(),
-            shape=(size, size),
-            sampler_steps=self.config.sample.sampler_steps,
-        )
+        with self.stage(
+            "sample", count=count, style=style, size=size,
+            **self._sampler_detail(),
+        ):
+            return self.model.sample(
+                count, self._condition(style), rng or self._rng(),
+                shape=(size, size),
+                sampler_steps=self.config.sample.sampler_steps,
+            )
 
     def extend_one(
         self,
@@ -387,7 +359,8 @@ class PatternPipeline:
         rng: Optional[np.random.Generator] = None,
         seed_topology: Optional[np.ndarray] = None,
     ) -> ExtensionResult:
-        """Free-size synthesis of one topology via in/out-painting."""
+        """Free-size synthesis of one topology via in/out-painting (an
+        ``extend`` stage)."""
         shape = (size, size) if isinstance(size, int) else tuple(size)
         if min(shape) < self.model.window:
             raise ValueError(
@@ -395,15 +368,37 @@ class PatternPipeline:
                 f"window {self.model.window}; use sample(size=...) for "
                 "sub-window topologies"
             )
-        return extend(
-            self.model,
-            shape,
-            self._condition(style),
-            rng or self._rng(),
-            method=(method or self.config.sample.extend_method).lower(),
-            seed_topology=seed_topology,
-            sampler_steps=self.config.sample.sampler_steps,
-        )
+        method = (method or self.config.sample.extend_method).lower()
+        with self.stage(
+            "extend", size=size, method=method, **self._sampler_detail()
+        ) as timing:
+            extension = extend(
+                self.model,
+                shape,
+                self._condition(style),
+                rng or self._rng(),
+                method=method,
+                seed_topology=seed_topology,
+                sampler_steps=self.config.sample.sampler_steps,
+            )
+            timing.detail["samplings"] = extension.samplings
+        return extension
+
+    def modify_one(
+        self,
+        topology: np.ndarray,
+        region: GridRegion,
+        style: str,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """Regenerate one cell region of a topology (Eq. 12; a ``modify``
+        stage)."""
+        with self.stage("modify", region=region.as_tuple()):
+            return modify_region(
+                self.model, topology, region, self._condition(style),
+                rng or self._rng(),
+                sampler_steps=self.config.sample.sampler_steps,
+            )
 
     def legalize_topologies(
         self,
@@ -412,17 +407,23 @@ class PatternPipeline:
         physical_size: Optional[Tuple[int, int]] = None,
         rules=None,
     ) -> LegalityResult:
-        """Batch-legalize topologies with the configured engine."""
+        """Batch-legalize topologies with the configured engine (a
+        ``legalize`` stage)."""
         cfg = self.config.legalize
-        return legalize_many(
-            topologies,
-            style,
-            rules=rules,
-            physical_size=physical_size or cfg.physical_size,
-            keep_failures=cfg.keep_failures,
-            engine=cfg.engine,
-            fault_isolation=cfg.fault_isolation,
-        )
+        with self.stage("legalize") as timing:
+            legality = legalize_many(
+                topologies,
+                style,
+                rules=rules,
+                physical_size=physical_size or cfg.physical_size,
+                keep_failures=cfg.keep_failures,
+                engine=cfg.engine,
+                fault_isolation=cfg.fault_isolation,
+            )
+            timing.detail.update(
+                total=legality.total, legal=len(legality.legal)
+            )
+        return legality
 
     def legalize_one(
         self,
@@ -432,7 +433,8 @@ class PatternPipeline:
         rules=None,
     ) -> LegalizationResult:
         """Legalize a single topology, keeping the full per-item log/region
-        contract (the agent's Legalization tool rides this)."""
+        contract the agent's Legalization tool rides (a ``legalize`` stage
+        of one pattern)."""
         from repro.drc.rules import rules_for_style
 
         target = (
@@ -440,13 +442,16 @@ class PatternPipeline:
             or self.config.legalize.physical_size
             or physical_size_for(topology.shape)
         )
-        return legalize(
-            topology,
-            target,
-            rules or rules_for_style(style),
-            style=style,
-            engine=self.config.legalize.engine,
-        )
+        with self.stage("legalize") as timing:
+            outcome = legalize(
+                topology,
+                target,
+                rules or rules_for_style(style),
+                style=style,
+                engine=self.config.legalize.engine,
+            )
+            timing.detail.update(total=1, legal=int(outcome.ok))
+        return outcome
 
     def _sampler_detail(self) -> Dict:
         """Step-schedule provenance for stage timings.
@@ -468,14 +473,37 @@ class PatternPipeline:
             )
         return detail
 
-    def persist_library(self, library: PatternLibrary):
-        """Add a library to the attached indexed store (dedup); no-op
-        without a store.  Returns the store report or ``None``."""
-        if self.store is None or not len(library):
-            return None
-        return self.store.add_library(library, legal=True)
+    def persist_library(
+        self,
+        library: PatternLibrary,
+        output: Optional[Union[str, Path]] = None,
+    ):
+        """Write a library to ``output`` (.npz) and add it to the attached
+        indexed store (dedup): a ``persist`` stage, recorded even when an
+        empty library or no store leaves nothing to write.  Returns the
+        store report, or ``None`` when nothing reached a store."""
+        with self.stage("persist") as timing:
+            path = (
+                save_library(library, output)
+                if output and len(library)
+                else None
+            )
+            report = (
+                self.store.add_library(library, legal=True)
+                if self.store is not None and len(library)
+                else None
+            )
+            timing.detail.update(
+                output=str(path) if path else None,
+                store_added=report.added if report is not None else 0,
+            )
+        return report
 
     # -- chainable stages ----------------------------------------------
+    #
+    # Each runs one or more primitives (or the recorder itself) and appends
+    # the timings they recorded to the result, so ``result.timings`` and a
+    # job's ``stage_events`` hold the same objects.
 
     def sample(
         self,
@@ -486,25 +514,15 @@ class PatternPipeline:
         result: Optional[PipelineResult] = None,
     ) -> PipelineResult:
         """Stage: draw fixed-size samples into a fresh (or given) result."""
-        self._enter_stage("sample")
         result = result or self._result()
         style = style or self.config.sample.style
         count = count if count is not None else self.config.sample.count
-        self.model  # resolve the back-end before the timed window
-        started = time.perf_counter()
         samples = self.sample_topologies(
             count, style, size=size, rng=self._rng(seed)
         )
         result.topologies.extend(list(samples))
         result.style = style
-        result._record(
-            "sample",
-            time.perf_counter() - started,
-            count=count,
-            style=style,
-            size=int(samples.shape[-1]) if len(samples) else size,
-            **self._sampler_detail(),
-        )
+        result.timings.append(self.last_stage)
         return result
 
     def extend(
@@ -516,29 +534,18 @@ class PatternPipeline:
         seed: Optional[int] = None,
         result: Optional[PipelineResult] = None,
     ) -> PipelineResult:
-        """Stage: free-size synthesis via in/out-painting."""
-        self._enter_stage("extend")
+        """Stage: free-size synthesis via in/out-painting, one ``extend``
+        timing per topology."""
         result = result or self._result()
         style = style or self.config.sample.style
         count = count if count is not None else self.config.sample.count
         size = size or self.config.sample.extend_size or self.model.window
         rng = self._rng(seed)
-        started = time.perf_counter()
-        samplings = 0
         for _ in range(count):
             extension = self.extend_one(size, style, method=method, rng=rng)
             result.topologies.append(extension.topology)
-            samplings += extension.samplings
+            result.timings.append(self.last_stage)
         result.style = style
-        result._record(
-            "extend",
-            time.perf_counter() - started,
-            count=count,
-            size=size,
-            method=(method or self.config.sample.extend_method).lower(),
-            samplings=samplings,
-            **self._sampler_detail(),
-        )
         return result
 
     def legalize(
@@ -549,41 +556,33 @@ class PatternPipeline:
         physical_size: Optional[Tuple[int, int]] = None,
     ) -> PipelineResult:
         """Stage: batch-legalize the result's topologies into its library."""
-        self._enter_stage("legalize")
         result = result or self._result()
         items = list(topologies) if topologies is not None else result.topologies
         style = style or result.style or self.config.sample.style
-        started = time.perf_counter()
         legality = self.legalize_topologies(
             items, style, physical_size=physical_size
         )
         result.legality = legality
         result.library.extend(list(legality.legal))
         result.style = style
-        result._record(
-            "legalize",
-            time.perf_counter() - started,
-            total=legality.total,
-            legal=len(legality.legal),
-        )
+        result.timings.append(self.last_stage)
         return result
 
     def score(
         self, result: Optional[PipelineResult] = None
     ) -> PipelineResult:
         """Stage: legality/diversity/library statistics into ``scores``."""
-        self._enter_stage("score")
         result = result or self._result()
-        started = time.perf_counter()
-        scores: Dict = {"count": len(result.library)}
-        if result.legality is not None:
-            scores["legality"] = round(result.legality.legality, 4)
-        stats = library_stats(result.library)
-        scores["stats"] = stats.as_dict()
-        if len(result.library):
-            scores["diversity"] = round(stats.diversity, 4)
-        result.scores = scores
-        result._record("score", time.perf_counter() - started)
+        with self.stage("score") as timing:
+            scores: Dict = {"count": len(result.library)}
+            if result.legality is not None:
+                scores["legality"] = round(result.legality.legality, 4)
+            stats = library_stats(result.library)
+            scores["stats"] = stats.as_dict()
+            if len(result.library):
+                scores["diversity"] = round(stats.diversity, 4)
+            result.scores = scores
+        result.timings.append(timing)
         return result
 
     def persist(
@@ -592,22 +591,17 @@ class PatternPipeline:
         output: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
         """Stage: write the legal library (.npz and/or the indexed store)."""
-        self._enter_stage("persist")
         result = result or self._result()
-        output = output or self.config.store.output_path
-        started = time.perf_counter()
-        if output and len(result.library):
-            result.output_path = save_library(result.library, output)
-        report = self.persist_library(result.library)
+        report = self.persist_library(
+            result.library, output or self.config.store.output_path
+        )
+        result.timings.append(self.last_stage)
+        written = self.last_stage.detail["output"]
+        if written:
+            result.output_path = Path(written)
         if report is not None:
             result.store_added += report.added
             result.store_deduplicated += report.deduplicated
-        result._record(
-            "persist",
-            time.perf_counter() - started,
-            output=str(result.output_path) if result.output_path else None,
-            store_added=result.store_added,
-        )
         return result
 
     def export(
@@ -616,13 +610,11 @@ class PatternPipeline:
         result: Optional[PipelineResult] = None,
     ) -> PipelineResult:
         """Stage: write the result's library to GDSII."""
-        self._enter_stage("export")
         result = result or self._result()
-        started = time.perf_counter()
-        result.gds_path = Path(write_gds(result.library, path))
-        result._record(
-            "export", time.perf_counter() - started, path=str(result.gds_path)
-        )
+        with self.stage("export") as timing:
+            result.gds_path = Path(write_gds(result.library, path))
+            timing.detail["path"] = str(result.gds_path)
+        result.timings.append(timing)
         return result
 
     def run(self) -> PipelineResult:
@@ -641,11 +633,9 @@ class PatternPipeline:
         from repro.core.chatpattern import ChatPattern
 
         facade = ChatPattern(
-            model=self.model,
+            self,
             max_retries=self.config.serve.max_retries,
             base_seed=self.config.serve.base_seed,
-            store=self.store,
-            pipeline=self,
         )
         return facade.handle_request(
             text, objective=objective or self.config.serve.objective

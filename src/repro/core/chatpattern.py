@@ -19,7 +19,6 @@ from repro.api.config import PipelineConfig, TrainConfig
 from repro.api.pipeline import PatternPipeline
 from repro.data.dataset import DatasetConfig
 from repro.data.styles import STYLES
-from repro.diffusion.model import ConditionalDiffusionModel
 from repro.squish.pattern import PatternLibrary
 
 
@@ -55,43 +54,35 @@ class ChatPattern:
     """LLM-powered layout pattern library builder.
 
     Args:
-        model: trained conditional diffusion back-end.  Use
-            :meth:`pretrained` to build and train one on the synthetic
-            dataset in a few seconds.
+        pipeline: the :class:`PatternPipeline` the agent's tools route
+            through; its model is the trained back-end
+            (``PatternPipeline(model=...)`` wraps one already fitted, and
+            :meth:`pretrained` trains one on the synthetic dataset in a few
+            seconds) and its store receives ``Save_Library``.
         backend: LLM backend; defaults to the offline :class:`SimulatedLLM`.
         documents: experience documents (extension statistics etc.).
         max_retries: per-pattern legalization recovery budget.
-        store: optional indexed :class:`~repro.serve.store.LibraryStore`
-            handed to the agent's tools (``Save_Library`` persistence).
-        pipeline: the :class:`PatternPipeline` the agent's sampling and
-            legalization tools route through; a default one bound to
-            ``model`` is built when omitted, so the constructor stays a
-            thin facade over the typed pipeline API.
     """
 
     def __init__(
         self,
-        model: ConditionalDiffusionModel,
+        pipeline: PatternPipeline,
         backend: Optional[LLMBackend] = None,
         documents: Optional[ExperienceDocuments] = None,
         max_retries: int = 2,
         base_seed: int = 0,
-        store=None,
-        pipeline: Optional[PatternPipeline] = None,
     ):
-        if not model.fitted:
+        if not pipeline.model.fitted:
             raise ValueError("model must be fitted; see ChatPattern.pretrained")
-        self.model = model
+        self.pipeline = pipeline
         self.backend = backend or SimulatedLLM()
         self.documents = documents or ExperienceDocuments()
         self.max_retries = max_retries
         self.base_seed = base_seed
-        self.store = store
-        self.pipeline = (
-            pipeline.bound_to(model)
-            if pipeline is not None
-            else PatternPipeline(model=model)
-        )
+
+    @property
+    def model(self):
+        return self.pipeline.model
 
     @classmethod
     def pretrained(
@@ -138,22 +129,14 @@ class ChatPattern:
             PipelineConfig(train=train, model_cache=model_cache),
             registry=registry,
         )
-        return cls(
-            model=pipeline.model, backend=backend, pipeline=pipeline, **kwargs
-        )
+        return cls(pipeline, backend=backend, **kwargs)
 
     def handle_request(
         self, user_text: str, objective: str = "legality"
     ) -> ChatResult:
         """End-to-end: auto-format, plan, execute, summarise (Fig. 4)."""
         workspace = Workspace()
-        tools = AgentTools(
-            self.model,
-            workspace,
-            base_seed=self.base_seed,
-            store=self.store,
-            pipeline=self.pipeline,
-        )
+        tools = AgentTools(self.pipeline, workspace, base_seed=self.base_seed)
         planner = TaskPlanner(
             self.backend,
             documents=self.documents,

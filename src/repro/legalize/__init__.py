@@ -7,9 +7,7 @@ from repro.legalize.constraints import (
 )
 from repro.legalize.legalizer import (
     LegalizationResult,
-    collect_legalize_timing,
     legalize,
-    reset_legalize_timing,
 )
 from repro.legalize.solver import (
     AxisInfeasibleError,
@@ -23,10 +21,8 @@ __all__ = [
     "AxisSolution",
     "IntervalConstraint",
     "LegalizationResult",
-    "collect_legalize_timing",
     "extract_axis_constraints",
     "legalize",
-    "reset_legalize_timing",
     "requirement_per_line",
     "solve_axis",
     "solve_axis_lp",

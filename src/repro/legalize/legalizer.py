@@ -12,8 +12,6 @@ the LLM agent's mistake processing (Section 4.2).
 from __future__ import annotations
 
 import math
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -57,27 +55,6 @@ class LegalizationResult:
         return "\n".join(self.log)
 
 
-# Per-thread legalization accounting.  A served request runs all its
-# legalize() calls on one worker thread, so the service can bracket a request
-# with reset/collect to report the request's legalization wall-time without
-# threading a timer through the agent pipeline.
-_TIMING = threading.local()
-
-
-def reset_legalize_timing() -> None:
-    """Zero the calling thread's legalization call/time counters."""
-    _TIMING.calls = 0
-    _TIMING.seconds = 0.0
-
-
-def collect_legalize_timing() -> Tuple[int, float]:
-    """Return ``(calls, seconds)`` accumulated on the calling thread."""
-    return (
-        int(getattr(_TIMING, "calls", 0)),
-        float(getattr(_TIMING, "seconds", 0.0)),
-    )
-
-
 def legalize(
     topology: np.ndarray,
     physical_size: Tuple[int, int],
@@ -93,26 +70,6 @@ def legalize(
     ``engine`` selects the run/DRC implementation ("vectorized" is the
     production path; "reference" the scalar ground truth).
     """
-    started = time.perf_counter()
-    try:
-        return _legalize(
-            topology, physical_size, rules, style, max_area_iterations, engine
-        )
-    finally:
-        _TIMING.calls = getattr(_TIMING, "calls", 0) + 1
-        _TIMING.seconds = (
-            getattr(_TIMING, "seconds", 0.0) + time.perf_counter() - started
-        )
-
-
-def _legalize(
-    topology: np.ndarray,
-    physical_size: Tuple[int, int],
-    rules: DesignRules,
-    style: Optional[str],
-    max_area_iterations: int,
-    engine: str,
-) -> LegalizationResult:
     result = LegalizationResult(ok=False)
     t = as_topology(topology)
     width_nm, height_nm = int(physical_size[0]), int(physical_size[1])

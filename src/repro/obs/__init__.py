@@ -14,12 +14,12 @@ The telemetry layer of the serving stack, stdlib-only:
 - :mod:`repro.obs.trace` — per-request span trees as a view of the
   lifecycle job record (:func:`job_spans`), following each sampling call
   through admission → queue wait → batch gather → execute, and the
-  request through the pipeline stages it recorded.  A ``pipeline``
-  request has a span per stage (sample, legalize, score, persist); a
-  chat request's tree is ``request`` → ``sample`` calls →
-  ``store_persist``, with no legalize span, because the agent's tools
-  call pipeline primitives that record no stage.  The service writes the
-  spans as JSON lines on shutdown.
+  request through the pipeline stages it recorded.  Both request kinds
+  record their stages through the pipeline's one stage recorder, so a
+  ``pipeline`` request has a span per chain stage (sample, legalize,
+  score, persist) and a chat request one per tool primitive its agent
+  ran (sample, extend, modify, legalize) plus its final persist.  The
+  service writes the spans as JSON lines on shutdown.
 
 Every serve-stack component (:class:`~repro.serve.engine.ServeEngine`,
 :class:`~repro.serve.service.PatternService`,

@@ -8,11 +8,11 @@ span tree — named, nested, attribute-tagged intervals grouped by
 ``trace_id`` (the request id) — following each sampling call through
 admission → queue wait → batch gather → execute, though those hops ran
 on the engine's worker thread, and the request through the pipeline
-stages its job recorded.  A ``pipeline`` request records every stage
-(sample, legalize, score, persist), so its tree holds a legalize span.
-A chat request records none: the agent's tools call pipeline primitives
-that build no :class:`StageTiming`, so its tree is ``request`` →
-``sample`` calls → ``store_persist``.  Nothing writes spans: they are
+stages its job recorded.  Both request kinds record their stages through
+the same pipeline primitives: a ``pipeline`` request's tree holds its
+sample, legalize, score and persist spans, and a chat request's holds a
+span per tool primitive the agent ran (sample, extend, modify, legalize,
+persist) next to its ``sample`` calls.  Nothing writes spans: they are
 derived on demand, so the trace cannot disagree with the record.
 
 Timestamps are ``time.perf_counter()`` seconds — monotonic and
@@ -78,17 +78,14 @@ def job_spans(job) -> List[Dict]:
       hop to the end of its last hop, with attr ``count``; it parents that
       call's hops, each hop's ``detail`` as its attrs (a request's calls
       run one after another on its thread, so each ``admission`` opens the
-      next call);
-    - one ``store_persist`` span per PERSISTING edge, up to the next edge,
-      with that edge's detail as attrs.
+      next call).
 
     A job that never ran (cancelled or expired while queued) has no spans,
     nor has one restored from the state journal, which keeps no
     transitions.  Span ids are numbered within the trace, root first.
     """
-    transitions = list(job.transitions)
     base = job.created_at
-    running = [t for t in transitions if t.state == "RUNNING"]
+    running = [t for t in list(job.transitions) if t.state == "RUNNING"]
     if not running:
         return []
     finished = base + job.elapsed_seconds
@@ -128,11 +125,4 @@ def job_spans(job) -> List[Dict]:
         for hop in call:
             add(hop.kind, parent, base + hop.t,
                 base + hop.t + hop.seconds, hop.detail)
-    for i, edge in enumerate(transitions):
-        if edge.state == "PERSISTING":
-            end = (
-                base + transitions[i + 1].t
-                if i + 1 < len(transitions) else finished
-            )
-            add("store_persist", 1, base + edge.t, end, edge.detail)
     return spans

@@ -44,6 +44,7 @@ from repro import faults
 from repro.diffusion.model import SamplerSteps
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
+    Histogram,
     bucket_percentile,
     default_metrics,
 )
@@ -350,7 +351,12 @@ class ServeEngine:
         )
 
         # -- load-snapshot window state (read by the controller) ------
-        # Snapshots derive a busy fraction from the running busy total.
+        # The engine's own queue-wait histogram, on the default latency
+        # buckets whatever the metrics registry is: the controller reads
+        # the same signal with obs on or off, and the same one the tuner's
+        # simulation scored.  Snapshots difference its bucket counts, and
+        # derive a busy fraction from the running busy total.
+        self._queue_waits = Histogram("engine_queue_wait_seconds")
         self._load_prev: Optional[Tuple] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -725,6 +731,7 @@ class ServeEngine:
             job.queue_wait = now - job.submitted_at
             job.selected_at = now
             self._m_queue_wait.observe(job.queue_wait)
+            self._queue_waits.observe(job.queue_wait)
         groups: "OrderedDict[Tuple, List[EngineJob]]" = OrderedDict()
         for job in jobs:
             groups.setdefault(job.batch_key, []).append(job)
@@ -820,12 +827,12 @@ class ServeEngine:
         """Build a load snapshot; the caller holds the queue lock.
 
         ``queue_wait_p95`` and ``busy_fraction`` are *windowed*: derived
-        from the deltas of the cumulative ``repro_queue_wait_seconds``
-        bucket counts and the busy-seconds total since the previous
-        snapshot, so the signals decay as soon as pressure does (the
-        cumulative histogram alone would stay high long after a spike).
-        With metrics disabled the p95 reads 0.0 and the controller falls
-        back to its queue-depth and oldest-wait signals.
+        from the deltas of the engine's own cumulative queue-wait bucket
+        counts and the busy-seconds total since the previous snapshot, so
+        the signals decay as soon as pressure does (the cumulative
+        histogram alone would stay high long after a spike).  Neither
+        reads the metrics registry, so a disabled registry changes no
+        signal.
         """
         if now is None:
             now = time.perf_counter()
@@ -836,7 +843,7 @@ class ServeEngine:
             if self._jobs
             else 0.0
         )
-        counts = self._m_queue_wait.raw_counts()
+        counts = self._queue_waits.raw_counts()
         with self._records_lock:
             busy_total = self._totals.busy_seconds
         p95 = 0.0
@@ -852,7 +859,7 @@ class ServeEngine:
                 delta = [c - p for c, p in zip(counts, prev_counts)]
                 if sum(delta) > 0:
                     p95 = bucket_percentile(
-                        self._m_queue_wait.bounds, delta, 95.0
+                        self._queue_waits.bounds, delta, 95.0
                     )
         self._load_prev = (now, counts, busy_total)
         return EngineLoadSnapshot(

@@ -11,11 +11,15 @@ hop records (admission, queue wait, batch gather, execute).  The job is
 the one place a served request's record is written; everything else
 reads it:
 
-- :class:`~repro.api.pipeline.PatternPipeline` enters each stage (a cancel
-  checkpoint + state transition) and appends the
-  :class:`~repro.obs.trace.StageTiming` that ``PipelineResult._record``
-  built to ``stage_events`` — the same object ``PipelineResult.timings``
-  holds.
+- :meth:`PatternPipeline.stage <repro.api.pipeline.PatternPipeline.stage>`,
+  the one stage recorder every pipeline primitive runs inside — whether
+  the chain of a ``pipeline`` request or the agent's tools of a chat
+  request call it — enters each stage (a cancel checkpoint + state
+  transition) and appends its :class:`~repro.obs.trace.StageTiming` to
+  ``stage_events``; a chain's ``PipelineResult.timings`` holds the same
+  objects.  The request's legalize statistics
+  (:meth:`~repro.serve.stats.RequestStats.from_job`) are read back from
+  its ``legalize`` stage events.
 - :class:`~repro.serve.batching.BatchedSamplingModel` writes each engine
   hop once, to ``engine_events``, from the timestamps the
   :class:`~repro.serve.engine.ServeEngine` worker stamped on the sampling
@@ -586,10 +590,14 @@ class JobStateStore:
     """Append-only fsynced journal of job records under a state directory.
 
     One JSON line per event: ``create`` when a job is admitted to the
-    table, ``terminal`` (the full ``Job.as_dict`` snapshot) when it
-    finishes.  The service attaches a job's outcome before its terminal
-    edge, so one terminal line carries it; were a job journaled twice
-    (:meth:`JobTable.persist`), the last record would win at replay.
+    table, ``terminal`` (the ``Job.as_dict`` snapshot) when it finishes.
+    That snapshot is the job's record — state, transitions, stage and
+    engine events, error — plus the ``produced`` count of its outcome,
+    not the outcome itself: after a restart ``GET /v1/jobs/{id}/result``
+    of a succeeded job returns ``job_id``, ``state``, ``produced`` and
+    ``stage_events``, with no ``stats`` and no ``library``.  Were a job
+    journaled twice (:meth:`JobTable.persist`), the last record would win
+    at replay.
     Boot compacts the journal down to one terminal record per surviving
     job.  A torn trailing line (crash mid-append) is dropped at replay,
     never propagated.

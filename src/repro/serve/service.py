@@ -33,10 +33,6 @@ from repro.faults import FaultPlan
 from repro.api.pipeline import PatternPipeline, PipelineResult
 from repro.core.chatpattern import ChatPattern, ChatResult
 from repro.diffusion.model import ConditionalDiffusionModel
-from repro.legalize.legalizer import (
-    collect_legalize_timing,
-    reset_legalize_timing,
-)
 from repro.obs.export import SnapshotWriter
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import job_spans
@@ -45,7 +41,6 @@ from repro.serve.engine import QueueFullError, ServeEngine
 from repro.serve.jobs import (
     CODE_INTERNAL,
     CODE_SHUTDOWN,
-    PERSISTING,
     QUEUED,
     RUNNING,
     Job,
@@ -391,10 +386,15 @@ class PatternService:
 
     def start(self) -> "PatternService":
         """Resolve the model (registry hit or fit), build the engine that
-        serves it and bring the engine's worker up."""
+        serves it, build the request pool and bring the engine's worker up.
+
+        Each step runs only when its part is missing, so an explicit
+        ``start()`` after :meth:`drain` rebuilds just the request pool.
+        Admission (:meth:`serve`, :meth:`submit_job`) starts only a service
+        that is not running, so a submission that arrives mid-drain fails
+        with ``shutdown`` instead of reopening the pool.
+        """
         with self._start_lock:
-            if self.running:
-                return self
             obs_cfg = self.config.obs
             if (
                 obs_cfg.enabled
@@ -443,8 +443,8 @@ class PatternService:
 
         Jobs already queued or running complete normally (honoring any
         cancel requests at their checkpoints); new submissions fail with
-        the ``shutdown`` code.  :meth:`start` builds a fresh pool, so a
-        drained service can serve again.
+        the ``shutdown`` code.  An explicit :meth:`start` builds a fresh
+        pool, so a drained service can serve again.
         """
         with self._start_lock:
             pool, self._pool = self._pool, None
@@ -516,7 +516,8 @@ class PatternService:
         # One extra engine request stays open while the batch is admitted,
         # so the first request to reach the engine still gathers for the
         # ones admitted after it.
-        self.start()
+        if not self.running:
+            self.start()
         self._engine.request_started()
         try:
             admitted = [self._admit(request) for request in resolved]
@@ -565,7 +566,9 @@ class PatternService:
         response once the caller drops it; it is ``None`` for a job
         admitted earlier under the same ``client_job_id``.
         """
-        self.start()
+        # Start a cold or stopped service; a drained one stays drained.
+        if not self.running:
+            self.start()
         if request.client_job_id:
             # Idempotent resubmission: the same client key returns the
             # job already created for it (whatever state it is in) —
@@ -693,8 +696,9 @@ class PatternService:
             # Cancelled or expired before it ran: the terminal edge (and
             # the table's accounting of it) already happened.
             return
-        # The outcome is attached first, so the terminal edge's one
-        # journal record carries it.
+        # The outcome is attached first, so the terminal edge's journal
+        # record (the job's as_dict view) holds its produced count; the
+        # stats and library stay in memory and do not survive a restart.
         if response.ok:
             job.succeed(produced=response.produced)
         else:
@@ -780,11 +784,10 @@ class PatternService:
         error: Optional[str] = None
         error_code: Optional[str] = None
         store_added = store_deduplicated = 0
-        # One pipeline per request, bound to the batched client: the agent
-        # tools, the persistence below and the CLI all share these stage
-        # primitives.  The job rides the pipeline, so each stage entry is
-        # a cancel checkpoint + state transition and each StageTiming
-        # lands in the job's stage_events.
+        # One pipeline per request, bound to the batched client and the
+        # job: every primitive the chain, the agent's tools and the final
+        # persist call records its stage in the job, and entering it is
+        # the job's cancel checkpoint.
         pipeline = PatternPipeline(
             self.config,
             model=client,
@@ -792,25 +795,30 @@ class PatternService:
             metrics=self.metrics,
             job=job,
         )
-        # The whole agent pipeline for this request runs on this thread, so
-        # the thread-local legalization counters isolate its legalize cost.
-        reset_legalize_timing()
         try:  # fault isolation: one bad request must not sink the
             # batch, and that covers per-request setup too
             if request.kind == "pipeline":
                 result = self._run_pipeline_request(pipeline, request)
+                store_added = result.store_added
+                store_deduplicated = result.store_deduplicated
             elif request.kind == "chat":
                 chat = ChatPattern(
-                    model=client,
+                    pipeline,
                     backend=self._backend_factory(),
                     max_retries=self.max_retries,
                     base_seed=self.base_seed + 7919 * request.request_id,
-                    store=self.store,
-                    pipeline=pipeline,
                 )
-                result = chat.handle_request(
+                chat_result = chat.handle_request(
                     request.text, objective=request.objective
                 )
+                # The chat kind's persist stage: the add is idempotent
+                # (content-hash dedup), so patterns the agent already saved
+                # via Save_Library show up in `store_deduplicated` here.
+                report = pipeline.persist_library(chat_result.library)
+                if report is not None:
+                    store_added = report.added
+                    store_deduplicated = report.deduplicated
+                result = chat_result
             else:
                 raise ValueError(
                     f"unknown request kind {request.kind!r}; "
@@ -821,29 +829,9 @@ class PatternService:
             # Classify while the job still shows the failing stage
             # (LEGALIZING at this point means legalization raised).
             error_code = error_code_for(exc, state=job.state)
-        legalize_calls, legalize_seconds = collect_legalize_timing()
         wall_seconds = time.perf_counter() - started
-        if isinstance(result, PipelineResult):
-            # The pipeline chain already ran its persist stage; just
-            # surface its store accounting.
-            store_added = result.store_added
-            store_deduplicated = result.store_deduplicated
-        elif result is not None and len(result.library):
-            # Unconditional persistence through the pipeline primitive: the
-            # add is idempotent (content-hash dedup), so patterns the agent
-            # already saved via Save_Library simply show up in
-            # `store_deduplicated` here.  No-op without a store.  Direct
-            # transition (no cancel checkpoint): the result already
-            # exists, cancelling now would only lose it.
-            job.transition(
-                PERSISTING, stage="persist", patterns=len(result.library)
-            )
-            report = pipeline.persist_library(result.library)
-            if report is not None:
-                store_added = report.added
-                store_deduplicated = report.deduplicated
         self._m_requests.inc(status="error" if error else "ok")
-        self._m_request_latency.observe(time.perf_counter() - started)
+        self._m_request_latency.observe(wall_seconds)
         return ServeResponse(
             request=request,
             result=result,
@@ -855,8 +843,6 @@ class PatternService:
                 dropped=result.dropped if result is not None else 0,
                 store_added=store_added,
                 store_deduplicated=store_deduplicated,
-                legalize_calls=legalize_calls,
-                legalize_seconds=legalize_seconds,
             ),
             error=error,
             error_code=error_code,

@@ -179,14 +179,21 @@ class RequestStats:
 
     @classmethod
     def from_job(cls, job, request_id: int, **fields) -> "RequestStats":
-        """The request's stats, sampling fields read off its engine hops.
+        """The request's stats, read off its job's record.
 
-        Each sampling call that returned left an ``execute`` hop carrying
-        its sample ``count``; one that failed after admission left only
-        its ``admission`` hop and adds nothing.  ``fields`` are what the
-        hops do not hold (wall time, output, store and legalize counts).
+        Sampling fields come from the engine hops: each sampling call that
+        returned left an ``execute`` hop carrying its sample ``count``; one
+        that failed after admission left only its ``admission`` hop and
+        adds nothing.  Legalize fields come from the ``legalize`` stage
+        events: ``legalize_calls`` sums their ``total`` (the patterns
+        legalized) and ``legalize_seconds`` their seconds.  ``fields`` are
+        what the record does not hold (wall time, output, store counts).
         """
         stats = cls(request_id=request_id, **fields)
+        for timing in list(job.stage_events):
+            if timing.stage == "legalize":
+                stats.legalize_calls += timing.detail["total"]
+                stats.legalize_seconds += timing.seconds
         for event in list(job.engine_events):
             if event.kind == "queue_wait":
                 stats.queue_wait_seconds += event.seconds

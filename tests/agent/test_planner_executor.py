@@ -15,6 +15,7 @@ from repro.agent import (
     Workspace,
     parse_react,
 )
+from repro.api import PatternPipeline
 from repro.metrics import physical_size_for
 
 
@@ -130,7 +131,9 @@ class TestDocuments:
 
 class TestExecutor:
     def _executor(self, model, backend=None, max_retries=2):
-        tools = AgentTools(model, Workspace(), base_seed=3)
+        tools = AgentTools(
+            PatternPipeline(model=model), Workspace(), base_seed=3
+        )
         return TaskExecutor(tools, backend or SimulatedLLM(), max_retries=max_retries)
 
     def test_produces_requested_count(self, small_model):

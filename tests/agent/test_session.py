@@ -3,12 +3,15 @@
 import pytest
 
 from repro.agent import ChatSession
+from repro.api import PatternPipeline
 from repro.core import ChatPattern
 
 
 @pytest.fixture(scope="module")
 def session(small_model):
-    return ChatSession(chat=ChatPattern(model=small_model, max_retries=0))
+    return ChatSession(
+        chat=ChatPattern(PatternPipeline(model=small_model), max_retries=0)
+    )
 
 
 class TestFollowUpDetection:

@@ -7,12 +7,15 @@ from repro.agent import (
     TaskExecutor,
     Workspace,
 )
+from repro.api import PatternPipeline
 from repro.metrics import physical_size_for
 
 
 class TestTimeLimit:
     def test_zero_budget_stops_immediately(self, small_model):
-        tools = AgentTools(small_model, Workspace(), base_seed=4)
+        tools = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=4
+        )
         executor = TaskExecutor(tools, SimulatedLLM())
         req = RequirementList(
             topology_size=(64, 64),
@@ -28,7 +31,9 @@ class TestTimeLimit:
         assert any(e.kind == "timed_out" for e in executor.history.events)
 
     def test_generous_budget_completes(self, small_model):
-        tools = AgentTools(small_model, Workspace(), base_seed=4)
+        tools = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=4
+        )
         executor = TaskExecutor(tools, SimulatedLLM())
         req = RequirementList(
             topology_size=(64, 64),

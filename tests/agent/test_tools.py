@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.agent import AgentTools, Workspace
+from repro.api import PatternPipeline
 from repro.metrics import physical_size_for
+from repro.obs import NULL_METRICS
+from repro.serve.jobs import RUNNING, Job, JobCancelled
 
 
 @pytest.fixture()
 def tools(small_model):
-    return AgentTools(small_model, Workspace(), base_seed=1)
+    return AgentTools(
+        PatternPipeline(model=small_model), Workspace(), base_seed=1
+    )
 
 
 class TestWorkspace:
@@ -77,8 +82,12 @@ class TestTopologyGeneration:
         assert "Topology_Extension" in result.message
 
     def test_seed_determinism(self, small_model):
-        a = AgentTools(small_model, Workspace(), base_seed=5)
-        b = AgentTools(small_model, Workspace(), base_seed=5)
+        a = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=5
+        )
+        b = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=5
+        )
         ra = a.call("Topology_Generation", seed=3, style="Layer-10003")
         rb = b.call("Topology_Generation", seed=3, style="Layer-10003")
         assert np.array_equal(
@@ -177,7 +186,8 @@ class TestSaveLibraryTool:
         from repro.serve import LibraryStore
 
         store = LibraryStore(tmp_path)
-        return AgentTools(small_model, Workspace(), base_seed=1, store=store), store
+        pipeline = PatternPipeline(model=small_model, store=store)
+        return AgentTools(pipeline, Workspace(), base_seed=1), store
 
     def test_without_store_fails_cleanly(self, tools):
         result = tools.call("Save_Library")
@@ -223,3 +233,43 @@ class TestSaveLibraryTool:
         assert result.ok
         assert result.data["store"]["unique"] == 0
         assert "persistent store" in result.message
+
+
+class TestToolsRecordThroughThePipeline:
+    def _tools(self, small_model):
+        job = Job("job-tools")
+        job.transition(RUNNING, stage="chat")
+        pipeline = PatternPipeline(
+            model=small_model, metrics=NULL_METRICS, job=job
+        )
+        return AgentTools(pipeline, Workspace(), base_seed=1), job
+
+    def test_working_tools_record_their_primitive_stage(self, small_model):
+        tools, job = self._tools(small_model)
+        assert tools.model is small_model and tools.store is None
+        handle = tools.call(
+            "Topology_Generation", seed=1, style="Layer-10001"
+        ).data["topology_path"]
+        tools.call(
+            "Topology_Extension", topology_path=handle, target_size=96
+        )
+        tools.call(
+            "Topology_Modification", topology_path=handle,
+            upper=0, left=0, bottom=7, right=7,
+        )
+        tools.call(
+            "Legalization", topology_path=handle,
+            physical_size=physical_size_for((64, 64)),
+        )
+        tools.call("Analyze_Library")  # no primitive, no stage
+        assert [e.stage for e in job.stage_events] == [
+            "sample", "extend", "modify", "legalize",
+        ]
+
+    def test_cancel_propagates_from_the_next_primitive(self, small_model):
+        tools, job = self._tools(small_model)
+        assert job.request_cancel()
+        assert tools.call("Analyze_Library").ok
+        with pytest.raises(JobCancelled):
+            tools.call("Topology_Generation", seed=1, style="Layer-10001")
+        assert job.stage_events == []

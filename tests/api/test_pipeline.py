@@ -8,8 +8,18 @@ import pytest
 
 from repro.api import PipelineConfig, PatternPipeline
 from repro.api.config import SampleConfig, StoreConfig, TrainConfig
+from repro.drc.violations import GridRegion
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.jobs import (
+    LEGALIZING,
+    PERSISTING,
+    RUNNING,
+    Job,
+    JobCancelled,
+)
 from repro.serve.registry import ModelRegistry
 from repro.serve.store import LibraryStore
+from repro.squish.pattern import PatternLibrary
 
 
 @pytest.fixture
@@ -105,19 +115,93 @@ class TestStages:
         assert result.gds_path.exists()
 
 
+class TestStageRecorder:
+    """Every primitive records its stage through ``PatternPipeline.stage``."""
+
+    def _bound(self, small_model, **kwargs):
+        job = Job("job-recorder")
+        job.transition(RUNNING, stage="chat")
+        metrics = MetricsRegistry()
+        pipeline = PatternPipeline(
+            model=small_model, job=job, metrics=metrics, **kwargs
+        )
+        return pipeline, job, metrics
+
+    def test_every_primitive_records_one_stage(self, small_model, tmp_path):
+        pipeline, job, metrics = self._bound(
+            small_model, store=LibraryStore(tmp_path / "store")
+        )
+        style = "Layer-10001"
+        topology = pipeline.sample_topologies(1, style, size=64)[0]
+        extended = pipeline.extend_one(96, style).topology
+        modified = pipeline.modify_one(
+            topology, GridRegion(0, 0, 7, 7), style
+        )
+        legal = pipeline.legalize_topologies([topology, modified], style)
+        one = pipeline.legalize_one(extended, style)
+        pipeline.persist_library(legal.legal, tmp_path / "lib.npz")
+        stages = [e.stage for e in job.stage_events]
+        assert stages == [
+            "sample", "extend", "modify", "legalize", "legalize", "persist",
+        ]
+        assert pipeline.last_stage is job.stage_events[-1]
+        events = job.stage_events
+        assert events[0].detail["count"] == 1
+        assert events[1].detail["samplings"] >= 1
+        assert events[2].detail["region"] == (0, 0, 7, 7)
+        assert events[3].detail == {"total": 2, "legal": len(legal.legal)}
+        assert events[4].detail == {"total": 1, "legal": int(one.ok)}
+        assert events[5].detail["store_added"] == len(legal.legal)
+        # Each entry moved the job into the stage it records.
+        entered = [
+            (t.state, t.stage) for t in job.transitions[2:]
+        ]
+        assert entered == [
+            (RUNNING, "sample"), (RUNNING, "extend"), (RUNNING, "modify"),
+            (LEGALIZING, "legalize"), (LEGALIZING, "legalize"),
+            (PERSISTING, "persist"),
+        ]
+        latency = metrics.get("repro_stage_latency_seconds")
+        assert latency.count(stage="legalize") == 2
+        assert latency.count(stage="persist") == 1
+
+    def test_entering_a_stage_is_the_cancel_checkpoint(self, small_model):
+        pipeline, job, _ = self._bound(small_model, store=None)
+        assert job.request_cancel()
+        with pytest.raises(JobCancelled):
+            pipeline.sample_topologies(1, "Layer-10001", size=64)
+        with pytest.raises(JobCancelled):
+            pipeline.persist_library(PatternLibrary())
+        assert job.stage_events == []
+
+    def test_a_stage_that_raises_records_nothing(self, small_model):
+        pipeline, job, metrics = self._bound(small_model, store=None)
+        with pytest.raises(KeyError):
+            pipeline.sample_topologies(1, "no-such-style", size=64)
+        assert job.stage == "sample" and job.stage_events == []
+        assert metrics.get("repro_stage_latency_seconds").count(
+            stage="sample"
+        ) == 0
+
+    def test_persist_records_a_stage_with_nothing_to_write(self, pipeline):
+        result = pipeline.with_library(PatternLibrary()).persist()
+        (timing,) = result.timings
+        assert timing.stage == "persist"
+        assert timing.detail == {"output": None, "store_added": 0}
+
+    def test_extend_chain_records_one_event_per_extension(self, pipeline):
+        result = pipeline.extend(size=96, count=2)
+        assert [t.stage for t in result.timings] == ["extend", "extend"]
+        assert result.stage_seconds("extend") == pytest.approx(
+            sum(t.seconds for t in result.timings)
+        )
+
+
 class TestPrimitives:
     def test_legalize_one_keeps_log_contract(self, pipeline):
         topo = pipeline.sample_topologies(1, "Layer-10001")[0]
         outcome = pipeline.legalize_one(topo, "Layer-10001", (1024, 1024))
         assert hasattr(outcome, "ok") and hasattr(outcome, "log")
-
-    def test_bound_to_shares_config_not_model(self, pipeline, small_model):
-        other = object.__new__(type(small_model))  # distinct identity
-        other.__dict__ = dict(small_model.__dict__)
-        bound = pipeline.bound_to(other)
-        assert bound.config is pipeline.config
-        assert bound.model is other
-        assert pipeline.bound_to(small_model) is pipeline
 
     def test_seed_falls_back_to_train_seed(self, small_model):
         cfg = PipelineConfig(

@@ -5,6 +5,7 @@ import pytest
 
 from repro import ChatPattern
 from repro.agent import ScriptedLLM, SimulatedLLM
+from repro.api import PatternPipeline
 from repro.core import ChatResult
 from repro.data import DatasetConfig
 from repro.drc import check_pattern, rules_for_style
@@ -28,7 +29,9 @@ class TestPretrained:
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ValueError):
-            ChatPattern(model=ConditionalDiffusionModel(window=64))
+            ChatPattern(
+                PatternPipeline(model=ConditionalDiffusionModel(window=64))
+            )
 
     def test_window_follows_dataset_config(self):
         """A dataset_config with a topology_size different from ``window``
@@ -103,7 +106,7 @@ class TestBackendSwappability:
             "(Default: None)."
         )
         scripted = ChatPattern(
-            model=chat.model,
+            chat.pipeline,
             backend=ScriptedLLM([reply]),
             max_retries=0,
         )

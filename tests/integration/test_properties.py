@@ -100,9 +100,12 @@ class TestSamplePipelineInvariants:
 class TestSelectionTool:
     def test_selection_guarantees_legality(self, small_model):
         from repro.agent import AgentTools, Workspace
+        from repro.api import PatternPipeline
         from repro.drc import rules_for_style
 
-        tools = AgentTools(small_model, Workspace(), base_seed=2)
+        tools = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=2
+        )
         result = tools.call(
             "Topology_Selection",
             seed=1,
@@ -117,8 +120,11 @@ class TestSelectionTool:
 
     def test_selection_budget_exhaustion(self, small_model):
         from repro.agent import AgentTools, Workspace
+        from repro.api import PatternPipeline
 
-        tools = AgentTools(small_model, Workspace(), base_seed=2)
+        tools = AgentTools(
+            PatternPipeline(model=small_model), Workspace(), base_seed=2
+        )
         # An absurd physical budget makes every attempt fail.
         result = tools.call(
             "Topology_Selection",

@@ -11,10 +11,11 @@ import time
 
 import numpy as np
 
+from repro.api import PatternPipeline
 from repro.obs import NULL_METRICS, job_spans
 from repro.obs.trace import StageTiming
 from repro.serve import BatchedSamplingModel, ServeEngine
-from repro.serve.jobs import PERSISTING, RUNNING, Job
+from repro.serve.jobs import RUNNING, Job
 
 SPAN_KEYS = {
     "name", "trace_id", "span_id", "parent_id", "start", "end", "duration"
@@ -38,24 +39,25 @@ class _Request:
 
 def _served_job(request_id=7, calls=(2,), persist=True):
     """A job whose record is written as ``PatternService`` writes one: a
-    RUNNING edge, one sample stage wrapping ``calls`` engine sampling
-    calls (each admission -> queue wait -> gather -> execute), a
-    PERSISTING edge and the terminal edge."""
+    RUNNING edge, then stages recorded through a pipeline bound to the
+    job — one sample stage wrapping ``calls`` engine sampling calls (each
+    admission -> queue wait -> gather -> execute) and a persist stage —
+    and the terminal edge."""
     job = Job(f"job-{request_id}", request=_Request(request_id))
     job.transition(RUNNING, stage="chat")
-    started = time.perf_counter()
-    for count in calls:
-        t = [time.perf_counter() for _ in range(5)]
-        job.record_engine("admission", t[0], t[1], count=count)
-        job.record_engine("queue_wait", t[1], t[2])
-        job.record_engine("batch_gather", t[2], t[3], batch_samples=4)
-        job.record_engine("execute", t[3], t[4], count=count)
-    seconds = time.perf_counter() - started
-    job.record_stage(
-        StageTiming("sample", seconds, {"produced": 2}, start=started)
+    pipeline = PatternPipeline(
+        model=_StubModel(), metrics=NULL_METRICS, job=job
     )
+    with pipeline.stage("sample", produced=2):
+        for count in calls:
+            t = [time.perf_counter() for _ in range(5)]
+            job.record_engine("admission", t[0], t[1], count=count)
+            job.record_engine("queue_wait", t[1], t[2])
+            job.record_engine("batch_gather", t[2], t[3], batch_samples=4)
+            job.record_engine("execute", t[3], t[4], count=count)
     if persist:
-        job.transition(PERSISTING, stage="persist", patterns=2)
+        with pipeline.stage("persist", store_added=2):
+            pass
     job.succeed()
     return job
 
@@ -72,7 +74,7 @@ class TestSpans:
         assert root["parent_id"] is None
         assert root["trace_id"] == 7
         assert root["attrs"] == {"source": "cli", "objective": "legal"}
-        for name in ("sample", "store_persist"):
+        for name in ("sample", "persist"):
             assert named[name]["parent_id"] == root["span_id"]
         # The stage span and the sampling call share the name "sample";
         # the call is the one that parents the hops.
@@ -90,7 +92,7 @@ class TestSpans:
         assert named["batch_gather"]["attrs"] == {"batch_samples": 4}
         assert named["execute"]["attrs"] == {"count": 2}
         assert "attrs" not in named["queue_wait"]
-        assert named["store_persist"]["attrs"] == {"patterns": 2}
+        assert named["persist"]["attrs"] == {"store_added": 2}
         (stage,) = [s for s in spans if s["name"] == "sample"
                     and s.get("attrs") == {"produced": 2}]
         assert stage["duration"] >= 0.0
@@ -108,7 +110,7 @@ class TestSpans:
             # A call runs from its admission to the end of its last hop.
             assert call["start"] == hops[0]["start"]
             assert call["end"] == max(h["end"] for h in hops)
-        assert "store_persist" not in _by_name(spans)
+        assert "persist" not in _by_name(spans)
 
     def test_engine_worker_hops_join_the_request_trace(self):
         """The engine's worker thread stamps the hops; the request's trace
@@ -158,7 +160,7 @@ class TestTreeAndExport:
         starts = [child["start"] for child in root["children"]]
         assert starts == sorted(starts)
         assert [c["name"] for c in root["children"]].count("sample") == 3
-        assert [c["name"] for c in root["children"]][-1] == "store_persist"
+        assert [c["name"] for c in root["children"]][-1] == "persist"
 
     def test_export_jsonl(self):
         for span in job_spans(_served_job()):

@@ -180,6 +180,30 @@ class TestAdaptiveEngine:
             # Capped: widening must never eat the whole SLO budget.
             assert engine.gather_window <= max(0.01, 0.25 * 0.5)
 
+    def test_controller_reads_queue_wait_with_metrics_disabled(self):
+        """The controller's queue-wait signal is the engine's own: with
+        obs off (``NULL_METRICS``) a queue-wait spike still reaches it as
+        a non-zero windowed p95, as it does in the tuner's simulation."""
+        seen = []
+
+        class Recording(AdaptiveController):
+            def observe(self, snapshot):
+                seen.append(snapshot)
+                return super().observe(snapshot)
+
+        engine = ServeEngine(
+            StepRecordingModel(delay=0.02),
+            controller=Recording(pressure_config(restore_after=10 ** 6)),
+            gather_window=0.0,
+            max_batch=1,
+            metrics=NULL_METRICS,
+        )
+        jobs = [engine.submit(1, 0, seed=i) for i in range(8)]
+        with engine:
+            for job in jobs:
+                job.result(timeout=60)
+        assert max(s.queue_wait_p95 for s in seen) > 0.0
+
     def test_load_snapshot_is_publicly_scrapeable(self):
         engine = ServeEngine(StepRecordingModel(), gather_window=0.0)
         engine.submit(2, 0, seed=1)

@@ -633,8 +633,8 @@ class TestServiceJobs:
             table.close()
 
     def test_request_stats_count_every_batch_legalize_call(self):
-        """The legalize stage runs on the request thread, so the request's
-        thread-local legalize counters see every pattern it legalized."""
+        """The request's ``legalize_calls`` sums the ``total`` of its
+        legalize stage events: every pattern the batch stage legalized."""
         service = PatternService(
             model=StubModel(), max_workers=1, gather_window=0.0
         )
@@ -644,6 +644,79 @@ class TestServiceJobs:
             assert job.state == SUCCEEDED
             assert job.outcome.stats.legalize_calls == 3
             assert job.outcome.stats.legalize_seconds > 0
+        finally:
+            service.stop()
+
+    def test_restored_succeeded_job_serves_only_its_record(self, tmp_path):
+        """The terminal journal line is the job's ``as_dict`` view, not its
+        outcome: after a restart the result payload of a succeeded job
+        holds its id, state, produced count and stage events — no stats,
+        no library."""
+        from repro.serve.http import _result_payload
+
+        service = PatternService(
+            model=StubModel(),
+            max_workers=1,
+            gather_window=0.0,
+            config=PipelineConfig(serve=ServeConfig(state_dir=str(tmp_path))),
+        )
+        try:
+            job = service.submit_job(_pipeline_request(count=2))
+            assert job.wait(timeout=30.0)
+            assert job.state == SUCCEEDED
+            live = _result_payload(job, include_topologies=False)
+            assert {"stats", "library", "timings"} <= set(live)
+        finally:
+            service.stop()
+        table = JobTable(state_dir=tmp_path)
+        try:
+            payload = _result_payload(
+                table.get(job.job_id), include_topologies=True
+            )
+        finally:
+            table.close()
+        assert payload == {
+            "job_id": job.job_id,
+            "state": SUCCEEDED,
+            "produced": 2,
+            "stage_events": live["stage_events"],
+        }
+
+    def test_start_after_drain_serves_again(self):
+        """An explicit ``start()`` after ``drain()`` rebuilds the request
+        pool, though the engine never stopped."""
+        service = PatternService(
+            model=StubModel(), max_workers=1, gather_window=0.0
+        )
+        try:
+            service.start()
+            service.drain()
+            assert service.running and not service.accepting
+            service.start()
+            assert service.accepting
+            job = service.submit_job(_pipeline_request(count=1))
+            assert job.wait(timeout=30.0)
+            assert job.state == SUCCEEDED
+            assert job.error_code is None
+        finally:
+            service.stop()
+
+    def test_submission_after_drain_is_shed(self):
+        """Admission does not reopen a drained service: a late submission
+        fails with ``shutdown`` (the HTTP drain window)."""
+        service = PatternService(
+            model=StubModel(), max_workers=1, gather_window=0.0
+        )
+        try:
+            service.start()
+            service.drain()
+            job = service.submit_job(_pipeline_request(count=1))
+            assert job.wait(timeout=30.0)
+            assert job.state == CANCELLED
+            assert job.error_code == "shutdown"
+            assert not service.accepting
+            (response,) = service.serve([_pipeline_request(count=1)])
+            assert response.error_code == "shutdown"
         finally:
             service.stop()
 

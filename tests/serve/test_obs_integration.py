@@ -231,8 +231,11 @@ class TestServiceInstrumentation:
             assert tree["trace_id"] == response.request.request_id
             names = {child["name"] for child in tree["children"]}
             assert "sample" in names
+            # The agent's sample stages share the name with the sampling
+            # calls; a call is the one that parents the hops.
             sample = next(
-                c for c in tree["children"] if c["name"] == "sample"
+                c for c in tree["children"]
+                if c["name"] == "sample" and c["children"]
             )
             assert [c["name"] for c in sample["children"]][:4] == [
                 "admission", "queue_wait", "batch_gather", "execute"

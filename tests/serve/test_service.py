@@ -17,8 +17,17 @@ from repro.serve import (
     PatternService,
     ServeRequest,
 )
+from repro.core import ChatPattern
+from repro.obs import job_spans
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.jobs import CANCELLED, EXPIRED, SUCCEEDED
+from repro.serve.jobs import (
+    CANCELLED,
+    CODE_CANCELLED,
+    EXPIRED,
+    LEGALIZING,
+    PERSISTING,
+    SUCCEEDED,
+)
 
 REQUEST = (
     "Generate 2 legal patterns, 64*64 topology, physical size "
@@ -212,6 +221,100 @@ class TestServeConcurrent:
         stats = service.stats()
         assert stats.legalize_calls >= response.stats.legalize_calls
         assert stats.legalize_seconds > 0
+
+
+class TestOneStageRecord:
+    """Both request kinds record their stages through the pipeline: the
+    chat kind's tools and final persist included."""
+
+    EXTEND_REQUEST = (
+        "Generate 2 legal patterns, 128*128 topology, physical size "
+        "2048nm * 2048nm, style Layer-10001."
+    )
+
+    def test_chat_job_records_tool_stages_and_spans(self, registry, tmp_path):
+        service = PatternService(
+            model_key=ModelKey(window=64),
+            registry=registry,
+            store=LibraryStore(tmp_path),
+            max_retries=1,
+        )
+        with service:
+            response = service.handle(self.EXTEND_REQUEST)
+            job = service.jobs.get(response.job_id)
+        assert response.ok and job.state == SUCCEEDED
+        stages = [e.stage for e in job.stage_events]
+        assert {"sample", "extend", "legalize"} <= set(stages)
+        assert stages[-1] == "persist" and stages.count("persist") == 1
+        persist = job.stage_events[-1]
+        assert persist.detail["store_added"] == response.stats.store_added
+        states = [t.state for t in job.transitions]
+        assert LEGALIZING in states and states[-2:] == [PERSISTING, SUCCEEDED]
+        names = [s["name"] for s in job_spans(job)]
+        assert "legalize" in names and "extend" in names
+        assert names.count("persist") == 1
+        assert "store_persist" not in names
+
+    def test_legalize_stats_are_read_off_stage_events(self, registry):
+        service = PatternService(
+            model_key=ModelKey(window=64), registry=registry, max_retries=1
+        )
+        with service:
+            responses = service.serve([
+                _requests(1)[0],
+                ServeRequest(
+                    text="", kind="pipeline",
+                    params={"count": 3, "style": "Layer-10001"},
+                ),
+            ])
+            jobs = [service.jobs.get(r.job_id) for r in responses]
+        for response, job in zip(responses, jobs):
+            events = [e for e in job.stage_events if e.stage == "legalize"]
+            assert events
+            assert response.stats.legalize_calls == sum(
+                e.detail["total"] for e in events
+            )
+            assert response.stats.legalize_seconds == pytest.approx(
+                sum(e.seconds for e in events)
+            )
+        chat, pipeline = responses
+        # The agent legalizes one pattern per stage; the chain all at once.
+        assert chat.stats.legalize_calls == len(
+            [e for e in jobs[0].stage_events if e.stage == "legalize"]
+        )
+        assert pipeline.stats.legalize_calls == 3
+
+    def test_cancel_is_honoured_at_the_chat_persist_entry(
+        self, registry, tmp_path, monkeypatch
+    ):
+        """Entering the final persist is a cancel checkpoint for the chat
+        kind too: a cancel that lands after the agent finished stores
+        nothing and ends the job CANCELLED."""
+        handle_request = ChatPattern.handle_request
+
+        def finish_then_cancel(chat, *args, **kwargs):
+            result = handle_request(chat, *args, **kwargs)
+            chat.pipeline.job.request_cancel()
+            return result
+
+        monkeypatch.setattr(ChatPattern, "handle_request", finish_then_cancel)
+        store = LibraryStore(tmp_path)
+        service = PatternService(
+            model_key=ModelKey(window=64),
+            registry=registry,
+            store=store,
+            max_retries=1,
+        )
+        with service:
+            response = service.handle(_requests(1)[0])
+            job = service.jobs.get(response.job_id)
+        assert job.state == CANCELLED
+        assert response.error_code == CODE_CANCELLED
+        assert response.result is None
+        stages = [e.stage for e in job.stage_events]
+        assert "legalize" in stages and "persist" not in stages
+        assert PERSISTING not in [t.state for t in job.transitions]
+        assert LibraryStore(tmp_path).stats()["unique"] == 0
 
 
 class TestEngineBackedService:
