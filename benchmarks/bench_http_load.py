@@ -18,13 +18,13 @@ HTTP framing, the job lifecycle layer, the request pool and the engine
 queue — not diffusion throughput, which ``bench_serve_throughput``
 already owns.
 
-Results append to ``BENCH_http_load.json`` at the repo root; a run FAILS
-if ``jobs_per_sec`` regresses more than 25% against the committed
-baseline (the first entry of the same workload class).  ``REPRO_SMOKE=1``
-shrinks the client fleet for CI.
+A full run appends its payload to ``BENCH_http_load.json`` at the repo
+root; every run writes it to ``benchmarks/out/http_load.json``, and a
+smoke run writes only there.  A run FAILS if ``jobs_per_sec`` regresses
+more than 25% against the committed baseline (the first entry of the same
+workload class).  ``REPRO_SMOKE=1`` shrinks the client fleet for CI.
 """
 
-import json
 import os
 import threading
 import time
@@ -32,7 +32,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import load_history, print_table, record_run
+from repro.api import PipelineConfig, ServeConfig
 from repro.obs.export import parse_exposition
 from repro.serve import (
     PatternHttpServer,
@@ -135,13 +136,6 @@ def _class_summary(records, kind):
     }
 
 
-def _load_history():
-    if not os.path.exists(RESULT_PATH):
-        return {"benchmark": "http_load", "history": []}
-    with open(RESULT_PATH) as handle:
-        return json.load(handle)
-
-
 def _check_regression(payload, history):
     """Compare jobs/sec against the FIRST entry of the same workload
     class — anchoring on the committed baseline keeps the gate from
@@ -163,12 +157,12 @@ def _check_regression(payload, history):
 
 
 def _run(output_dir):
-    service = PatternService(
-        model=LoadModel(),
-        max_workers=MAX_WORKERS,
-        gather_window=GATHER_WINDOW,
-        max_batch=32,
+    config = PipelineConfig(
+        serve=ServeConfig(
+            max_workers=MAX_WORKERS, gather_window=GATHER_WINDOW, max_batch=32
+        )
     )
+    service = PatternService(config, model=LoadModel())
     server = PatternHttpServer(service, port=0)
     total_clients = INTERACTIVE_CLIENTS + BULK_CLIENTS
     records, errors = [], []
@@ -222,14 +216,10 @@ def _run(output_dir):
         "terminal_counts": terminal,
     }
 
-    history = _load_history()
+    history = load_history(RESULT_PATH, "http_load")
     regressions = _check_regression(payload, history)
-    history["history"].append(payload)
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
-    with open(os.path.join(output_dir, "http_load.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
+    output_path = os.path.join(output_dir, "http_load.json")
+    record_run(payload, history, RESULT_PATH, output_path)
 
     print_table(
         f"HTTP load ({total_clients} concurrent clients, "
@@ -247,7 +237,7 @@ def _run(output_dir):
     print(
         f"{payload['jobs']} jobs in {payload['wall_seconds']}s "
         f"({payload['jobs_per_sec']} jobs/s), {payload['errors']} errors  "
-        f"(history: {RESULT_PATH})"
+        f"(payload: {output_path})"
     )
     if errors:
         for line in errors[:5]:

@@ -16,23 +16,23 @@ workloads run twice:
 Two workloads are measured: a single 8-sample request
 (``model.sample``) and an 8-request serve workload riding the serving
 engine (``ServeEngine(model)`` → ``sample_batch``), mixed styles.
-Results are appended to ``BENCH_sample_throughput.json`` at the repo root;
-a run FAILS if its speedups regress more than 25% against the committed
-baseline (the first entry of the same workload class), or fall below the
-absolute floors (>= 5x single, >= 3x serve; ``REPRO_SMOKE=1`` shrinks the
-workload and relaxes the floors — tiny maps measure fixed overhead, not
-throughput).
+A full run appends its payload to ``BENCH_sample_throughput.json`` at the
+repo root; every run writes it to ``benchmarks/out/sample_throughput.json``,
+and a smoke run writes only there.  A run FAILS if its speedups regress
+more than 25% against the committed baseline (the first entry of the same
+workload class), or fall below the absolute floors (>= 5x single, >= 3x
+serve; ``REPRO_SMOKE=1`` shrinks the workload and relaxes the floors —
+tiny maps measure fixed overhead, not throughput).
 """
 
 import copy
-import json
 import os
 import time
 from datetime import datetime, timezone
 
 import numpy as np
 
-from benchmarks.conftest import print_table, scale
+from benchmarks.conftest import load_history, print_table, record_run, scale
 from repro.data import DatasetConfig, STYLES, build_training_set
 from repro.diffusion import (
     ConditionalDiffusionModel,
@@ -146,13 +146,6 @@ def _speedup(baseline, optimized):
     )
 
 
-def _load_history():
-    if not os.path.exists(RESULT_PATH):
-        return {"benchmark": "sample_throughput", "history": []}
-    with open(RESULT_PATH) as handle:
-        return json.load(handle)
-
-
 def _check_regression(payload, history):
     """Compare against the FIRST entry of the same workload class.
 
@@ -211,15 +204,10 @@ def _run(output_dir):
         "speedup_serve": _speedup(serve["baseline"], serve["optimized"]),
     }
 
-    history = _load_history()
+    history = load_history(RESULT_PATH, "sample_throughput")
     regressions = _check_regression(payload, history)
-    history["history"].append(payload)
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
-    # Mirror next to the other bench outputs for convenience.
-    with open(os.path.join(output_dir, "sample_throughput.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
+    output_path = os.path.join(output_dir, "sample_throughput.json")
+    record_run(payload, history, RESULT_PATH, output_path)
 
     print_table(
         f"Sampling throughput ({WINDOW}x{WINDOW}, K={STEPS})",
@@ -244,7 +232,7 @@ def _run(output_dir):
     print(
         f"single speedup: {payload['speedup_single']}x, "
         f"serve speedup: {payload['speedup_serve']}x  "
-        f"(history: {RESULT_PATH})"
+        f"(payload: {output_path})"
     )
     payload["regressions"] = regressions
     return payload

@@ -23,26 +23,28 @@ Four measurements on one pre-fitted back-end:
   not gated.
 - **adaptive spike**: one identical burst of full-quality jobs into a
   default-policy engine and into an ``adaptive`` engine with a tight p95
-  SLO.  The adaptive policy must degrade sampler quality during the
-  spike (so its p95 does not lose to the static baseline), then restore
-  full quality once the burst drains — the self-tuning contract of
-  ``repro.tune``.
+  SLO, over ``SPIKE_TRIALS`` trials that alternate which runs first.
+  In every trial the adaptive policy must degrade sampler quality during
+  the spike, then restore full quality once the burst drains — the
+  self-tuning contract of ``repro.tune``; its median p95 must not lose
+  to the static baseline's.
 
-Results are appended to ``BENCH_serve_throughput.json`` at the repo root.
-A run FAILS if a speedup ratio falls below ``REGRESSION_TOLERANCE`` times
-the committed anchor (the first entry of the same workload class): 0.5x
-for smoke runs, 0.75x for full runs — a 50% or 25% regression.
+A full run appends its payload to ``BENCH_serve_throughput.json`` at the
+repo root; every run writes it to ``benchmarks/out/serve_throughput.json``,
+and a smoke run writes only there.  A run FAILS if a speedup ratio falls
+below ``REGRESSION_TOLERANCE`` times the committed anchor (the first
+entry of the same workload class): 0.5x for smoke runs, 0.75x for full
+runs — a 50% or 25% regression.
 ``REPRO_SMOKE=1`` shrinks the workload for CI.
 """
 
-import json
 import os
 import time
 from datetime import datetime, timezone
 
 import numpy as np
 
-from benchmarks.conftest import print_table, scale
+from benchmarks.conftest import load_history, print_table, record_run, scale
 from repro.api import (
     ObsConfig,
     PatternPipeline,
@@ -93,9 +95,11 @@ OBS_TAX_BOUND = 0.05
 # Adaptive spike: burst size and the controller knobs.  The SLO is set
 # tight enough that the engine cannot hold it at full quality, so
 # the adaptive engine must degrade to keep p95 — and must not end the
-# run degraded.
+# run degraded.  One burst's p95 is its slowest job or two, so the p95
+# gate reads the median ratio over an odd number of alternated trials.
 SPIKE_JOBS = 10 if SMOKE else 16
 SPIKE_SAMPLES_PER_JOB = 1 if SMOKE else 2
+SPIKE_TRIALS = 5
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -163,7 +167,7 @@ def _run_batched(model, texts, obs_enabled=True):
         ),
         obs=ObsConfig(enabled=obs_enabled),
     )
-    service = PatternService.from_config(config, registry=registry)
+    service = PatternService(config, registry=registry)
     started = time.perf_counter()
     with service:
         responses = service.serve(
@@ -341,40 +345,49 @@ def _measure_spike(model, policy, tune_config=None):
 
 def _run_adaptive_spike(model):
     """The default policy vs adaptive on one identical burst, tight p95
-    SLO."""
-    static = _measure_spike(model, "fair_share")
-    # SLO set from the measured full-quality p95: tight enough that the
-    # controller must react, loose enough to be holdable degraded.
-    tune = TuneConfig(
-        slo_p95=max(0.2, static["latency_p95"] * 0.5),
-        degrade_ladder=("bucketed",),
-        degrade_after=1,
-        restore_after=2,
-        queue_high=2,
-        queue_low=1,
-        tick_interval=0.005,
-    )
-    adaptive = _measure_spike(model, "adaptive", tune)
-    return {
-        "fair_share": static,
-        "adaptive": adaptive,
-        "slo_p95": round(tune.slo_p95, 3),
-        # >= 1.0 means adaptive's p95 was no worse than the default's.
-        "p95_ratio": round(
-            static["latency_p95"] / max(adaptive["latency_p95"], 1e-9), 3
-        ),
-    }
+    SLO, over ``SPIKE_TRIALS`` trials.
+
+    Even trials run the default policy first, odd trials adaptive first.
+    Each adaptive run's SLO derives from the latest default-policy p95
+    measured before it.  Returns the trial whose p95 ratio is the median,
+    with every trial under ``trials``.
+    """
+    trials = []
+    static = None
+    for trial in range(SPIKE_TRIALS):
+        adaptive_first = trial % 2 == 1
+        if not adaptive_first:
+            static = _measure_spike(model, "fair_share")
+        # SLO set from the measured full-quality p95: tight enough that
+        # the controller must react, loose enough to be holdable degraded.
+        tune = TuneConfig(
+            slo_p95=max(0.2, static["latency_p95"] * 0.5),
+            degrade_ladder=("bucketed",),
+            degrade_after=1,
+            restore_after=2,
+            queue_high=2,
+            queue_low=1,
+            tick_interval=0.005,
+        )
+        adaptive = _measure_spike(model, "adaptive", tune)
+        if adaptive_first:
+            static = _measure_spike(model, "fair_share")
+        trials.append({
+            "fair_share": static,
+            "adaptive": adaptive,
+            "slo_p95": round(tune.slo_p95, 3),
+            # >= 1.0 means adaptive's p95 was no worse than the default's.
+            "p95_ratio": round(
+                static["latency_p95"] / max(adaptive["latency_p95"], 1e-9),
+                3,
+            ),
+        })
+    median = sorted(trials, key=lambda t: t["p95_ratio"])[SPIKE_TRIALS // 2]
+    return {**median, "trials": trials}
 
 
 def _speedup(slow, fast):
     return round(slow["wall_seconds"] / max(fast["wall_seconds"], 1e-9), 3)
-
-
-def _load_history():
-    if not os.path.exists(RESULT_PATH):
-        return {"benchmark": "serve_throughput", "history": []}
-    with open(RESULT_PATH) as handle:
-        return json.load(handle)
 
 
 def _check_regression(payload, history):
@@ -458,15 +471,10 @@ def _run(output_dir):
         "obs_tax": obs_tax,
     }
 
-    history = _load_history()
+    history = load_history(RESULT_PATH, "serve_throughput")
     regressions = _check_regression(payload, history)
-    history["history"].append(payload)
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
-    # Mirror next to the other bench outputs for convenience.
-    with open(os.path.join(output_dir, "serve_throughput.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
+    output_path = os.path.join(output_dir, "serve_throughput.json")
+    record_run(payload, history, RESULT_PATH, output_path)
 
     print_table(
         f"Serving throughput ({N_REQUESTS}-request workload, "
@@ -501,8 +509,8 @@ def _run(output_dir):
     )
     spike = payload["adaptive_spike"]
     print_table(
-        f"Adaptive spike ({SPIKE_JOBS}-job burst, "
-        f"SLO p95 <= {spike['slo_p95']}s)",
+        f"Adaptive spike ({SPIKE_JOBS}-job burst, median of {SPIKE_TRIALS} "
+        f"trials, SLO p95 <= {spike['slo_p95']}s)",
         ["policy", "p50 (s)", "p95 (s)", "degraded", "restored"],
         [
             ["fair_share", spike["fair_share"]["latency_p50"],
@@ -518,7 +526,7 @@ def _run(output_dir):
         f"batched speedup: {payload['speedup_batched']}x, median of "
         f"{OBS_TRIALS} alternated trials (IQR sequential "
         f"{speedup_trials['iqr_sequential_pct']}%, batched "
-        f"{speedup_trials['iqr_batched_pct']}%)  (history: {RESULT_PATH})"
+        f"{speedup_trials['iqr_batched_pct']}%)  (payload: {output_path})"
     )
     payload["regressions"] = regressions
     return payload
@@ -550,13 +558,15 @@ def test_serve_throughput(benchmark, output_dir):
     assert payload["speedup_batched"] > 1.0
     assert payload["sequential"]["produced"] > 0
     assert batched["produced"] > 0
-    # Adaptive spike: quality degraded during the burst, p95 no worse
-    # than the default policy (with noise headroom), and full quality restored after.
+    # Adaptive spike: in every trial quality degraded during the burst
+    # and full quality was restored after; the median trial's p95 is no
+    # worse than the default policy's (with noise headroom).
     spike = payload["adaptive_spike"]
-    assert spike["adaptive"]["degraded_jobs"] > 0, spike
-    assert spike["adaptive"]["restored"], spike
-    assert spike["adaptive"]["tail_degrade_level"] == 0, spike
-    assert spike["fair_share"]["degraded_jobs"] == 0
-    assert spike["p95_ratio"] >= 0.9, spike
+    for trial in spike["trials"]:
+        assert trial["adaptive"]["degraded_jobs"] > 0, trial
+        assert trial["adaptive"]["restored"], trial
+        assert trial["adaptive"]["tail_degrade_level"] == 0, trial
+        assert trial["fair_share"]["degraded_jobs"] == 0, trial
+    assert spike["p95_ratio"] >= 0.9, [t["p95_ratio"] for t in spike["trials"]]
     # No speedup below REGRESSION_TOLERANCE x its committed anchor.
     assert not payload["regressions"], payload["regressions"]

@@ -207,6 +207,8 @@ class ServeConfig(StageConfig):
                 f"unknown serve policy {self.policy!r}; known: "
                 f"{sorted(SERVE_POLICIES)}"
             )
+        if self.max_workers < 1:
+            raise ConfigError("max_workers must be >= 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1 (or null)")
         if self.deadline is not None and self.deadline <= 0:

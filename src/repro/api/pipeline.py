@@ -644,12 +644,13 @@ class PatternPipeline:
     def service(self, registry=None):
         """Build a :class:`PatternService` from this pipeline's config.
 
-        The service shares this pipeline's metrics registry, so one
-        snapshot covers the pipeline stages, the engine and the store.
+        The service reads every setting from that config, and shares this
+        pipeline's model, store and metrics registry, so one snapshot
+        covers the pipeline stages, the engine and the store.
         """
         from repro.serve.service import PatternService
 
-        return PatternService.from_config(
+        return PatternService(
             self.config,
             model=self._model,
             registry=registry or self.registry,

@@ -312,7 +312,6 @@ def _cmd_chat(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serve import ServeRequest
     from repro.squish.pattern import PatternLibrary
 
     texts = list(args.requests)
@@ -386,12 +385,7 @@ def _cmd_serve(args) -> int:
         return _serve_http(args.http, service)
 
     with service:
-        responses = service.serve(
-            [
-                ServeRequest(text=t, objective=cfg.serve.objective)
-                for t in texts
-            ]
-        )
+        responses = service.serve(texts)
 
     merged = PatternLibrary(name="serve-output")
     for response in responses:

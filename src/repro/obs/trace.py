@@ -12,7 +12,7 @@ stages its job recorded.  Both request kinds record their stages through
 the same pipeline primitives: a ``pipeline`` request's tree holds its
 sample, legalize, score and persist spans, and a chat request's holds a
 span per tool primitive the agent ran (sample, extend, modify, legalize,
-persist) next to its ``sample`` calls.  Nothing writes spans: they are
+persist) next to its ``sample_call`` spans.  Nothing writes spans: they are
 derived on demand, so the trace cannot disagree with the record.
 
 Timestamps are ``time.perf_counter()`` seconds — monotonic and
@@ -74,11 +74,12 @@ def job_spans(job) -> List[Dict]:
       first RUNNING edge to its terminal edge (to now while it runs), with
       attrs ``source`` and ``objective``;
     - one span per stage event, its ``detail`` as attrs;
-    - one ``sample`` span per sampling call, from the call's ``admission``
-      hop to the end of its last hop, with attr ``count``; it parents that
-      call's hops, each hop's ``detail`` as its attrs (a request's calls
-      run one after another on its thread, so each ``admission`` opens the
-      next call).
+    - one ``sample_call`` span per sampling call, from the call's
+      ``admission`` hop to the end of its last hop, with attr ``count``;
+      it parents that call's hops, each hop's ``detail`` as its attrs (a
+      request's calls run one after another on its thread, so each
+      ``admission`` opens the next call).  Its name differs from the
+      ``sample`` stage's, so a span's name says which of the two it is.
 
     A job that never ran (cancelled or expired while queued) has no spans,
     nor has one restored from the state journal, which keeps no
@@ -118,7 +119,7 @@ def job_spans(job) -> List[Dict]:
         calls[-1].append(hop)
     for call in calls:
         parent = add(
-            "sample", 1, base + call[0].t,
+            "sample_call", 1, base + call[0].t,
             max(base + hop.t + hop.seconds for hop in call),
             {"count": call[0].detail.get("count")},
         )

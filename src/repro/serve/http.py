@@ -409,7 +409,7 @@ class PatternHttpServer:
         try:
             request = ServeRequest(
                 text=text,
-                objective=payload.get("objective", "legality"),
+                objective=payload.get("objective"),
                 source=source,
                 deadline=payload.get("deadline"),
                 kind=kind,

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.agent.backend import LLMBackend, SimulatedLLM
-from repro.api.config import SERVE_POLICIES, ConfigError, PipelineConfig
+from repro.api.config import PipelineConfig
 from repro.faults import FaultPlan
 from repro.api.pipeline import PatternPipeline, PipelineResult
 from repro.core.chatpattern import ChatPattern, ChatResult
@@ -65,7 +65,11 @@ class ServeRequest:
     selection rule, which takes turns across sources (e.g. ``"bulk"`` vs
     ``"interactive"``); it must be a non-empty string.  ``deadline``
     bounds, in seconds, how long its jobs may sit queued before failing
-    with a typed error (``None`` defers to the engine default).
+    with a typed error (``None`` defers to ``config.serve.deadline``).
+    ``objective`` (``"legality"`` | ``"diversity"``) steers the agent's
+    choice among candidates; ``None`` takes ``config.serve.objective`` at
+    admission, so the job's record holds the objective the request ran
+    with.
 
     ``kind`` selects the execution path: ``"chat"`` (default) runs the
     full natural-language agent pipeline on ``text``; ``"pipeline"`` runs
@@ -81,7 +85,7 @@ class ServeRequest:
     """
 
     text: str
-    objective: str = "legality"
+    objective: Optional[str] = None
     request_id: int = 0
     source: str = "default"
     deadline: Optional[float] = None
@@ -174,35 +178,26 @@ class ServiceStats:
 class PatternService:
     """Batched, engine-backed, registry- and store-integrated service.
 
+    Every setting comes from one :class:`PipelineConfig`: the model recipe
+    from ``config.train`` (resolved through the registry, including the
+    ``config.model_cache`` disk tier), the engine, request-pool and agent
+    knobs from ``config.serve``, the store from ``config.store.store_dir``
+    and the observability layer from ``config.obs``.  The service builds
+    and owns its engine once :meth:`start` has resolved the model.
+
     Args:
+        config: the service's :class:`PipelineConfig` (defaults when
+            omitted).
         model: a pre-fitted back-end; bypasses the registry when given
             (benchmark/test convenience).
-        model_key: recipe of the back-end to request from the registry
-            (default :class:`ModelKey` defaults).
         registry: shared :class:`ModelRegistry`; a private one is created
             when omitted.
-        store: optional :class:`LibraryStore`.  Every request's legal
+        store: optional :class:`LibraryStore`, opened from
+            ``config.store.store_dir`` when omitted.  Every request's legal
             output is persisted into it (deduplicated), and the agent's
             ``Save_Library`` tool targets it.
         backend_factory: per-request LLM backend factory; each request gets
             its own instance so transcripts never interleave across threads.
-        gather_window / max_batch: engine batching knobs (see
-            :class:`ServeEngine`).
-        max_workers: concurrent request executors (the agent-side pool;
-            sampling runs on the engine's one worker thread).
-        base_seed: per-request seeds derive from this, so a served workload
-            is reproducible for a fixed batch composition.
-        max_retries: per-pattern legalization recovery budget.
-        config: the :class:`PipelineConfig` backing the per-request
-            pipelines (sampling/legalization knobs); scheduler/worker
-            arguments above still win, keeping the old constructor a thin
-            facade.  Use :meth:`from_config` to derive everything from one
-            config object.
-        policy / queue_limit / deadline:
-            engine layers (batch policy, admission bound, default job
-            deadline); ``None`` defers to ``config.serve``.  The service
-            builds and owns its engine once :meth:`start` has resolved
-            the model.
         metrics: explicit metrics registry.  When omitted and
             ``config.obs.enabled``, the service builds a *private*
             :class:`~repro.obs.metrics.MetricsRegistry` (with the
@@ -213,32 +208,15 @@ class PatternService:
 
     def __init__(
         self,
+        config: Optional[PipelineConfig] = None,
         model: Optional[ConditionalDiffusionModel] = None,
-        model_key: Optional[ModelKey] = None,
         registry: Optional[ModelRegistry] = None,
         store: Optional[LibraryStore] = None,
         backend_factory: Optional[Callable[[], LLMBackend]] = None,
-        gather_window: float = 0.02,
-        max_batch: int = 64,
-        max_workers: int = 8,
-        base_seed: int = 0,
-        max_retries: int = 2,
-        config: Optional[PipelineConfig] = None,
-        policy: Optional[str] = None,
-        queue_limit: Optional[int] = None,
-        deadline: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         self.config = config or PipelineConfig()
-        serve_cfg = self.config.serve
         obs_cfg = self.config.obs
-        if policy is not None and policy not in SERVE_POLICIES:
-            raise ConfigError(
-                f"unknown serve policy {policy!r}; known: "
-                f"{sorted(SERVE_POLICIES)}"
-            )
         faults_cfg = getattr(self.config, "faults", None)
         # A private registry per service (unless injected): its
         # snapshots then describe exactly this service's traffic, and two
@@ -269,7 +247,6 @@ class PatternService:
             faults.install(FaultPlan.from_config(faults_cfg, metrics=self.metrics))
         self._snapshot_writer: Optional[SnapshotWriter] = None
         self._model = model
-        self.model_key = model_key or ModelKey.from_config(self.config.train)
         self.registry = registry or ModelRegistry(
             save_dir=self.config.model_cache, metrics=self.metrics
         )
@@ -279,22 +256,12 @@ class PatternService:
             )
         self.store = store
         self._backend_factory = backend_factory or SimulatedLLM
-        self._gather_window = gather_window
-        self._max_batch = max_batch
-        self.max_workers = int(max_workers)
-        self.base_seed = int(base_seed)
-        self.max_retries = int(max_retries)
-        self.policy = policy if policy is not None else serve_cfg.policy
-        self.queue_limit = (
-            queue_limit if queue_limit is not None else serve_cfg.queue_limit
-        )
-        self.deadline = deadline if deadline is not None else serve_cfg.deadline
         self._engine: Optional[ServeEngine] = None
         #: lifecycle registry behind submit/cancel/status and the HTTP API
         #: (``serve.state_dir`` makes it journal + rehydrate across restarts)
         self.jobs = JobTable(
-            ttl=serve_cfg.job_ttl,
-            state_dir=serve_cfg.state_dir,
+            ttl=self.config.serve.job_ttl,
+            state_dir=self.config.serve.state_dir,
             metrics=self.metrics,
         )
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -317,43 +284,6 @@ class PatternService:
         # requests sample identically.
         self._id_lock = threading.Lock()
         self._last_request_id = 0
-
-    @classmethod
-    def from_config(
-        cls,
-        config: PipelineConfig,
-        model: Optional[ConditionalDiffusionModel] = None,
-        registry: Optional[ModelRegistry] = None,
-        store: Optional[LibraryStore] = None,
-        backend_factory: Optional[Callable[[], LLMBackend]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> "PatternService":
-        """Build a service entirely from one :class:`PipelineConfig`.
-
-        The model recipe comes from ``config.train`` (resolved through the
-        registry, including the ``config.model_cache`` disk tier), every
-        engine/scheduler/worker knob from ``config.serve``, the store
-        from ``config.store.store_dir`` and the observability layer from
-        ``config.obs`` (the store itself is opened by the constructor, so
-        its counters land in the service's registry).
-        """
-        serve = config.serve
-        return cls(
-            model=model,
-            registry=registry,
-            store=store,
-            backend_factory=backend_factory,
-            gather_window=serve.gather_window,
-            max_batch=serve.max_batch,
-            max_workers=serve.max_workers,
-            base_seed=serve.base_seed,
-            max_retries=serve.max_retries,
-            policy=serve.policy,
-            queue_limit=serve.queue_limit,
-            deadline=serve.deadline,
-            config=config,
-            metrics=metrics,
-        )
 
     def _next_request_id(self) -> int:
         with self._id_lock:
@@ -396,6 +326,7 @@ class PatternService:
         """
         with self._start_lock:
             obs_cfg = self.config.obs
+            serve_cfg = self.config.serve
             if (
                 obs_cfg.enabled
                 and obs_cfg.snapshot_path
@@ -407,7 +338,9 @@ class PatternService:
                     interval=obs_cfg.snapshot_interval,
                 ).start()
             if self._model is None:
-                self._model = self.registry.get_or_fit(self.model_key)
+                self._model = self.registry.get_or_fit(
+                    ModelKey.from_config(self.config.train)
+                )
             if self._engine is None:
                 self._engine = ServeEngine(
                     self._model,
@@ -419,20 +352,20 @@ class PatternService:
                     # ladder, thresholds).
                     controller=(
                         AdaptiveController(self.config.tune)
-                        if self.policy == "adaptive"
+                        if serve_cfg.policy == "adaptive"
                         else None
                     ),
-                    queue_limit=self.queue_limit,
-                    gather_window=self._gather_window,
-                    max_batch=self._max_batch,
-                    deadline=self.deadline,
+                    queue_limit=serve_cfg.queue_limit,
+                    gather_window=serve_cfg.gather_window,
+                    max_batch=serve_cfg.max_batch,
+                    deadline=serve_cfg.deadline,
                     metrics=self.metrics,
                 )
             if self._pool is None:
                 # Persistent request pool: submitted jobs outlive any one
                 # serve() call (the HTTP path submits and returns).
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
+                    max_workers=serve_cfg.max_workers,
                     thread_name_prefix="repro-serve-request",
                 )
             self._engine.start()
@@ -531,7 +464,7 @@ class PatternService:
         ]
 
     def handle(
-        self, text: str, objective: str = "legality"
+        self, text: str, objective: Optional[str] = None
     ) -> ServeResponse:
         """Serve a single request (still through the engine)."""
         return self.serve([ServeRequest(text=text, objective=objective)])[0]
@@ -580,17 +513,23 @@ class PatternService:
             request.request_id = self._next_request_id()
         else:
             self._reserve_request_ids([request.request_id])
+        serve_cfg = self.config.serve
+        if request.objective is None:
+            request.objective = serve_cfg.objective
+        queue_limit = serve_cfg.queue_limit
         if (
             enforce_queue_limit
-            and self.queue_limit is not None
-            and self.jobs.queued_count() >= self.queue_limit
+            and queue_limit is not None
+            and self.jobs.queued_count() >= queue_limit
         ):
             raise QueueFullError(
                 f"admission queue is full ({self.jobs.queued_count()} "
-                f"jobs waiting, queue_limit={self.queue_limit}); retry later"
+                f"jobs waiting, queue_limit={queue_limit}); retry later"
             )
         deadline = (
-            request.deadline if request.deadline is not None else self.deadline
+            request.deadline
+            if request.deadline is not None
+            else serve_cfg.deadline
         )
         job = self.jobs.create(
             request=request,
@@ -741,14 +680,14 @@ class PatternService:
         """
         with self._open_lock:
             self._open_requests += 1
-            if self._open_requests <= self.max_workers:
+            if self._open_requests <= self.config.serve.max_workers:
                 self._engine.request_started()
 
     def _close_request(self) -> None:
         """Undo :meth:`_open_request` once the request is done."""
         with self._open_lock:
             self._open_requests -= 1
-            if self._open_requests < self.max_workers:
+            if self._open_requests < self.config.serve.max_workers:
                 self._engine.request_finished()
 
     def _run_pipeline_request(
@@ -802,11 +741,12 @@ class PatternService:
                 store_added = result.store_added
                 store_deduplicated = result.store_deduplicated
             elif request.kind == "chat":
+                serve_cfg = self.config.serve
                 chat = ChatPattern(
                     pipeline,
                     backend=self._backend_factory(),
-                    max_retries=self.max_retries,
-                    base_seed=self.base_seed + 7919 * request.request_id,
+                    max_retries=serve_cfg.max_retries,
+                    base_seed=serve_cfg.base_seed + 7919 * request.request_id,
                 )
                 chat_result = chat.handle_request(
                     request.text, objective=request.objective
@@ -860,7 +800,7 @@ class PatternService:
         fixed constant.  Clamped to [1, 60] whole seconds (the HTTP
         ``Retry-After`` grammar wants a non-negative integer).
         """
-        estimate = self._gather_window
+        estimate = self.config.serve.gather_window
         engine = self._engine
         if engine is not None:
             recent = engine.recent_records(8)

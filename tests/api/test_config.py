@@ -90,6 +90,8 @@ class TestSectionRoundTrip:
             ServeConfig.from_dict({"executor": "thread"})
         with pytest.raises(ConfigError, match="queue_limit"):
             ServeConfig(queue_limit=0)
+        with pytest.raises(ConfigError, match="max_workers"):
+            ServeConfig(max_workers=0)
         with pytest.raises(ConfigError, match="deadline"):
             ServeConfig(deadline=0.0)
 

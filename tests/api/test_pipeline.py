@@ -224,8 +224,11 @@ class TestFacades:
     def test_service_from_config(self, pipeline):
         service = pipeline.service()
         assert service.config is pipeline.config
-        assert service.max_workers == pipeline.config.serve.max_workers
         with service:
+            assert (
+                service._pool._max_workers
+                == pipeline.config.serve.max_workers
+            )
             response = service.handle(
                 "Generate 1 layout patterns, 64*64 topology, physical size "
                 "1024nm * 1024nm, style Layer-10001."

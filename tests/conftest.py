@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import PipelineConfig, ServeConfig, TrainConfig
 from repro.data import DatasetConfig, STYLES, build_library, build_training_set
 from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
 
@@ -39,3 +40,17 @@ def tiny_library():
     """Eight real 64x64 tiles of Layer-10001."""
     cfg = DatasetConfig(tile_nm=1024, topology_size=64, map_scale=8, seed=11)
     return build_library("Layer-10001", 8, cfg)
+
+
+def _serve_config(**overrides) -> PipelineConfig:
+    return PipelineConfig(
+        train=TrainConfig(window=64), serve=ServeConfig(**overrides)
+    )
+
+
+@pytest.fixture(scope="session")
+def serve_config():
+    """``serve_config(**overrides)``: the window-64 :class:`PipelineConfig`
+    a test's :class:`PatternService` is built from, its ``serve`` section
+    taking the overrides."""
+    return _serve_config

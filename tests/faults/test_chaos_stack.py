@@ -52,9 +52,9 @@ class StubModel:
         return out
 
 
-def _live_server(**service_kwargs):
+def _live_server(serve_config):
     service = PatternService(
-        model=StubModel(), max_workers=2, gather_window=0.0, **service_kwargs
+        serve_config(max_workers=2, gather_window=0.0), model=StubModel()
     )
     server = PatternHttpServer(service, port=0)
     server.start()
@@ -84,7 +84,7 @@ class TestEngineChaos:
                              "times": 1}]}
             )
         )
-        service = PatternService(model=StubModel(), config=cfg)
+        service = PatternService(cfg, model=StubModel())
         try:
             active = faults.active_plan()
             assert active.enabled
@@ -103,11 +103,13 @@ class TestEngineChaos:
 
 
 class TestHttpChaos:
-    def test_dropped_response_plus_idempotent_retry_runs_once(self):
+    def test_dropped_response_plus_idempotent_retry_runs_once(
+        self, serve_config
+    ):
         """http.respond kills the submit's response on the wire; the
         client's transport retry re-POSTs the same client key and lands
         on the job already created — exactly one job, no silent loss."""
-        server = _live_server()
+        server = _live_server(serve_config)
         try:
             client = ServeClient(
                 server.url, retries=3, backoff_base=0.01, backoff_cap=0.05
@@ -124,8 +126,8 @@ class TestHttpChaos:
         finally:
             server.stop()
 
-    def test_accept_faults_shed_connections_not_the_server(self):
-        server = _live_server()
+    def test_accept_faults_shed_connections_not_the_server(self, serve_config):
+        server = _live_server(serve_config)
         try:
             client = ServeClient(
                 server.url, retries=5, backoff_base=0.01, backoff_cap=0.05
@@ -140,8 +142,8 @@ class TestHttpChaos:
         finally:
             server.stop()
 
-    def test_draining_server_answers_503_with_retry_after(self):
-        server = _live_server()
+    def test_draining_server_answers_503_with_retry_after(self, serve_config):
+        server = _live_server(serve_config)
         try:
             # Flip the drain gate without stopping the loop: exactly the
             # window a client sees during graceful shutdown.
@@ -159,8 +161,8 @@ class TestHttpChaos:
         finally:
             server.stop()
 
-    def test_drain_under_load_finishes_admitted_jobs(self):
-        server = _live_server()
+    def test_drain_under_load_finishes_admitted_jobs(self, serve_config):
+        server = _live_server(serve_config)
         stopper = None
         try:
             client = ServeClient(server.url)
@@ -189,7 +191,7 @@ class TestDurableServiceAcrossRestart:
     def test_terminal_jobs_survive_a_service_reboot(self, tmp_path):
         cfg = PipelineConfig()
         cfg = cfg.replace(serve=cfg.serve.replace(state_dir=str(tmp_path)))
-        service = PatternService(model=StubModel(), config=cfg)
+        service = PatternService(cfg, model=StubModel())
         with service:
             request = ServeRequest(
                 text="Generate 2 legal patterns, 16*16 topology, physical "
@@ -200,7 +202,7 @@ class TestDurableServiceAcrossRestart:
             job.wait(timeout=120)
             job_id, state = job.job_id, job.state
         assert state in TERMINAL_STATES
-        reborn = PatternService(model=StubModel(), config=cfg)
+        reborn = PatternService(cfg, model=StubModel())
         restored = reborn.jobs.get(job_id)
         assert restored is not None
         assert restored.state == state

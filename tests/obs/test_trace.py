@@ -74,12 +74,10 @@ class TestSpans:
         assert root["parent_id"] is None
         assert root["trace_id"] == 7
         assert root["attrs"] == {"source": "cli", "objective": "legal"}
-        for name in ("sample", "persist"):
+        for name in ("sample", "sample_call", "persist"):
             assert named[name]["parent_id"] == root["span_id"]
-        # The stage span and the sampling call share the name "sample";
-        # the call is the one that parents the hops.
-        (call,) = [s for s in spans if s["name"] == "sample"
-                   and s.get("attrs") == {"count": 2}]
+        call = named["sample_call"]
+        assert call["attrs"] == {"count": 2}
         for hop in ("admission", "queue_wait", "batch_gather", "execute"):
             assert named[hop]["parent_id"] == call["span_id"]
         # The root covers every span of its trace.
@@ -93,14 +91,13 @@ class TestSpans:
         assert named["execute"]["attrs"] == {"count": 2}
         assert "attrs" not in named["queue_wait"]
         assert named["persist"]["attrs"] == {"store_added": 2}
-        (stage,) = [s for s in spans if s["name"] == "sample"
-                    and s.get("attrs") == {"produced": 2}]
+        (stage,) = [s for s in spans if s["name"] == "sample"]
+        assert stage["attrs"] == {"produced": 2}
         assert stage["duration"] >= 0.0
 
     def test_each_admission_opens_the_next_sampling_call(self):
         spans = job_spans(_served_job(calls=(1, 3), persist=False))
-        calls = [s for s in spans if s["name"] == "sample" and "count"
-                 in s.get("attrs", {})]
+        calls = [s for s in spans if s["name"] == "sample_call"]
         assert [c["attrs"]["count"] for c in calls] == [1, 3]
         for call in calls:
             hops = [s for s in spans if s["parent_id"] == call["span_id"]]
@@ -125,7 +122,7 @@ class TestSpans:
             client.sample(2, 0, np.random.default_rng(0))
         job.succeed()
         spans = job_spans(job)
-        (call,) = [s for s in spans if s["name"] == "sample"]
+        (call,) = [s for s in spans if s["name"] == "sample_call"]
         hops = [s["name"] for s in spans if s["parent_id"] == call["span_id"]]
         assert hops == ["admission", "queue_wait", "batch_gather", "execute"]
         assert {s["trace_id"] for s in spans} == {5}
@@ -159,7 +156,9 @@ class TestTreeAndExport:
         assert root["name"] == "request"
         starts = [child["start"] for child in root["children"]]
         assert starts == sorted(starts)
-        assert [c["name"] for c in root["children"]].count("sample") == 3
+        names = [c["name"] for c in root["children"]]
+        assert names.count("sample") == 1
+        assert names.count("sample_call") == 2
         assert [c["name"] for c in root["children"]][-1] == "persist"
 
     def test_export_jsonl(self):

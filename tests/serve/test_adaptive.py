@@ -51,9 +51,12 @@ def pressure_config(**overrides):
 class TestPolicyRegistry:
     """The policy names (``SERVE_POLICIES``) a service accepts."""
 
-    def test_unknown_name_raises_typed_error_listing_known(self):
+    def test_unknown_name_raises_typed_error_listing_known(self, serve_config):
         with pytest.raises(ConfigError) as excinfo:
-            PatternService(model=StepRecordingModel(), policy="fifo")
+            PatternService(
+                serve_config(policy="fifo"),
+                model=StepRecordingModel(),
+            )
         assert isinstance(excinfo.value, ValueError)
         for name in SERVE_POLICIES:
             assert name in str(excinfo.value)
@@ -72,13 +75,13 @@ class TestServeConfigRoundTrip:
         assert loaded.tune.slo_p95 == 1.5
         assert loaded.tune.degrade_after == 3
 
-    def test_config_policy_feeds_the_engine(self):
+    def test_config_policy_feeds_the_engine(self, serve_config):
         cfg = PipelineConfig()
         cfg = cfg.replace(
             serve=cfg.serve.replace(policy="adaptive"),
             tune=cfg.tune.replace(slo_p95=1.5),
         )
-        service = PatternService.from_config(
+        service = PatternService(
             cfg, model=StepRecordingModel(), metrics=NULL_METRICS
         )
         with service:
@@ -89,7 +92,9 @@ class TestServeConfigRoundTrip:
             assert engine.controller.config == cfg.tune
             assert service.stats().engine["policy"] == "adaptive"
         plain = PatternService(
-            model=StepRecordingModel(), metrics=NULL_METRICS
+            serve_config(),
+            model=StepRecordingModel(),
+            metrics=NULL_METRICS,
         )
         with plain:
             assert plain.engine.controller is None
@@ -259,7 +264,8 @@ class TestDegradedEngineEvent:
         }
         spans = {span["name"]: span for span in job_spans(lifecycle)}
         assert spans["degraded"]["attrs"] == hops["degraded"]
-        assert spans["degraded"]["parent_id"] == spans["sample"]["span_id"]
+        call = spans["sample_call"]
+        assert spans["degraded"]["parent_id"] == call["span_id"]
         # The request's stats read the hop back; these are the values the
         # client's own counters gave before they were derived.
         stats = RequestStats.from_job(lifecycle, request_id=1)

@@ -70,10 +70,13 @@ PARAMS = {"count": 2, "style": "Layer-10001"}
 
 
 @pytest.fixture()
-def live():
+def live(serve_config):
     """(server, client, model) on an ephemeral port, torn down after."""
     model = StubModel()
-    service = PatternService(model=model, max_workers=2, gather_window=0.0)
+    service = PatternService(
+        serve_config(max_workers=2, gather_window=0.0),
+        model=model,
+    )
     server = PatternHttpServer(service, port=0)
     server.start()
     try:
@@ -83,11 +86,12 @@ def live():
 
 
 @pytest.fixture()
-def blocked():
+def blocked(serve_config):
     """Single-worker server whose model blocks until released."""
     model = BlockingModel()
     service = PatternService(
-        model=model, max_workers=1, queue_limit=1, gather_window=0.0
+        serve_config(max_workers=1, queue_limit=1, gather_window=0.0),
+        model=model,
     )
     server = PatternHttpServer(service, port=0)
     server.start()
@@ -326,12 +330,13 @@ class TestCompactOutcome:
     )
 
     def test_free_size_chat_over_the_wire_matches_in_process(
-        self, small_model
+        self, small_model, serve_config
     ):
         """The in-process caller gets the full ChatResult; the job keeps
         packed topologies only, and the wire unpacks them bit for bit."""
         service = PatternService(
-            model=small_model, max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=small_model,
         )
         server = PatternHttpServer(service, port=0).start()
         try:

@@ -14,7 +14,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.api.config import PipelineConfig, ServeConfig
 from repro.obs.trace import StageTiming
 from repro.serve import (
     PatternService,
@@ -509,11 +508,12 @@ class TestJournalFormat:
 
 
 class TestServiceJobs:
-    def test_timings_and_stage_events_are_one_record(self):
+    def test_timings_and_stage_events_are_one_record(self, serve_config):
         """Acceptance: GET-status progress comes from the same transitions
         that produce ``PipelineResult.timings`` — equal field for field."""
         service = PatternService(
-            model=StubModel(), max_workers=2, gather_window=0.0
+            serve_config(max_workers=2, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             job = service.submit_job(_pipeline_request(count=3))
@@ -533,16 +533,14 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_purged_job_releases_its_result(self):
+    def test_purged_job_releases_its_result(self, serve_config):
         """A finished job never holds its request's full result: the
         in-process caller's response is its only holder.  Once the table
         purges the job, its compact outcome can be collected too, and the
         service totals still count the request."""
         service = PatternService(
+            serve_config(max_workers=1, gather_window=0.0, job_ttl=0.05),
             model=StubModel(),
-            max_workers=1,
-            gather_window=0.0,
-            config=PipelineConfig(serve=ServeConfig(job_ttl=0.05)),
         )
         try:
             response = service.serve([_pipeline_request(count=2)])[0]
@@ -569,12 +567,15 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_resubmitted_client_key_gets_the_retained_outcome(self):
+    def test_resubmitted_client_key_gets_the_retained_outcome(
+        self, serve_config
+    ):
         """serve() with a client key already used runs nothing: the
         response names the first job and carries its stats, not a
         result the job did not keep."""
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             first = service.serve(
@@ -594,15 +595,15 @@ class TestServiceJobs:
             service.stop()
 
     def test_finished_job_is_journaled_once_and_restores_unchanged(
-        self, tmp_path
+        self, tmp_path, serve_config
     ):
         """The terminal edge writes a finished job's one terminal line,
         response included; a restarted table restores it as it was."""
         service = PatternService(
+            serve_config(
+                max_workers=1, gather_window=0.0, state_dir=str(tmp_path)
+            ),
             model=StubModel(),
-            max_workers=1,
-            gather_window=0.0,
-            config=PipelineConfig(serve=ServeConfig(state_dir=str(tmp_path))),
         )
         try:
             jobs = [service.submit_job(_pipeline_request(count=2))
@@ -632,11 +633,12 @@ class TestServiceJobs:
         finally:
             table.close()
 
-    def test_request_stats_count_every_batch_legalize_call(self):
+    def test_request_stats_count_every_batch_legalize_call(self, serve_config):
         """The request's ``legalize_calls`` sums the ``total`` of its
         legalize stage events: every pattern the batch stage legalized."""
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             job = service.submit_job(_pipeline_request(count=3))
@@ -647,7 +649,9 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_restored_succeeded_job_serves_only_its_record(self, tmp_path):
+    def test_restored_succeeded_job_serves_only_its_record(
+        self, tmp_path, serve_config
+    ):
         """The terminal journal line is the job's ``as_dict`` view, not its
         outcome: after a restart the result payload of a succeeded job
         holds its id, state, produced count and stage events — no stats,
@@ -655,10 +659,10 @@ class TestServiceJobs:
         from repro.serve.http import _result_payload
 
         service = PatternService(
+            serve_config(
+                max_workers=1, gather_window=0.0, state_dir=str(tmp_path)
+            ),
             model=StubModel(),
-            max_workers=1,
-            gather_window=0.0,
-            config=PipelineConfig(serve=ServeConfig(state_dir=str(tmp_path))),
         )
         try:
             job = service.submit_job(_pipeline_request(count=2))
@@ -682,11 +686,12 @@ class TestServiceJobs:
             "stage_events": live["stage_events"],
         }
 
-    def test_start_after_drain_serves_again(self):
+    def test_start_after_drain_serves_again(self, serve_config):
         """An explicit ``start()`` after ``drain()`` rebuilds the request
         pool, though the engine never stopped."""
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             service.start()
@@ -701,11 +706,12 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_submission_after_drain_is_shed(self):
+    def test_submission_after_drain_is_shed(self, serve_config):
         """Admission does not reopen a drained service: a late submission
         fails with ``shutdown`` (the HTTP drain window)."""
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             service.start()
@@ -720,10 +726,11 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_cancel_while_queued_never_executes(self):
+    def test_cancel_while_queued_never_executes(self, serve_config):
         model = BlockingModel()
         service = PatternService(
-            model=model, max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=model,
         )
         try:
             blocker = service.submit_job(_pipeline_request(count=1))
@@ -749,10 +756,11 @@ class TestServiceJobs:
             model.release.set()
             service.stop()
 
-    def test_cancel_mid_stage_stops_at_next_checkpoint(self):
+    def test_cancel_mid_stage_stops_at_next_checkpoint(self, serve_config):
         model = BlockingModel()
         service = PatternService(
-            model=model, max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=model,
         )
         try:
             job = service.submit_job(_pipeline_request(count=2))
@@ -773,11 +781,12 @@ class TestServiceJobs:
             model.release.set()
             service.stop()
 
-    def test_transition_logs_monotonic_under_concurrent_requests(self):
+    def test_transition_logs_monotonic_under_concurrent_requests(
+        self, serve_config
+    ):
         service = PatternService(
+            serve_config(max_workers=4, gather_window=0.0),
             model=StubModel(),
-            max_workers=4,
-            gather_window=0.0,
         )
         try:
             jobs = [service.submit_job(_pipeline_request(count=2)) for _ in range(6)]
@@ -795,9 +804,10 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_unknown_kind_fails_with_invalid_request_code(self):
+    def test_unknown_kind_fails_with_invalid_request_code(self, serve_config):
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             job = service.submit_job(ServeRequest(text="", kind="bogus"))
@@ -809,9 +819,10 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_unknown_pipeline_param_rejected(self):
+    def test_unknown_pipeline_param_rejected(self, serve_config):
         service = PatternService(
-            model=StubModel(), max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             request = ServeRequest(
@@ -824,10 +835,11 @@ class TestServiceJobs:
         finally:
             service.stop()
 
-    def test_queue_limit_enforced_on_http_admission_path(self):
+    def test_queue_limit_enforced_on_http_admission_path(self, serve_config):
         model = BlockingModel()
         service = PatternService(
-            model=model, max_workers=1, queue_limit=1, gather_window=0.0
+            serve_config(max_workers=1, queue_limit=1, gather_window=0.0),
+            model=model,
         )
         try:
             blocker = service.submit_job(
@@ -848,10 +860,11 @@ class TestServiceJobs:
             model.release.set()
             service.stop()
 
-    def test_deadline_expires_queued_job(self):
+    def test_deadline_expires_queued_job(self, serve_config):
         model = BlockingModel()
         service = PatternService(
-            model=model, max_workers=1, gather_window=0.0
+            serve_config(max_workers=1, gather_window=0.0),
+            model=model,
         )
         try:
             blocker = service.submit_job(_pipeline_request(count=1))
@@ -871,9 +884,10 @@ class TestServiceJobs:
             model.release.set()
             service.stop()
 
-    def test_serve_responses_carry_job_ids_and_codes(self):
+    def test_serve_responses_carry_job_ids_and_codes(self, serve_config):
         service = PatternService(
-            model=StubModel(), max_workers=2, gather_window=0.0
+            serve_config(max_workers=2, gather_window=0.0),
+            model=StubModel(),
         )
         try:
             responses = service.serve(

@@ -180,18 +180,17 @@ def registry(small_model):
 
 
 class TestServiceInstrumentation:
-    def test_service_registry_covers_the_whole_request_path(self, small_model):
+    def test_service_registry_covers_the_whole_request_path(
+        self, small_model, serve_config
+    ):
         # One explicit metrics registry shared by the model registry and
         # the service, so cache counters land beside the request counters.
         metrics = MetricsRegistry()
         registry = ModelRegistry(metrics=metrics)
         registry.put(ModelKey(window=64), small_model)
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(gather_window=0.05, max_workers=4, max_retries=1),
             registry=registry,
-            gather_window=0.05,
-            max_workers=4,
-            max_retries=1,
             metrics=metrics,
         )
         with service:
@@ -223,21 +222,18 @@ class TestServiceInstrumentation:
             assert name in families, name
 
         # Each request's job projects to a span tree rooted at its
-        # request id, whose sample calls parent the engine hops.
+        # request id, whose sampling calls parent the engine hops.
         for response in responses:
             spans = job_spans(service.jobs.get(response.job_id))
             tree = _tree(spans)
             assert tree["name"] == "request"
             assert tree["trace_id"] == response.request.request_id
             names = {child["name"] for child in tree["children"]}
-            assert "sample" in names
-            # The agent's sample stages share the name with the sampling
-            # calls; a call is the one that parents the hops.
-            sample = next(
-                c for c in tree["children"]
-                if c["name"] == "sample" and c["children"]
+            assert {"sample", "sample_call"} <= names
+            call = next(
+                c for c in tree["children"] if c["name"] == "sample_call"
             )
-            assert [c["name"] for c in sample["children"]][:4] == [
+            assert [c["name"] for c in call["children"]][:4] == [
                 "admission", "queue_wait", "batch_gather", "execute"
             ]
 
@@ -247,7 +243,7 @@ class TestServiceInstrumentation:
             serve=ServeConfig(max_retries=1),
             obs=ObsConfig(enabled=False),
         )
-        service = PatternService.from_config(config, registry=registry)
+        service = PatternService(config, registry=registry)
         with service:
             responses = service.serve([REQUEST])
         assert len(responses) == 1
@@ -262,7 +258,7 @@ class TestServiceInstrumentation:
             serve=ServeConfig(max_retries=1),
             obs=ObsConfig(trace_path=str(path)),
         )
-        service = PatternService.from_config(config, registry=registry)
+        service = PatternService(config, registry=registry)
         with service:
             responses = service.serve([REQUEST, REQUEST])
         spans = [json.loads(line) for line in path.read_text().splitlines()]
@@ -281,7 +277,7 @@ class TestServiceInstrumentation:
             assert all(
                 s["parent_id"] in ids for s in trace if s["parent_id"]
             )
-        assert {"request", "sample", "admission", "queue_wait",
+        assert {"request", "sample_call", "admission", "queue_wait",
                 "batch_gather", "execute"} <= {s["name"] for s in spans}
 
     def test_obs_disabled_writes_no_trace(self, registry, tmp_path):
@@ -291,17 +287,15 @@ class TestServiceInstrumentation:
             serve=ServeConfig(max_retries=1),
             obs=ObsConfig(enabled=False, trace_path=str(path)),
         )
-        with PatternService.from_config(config, registry=registry) as service:
+        with PatternService(config, registry=registry) as service:
             service.serve([REQUEST])
         assert not path.exists()
 
-    def test_two_services_have_independent_registries(self, registry):
-        first = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=1
-        )
-        second = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=1
-        )
+    def test_two_services_have_independent_registries(
+        self, registry, serve_config
+    ):
+        first = PatternService(serve_config(max_retries=1), registry=registry)
+        second = PatternService(serve_config(max_retries=1), registry=registry)
         assert first.metrics is not second.metrics
         with first:
             first.serve([REQUEST])

@@ -14,12 +14,22 @@ from repro.serve import (
     LibraryStore,
     ModelKey,
     ModelRegistry,
+    PatternHttpServer,
     PatternService,
+    ServeClient,
     ServeRequest,
+)
+from repro.api import (
+    PatternPipeline,
+    PipelineConfig,
+    ServeConfig,
+    TrainConfig,
+    TuneConfig,
 )
 from repro.core import ChatPattern
 from repro.obs import job_spans
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.engine import QueueFullError
 from repro.serve.jobs import (
     CANCELLED,
     CODE_CANCELLED,
@@ -28,6 +38,7 @@ from repro.serve.jobs import (
     PERSISTING,
     SUCCEEDED,
 )
+from repro.tune.controller import AdaptiveController
 
 REQUEST = (
     "Generate 2 legal patterns, 64*64 topology, physical size "
@@ -49,16 +60,13 @@ def _requests(count):
 
 class TestServeConcurrent:
     def test_eight_concurrent_requests_batch_and_reuse_model(
-        self, registry, small_model, tmp_path
+        self, registry, small_model, tmp_path, serve_config
     ):
         store = LibraryStore(tmp_path)
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(gather_window=0.1, max_workers=8, max_retries=1),
             registry=registry,
             store=store,
-            gather_window=0.1,
-            max_workers=8,
-            max_retries=1,
         )
         with service:
             responses = service.serve(_requests(8))
@@ -85,35 +93,67 @@ class TestServeConcurrent:
             assert response.stats.mean_batch_size >= 1
             assert "request" in response.summary()
 
-    def test_plain_strings_accepted(self, registry):
+    def test_plain_strings_accepted(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(gather_window=0.02, max_retries=0),
             registry=registry,
-            gather_window=0.02,
-            max_retries=0,
         )
         with service:
             responses = service.serve(_requests(2))
         assert all(r.request.objective == "legality" for r in responses)
 
-    def test_serve_empty_is_noop(self, registry):
-        service = PatternService(model_key=ModelKey(window=64), registry=registry)
+    def test_configured_objective_reaches_plain_and_http_requests(
+        self, registry, serve_config, monkeypatch
+    ):
+        """A request without an objective runs with ``serve.objective``,
+        in process and over HTTP, and its record shows that objective."""
+        handle_request = ChatPattern.handle_request
+        seen = []
+
+        def spy(chat, text, objective="legality"):
+            seen.append(objective)
+            return handle_request(chat, text, objective=objective)
+
+        monkeypatch.setattr(ChatPattern, "handle_request", spy)
+        service = PatternService(
+            serve_config(objective="diversity", max_retries=0),
+            registry=registry,
+        )
+        server = PatternHttpServer(service, port=0).start()
+        try:
+            response = service.serve(_requests(1))[0]
+            job_id = ServeClient(server.url).submit(text=_requests(1)[0])
+            job = service.jobs.get(job_id)
+            assert job.wait(timeout=60)
+        finally:
+            server.stop()
+        assert response.ok and job.error is None
+        assert seen == ["diversity", "diversity"]
+        for job in (service.jobs.get(response.job_id), job):
+            assert job.as_dict()["request"]["objective"] == "diversity"
+            assert job_spans(job)[0]["attrs"]["objective"] == "diversity"
+
+    def test_serve_empty_is_noop(self, registry, serve_config):
+        service = PatternService(serve_config(), registry=registry)
         assert service.serve([]) == []
         assert not service.running
 
-    def test_handle_single_request(self, registry):
+    def test_handle_single_request(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            registry=registry,
         )
         with service:
             response = service.handle(_requests(1)[0])
         assert response.request.request_id == 1
         assert response.stats.sample_jobs >= 1
 
-    def test_direct_model_bypasses_registry(self, small_model):
+    def test_direct_model_bypasses_registry(self, small_model, serve_config):
         registry = ModelRegistry()
         service = PatternService(
-            model=small_model, registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            model=small_model,
+            registry=registry,
         )
         with service:
             service.serve(_requests(1))
@@ -121,9 +161,12 @@ class TestServeConcurrent:
             "cached": 0, "hits": 0, "misses": 0, "disk_hits": 0,
         }
 
-    def test_request_ids_continue_across_serve_calls(self, registry):
+    def test_request_ids_continue_across_serve_calls(
+        self, registry, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            registry=registry,
         )
         with service:
             first = service.serve(_requests(1))
@@ -132,9 +175,10 @@ class TestServeConcurrent:
         assert second[0].request.request_id == 2
         assert service.stats().requests == 2
 
-    def test_explicit_request_objects_preserved(self, registry):
+    def test_explicit_request_objects_preserved(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            registry=registry,
         )
         request = ServeRequest(text=_requests(1)[0], objective="diversity")
         with service:
@@ -142,9 +186,10 @@ class TestServeConcurrent:
         assert response.request is request
         assert response.request.objective == "diversity"
 
-    def test_bad_request_is_fault_isolated(self, registry):
+    def test_bad_request_is_fault_isolated(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            registry=registry,
         )
         bad = (
             "Generate 2 legal patterns, 64*64 topology, physical size "
@@ -159,9 +204,10 @@ class TestServeConcurrent:
         assert "Layer-99999" in responses[1].error
         assert "FAILED" in responses[1].summary()
 
-    def test_stats_aggregate_requests(self, registry):
+    def test_stats_aggregate_requests(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=1
+            serve_config(max_retries=1),
+            registry=registry,
         )
         with service:
             responses = service.serve(_requests(2))
@@ -172,14 +218,14 @@ class TestServeConcurrent:
         assert payload["scheduler"]["samples"] >= 2
         assert "registry" in payload
 
-    def test_concurrent_serve_calls_get_unique_request_ids(self, registry):
+    def test_concurrent_serve_calls_get_unique_request_ids(
+        self, registry, serve_config
+    ):
         from concurrent.futures import ThreadPoolExecutor
 
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(max_workers=4, max_retries=0),
             registry=registry,
-            max_workers=4,
-            max_retries=0,
         )
         with service:
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -193,9 +239,12 @@ class TestServeConcurrent:
         assert len(set(ids)) == 8
         assert sorted(ids) == list(range(1, 9))
 
-    def test_explicit_ids_never_collide_with_auto_ids(self, registry):
+    def test_explicit_ids_never_collide_with_auto_ids(
+        self, registry, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=0
+            serve_config(max_retries=0),
+            registry=registry,
         )
         explicit = ServeRequest(text=_requests(1)[0], request_id=5)
         with service:
@@ -207,9 +256,10 @@ class TestServeConcurrent:
         assert len(set(ids)) == 3
         assert min(ids[1:]) > 5
 
-    def test_request_reports_legalization_time(self, registry):
+    def test_request_reports_legalization_time(self, registry, serve_config):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=1
+            serve_config(max_retries=1),
+            registry=registry,
         )
         with service:
             response = service.handle(_requests(1)[0])
@@ -232,12 +282,13 @@ class TestOneStageRecord:
         "2048nm * 2048nm, style Layer-10001."
     )
 
-    def test_chat_job_records_tool_stages_and_spans(self, registry, tmp_path):
+    def test_chat_job_records_tool_stages_and_spans(
+        self, registry, tmp_path, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(max_retries=1),
             registry=registry,
             store=LibraryStore(tmp_path),
-            max_retries=1,
         )
         with service:
             response = service.handle(self.EXTEND_REQUEST)
@@ -255,9 +306,12 @@ class TestOneStageRecord:
         assert names.count("persist") == 1
         assert "store_persist" not in names
 
-    def test_legalize_stats_are_read_off_stage_events(self, registry):
+    def test_legalize_stats_are_read_off_stage_events(
+        self, registry, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64), registry=registry, max_retries=1
+            serve_config(max_retries=1),
+            registry=registry,
         )
         with service:
             responses = service.serve([
@@ -285,7 +339,7 @@ class TestOneStageRecord:
         assert pipeline.stats.legalize_calls == 3
 
     def test_cancel_is_honoured_at_the_chat_persist_entry(
-        self, registry, tmp_path, monkeypatch
+        self, registry, tmp_path, monkeypatch, serve_config
     ):
         """Entering the final persist is a cancel checkpoint for the chat
         kind too: a cancel that lands after the agent finished stores
@@ -300,10 +354,9 @@ class TestOneStageRecord:
         monkeypatch.setattr(ChatPattern, "handle_request", finish_then_cancel)
         store = LibraryStore(tmp_path)
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(max_retries=1),
             registry=registry,
             store=store,
-            max_retries=1,
         )
         with service:
             response = service.handle(_requests(1)[0])
@@ -319,15 +372,16 @@ class TestOneStageRecord:
 
 class TestEngineBackedService:
     def test_multi_worker_fair_share_service_keeps_request_order(
-        self, registry
+        self, registry, serve_config
     ):
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(
+                gather_window=0.05,
+                max_workers=8,
+                max_retries=0,
+                policy="fair_share",
+            ),
             registry=registry,
-            gather_window=0.05,
-            max_workers=8,
-            max_retries=0,
-            policy="fair_share",
         )
         with service:
             responses = service.serve(
@@ -344,33 +398,47 @@ class TestEngineBackedService:
         assert payload["engine"]["submitted"] >= 8
 
     def test_from_config_threads_engine_knobs(self, registry):
-        from repro.api import PipelineConfig, ServeConfig, TrainConfig
-
+        """The config is the service's only way in: each ``ServeConfig``
+        field is read where it is used, through ``pipeline.service()``."""
         config = PipelineConfig(
             train=TrainConfig(window=64),
             serve=ServeConfig(
-                policy="adaptive",
-                queue_limit=256,
-                deadline=60.0,
+                gather_window=0.03,
+                max_batch=16,
+                max_workers=3,
                 max_retries=0,
+                policy="adaptive",
+                queue_limit=1,
+                deadline=60.0,
             ),
+            tune=TuneConfig(slo_p95=1.5),
         )
-        service = PatternService.from_config(config, registry=registry)
-        assert service.policy == "adaptive"
-        assert service.queue_limit == 256
-        assert service.deadline == 60.0
+        service = PatternPipeline(config, registry=registry).service()
+        assert service.config is config
         with service:
-            service.serve(_requests(1))
-        stats = service.stats()
-        assert stats.engine["policy"] == "adaptive"
-        assert stats.engine["queue_limit"] == 256
+            engine = service.engine
+            assert engine.gather_window == 0.03
+            assert engine.max_batch == 16
+            assert engine.queue_limit == 1
+            assert engine.deadline == 60.0
+            assert isinstance(engine.controller, AdaptiveController)
+            assert engine.controller.config == config.tune
+            assert service._pool._max_workers == 3
+            assert service.handle(_requests(1)[0]).ok
+            assert service.stats().engine["policy"] == "adaptive"
+            # The HTTP admission check reads the same queue_limit: one
+            # job waiting fills the queue.
+            service.jobs.create(request=ServeRequest(text="waiting"))
+            with pytest.raises(QueueFullError, match="queue_limit=1"):
+                service.submit_job(_requests(1)[0], enforce_queue_limit=True)
 
-    def test_request_deadline_failure_is_typed_and_isolated(self, registry):
+    def test_request_deadline_failure_is_typed_and_isolated(
+        self, registry, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64),
+            # jobs expire while the batch gathers
+            serve_config(gather_window=0.3, max_retries=0),
             registry=registry,
-            gather_window=0.3,  # jobs expire while the batch gathers
-            max_retries=0,
         )
         with service:
             responses = service.serve(
@@ -404,13 +472,12 @@ class TestGatherRule:
 
     WINDOW = 0.5
 
-    def _service(self, registry, **kwargs):
+    def _service(self, serve_config, registry, **overrides):
         return PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(
+                gather_window=self.WINDOW, max_retries=0, **overrides
+            ),
             registry=registry,
-            gather_window=self.WINDOW,
-            max_retries=0,
-            **kwargs,
         )
 
     def _assert_lone_request_dispatches_at_once(self, service):
@@ -420,18 +487,20 @@ class TestGatherRule:
         assert response.stats.queue_wait_seconds < 0.1
         assert _settled(service.engine)
 
-    def test_lone_request_skips_the_gather_window(self, registry):
-        with self._service(registry) as service:
+    def test_lone_request_skips_the_gather_window(
+        self, registry, serve_config
+    ):
+        with self._service(serve_config, registry) as service:
             response = service.handle(_requests(1)[0])
         assert response.ok
         assert response.stats.queue_wait_seconds < 0.1
 
     def test_requests_waiting_for_a_pool_slot_do_not_hold_the_gather(
-        self, registry
+        self, registry, serve_config
     ):
         # With one pool thread the second request cannot reach the engine
         # until the first finishes, so neither waits out the window.
-        with self._service(registry, max_workers=1) as service:
+        with self._service(serve_config, registry, max_workers=1) as service:
             jobs = [service.submit_job(_requests(1)[0]) for _ in range(2)]
             for job in jobs:
                 assert job.wait(timeout=30)
@@ -439,13 +508,12 @@ class TestGatherRule:
                 assert job.outcome.stats.queue_wait_seconds < 0.1
             assert _settled(service.engine)
 
-    def test_refused_submit_leaves_counts_balanced(self, registry):
+    def test_refused_submit_leaves_counts_balanced(
+        self, registry, serve_config
+    ):
         service = PatternService(
-            model_key=ModelKey(window=64),
+            serve_config(gather_window=2.0, max_retries=0, queue_limit=1),
             registry=registry,
-            gather_window=2.0,
-            max_retries=0,
-            queue_limit=1,
         )
         with service:
             # A raw job fills the one-slot queue; the engine gathers for
@@ -458,8 +526,10 @@ class TestGatherRule:
             raw.result(timeout=30)
             self._assert_lone_request_dispatches_at_once(service)
 
-    def test_cancelled_request_leaves_counts_balanced(self, registry):
-        with self._service(registry, max_workers=1) as service:
+    def test_cancelled_request_leaves_counts_balanced(
+        self, registry, serve_config
+    ):
+        with self._service(serve_config, registry, max_workers=1) as service:
             first = service.submit_job(_requests(1)[0])
             second = service.submit_job(_requests(1)[0])
             _, effective = service.cancel_job(second.job_id)
@@ -472,8 +542,10 @@ class TestGatherRule:
             assert second.state == CANCELLED
             self._assert_lone_request_dispatches_at_once(service)
 
-    def test_expired_request_leaves_counts_balanced(self, registry):
-        with self._service(registry, max_batch=32) as service:
+    def test_expired_request_leaves_counts_balanced(
+        self, registry, serve_config
+    ):
+        with self._service(serve_config, registry, max_batch=32) as service:
             # A full batch of raw work keeps the worker busy while the
             # request's job waits out its deadline in the queue.
             busy = service.engine.submit(32, 0)
@@ -490,10 +562,13 @@ class TestGatherRule:
 class TestTerminalAccounting:
     """Each job is counted once at its terminal edge, whoever ends it."""
 
-    def test_expiry_through_a_status_poll_is_counted(self, small_model):
+    def test_expiry_through_a_status_poll_is_counted(
+        self, small_model, serve_config
+    ):
         metrics = MetricsRegistry()
         service = PatternService(
-            model=small_model, max_workers=1, gather_window=0.0,
+            serve_config(max_workers=1, gather_window=0.0),
+            model=small_model,
             metrics=metrics,
         )
         params = {"count": 512, "style": "Layer-10001"}
@@ -526,12 +601,15 @@ class TestRetryAfterHint:
     """A 429's ``Retry-After`` reads only the engine's last 8 batches."""
 
     def test_hint_reads_only_the_last_eight_records(
-        self, monkeypatch, small_model
+        self, monkeypatch, small_model, serve_config
     ):
         from repro.serve import ServeEngine
         from repro.serve.stats import BatchRecord
 
-        service = PatternService(model=small_model, gather_window=0.25)
+        service = PatternService(
+            serve_config(gather_window=0.25),
+            model=small_model,
+        )
         service.start()
         engine = service.engine
         walls = [0.1] * 40 + [1.5, 5.0] * 4
