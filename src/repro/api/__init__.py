@@ -8,6 +8,7 @@
 """
 
 from repro.api.config import (
+    OBJECTIVES,
     SERVE_POLICIES,
     ConfigError,
     FaultConfig,
@@ -28,6 +29,7 @@ from repro.api.pipeline import (
 )
 
 __all__ = [
+    "OBJECTIVES",
     "SERVE_POLICIES",
     "ConfigError",
     "FaultConfig",

@@ -167,6 +167,9 @@ class StoreConfig(StageConfig):
 #: configured through :class:`TuneConfig`.
 SERVE_POLICIES = ("fair_share", "adaptive")
 
+#: What a request's agent optimizes when it picks among candidates.
+OBJECTIVES = ("legality", "diversity")
+
 
 @dataclass(frozen=True)
 class ServeConfig(StageConfig):
@@ -202,6 +205,11 @@ class ServeConfig(StageConfig):
     state_dir: Optional[str] = None
 
     def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(
+                f"unknown objective {self.objective!r}; known: "
+                f"{list(OBJECTIVES)}"
+            )
         if self.policy not in SERVE_POLICIES:
             raise ConfigError(
                 f"unknown serve policy {self.policy!r}; known: "

@@ -68,13 +68,14 @@ _CHUNK_CELLS = 1 << 16
 #: Cells of (pattern, draw) pairs :meth:`NeighborhoodDenoiser.fit` noises,
 #: hashes and counts at once (eight 128x128 pairs).  The fit's reused
 #: buffers are sized by it: the intp index ``bincount`` reads (8 bytes a
-#: cell) is the largest, beside the narrow codes, the noised stack and the
-#: pooled scales' float64 weights; the noise is drawn one pair at a time.
-#: These buffers sit beside the 4 MiB compiled table, which the fit fills
-#: as it counts.  Measured on the default recipe (2-core box, 8 alternating
-#: fresh processes): sixteen pairs peak at 57.3 MB ``VmHWM`` and fit in
-#: 0.70 s (median), eight at 55.6 MB and 0.76 s, four at 54.5 MB and
-#: 0.85 s, where the per-chunk ``bincount`` overhead starts to show.
+#: cell) is the largest, beside the narrow codes, the clean and noised
+#: stacks and the pooled scales' float64 weights; the noise is drawn one
+#: pair at a time.  These buffers sit beside the 4 MiB compiled table,
+#: which the fit fills as it counts.  Measured on the default recipe
+#: (2-core box, 8 alternating fresh processes that build the training set
+#: and fit): sixteen pairs peak at 55.3 MB ``VmHWM`` and fit in 0.86 s
+#: (median), eight at 53.4 MB and 0.95 s, four at 52.4 MB and 1.21 s,
+#: where the per-chunk ``bincount`` overhead starts to show.
 _FIT_CHUNK_CELLS = 2 * _CHUNK_CELLS
 
 #: Input shapes whose canvas layout a denoiser keeps before starting over.
@@ -536,26 +537,22 @@ class NeighborhoodDenoiser(Denoiser):
         levels = np.clip(levels, 1e-4, 0.5)
         # A pooled block shares one code across its cells, so a coarse
         # scale counts at pooled resolution: each block adds its clean
-        # cells' ones and zeros to its code's row.  Those per-block counts
-        # come from the clean stack alone, so they are taken once here, in
-        # their narrow integer dtype; a cropped edge block counts only the
-        # cells it really covers.  Only the current chunk's are cast to
-        # float64 for the weighted ``bincount``, whose sums of small
-        # integers float64 keeps exact.
-        pooled = {
-            s: (block_areas((h, w), s), block_sums(topologies, s))
-            for s in self.scales
-            if s > 1
-        }
+        # cells' ones and zeros to its code's row.  The clean ones are
+        # pooled per chunk, beside the noised cells, in their narrow
+        # integer dtype, and cast to float64 for the weighted
+        # ``bincount``, whose sums of small integers float64 keeps exact;
+        # a cropped edge block counts only the cells it really covers.
+        areas_of = {s: block_areas((h, w), s) for s in self.scales if s > 1}
         # The fine index ``(class, code, target)`` is built in place on the
         # codes, in the narrowest dtype holding a code and that index
         # (uint16 on the default recipe: 2 x 2 classes x 2**13 codes), and
         # copied once into an intp buffer, which ``bincount`` reads as it
-        # is.  The noised stack is padded once to a multiple of every
-        # scale; each coarse scale is pooled from the block sums of the
-        # largest finer scale that divides it, as ``predict_logits_many``
-        # does, and cropped to ``ceil(h / s) x ceil(w / s)`` blocks (the
-        # padding only adds empty blocks past the image).
+        # is.  The clean and noised stacks are padded once to a multiple
+        # of every scale; each coarse scale is pooled from the block sums
+        # of the largest finer scale that divides it, as
+        # ``predict_logits_many`` does, and cropped to ``ceil(h / s) x
+        # ceil(w / s)`` blocks (the padding only adds empty blocks past
+        # the image).
         plan = _hash_plan(tuple(self.offsets))
         index_dtype = np.result_type(
             plan.dtype, np.min_scalar_type(2 * n_rows - 1)
@@ -568,15 +565,14 @@ class NeighborhoodDenoiser(Denoiser):
             int(np.bincount(buckets.ravel(), minlength=1).max()),
         ))
         pooled_cells = max(
-            [areas.size for areas, _ in pooled.values()], default=0
+            [areas.size for areas in areas_of.values()], default=0
         )
         # Per-chunk buffers, reused by every chunk.
         uniform = np.empty((h, w))
         flip = np.empty((h, w), dtype=bool)
-        x0 = np.empty((step, h, w), dtype=np.uint8)
-        xk = np.zeros(
-            (step, h + (-h) % block, w + (-w) % block), dtype=np.uint8
-        )
+        padded = (step, h + (-h) % block, w + (-w) % block)
+        x0 = np.zeros(padded, dtype=np.uint8)
+        xk = np.zeros(padded, dtype=np.uint8)
         codes = np.empty(step * h * w, dtype=index_dtype)
         index = np.empty(step * h * w, dtype=np.intp)
         weights = np.empty(step * pooled_cells)
@@ -587,24 +583,27 @@ class NeighborhoodDenoiser(Denoiser):
             for lo in range(0, pat_all.size, step):
                 pat_idx = pat_all[lo : lo + step]
                 k = pat_idx.size
-                np.take(topologies, pat_idx, axis=0, out=x0[:k])
+                np.take(topologies, pat_idx, axis=0, out=x0[:k, :h, :w])
                 pair_levels = levels[pat_idx, draw_all[lo : lo + step]]
                 for i, level in enumerate(pair_levels):
                     rng.random(out=uniform)
                     np.less(uniform, level, out=flip)
-                    np.bitwise_xor(x0[i], flip, out=xk[i, :h, :w])
+                    np.bitwise_xor(x0[i, :h, :w], flip, out=xk[i, :h, :w])
                 offset = base[pat_idx][:, None, None]
                 sums = {1: xk[:k]}
+                clean = {1: x0[:k]}
                 for s in self.scales:
                     rows = rows_of[s]
                     if s == 1:
                         image = xk[:k, :h, :w]
                     else:
                         finer = max(t for t in sums if s % t == 0)
-                        sums[s] = _sum_blocks(
-                            sums[finer], s // finer, np.min_scalar_type(s * s)
+                        narrow = np.min_scalar_type(s * s)
+                        sums[s] = _sum_blocks(sums[finer], s // finer, narrow)
+                        clean[s] = _sum_blocks(
+                            clean[finer], s // finer, narrow
                         )
-                        areas, block_ones = pooled[s]
+                        areas = areas_of[s]
                         # A block is set when at least half its cells are.
                         image = (
                             sums[s][:, : areas.shape[0], : areas.shape[1]]
@@ -617,7 +616,7 @@ class NeighborhoodDenoiser(Denoiser):
                     if s == 1:
                         # The fine index also carries the clean target.
                         code <<= 1
-                        code += x0[:k]
+                        code += x0[:k, :h, :w]
                     flat = index[:cells]
                     flat[...] = codes[:cells]
                     if s == 1:
@@ -627,7 +626,7 @@ class NeighborhoodDenoiser(Denoiser):
                     # ones, then in place by its zeros (area less ones).
                     weight = weights[:cells]
                     ones = weight.reshape(image.shape)
-                    ones[...] = block_ones[pat_idx]
+                    ones[...] = clean[s][:, : areas.shape[0], : areas.shape[1]]
                     _add_bincount(rows[..., 1], flat, weight)
                     np.subtract(areas, ones, out=ones)
                     _add_bincount(rows[..., 0], flat, weight)

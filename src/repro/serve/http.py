@@ -51,6 +51,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import faults
+from repro.api.config import OBJECTIVES
 from repro.faults import FaultError
 from repro.obs.export import render_exposition
 from repro.serve.engine import QueueFullError
@@ -406,10 +407,19 @@ class PatternHttpServer:
                 _error_body('"source" must be a non-empty string'),
                 "application/json",
             )
+        objective = payload.get("objective")
+        if objective is not None and objective not in OBJECTIVES:
+            return (
+                400,
+                _error_body(
+                    f'"objective" must be one of {list(OBJECTIVES)}'
+                ),
+                "application/json",
+            )
         try:
             request = ServeRequest(
                 text=text,
-                objective=payload.get("objective"),
+                objective=objective,
                 source=source,
                 deadline=payload.get("deadline"),
                 kind=kind,

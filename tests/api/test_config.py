@@ -95,6 +95,18 @@ class TestSectionRoundTrip:
         with pytest.raises(ConfigError, match="deadline"):
             ServeConfig(deadline=0.0)
 
+    @pytest.mark.parametrize("objective", ["bogus", "", None, 1])
+    def test_serve_config_rejects_an_unknown_objective(self, objective):
+        with pytest.raises(ConfigError, match="legality.*diversity"):
+            ServeConfig(objective=objective)
+        # A saved pipeline.json fails at load, not at its first request.
+        with pytest.raises(ConfigError, match="objective"):
+            PipelineConfig.from_dict({"serve": {"objective": objective}})
+
+    def test_serve_config_accepts_both_objectives(self):
+        assert ServeConfig(objective="diversity").objective == "diversity"
+        assert ServeConfig().objective == "legality"
+
     def test_serve_config_defaults_preserve_legacy_engine(self):
         """The default engine shape is the pre-engine scheduler: one
         worker, FIFO batching (fair-share across sources, the plain FIFO

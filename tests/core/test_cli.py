@@ -5,7 +5,14 @@ is too slow per-test; these tests patch the ``_build_pipeline`` seam to
 return a pipeline bound to the session-scoped small model.
 """
 
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +21,19 @@ from repro import cli
 from repro.api import PatternPipeline, PipelineConfig
 from repro.io import load_library, save_library
 from repro.metrics import legalize_many
+from repro.serve import PatternService
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The arena cap acts on the whole process: the in-process ``serve`` runs
+#: below record the call instead of capping the test runner's allocator.
+_real_cap_malloc_arenas = cli._cap_malloc_arenas
 
 
 @pytest.fixture(autouse=True)
 def fast_pipeline(small_model, monkeypatch):
     built = []
+    monkeypatch.setattr(cli, "_cap_malloc_arenas", lambda: False)
 
     def fake_build(args, cfg):
         cfg = cfg.replace(serve=cfg.serve.replace(max_retries=0))
@@ -366,3 +381,105 @@ class TestStatsWatch:
         path = self.snapshot(tmp_path)
         assert cli.main(["stats", str(path)]) == 0
         assert "repro_adaptive_level = 1" in capsys.readouterr().out
+
+
+_needs_glibc = pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="malloc arenas and malloc_info are glibc's",
+)
+
+#: Three threads allocate at once (each holds its blocks until all have
+#: allocated), then ``malloc_info`` counts the heaps glibc made.
+_ARENA_PROBE = """
+import ctypes, os, sys, tempfile, threading
+from repro import cli
+if sys.argv[1] == "cap":
+    assert cli._cap_malloc_arenas()
+barrier = threading.Barrier(3)
+def work():
+    blocks = [bytearray(4096) for _ in range(256)]
+    barrier.wait()
+    del blocks
+threads = [threading.Thread(target=work) for _ in range(3)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "malloc_info.xml")
+    stream = libc.fopen(path.encode(), b"w")
+    libc.malloc_info(0, stream)
+    libc.fclose(stream)
+    with open(path) as handle:
+        print(handle.read().count("<heap nr="))
+"""
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestMallocArenaCap:
+    def _heaps(self, mode: str) -> int:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        env.pop("MALLOC_ARENA_MAX", None)
+        env.pop("GLIBC_TUNABLES", None)
+        result = subprocess.run(
+            [sys.executable, "-c", _ARENA_PROBE, mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout.split()[-1])
+
+    @_needs_glibc
+    def test_capped_threads_share_the_main_heap(self):
+        assert self._heaps("cap") == 1
+
+    @_needs_glibc
+    def test_uncapped_threads_grow_heaps_of_their_own(self):
+        # The control: what the cap removes.
+        assert self._heaps("plain") == 4
+
+    @pytest.mark.parametrize(
+        "cdll", [lambda name: object(), _no_c_library],
+        ids=["no_mallopt", "no_c_library"],
+    )
+    def test_without_mallopt_the_cap_is_a_no_op(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert _real_cap_malloc_arenas() is False
+
+    def test_serve_caps_before_any_serving_thread_starts(
+        self, monkeypatch, capsys
+    ):
+        before = set(threading.enumerate())
+        events = []
+
+        def cap():
+            events.append(("cap", set(threading.enumerate()) - before))
+            return True
+
+        start = PatternService.start
+
+        def recording_start(service):
+            events.append(("start", None))
+            return start(service)
+
+        monkeypatch.setattr(cli, "_cap_malloc_arenas", cap)
+        monkeypatch.setattr(PatternService, "start", recording_start)
+        cli.main(
+            ["serve",
+             "Generate 1 layout patterns, 64*64 topology, physical size "
+             "1024nm * 1024nm, style Layer-10001."]
+        )
+        assert [name for name, _ in events] == ["cap", "start"]
+        assert events[0][1] == set(), "a thread started before the cap"
+        err = capsys.readouterr().err
+        assert err.count("malloc: one arena for every serving thread") == 1

@@ -201,6 +201,24 @@ class TestHttpErrors:
         job_id = client.submit(kind="pipeline", params=PARAMS, source="ok")
         assert client.wait(job_id, timeout=30.0)["state"] == SUCCEEDED
 
+    def test_bad_objective_400_creates_no_job(self, live):
+        server, client, _model = live
+        for objective in ("bogus", "", 7, ["legality"]):
+            status, payload = client._request(
+                "POST", "/v1/jobs",
+                {"kind": "pipeline", "params": PARAMS,
+                 "objective": objective},
+            )
+            assert status == 400
+            assert payload["error_code"] == "invalid_request"
+            assert "legality" in payload["error"]
+            assert "diversity" in payload["error"]
+        assert list(server.service.jobs.jobs()) == []
+        job_id = client.submit(
+            kind="pipeline", params=PARAMS, objective="diversity"
+        )
+        assert client.wait(job_id, timeout=30.0)["state"] == SUCCEEDED
+
     def test_failed_job_result_maps_invalid_request_to_400(self, live):
         _server, client, _model = live
         job_id = client.submit(
