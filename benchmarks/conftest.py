@@ -13,7 +13,6 @@ Every experiment honours two environment variables:
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -74,33 +73,6 @@ def output_dir():
     path = os.path.join(os.path.dirname(__file__), "out")
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def load_history(path: str, benchmark: str) -> dict:
-    """The committed run history at ``path`` (empty when absent)."""
-    if not os.path.exists(path):
-        return {"benchmark": benchmark, "history": []}
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def record_run(
-    payload: dict, history: dict, history_path: str, output_path: str
-) -> None:
-    """Write one run's payload to ``output_path``; a full run is also
-    appended to ``history`` and written back to ``history_path``.
-
-    A smoke run (``payload["smoke"]``) writes only its own payload, so it
-    leaves the committed ``BENCH_*.json`` histories, and the anchors its
-    regression check reads, as it found them.
-    """
-    with open(output_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    if not payload["smoke"]:
-        history["history"].append(payload)
-        with open(history_path, "w") as handle:
-            json.dump(history, handle, indent=2)
-            handle.write("\n")
 
 
 def print_table(title: str, header: list, rows: list) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -215,8 +216,14 @@ class ServeConfig(StageConfig):
                 f"unknown serve policy {self.policy!r}; known: "
                 f"{sorted(SERVE_POLICIES)}"
             )
+        if not (math.isfinite(self.gather_window) and self.gather_window >= 0):
+            raise ConfigError("gather_window must be finite and >= 0 seconds")
+        if self.max_batch < 1:
+            raise ConfigError("max_batch must be >= 1")
         if self.max_workers < 1:
             raise ConfigError("max_workers must be >= 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1 (or null)")
         if self.deadline is not None and self.deadline <= 0:

@@ -216,7 +216,7 @@ def in_paint(
     window re-paints are never altered.
     """
     window = model.window
-    band = seam_band or window // 2
+    band = window // 2 if seam_band is None else seam_band
     if not 0 < band < window:
         raise ValueError("seam_band must be in (0, window)")
     height, width = target_shape
@@ -247,7 +247,8 @@ def in_paint(
     visited: List[Tuple[int, int]] = list(tiles)
 
     mid = window // 2
-    lo, hi = mid - band // 2, mid + band // 2
+    lo = mid - band // 2
+    hi = lo + band
     vertical = np.ones((window, window), dtype=np.uint8)
     vertical[:, lo:hi] = 0
     horizontal = np.ones((window, window), dtype=np.uint8)

@@ -103,6 +103,23 @@ class TestSectionRoundTrip:
         with pytest.raises(ConfigError, match="objective"):
             PipelineConfig.from_dict({"serve": {"objective": objective}})
 
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("gather_window", float("nan")),
+            ("gather_window", float("inf")),
+            ("gather_window", -0.01),
+            ("max_batch", 0),
+            ("max_retries", -1),
+        ],
+    )
+    def test_serve_config_rejects_a_bad_engine_knob(self, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            ServeConfig(**{knob: value})
+        # NaN reaches a pipeline.json as a bare ``NaN`` literal.
+        with pytest.raises(ConfigError, match=knob):
+            PipelineConfig.loads(json.dumps({"serve": {knob: value}}))
+
     def test_serve_config_accepts_both_objectives(self):
         assert ServeConfig(objective="diversity").objective == "diversity"
         assert ServeConfig().objective == "legality"

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.api import PipelineConfig, ServeConfig, TrainConfig
 from repro.data import DatasetConfig, STYLES, build_library, build_training_set
-from repro.diffusion import ConditionalDiffusionModel, DiffusionSchedule
+from repro.diffusion import (
+    ConditionalDiffusionModel,
+    DiffusionSchedule,
+    ReferenceDenoiser,
+)
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +39,21 @@ def small_model(small_dataset):
     )
     model.fit(topologies, conditions, np.random.default_rng(0))
     return model
+
+
+@pytest.fixture(scope="session")
+def reference_model(small_model, small_dataset):
+    """``small_model`` on the float64 :class:`ReferenceDenoiser`, whose
+    count tables replay the fit's training set and seed."""
+    topologies, conditions = small_dataset
+    reference = copy.copy(small_model)
+    reference.denoiser = ReferenceDenoiser(
+        small_model.denoiser,
+        small_model.denoiser.count_tables(
+            topologies, conditions, np.random.default_rng(0)
+        ),
+    )
+    return reference
 
 
 @pytest.fixture(scope="session")

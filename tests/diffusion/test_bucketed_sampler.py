@@ -5,6 +5,8 @@ the property tests pin the bucket-collapsed sampler's legality rate,
 density error and diversity to the full chain's on the seed dataset.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,14 @@ class TestStepPlan:
         assert bucketed <= small_model.denoiser.n_buckets + 1
         assert bucketed < full
 
+    def test_default_model_costs_one_eval_per_bucket(self):
+        """The default K=128 model's bucketed chain costs ``n_buckets``
+        evaluations against 82 for the full chain."""
+        model = ConditionalDiffusionModel()
+        assert model.denoise_evals("full") == 82
+        assert model.denoiser.n_buckets == 16
+        assert model.denoise_evals("bucketed") == 16
+
     def test_constructor_default_is_used(self):
         model = ConditionalDiffusionModel(
             schedule=DiffusionSchedule.linear(32, 0.003, 0.08),
@@ -218,4 +228,40 @@ class TestBucketedEquivalence:
         assert (
             small_model.denoise_evals("bucketed")
             * 3 <= small_model.denoise_evals("full")
+        )
+
+
+class TestSamplingSpeed:
+    """The sampling engine's speed over the pre-engine path: compiled
+    float32 tables walking the bucketed chain against the float64
+    reference denoiser walking the full chain (58 against 16 evaluations
+    at K=64), one 4-sample trajectory each, median against median over
+    alternated pairs."""
+
+    PAIRS = 7
+    # Half the 4.59x first recorded for this workload.
+    FLOOR = 2.3
+
+    def test_compiled_bucketed_beats_reference_full(
+        self, small_model, reference_model
+    ):
+        arms = {
+            "reference": (reference_model, "full"),
+            "compiled": (small_model, "bucketed"),
+        }
+        walls = {arm: [] for arm in arms}
+        small_model.sample(1, 0, np.random.default_rng(0))  # warm-up
+        for pair in range(self.PAIRS):
+            for arm in list(arms)[:: 1 if pair % 2 == 0 else -1]:
+                model, steps = arms[arm]
+                started = time.perf_counter()
+                model.sample(
+                    4, 0, np.random.default_rng(1), sampler_steps=steps
+                )
+                walls[arm].append(time.perf_counter() - started)
+        speedup = np.median(walls["reference"]) / np.median(walls["compiled"])
+        assert speedup >= self.FLOOR, (
+            f"compiled bucketed sampling is {speedup:.2f}x the reference "
+            f"full chain (median of {self.PAIRS} alternated pairs), below "
+            f"the {self.FLOOR}x floor; walls {walls}"
         )

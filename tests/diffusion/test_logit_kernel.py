@@ -10,8 +10,6 @@ the statistics of the compiled kernel to the float64
 :class:`ReferenceDenoiser` oracle.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from repro.diffusion import (
     ConditionalDiffusionModel,
     DiffusionSchedule,
     MarginalDenoiser,
-    ReferenceDenoiser,
 )
 from repro.diffusion.denoisers.base import LOGIT_CLIP
 from repro.diffusion.model import (
@@ -312,15 +309,7 @@ class TestReferencePathStatistics:
     N = 6
 
     @pytest.fixture(scope="class")
-    def outputs(self, small_model, small_dataset):
-        topologies, conditions = small_dataset
-        reference = copy.copy(small_model)
-        reference.denoiser = ReferenceDenoiser(
-            small_model.denoiser,
-            small_model.denoiser.count_tables(
-                topologies, conditions, np.random.default_rng(0)
-            ),
-        )
+    def outputs(self, small_model, reference_model):
         seeds = {
             cls: small_model.sample(
                 self.N, cls, np.random.default_rng(300 + cls)
@@ -331,7 +320,7 @@ class TestReferencePathStatistics:
         keep[:, 16:48, 16:48] = 0
         out = {}
         for path, model in (("compiled", small_model),
-                            ("reference", reference)):
+                            ("reference", reference_model)):
             per_op = {"sample": {}, "modify": {}, "extend": {}}
             for cls, style in enumerate(STYLES):
                 per_op["sample"][style] = model.sample_batch(

@@ -62,6 +62,7 @@ class TestHandleRequest:
         assert isinstance(result, ChatResult)
         assert result.plan.total_count == 4
         assert result.produced + result.dropped == 4
+        assert result.produced > 0
         assert len(result.library) == result.produced
         rules = rules_for_style("Layer-10001")
         for pattern in result.library:

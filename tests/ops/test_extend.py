@@ -106,6 +106,41 @@ class TestInPaint:
         result = in_paint(small_model, (100, 90), 0, rng)
         assert result.topology.shape == (100, 90)
 
+    @pytest.mark.parametrize("band", [1, 3, 4, 7, 8, 15])
+    def test_seams_repaint_the_requested_band(self, band, monkeypatch):
+        calls = []
+
+        def recording_modify_batch(model, topologies, masks, conds, rng, **kw):
+            calls.append(np.array(masks))
+            return np.asarray(topologies).copy()
+
+        def sample_batch(conditions, rng, sampler_steps=None):
+            return np.zeros((len(conditions), 16, 16), dtype=np.uint8)
+
+        monkeypatch.setattr(EXTEND, "modify_batch", recording_modify_batch)
+        model = SimpleNamespace(window=16, sample_batch=sample_batch)
+        in_paint(model, (32, 32), 0, np.random.default_rng(0), seam_band=band)
+        # Two vertical seams, two horizontal seams and one corner
+        # crossing, each repainting ``band`` lines centred on the tile
+        # boundary.
+        repaint = np.zeros(16, dtype=bool)
+        repaint[8 - band // 2 : 8 - band // 2 + band] = True
+        vertical = np.tile(repaint, (16, 1))
+        expected = [
+            [vertical] * 2, [vertical.T] * 2, [np.outer(repaint, repaint)]
+        ]
+        assert [len(masks) for masks in calls] == [2, 2, 1]
+        for masks, group in zip(calls, expected):
+            assert np.array_equal(masks == 0, np.stack(group))
+
+    @pytest.mark.parametrize("band", [0, -1, 16])
+    def test_bad_seam_band_rejected(self, band):
+        model = SimpleNamespace(window=16)
+        with pytest.raises(ValueError, match="seam_band"):
+            in_paint(
+                model, (32, 32), 0, np.random.default_rng(0), seam_band=band
+            )
+
 
 class TestExtendDispatch:
     def test_out_method(self, small_model):

@@ -220,6 +220,83 @@ class TestAdaptiveEngine:
             pass
 
 
+class TestAdaptiveSpike:
+    """One identical burst of full-quality jobs into a fair-share engine
+    and into an adaptive engine whose p95 SLO is half the fair-share p95,
+    over trials that alternate which policy runs first.  In every trial
+    the adaptive policy degrades during the burst, restores once it
+    drains and serves the next job at full quality, and fair-share never
+    degrades; one burst's p95 is its slowest job or two, so the p95 gate
+    reads the median trial."""
+
+    TRIALS = 5
+    JOBS = 10
+
+    def _burst(self, model, tune=None):
+        engine = ServeEngine(
+            model,
+            controller=AdaptiveController(tune) if tune is not None else None,
+            gather_window=0.01,
+            max_batch=8,
+        )
+        with engine:
+            engine.submit(1, 0, seed=10_000).result(timeout=60)  # warm-up
+            submitted, jobs = [], []
+            for i in range(self.JOBS):
+                submitted.append(time.perf_counter())
+                jobs.append(engine.submit(1, i % 2, seed=i))
+            latencies = []
+            for at, job in zip(submitted, jobs):
+                job.result(timeout=60)
+                latencies.append(time.perf_counter() - at)
+            run = {
+                "p95": float(np.percentile(latencies, 95)),
+                "degraded": sum(job.degrade_level > 0 for job in jobs),
+            }
+            if tune is not None:
+                controller = engine.controller
+                deadline = time.time() + 30
+                while controller.level > 0 and time.time() < deadline:
+                    time.sleep(0.02)
+                run["restored"] = controller.level == 0
+                tail = engine.submit(1, 0, seed=9_999)
+                tail.result(timeout=60)
+                run["tail_level"] = tail.degrade_level
+        return run
+
+    def test_degrades_in_the_burst_restores_and_holds_p95(self, small_model):
+        trials = []
+        for trial in range(self.TRIALS):
+            adaptive_first = trial % 2 == 1
+            if not adaptive_first:
+                static = self._burst(small_model)
+            # The SLO comes from the latest fair-share p95 measured before
+            # this adaptive run.
+            tune = TuneConfig(
+                slo_p95=max(0.2, static["p95"] * 0.5),
+                degrade_ladder=("bucketed",),
+                degrade_after=1,
+                restore_after=2,
+                queue_high=2,
+                queue_low=1,
+                tick_interval=0.005,
+            )
+            adaptive = self._burst(small_model, tune)
+            if adaptive_first:
+                static = self._burst(small_model)
+            trials.append({"fair_share": static, "adaptive": adaptive})
+        for trial in trials:
+            assert trial["adaptive"]["degraded"] > 0, trial
+            assert trial["adaptive"]["restored"], trial
+            assert trial["adaptive"]["tail_level"] == 0, trial
+            assert trial["fair_share"]["degraded"] == 0, trial
+        # >= 1.0 means adaptive's p95 was no worse than fair-share's.
+        ratios = sorted(
+            t["fair_share"]["p95"] / t["adaptive"]["p95"] for t in trials
+        )
+        assert ratios[self.TRIALS // 2] >= 0.9, (ratios, trials)
+
+
 class TestDegradedEngineEvent:
     """A degraded job surfaces a ``degraded`` engine event + trace span."""
 

@@ -43,6 +43,35 @@ class TestSchedulerBatching:
         assert all(job.batch_samples == 4 for job in jobs)
         assert all(job.queue_wait >= 0.0 for job in jobs)
 
+    def test_eight_concurrent_jobs_share_bucketed_trajectories(
+        self, small_model, monkeypatch
+    ):
+        """Eight jobs submitted to a running engine ride fewer trajectories
+        than jobs, and each trajectory costs one evaluation per bucket."""
+        evals = []
+        model_class = type(small_model)
+        reverse_step = model_class._reverse_step
+
+        def counting_reverse_step(self, *args, **kwargs):
+            evals.append(1)
+            return reverse_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            model_class, "_reverse_step", counting_reverse_step
+        )
+        engine = ServeEngine(
+            small_model, sampler_steps="bucketed", gather_window=0.05
+        )
+        with engine:
+            jobs = [engine.submit(1, i % 2, seed=i) for i in range(8)]
+            results = [job.result(timeout=60) for job in jobs]
+        assert sum(len(r) for r in results) == 8
+        stats = engine.stats().scheduler
+        assert stats.jobs == 8
+        assert stats.batches < 8
+        assert small_model.denoise_evals("bucketed") == 16
+        assert len(evals) == stats.batches * 16
+
     def test_multi_count_jobs_split_correctly(self, small_model):
         engine = ServeEngine(small_model, gather_window=0.05)
         a = engine.submit(2, 0, seed=1)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api import ObsConfig, PipelineConfig, ServeConfig, TrainConfig
+from repro.data import STYLES
 from repro.obs import (
     NULL_METRICS,
     MetricsRegistry,
@@ -170,6 +171,10 @@ REQUEST = (
     "Generate 2 legal patterns, 64*64 topology, physical size "
     "1024nm * 1024nm, style Layer-10001."
 )
+ONE_PATTERN = (
+    "Generate 1 legal patterns, 64*64 topology, physical size "
+    "1024nm * 1024nm, style {style}."
+)
 
 
 @pytest.fixture()
@@ -177,6 +182,60 @@ def registry(small_model):
     registry = ModelRegistry()
     registry.put(ModelKey(window=64), small_model)
     return registry
+
+
+class TestObsTax:
+    """Observability is near-free: eight one-pattern requests from two
+    sources through the batched service, obs on against obs off, median
+    against median over alternated pairs.  The tax may exceed ``BOUND``
+    by the run-to-run spread the same pairs measure."""
+
+    PAIRS = 11
+    BOUND = 0.05
+
+    @staticmethod
+    def _serve_wall(registry, enabled):
+        config = PipelineConfig(
+            train=TrainConfig(window=64),
+            serve=ServeConfig(
+                gather_window=0.05, max_workers=8, max_retries=1
+            ),
+            obs=ObsConfig(enabled=enabled),
+        )
+        requests = [
+            ServeRequest(
+                text=ONE_PATTERN.format(style=STYLES[i % 2]),
+                source=f"client-{i % 2}",
+            )
+            for i in range(8)
+        ]
+        service = PatternService(config, registry=registry)
+        started = time.perf_counter()
+        with service:
+            responses = service.serve(requests)
+        wall = time.perf_counter() - started
+        # Responses come back in request order with obs on and off.
+        assert [r.request.request_id for r in responses] == list(range(1, 9))
+        return wall
+
+    def test_obs_on_costs_at_most_the_bound_plus_spread(self, registry):
+        walls = {True: [], False: []}
+        for pair in range(self.PAIRS):
+            for enabled in (True, False)[:: 1 if pair % 2 == 0 else -1]:
+                walls[enabled].append(self._serve_wall(registry, enabled))
+        median = {arm: np.median(w) for arm, w in walls.items()}
+        spread = max(
+            np.subtract(*np.percentile(w, [75, 25])) / median[arm]
+            for arm, w in walls.items()
+        )
+        tax = median[True] / median[False] - 1.0
+        tolerance = self.BOUND + spread
+        assert tax <= tolerance, (
+            f"obs tax {tax:.1%} over {self.PAIRS} alternated pairs exceeds "
+            f"its tolerance {tolerance:.1%} ({self.BOUND:.0%} + "
+            f"{spread:.1%} measured spread); walls on {walls[True]}, "
+            f"off {walls[False]}"
+        )
 
 
 class TestServiceInstrumentation:

@@ -80,6 +80,7 @@ class TestServeConcurrent:
         # batched trajectories instead of sampling one by one.
         assert stats.scheduler.max_batch_size > 1
         assert stats.scheduler.jobs >= 8
+        assert stats.scheduler.batches < stats.scheduler.jobs
         # The model came from the registry cache, not a fresh fit.
         assert stats.registry["hits"] == 1
         assert stats.registry["misses"] == 0
